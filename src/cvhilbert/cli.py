@@ -8,9 +8,10 @@ normalized, and nothing is seeded or timed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     SchemaError,
     SizeLimit,
 )
-from .groups import generate_permutation_group
+from .groups import compose, generate_permutation_group
 from .variables import ConceptualVariable, Context, make_variable
 
 SCHEMA_VERSION = "1"
@@ -120,8 +121,42 @@ def parse_context(path: str) -> ContextDocument:
     return document_from_mapping(raw)
 
 
+def _is_int(v) -> bool:
+    """JSON integer; true and false are not integers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """JSON number that converts to a finite float."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _is_permutation(v, size: int) -> bool:
+    return (isinstance(v, list) and len(v) == size and all(_is_int(x) for x in v)
+            and sorted(v) == list(range(size)))
+
+
+def _is_value(v) -> bool:
+    """A raw variable value: a JSON scalar, or a list of scalars."""
+    if isinstance(v, list):
+        return all(x is None or isinstance(x, (str, int, float)) for x in v)
+    return v is None or isinstance(v, (str, int, float))
+
+
+# options field -> (default, validity test, expected form)
+_OPTIONS = {
+    "tolerance": (1e-9, lambda v: _is_real(v) and v > 0, "a positive number"),
+    "fiducial_index": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "max_order": (1024, lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "spin_suite": (False, lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def document_from_mapping(raw: dict) -> ContextDocument:
     """Validate a raw mapping against the document schema."""
+    if not isinstance(raw, dict):
+        raise SchemaError(["document: must be a JSON object"])
     problems: list[str] = []
 
     def need(container, key, kind, where):
@@ -129,7 +164,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             problems.append(f"{where}: missing field {key!r}")
             return None
         value = container[key]
-        if kind is not None and not isinstance(value, kind):
+        if not isinstance(value, kind) or (kind is int and not _is_int(value)):
             problems.append(f"{where}: field {key!r} has wrong type")
             return None
         return value
@@ -146,13 +181,13 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     gens_raw = need(group_k, "generators", list, "group_K") or []
     gens: list[tuple[int, ...]] = []
     for i, g in enumerate(gens_raw):
-        if (not isinstance(g, list) or len(g) != size
-                or sorted(g) != list(range(size))):
+        if not _is_permutation(g, size):
             problems.append(f"group_K: generator {i} is not a permutation of {size} points")
         else:
-            gens.append(tuple(int(v) for v in g))
+            gens.append(tuple(g))
     names = group_k.get("names") or [f"g{i}" for i in range(len(gens_raw))]
-    if len(names) != len(gens_raw) or len(set(names)) != len(names):
+    if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
+            or len(names) != len(gens_raw) or len(set(names)) != len(names)):
         problems.append("group_K: names must be unique, one per generator")
         names = [f"g{i}" for i in range(len(gens_raw))]
     vars_raw = need(raw, "variables", list, "document")
@@ -171,16 +206,19 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             problems.append(f"variables[{i}]: duplicate name {name!r}")
             continue
         seen_names.add(name)
-        if not isinstance(values, list) or len(values) != size:
-            problems.append(f"variables[{i}] ({name}): values must list one entry per point")
+        if (not isinstance(values, list) or len(values) != size
+                or not all(_is_value(x) for x in values)):
+            problems.append(f"variables[{i}] ({name}): values must list one scalar "
+                            "or list of scalars per point")
             continue
         numeric = v.get("numeric_values")
-        if numeric is not None and not isinstance(numeric, list):
-            problems.append(f"variables[{i}] ({name}): numeric_values must be a list")
+        if numeric is not None and (not isinstance(numeric, list)
+                                    or not all(_is_real(x) for x in numeric)):
+            problems.append(f"variables[{i}] ({name}): numeric_values must be a list of numbers")
             continue
         vars_out.append({"name": name, "values": values, "numeric_values": numeric})
     family = raw.get("maximal_family", [])
-    if not isinstance(family, list):
+    if not isinstance(family, list) or not all(isinstance(n, str) for n in family):
         problems.append("maximal_family: must be a list of variable names")
         family = []
     for name in family:
@@ -197,7 +235,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             continue
         theta, xi = p.get("theta"), p.get("xi")
         for ref in (theta, xi):
-            if ref not in seen_names:
+            if not isinstance(ref, str) or ref not in seen_names:
                 problems.append(f"pairs[{i}]: undefined variable {ref!r}")
         k = p.get("k")
         word, perm = None, None
@@ -207,10 +245,10 @@ def document_from_mapping(raw: dict) -> ContextDocument:
                 if part not in names:
                     problems.append(f"pairs[{i}]: word element {part!r} is not a generator name")
         elif isinstance(k, list):
-            if len(k) != size or sorted(k) != list(range(size)):
+            if not _is_permutation(k, size):
                 problems.append(f"pairs[{i}]: k is not a permutation of {size} points")
             else:
-                perm = tuple(int(v) for v in k)
+                perm = tuple(k)
         else:
             problems.append(f"pairs[{i}]: k must be a generator word or a permutation")
         pairs.append(DocumentPair(str(theta), str(xi), word, perm))
@@ -218,10 +256,11 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     if not isinstance(options, dict):
         problems.append("options: must be an object")
         options = {}
-    tolerance = float(options.get("tolerance", 1e-9))
-    fiducial_index = int(options.get("fiducial_index", 0))
-    max_order = int(options.get("max_order", 1024))
-    spin_suite = bool(options.get("spin_suite", False))
+    opts = {}
+    for key, (default, valid, expected) in _OPTIONS.items():
+        opts[key] = options.get(key, default)
+        if not valid(opts[key]):
+            problems.append(f"options: field {key!r} must be {expected}")
     if size <= 0:
         problems.append("phi_space: size must be positive")
     if problems:
@@ -229,18 +268,23 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     return ContextDocument(
         version, size, tuple(labels) if labels else None,
         tuple(gens), tuple(names), tuple(vars_out), tuple(family),
-        tuple(pairs), tolerance, fiducial_index, max_order, spin_suite,
+        tuple(pairs), float(opts["tolerance"]), opts["fiducial_index"],
+        opts["max_order"], opts["spin_suite"],
     )
 
 
 def _resolve_word(doc: ContextDocument, word: str) -> tuple[int, ...]:
     """Word factors multiply left to right, so "a b" applies b first."""
-    perms = {name: g for name, g in zip(doc.generator_names, doc.generators)}
-    result = tuple(range(doc.phi_size))
-    for part in word.split():
-        gen = perms[part]
-        result = tuple(result[gen[x]] for x in range(doc.phi_size))
-    return result
+    perms = dict(zip(doc.generator_names, doc.generators))
+    return functools.reduce(compose, (perms[part] for part in word.split()),
+                            tuple(range(doc.phi_size)))
+
+
+def _fiducial(doc: ContextDocument, dim: int) -> np.ndarray:
+    """Basis vector at the document's fiducial index, clamped to the last one."""
+    fid = np.zeros(dim, dtype=complex)
+    fid[min(doc.fiducial_index, dim - 1)] = 1.0
+    return fid
 
 
 def _build_variables(doc: ContextDocument) -> dict[str, ConceptualVariable]:
@@ -362,32 +406,24 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
         f"irreducibility[{idx}]", "trivial-commutant",
         "pass" if irreducible else "fail", detail=f"commutant_dim={cdim}"))
 
-    fiducial = np.zeros(base_rep.dim, dtype=complex)
-    fiducial[min(doc.fiducial_index, base_rep.dim - 1)] = 1.0
     try:
-        system = pairing.joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep, words, fiducial)
+        system = pairing.joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep,
+                                               words, _fiducial(doc, base_rep.dim))
     except CosetLabelingError as exc:
         checks.append(CheckRecord(f"coset-labels[{idx}]", "axis-factorization",
                                   "fail", detail=str(exc)))
         return
     checks.append(CheckRecord(
         f"coset-labels[{idx}]", "axis-factorization", "pass",
-        detail=f"cosets={len(system.cosets)} isotropy={system.isotropy.order}"))
+        detail=f"cosets={len(system.coherent.cosets)} isotropy={system.coherent.isotropy.order}"))
 
-    vectors = [system.joint_rep.matrices[r] @ system.fiducial
-               for r in system.cosets.representatives]
-    collision = None
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if float(np.abs(vectors[i] - vectors[j]).max()) <= doc.tolerance:
-                collision = (system.cosets.representatives[i],
-                             system.cosets.representatives[j])
+    injective, collision = coherent.one_to_one_check(system.coherent)
     checks.append(CheckRecord(
         f"state-injectivity[{idx}]", "values-to-states",
-        "pass" if collision is None else "fail",
-        witness=None if collision is None else f"elements {collision}"))
+        "pass" if injective else "fail",
+        witness=None if injective else f"elements {collision}"))
 
-    res = pairing.resolution_of_identity(system)
+    res = coherent.resolution_of_identity(system.coherent)
     checks.append(CheckRecord(
         f"resolution-of-identity[{idx}]", "projector-sum-identity",
         "pass" if res.ok else "fail", residual=_num(res.residual),
@@ -411,22 +447,24 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
         "pass" if unit_residual <= doc.tolerance else "fail",
         residual=_num(unit_residual), detail="unit variable gives identity"))
 
-    for var, op in ((pair.theta, a_theta), (pair.xi, a_xi)):
+    eig_theta = spectra.eigensystem(a_theta)
+    eig_xi = spectra.eigensystem(a_xi)
+    for var, eig in ((pair.theta, eig_theta), (pair.xi, eig_xi)):
         report.operators.append({
             "pair": idx,
             "variable": var.name,
-            "matrix": _matrix_payload(op.matrix),
-            "eigenvalues": [_num(v) for v in np.linalg.eigvalsh(op.matrix)],
+            "matrix": _matrix_payload(eig.operator.matrix),
+            "eigenvalues": [_num(v) for v in eig.spectrum],
         })
-        ok = spectra.verify_values_are_eigenvalues(op, var)
+        ok = spectra.verify_values_are_eigenvalues(eig, var)
         checks.append(CheckRecord(
             f"eigenvalue-value-match[{idx}][{var.name}]", "spectrum-equals-values",
             "pass" if ok else "fail"))
-        ok2 = spectra.verify_maximality_iff_nondegenerate(pair.context, var, op)
+        ok2 = spectra.verify_maximality_iff_nondegenerate(pair.context, var, eig)
         checks.append(CheckRecord(
             f"maximality-nondegeneracy[{idx}][{var.name}]",
             "maximal-iff-multiplicity-free", "pass" if ok2 else "fail"))
-        for qa in spectra.question_answer_labels(op, var):
+        for qa in spectra.question_answer_labels(eig, var):
             report.question_answers.append({
                 "pair": idx,
                 "variable": qa.variable,
@@ -449,8 +487,6 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
             f"conjugation-covariance[{idx}][t={rec.element}]", "operator-transport",
             status, residual=_num(rec.residual), detail=detail))
 
-    eig_theta = spectra.eigensystem(a_theta)
-    eig_xi = spectra.eigensystem(a_xi)
     if eig_theta.degenerate or eig_xi.degenerate:
         checks.append(CheckRecord(f"transition-unitarity[{idx}]", "basis-change",
                                   "skip", detail="degenerate spectrum"))
@@ -548,10 +584,6 @@ def _report_payload(report: VerificationReport) -> dict:
     }
 
 
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
-
-
 def two_bit_document() -> dict:
     """The worked two-binary-variable fixture as a raw document mapping."""
     return {
@@ -572,24 +604,25 @@ def two_bit_document() -> dict:
 
 
 def _apply_overrides(doc: ContextDocument, args) -> ContextDocument:
-    updates = {}
-    if getattr(args, "tolerance", None) is not None:
-        updates["tolerance"] = args.tolerance
-    if getattr(args, "max_order", None) is not None:
-        updates["max_order"] = args.max_order
-    if not updates:
-        return doc
-    from dataclasses import replace
-
+    """The document with the options given by --tolerance and --max-order."""
+    updates = {key: getattr(args, key) for key in ("tolerance", "max_order")
+               if getattr(args, key, None) is not None}
+    for key, value in updates.items():
+        _, valid, expected = _OPTIONS[key]
+        if not valid(value):
+            raise SchemaError([f"--{key.replace('_', '-')}: must be {expected}"])
     return replace(doc, **updates)
+
+
+def _write_report(report: VerificationReport, fmt: str) -> int:
+    sys.stdout.write(emit_report(report, fmt))
+    return 2 if report.failed else 0
 
 
 def _cmd_verify(args) -> int:
     doc = parse_context(args.file)
     doc = _apply_overrides(doc, args)
-    report = run_verify(doc, context_name=args.file)
-    sys.stdout.write(emit_report(report, args.format))
-    return 2 if report.failed else 0
+    return _write_report(run_verify(doc, context_name=args.file), args.format)
 
 
 def _cmd_demo(args) -> int:
@@ -598,15 +631,17 @@ def _cmd_demo(args) -> int:
         return 1
     doc = document_from_mapping(two_bit_document())
     doc = _apply_overrides(doc, args)
-    report = run_verify(doc, context_name="demo:two-bit")
-    sys.stdout.write(emit_report(report, args.format))
-    return 2 if report.failed else 0
+    return _write_report(run_verify(doc, context_name="demo:two-bit"), args.format)
 
 
 def _cmd_operator(args) -> int:
     doc = parse_context(args.file)
     doc = _apply_overrides(doc, args)
-    var_map = _build_variables(doc)
+    try:
+        var_map = _build_variables(doc)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     if args.variable not in var_map:
         print(f"undefined variable {args.variable!r}", file=sys.stderr)
         return 1
@@ -620,9 +655,7 @@ def _cmd_operator(args) -> int:
         return 2
     g_group, g_action, _ = variables.induced_group(var, k_action)
     base_rep = representations.regular_representation(g_group)
-    fid = np.zeros(base_rep.dim, dtype=complex)
-    fid[min(doc.fiducial_index, base_rep.dim - 1)] = 1.0
-    system = coherent.build_coherent_system(base_rep, fid)
+    system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
     res = coherent.resolution_of_identity(system)
     lines = [
         f"operator for {var.name}",
@@ -646,7 +679,7 @@ def _cmd_operator(args) -> int:
         lines.append("  " + "  ".join(f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in row))
     eig = spectra.eigensystem(op)
     lines.append("eigenvalues: " + " ".join(_fmt(v) for v in eig.eigenvalues))
-    for qa in spectra.question_answer_labels(op, var):
+    for qa in spectra.question_answer_labels(eig, var):
         lines.append(f"question value={qa.value_label} numeric={_fmt(qa.numeric_value)} rank={qa.rank}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -658,12 +691,9 @@ def _cmd_pair(args) -> int:
     if not 0 <= args.pair < len(doc.pairs):
         print(f"pair index {args.pair} out of range", file=sys.stderr)
         return 1
-    from dataclasses import replace
-
     doc = replace(doc, pairs=(doc.pairs[args.pair],), spin_suite=False)
-    report = run_verify(doc, context_name=f"{args.file}#pair{args.pair}")
-    sys.stdout.write(emit_report(report, args.format))
-    return 2 if report.failed else 0
+    return _write_report(run_verify(doc, context_name=f"{args.file}#pair{args.pair}"),
+                         args.format)
 
 
 def _cmd_spin(args) -> int:

@@ -39,13 +39,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
 
-    def element_order(self, a: int) -> int:
-        x, k = a, 1
-        while x != self.identity:
-            x = self.mult(x, a)
-            k += 1
-        return k
-
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:

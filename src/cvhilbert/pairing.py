@@ -7,12 +7,13 @@ from matrices assigned to the generators; nothing guarantees in advance that
 the assignment extends to a homomorphism, so the extension is verified per
 instance and rejected with a witness when it fails.
 
-The coset structure of N modulo the fiducial's isotropy carries the (x, y)
-labels used to marginalize state projectors into the two operators. The
-labeling, its injectivity, and the covariance of the resulting operators are
-all checked rather than assumed; structural obstructions (distinct value
-motions represented by matrices equal up to a scalar) are detected and
-reported explicitly.
+The coherent-state system of the joined representation (built by
+`coherent`) has one state per coset of the fiducial's isotropy; the cosets
+carry the (x, y) labels used to marginalize state projectors into the two
+operators. The labeling and the covariance of the resulting operators are
+checked rather than assumed; structural obstructions (distinct value motions
+represented by matrices equal up to a scalar) are detected and reported
+explicitly.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import isotropy_of_state
+from . import coherent
 from .errors import (
     CosetLabelingError,
     InvolutionViolation,
     NoResolution,
     NontrivialIsotropy,
+    NotHomomorphism,
     NotMaximal,
     NotRelated,
     NotTransitive,
@@ -34,15 +36,12 @@ from .errors import (
     UndefinedTransport,
 )
 from .groups import (
-    CosetSpace,
     FiniteGroup,
     GroupAction,
-    Subgroup,
     bfs_words,
     generate_permutation_group,
     is_transitive,
     isotropy_subgroup,
-    left_cosets,
 )
 from .representations import (
     Operator,
@@ -94,16 +93,10 @@ class JointSystem:
     joint: JointGroup
     base_rep: UnitaryRepresentation     # representation feeding the join
     swap_matrix: np.ndarray
-    joint_rep: UnitaryRepresentation    # representation of the joined group
-    words: tuple[tuple[int, ...], ...]
-    fiducial: np.ndarray
-    isotropy: Subgroup                  # fixes fiducial up to phase
-    alpha: tuple[float, ...]
-    cosets: CosetSpace                  # joined group modulo the isotropy
-    states: np.ndarray                  # one unit vector per coset
+    words: tuple[tuple[int, ...], ...]  # generator word per joined-group element
+    coherent: coherent.CoherentStateSystem  # states of the joined representation
     x_index: tuple[int, ...]            # first-axis label per coset
     y_index: tuple[int, ...]
-    base_point: int
 
     @property
     def dim(self) -> int:
@@ -111,7 +104,7 @@ class JointSystem:
 
     @property
     def tolerance(self) -> float:
-        return self.joint_rep.tolerance
+        return self.coherent.tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +248,9 @@ def build_joint_representation(
 
     Each element receives the matrix product along its breadth-first shortest
     word. The extension is accepted only if the full multiplication table is
-    respected; otherwise NotWellDefined carries an element with two words
-    whose products disagree.
+    respected, which `UnitaryRepresentation` verifies on construction;
+    otherwise NotWellDefined carries an element with two words whose products
+    disagree.
     """
     d = base_rep.dim
     tol = base_rep.tolerance
@@ -278,14 +272,13 @@ def build_joint_representation(
         for slot_idx in word:
             acc = acc @ gen_mats[slot_idx]
         mats[n] = acc
-    cay = joint.group.cayley
-    for a in range(joint.group.order):
-        for b in range(joint.group.order):
-            c = int(cay[a, b])
-            if _maxabs(mats[c] - mats[a] @ mats[b]) > tol:
-                raise NotWellDefined(c, words[a] + words[b], words[c])
     mats.setflags(write=False)
-    joint_rep = UnitaryRepresentation(joint.group, d, mats, tol)
+    try:
+        joint_rep = UnitaryRepresentation(joint.group, d, mats, tol)
+    except NotHomomorphism as exc:
+        a, b = exc.pair
+        c = joint.group.mult(a, b)
+        raise NotWellDefined(c, words[a] + words[b], words[c]) from exc
     # defining relation: the second-axis copy is the swap conjugate of the first
     for g in range(base_rep.group.order):
         expected = swap_matrix @ base_rep.matrices[g] @ swap_matrix
@@ -311,7 +304,8 @@ def joint_coset_structure(
     words,
     fiducial=None,
 ) -> JointSystem:
-    """Cosets of the fiducial isotropy with consistent, injective (x, y) labels.
+    """Coherent states of the joined representation with consistent, injective
+    (x, y) coset labels.
 
     A coset's x label is read off its members lying in the first-axis copy,
     its y label off members in the second-axis copy. Subgroup elements whose
@@ -319,26 +313,15 @@ def joint_coset_structure(
     every coset still meets both copies consistently and no two cosets share
     a label pair. Violations raise CosetLabelingError with a witness.
     """
-    d = base_rep.dim
-    if fiducial is None:
-        fiducial = np.zeros(d, dtype=complex)
-        fiducial[0] = 1.0
-    fiducial = np.asarray(fiducial, dtype=complex)
-    isotropy, alpha = isotropy_of_state(joint_rep, fiducial)
-    cosets = left_cosets(joint.group, isotropy)
-    states = np.stack(
-        [joint_rep.matrices[r] @ fiducial for r in cosets.representatives]
-    )
-    states.setflags(write=False)
+    coherent_system = coherent.build_coherent_system(joint_rep, fiducial)
     base = joint.product_point(0, 0)
-    g_set = {n: g for g, n in enumerate(joint.first_embed)}
-    h_set = {n: g for g, n in enumerate(joint.second_embed)}
+    first, second = set(joint.first_embed), set(joint.second_embed)
     x_index, y_index = [], []
-    for ci, block in enumerate(cosets.cosets):
+    for block in coherent_system.cosets.cosets:
         xs = sorted({joint.split_point(joint.action.apply(n, base))[0]
-                     for n in block if n in g_set})
+                     for n in block if n in first})
         ys = sorted({joint.split_point(joint.action.apply(n, base))[1]
-                     for n in block if n in h_set})
+                     for n in block if n in second})
         if not xs or not ys:
             raise CosetLabelingError("coset meets no axis copy", block)
         if len(xs) > 1 or len(ys) > 1:
@@ -350,9 +333,8 @@ def joint_coset_structure(
         dup = next(l for l in labels if labels.count(l) > 1)
         raise CosetLabelingError("label collision", dup)
     return JointSystem(
-        pair, joint, base_rep, np.asarray(swap_matrix, dtype=complex), joint_rep,
-        tuple(words), fiducial, isotropy, alpha, cosets, states,
-        tuple(x_index), tuple(y_index), base,
+        pair, joint, base_rep, np.asarray(swap_matrix, dtype=complex), tuple(words),
+        coherent_system, tuple(x_index), tuple(y_index),
     )
 
 
@@ -377,25 +359,28 @@ def build_joint_system(
     return joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep, words, fiducial)
 
 
-def _resolution_constant(system: JointSystem) -> tuple[float, float]:
-    b = np.einsum("xi,xj->ij", system.states, system.states.conj())
-    c = system.dim / float(np.trace(b).real)
-    residual = _maxabs(c * b - np.eye(system.dim))
-    return c, residual
-
-
-def resolution_of_identity(system: JointSystem):
-    from .coherent import ResolutionResult
-
-    c, residual = _resolution_constant(system)
-    return ResolutionResult(c, residual, residual <= system.tolerance)
-
-
 def _marginal_projectors(system: JointSystem, labels, c: float, count: int) -> np.ndarray:
+    states = system.coherent.states
     out = np.zeros((count, system.dim, system.dim), dtype=complex)
     for z, lab in enumerate(labels):
-        out[lab] += c * np.outer(system.states[z], system.states[z].conj())
+        out[lab] += c * np.outer(states[z], states[z].conj())
     return out
+
+
+def marginal_projectors(system: JointSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(P(x), Q(y)) stacks; each sums to the identity when labels are total.
+
+    The weight is the constant of the full projector sum, which must resolve
+    the identity.
+    """
+    res = coherent.resolution_of_identity(system.coherent)
+    if not res.ok:
+        raise NoResolution(f"projector sum fails to resolve identity: {res.residual:.3e}")
+    m = system.joint.value_size
+    return (
+        _marginal_projectors(system, system.x_index, res.constant, m),
+        _marginal_projectors(system, system.y_index, res.constant, m),
+    )
 
 
 def joint_operators(
@@ -403,20 +388,14 @@ def joint_operators(
 ) -> tuple[Operator, Operator]:
     """Marginalize labeled state projectors into the two variable operators.
 
-    theta_values and xi_values are numeric, one per value-set point. The
-    normalization constant comes from the full projector sum, which must
-    resolve the identity.
+    theta_values and xi_values are numeric, one per value-set point.
     """
     m = system.joint.value_size
     theta_values = np.asarray(theta_values, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     if theta_values.shape != (m,) or xi_values.shape != (m,):
         raise ValueError("need one numeric value per value-set point")
-    c, residual = _resolution_constant(system)
-    if residual > system.tolerance:
-        raise NoResolution(f"projector sum fails to resolve identity: {residual:.3e}")
-    p_x = _marginal_projectors(system, system.x_index, c, m)
-    q_y = _marginal_projectors(system, system.y_index, c, m)
+    p_x, q_y = marginal_projectors(system)
     a_theta = np.einsum("x,xij->ij", theta_values, p_x)
     a_xi = np.einsum("y,yij->ij", xi_values, q_y)
     return (
@@ -424,18 +403,6 @@ def joint_operators(
                  source_variable=system.pair.theta.name, tolerance=system.tolerance),
         Operator(system.dim, a_xi, hermitian=True,
                  source_variable=system.pair.xi.name, tolerance=system.tolerance),
-    )
-
-
-def marginal_projectors(system: JointSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(P(x), Q(y)) stacks; each sums to the identity when labels are total."""
-    m = system.joint.value_size
-    c, residual = _resolution_constant(system)
-    if residual > system.tolerance:
-        raise NoResolution(f"projector sum fails to resolve identity: {residual:.3e}")
-    return (
-        _marginal_projectors(system, system.x_index, c, m),
-        _marginal_projectors(system, system.y_index, c, m),
     )
 
 
@@ -451,6 +418,20 @@ def find_element_for_transformation(system: JointSystem, perm) -> int:
     raise UndefinedTransport("transformation has no image in the joined group")
 
 
+def _axis_values(system: JointSystem, table: np.ndarray, element):
+    """(values, axis) of a moved value table that is constant along one axis
+    of the product: axis 0 when it depends on x only, 1 when on y only."""
+    m = system.joint.value_size
+    by_x = table.reshape(m, m)
+    if np.all(by_x == by_x[:, :1]):
+        return by_x[:, 0], 0
+    if np.all(by_x == by_x[:1, :]):
+        return by_x[0, :], 1
+    raise UndefinedTransport(
+        f"moved variable does not factor through either axis for element {element}"
+    )
+
+
 def transported_operator(
     system: JointSystem, theta_values, xi_values, element
 ) -> Operator:
@@ -463,28 +444,14 @@ def transported_operator(
     """
     m = system.joint.value_size
     theta_values = np.asarray(theta_values, dtype=float)
-    size = m * m
     if isinstance(element, (int, np.integer)):
         act = system.joint.action.act[int(element)]
     else:
         act = np.asarray([int(v) for v in element], dtype=np.int64)
-        if sorted(act.tolist()) != list(range(size)):
+        if sorted(act.tolist()) != list(range(m * m)):
             raise ValueError("transformation must permute the product space")
-    table = np.array([theta_values[int(act[p]) // m] for p in range(size)])
-    by_x = table.reshape(m, m)
-    if np.all(by_x == by_x[:, :1]):
-        values, labels = by_x[:, 0], system.x_index
-    elif np.all(by_x == by_x[:1, :]):
-        values, labels = by_x[0, :], system.y_index
-    else:
-        raise UndefinedTransport(
-            f"moved variable does not factor through either axis for element {element}"
-        )
-    c, residual = _resolution_constant(system)
-    if residual > system.tolerance:
-        raise NoResolution(f"projector sum fails to resolve identity: {residual:.3e}")
-    proj = _marginal_projectors(system, labels, c, m)
-    a = np.einsum("x,xij->ij", np.asarray(values, dtype=float), proj)
+    values, axis = _axis_values(system, theta_values[act // m], element)
+    a = np.einsum("x,xij->ij", values, marginal_projectors(system)[axis])
     return Operator(system.dim, a, hermitian=True, tolerance=system.tolerance)
 
 
@@ -497,7 +464,7 @@ def _projective_classes(system: JointSystem) -> list[int]:
     reps: list[int] = []
     for a in range(n):
         for ci, r in enumerate(reps):
-            prod = system.joint_rep.matrices[a] @ system.joint_rep.matrices[r].conj().T
+            prod = system.coherent.rep.matrices[a] @ system.coherent.rep.matrices[r].conj().T
             lam = np.trace(prod) / system.dim
             if abs(abs(lam) - 1.0) < 1e-6 and _maxabs(prod - lam * np.eye(system.dim)) <= 10 * tol:
                 classes[a] = ci
@@ -519,25 +486,24 @@ def covariance_records(
     elements are flagged obstructed, which explains any failures they cause.
     """
     a_theta, _ = joint_operators(system, theta_values, xi_values)
+    projectors = marginal_projectors(system)
     n = system.joint.group.order
-    size = system.joint.value_size ** 2
+    m = system.joint.value_size
     act = system.joint.action.act
     theta_arr = np.asarray(theta_values, dtype=float)
-    moved_tables = [
-        tuple(theta_arr[int(act[t, p]) // system.joint.value_size] for p in range(size))
-        for t in range(n)
-    ]
+    moved_tables = [theta_arr[act[t] // m] for t in range(n)]
     classes = _projective_classes(system)
     obstructed_class = set()
     for ci in set(classes):
-        tables = {moved_tables[t] for t in range(n) if classes[t] == ci}
+        tables = {tuple(moved_tables[t].tolist()) for t in range(n) if classes[t] == ci}
         if len(tables) > 1:
             obstructed_class.add(ci)
     records = []
     for t in range(n):
-        w = system.joint_rep.matrices[t]
-        a_moved = transported_operator(system, theta_values, xi_values, t)
-        residual = _maxabs(w.conj().T @ a_theta.matrix @ w - a_moved.matrix)
+        w = system.coherent.rep.matrices[t]
+        values, axis = _axis_values(system, moved_tables[t], t)
+        a_moved = np.einsum("x,xij->ij", values, projectors[axis])
+        residual = _maxabs(w.conj().T @ a_theta.matrix @ w - a_moved)
         records.append(
             CovarianceRecord(t, residual, residual <= system.tolerance,
                              classes[t] in obstructed_class)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatch, IrreducibleInput
+from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism
 from .groups import FiniteGroup, GroupAction
 
 DEFAULT_TOLERANCE = 1e-9
@@ -32,14 +32,14 @@ class UnitaryRepresentation:
         eye = np.eye(self.dim)
         if _maxabs(mats[self.group.identity] - eye) > self.tolerance:
             raise ValueError("identity element is not represented by the identity")
-        for g, u in enumerate(mats):
-            if _maxabs(u @ u.conj().T - eye) > self.tolerance:
-                raise ValueError(f"matrix for element {g} is not unitary")
         cay = self.group.cayley
         for a in range(self.group.order):
             for b in range(self.group.order):
                 if _maxabs(mats[cay[a, b]] - mats[a] @ mats[b]) > self.tolerance:
-                    raise ValueError(f"not a homomorphism at pair ({a}, {b})")
+                    raise NotHomomorphism(a, b)
+        for g, u in enumerate(mats):
+            if _maxabs(u @ u.conj().T - eye) > self.tolerance:
+                raise ValueError(f"matrix for element {g} is not unitary")
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -62,6 +62,35 @@ class Operator:
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _canonical_phase(v: np.ndarray, tolerance: float) -> np.ndarray:
+    """Rotate so the first component above tolerance is real positive."""
+    idx = np.nonzero(np.abs(v) > tolerance)[0]
+    if idx.size == 0:
+        return v
+    phase = v[idx[0]] / abs(v[idx[0]])
+    return v / phase
+
+
+def _clustered_eigh(herm: np.ndarray, tolerance: float):
+    """Hermitian eigendecomposition with eigenvalues clustered at tolerance.
+
+    Returns (eigenvalues ascending, canonical-phase eigenvector columns,
+    clusters as lists of column indices, scale), where an eigenvalue joins
+    the current cluster when it lies within tolerance * scale of the
+    cluster's last member and scale = max(largest |eigenvalue|, 1).
+    """
+    evals, evecs = np.linalg.eigh(herm)
+    scale = max(float(np.abs(evals).max()), 1.0)
+    clusters: list[list[int]] = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[clusters[-1][-1]] <= tolerance * scale:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    cols = np.column_stack([_canonical_phase(evecs[:, i], tolerance) for i in range(len(evals))])
+    return evals, cols, clusters, scale
 
 
 def permutation_representation(action: GroupAction) -> UnitaryRepresentation:
@@ -113,15 +142,6 @@ def is_irreducible(rep: UnitaryRepresentation) -> bool:
     return commutant_dimension(rep) == 1
 
 
-def _canonical_phase(v: np.ndarray, tolerance: float) -> np.ndarray:
-    """Rotate so the first component above tolerance is real positive."""
-    idx = np.nonzero(np.abs(v) > tolerance)[0]
-    if idx.size == 0:
-        return v
-    phase = v[idx[0]] / abs(v[idx[0]])
-    return v / phase
-
-
 def invariant_subspace_split(rep: UnitaryRepresentation):
     """Two orthogonal proper invariant subspaces of a reducible representation.
 
@@ -146,22 +166,11 @@ def invariant_subspace_split(rep: UnitaryRepresentation):
             break
     if herm is None:
         raise IrreducibleInput("no non-scalar Hermitian commutant element found")
-    evals, evecs = np.linalg.eigh(herm)
-    scale = max(float(np.abs(evals).max()), 1.0)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, d):
-        if evals[i] - evals[clusters[-1][-1]] <= tol * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    _, cols, clusters, _ = _clustered_eigh(herm, tol)
     if len(clusters) < 2:
         raise IrreducibleInput("commutant element has a single eigenvalue")
-    cols0 = np.column_stack(
-        [_canonical_phase(evecs[:, i], tol) for i in clusters[0]]
-    )
-    cols1 = np.column_stack(
-        [_canonical_phase(evecs[:, i], tol) for i in clusters[1]]
-    )
+    cols0 = cols[:, clusters[0]]
+    cols1 = cols[:, clusters[1]]
     for cols in (cols0, cols1):
         proj = cols @ cols.conj().T
         for u in rep.matrices:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, NotHermitian
-from .representations import Operator, _maxabs
+from .representations import Operator, _clustered_eigh, _maxabs
 from .variables import ConceptualVariable, Context, is_maximally_accessible
 
 
@@ -24,6 +24,7 @@ class EigenSystem:
     multiplicities: tuple[int, ...]
     projectors: np.ndarray                  # (k, d, d) Hermitian idempotents
     vectors: np.ndarray                     # (d, d) canonical-phase eigenvector columns
+    spectrum: np.ndarray                    # (d,) every eigenvalue, ascending, unclustered
 
     @property
     def degenerate(self) -> bool:
@@ -43,28 +44,12 @@ class QuestionAnswer:
     rank: int = 1
 
 
-def _canonical_phase(v: np.ndarray, tol: float) -> np.ndarray:
-    idx = np.nonzero(np.abs(v) > tol)[0]
-    if idx.size == 0:
-        return v
-    return v / (v[idx[0]] / abs(v[idx[0]]))
-
-
 def eigensystem(op: Operator) -> EigenSystem:
     """Hermitian eigendecomposition with tolerance clustering."""
     tol = op.tolerance
     if _maxabs(op.matrix - op.matrix.conj().T) > tol:
         raise NotHermitian("operator is not Hermitian at tolerance")
-    evals, evecs = np.linalg.eigh(op.matrix)
-    d = op.dim
-    scale = max(float(np.abs(evals).max()), 1.0)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, d):
-        if evals[i] - evals[clusters[-1][-1]] <= tol * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    cols = np.column_stack([_canonical_phase(evecs[:, i], tol) for i in range(d)])
+    evals, cols, clusters, scale = _clustered_eigh(op.matrix, tol)
     distinct, mults, projs = [], [], []
     for cl in clusters:
         distinct.append(float(np.mean(evals[cl])))
@@ -75,7 +60,7 @@ def eigensystem(op: Operator) -> EigenSystem:
     recon = sum(l * p for l, p in zip(distinct, projectors))
     if _maxabs(recon - op.matrix) > 100 * tol * scale:
         raise NotHermitian("spectral reconstruction failed")
-    return EigenSystem(op, tuple(distinct), tuple(mults), projectors, cols)
+    return EigenSystem(op, tuple(distinct), tuple(mults), projectors, cols, evals)
 
 
 def verify_conjugation_covariance(
@@ -87,41 +72,38 @@ def verify_conjugation_covariance(
     return residual, residual <= tol
 
 
-def verify_values_are_eigenvalues(op: Operator, variable: ConceptualVariable) -> bool:
+def verify_values_are_eigenvalues(eig: EigenSystem, variable: ConceptualVariable) -> bool:
     """Clustered spectrum must equal the attained numeric value set."""
-    eig = eigensystem(op)
     values = sorted(set(variable.numeric()))
     if len(values) != len(eig.eigenvalues):
         return False
     scale = max(max(abs(v) for v in values), 1.0)
     return all(
-        abs(l - v) <= op.tolerance * scale
+        abs(l - v) <= eig.operator.tolerance * scale
         for l, v in zip(eig.eigenvalues, values)
     )
 
 
 def verify_maximality_iff_nondegenerate(
-    context: Context, variable: ConceptualVariable, op: Operator
+    context: Context, variable: ConceptualVariable, eig: EigenSystem
 ) -> bool:
     """The biconditional: maximal accessibility vs a multiplicity-free spectrum."""
-    eig = eigensystem(op)
     return is_maximally_accessible(context, variable) == (not eig.degenerate)
 
 
-def question_answer_labels(op: Operator, variable: ConceptualVariable) -> list[QuestionAnswer]:
+def question_answer_labels(eig: EigenSystem, variable: ConceptualVariable) -> list[QuestionAnswer]:
     """One labeled record per distinct eigenvalue.
 
     Non-degenerate eigenvalues get a canonical-phase eigenvector; degenerate
     ones label their eigenspace, with the rank recorded and no vector.
     """
-    eig = eigensystem(op)
     numeric = variable.numeric()
     scale = max(max(abs(v) for v in numeric), 1.0)
     out = []
     for ci, (lam, mult) in enumerate(zip(eig.eigenvalues, eig.multiplicities)):
         label = None
         for idx, nv in enumerate(numeric):
-            if abs(nv - lam) <= op.tolerance * scale:
+            if abs(nv - lam) <= eig.operator.tolerance * scale:
                 label = variable.value_labels[idx]
                 break
         if label is None:

@@ -48,7 +48,7 @@ def two_bit_operators(two_bit):
 @pytest.fixture(scope="session")
 def qubit_rep(two_bit):
     """Irreducible two-dimensional representation of the joined group."""
-    return two_bit["system"].joint_rep
+    return two_bit["system"].coherent.rep
 
 
 def circle_system(n):

@@ -91,8 +91,8 @@ def test_criterion_4_two_bit_end_to_end(two_bit, two_bit_operators):
     assert joint.action.space_size == 4
     assert groups.is_transitive(joint.action)
     # representation extension verified over the whole multiplication table
-    assert system.joint_rep.group is joint.group
-    ok_irr, cdim = pairing.verify_joint_irreducibility(system.joint_rep)
+    assert system.coherent.rep.group is joint.group
+    ok_irr, cdim = pairing.verify_joint_irreducibility(system.coherent.rep)
     assert ok_irr and cdim == 1
     # coset labeling on the four-point product: consistent and injective
     labels = list(zip(system.x_index, system.y_index))
@@ -133,7 +133,7 @@ def test_criterion_5_conjugation_covariance(two_bit, two_bit_operators):
     assert all(r.residual <= 1e-9 for r in records if r.ok)
     assert all(r.ok or r.obstructed for r in records)
     a_theta, a_xi = two_bit_operators
-    w = system.joint_rep.matrices[system.joint.swap_element]
+    w = system.coherent.rep.matrices[system.joint.swap_element]
     swap_resid = np.abs(w.conj().T @ a_theta.matrix @ w - a_xi.matrix).max()
     assert swap_resid <= 1e-12
     flagged = sum(1 for r in records if not r.ok)
@@ -147,18 +147,18 @@ def test_criterion_5_conjugation_covariance(two_bit, two_bit_operators):
 
 def test_criterion_6_spectral_properties(two_bit, two_bit_operators):
     a_theta, a_xi = two_bit_operators
-    assert spectra.verify_values_are_eigenvalues(a_theta, two_bit["theta"])
-    assert spectra.verify_values_are_eigenvalues(a_xi, two_bit["xi"])
+    assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(a_theta), two_bit["theta"])
+    assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(a_xi), two_bit["xi"])
 
     # context 1: the two-bit pair, maximal and non-degenerate
     assert spectra.verify_maximality_iff_nondegenerate(
-        two_bit["context"], two_bit["theta"], a_theta)
+        two_bit["context"], two_bit["theta"], spectra.eigensystem(a_theta))
     # context 2: engineered degenerate coarsening, non-maximal and degenerate
     eig = spectra.eigensystem(a_theta)
     collapsed = spectra.operator_for_coarsening(eig, lambda v: 5.0)
     const = variables.make_variable("const", [0, 0, 0, 0], numeric_values=[5.0])
     assert spectra.verify_maximality_iff_nondegenerate(
-        two_bit["context"], const, collapsed)
+        two_bit["context"], const, spectra.eigensystem(collapsed))
     # context 3: four-point circle with its identity variable
     group, action, rep, system = circle_system(4)
     ident = variables.make_variable("point", [0, 1, 2, 3],
@@ -166,8 +166,8 @@ def test_criterion_6_spectral_properties(two_bit, two_bit_operators):
     ctx = variables.Context(4, action, (ident,))
     points = [action.apply(r, 0) for r in system.cosets.representatives]
     op = coherent.operator_from_variable(system, [ident.numeric()[p] for p in points])
-    assert spectra.verify_values_are_eigenvalues(op, ident)
-    assert spectra.verify_maximality_iff_nondegenerate(ctx, ident, op)
+    assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(op), ident)
+    assert spectra.verify_maximality_iff_nondegenerate(ctx, ident, spectra.eigensystem(op))
 
     t_pair = spectra.transition_matrix(spectra.eigensystem(a_theta),
                                        spectra.eigensystem(a_xi))

@@ -1,14 +1,17 @@
+import collections
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cvhilbert import cli
+from cvhilbert import cli, coherent
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TWO_BIT = str(FIXTURES / "two_bit.json")
 CORRUPTED = str(FIXTURES / "two_bit_corrupted.json")
+XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
 
 
 class TestParsing:
@@ -110,6 +113,13 @@ class TestRunVerify:
         assert not report.failed
 
 
+    def test_state_injectivity_reads_library_check(self, monkeypatch):
+        monkeypatch.setattr(coherent, "one_to_one_check", lambda system: (False, (0, 3)))
+        report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        rec = next(c for c in report.checks if c.cid == "state-injectivity[0]")
+        assert (rec.status, rec.witness) == ("fail", "elements (0, 3)")
+
+
 class TestReports:
     def test_text_determinism(self):
         doc = cli.parse_context(TWO_BIT)
@@ -121,7 +131,7 @@ class TestReports:
         doc = cli.parse_context(TWO_BIT)
         report = cli.run_verify(doc, "two-bit")
         text = cli.emit_report(report, "structured")
-        payload = cli.report_from_json(text)
+        payload = json.loads(text)
         again = cli.emit_report(report, "structured")
         assert json.loads(again) == payload
         assert payload["summary"]["fail"] == 0
@@ -230,3 +240,91 @@ class TestMissingNumericValues:
         path.write_text(json.dumps(raw))
         code = cli.main(["operator", str(path), "--variable", "bit1"])
         assert code == 1
+
+
+def _one_point_document() -> dict:
+    return {
+        "schema_version": "1",
+        "phi_space": {"size": 1},
+        "group_K": {"generators": [[0]]},
+        "variables": [{"name": "c", "values": [0], "numeric_values": [1.0]}],
+        "maximal_family": ["c"],
+        "pairs": [],
+    }
+
+
+def _with_option(key, value):
+    raw = cli.two_bit_document()
+    raw["options"][key] = value
+    return raw
+
+
+MALFORMED = {
+    "top-level array": ([cli.two_bit_document()], "document"),
+    "tolerance string": (_with_option("tolerance", "abc"), "'tolerance'"),
+    "negative tolerance": (_with_option("tolerance", -1e-9), "'tolerance'"),
+    "max_order string": (_with_option("max_order", "x"), "'max_order'"),
+    "max_order bool": (_with_option("max_order", True), "'max_order'"),
+    "spin_suite string": (_with_option("spin_suite", "no"), "'spin_suite'"),
+    "negative fiducial_index": (_with_option("fiducial_index", -1), "'fiducial_index'"),
+    "bool size": ({**_one_point_document(), "phi_space": {"size": True}}, "'size'"),
+}
+
+
+class TestMalformedOptions:
+    @pytest.mark.parametrize("raw, field", MALFORMED.values(), ids=list(MALFORMED))
+    def test_exits_one_naming_field(self, raw, field, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "schema violations" in captured.err and field in captured.err
+
+    def test_large_fiducial_index_clamped(self):
+        doc = cli.document_from_mapping(_with_option("fiducial_index", 7))
+        report = cli.run_verify(doc, "clamped")
+        assert not report.failed
+
+    @pytest.mark.parametrize("flag, value", [("--tolerance", "-1"), ("--tolerance", "nan"),
+                                             ("--max-order", "0")])
+    def test_invalid_override_exits_one(self, flag, value, capsys):
+        assert cli.main(["verify", TWO_BIT, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counter of eigendecompositions (`eigh` plus `eigvalsh`) and of
+    resolution-of-identity computations made while the fixture is active."""
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting("eigh", getattr(np.linalg, name)))
+    monkeypatch.setattr(coherent, "resolution_of_identity",
+                        counting("resolution", coherent.resolution_of_identity))
+    return calls
+
+
+class TestWorkCounts:
+    def test_one_eigendecomposition_per_operator(self, work_counts):
+        cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        # one per operator, plus the invariant split behind the swap matrix
+        assert work_counts["eigh"] == 3
+
+    def test_resolution_count_independent_of_joined_group_order(self, work_counts):
+        two_bit = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        on_order_8 = work_counts["resolution"]
+        work_counts.clear()
+        xor4 = cli.run_verify(cli.parse_context(XOR4), "xor4")
+        on_order_32 = work_counts["resolution"]
+        assert "order=8" in next(c.detail for c in two_bit.checks if c.cid == "joint-group[0]")
+        assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
+        assert 0 < on_order_8 == on_order_32 <= 5

@@ -124,6 +124,14 @@ class TestOneToOne:
         ok, witness = coherent.one_to_one_check(system)
         assert not ok and witness is not None
 
+    def test_states_compared_up_to_phase(self):
+        # U(1) psi = -psi is a distinct vector but the same state
+        g = groups.standard_group("cyclic", 2)
+        rep = reps.UnitaryRepresentation(g, 1, np.array([[[1.0]], [[-1.0]]], dtype=complex))
+        system = coherent.build_coherent_system(rep, np.array([1.0]))
+        assert system.alpha == (0.0, np.pi)
+        assert coherent.one_to_one_check(system) == (False, (0, 1))
+
     def test_qubit_pair_system(self, qubit_rep):
         v = np.array([2.0, 1.0]) / np.sqrt(5)
         system = coherent.build_coherent_system(qubit_rep, v.astype(complex))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvhilbert import groups, pairing, representations as reps, variables
+from cvhilbert import coherent, groups, pairing, representations as reps, variables
 from cvhilbert.errors import (
     CosetLabelingError,
     InvolutionViolation,
@@ -132,7 +132,7 @@ class TestJointRepresentation:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.diag([1.0, -1.0]).astype(complex)
         seen = {
-            tuple(np.round(m, 9).ravel()) for m in system.joint_rep.matrices
+            tuple(np.round(m, 9).ravel()) for m in system.coherent.rep.matrices
         }
         expected = set()
         for m in (np.eye(2), x, z, x @ z):
@@ -146,6 +146,15 @@ class TestJointRepresentation:
         bad_j = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NotWellDefined):
             pairing.build_joint_representation(joint, base_rep, bad_j)
+
+    def test_non_unitary_involution_keeps_word_witness(self, two_bit):
+        # the multiplication table is checked before unitarity, so the failing
+        # extension is reported with its two words
+        system = two_bit["system"]
+        bad_j = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
+        with pytest.raises(NotWellDefined) as exc:
+            pairing.build_joint_representation(system.joint, system.base_rep, bad_j)
+        assert (exc.value.element, exc.value.word_a, exc.value.word_b) == (4, (1, 0), (0, 1))
 
     def test_three_value_join_not_well_defined(self):
         ctx, pair, g_group, g_action = nine_point_setup()
@@ -165,7 +174,7 @@ class TestJointRepresentation:
         assert not ok and dim == 4
 
     def test_two_bit_irreducible(self, two_bit):
-        ok, dim = pairing.verify_joint_irreducibility(two_bit["system"].joint_rep)
+        ok, dim = pairing.verify_joint_irreducibility(two_bit["system"].coherent.rep)
         assert ok and dim == 1
 
 
@@ -176,15 +185,15 @@ class TestCosetStructure:
         ctx = variables.Context(1, action, (const,))
         pair = pairing.build_related_pair(ctx, const, const, (0,))
         system = pairing.build_joint_system(pair, group, action)
-        assert len(system.cosets) == 1
+        assert len(system.coherent.cosets) == 1
         assert system.x_index == (0,) and system.y_index == (0,)
 
     def test_two_bit_structure(self, two_bit):
         system = two_bit["system"]
-        assert system.isotropy.order == 4
-        assert len(system.cosets) == 2
+        assert system.coherent.isotropy.order == 4
+        assert len(system.coherent.cosets) == 2
         assert list(zip(system.x_index, system.y_index)) == [(0, 0), (1, 1)]
-        assert np.allclose(np.abs(system.states), np.eye(2))
+        assert np.allclose(np.abs(system.coherent.states), np.eye(2))
 
     def test_generic_fiducial_fails_labeling(self, two_bit):
         system = two_bit["system"]
@@ -192,21 +201,29 @@ class TestCosetStructure:
         with pytest.raises(CosetLabelingError):
             pairing.joint_coset_structure(
                 system.pair, system.joint, system.base_rep, system.swap_matrix,
-                system.joint_rep, system.words, psi)
+                system.coherent.rep, system.words, psi)
 
     def test_value_state_vectors_distinct(self, two_bit):
         system = two_bit["system"]
         n = system.joint.group.order
-        vectors = [system.joint_rep.matrices[r] @ system.fiducial
-                   for r in system.cosets.representatives]
+        vectors = [system.coherent.rep.matrices[r] @ system.coherent.fiducial
+                   for r in system.coherent.cosets.representatives]
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 assert np.abs(vectors[i] - vectors[j]).max() > 1e-9
 
 
+    def test_coset_states_pairwise_non_parallel(self, two_bit):
+        system = two_bit["system"]
+        states = system.coherent.states
+        overlaps = np.abs(states.conj() @ states.T)
+        assert overlaps[~np.eye(len(states), dtype=bool)].max() < 1 - 1e-9
+        assert coherent.one_to_one_check(system.coherent) == (True, None)
+
+
 class TestJointOperators:
     def test_resolution_constant(self, two_bit):
-        res = pairing.resolution_of_identity(two_bit["system"])
+        res = coherent.resolution_of_identity(two_bit["system"].coherent)
         assert res.ok
         assert res.constant == 1.0
         assert res.residual == 0.0
@@ -258,14 +275,14 @@ class TestCovariance:
         system = two_bit["system"]
         a_theta, a_xi = two_bit_operators
         j = system.joint.swap_element
-        w = system.joint_rep.matrices[j]
+        w = system.coherent.rep.matrices[j]
         assert np.abs(w.conj().T @ a_theta.matrix @ w - a_xi.matrix).max() <= 1e-12
 
     def test_first_bit_flip_complements(self, two_bit, two_bit_operators):
         system = two_bit["system"]
         a_theta, _ = two_bit_operators
         n = system.joint.first_embed[1]  # nontrivial first-axis copy
-        w = system.joint_rep.matrices[n]
+        w = system.coherent.rep.matrices[n]
         moved = w.conj().T @ a_theta.matrix @ w
         assert np.abs(moved - (np.eye(2) - a_theta.matrix)).max() <= 1e-12
 
@@ -289,7 +306,7 @@ class TestCovariance:
             assert rec.obstructed
         # the simultaneous flip is represented by a scalar yet moves the values
         both = system.joint.group.mult(system.joint.first_embed[1], system.joint.second_embed[1])
-        w = system.joint_rep.matrices[both]
+        w = system.coherent.rep.matrices[both]
         assert np.abs(w + np.eye(2)).max() <= 1e-12
 
 

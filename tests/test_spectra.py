@@ -76,30 +76,29 @@ class TestValueChecks:
         ones = variables.make_variable("unit", [0, 0, 0, 0], numeric_values=[1.0])
         a, _ = pairing.joint_operators(two_bit["system"], [1.0, 1.0], [0.0, 1.0])
         op = Operator(2, a.matrix, hermitian=True)
-        assert spectra.verify_values_are_eigenvalues(op, ones)
+        assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(op), ones)
 
     def test_two_bit_values(self, two_bit, two_bit_operators):
         a_theta, _ = two_bit_operators
-        assert spectra.verify_values_are_eigenvalues(a_theta, two_bit["theta"])
+        assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(a_theta), two_bit["theta"])
 
     def test_repeated_value_degenerate(self):
         var = variables.make_variable("two", [0, 0], numeric_values=[2.0])
-        op = herm_op(2.0 * np.eye(2))
-        assert spectra.verify_values_are_eigenvalues(op, var)
-        eig = spectra.eigensystem(op)
+        eig = spectra.eigensystem(herm_op(2.0 * np.eye(2)))
+        assert spectra.verify_values_are_eigenvalues(eig, var)
         assert eig.multiplicities == (2,)
 
     def test_wrong_values_rejected(self, two_bit, two_bit_operators):
         a_theta, _ = two_bit_operators
         shifted = variables.make_variable("bit1", [0, 0, 1, 1], numeric_values=[0.0, 2.0])
-        assert not spectra.verify_values_are_eigenvalues(a_theta, shifted)
+        assert not spectra.verify_values_are_eigenvalues(spectra.eigensystem(a_theta), shifted)
 
 
 class TestMaximalityBiconditional:
     def test_two_bit_maximal_nondegenerate(self, two_bit, two_bit_operators):
         a_theta, _ = two_bit_operators
         assert spectra.verify_maximality_iff_nondegenerate(
-            two_bit["context"], two_bit["theta"], a_theta)
+            two_bit["context"], two_bit["theta"], spectra.eigensystem(a_theta))
 
     def test_engineered_degenerate_case(self, two_bit, two_bit_operators):
         a_theta, _ = two_bit_operators
@@ -107,7 +106,7 @@ class TestMaximalityBiconditional:
         collapsed = spectra.operator_for_coarsening(eig, lambda v: 5.0)
         const = variables.make_variable("const", [0, 0, 0, 0], numeric_values=[5.0])
         assert spectra.verify_maximality_iff_nondegenerate(
-            two_bit["context"], const, collapsed)
+            two_bit["context"], const, spectra.eigensystem(collapsed))
 
     def test_circle_identity_variable(self):
         from conftest import circle_system
@@ -119,27 +118,27 @@ class TestMaximalityBiconditional:
         ctx = variables.Context(4, action, (ident,))
         points = [action.apply(r, 0) for r in system.cosets.representatives]
         op = coherent.operator_from_variable(system, [ident.numeric()[p] for p in points])
-        assert spectra.verify_maximality_iff_nondegenerate(ctx, ident, op)
+        assert spectra.verify_maximality_iff_nondegenerate(ctx, ident, spectra.eigensystem(op))
 
 
 class TestQuestionAnswers:
     def test_indicator_labels(self):
         var = variables.make_variable("bit", [0, 1], numeric_values=[0.0, 1.0])
-        labels = spectra.question_answer_labels(herm_op(np.diag([0.0, 1.0])), var)
+        labels = spectra.question_answer_labels(spectra.eigensystem(herm_op(np.diag([0.0, 1.0]))), var)
         assert [q.value_label for q in labels] == ["0", "1"]
         assert np.allclose(labels[0].eigenvector, [1, 0])
         assert np.allclose(labels[1].eigenvector, [0, 1])
 
     def test_degenerate_subspace_label(self):
         var = variables.make_variable("c", [0, 0, 0], numeric_values=[2.0])
-        labels = spectra.question_answer_labels(herm_op(2 * np.eye(3)), var)
+        labels = spectra.question_answer_labels(spectra.eigensystem(herm_op(2 * np.eye(3))), var)
         assert len(labels) == 1
         assert labels[0].rank == 3
         assert labels[0].eigenvector is None
 
     def test_two_bit_second_operator_labels(self, two_bit, two_bit_operators):
         _, a_xi = two_bit_operators
-        labels = spectra.question_answer_labels(a_xi, two_bit["xi"])
+        labels = spectra.question_answer_labels(spectra.eigensystem(a_xi), two_bit["xi"])
         assert [q.value_label for q in labels] == ["0", "1"]
         for q in labels:
             assert q.rank == 1 and q.eigenvector is not None
@@ -219,7 +218,7 @@ class TestCoarsening:
     def test_covariance_check_helper(self, two_bit, two_bit_operators):
         a_theta, a_xi = two_bit_operators
         system = two_bit["system"]
-        w = system.joint_rep.matrices[system.joint.swap_element]
+        w = system.coherent.rep.matrices[system.joint.swap_element]
         residual, ok = spectra.verify_conjugation_covariance(w, a_theta, a_xi)
         assert ok and residual <= 1e-12
 
