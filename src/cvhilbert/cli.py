@@ -390,21 +390,31 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
         f"joint-group[{idx}]", "joined-group", "pass",
         detail=f"order={joint.group.order} points={joint.action.space_size}"))
 
-    base_rep = representations.regular_representation(g_group)
-    swap_matrix = pairing.build_swap_matrix(base_rep)
+    base_rep = representations.regular_representation(g_group, doc.tolerance)
     try:
+        swap_matrix = pairing.build_swap_matrix(base_rep)
         joint_rep, words = pairing.build_joint_representation(joint, base_rep, swap_matrix)
-    except NotWellDefined as exc:
+    except (NotWellDefined, SizeLimit) as exc:
+        detail = f"not evaluated: {exc}" if isinstance(exc, SizeLimit) else str(exc)
         checks.append(CheckRecord(f"well-defined-extension[{idx}]",
-                                  "generator-assignment-extends", "fail", detail=str(exc)))
+                                  "generator-assignment-extends", "fail", detail=detail))
         return
     checks.append(CheckRecord(f"well-defined-extension[{idx}]",
                               "generator-assignment-extends", "pass"))
 
-    irreducible, cdim = pairing.verify_joint_irreducibility(joint_rep)
-    checks.append(CheckRecord(
-        f"irreducibility[{idx}]", "trivial-commutant",
-        "pass" if irreducible else "fail", detail=f"commutant_dim={cdim}"))
+    try:
+        schur = pairing.verify_joint_irreducibility(joint_rep, joint.gen_elements)
+    except SizeLimit as exc:
+        checks.append(CheckRecord(f"irreducibility[{idx}]", "trivial-commutant", "fail",
+                                  detail=f"not evaluated: {exc}"))
+    else:
+        if schur.consistent:
+            detail = f"commutant_dim={schur.dimension}"
+        else:
+            detail = (f"commutant_dim mismatch: character norm {_fmt(schur.character_norm)}, "
+                      f"generator commutant basis {schur.dimension}")
+        checks.append(CheckRecord(f"irreducibility[{idx}]", "trivial-commutant",
+                                  "pass" if schur.ok else "fail", detail=detail))
 
     try:
         system = pairing.joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep,
@@ -654,7 +664,7 @@ def _cmd_operator(args) -> int:
         print(f"variable {var.name} is not permissible: witness {witness}", file=sys.stderr)
         return 2
     g_group, g_action, _ = variables.induced_group(var, k_action)
-    base_rep = representations.regular_representation(g_group)
+    base_rep = representations.regular_representation(g_group, doc.tolerance)
     system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
     res = coherent.resolution_of_identity(system)
     lines = [

@@ -17,7 +17,7 @@ class AxiomViolation(CvhilbertError):
 
 
 class SizeLimit(CvhilbertError):
-    """A generated structure would exceed the configured order bound."""
+    """A generated structure would exceed an order or memory bound."""
 
 
 class NotASubgroup(CvhilbertError):

@@ -47,8 +47,10 @@ from .representations import (
     Operator,
     UnitaryRepresentation,
     _maxabs,
+    character_norm,
     invariant_subspace_split,
     is_irreducible,
+    matrix_commutant,
 )
 from .variables import (
     ConceptualVariable,
@@ -105,6 +107,17 @@ class JointSystem:
     @property
     def tolerance(self) -> float:
         return self.coherent.tolerance
+
+
+@dataclass(frozen=True, eq=False)
+class SchurTest:
+    character_norm: float   # (1/|N|) sum_n |tr W(n)|^2
+    dimension: int          # commutant basis size from the generators of N
+    consistent: bool        # the character norm is `dimension` within tolerance
+
+    @property
+    def ok(self) -> bool:
+        return self.consistent and self.dimension == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,12 +300,22 @@ def build_joint_representation(
     return joint_rep, tuple(words)
 
 
-def verify_joint_irreducibility(joint_rep: UnitaryRepresentation):
-    """Schur test for the joined representation; returns (ok, commutant dim)."""
-    from .representations import commutant_dimension
+def verify_joint_irreducibility(
+    joint_rep: UnitaryRepresentation, gen_elements: tuple[int, ...]
+) -> SchurTest:
+    """Schur test for the joined representation, by two methods.
 
-    dim = commutant_dimension(joint_rep)
-    return dim == 1, dim
+    The character norm gives the commutant dimension; a basis solved from
+    the commutators with the generator matrices alone (X commutes with every
+    W(n) iff it commutes with the generators) gives it again. A norm farther
+    than 2 d^2 tolerance from that basis size, which bounds the norm's error
+    for matrices accurate to tolerance, is reported as inconsistent.
+    """
+    norm = character_norm(joint_rep)
+    gens = joint_rep.matrices[np.asarray(gen_elements, dtype=int)]
+    dim = len(matrix_commutant(gens, joint_rep.tolerance))
+    bound = 2 * joint_rep.dim**2 * joint_rep.tolerance
+    return SchurTest(norm, dim, abs(norm - dim) <= bound)
 
 
 def joint_coset_structure(

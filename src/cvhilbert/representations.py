@@ -2,8 +2,12 @@
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
-criterion, and a Hermitian commutant element supplies the invariant subspaces
-needed by the joining construction.
+criterion. The dimension is the character norm (1/|G|) sum_g |tr U(g)|^2
+(Schur orthogonality; Serre, Linear Representations of Finite Groups, 2.3),
+one batched trace. A basis, needed where a Hermitian commutant element
+supplies the invariant subspaces of the joining construction, is the null
+space of the stacked commutator system, taken from its thin SVD; the joined
+representation is cross-checked by both methods (`pairing`).
 """
 
 from __future__ import annotations
@@ -12,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism
+from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
 from .groups import FiniteGroup, GroupAction
 
 DEFAULT_TOLERANCE = 1e-9
+# Largest commutator system, in bytes of complex entries, that a commutant
+# basis may stack; its thin SVD allocates a factor and a working copy of the
+# same size on top.
+COMMUTANT_BYTE_LIMIT = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,49 +101,73 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     return evals, cols, clusters, scale
 
 
-def permutation_representation(action: GroupAction) -> UnitaryRepresentation:
+def permutation_representation(
+    action: GroupAction, tolerance: float = DEFAULT_TOLERANCE
+) -> UnitaryRepresentation:
     """0/1 matrices with U(g)[g.x, x] = 1."""
     n, m = action.group.order, action.space_size
     mats = np.zeros((n, m, m), dtype=complex)
     for g in range(n):
         mats[g, action.act[g], np.arange(m)] = 1.0
     mats.setflags(write=False)
-    return UnitaryRepresentation(action.group, m, mats)
+    return UnitaryRepresentation(action.group, m, mats, tolerance)
 
 
-def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
+def regular_representation(
+    group: FiniteGroup, tolerance: float = DEFAULT_TOLERANCE
+) -> UnitaryRepresentation:
     """Left translation on coordinate functions over the group itself."""
     from .groups import build_action
 
     action = build_action(group, group.cayley)
-    return permutation_representation(action)
+    return permutation_representation(action, tolerance)
 
 
-def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
-    """Deterministic basis of {X : X U(g) = U(g) X for all g}.
+def matrix_commutant(matrices: np.ndarray, tolerance: float) -> list[np.ndarray]:
+    """Deterministic basis of {X : X U = U X for every U in the (k, d, d) stack}.
 
-    Solves the stacked linear system with an SVD; rank decisions use the
-    scale-free threshold tolerance * largest singular value.
+    Solves the stacked (k d^2) x d^2 linear system with a thin SVD; rank
+    decisions use the scale-free threshold tolerance * largest singular
+    value. Raises SizeLimit before stacking a system above
+    COMMUTANT_BYTE_LIMIT bytes.
     """
-    d = rep.dim
+    k, d = matrices.shape[0], matrices.shape[1]
+    nbytes = k * d**4 * 16
+    if nbytes > COMMUTANT_BYTE_LIMIT:
+        raise SizeLimit(
+            f"commutant system of {k * d * d}x{d * d} needs {nbytes / 2**20:.0f} MiB, "
+            f"above the {COMMUTANT_BYTE_LIMIT / 2**20:.0f} MiB bound")
+    if k == 0:
+        return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     eye = np.eye(d)
-    rows = []
-    for u in rep.matrices:
+    system = np.empty((k * d * d, d * d), dtype=np.result_type(matrices, eye))
+    for i, u in enumerate(matrices):
         # vec(UX - XU) = (U (x) I - I (x) U^T) vec(X), row-major vec
-        rows.append(np.kron(u, eye) - np.kron(eye, u.T))
-    system = np.concatenate(rows, axis=0)
-    _, sigma, vh = np.linalg.svd(system)
+        system[i * d * d:(i + 1) * d * d] = np.kron(u, eye) - np.kron(eye, u.T)
+    # k >= 1 gives at least d^2 rows, so the thin vh is square
+    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         null_rows = vh
     else:
-        threshold = rep.tolerance * sigma[0]
+        threshold = tolerance * sigma[0]
         rank = int(np.sum(sigma > threshold))
         null_rows = vh[rank:]
     return [row.conj().reshape(d, d) for row in null_rows]
 
 
+def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
+    """Deterministic basis of {X : X U(g) = U(g) X for all g}."""
+    return matrix_commutant(rep.matrices, rep.tolerance)
+
+
+def character_norm(rep: UnitaryRepresentation) -> float:
+    """(1/|G|) sum_g |tr U(g)|^2, the commutant dimension up to rounding."""
+    traces = np.einsum("gii->g", rep.matrices)
+    return float(np.sum(np.abs(traces) ** 2) / rep.group.order)
+
+
 def commutant_dimension(rep: UnitaryRepresentation) -> int:
-    return len(commutant_basis(rep))
+    return round(character_norm(rep))
 
 
 def is_irreducible(rep: UnitaryRepresentation) -> bool:

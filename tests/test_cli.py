@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvhilbert import cli, coherent
+from cvhilbert import cli, coherent, pairing, representations
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -296,8 +296,9 @@ class TestMalformedOptions:
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counter of eigendecompositions (`eigh` plus `eigvalsh`) and of
-    resolution-of-identity computations made while the fixture is active."""
+    """Counter of eigendecompositions (`eigh` plus `eigvalsh`), of SVDs and the
+    most rows one SVD input had (`svd_rows`), and of resolution-of-identity
+    computations made while the fixture is active."""
     calls = collections.Counter()
 
     def counting(key, fn):
@@ -306,8 +307,15 @@ def work_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    np_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        calls["svd_rows"] = max(calls["svd_rows"], a.shape[0])
+        return np_svd(a, *args, **kwargs)
+
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting("eigh", getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
     monkeypatch.setattr(coherent, "resolution_of_identity",
                         counting("resolution", coherent.resolution_of_identity))
     return calls
@@ -328,3 +336,75 @@ class TestWorkCounts:
         assert "order=8" in next(c.detail for c in two_bit.checks if c.cid == "joint-group[0]")
         assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
         assert 0 < on_order_8 == on_order_32 <= 5
+
+    def test_one_svd_per_commutant_basis(self, work_counts):
+        cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        # the invariant split behind the swap matrix and the generator cross-check
+        assert work_counts["svd"] == 2
+
+    def test_commutant_systems_avoid_joined_group_order(self, work_counts):
+        xor4 = cli.run_verify(cli.parse_context(XOR4), "xor4")
+        assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
+        # d = |G| = 4; N has 3 + 3 + 1 generators, against |N| * d^2 = 512 rows
+        assert 0 < work_counts["svd_rows"] <= max(4, 7) * 4**2
+
+
+def _check(out: str, cid: str) -> dict:
+    return next(c for c in json.loads(out)["checks"] if c["id"] == cid)
+
+
+class TestPairChainTolerance:
+    def test_document_tolerance_reaches_joint_system(self, monkeypatch):
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        original = pairing.joint_coset_structure
+        monkeypatch.setattr(pairing, "joint_coset_structure", spy)
+        report = cli.run_verify(cli.document_from_mapping(_with_option("tolerance", 1e-6)), "1e-6")
+        assert [system.tolerance for system in built] == [1e-6]
+        assert not report.failed
+
+    def test_operator_base_representation_uses_document_tolerance(self, monkeypatch, tmp_path):
+        seen = []
+        original = coherent.build_coherent_system
+
+        def spy(rep, *args, **kwargs):
+            seen.append(rep.tolerance)
+            return original(rep, *args, **kwargs)
+
+        monkeypatch.setattr(coherent, "build_coherent_system", spy)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_with_option("tolerance", 1e-6)))
+        assert cli.main(["operator", str(path), "--variable", "bit1"]) == 0
+        assert seen == [1e-6]
+
+
+class TestCommutantChecks:
+    # two-bit commutant systems: the base representation's 2 blocks of 4x4
+    # entries (512 bytes), the joined group's 3 generator blocks (768 bytes)
+    @pytest.mark.parametrize("limit, cid", [(256, "well-defined-extension[0]"),
+                                            (600, "irreducibility[0]")])
+    def test_size_limit_is_a_failed_check(self, limit, cid, monkeypatch, capsys):
+        monkeypatch.setattr(representations, "COMMUTANT_BYTE_LIMIT", limit)
+        code = cli.main(["verify", TWO_BIT, "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        check = _check(captured.out, cid)
+        assert check["status"] == "fail"
+        assert check["detail"].startswith("not evaluated: ") and "MiB bound" in check["detail"]
+        assert _check(captured.out, "joint-group[0]")["status"] == "pass"
+
+    @pytest.mark.parametrize("norm, shown", [(2.0, "2.00000000000e+00"),
+                                             (1.25, "1.25000000000e+00")])
+    def test_method_mismatch_fails_irreducibility(self, norm, shown, monkeypatch, capsys):
+        monkeypatch.setattr(pairing, "character_norm", lambda rep: norm)
+        code = cli.main(["verify", TWO_BIT, "--format", "structured"])
+        check = _check(capsys.readouterr().out, "irreducibility[0]")
+        assert code == 2
+        assert check["status"] == "fail"
+        assert f"character norm {shown}" in check["detail"]
+        assert "generator commutant basis 1" in check["detail"]

@@ -3,10 +3,11 @@
 `golden/manifest.json` lists each command with its expected exit code; the
 expected stdout is `golden/out/<name>.out`. The commands cover `verify` in
 both formats on the shipped fixtures, on the cyclic-product documents with
-m = 2..7 and on the XOR-product document with m = 4 (all in `golden/docs/`,
+m = 2..8 and on the XOR-product document with m = 4 (all in `golden/docs/`,
 with fixed numeric values), plus `demo`, `pair` and `operator`. The outputs
-were recorded before the pair chain was refactored; a mismatch is a change
-in behaviour to be fixed in the code, not in the recorded file.
+were recorded before the pair chain was refactored (m = 8 before the
+commutant moved to the character norm and the thin SVD); a mismatch is a
+change in behaviour to be fixed in the code, not in the recorded file.
 """
 
 import json

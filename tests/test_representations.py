@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvhilbert import groups, representations as reps
-from cvhilbert.errors import GroupMismatch, IrreducibleInput
+from cvhilbert.errors import GroupMismatch, IrreducibleInput, SizeLimit
 
 
 def z(n):
@@ -16,6 +16,12 @@ def z(n):
 def one_dim(group, phases):
     mats = np.array([[[p]] for p in phases], dtype=complex)
     return reps.UnitaryRepresentation(group, 1, mats)
+
+
+def assert_commutant_dimension(rep, expected):
+    """Both methods: the character norm and the size of the SVD basis."""
+    assert reps.commutant_dimension(rep) == len(reps.commutant_basis(rep)) == expected
+    assert abs(reps.character_norm(rep) - expected) < 1e-9
 
 
 class TestConstructions:
@@ -66,37 +72,61 @@ class TestCommutant:
         assert reps.commutant_dimension(rep) == 1
         assert reps.is_irreducible(rep)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_regular_cyclic(self, n):
         rep = reps.regular_representation(z(n))
-        assert reps.commutant_dimension(rep) == n
-        assert not reps.is_irreducible(rep)
+        assert_commutant_dimension(rep, n)
+        assert reps.is_irreducible(rep) == (n == 1)
+
+    def test_regular_s3(self):
+        # two one-dimensional irreducibles once, the two-dimensional one twice
+        rep = reps.regular_representation(groups.standard_group("symmetric", 3))
+        assert_commutant_dimension(rep, 1 + 1 + 2**2)
 
     def test_s3_natural_two_blocks(self):
         s3 = groups.standard_group("symmetric", 3)
         act = groups.build_action(s3, [list(p) for p in itertools.permutations(range(3))])
         rep = reps.permutation_representation(act)
-        assert reps.commutant_dimension(rep) == 2
+        assert_commutant_dimension(rep, 2)
+
+    def test_s4_natural_two_blocks(self):
+        s4 = groups.standard_group("symmetric", 4)
+        act = groups.build_action(s4, [list(p) for p in itertools.permutations(range(4))])
+        assert_commutant_dimension(reps.permutation_representation(act), 2)
 
     def test_qubit_rep_irreducible(self, qubit_rep):
         assert reps.is_irreducible(qubit_rep)
+        assert_commutant_dimension(qubit_rep, 1)
 
     def test_double_copy_dimension(self):
         g = z(2)
         sign = one_dim(g, [1, -1])
-        assert reps.commutant_dimension(reps.direct_sum(sign, sign)) == 4
+        assert_commutant_dimension(reps.direct_sum(sign, sign), 4)
 
     def test_inequivalent_sum_dimension(self):
         g = z(2)
         triv = one_dim(g, [1, 1])
         sign = one_dim(g, [1, -1])
-        assert reps.commutant_dimension(reps.direct_sum(triv, sign)) == 2
+        assert_commutant_dimension(reps.direct_sum(triv, sign), 2)
 
     def test_commutant_elements_commute(self):
         rep = reps.regular_representation(z(4))
         for c in reps.commutant_basis(rep):
             for u in rep.matrices:
                 assert np.abs(c @ u - u @ c).max() < 1e-9
+
+    def test_size_limit_before_allocation(self):
+        # 32 blocks of 32^2 x 32^2 complex entries: 512 MiB
+        with pytest.raises(SizeLimit, match="512 MiB"):
+            reps.commutant_basis(reps.regular_representation(z(32)))
+
+    def test_empty_stack_commutes_with_everything(self):
+        basis = reps.matrix_commutant(np.zeros((0, 2, 2), dtype=complex), 1e-9)
+        assert len(basis) == 4
+        assert np.allclose(np.stack(basis).reshape(4, 4), np.eye(4))
+
+    def test_tolerance_reaches_regular_representation(self):
+        assert reps.regular_representation(z(3), 1e-6).tolerance == 1e-6
 
 
 class TestSplit:
