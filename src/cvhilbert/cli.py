@@ -402,19 +402,9 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
     checks.append(CheckRecord(f"well-defined-extension[{idx}]",
                               "generator-assignment-extends", "pass"))
 
-    try:
-        schur = pairing.verify_joint_irreducibility(joint_rep, joint.gen_elements)
-    except SizeLimit as exc:
-        checks.append(CheckRecord(f"irreducibility[{idx}]", "trivial-commutant", "fail",
-                                  detail=f"not evaluated: {exc}"))
-    else:
-        if schur.consistent:
-            detail = f"commutant_dim={schur.dimension}"
-        else:
-            detail = (f"commutant_dim mismatch: character norm {_fmt(schur.character_norm)}, "
-                      f"generator commutant basis {schur.dimension}")
-        checks.append(CheckRecord(f"irreducibility[{idx}]", "trivial-commutant",
-                                  "pass" if schur.ok else "fail", detail=detail))
+    dim = representations.commutant_dimension(joint_rep)
+    checks.append(CheckRecord(f"irreducibility[{idx}]", "trivial-commutant",
+                              "pass" if dim == 1 else "fail", detail=f"commutant_dim={dim}"))
 
     try:
         system = pairing.joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep,
@@ -647,6 +637,9 @@ def _cmd_demo(args) -> int:
 def _cmd_operator(args) -> int:
     doc = parse_context(args.file)
     doc = _apply_overrides(doc, args)
+    _, k_action = generate_permutation_group(
+        doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
+    )
     try:
         var_map = _build_variables(doc)
     except ValueError as exc:
@@ -655,9 +648,6 @@ def _cmd_operator(args) -> int:
     if args.variable not in var_map:
         print(f"undefined variable {args.variable!r}", file=sys.stderr)
         return 1
-    k_group, k_action = generate_permutation_group(
-        doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
-    )
     var = var_map[args.variable]
     ok, witness = variables.is_permissible(var, k_action)
     if not ok:

@@ -2,7 +2,15 @@
 
 All structures are immutable after construction and fully verified at desk
 scale (orders up to ~1000). Element 0 is the identity for every group built
-by the generators in this module.
+by the constructors in this module.
+
+Every group given by distinct permutations (closures, the catalogue, the
+induced groups of `variables`) is built by `permutation_group` and needs no
+associativity scan: `build_action` checks its table against the permutations,
+act[a * b] = act[a] o act[b], so the product is composition of functions,
+which is associative. A raw table (`build_group`) has no such witness and
+gets the cubic scan, refused above order 200. Every exhaustive table check is
+one row-major scan, `_first_violation`, reporting the first failing tuple.
 """
 
 from __future__ import annotations
@@ -17,9 +25,15 @@ from .errors import AxiomViolation, NotASubgroup, SizeLimit
 
 DEFAULT_ORDER_BOUND = 1024
 
-# Full associativity scans are cubic; above this order we only accept tables
-# that come from permutation composition, which is associative by construction.
+# The associativity scan of a raw table is cubic; above this order it is refused.
 _ASSOC_SCAN_LIMIT = 200
+
+# Largest table of element rows (one int64 row of images per element, which
+# is the action table) that a generated permutation group may hold.
+PERMUTATION_BYTE_LIMIT = 32 * 2**20
+
+# Temporaries of one numpy step of a table scan stay near this many bytes.
+STEP_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +87,6 @@ class CosetSpace:
     def __len__(self) -> int:
         return len(self.cosets)
 
-    def coset_of(self, a: int) -> int:
-        for i, block in enumerate(self.cosets):
-            if a in block:
-                return i
-        raise ValueError(f"element {a} not in any coset")
-
 
 def _check_latin(cayley: np.ndarray) -> None:
     n = cayley.shape[0]
@@ -99,26 +107,47 @@ def _find_identity(cayley: np.ndarray) -> int:
     raise AxiomViolation("identity", None)
 
 
+def _block_cells(cell_bytes: int) -> int:
+    """Cells in one step of a table scan whose cells cost `cell_bytes` each."""
+    return max(1, STEP_BYTES // max(1, cell_bytes))
+
+
+def _first_violation(shape: tuple[int, int], broken, cell_bytes: int):
+    """First index tuple (a, b, ...) in row-major order at which a check fails.
+
+    The check covers a table of shape (rows, cols). `broken(a, b)` checks the
+    block at two slices and returns a boolean array with one axis per slice,
+    then any further axes of the witness. A block takes whole rows while they
+    fit and cuts a row otherwise, `_block_cells(cell_bytes)` cells in all, so
+    that its temporaries stay near STEP_BYTES. None when nothing fails.
+    """
+    n_rows, n_cols = shape
+    cells = _block_cells(cell_bytes)
+    row_step, col_step = max(1, cells // n_cols), min(cells, n_cols)
+    for a in range(0, n_rows, row_step):
+        for b in range(0, n_cols, col_step):
+            bad = broken(slice(a, a + row_step), slice(b, b + col_step))
+            if bad.any():
+                hit = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                return (a + int(hit[0]), b + int(hit[1]), *(int(i) for i in hit[2:]))
+    return None
+
+
 def _check_associativity(cayley: np.ndarray) -> None:
-    n = cayley.shape[0]
-    for a in range(n):
-        left = cayley[cayley[a]]          # [(a*b)*c]_{b,c}
-        right = cayley[a][cayley]         # [a*(b*c)]_{b,c}
-        if not np.array_equal(left, right):
-            b, c = map(int, np.argwhere(left != right)[0])
-            raise AxiomViolation("associativity", (a, b, c))
+    # [(a*b)*c] against [a*(b*c)] over (a, b), c along the last axis
+    witness = _first_violation(
+        cayley.shape, lambda a, b: cayley[cayley[a, b]] != cayley[a][:, cayley[b]],
+        8 * len(cayley))
+    if witness is not None:
+        raise AxiomViolation("associativity", witness)
 
 
-def build_group(
-    cayley_table,
-    labels: tuple[str, ...] | None = None,
-    assume_associative: bool = False,
-) -> FiniteGroup:
+def build_group(cayley_table, labels: tuple[str, ...] | None = None) -> FiniteGroup:
     """Build and fully verify a group from a raw multiplication table.
 
-    Raises AxiomViolation naming the broken axiom and a witnessing tuple.
-    `assume_associative` skips the cubic scan for tables obtained from
-    permutation composition.
+    Raises AxiomViolation naming the broken axiom and a witnessing tuple, and
+    SizeLimit above order 200, where the cubic associativity scan is refused;
+    a group given by permutations is built by `permutation_group` instead.
     """
     cayley = np.asarray(cayley_table, dtype=np.int64)
     if cayley.ndim != 2 or cayley.shape[0] != cayley.shape[1]:
@@ -128,63 +157,92 @@ def build_group(
         raise AxiomViolation("latin-square", ("range", int(cayley.min(initial=0))))
     _check_latin(cayley)
     identity = _find_identity(cayley)
-    inverse = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        hits = np.nonzero(cayley[a] == identity)[0]
-        if len(hits) != 1 or cayley[hits[0], a] != identity:
-            raise AxiomViolation("inverse", (a,))
-        inverse[a] = hits[0]
-    if not assume_associative:
-        if n > _ASSOC_SCAN_LIMIT:
-            raise SizeLimit(
-                f"order {n} exceeds associativity scan limit; "
-                "construct via generate_permutation_group instead"
-            )
-        _check_associativity(cayley)
+    inverse = np.argmax(cayley == identity, axis=1)     # one hit per latin row
+    one_sided = np.nonzero(cayley[inverse, np.arange(n)] != identity)[0]
+    if one_sided.size:
+        raise AxiomViolation("inverse", (int(one_sided[0]),))
+    if n > _ASSOC_SCAN_LIMIT:
+        raise SizeLimit(
+            f"order {n} exceeds associativity scan limit; "
+            "construct via permutation_group instead"
+        )
+    _check_associativity(cayley)
     cayley.setflags(write=False)
     inverse.setflags(write=False)
     return FiniteGroup(n, cayley, identity, inverse, labels)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One comparable key per row (last axis) of an integer array."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
+
+
+def permutation_group(elements, labels: tuple[str, ...] | None = None):
+    """The group of an ordered list of distinct permutations, identity first.
+
+    Element i acts by elements[i], and a * b is the listed element equal to
+    elements[a] composed after elements[b] (`compose`). Blocks of products
+    are composed by fancy indexing, E[a][:, E[b]], and each product is looked
+    up among the sorted rows; AxiomViolation("closure", (a, b)) names the
+    first pair in row-major order whose product is not listed. Returns the
+    group and its action on the points, verified by `build_action`.
+    """
+    rows = np.asarray(elements, dtype=np.int64)
+    n = len(rows)
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    listed = keys[order]
+    if np.any(listed[1:] == listed[:-1]):
+        raise AxiomViolation("distinct-elements")
+    cayley = np.empty((n, n), dtype=np.int64)
+
+    def unlisted(a, b):
+        products = _row_keys(rows[a][:, rows[b]])
+        found = np.minimum(np.searchsorted(listed, products), n - 1)
+        cayley[a, b] = order[found]
+        return listed[found] != products
+
+    witness = _first_violation((n, n), unlisted, 8 * rows.shape[1])
+    if witness is not None:
+        raise AxiomViolation("closure", witness)
+    inverse = np.argmax(cayley == 0, axis=1)
+    cayley.setflags(write=False)
+    inverse.setflags(write=False)
+    group = FiniteGroup(n, cayley, 0, inverse, labels)
+    return group, build_action(group, rows)
 
 
 def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
     """Catalogue groups: cyclic Z_n, dihedral D_n (order 2n), symmetric S_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if kind == "symmetric" and n > 6:
+        raise SizeLimit(f"symmetric({n}) refused; order {math.factorial(n)}")
+    orders = {"cyclic": n, "dihedral": 2 * n, "symmetric": math.factorial(n)}
+    if kind not in orders:
+        raise ValueError(f"unknown group kind {kind!r}")
+    if orders[kind] > order_bound:
+        raise SizeLimit(f"{kind}({n}) order {orders[kind]} exceeds bound {order_bound}")
+    shift = np.arange(n)
     if kind == "cyclic":
-        order = n
-        if order > order_bound:
-            raise SizeLimit(f"cyclic({n}) order {order} exceeds bound {order_bound}")
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        # rotation r_i of n points: x -> x + i
+        rows = (shift[:, None] + shift) % n
         labels = tuple(f"r{i}" for i in range(n))
-        return build_group(table, labels)
-    if kind == "dihedral":
-        order = 2 * n
-        if order > order_bound:
-            raise SizeLimit(f"dihedral({n}) order {order} exceeds bound {order_bound}")
-        # element i + n*s is rotation^i * flip^s; flip conjugates rotation to its inverse
-        def mul(a, b):
-            i1, s1 = a % n, a // n
-            i2, s2 = b % n, b // n
-            i = (i1 + (i2 if s1 == 0 else -i2)) % n
-            return i + n * ((s1 + s2) % 2)
-        table = [[mul(a, b) for b in range(order)] for a in range(order)]
+    elif kind == "dihedral":
+        # element i + n*s is r_i * f^s: vertex v -> i + (-1)^s v of the n-gon,
+        # and the flips swap two more points, which keeps the action faithful
+        # for n <= 2, where the vertices alone do not tell r_i from s_i
+        rows = np.empty((2 * n, n + 2), dtype=np.int64)
+        rows[:n, :n] = (shift[:, None] + shift) % n
+        rows[n:, :n] = (shift[:, None] - shift) % n
+        rows[:n, n:] = (n, n + 1)
+        rows[n:, n:] = (n + 1, n)
         labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
-        return build_group(table, labels)
-    if kind == "symmetric":
-        if n > 6:
-            raise SizeLimit(f"symmetric({n}) refused; order {math.factorial(n)}")
-        perms = list(itertools.permutations(range(n)))
-        order = len(perms)
-        if order > order_bound:
-            raise SizeLimit(f"symmetric({n}) order {order} exceeds bound {order_bound}")
-        index = {p: i for i, p in enumerate(perms)}
-        table = [
-            [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-            for p in perms
-        ]
-        labels = tuple("".join(map(str, p)) for p in perms)
-        return build_group(table, labels, assume_associative=True)
-    raise ValueError(f"unknown group kind {kind!r}")
+    else:
+        rows = list(itertools.permutations(range(n)))
+        labels = tuple("".join(map(str, p)) for p in rows)
+    return permutation_group(rows, labels)[0]
 
 
 def build_action(group: FiniteGroup, act_table) -> GroupAction:
@@ -197,18 +255,17 @@ def build_action(group: FiniteGroup, act_table) -> GroupAction:
     if m == 0 or act.min() < 0 or act.max() >= m:
         raise AxiomViolation("identity-action", ("range",))
     want = np.arange(m)
-    for g in range(n):
-        if not np.array_equal(np.sort(act[g]), want):
-            raise AxiomViolation("compatibility", ("not-a-permutation", g))
+    not_permutation = np.any(np.sort(act, axis=1) != want, axis=1)
+    if not_permutation.any():
+        raise AxiomViolation("compatibility", ("not-a-permutation", int(np.argmax(not_permutation))))
     if not np.array_equal(act[group.identity], want):
         x = int(np.nonzero(act[group.identity] != want)[0][0])
         raise AxiomViolation("identity-action", (group.identity, x))
-    for g1 in range(n):
-        left = act[group.cayley[g1]]        # [ (g1*g2) . x ]_{g2,x}
-        right = act[g1][act]                # [ g1 . (g2 . x) ]_{g2,x}
-        if not np.array_equal(left, right):
-            g2, x = map(int, np.argwhere(left != right)[0])
-            raise AxiomViolation("compatibility", (g1, g2, x))
+    # [(g1*g2) . x] against [g1 . (g2 . x)] over (g1, g2), x along the last axis
+    witness = _first_violation(
+        (n, n), lambda g1, g2: act[group.cayley[g1, g2]] != act[g1][:, act[g2]], 8 * m)
+    if witness is not None:
+        raise AxiomViolation("compatibility", witness)
     act.setflags(write=False)
     return GroupAction(group, m, act)
 
@@ -244,13 +301,16 @@ def subgroup(group: FiniteGroup, members) -> Subgroup:
     mset = sorted(set(int(a) for a in members))
     if group.identity not in mset:
         raise NotASubgroup("identity missing")
-    inside = set(mset)
-    for a in mset:
-        if group.inv(a) not in inside:
-            raise NotASubgroup(f"inverse of {a} missing")
-        for b in mset:
-            if group.mult(a, b) not in inside:
-                raise NotASubgroup(f"not closed at ({a}, {b})")
+    inside = np.zeros(group.order, dtype=bool)
+    inside[mset] = True
+    # per member: its inverse, then its products with every member
+    table = np.column_stack([group.inverse[mset], group.cayley[np.ix_(mset, mset)]])
+    witness = _first_violation(table.shape, lambda a, b: ~inside[table[a, b]], 8)
+    if witness is not None:
+        a, b = witness
+        if b == 0:
+            raise NotASubgroup(f"inverse of {mset[a]} missing")
+        raise NotASubgroup(f"not closed at ({mset[a]}, {mset[b - 1]})")
     return Subgroup(group, tuple(mset))
 
 
@@ -263,7 +323,7 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
     for a in range(group.order):
         if seen[a]:
             continue
-        block = tuple(sorted(int(group.cayley[a, h]) for h in sub.members))
+        block = tuple(np.sort(group.cayley[a, list(sub.members)]).tolist())
         for x in block:
             seen[x] = True
         cosets.append(block)
@@ -276,6 +336,14 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(q)))
 
 
+def _check_rows(count: int, size: int) -> None:
+    nbytes = count * size * 8
+    if nbytes > PERMUTATION_BYTE_LIMIT:
+        raise SizeLimit(
+            f"{count} permutations of {size} points need {nbytes / 2**20:.0f} MiB, "
+            f"above the {PERMUTATION_BYTE_LIMIT / 2**20:.0f} MiB bound")
+
+
 def generate_permutation_group(
     generators,
     space_size: int | None = None,
@@ -284,38 +352,38 @@ def generate_permutation_group(
     """Close a list of permutations under composition.
 
     Elements are indexed in breadth-first discovery order with the identity
-    first, which fixes words, coset representatives and reports.
+    first, which fixes words, coset representatives and reports: each
+    element in turn is composed with each generator in listed order, and a
+    product not seen before becomes the next element. Raises SizeLimit
+    before the element rows pass order_bound or PERMUTATION_BYTE_LIMIT.
     """
     gens = [tuple(int(v) for v in p) for p in generators]
     if space_size is None:
         if not gens:
             raise ValueError("need generators or an explicit space size")
         space_size = len(gens[0])
+    _check_rows(1 + len(gens), space_size)
     for p in gens:
         if len(p) != space_size or sorted(p) != list(range(space_size)):
             raise ValueError(f"generator {p!r} is not a permutation of {space_size} points")
-    ident = tuple(range(space_size))
-    elements = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        current = queue.pop(0)
-        for g in gens:
-            cand = compose(current, g)
-            if cand not in index:
-                if len(elements) >= order_bound:
-                    raise SizeLimit(f"closure exceeds order bound {order_bound}")
-                index[cand] = len(elements)
-                elements.append(cand)
-                queue.append(cand)
-    n = len(elements)
-    cayley = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            cayley[i, j] = index[compose(p, q)]
-    group = build_group(cayley, assume_associative=n > _ASSOC_SCAN_LIMIT)
-    action = build_action(group, np.array(elements, dtype=np.int64))
-    return group, action
+    gen_rows = np.array(gens, dtype=np.int64).reshape(len(gens), space_size)
+    elements = np.arange(space_size, dtype=np.int64)[None]
+    seen = _row_keys(elements)          # keys of the elements so far, sorted
+    done = 0
+    while done < len(elements):
+        parents = elements[done:done + _block_cells(gen_rows.nbytes)]
+        done += len(parents)
+        products = parents[:, gen_rows].reshape(-1, space_size)
+        keys = _row_keys(products)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        found = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
+        new = first[seen[found] != keys[first]]
+        if len(elements) + len(new) > order_bound:
+            raise SizeLimit(f"closure exceeds order bound {order_bound}")
+        _check_rows(len(elements) + len(new), space_size)
+        elements = np.concatenate([elements, products[new]])
+        seen = np.sort(np.concatenate([seen, keys[new]]))
+    return permutation_group(elements)
 
 
 def bfs_words(
@@ -344,21 +412,15 @@ def bfs_words(
     return words  # type: ignore[return-value]
 
 
-def verify_homomorphism(mapping, group_a: FiniteGroup, group_b: FiniteGroup) -> bool:
-    """True iff mapping(a1*a2) == mapping(a1)*mapping(a2) for all pairs."""
-    return homomorphism_witness(mapping, group_a, group_b) is None
-
-
 def homomorphism_witness(mapping, group_a: FiniteGroup, group_b: FiniteGroup):
-    """None if the map is a homomorphism, else the first failing pair."""
-    m = [int(v) for v in mapping]
+    """None if the map is a homomorphism, else the first failing pair
+    (a1, a2) in row-major order: mapping(a1*a2) != mapping(a1)*mapping(a2)."""
+    m = np.array([int(v) for v in mapping], dtype=np.int64)
     if len(m) != group_a.order:
         raise ValueError("mapping must be total on the source group")
-    for a1 in range(group_a.order):
-        for a2 in range(group_a.order):
-            if m[group_a.mult(a1, a2)] != group_b.mult(m[a1], m[a2]):
-                return (a1, a2)
-    return None
+    return _first_violation(
+        group_a.cayley.shape,
+        lambda a1, a2: m[group_a.cayley[a1, a2]] != group_b.cayley[np.ix_(m[a1], m[a2])], 8)
 
 
 def groups_isomorphic_by_relabeling(a: FiniteGroup, b: FiniteGroup) -> bool:

@@ -47,10 +47,8 @@ from .representations import (
     Operator,
     UnitaryRepresentation,
     _maxabs,
-    character_norm,
     invariant_subspace_split,
     is_irreducible,
-    matrix_commutant,
 )
 from .variables import (
     ConceptualVariable,
@@ -107,17 +105,6 @@ class JointSystem:
     @property
     def tolerance(self) -> float:
         return self.coherent.tolerance
-
-
-@dataclass(frozen=True, eq=False)
-class SchurTest:
-    character_norm: float   # (1/|N|) sum_n |tr W(n)|^2
-    dimension: int          # commutant basis size from the generators of N
-    consistent: bool        # the character norm is `dimension` within tolerance
-
-    @property
-    def ok(self) -> bool:
-        return self.consistent and self.dimension == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,45 +175,27 @@ def build_joint_group(
     m = g_action.space_size
     if m != pair.theta.value_count:
         raise ValueError("group acts on the wrong number of values")
-    size = m * m
-    gens, slots = [], []
-    for g in range(g_group.order):
-        if g == g_group.identity:
-            continue
-        row = g_action.act[g]
-        gens.append(tuple(int(row[p // m]) * m + (p % m) for p in range(size)))
-        slots.append(("first", g))
-    for g in range(g_group.order):
-        if g == g_group.identity:
-            continue
-        row = g_action.act[g]
-        gens.append(tuple((p // m) * m + int(row[p % m]) for p in range(size)))
-        slots.append(("second", g))
-    swap = tuple((p % m) * m + (p // m) for p in range(size))
-    if swap != tuple(range(size)):
-        gens.append(swap)
-        slots.append(("swap",))
-    n_group, n_action = generate_permutation_group(
-        gens, space_size=size, order_bound=order_bound
-    )
+    x, y = np.divmod(np.arange(m * m), m)    # point x*m + y of the value product
+    firsts = g_action.act[:, x] * m + y       # each element of G on the first axis
+    seconds = x * m + g_action.act[:, y]      # and on the second
+    moved = [g for g in range(g_group.order) if g != g_group.identity]
+    swaps = [y * m + x] if m > 1 else []
+    gens = [*firsts[moved], *seconds[moved], *swaps]
+    slots = [("first", g) for g in moved] + [("second", g) for g in moved] + [("swap",)] * len(swaps)
+    n_group, n_action = generate_permutation_group(gens, space_size=m * m, order_bound=order_bound)
     perm_index = {n_action.permutation(n): n for n in range(n_group.order)}
-    gen_elements = tuple(perm_index[p] for p in gens)
-    ident = tuple(range(size))
-    first_embed, second_embed = [], []
-    for g in range(g_group.order):
-        row = g_action.act[g]
-        pg = tuple(int(row[p // m]) * m + (p % m) for p in range(size))
-        ph = tuple((p // m) * m + int(row[p % m]) for p in range(size))
-        first_embed.append(perm_index[pg])
-        second_embed.append(perm_index[ph])
-    swap_element = perm_index.get(swap, n_group.identity)
+
+    def elements(rows):
+        return tuple(perm_index[tuple(int(v) for v in row)] for row in rows)
+
+    swap_element = elements(swaps)[0] if swaps else n_group.identity
     if m > 1:
         if not is_transitive(n_action):
             raise NotTransitive("joined group is not transitive on the product")
         if n_group.is_abelian():
             raise NotTransitive("joined group is unexpectedly abelian")
-    return JointGroup(n_group, n_action, m, tuple(slots), gen_elements,
-                      tuple(first_embed), tuple(second_embed), swap_element)
+    return JointGroup(n_group, n_action, m, tuple(slots), elements(gens),
+                      elements(firsts), elements(seconds), swap_element)
 
 
 def build_swap_matrix(base_rep: UnitaryRepresentation) -> np.ndarray:
@@ -298,24 +267,6 @@ def build_joint_representation(
         if _maxabs(joint_rep.matrices[joint.second_embed[g]] - expected) > tol:
             raise NotWellDefined(joint.second_embed[g], ("conjugation",), words[joint.second_embed[g]])
     return joint_rep, tuple(words)
-
-
-def verify_joint_irreducibility(
-    joint_rep: UnitaryRepresentation, gen_elements: tuple[int, ...]
-) -> SchurTest:
-    """Schur test for the joined representation, by two methods.
-
-    The character norm gives the commutant dimension; a basis solved from
-    the commutators with the generator matrices alone (X commutes with every
-    W(n) iff it commutes with the generators) gives it again. A norm farther
-    than 2 d^2 tolerance from that basis size, which bounds the norm's error
-    for matrices accurate to tolerance, is reported as inconsistent.
-    """
-    norm = character_norm(joint_rep)
-    gens = joint_rep.matrices[np.asarray(gen_elements, dtype=int)]
-    dim = len(matrix_commutant(gens, joint_rep.tolerance))
-    bound = 2 * joint_rep.dim**2 * joint_rep.tolerance
-    return SchurTest(norm, dim, abs(norm - dim) <= bound)
 
 
 def joint_coset_structure(

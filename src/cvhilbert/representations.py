@@ -4,10 +4,11 @@ Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
 criterion. The dimension is the character norm (1/|G|) sum_g |tr U(g)|^2
 (Schur orthogonality; Serre, Linear Representations of Finite Groups, 2.3),
-one batched trace. A basis, needed where a Hermitian commutant element
-supplies the invariant subspaces of the joining construction, is the null
-space of the stacked commutator system, taken from its thin SVD; the joined
-representation is cross-checked by both methods (`pairing`).
+one batched trace; it is exact because the constructor has verified the
+multiplication table and unitarity. A basis, needed where a Hermitian
+commutant element supplies the invariant subspaces of the joining
+construction, is the null space of the stacked commutator system, taken from
+its thin SVD.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
-from .groups import FiniteGroup, GroupAction
+from .groups import FiniteGroup, GroupAction, _block_cells, _first_violation
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -40,11 +41,27 @@ class UnitaryRepresentation:
         eye = np.eye(self.dim)
         if _maxabs(mats[self.group.identity] - eye) > self.tolerance:
             raise ValueError("identity element is not represented by the identity")
-        cay = self.group.cayley
-        for a in range(self.group.order):
-            for b in range(self.group.order):
-                if _maxabs(mats[cay[a, b]] - mats[a] @ mats[b]) > self.tolerance:
-                    raise NotHomomorphism(a, b)
+        cay, d = self.group.cayley, self.dim
+        # The blocks reuse three buffers: a fresh temporary of a block's size
+        # faults in new pages on every step, which costs more than the products.
+        # The table's entries are element indices, so `take` need not check
+        # them ("clip"), which spares it a buffered copy.
+        cell_bytes = mats.itemsize * d * d
+        entries = _block_cells(cell_bytes) * d * d
+        product, target = np.empty((2, entries), dtype=mats.dtype)
+        residual = np.empty(entries)
+
+        def broken(a, b):
+            index = cay[a, b]
+            shape, size = (*index.shape, d, d), index.size * d * d
+            p = np.matmul(mats[a][:, None], mats[b][None], out=product[:size].reshape(shape))
+            t = np.take(mats, index, axis=0, out=target[:size].reshape(shape), mode="clip")
+            r = np.abs(np.subtract(t, p, out=p), out=residual[:size].reshape(shape))
+            return r.max(axis=(2, 3), initial=0.0) > self.tolerance
+
+        pair = _first_violation(cay.shape, broken, cell_bytes)
+        if pair is not None:
+            raise NotHomomorphism(*pair)
         for g, u in enumerate(mats):
             if _maxabs(u @ u.conj().T - eye) > self.tolerance:
                 raise ValueError(f"matrix for element {g} is not unitary")
@@ -107,8 +124,7 @@ def permutation_representation(
     """0/1 matrices with U(g)[g.x, x] = 1."""
     n, m = action.group.order, action.space_size
     mats = np.zeros((n, m, m), dtype=complex)
-    for g in range(n):
-        mats[g, action.act[g], np.arange(m)] = 1.0
+    mats[np.arange(n)[:, None], action.act, np.arange(m)] = 1.0
     mats.setflags(write=False)
     return UnitaryRepresentation(action.group, m, mats, tolerance)
 
@@ -116,48 +132,41 @@ def permutation_representation(
 def regular_representation(
     group: FiniteGroup, tolerance: float = DEFAULT_TOLERANCE
 ) -> UnitaryRepresentation:
-    """Left translation on coordinate functions over the group itself."""
-    from .groups import build_action
+    """Left translation on coordinate functions over the group itself.
 
-    action = build_action(group, group.cayley)
-    return permutation_representation(action, tolerance)
+    The group's own table is the action, verified where the group was built.
+    """
+    return permutation_representation(GroupAction(group, group.order, group.cayley), tolerance)
 
 
-def matrix_commutant(matrices: np.ndarray, tolerance: float) -> list[np.ndarray]:
-    """Deterministic basis of {X : X U = U X for every U in the (k, d, d) stack}.
+def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
+    """Deterministic basis of {X : X U(g) = U(g) X for all g}.
 
-    Solves the stacked (k d^2) x d^2 linear system with a thin SVD; rank
+    Solves the stacked (|G| d^2) x d^2 linear system with a thin SVD; rank
     decisions use the scale-free threshold tolerance * largest singular
     value. Raises SizeLimit before stacking a system above
     COMMUTANT_BYTE_LIMIT bytes.
     """
-    k, d = matrices.shape[0], matrices.shape[1]
+    k, d = rep.group.order, rep.dim
     nbytes = k * d**4 * 16
     if nbytes > COMMUTANT_BYTE_LIMIT:
         raise SizeLimit(
             f"commutant system of {k * d * d}x{d * d} needs {nbytes / 2**20:.0f} MiB, "
             f"above the {COMMUTANT_BYTE_LIMIT / 2**20:.0f} MiB bound")
-    if k == 0:
-        return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     eye = np.eye(d)
-    system = np.empty((k * d * d, d * d), dtype=np.result_type(matrices, eye))
-    for i, u in enumerate(matrices):
+    system = np.empty((k * d * d, d * d), dtype=np.result_type(rep.matrices, eye))
+    for i, u in enumerate(rep.matrices):
         # vec(UX - XU) = (U (x) I - I (x) U^T) vec(X), row-major vec
         system[i * d * d:(i + 1) * d * d] = np.kron(u, eye) - np.kron(eye, u.T)
-    # k >= 1 gives at least d^2 rows, so the thin vh is square
+    # a group has at least one element, so at least d^2 rows and a square thin vh
     _, sigma, vh = np.linalg.svd(system, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         null_rows = vh
     else:
-        threshold = tolerance * sigma[0]
+        threshold = rep.tolerance * sigma[0]
         rank = int(np.sum(sigma > threshold))
         null_rows = vh[rank:]
     return [row.conj().reshape(d, d) for row in null_rows]
-
-
-def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
-    """Deterministic basis of {X : X U(g) = U(g) X for all g}."""
-    return matrix_commutant(rep.matrices, rep.tolerance)
 
 
 def character_norm(rep: UnitaryRepresentation) -> float:

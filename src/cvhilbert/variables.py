@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAccessible, NotPermissible
-from .groups import GroupAction, build_group, verify_homomorphism
+from .errors import AxiomViolation, NotAccessible, NotPermissible
+from .groups import GroupAction, homomorphism_witness, permutation_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +60,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash(self.blocks)
-
-    def block_of(self, p: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if p in b:
-                return i
-        raise ValueError(f"point {p} not covered")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,35 +143,25 @@ def induced_group(variable: ConceptualVariable, action: GroupAction):
     ok, witness = is_permissible(variable, action)
     if not ok:
         raise NotPermissible(witness)
-    vals = variable.values
-    nv = variable.value_count
-    pick = [variable.values.index(v) for v in range(nv)]
-    induced: list[tuple[int, ...]] = []
-    for k in range(action.group.order):
-        row = action.act[k]
-        induced.append(tuple(vals[row[p]] for p in pick))
-    ident = tuple(range(nv))
-    distinct = [ident]
-    for vmap in induced:
-        if vmap not in distinct:
-            distinct.append(vmap)
-    index = {vmap: i for i, vmap in enumerate(distinct)}
-    hom = [index[vmap] for vmap in induced]
-    n = len(distinct)
-    cayley = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(distinct):
-        for j, q in enumerate(distinct):
-            composed = tuple(p[q[v]] for v in range(nv))
-            if composed not in index:
-                raise NotPermissible(("induced maps not closed", i, j))
-            cayley[i, j] = index[composed]
-    group = build_group(cayley, assume_associative=True)
-    from .groups import build_action
-
-    g_action = build_action(group, np.array(distinct, dtype=np.int64))
-    if not verify_homomorphism(hom, action.group, group):
+    vals = np.asarray(variable.values, dtype=np.int64)
+    _, pick = np.unique(vals, return_index=True)   # one point per value
+    # the identity map, then the map induced by each k; distinct maps are
+    # numbered in order of first appearance
+    maps = np.vstack([np.arange(variable.value_count), vals[action.act[:, pick]]])
+    distinct, first, index = np.unique(maps, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    try:
+        group, g_action = permutation_group(distinct[order])
+    except AxiomViolation as exc:
+        if exc.axiom != "closure":
+            raise
+        raise NotPermissible(("induced maps not closed", *exc.witness)) from exc
+    hom = tuple(int(h) for h in rank[index.ravel()[1:]])
+    if homomorphism_witness(hom, action.group, group) is not None:
         raise NotPermissible(("induced map is not a homomorphism",))
-    return group, g_action, tuple(hom)
+    return group, g_action, hom
 
 
 def refines(xi: ConceptualVariable, theta: ConceptualVariable):

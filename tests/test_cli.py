@@ -1,11 +1,12 @@
 import collections
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvhilbert import cli, coherent, pairing, representations
+from cvhilbert import cli, coherent, groups, pairing, representations
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -339,14 +340,48 @@ class TestWorkCounts:
 
     def test_one_svd_per_commutant_basis(self, work_counts):
         cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
-        # the invariant split behind the swap matrix and the generator cross-check
-        assert work_counts["svd"] == 2
+        # the invariant split behind the swap matrix; irreducibility reads the
+        # character norm
+        assert work_counts["svd"] == 1
 
     def test_commutant_systems_avoid_joined_group_order(self, work_counts):
         xor4 = cli.run_verify(cli.parse_context(XOR4), "xor4")
         assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
-        # d = |G| = 4; N has 3 + 3 + 1 generators, against |N| * d^2 = 512 rows
-        assert 0 < work_counts["svd_rows"] <= max(4, 7) * 4**2
+        # only the base representation's system, |G| * d^2 with d = |G| = 4,
+        # against |N| * d^2 = 512 rows
+        assert work_counts["svd_rows"] == 4 * 4**2
+
+    def test_groups_verified_once_where_built(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        count(groups, "build_action")
+        count(groups, "_check_associativity")
+        regular = representations.regular_representation
+
+        def regular_spy(*args, **kwargs):
+            before = calls["build_action"]
+            rep = regular(*args, **kwargs)
+            calls["regular_representation actions"] += calls["build_action"] - before
+            return rep
+
+        monkeypatch.setattr(representations, "regular_representation", regular_spy)
+        report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        assert not report.failed
+        # K, the groups induced by bit1 and bit2, and N, each verified through
+        # its action where it is built; no associativity scan, and the regular
+        # representation of G verifies no action of its own
+        assert calls["build_action"] == 4
+        assert calls["_check_associativity"] == 0
+        assert "regular_representation actions" in calls
+        assert calls["regular_representation actions"] == 0
 
 
 def _check(out: str, cid: str) -> dict:
@@ -383,10 +418,9 @@ class TestPairChainTolerance:
 
 
 class TestCommutantChecks:
-    # two-bit commutant systems: the base representation's 2 blocks of 4x4
-    # entries (512 bytes), the joined group's 3 generator blocks (768 bytes)
-    @pytest.mark.parametrize("limit, cid", [(256, "well-defined-extension[0]"),
-                                            (600, "irreducibility[0]")])
+    # the two-bit commutant system: the base representation's 2 blocks of 4x4
+    # entries (512 bytes)
+    @pytest.mark.parametrize("limit, cid", [(256, "well-defined-extension[0]")])
     def test_size_limit_is_a_failed_check(self, limit, cid, monkeypatch, capsys):
         monkeypatch.setattr(representations, "COMMUTANT_BYTE_LIMIT", limit)
         code = cli.main(["verify", TWO_BIT, "--format", "structured"])
@@ -398,13 +432,36 @@ class TestCommutantChecks:
         assert check["detail"].startswith("not evaluated: ") and "MiB bound" in check["detail"]
         assert _check(captured.out, "joint-group[0]")["status"] == "pass"
 
-    @pytest.mark.parametrize("norm, shown", [(2.0, "2.00000000000e+00"),
-                                             (1.25, "1.25000000000e+00")])
-    def test_method_mismatch_fails_irreducibility(self, norm, shown, monkeypatch, capsys):
-        monkeypatch.setattr(pairing, "character_norm", lambda rep: norm)
+    @pytest.mark.parametrize("norm, dim", [(2.0, 2), (1.25, 1)])
+    def test_irreducibility_reads_character_norm(self, norm, dim, monkeypatch, capsys):
+        monkeypatch.setattr(representations, "character_norm", lambda rep: norm)
         code = cli.main(["verify", TWO_BIT, "--format", "structured"])
         check = _check(capsys.readouterr().out, "irreducibility[0]")
+        assert check["detail"] == f"commutant_dim={dim}"
+        assert check["status"] == ("pass" if dim == 1 else "fail")
+        assert code == (0 if dim == 1 else 2)
+
+
+class TestSpaceSizeBound:
+    @pytest.mark.parametrize("argv", [["verify", "--format", "structured"],
+                                      ["operator", "--variable", "x"]])
+    def test_refused_before_tables_are_allocated(self, argv, tmp_path, capsys):
+        # one identity row of 10^8 points would take 800 MB
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"phi_space": {"size": 10**8},
+                                    "group_K": {"generators": []}, "variables": []}))
+        tracemalloc.start()
+        try:
+            code = cli.main([argv[0], str(path), *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
         assert code == 2
-        assert check["status"] == "fail"
-        assert f"character norm {shown}" in check["detail"]
-        assert "generator commutant basis 1" in check["detail"]
+        assert peak < 8 * 2**20
+        if argv[0] == "verify":
+            check = _check(captured.out, "group-axioms")
+            assert check["status"] == "fail" and "MiB bound" in check["detail"]
+            assert captured.err == ""
+        else:
+            assert "MiB bound" in captured.err and "Traceback" not in captured.err

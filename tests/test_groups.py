@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -214,6 +217,27 @@ class TestGeneratedGroups:
                 [tuple((i + 1) % 40 for i in range(40))], order_bound=10
             )
 
+    def test_space_size_refused_before_allocation(self):
+        # one identity row of 10^8 points would be 800 MB of int64
+        with pytest.raises(SizeLimit, match="MiB bound"):
+            groups.generate_permutation_group([], space_size=10**8)
+
+    def test_row_bytes_bound_during_closure(self, monkeypatch):
+        # 20 rows of 40 points fit, the 40 rotations do not
+        monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 20 * 40 * 8)
+        with pytest.raises(SizeLimit, match="permutations of 40 points"):
+            groups.generate_permutation_group([tuple((i + 1) % 40 for i in range(40))])
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda size: st.lists(st.permutations(range(size)), max_size=3).map(
+            lambda gens: (size, gens))))
+    def test_closure_matches_reference(self, case):
+        size, gens = case
+        elements, table = reference_closure(gens, size)
+        g, act = groups.generate_permutation_group(gens, space_size=size)
+        assert act.act.tolist() == elements
+        assert g.cayley.tolist() == table
+
     def test_bfs_words_cover(self):
         g, act = groups.generate_permutation_group([(1, 0, 2), (0, 2, 1)])
         gens = [1, 2]  # BFS indices of the two generators
@@ -228,12 +252,12 @@ class TestGeneratedGroups:
 class TestHomomorphisms:
     def test_identity_map(self):
         z3 = groups.standard_group("cyclic", 3)
-        assert groups.verify_homomorphism(range(3), z3, z3)
+        assert groups.homomorphism_witness(range(3), z3, z3) is None
 
     def test_parity_map(self):
         z4 = groups.standard_group("cyclic", 4)
         z2 = groups.standard_group("cyclic", 2)
-        assert groups.verify_homomorphism([0, 1, 0, 1], z4, z2)
+        assert groups.homomorphism_witness([0, 1, 0, 1], z4, z2) is None
 
     def test_bad_map_has_witness(self):
         z4 = groups.standard_group("cyclic", 4)
@@ -247,7 +271,51 @@ class TestHomomorphisms:
 CATALOGUE = [
     ("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5), ("cyclic", 6),
     ("dihedral", 3), ("dihedral", 4), ("symmetric", 3), ("symmetric", 4),
+    ("dihedral", 150),
 ]
+
+
+def reference_closure(gens, size):
+    """Breadth-first closure and Cayley table by Python loops over tuples."""
+    ident = tuple(range(size))
+    elements, index, queue = [ident], {ident: 0}, [ident]
+    while queue:
+        current = queue.pop(0)
+        for g in gens:
+            cand = groups.compose(current, tuple(g))
+            if cand not in index:
+                index[cand] = len(elements)
+                elements.append(cand)
+                queue.append(cand)
+    table = [[index[groups.compose(p, q)] for q in elements] for p in elements]
+    return [list(p) for p in elements], table
+
+
+def reference_table(kind, n):
+    """The catalogue tables by formula: r_i r_j = r_{i+j}, D_n as rotation^i
+    flip^s with the flip conjugating a rotation to its inverse, and S_n as
+    composition of the permutations in lexicographic order."""
+    if kind == "cyclic":
+        return [[(i + j) % n for j in range(n)] for i in range(n)]
+    if kind == "dihedral":
+        def mul(a, b):
+            i1, s1 = a % n, a // n
+            i2, s2 = b % n, b // n
+            return (i1 + (i2 if s1 == 0 else -i2)) % n + n * ((s1 + s2) % 2)
+        return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+
+
+@pytest.mark.parametrize("kind,n", [("cyclic", n) for n in (1, 2, 3, 6, 300)]
+                         + [("dihedral", n) for n in (1, 2, 3, 4, 150)]
+                         + [("symmetric", n) for n in (1, 2, 3, 4)])
+def test_catalogue_tables_match_formula(kind, n):
+    # orders above 200 were refused by the raw-table associativity scan
+    g = groups.standard_group(kind, n)
+    assert g.cayley.tolist() == reference_table(kind, n)
+    assert g.identity == 0
 
 
 @pytest.mark.parametrize("kind,n", CATALOGUE)
@@ -273,3 +341,129 @@ def test_orbit_stabilizer_on_regular_action(kind, n):
         orbit = next(b for b in blocks if p in b)
         iso = groups.isotropy_subgroup(act, p)
         assert len(orbit) * iso.order == g.order
+
+
+# Row-major references for the table scans: the first failing tuple of a
+# plain Python loop, in the order the reports print it.
+
+def reference_associativity(t):
+    n = len(t)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def reference_compatibility(t, act):
+    n, m = len(t), len(act[0])
+    for g1, g2, x in itertools.product(range(n), range(n), range(m)):
+        if act[t[g1][g2]][x] != act[g1][act[g2][x]]:
+            return (g1, g2, x)
+    return None
+
+
+def reference_homomorphism(mapping, ta, tb):
+    for a1, a2 in itertools.product(range(len(ta)), repeat=2):
+        if mapping[ta[a1][a2]] != tb[mapping[a1]][mapping[a2]]:
+            return (a1, a2)
+    return None
+
+
+def reference_closure_failure(rows):
+    index = {tuple(r): i for i, r in enumerate(rows)}
+    for a, b in itertools.product(range(len(rows)), repeat=2):
+        if groups.compose(tuple(rows[a]), tuple(rows[b])) not in index:
+            return (a, b)
+    return None
+
+
+def reference_subgroup_message(g, members):
+    mset = sorted(set(members))
+    if g.identity not in mset:
+        return "identity missing"
+    for a in mset:
+        if g.inv(a) not in mset:
+            return f"inverse of {a} missing"
+        for b in mset:
+            if g.mult(a, b) not in mset:
+                return f"not closed at ({a}, {b})"
+    return None
+
+
+SMALL = [("cyclic", 1), ("cyclic", 4), ("cyclic", 6), ("dihedral", 2), ("dihedral", 3),
+         ("dihedral", 4), ("symmetric", 3)]
+# the default step, one that takes several whole rows, and one that cuts a row
+STEPS = st.sampled_from([groups.STEP_BYTES, 64, 8])
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (AxiomViolation, NotASubgroup) as exc:
+        return exc
+    return None
+
+
+class TestScanWitnesses:
+    """One corrupted entry; the scan names the same tuple as the loop."""
+
+    @given(st.sampled_from(SMALL), STEPS, st.data())
+    def test_associativity(self, group, step, data):
+        t = groups.standard_group(*group).cayley.copy()
+        n = len(t)
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        t[a, b] = data.draw(st.integers(0, n - 1))
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            exc = _raised(groups._check_associativity, t)
+        expected = reference_associativity(t.tolist())
+        assert (exc and (exc.axiom, exc.witness)) == (expected and ("associativity", expected))
+
+    @given(st.sampled_from(SMALL), STEPS, st.data())
+    def test_compatibility(self, group, step, data):
+        g, act = groups.generate_permutation_group(
+            groups.standard_group(*group).cayley.tolist())  # regular action
+        rows = act.act.copy()
+        n, m = rows.shape
+        if n > 1:
+            # a non-identity row stays a permutation with two images swapped
+            k = data.draw(st.integers(1, n - 1))
+            x, y = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+            rows[k, [x, y]] = rows[k, [y, x]]
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            exc = _raised(groups.build_action, g, rows)
+        expected = reference_compatibility(g.cayley.tolist(), rows.tolist())
+        assert (exc and (exc.axiom, exc.witness)) == (expected and ("compatibility", expected))
+
+    @given(st.sampled_from(SMALL), STEPS, st.data())
+    def test_homomorphism(self, group, step, data):
+        g = groups.standard_group(*group)
+        mapping = list(range(g.order))
+        mapping[data.draw(st.integers(0, g.order - 1))] = data.draw(st.integers(0, g.order - 1))
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            witness = groups.homomorphism_witness(mapping, g, g)
+        assert witness == reference_homomorphism(mapping, g.cayley.tolist(), g.cayley.tolist())
+
+    @given(st.sampled_from(SMALL), STEPS, st.data())
+    def test_closure(self, group, step, data):
+        _, act = groups.generate_permutation_group(groups.standard_group(*group).cayley.tolist())
+        rows = act.act.tolist()
+        if len(rows) > 1:
+            del rows[data.draw(st.integers(1, len(rows) - 1))]
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            exc = _raised(groups.permutation_group, rows)
+        expected = reference_closure_failure(rows)
+        assert (exc and (exc.axiom, exc.witness)) == (expected and ("closure", expected))
+
+    @given(st.sampled_from(SMALL), STEPS, st.data())
+    def test_subgroup_messages(self, group, step, data):
+        g = groups.standard_group(*group)
+        a = data.draw(st.integers(0, g.order - 1))
+        members = [g.identity]
+        while g.mult(members[-1], a) != g.identity:
+            members.append(g.mult(members[-1], a))
+        members[data.draw(st.integers(0, len(members) - 1))] = data.draw(
+            st.integers(0, g.order - 1))
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            exc = _raised(groups.subgroup, g, members)
+        expected = reference_subgroup_message(g, members)
+        assert (exc and str(exc)) == expected

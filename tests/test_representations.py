@@ -1,12 +1,14 @@
 import itertools
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvhilbert import groups, representations as reps
-from cvhilbert.errors import GroupMismatch, IrreducibleInput, SizeLimit
+from cvhilbert import cli, groups, pairing, representations as reps
+from cvhilbert.errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
 
 
 def z(n):
@@ -22,6 +24,21 @@ def assert_commutant_dimension(rep, expected):
     """Both methods: the character norm and the size of the SVD basis."""
     assert reps.commutant_dimension(rep) == len(reps.commutant_basis(rep)) == expected
     assert abs(reps.character_norm(rep) - expected) < 1e-9
+
+
+def joined_representation(document):
+    """The joined representation `verify` builds for a golden document."""
+    built = []
+    original = pairing.build_joint_representation
+
+    def spy(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    path = Path(__file__).resolve().parent / "golden" / "docs" / document
+    with mock.patch.object(pairing, "build_joint_representation", spy):
+        cli.run_verify(cli.parse_context(str(path)))
+    return built[0][0]
 
 
 class TestConstructions:
@@ -57,6 +74,31 @@ class TestConstructions:
         # generator translates the basis cyclically
         moved = rep.matrices[1] @ e1
         assert np.allclose(moved, [0, 1, 0])
+
+    @given(st.sampled_from([("cyclic", 4), ("dihedral", 3), ("symmetric", 3)]),
+           st.sampled_from([groups.STEP_BYTES, 2 * 16 * 36, 16 * 36]), st.data())
+    def test_homomorphism_witness_is_first_failing_pair(self, group, step, data):
+        # one corrupted entry of a non-identity matrix; the constructor names
+        # the first pair of a row-major loop over the table
+        g = groups.standard_group(*group)
+        mats = reps.regular_representation(g).matrices.copy()
+        k = data.draw(st.integers(1, g.order - 1))
+        i, j = data.draw(st.integers(0, g.order - 1)), data.draw(st.integers(0, g.order - 1))
+        mats[k, i, j] += data.draw(st.sampled_from([1.0, 1e-6j, 1e-12]))
+        expected = next(((a, b) for a in range(g.order) for b in range(g.order)
+                         if np.abs(mats[g.mult(a, b)] - mats[a] @ mats[b]).max() > 1e-9), None)
+        if expected is None and any(np.abs(u @ u.conj().T - np.eye(g.order)).max() > 1e-9
+                                    for u in mats):
+            expected = "not unitary"
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            try:
+                reps.UnitaryRepresentation(g, g.order, mats)
+                raised = None
+            except NotHomomorphism as exc:
+                raised = exc.pair
+            except ValueError:
+                raised = "not unitary"
+        assert raised == expected
 
     def test_bad_homomorphism_rejected(self):
         g = z(2)
@@ -95,8 +137,15 @@ class TestCommutant:
         assert_commutant_dimension(reps.permutation_representation(act), 2)
 
     def test_qubit_rep_irreducible(self, qubit_rep):
+        # the joined representation of the two-bit document
         assert reps.is_irreducible(qubit_rep)
         assert_commutant_dimension(qubit_rep, 1)
+
+    @pytest.mark.parametrize("document, expected", [("xor_m4.json", 3), ("cyclic_m6.json", 5),
+                                                    ("cyclic_m8.json", 7)])
+    def test_joined_representations(self, document, expected):
+        # the dimensions the golden reports print, from the character norm
+        assert_commutant_dimension(joined_representation(document), expected)
 
     def test_double_copy_dimension(self):
         g = z(2)
@@ -119,11 +168,6 @@ class TestCommutant:
         # 32 blocks of 32^2 x 32^2 complex entries: 512 MiB
         with pytest.raises(SizeLimit, match="512 MiB"):
             reps.commutant_basis(reps.regular_representation(z(32)))
-
-    def test_empty_stack_commutes_with_everything(self):
-        basis = reps.matrix_commutant(np.zeros((0, 2, 2), dtype=complex), 1e-9)
-        assert len(basis) == 4
-        assert np.allclose(np.stack(basis).reshape(4, 4), np.eye(4))
 
     def test_tolerance_reaches_regular_representation(self):
         assert reps.regular_representation(z(3), 1e-6).tolerance == 1e-6

@@ -17,6 +17,19 @@ def trivial_action(m):
     return groups.build_action(g, [list(range(m))])
 
 
+def reference_induced_group(variable, action):
+    """Induced maps, Cayley table and hom by Python loops: the identity map,
+    then the maps in order of first appearance over k."""
+    vals = variable.values
+    pick = [vals.index(v) for v in range(variable.value_count)]
+    induced = [tuple(vals[action.act[k][p]] for p in pick) for k in range(action.group.order)]
+    maps = [tuple(range(variable.value_count))]
+    maps += [m for i, m in enumerate(induced) if m not in maps and m not in induced[:i]]
+    index = {m: i for i, m in enumerate(maps)}
+    table = [[index[groups.compose(p, q)] for q in maps] for p in maps]
+    return [list(m) for m in maps], table, tuple(index[m] for m in induced)
+
+
 PARITY4 = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
 IDENT4 = variables.make_variable("point", [0, 1, 2, 3], numeric_values=[0.0, 1.0, 2.0, 3.0])
 CONST4 = variables.make_variable("const", [0, 0, 0, 0], numeric_values=[1.0])
@@ -95,6 +108,21 @@ class TestInducedGroup:
         var = axis_component_variable("z")
         with pytest.raises(NotPermissible):
             variables.induced_group(var, action)
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
+                            st.randoms())))
+    def test_matches_reference_loop(self, case):
+        # a relabelled residue mod a divisor of n is permissible under shifts
+        n, d, rng = case
+        labels = rng.sample(range(d), d)
+        var = variables.make_variable("v", [labels[p % d] for p in range(n)])
+        action = shift_action(n)
+        g, act, hom = variables.induced_group(var, action)
+        maps, table, ref_hom = reference_induced_group(var, action)
+        assert act.act.tolist() == maps
+        assert g.cayley.tolist() == table
+        assert hom == ref_hom
 
     def test_induced_action_matches_defining_equation(self):
         g, act, hom = variables.induced_group(PARITY4, shift_action(4))
