@@ -390,8 +390,8 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
         f"joint-group[{idx}]", "joined-group", "pass",
         detail=f"order={joint.group.order} points={joint.action.space_size}"))
 
-    base_rep = representations.regular_representation(g_group, doc.tolerance)
     try:
+        base_rep = representations.regular_representation(g_group, doc.tolerance)
         swap_matrix = pairing.build_swap_matrix(base_rep)
         joint_rep, words = pairing.build_joint_representation(joint, base_rep, swap_matrix)
     except (NotWellDefined, SizeLimit) as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -398,9 +399,9 @@ def bfs_words(
     n = group.order
     words: list[tuple[int, ...] | None] = [None] * n
     words[group.identity] = ()
-    queue = [group.identity]
+    queue = deque([group.identity])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for slot, g in enumerate(generator_indices):
             w = group.mult(v, g)
             if words[w] is None:
@@ -410,6 +411,26 @@ def bfs_words(
     if missing:
         raise ValueError(f"generators do not generate the group; missing {missing[:4]}")
     return words  # type: ignore[return-value]
+
+
+def _greedy_generators(group: FiniteGroup) -> list[int]:
+    """A generating set read off the table: in turn, the first element
+    outside the subgroup generated so far. Each one at least doubles that
+    subgroup (Lagrange), so there are at most log2 |G| of them."""
+    inside = np.zeros(group.order, dtype=bool)
+    inside[group.identity] = True
+    gens: list[int] = []
+    while not inside.all():
+        gens.append(int(np.argmin(inside)))
+        # close under right multiplication by the generators
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            new = np.zeros_like(inside)
+            new[group.cayley[np.ix_(frontier, gens)]] = True
+            new &= ~inside
+            inside |= new
+            frontier = np.flatnonzero(new)
+    return gens
 
 
 def homomorphism_witness(mapping, group_a: FiniteGroup, group_b: FiniteGroup):

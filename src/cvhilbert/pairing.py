@@ -46,6 +46,7 @@ from .groups import (
 from .representations import (
     Operator,
     UnitaryRepresentation,
+    _check_stack,
     _maxabs,
     invariant_subspace_split,
     is_irreducible,
@@ -232,7 +233,8 @@ def build_joint_representation(
     word. The extension is accepted only if the full multiplication table is
     respected, which `UnitaryRepresentation` verifies on construction;
     otherwise NotWellDefined carries an element with two words whose products
-    disagree.
+    disagree. A stack above REPRESENTATION_BYTE_LIMIT raises SizeLimit before
+    it is allocated.
     """
     d = base_rep.dim
     tol = base_rep.tolerance
@@ -248,6 +250,7 @@ def build_joint_representation(
         else:
             gen_mats.append(swap_matrix)
     words = bfs_words(joint.group, list(joint.gen_elements))
+    _check_stack(joint.group.order, d)
     mats = np.empty((joint.group.order, d, d), dtype=complex)
     for n, word in enumerate(words):
         acc = np.eye(d, dtype=complex)

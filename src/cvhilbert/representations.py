@@ -1,5 +1,16 @@
 """Unitary representations on finite-dimensional complex spaces.
 
+A representation is verified once, where it is built: U(e) = I, the
+multiplication table U(a*b) = U(a)U(b) and unitarity. The table is checked on
+a generating set S read off the Cayley table, |G|*|S| products instead of
+|G|^2, and a certificate (`_certified`) bounds the residual of every other
+pair by the generator residual, the BFS depth over S, the unitarity residual
+and the rounding of the scan. When that bound does not prove the table, the
+full row-major scan runs as the fallback and names the first failing pair,
+so a verdict or a witness never depends on the certificate. A stack of more
+than REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
+allocated.
+
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
 criterion. The dimension is the character norm (1/|G|) sum_g |tr U(g)|^2
@@ -18,13 +29,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
-from .groups import FiniteGroup, GroupAction, _block_cells, _first_violation
+from .groups import (FiniteGroup, GroupAction, _block_cells, _first_violation,
+                     _greedy_generators, bfs_words)
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
 # basis may stack; its thin SVD allocates a factor and a working copy of the
 # same size on top.
 COMMUTANT_BYTE_LIMIT = 256 * 2**20
+# Largest stack of representation matrices, in bytes of complex entries.
+REPRESENTATION_BYTE_LIMIT = 256 * 2**20
+
+
+def _check_stack(order: int, dim: int) -> None:
+    nbytes = order * dim * dim * 16
+    if nbytes > REPRESENTATION_BYTE_LIMIT:
+        raise SizeLimit(
+            f"{order} matrices of {dim}x{dim} need {nbytes / 2**20:.0f} MiB, "
+            f"above the {REPRESENTATION_BYTE_LIMIT / 2**20:.0f} MiB bound")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +61,8 @@ class UnitaryRepresentation:
         if mats.shape != (self.group.order, self.dim, self.dim):
             raise ValueError("matrix stack has wrong shape")
         eye = np.eye(self.dim)
-        if _maxabs(mats[self.group.identity] - eye) > self.tolerance:
+        identity_residual = _maxabs(mats[self.group.identity] - eye)
+        if identity_residual > self.tolerance:
             raise ValueError("identity element is not represented by the identity")
         cay, d = self.group.cayley, self.dim
         # The blocks reuse three buffers: a fresh temporary of a block's size
@@ -47,9 +70,18 @@ class UnitaryRepresentation:
         # The table's entries are element indices, so `take` need not check
         # them ("clip"), which spares it a buffered copy.
         cell_bytes = mats.itemsize * d * d
-        entries = _block_cells(cell_bytes) * d * d
-        product, target = np.empty((2, entries), dtype=mats.dtype)
-        residual = np.empty(entries)
+        cells = _block_cells(cell_bytes)
+        product, target = np.empty((2, cells * d * d), dtype=mats.dtype)
+        residual = np.empty(cells * d * d)
+
+        # the certificate's rounding bound holds for floating-point stacks only
+        if np.issubdtype(mats.dtype, np.inexact):
+            gens = _greedy_generators(self.group)
+            depth = max(len(w) for w in bfs_words(self.group, gens))
+            r, u = _generator_residuals(mats, cay, gens, cells, (product, target, residual))
+            if _certified(r, u, identity_residual, depth, d, self.tolerance,
+                          float(np.finfo(mats.dtype).eps)):
+                return
 
         def broken(a, b):
             index = cay[a, b]
@@ -89,6 +121,77 @@ def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _generator_residuals(mats, cayley, gens, step, buffers):
+    """(r, u): the largest entry of U(g*s) - U(g)U(s) over every g and every
+    s in gens, and of U(g)U(g)^dagger - I over every g.
+
+    One pass over blocks of `step` rows, whose products, targets and
+    residuals fill the three buffers. NaN propagates into the result.
+    """
+    eye = np.eye(mats.shape[1])
+    r = u = 0.0
+    for a in range(0, len(mats), step):
+        block = mats[a:a + step]
+        p, t, res = (buf[:block.size].reshape(block.shape) for buf in buffers)
+        for s in gens:
+            np.matmul(block, mats[s], out=p)
+            np.take(mats, cayley[a:a + step, s], axis=0, out=t, mode="clip")
+            r = np.maximum(r, np.abs(np.subtract(t, p, out=p), out=res).max(initial=0.0))
+        np.matmul(block, np.conj(block, out=t).transpose(0, 2, 1), out=p)
+        u = np.maximum(u, np.abs(np.subtract(p, eye, out=p), out=res).max(initial=0.0))
+    return float(r), float(u)
+
+
+def _certified(r, u, e, depth, d, tolerance, eps) -> bool:
+    """True when the full table scan and the unitarity loop are proven to pass.
+
+    Inputs, all computed in floating point with machine epsilon eps: r the
+    largest entry of U(g*s) - U(g)U(s) over every g and every s of a
+    generating set S, u that of U(g)U(g)^dagger - I over every g, e that of
+    U(e) - I, and depth L the longest breadth-first word over S
+    (`bfs_words`).
+
+    Notation: |X| is the largest entry modulus of a d x d matrix, the quantity
+    the scans compare with the tolerance, and ||X|| the spectral norm; then
+    |X| <= ||X|| <= d |X|. Rounding (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, 3.1 and 3.6; underflow ignored): a computed
+    entry of a complex product AB lies within rho ||A|| ||B|| of the exact
+    one, rho = (d + 4) eps, in any summation order, and the subtraction and
+    the modulus that follow change a residual by a factor within
+    kappa = 1 + 4 eps of 1. So an exact residual is at most kappa times the
+    computed one plus the product's rho ||A|| ||B||, and the other way round.
+
+    1. Norms. ||U(g)||^2 = ||U(g)U(g)^dagger|| <= 1 + d |U(g)U(g)^dagger - I|
+       <= 1 + d (kappa u + rho ||U(g)||^2), so with d rho < 1,
+       ||U(g)||^2 <= c^2 = (1 + d kappa u) / (1 - d rho).
+    2. Exact residuals. |U(g*s) - U(g)U(s)| <= r' = kappa r + rho c^2,
+       |U(g)U(g)^dagger - I| <= u' = kappa u + rho c^2, |U(e) - I| <= kappa e.
+    3. Induction on word length. Let D(a, b) = U(a*b) - U(a)U(b). For b = e,
+       D(a, e) = U(a)(I - U(e)), so ||D(a, e)|| <= B_0 = c d kappa e. An
+       element b at depth k >= 1 is b'*s with b' its parent at depth k - 1
+       and s in S, and
+         D(a, b) = [U(a*b'*s) - U(a*b')U(s)] + D(a, b')U(s)
+                   - U(a)[U(b'*s) - U(b')U(s)],
+       where each bracket is a generator residual. So ||D(a, b)|| <= B_k =
+       c B_{k-1} + (1 + c) d r', and every pair has ||D(a, b)|| <= B_L.
+    4. The scans. The table scan computes |U(a*b) - U(a)U(b)| as at most
+       kappa (B_L + rho c^2), and the unitarity loop computes
+       |U(g)U(g)^dagger - I| as at most kappa (u' + rho c^2). When both lie
+       within the tolerance, neither can report a failure.
+    """
+    kappa, rho = 1 + 4 * eps, (d + 4) * eps
+    if d * rho >= 0.5:
+        return False
+    c2 = (1 + d * kappa * u) / (1 - d * rho)
+    c = c2 ** 0.5
+    r_exact, u_exact = kappa * r + rho * c2, kappa * u + rho * c2
+    bound = c * d * kappa * e
+    for _ in range(depth):
+        bound = c * bound + (1 + c) * d * r_exact
+    return (kappa * (bound + rho * c2) <= tolerance
+            and kappa * (u_exact + rho * c2) <= tolerance)
+
+
 def _canonical_phase(v: np.ndarray, tolerance: float) -> np.ndarray:
     """Rotate so the first component above tolerance is real positive."""
     idx = np.nonzero(np.abs(v) > tolerance)[0]
@@ -123,6 +226,7 @@ def permutation_representation(
 ) -> UnitaryRepresentation:
     """0/1 matrices with U(g)[g.x, x] = 1."""
     n, m = action.group.order, action.space_size
+    _check_stack(n, m)
     mats = np.zeros((n, m, m), dtype=complex)
     mats[np.arange(n)[:, None], action.act, np.arange(m)] = 1.0
     mats.setflags(write=False)
@@ -225,6 +329,7 @@ def direct_sum(rep1: UnitaryRepresentation, rep2: UnitaryRepresentation) -> Unit
         raise GroupMismatch("direct sum requires a common group")
     n = rep1.group.order
     d = rep1.dim + rep2.dim
+    _check_stack(n, d)
     mats = np.zeros((n, d, d), dtype=complex)
     mats[:, : rep1.dim, : rep1.dim] = rep1.matrices
     mats[:, rep1.dim :, rep1.dim :] = rep2.matrices

@@ -13,6 +13,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TWO_BIT = str(FIXTURES / "two_bit.json")
 CORRUPTED = str(FIXTURES / "two_bit_corrupted.json")
 XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
+S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.json")
 
 
 class TestParsing:
@@ -383,6 +384,37 @@ class TestWorkCounts:
         assert "regular_representation actions" in calls
         assert calls["regular_representation actions"] == 0
 
+    def test_operator_checks_generators_not_the_table(self, monkeypatch, capsys):
+        # operator on S5 builds the regular representation, d = |G| = 120; the
+        # certificate proves it from |G|*|S| generator products and |G|
+        # unitarity products, where the table scan would take |G|^2 = 14400
+        calls = collections.Counter()
+        scan, greedy, matmul = (representations._first_violation,
+                                representations._greedy_generators, np.matmul)
+
+        def scan_spy(*args):
+            calls["scans"] += 1
+            return scan(*args)
+
+        def greedy_spy(group):
+            gens = greedy(group)
+            calls["order"], calls["generators"] = group.order, len(gens)
+            return gens
+
+        def matmul_spy(x1, x2, *args, **kwargs):
+            out = matmul(x1, x2, *args, **kwargs)
+            calls["products"] += int(np.prod(out.shape[:-2]))
+            return out
+
+        monkeypatch.setattr(representations, "_first_violation", scan_spy)
+        monkeypatch.setattr(representations, "_greedy_generators", greedy_spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        assert "induced group order: 120" in capsys.readouterr().out
+        assert calls["order"] == 120 and 2 <= calls["generators"] <= 6
+        assert calls["scans"] == 0
+        assert calls["products"] == 120 * calls["generators"] + 120
+
 
 def _check(out: str, cid: str) -> dict:
     return next(c for c in json.loads(out)["checks"] if c["id"] == cid)
@@ -465,3 +497,42 @@ class TestSpaceSizeBound:
             assert captured.err == ""
         else:
             assert "MiB bound" in captured.err and "Traceback" not in captured.err
+
+
+class TestRepresentationBound:
+    def test_operator_refuses_regular_stack(self, tmp_path, capsys):
+        # the identity variable of a cyclic K of order 257 induces Z_257, whose
+        # regular representation would stack 257 matrices of 257x257 (259 MiB):
+        # the smallest cyclic order above the 256 MiB bound
+        n = 257
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps({
+            "phi_space": {"size": n},
+            "group_K": {"generators": [[(x + 1) % n for x in range(n)]]},
+            "variables": [{"name": "x", "values": list(range(n)),
+                           "numeric_values": [float(x) for x in range(n)]}]}))
+        tracemalloc.start()
+        try:
+            code = cli.main(["operator", str(path), "--variable", "x"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "259 MiB" in captured.err and "256 MiB bound" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert peak < 16 * 2**20
+
+    # two-bit: the base representation stacks 2 matrices of 2x2 (128 bytes),
+    # the joined representation 8 of them (512 bytes)
+    @pytest.mark.parametrize("limit", [64, 256])
+    def test_verify_reports_refused_stack(self, limit, monkeypatch, capsys):
+        monkeypatch.setattr(representations, "REPRESENTATION_BYTE_LIMIT", limit)
+        code = cli.main(["verify", TWO_BIT, "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        check = _check(captured.out, "well-defined-extension[0]")
+        assert check["status"] == "fail"
+        assert check["detail"].startswith("not evaluated: ") and "MiB bound" in check["detail"]
+        assert _check(captured.out, "joint-group[0]")["status"] == "pass"

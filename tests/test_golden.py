@@ -4,10 +4,13 @@
 expected stdout is `golden/out/<name>.out`. The commands cover `verify` in
 both formats on the shipped fixtures, on the cyclic-product documents with
 m = 2..8 and on the XOR-product document with m = 4 (all in `golden/docs/`,
-with fixed numeric values), plus `demo`, `pair` and `operator`. The outputs
-were recorded before the pair chain was refactored (m = 8 before the
-commutant moved to the character norm and the thin SVD); a mismatch is a
-change in behaviour to be fixed in the code, not in the recorded file.
+with fixed numeric values), plus `demo`, `pair` and `operator`, the last also
+on single-variable documents whose induced groups are S5 and D48, so that
+regular representations of order 120 and 96 are built. The outputs were
+recorded before the pair chain was refactored (m = 8 before the commutant
+moved to the character norm and the thin SVD, S5 and D48 before the
+representation check moved to generators); a mismatch is a change in
+behaviour to be fixed in the code, not in the recorded file.
 """
 
 import json

@@ -1,4 +1,6 @@
 import itertools
+import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvhilbert import groups
+from cvhilbert import cli, groups, pairing
 from cvhilbert.errors import AxiomViolation, NotASubgroup, SizeLimit
 
 Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -467,3 +469,70 @@ class TestScanWitnesses:
             exc = _raised(groups.subgroup, g, members)
         expected = reference_subgroup_message(g, members)
         assert (exc and str(exc)) == expected
+
+
+def reference_bfs_words(group, gens):
+    """The list-queue loop `bfs_words` had before its queue became a deque."""
+    words = [None] * group.order
+    words[group.identity] = ()
+    queue = [group.identity]
+    while queue:
+        v = queue.pop(0)
+        for slot, g in enumerate(gens):
+            w = group.mult(v, g)
+            if words[w] is None:
+                words[w] = words[v] + (slot,)
+                queue.append(w)
+    return words
+
+
+def reference_greedy_generators(group):
+    """In turn, the smallest element outside the subgroup generated so far."""
+    gens, inside = [], {group.identity}
+    while len(inside) < group.order:
+        gens.append(min(set(range(group.order)) - inside))
+        frontier = inside
+        while frontier:
+            frontier = {group.mult(v, s) for v in frontier for s in gens} - inside
+            inside = inside | frontier
+    return gens
+
+
+def joined_group_m8():
+    """The joined group N that `verify` builds for the cyclic m=8 document."""
+    built = []
+    original = pairing.build_joint_group
+
+    def spy(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    path = Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json"
+    with mock.patch.object(pairing, "build_joint_group", spy):
+        cli.run_verify(cli.parse_context(str(path)))
+    return built[0]
+
+
+class TestWords:
+    @pytest.mark.parametrize("kind,n", CATALOGUE)
+    def test_catalogue_generators_and_words(self, kind, n):
+        g = groups.standard_group(kind, n)
+        gens = groups._greedy_generators(g)
+        assert gens == reference_greedy_generators(g)
+        assert len(gens) <= math.log2(g.order)
+        for generators in (gens, list(range(g.order))):
+            assert groups.bfs_words(g, generators) == reference_bfs_words(g, generators)
+
+    def test_joined_group_m8(self):
+        joint = joined_group_m8()
+        n, gens = joint.group, list(joint.gen_elements)
+        assert n.order == 128
+        assert groups.bfs_words(n, gens) == reference_bfs_words(n, gens)
+        greedy = groups._greedy_generators(n)
+        assert greedy == reference_greedy_generators(n)
+        assert groups.bfs_words(n, greedy) == reference_bfs_words(n, greedy)
+
+    def test_trivial_group(self):
+        g = groups.build_group([[0]])
+        assert groups._greedy_generators(g) == []
+        assert groups.bfs_words(g, []) == [()]

@@ -1,10 +1,11 @@
+import functools
 import itertools
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvhilbert import cli, groups, pairing, representations as reps
@@ -41,6 +42,46 @@ def joined_representation(document):
     return built[0][0]
 
 
+# Stacks the constructor is tried on: regular representations of catalogue
+# groups (0/1 entries) and the joined representations `verify` builds for two
+# golden documents, which are not permutation representations.
+STACKS = [("cyclic", 4), ("dihedral", 3), ("symmetric", 3), "xor_m4.json", "cyclic_m6.json"]
+# Perturbations of one entry: far off, well above, just above, just below and
+# far below the tolerance.
+PERTURBATIONS = [1.0, 1e-6j, 2 * reps.DEFAULT_TOLERANCE, 0.5 * reps.DEFAULT_TOLERANCE, 1e-12]
+
+
+@functools.cache
+def _stack(source):
+    if isinstance(source, tuple):
+        rep = reps.regular_representation(groups.standard_group(*source))
+    else:
+        rep = joined_representation(source)
+    return rep.group, rep.matrices
+
+
+def reference_verdict(g, mats, tol=reps.DEFAULT_TOLERANCE):
+    """A row-major loop over the table, then one over the elements: the
+    first pair (a, b) with U(a*b) != U(a)U(b), else "not unitary", else None."""
+    for a in range(g.order):
+        bad = np.abs(mats[g.cayley[a]] - mats[a] @ mats).max(axis=(1, 2)) > tol
+        if bad.any():
+            return (a, int(np.argmax(bad)))
+    if any(np.abs(u @ u.conj().T - np.eye(len(u))).max() > tol for u in mats):
+        return "not unitary"
+    return None
+
+
+def constructor_verdict(g, mats):
+    try:
+        reps.UnitaryRepresentation(g, mats.shape[1], mats)
+    except NotHomomorphism as exc:
+        return exc.pair
+    except ValueError:
+        return "not unitary"
+    return None
+
+
 class TestConstructions:
     def test_trivial_group_permutation_rep(self):
         g = groups.build_group([[0]])
@@ -58,7 +99,7 @@ class TestConstructions:
         s3 = groups.standard_group("symmetric", 3)
         act = groups.build_action(s3, [list(p) for p in itertools.permutations(range(3))])
         rep = reps.permutation_representation(act)
-        # constructor already multiplies all pairs; spot-check one product
+        # the constructor proves the table from the generators; spot-check one product
         a, b = 2, 4
         assert np.allclose(rep.matrices[s3.mult(a, b)], rep.matrices[a] @ rep.matrices[b])
 
@@ -75,30 +116,68 @@ class TestConstructions:
         moved = rep.matrices[1] @ e1
         assert np.allclose(moved, [0, 1, 0])
 
-    @given(st.sampled_from([("cyclic", 4), ("dihedral", 3), ("symmetric", 3)]),
+    @settings(max_examples=100)
+    @given(st.sampled_from(STACKS), st.sampled_from(PERTURBATIONS),
            st.sampled_from([groups.STEP_BYTES, 2 * 16 * 36, 16 * 36]), st.data())
-    def test_homomorphism_witness_is_first_failing_pair(self, group, step, data):
-        # one corrupted entry of a non-identity matrix; the constructor names
-        # the first pair of a row-major loop over the table
-        g = groups.standard_group(*group)
-        mats = reps.regular_representation(g).matrices.copy()
+    def test_homomorphism_witness_is_first_failing_pair(self, source, delta, step, data):
+        # one corrupted entry of a non-identity matrix; whether the certificate
+        # or the scan decides, the constructor names the first pair of a
+        # row-major loop over the table
+        g, mats = _stack(source)
+        mats = mats.copy()
         k = data.draw(st.integers(1, g.order - 1))
-        i, j = data.draw(st.integers(0, g.order - 1)), data.draw(st.integers(0, g.order - 1))
-        mats[k, i, j] += data.draw(st.sampled_from([1.0, 1e-6j, 1e-12]))
-        expected = next(((a, b) for a in range(g.order) for b in range(g.order)
-                         if np.abs(mats[g.mult(a, b)] - mats[a] @ mats[b]).max() > 1e-9), None)
-        if expected is None and any(np.abs(u @ u.conj().T - np.eye(g.order)).max() > 1e-9
-                                    for u in mats):
-            expected = "not unitary"
+        i, j = data.draw(st.integers(0, len(mats[0]) - 1)), data.draw(st.integers(0, len(mats[0]) - 1))
+        mats[k, i, j] += delta
         with mock.patch.object(groups, "STEP_BYTES", step):
-            try:
-                reps.UnitaryRepresentation(g, g.order, mats)
-                raised = None
-            except NotHomomorphism as exc:
-                raised = exc.pair
-            except ValueError:
-                raised = "not unitary"
-        assert raised == expected
+            assert constructor_verdict(g, mats) == reference_verdict(g, mats)
+
+    @pytest.mark.parametrize("delta", PERTURBATIONS[2:])
+    @pytest.mark.parametrize("source", STACKS)
+    def test_certificate_near_tolerance(self, source, delta):
+        # the last element's first entry; a perturbation a few tolerances off
+        # is decided by the full scan, one far below by the certificate alone
+        g, mats = _stack(source)
+        mats = mats.copy()
+        mats[-1, 0, 0] += delta
+        scans = []
+        original = reps._first_violation
+
+        def scan(*args):
+            scans.append(args[0])
+            return original(*args)
+
+        with mock.patch.object(reps, "_first_violation", scan):
+            verdict = constructor_verdict(g, mats)
+        assert verdict == reference_verdict(g, mats)
+        assert (verdict is None) == (delta != 2 * reps.DEFAULT_TOLERANCE)
+        assert len(scans) == (0 if delta == 1e-12 else 1)
+
+    def test_residual_growing_along_words(self):
+        # U(k) = exp(i (2 pi k / 16 + c k (16 - k))) on Z_16: every generator
+        # product is off by at most 0.3 tolerances, yet U(8)U(8) is off by 1.28
+        # of them; only the depth term keeps the certificate from passing it
+        g = z(16)
+        k = np.arange(16)
+        mats = np.exp(2j * np.pi * k / 16 + 1e-11j * k * (16 - k)).reshape(16, 1, 1)
+        assert np.abs(mats[g.cayley[:, 1]] - mats @ mats[1]).max() < 0.3 * reps.DEFAULT_TOLERANCE
+        expected = reference_verdict(g, mats)
+        assert expected is not None and expected != "not unitary"
+        assert constructor_verdict(g, mats) == expected
+
+    def test_certificate_bound(self):
+        # exact inputs certify at any depth; the bound grows with the depth,
+        # the dimension and the residuals, and a NaN never certifies
+        eps = float(np.finfo(float).eps)
+        assert reps._certified(0.0, 0.0, 0.0, 100, 120, 1e-9, eps)
+        assert reps._certified(1e-13, 1e-13, 0.0, 10, 4, 1e-9, eps)
+        assert not reps._certified(1e-13, 1e-13, 0.0, 2000, 4, 1e-9, eps)
+        assert not reps._certified(1e-13, 1e-13, 0.0, 10, 1000, 1e-9, eps)
+        assert not reps._certified(0.0, 2e-9, 0.0, 1, 4, 1e-9, eps)
+        assert not reps._certified(0.0, 0.0, 1e-9, 1, 4, 1e-9, eps)
+        for nan in ((np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)):
+            assert not reps._certified(*nan, 3, 4, 1e-9, eps)
+        # rounding alone: d rho >= 1/2 leaves nothing to certify with
+        assert not reps._certified(0.0, 0.0, 0.0, 1, 2**25, 1e-9, eps)
 
     def test_bad_homomorphism_rejected(self):
         g = z(2)
@@ -171,6 +250,24 @@ class TestCommutant:
 
     def test_tolerance_reaches_regular_representation(self):
         assert reps.regular_representation(z(3), 1e-6).tolerance == 1e-6
+
+
+class TestStackBound:
+    def test_regular_z512_refused_before_allocation(self):
+        # 512 matrices of 512x512 complex entries: 2 GiB; the table is taken
+        # by formula, unverified, since only the stack's size is at stake
+        n = 512
+        table = (np.arange(n)[:, None] + np.arange(n)) % n
+        group = groups.FiniteGroup(n, table, 0, (-np.arange(n)) % n)
+        with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):
+            reps.permutation_representation(groups.GroupAction(group, n, table))
+
+    def test_direct_sum_refused(self, monkeypatch):
+        # two 1x1 matrices stack 32 bytes, their sum's 2x2 ones 128
+        monkeypatch.setattr(reps, "REPRESENTATION_BYTE_LIMIT", 64)
+        sign = one_dim(z(2), [1, -1])
+        with pytest.raises(SizeLimit, match="2 matrices of 2x2"):
+            reps.direct_sum(sign, sign)
 
 
 class TestSplit:
