@@ -39,9 +39,6 @@ class CoherentStateSystem:
     def tolerance(self) -> float:
         return self.rep.tolerance
 
-    def state_projectors(self) -> np.ndarray:
-        return np.einsum("xi,xj->xij", self.states, self.states.conj())
-
 
 def isotropy_of_state(rep: UnitaryRepresentation, fiducial: np.ndarray):
     """Subgroup fixing the fiducial up to a unit-modulus scalar, with phases.
@@ -97,7 +94,7 @@ def resolution_of_identity(system: CoherentStateSystem) -> ResolutionResult:
     c is computed from the trace, never assumed. A reducible representation
     typically fails here; that outcome is reported, not raised.
     """
-    b = np.einsum("xi,xj->ij", system.states, system.states.conj())
+    b = system.states.T @ system.states.conj()
     c = system.rep.dim / float(np.trace(b).real)
     residual = _maxabs(c * b - np.eye(system.rep.dim))
     return ResolutionResult(c, residual, residual <= system.tolerance)
@@ -144,7 +141,9 @@ def operator_from_variable(
         raise NoResolution(
             f"resolution of identity fails with residual {res.residual:.3e}"
         )
-    mats = system.state_projectors()
-    a = res.constant * np.einsum("x,xij->ij", values, mats)
+    a = res.constant * (system.states.T * values) @ system.states.conj()
+    # the product rounds entries (i, j) and (j, i) apart; a sum of projectors
+    # is Hermitian, and so is the mean of a and its adjoint, bit for bit
+    a = (a + a.conj().T) / 2
     return Operator(system.rep.dim, a, hermitian=True, source_variable=name,
                     tolerance=system.tolerance)

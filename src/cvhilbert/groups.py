@@ -246,6 +246,15 @@ def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) ->
     return permutation_group(rows, labels)[0]
 
 
+def _action_violation(group: FiniteGroup, act: np.ndarray):
+    """First (g1, g2, x) in row-major order with (g1*g2) . x != g1 . (g2 . x)
+    for an (n, m) table act of functions, or None."""
+    # x along the last axis of each block
+    return _first_violation(
+        (group.order, group.order),
+        lambda g1, g2: act[group.cayley[g1, g2]] != act[g1][:, act[g2]], 8 * act.shape[1])
+
+
 def build_action(group: FiniteGroup, act_table) -> GroupAction:
     """Verify and wrap an action table act[g, x] = g . x."""
     act = np.asarray(act_table, dtype=np.int64)
@@ -262,9 +271,7 @@ def build_action(group: FiniteGroup, act_table) -> GroupAction:
     if not np.array_equal(act[group.identity], want):
         x = int(np.nonzero(act[group.identity] != want)[0][0])
         raise AxiomViolation("identity-action", (group.identity, x))
-    # [(g1*g2) . x] against [g1 . (g2 . x)] over (g1, g2), x along the last axis
-    witness = _first_violation(
-        (n, n), lambda g1, g2: act[group.cayley[g1, g2]] != act[g1][:, act[g2]], 8 * m)
+    witness = _action_violation(group, act)
     if witness is not None:
         raise AxiomViolation("compatibility", witness)
     act.setflags(write=False)

@@ -1,14 +1,21 @@
 """Unitary representations on finite-dimensional complex spaces.
 
 A representation is verified once, where it is built: U(e) = I, the
-multiplication table U(a*b) = U(a)U(b) and unitarity. The table is checked on
-a generating set S read off the Cayley table, |G|*|S| products instead of
-|G|^2, and a certificate (`_certified`) bounds the residual of every other
-pair by the generator residual, the BFS depth over S, the unitarity residual
-and the rounding of the scan. When that bound does not prove the table, the
-full row-major scan runs as the fallback and names the first failing pair,
-so a verdict or a witness never depends on the certificate. A stack of more
-than REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
+multiplication table U(a*b) = U(a)U(b) and unitarity. A stack of 0/1
+matrices of functions, as `permutation_representation` and
+`regular_representation` build, is recognised by reading its integer table
+off the stack, and is checked on that table with no matrix product: the 0/1
+matrices of functions multiply as the functions compose, P_f P_h = P_{f o h},
+exactly in floating point, so comparing act[g*s] with act[g] o act[s] is the
+float check made exact. Any other stack must be finite, and its table is
+checked on a generating set S read off the Cayley table, |G|*|S| products
+instead of |G|^2, and a certificate (`_certified`) bounds the residual of
+every other pair by the generator residual, the BFS depth over S, the
+unitarity residual and the rounding of the scan. When that bound does not
+prove the table, the full row-major scan runs as the fallback and names the
+first failing pair, so a verdict or a witness never depends on the
+certificate or on the table. A stack of more than
+REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
 allocated.
 
 Irreducibility is decided through the commutant: the linear space of matrices
@@ -29,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
-from .groups import (FiniteGroup, GroupAction, _block_cells, _first_violation,
-                     _greedy_generators, bfs_words)
+from .groups import (FiniteGroup, GroupAction, _action_violation, _block_cells,
+                     _first_violation, _greedy_generators, bfs_words)
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -60,6 +67,12 @@ class UnitaryRepresentation:
         mats = self.matrices
         if mats.shape != (self.group.order, self.dim, self.dim):
             raise ValueError("matrix stack has wrong shape")
+        act = _table_of(mats)
+        if act is not None:
+            self._check_table(act)
+            return
+        if not np.isfinite(mats).all():
+            raise ValueError("matrix stack has a non-finite entry")
         eye = np.eye(self.dim)
         identity_residual = _maxabs(mats[self.group.identity] - eye)
         if identity_residual > self.tolerance:
@@ -98,6 +111,30 @@ class UnitaryRepresentation:
             if _maxabs(u @ u.conj().T - eye) > self.tolerance:
                 raise ValueError(f"matrix for element {g} is not unitary")
 
+    def _check_table(self, act):
+        """The checks of `__post_init__`, made exactly on the table of the stack.
+
+        Products of 0/1 matrices of functions are exact in floating point, and
+        two distinct such matrices differ by exactly 1 in some entry, so every
+        float residual of the stack is an integer read off the table: each
+        check gives the verdict and the witness of the float path at any
+        tolerance, and exactness needs no certificate.
+        """
+        cay, n, d = self.group.cayley, self.group.order, self.dim
+        mismatch_fails = 1.0 > self.tolerance       # the residual of a wrong 0/1 matrix
+        if mismatch_fails and not np.array_equal(act[self.group.identity], np.arange(d)):
+            raise ValueError("identity element is not represented by the identity")
+        # act[g*s] = act[g] o act[s] for generators s and U(e) = I give the
+        # whole table by induction on words, as in `_certified` with no residual
+        if mismatch_fails and any(not np.array_equal(act[cay[:, s]], act[:, act[s]])
+                                  for s in _greedy_generators(self.group)):
+            raise NotHomomorphism(*_action_violation(self.group, act)[:2])
+        # U(g)U(g)^dagger is diagonal, holding the preimage counts of act[g]
+        counts = np.bincount((act + d * np.arange(n)[:, None]).ravel(), minlength=n * d)
+        broken = np.abs(counts.reshape(n, d) - 1).max(axis=1, initial=0) > self.tolerance
+        if broken.any():
+            raise ValueError(f"matrix for element {int(np.argmax(broken))} is not unitary")
+
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
 
@@ -119,6 +156,24 @@ class Operator:
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _table_of(mats: np.ndarray) -> np.ndarray | None:
+    """The (n, d) table act when mats is, bit for bit, the complex 0/1 stack
+    of the functions x -> act[g, x]: U(g)[act[g, x], x] = 1 and every other
+    entry 0. None for any other stack."""
+    n, d = mats.shape[:2]
+    if mats.dtype != np.complex128 or d == 0:
+        return None
+    # n*d nonzero 64-bit words, and a 1 at each of the n*d distinct positions
+    # (g, act[g, x], x): then every other word is zero
+    if np.count_nonzero(np.ascontiguousarray(mats).view(np.uint64)) != n * d:
+        return None
+    # argmax along a strided axis copies its input: blocks of elements keep
+    # that copy near STEP_BYTES
+    step = _block_cells(8 * d * d)
+    act = np.concatenate([mats[a:a + step].real.argmax(axis=1) for a in range(0, n, step)])
+    return act if np.all(mats[np.arange(n)[:, None], act, np.arange(d)] == 1) else None
 
 
 def _generator_residuals(mats, cayley, gens, step, buffers):
@@ -224,7 +279,7 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
 def permutation_representation(
     action: GroupAction, tolerance: float = DEFAULT_TOLERANCE
 ) -> UnitaryRepresentation:
-    """0/1 matrices with U(g)[g.x, x] = 1."""
+    """0/1 matrices with U(g)[g.x, x] = 1, verified on their integer table."""
     n, m = action.group.order, action.space_size
     _check_stack(n, m)
     mats = np.zeros((n, m, m), dtype=complex)

@@ -323,6 +323,41 @@ def work_counts(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def constructor_work(monkeypatch):
+    """Counter of the work of `UnitaryRepresentation` while the fixture is
+    active: table scans, matrix products made by `np.matmul`, calls of the
+    generator residuals and of the certificate, and the order and generator
+    count of the last group whose generators were read off."""
+    calls = collections.Counter()
+    greedy, matmul = representations._greedy_generators, np.matmul
+
+    def counting(name, key):
+        original = getattr(representations, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(representations, name, wrapper)
+
+    def greedy_spy(group):
+        gens = greedy(group)
+        calls["order"], calls["generators"] = group.order, len(gens)
+        return gens
+
+    def matmul_spy(x1, x2, *args, **kwargs):
+        out = matmul(x1, x2, *args, **kwargs)
+        calls["products"] += int(np.prod(out.shape[:-2]))
+        return out
+
+    counting("_first_violation", "scans")
+    counting("_generator_residuals", "residuals")
+    counting("_certified", "certificates")
+    monkeypatch.setattr(representations, "_greedy_generators", greedy_spy)
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+    return calls
+
+
 class TestWorkCounts:
     def test_one_eigendecomposition_per_operator(self, work_counts):
         cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
@@ -384,36 +419,28 @@ class TestWorkCounts:
         assert "regular_representation actions" in calls
         assert calls["regular_representation actions"] == 0
 
-    def test_operator_checks_generators_not_the_table(self, monkeypatch, capsys):
-        # operator on S5 builds the regular representation, d = |G| = 120; the
-        # certificate proves it from |G|*|S| generator products and |G|
-        # unitarity products, where the table scan would take |G|^2 = 14400
-        calls = collections.Counter()
-        scan, greedy, matmul = (representations._first_violation,
-                                representations._greedy_generators, np.matmul)
-
-        def scan_spy(*args):
-            calls["scans"] += 1
-            return scan(*args)
-
-        def greedy_spy(group):
-            gens = greedy(group)
-            calls["order"], calls["generators"] = group.order, len(gens)
-            return gens
-
-        def matmul_spy(x1, x2, *args, **kwargs):
-            out = matmul(x1, x2, *args, **kwargs)
-            calls["products"] += int(np.prod(out.shape[:-2]))
-            return out
-
-        monkeypatch.setattr(representations, "_first_violation", scan_spy)
-        monkeypatch.setattr(representations, "_greedy_generators", greedy_spy)
-        monkeypatch.setattr(np, "matmul", matmul_spy)
+    def test_operator_checks_generators_not_the_table(self, constructor_work, capsys):
+        # operator on S5 builds the regular representation, d = |G| = 120, and
+        # the constructor checks its integer table on |G|*|S| generator pairs:
+        # no matrix product, no residual, no certificate and no table scan
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "induced group order: 120" in capsys.readouterr().out
-        assert calls["order"] == 120 and 2 <= calls["generators"] <= 6
-        assert calls["scans"] == 0
-        assert calls["products"] == 120 * calls["generators"] + 120
+        assert constructor_work["order"] == 120 and 2 <= constructor_work["generators"] <= 6
+        assert constructor_work["scans"] == 0
+        assert constructor_work["products"] == 0
+        assert constructor_work["residuals"] == constructor_work["certificates"] == 0
+
+    def test_joined_representation_checks_products(self, constructor_work, qubit_rep):
+        # the two-bit joined representation is not a permutation representation:
+        # its stack is proven by the generator residuals and the certificate,
+        # |N|*|S| products plus |N| unitarity products, N of order 8
+        assert representations._table_of(qubit_rep.matrices) is None
+        representations.UnitaryRepresentation(
+            qubit_rep.group, qubit_rep.dim, qubit_rep.matrices, qubit_rep.tolerance)
+        assert constructor_work["order"] == 8
+        assert constructor_work["residuals"] == constructor_work["certificates"] == 1
+        assert constructor_work["scans"] == 0
+        assert constructor_work["products"] == 8 * constructor_work["generators"] + 8
 
 
 def _check(out: str, cid: str) -> dict:

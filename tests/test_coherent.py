@@ -139,7 +139,39 @@ class TestOneToOne:
         assert ok
 
 
+def einsum_resolution(system):
+    """The resolution of identity as an einsum over the state projectors."""
+    b = np.einsum("xi,xj->ij", system.states, system.states.conj())
+    c = system.rep.dim / float(np.trace(b).real)
+    return c, np.abs(c * b - np.eye(system.rep.dim)).max()
+
+
+def einsum_operator(system, values):
+    """c * sum_x values[x] |x><x| over the stacked projectors |x><x|."""
+    projectors = np.einsum("xi,xj->xij", system.states, system.states.conj())
+    return einsum_resolution(system)[0] * np.einsum("x,xij->ij", values, projectors)
+
+
 class TestOperator:
+    @given(st.lists(st.floats(-4, 4), min_size=4, max_size=4), st.sampled_from([1.0, 1e8]))
+    def test_matrix_products_match_projector_sums(self, two_bit, values, scale):
+        # the joined coherent system of the two-bit document (two coordinate
+        # states), and the system of its representation from a complex
+        # fiducial (four states that are not): the products reproduce the
+        # projector einsums, and the operator is Hermitian bit for bit at any
+        # scale of the values, as a sum of projectors is
+        joined = two_bit["system"].coherent
+        fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+        for system in (joined, coherent.build_coherent_system(
+                joined.rep, fiducial / np.linalg.norm(fiducial))):
+            res = coherent.resolution_of_identity(system)
+            c, residual = einsum_resolution(system)
+            assert abs(res.constant - c) <= 1e-12 and abs(res.residual - residual) <= 1e-12
+            x = scale * np.array(values[:len(system.cosets)])
+            op = coherent.operator_from_variable(system, x)
+            assert np.abs(op.matrix - einsum_operator(system, x)).max() <= 1e-12 * scale
+            assert np.array_equal(op.matrix, op.matrix.conj().T)
+
     def test_unit_variable_gives_identity(self):
         _, _, _, system = circle_system(3)
         op = coherent.operator_from_variable(system, [1.0, 1.0, 1.0])

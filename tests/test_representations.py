@@ -187,6 +187,168 @@ class TestConstructions:
             reps.UnitaryRepresentation(g, 2, mats)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_one_dimensional_z3_refused(self, bad):
+        # every check compares residual > tolerance, which is False for NaN
+        phases = [1, np.exp(2j * np.pi / 3), bad]
+        with mock.patch.object(reps, "_first_violation") as scan, \
+                mock.patch.object(reps, "_generator_residuals") as residuals:
+            with pytest.raises(ValueError, match="non-finite"):
+                one_dim(z(3), phases)
+        assert not scan.called and not residuals.called
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_joined_stack_refused(self, bad):
+        g, mats = _stack("xor_m4.json")
+        mats = mats.copy()
+        mats[-1, 0, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            reps.UnitaryRepresentation(g, mats.shape[1], mats)
+
+
+def zero_one_stack(table, m):
+    """The 0/1 matrices of the functions in the rows of an (n, m) table."""
+    n = len(table)
+    mats = np.zeros((n, m, m), dtype=complex)
+    mats[np.arange(n)[:, None], table, np.arange(m)] = 1.0
+    return mats
+
+
+def verdict(build):
+    """(exception type, message, NotHomomorphism pair) of a construction, or None."""
+    try:
+        build()
+    except ValueError as exc:           # NotHomomorphism included
+        return type(exc), str(exc), getattr(exc, "pair", None)
+    return None
+
+
+def float_verdict(group, table, tol):
+    """The verdict of the constructor on the 0/1 stack of a table when its
+    table is not read off: the float checks, certificate and scan."""
+    m = table.shape[1]
+    with mock.patch.object(reps, "_table_of", return_value=None):
+        return verdict(lambda: reps.UnitaryRepresentation(group, m, zero_one_stack(table, m), tol))
+
+
+def twist_coset(group, table, row, x, y):
+    """Swap points x and y after every row of the left coset row*<s> of the
+    first greedy generator s: every relation act[g*s] = act[g] o act[s]
+    still holds, and unless the coset is <s> itself a later generator's fails."""
+    s = reps._greedy_generators(group)[0]
+    coset = [row]
+    while group.mult(coset[-1], s) != row:
+        coset.append(group.mult(coset[-1], s))
+    swap = np.arange(table.shape[1])
+    swap[[x, y]] = swap[[y, x]]
+    table[coset] = swap[table[coset]]
+
+
+# Valid actions to break: regular actions and S3 on three points.
+ACTIONS = [("cyclic", 4), ("dihedral", 3), ("symmetric", 3), "s3-natural"]
+
+
+@functools.cache
+def _action(source):
+    if source == "s3-natural":
+        s3 = groups.standard_group("symmetric", 3)
+        return s3, np.array(list(itertools.permutations(range(3))))
+    group = groups.standard_group(*source)
+    return group, np.array(group.cayley)
+
+
+class TestPermutationTables:
+    @settings(max_examples=100)
+    @given(st.sampled_from(ACTIONS), st.sampled_from(["valid", "identity", "composition",
+                                                      "coset", "bijection", "random"]),
+           st.sampled_from([reps.DEFAULT_TOLERANCE, 0.5, 1.0, 1.5]),
+           st.sampled_from([groups.STEP_BYTES, 8 * 3, 8]), st.data())
+    def test_table_verdict_equals_float_verdict(self, source, kind, tol, step, data):
+        # hand-made, unverified tables; the float path on the same 0/1 stack
+        # is the reference for type, message and pair
+        group, table = _action(source)
+        table = table.copy()
+        n, m = table.shape
+        row = data.draw(st.integers(0, n - 1).filter(lambda g: g != group.identity))
+        x, y = data.draw(st.permutations(range(m)))[:2]
+        if kind == "identity":
+            table[group.identity, x] = y
+        elif kind == "composition":         # still a bijection
+            table[row, [x, y]] = table[row, [y, x]]
+        elif kind == "coset":
+            twist_coset(group, table, row, x, y)
+        elif kind == "bijection":
+            table[row, x] = table[row, y]
+        elif kind == "random":
+            table = np.array(data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=m,
+                                                         max_size=m), min_size=n, max_size=n)))
+        action = groups.GroupAction(group, m, table)
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            got = verdict(lambda: reps.permutation_representation(action, tol))
+            want = float_verdict(group, table, tol)
+        assert got == want
+        # below a tolerance of 1 every edit breaks the action (n >= 3)
+        if kind == "valid" or (tol < 1 and kind != "random"):
+            assert (got is None) == (kind == "valid")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("identity", "identity element"), ("composition", None), ("coset", None),
+        ("bijection", "element 1 is not unitary")])
+    def test_each_failure_is_reached(self, kind, message):
+        # the regular action of S3, whose greedy generators are 1 and 2; a
+        # non-bijective row passes the composition checks only when a wrong
+        # matrix's residual of 1 is tolerated
+        group, table = _action(("symmetric", 3))
+        table = table.copy()
+        tol = reps.DEFAULT_TOLERANCE
+        if kind == "identity":
+            table[0, :2] = (1, 0)
+        elif kind == "composition":
+            table[1, :2] = table[1, 1::-1]
+        elif kind == "coset":
+            # relations with the first generator hold, the second's fail
+            twist_coset(group, table, 2, 0, 1)
+        else:
+            table[1] = 0
+            tol = 1.5
+        got = verdict(lambda: reps.permutation_representation(groups.GroupAction(group, 6, table), tol))
+        assert got == float_verdict(group, table, tol)
+        if message is None:
+            assert got[0] is NotHomomorphism
+        else:
+            assert message in got[1]
+
+    @pytest.mark.parametrize("delta", [*PERTURBATIONS, np.nan])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_perturbed_stack_takes_the_float_path(self, offset, delta):
+        # a stack that is not exactly the 0/1 stack of a table is never
+        # checked as a table; the entry perturbed is a one of the table
+        # (offset 0) or a zero below it
+        group, table = _action(("dihedral", 3))
+        mats = zero_one_stack(table, len(table))
+        mats[2, (table[2, 0] + offset) % len(table), 0] += delta
+        assert reps._table_of(mats) is None
+        with mock.patch.object(reps.UnitaryRepresentation, "_check_table") as table_check:
+            verdict(lambda: reps.UnitaryRepresentation(group, len(table), mats))
+        assert not table_check.called
+
+    def test_table_read_off_the_stack(self, qubit_rep):
+        group, table = _action(("symmetric", 3))
+        regular = reps.regular_representation(group)
+        assert np.array_equal(reps._table_of(regular.matrices), table)
+        # a function that is not a bijection, and a stack built by hand
+        assert np.array_equal(reps._table_of(zero_one_stack(np.zeros((1, 3), int), 3)), [[0, 0, 0]])
+        with mock.patch.object(reps, "_generator_residuals") as residuals:
+            reps.UnitaryRepresentation(group, 6, regular.matrices.copy())
+        assert not residuals.called
+        # stacks with entries other than 0 and 1, or not complex
+        sign = one_dim(z(2), [1, -1])
+        for mats in (qubit_rep.matrices, sign.matrices, reps.direct_sum(sign, sign).matrices,
+                     regular.matrices.real, 1j * regular.matrices):
+            assert reps._table_of(mats) is None
+
+
 class TestCommutant:
     def test_one_dimensional(self):
         rep = one_dim(z(3), [1, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)])
