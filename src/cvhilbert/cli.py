@@ -20,7 +20,6 @@ from .errors import (
     CosetLabelingError,
     CvhilbertError,
     InvolutionViolation,
-    NoResolution,
     NotMaximal,
     NotRelated,
     NotWellDefined,
@@ -423,7 +422,7 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
         "pass" if injective else "fail",
         witness=None if injective else f"elements {collision}"))
 
-    res = coherent.resolution_of_identity(system.coherent)
+    res = system.coherent.resolution
     checks.append(CheckRecord(
         f"resolution-of-identity[{idx}]", "projector-sum-identity",
         "pass" if res.ok else "fail", residual=_num(res.residual),
@@ -440,8 +439,8 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
             "skip", detail=str(exc)))
         return
     a_theta, a_xi = pairing.joint_operators(system, theta_vals, xi_vals)
-    unit_theta, _ = pairing.joint_operators(system, np.ones(len(theta_vals)), xi_vals)
-    unit_residual = float(np.abs(unit_theta.matrix - np.eye(system.dim)).max())
+    unit = coherent.operator_from_variable(system.coherent, np.ones(len(system.x_index)))
+    unit_residual = float(np.abs(unit.matrix - np.eye(system.dim)).max())
     checks.append(CheckRecord(
         f"operator-construction[{idx}]", "weighted-projector-operators",
         "pass" if unit_residual <= doc.tolerance else "fail",
@@ -656,7 +655,7 @@ def _cmd_operator(args) -> int:
     g_group, g_action, _ = variables.induced_group(var, k_action)
     base_rep = representations.regular_representation(g_group, doc.tolerance)
     system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
-    res = coherent.resolution_of_identity(system)
+    res = system.resolution
     lines = [
         f"operator for {var.name}",
         f"induced group order: {g_group.order}",
@@ -732,11 +731,14 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--max-order", type=int, default=None, dest="max_order")
+
+    def reporting(p):   # commands that print a verification report
+        common(p)
         p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the full check chain on a document")
     p_verify.add_argument("file")
-    common(p_verify)
+    reporting(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_operator = sub.add_parser("operator", help="single-variable operator report")
@@ -748,7 +750,7 @@ def main(argv=None) -> int:
     p_pair = sub.add_parser("pair", help="joint construction report for one pair")
     p_pair.add_argument("file")
     p_pair.add_argument("--pair", type=int, required=True)
-    common(p_pair)
+    reporting(p_pair)
     p_pair.set_defaults(func=_cmd_pair)
 
     p_spin = sub.add_parser("spin", help="spin matrix suite")
@@ -757,7 +759,7 @@ def main(argv=None) -> int:
 
     p_demo = sub.add_parser("demo", help="run a built-in demonstration document")
     p_demo.add_argument("name")
-    common(p_demo)
+    reporting(p_demo)
     p_demo.set_defaults(func=_cmd_demo)
 
     args = parser.parse_args(argv)

@@ -9,6 +9,7 @@ or reports a residual.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,15 @@ class CoherentStateSystem:
     alpha: tuple[float, ...]            # phase per isotropy member
     cosets: CosetSpace
     states: np.ndarray                  # (|X|, d), one unit vector per coset
-    weight: float                       # c with c * sum |x><x| tested against I
 
     @property
     def tolerance(self) -> float:
         return self.rep.tolerance
+
+    @functools.cached_property
+    def resolution(self) -> ResolutionResult:
+        """c * sum |x><x| tested against I, computed once, on first use."""
+        return resolution_of_identity(self)
 
 
 def isotropy_of_state(rep: UnitaryRepresentation, fiducial: np.ndarray):
@@ -47,13 +52,20 @@ def isotropy_of_state(rep: UnitaryRepresentation, fiducial: np.ndarray):
     unit vectors; overlaps inside the tolerance band around that boundary
     raise NumericalAmbiguity rather than silently classifying.
     """
+    _, sub, alpha = _orbit_isotropy(rep, fiducial)
+    return sub, alpha
+
+
+def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
+    """(orbit, isotropy, phases): the orbit U(g) fiducial of every element is
+    one batched product over the stack, row g for element g."""
     tol = rep.tolerance
     fiducial = np.asarray(fiducial, dtype=complex)
     if abs(np.linalg.norm(fiducial) - 1.0) > tol:
         raise ValueError("fiducial must be a unit vector")
+    orbit = rep.matrices @ fiducial
     members, phases = [], []
-    for g in range(rep.group.order):
-        overlap = complex(fiducial.conj() @ (rep.matrices[g] @ fiducial))
+    for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
         mag = abs(overlap)
         if mag >= 1.0 - tol:
             members.append(g)
@@ -64,7 +76,7 @@ def isotropy_of_state(rep: UnitaryRepresentation, fiducial: np.ndarray):
             )
     sub = subgroup(rep.group, members)
     ordered = [phases[members.index(m)] for m in sub.members]
-    return sub, tuple(ordered)
+    return orbit, sub, tuple(ordered)
 
 
 def build_coherent_system(
@@ -75,24 +87,23 @@ def build_coherent_system(
         fiducial = np.zeros(rep.dim, dtype=complex)
         fiducial[0] = 1.0
     fiducial = np.asarray(fiducial, dtype=complex)
-    iso, alpha = isotropy_of_state(rep, fiducial)
+    orbit, iso, alpha = _orbit_isotropy(rep, fiducial)
     cosets = left_cosets(rep.group, iso)
-    states = np.stack([rep.matrices[g] @ fiducial for g in cosets.representatives])
+    states = orbit[list(cosets.representatives)]
     # phase condition U(e) psi = exp(i alpha(e)) psi, checked exactly here
     for m, a in zip(iso.members, alpha):
-        moved = rep.matrices[m] @ fiducial
-        if _maxabs(moved - np.exp(1j * a) * fiducial) > 10 * rep.tolerance:
+        if _maxabs(orbit[m] - np.exp(1j * a) * fiducial) > 10 * rep.tolerance:
             raise NumericalAmbiguity(f"isotropy phase inconsistent for element {m}")
     states.setflags(write=False)
-    weight = rep.dim / len(cosets)
-    return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, states, weight)
+    return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, states)
 
 
 def resolution_of_identity(system: CoherentStateSystem) -> ResolutionResult:
     """Test c * sum_x |x><x| against the identity.
 
     c is computed from the trace, never assumed. A reducible representation
-    typically fails here; that outcome is reported, not raised.
+    typically fails here; that outcome is reported, not raised. Callers read
+    it once per system as `system.resolution`.
     """
     b = system.states.T @ system.states.conj()
     c = system.rep.dim / float(np.trace(b).real)
@@ -111,21 +122,18 @@ def one_to_one_check(system: CoherentStateSystem):
     tol = system.tolerance
     if system.isotropy.order == rep.group.order and rep.group.order > 1:
         return False, (rep.group.identity, system.isotropy.members[1])
-    if system.isotropy.order == 1:
-        vectors = [rep.matrices[g] @ system.fiducial for g in range(rep.group.order)]
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if _maxabs(vectors[i] - vectors[j]) <= tol:
-                    return False, (i, j)
-        return True, None
-    for i in range(len(system.states)):
-        for j in range(i + 1, len(system.states)):
-            overlap = abs(complex(system.states[i].conj() @ system.states[j]))
-            if overlap >= 1.0 - tol:
-                return False, (
-                    system.cosets.representatives[i],
-                    system.cosets.representatives[j],
-                )
+    # with trivial isotropy every element is its own coset, so the states are
+    # the orbit vectors U(g) fiducial in element order
+    states = system.states
+    for i in range(len(states) - 1):
+        if system.isotropy.order == 1:
+            hits = np.abs(states[i + 1:] - states[i]).max(axis=1) <= tol
+        else:
+            hits = np.abs(states[i + 1:] @ states[i].conj()) >= 1.0 - tol
+        if hits.any():
+            j = i + 1 + int(hits.argmax())
+            return False, (system.cosets.representatives[i],
+                           system.cosets.representatives[j])
     return True, None
 
 
@@ -136,7 +144,7 @@ def operator_from_variable(
     values = np.asarray(values, dtype=float)
     if values.shape != (len(system.cosets),):
         raise ValueError("need one numeric value per coset state")
-    res = resolution_of_identity(system)
+    res = system.resolution
     if not res.ok:
         raise NoResolution(
             f"resolution of identity fails with residual {res.residual:.3e}"

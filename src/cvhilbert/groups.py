@@ -449,21 +449,3 @@ def homomorphism_witness(mapping, group_a: FiniteGroup, group_b: FiniteGroup):
     return _first_violation(
         group_a.cayley.shape,
         lambda a1, a2: m[group_a.cayley[a1, a2]] != group_b.cayley[np.ix_(m[a1], m[a2])], 8)
-
-
-def groups_isomorphic_by_relabeling(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Brute-force isomorphism search; intended for small test groups only."""
-    if a.order != b.order:
-        return False
-    if a.order > 8:
-        raise SizeLimit("relabeling search is factorial; order must be <= 8")
-    others = [x for x in range(b.order) if x != b.identity]
-    slots = [x for x in range(a.order) if x != a.identity]
-    for perm in itertools.permutations(others):
-        phi = [0] * a.order
-        phi[a.identity] = b.identity
-        for s, t in zip(slots, perm):
-            phi[s] = t
-        if homomorphism_witness(phi, a, b) is None:
-            return True
-    return False

@@ -9,9 +9,10 @@ instance and rejected with a witness when it fails.
 
 The coherent-state system of the joined representation (built by
 `coherent`) has one state per coset of the fiducial's isotropy; the cosets
-carry the (x, y) labels used to marginalize state projectors into the two
-operators. The labeling and the covariance of the resulting operators are
-checked rather than assumed; structural obstructions (distinct value motions
+carry the (x, y) labels through which each state takes the values of the two
+variables, and `coherent.operator_from_variable` builds every operator. The
+labeling and the covariance of the resulting operators are checked rather
+than assumed; structural obstructions (distinct value motions
 represented by matrices equal up to a scalar) are detected and reported
 explicitly.
 """
@@ -26,7 +27,6 @@ from . import coherent
 from .errors import (
     CosetLabelingError,
     InvolutionViolation,
-    NoResolution,
     NontrivialIsotropy,
     NotHomomorphism,
     NotMaximal,
@@ -336,34 +336,11 @@ def build_joint_system(
     return joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep, words, fiducial)
 
 
-def _marginal_projectors(system: JointSystem, labels, c: float, count: int) -> np.ndarray:
-    states = system.coherent.states
-    out = np.zeros((count, system.dim, system.dim), dtype=complex)
-    for z, lab in enumerate(labels):
-        out[lab] += c * np.outer(states[z], states[z].conj())
-    return out
-
-
-def marginal_projectors(system: JointSystem) -> tuple[np.ndarray, np.ndarray]:
-    """(P(x), Q(y)) stacks; each sums to the identity when labels are total.
-
-    The weight is the constant of the full projector sum, which must resolve
-    the identity.
-    """
-    res = coherent.resolution_of_identity(system.coherent)
-    if not res.ok:
-        raise NoResolution(f"projector sum fails to resolve identity: {res.residual:.3e}")
-    m = system.joint.value_size
-    return (
-        _marginal_projectors(system, system.x_index, res.constant, m),
-        _marginal_projectors(system, system.y_index, res.constant, m),
-    )
-
-
 def joint_operators(
     system: JointSystem, theta_values, xi_values
 ) -> tuple[Operator, Operator]:
-    """Marginalize labeled state projectors into the two variable operators.
+    """The two variable operators: each coset state carries the value of its
+    x label (first operator) or its y label (second).
 
     theta_values and xi_values are numeric, one per value-set point.
     """
@@ -372,27 +349,12 @@ def joint_operators(
     xi_values = np.asarray(xi_values, dtype=float)
     if theta_values.shape != (m,) or xi_values.shape != (m,):
         raise ValueError("need one numeric value per value-set point")
-    p_x, q_y = marginal_projectors(system)
-    a_theta = np.einsum("x,xij->ij", theta_values, p_x)
-    a_xi = np.einsum("y,yij->ij", xi_values, q_y)
     return (
-        Operator(system.dim, a_theta, hermitian=True,
-                 source_variable=system.pair.theta.name, tolerance=system.tolerance),
-        Operator(system.dim, a_xi, hermitian=True,
-                 source_variable=system.pair.xi.name, tolerance=system.tolerance),
+        coherent.operator_from_variable(system.coherent, theta_values[list(system.x_index)],
+                                        system.pair.theta.name),
+        coherent.operator_from_variable(system.coherent, xi_values[list(system.y_index)],
+                                        system.pair.xi.name),
     )
-
-
-def find_element_for_transformation(system: JointSystem, perm) -> int:
-    """Index in the joined group whose action equals the given permutation.
-
-    UndefinedTransport when the transformation has no image in the group.
-    """
-    perm = tuple(int(v) for v in perm)
-    for n in range(system.joint.group.order):
-        if system.joint.action.permutation(n) == perm:
-            return n
-    raise UndefinedTransport("transformation has no image in the joined group")
 
 
 def _axis_values(system: JointSystem, table: np.ndarray, element):
@@ -407,29 +369,6 @@ def _axis_values(system: JointSystem, table: np.ndarray, element):
     raise UndefinedTransport(
         f"moved variable does not factor through either axis for element {element}"
     )
-
-
-def transported_operator(
-    system: JointSystem, theta_values, xi_values, element
-) -> Operator:
-    """Operator of the moved variable p -> theta(t . p), built the same way.
-
-    `element` is a joined-group index or an explicit permutation of the
-    product space. The moved table must factor through one of the two axes
-    of the product; every element of the joined group satisfies this, an
-    arbitrary permutation need not. UndefinedTransport otherwise.
-    """
-    m = system.joint.value_size
-    theta_values = np.asarray(theta_values, dtype=float)
-    if isinstance(element, (int, np.integer)):
-        act = system.joint.action.act[int(element)]
-    else:
-        act = np.asarray([int(v) for v in element], dtype=np.int64)
-        if sorted(act.tolist()) != list(range(m * m)):
-            raise ValueError("transformation must permute the product space")
-    values, axis = _axis_values(system, theta_values[act // m], element)
-    a = np.einsum("x,xij->ij", values, marginal_projectors(system)[axis])
-    return Operator(system.dim, a, hermitian=True, tolerance=system.tolerance)
 
 
 def _projective_classes(system: JointSystem) -> list[int]:
@@ -463,7 +402,7 @@ def covariance_records(
     elements are flagged obstructed, which explains any failures they cause.
     """
     a_theta, _ = joint_operators(system, theta_values, xi_values)
-    projectors = marginal_projectors(system)
+    labels = (list(system.x_index), list(system.y_index))
     n = system.joint.group.order
     m = system.joint.value_size
     act = system.joint.action.act
@@ -479,8 +418,8 @@ def covariance_records(
     for t in range(n):
         w = system.coherent.rep.matrices[t]
         values, axis = _axis_values(system, moved_tables[t], t)
-        a_moved = np.einsum("x,xij->ij", values, projectors[axis])
-        residual = _maxabs(w.conj().T @ a_theta.matrix @ w - a_moved)
+        a_moved = coherent.operator_from_variable(system.coherent, values[labels[axis]])
+        residual = _maxabs(w.conj().T @ a_theta.matrix @ w - a_moved.matrix)
         records.append(
             CovarianceRecord(t, residual, residual <= system.tolerance,
                              classes[t] in obstructed_class)

@@ -390,13 +390,3 @@ def direct_sum(rep1: UnitaryRepresentation, rep2: UnitaryRepresentation) -> Unit
     mats[:, rep1.dim :, rep1.dim :] = rep2.matrices
     mats.setflags(write=False)
     return UnitaryRepresentation(rep1.group, d, mats, min(rep1.tolerance, rep2.tolerance))
-
-
-def restricted_representation(
-    rep: UnitaryRepresentation, basis_cols: np.ndarray
-) -> UnitaryRepresentation:
-    """Restriction of the representation to an invariant subspace."""
-    mats = np.stack(
-        [basis_cols.conj().T @ u @ basis_cols for u in rep.matrices]
-    )
-    return UnitaryRepresentation(rep.group, basis_cols.shape[1], mats, rep.tolerance)

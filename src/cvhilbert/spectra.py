@@ -1,4 +1,4 @@
-"""Spectral decomposition, conjugation covariance, and question labeling.
+"""Spectral decomposition, question labeling, and coarsening.
 
 Eigenvalues within the tolerance of each other are clustered into one
 projector so discrete multiplicity claims survive floating arithmetic.
@@ -61,15 +61,6 @@ def eigensystem(op: Operator) -> EigenSystem:
     if _maxabs(recon - op.matrix) > 100 * tol * scale:
         raise NotHermitian("spectral reconstruction failed")
     return EigenSystem(op, tuple(distinct), tuple(mults), projectors, cols, evals)
-
-
-def verify_conjugation_covariance(
-    transport: np.ndarray, a: Operator, a_moved: Operator, tolerance: float | None = None
-):
-    """residual and pass flag for transport^dagger A transport == A_moved."""
-    tol = tolerance if tolerance is not None else a.tolerance
-    residual = _maxabs(transport.conj().T @ a.matrix @ transport - a_moved.matrix)
-    return residual, residual <= tol
 
 
 def verify_values_are_eigenvalues(eig: EigenSystem, variable: ConceptualVariable) -> bool:
@@ -141,19 +132,3 @@ def operator_for_coarsening(eig: EigenSystem, value_map) -> Operator:
     return Operator(eig.operator.dim, a, hermitian=True,
                     source_variable=eig.operator.source_variable,
                     tolerance=eig.operator.tolerance)
-
-
-def find_question_for_vector(vector: np.ndarray, operators: list[Operator]):
-    """Search a family for an operator having the vector as an eigenvector.
-
-    Returns (operator index, eigenvalue) for the first match, None otherwise.
-    No completeness claim: only the supplied family is searched.
-    """
-    vector = np.asarray(vector, dtype=complex)
-    vector = vector / np.linalg.norm(vector)
-    for idx, op in enumerate(operators):
-        image = op.matrix @ vector
-        lam = complex(vector.conj() @ image)
-        if _maxabs(image - lam * vector) <= op.tolerance * max(1.0, abs(lam)):
-            return idx, float(lam.real)
-    return None

@@ -1,4 +1,4 @@
-"""Angular momentum matrices, rotations, spin coherent states, planar contexts.
+"""Angular momentum matrices, rotations, planar contexts.
 
 Matrices follow the standard ladder construction: raising and lowering
 operators connect adjacent basis labels m in {-r, ..., r}, the third component
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidSpin, NonUnitAxis
 from .groups import GroupAction, generate_permutation_group
 from .representations import _maxabs
-from .variables import ConceptualVariable, Context, make_variable
+from .variables import ConceptualVariable, Context, is_permissible, make_variable
 
 MAX_SPIN = 12.5
 
@@ -68,17 +68,15 @@ def verify_commutation(sr: SpinRepresentation) -> float:
     return res
 
 
-def verify_eigen(sr: SpinRepresentation, tolerance: float = 1e-12) -> bool:
-    """Each basis vector: A0 eigenvalue m, squared-total eigenvalue r(r+1)."""
-    scale = max(1.0, sr.r * (sr.r + 1))
-    for i in range(sr.dim):
-        e = np.zeros(sr.dim, dtype=complex)
-        e[i] = 1.0
-        if _maxabs(sr.az @ e - sr.m_values[i] * e) > tolerance * scale:
-            return False
-        if _maxabs(sr.asq @ e - sr.r * (sr.r + 1) * e) > tolerance * scale:
-            return False
-    return True
+def verify_eigen(sr: SpinRepresentation) -> bool:
+    """Each basis vector: A0 eigenvalue m, squared-total eigenvalue r(r+1).
+
+    Column i of A - lambda_i I is the residual of basis vector i, so both
+    relations are read off whole matrices.
+    """
+    bound = 1e-12 * max(1.0, sr.r * (sr.r + 1))
+    return (_maxabs(sr.az - np.diag(sr.m_values)) <= bound
+            and _maxabs(sr.asq - sr.r * (sr.r + 1) * np.eye(sr.dim)) <= bound)
 
 
 def rotation_operator(sr: SpinRepresentation, axis, angle: float) -> np.ndarray:
@@ -92,31 +90,6 @@ def rotation_operator(sr: SpinRepresentation, axis, angle: float) -> np.ndarray:
     if _maxabs(u @ u.conj().T - np.eye(sr.dim)) > 1e-10:
         raise NonUnitAxis("rotation failed to be unitary")
     return u
-
-
-def spin_coherent_state(sr: SpinRepresentation, direction) -> np.ndarray:
-    """Rotate the lowest-weight vector so its axis points along `direction`.
-
-    The rotation moves -z to the target along the geodesic; the antipodal
-    case -z -> +z uses the x axis as tie-break.
-    """
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise NonUnitAxis(f"direction must be a unit 3-vector, got {n!r}")
-    lowest = np.zeros(sr.dim, dtype=complex)
-    lowest[0] = 1.0                      # basis ascends in m, so index 0 is m = -r
-    minus_z = np.array([0.0, 0.0, -1.0])
-    cosang = float(np.clip(minus_z @ n, -1.0, 1.0))
-    if cosang > 1.0 - 1e-12:
-        return lowest
-    if cosang < -1.0 + 1e-12:
-        axis = np.array([1.0, 0.0, 0.0])
-        angle = math.pi
-    else:
-        axis = np.cross(minus_z, n)
-        axis = axis / np.linalg.norm(axis)
-        angle = math.acos(cosang)
-    return rotation_operator(sr, axis, angle) @ lowest
 
 
 def planar_angles(n_points: int) -> np.ndarray:
@@ -187,21 +160,9 @@ def octahedral_axes_action() -> GroupAction:
 
 def axis_component_variable(axis: str) -> ConceptualVariable:
     """Signed-axis component of the named coordinate direction."""
-    base = {"x": 0, "y": 2, "z": 4}[axis]
-    values = []
-    for i, label in enumerate(_SIGNED_AXES):
-        if i == base:
-            values.append(1.0)
-        elif i == base + 1:
-            values.append(-1.0)
-        else:
-            values.append(0.0)
-    numeric = []
-    for v in values:
-        if v not in numeric:
-            numeric.append(v)
-    var = make_variable(f"component[{axis}]", values, numeric_values=numeric)
-    return var
+    values = [{f"+{axis}": 1.0, f"-{axis}": -1.0}.get(label, 0.0) for label in _SIGNED_AXES]
+    return make_variable(f"component[{axis}]", values,
+                         numeric_values=list(dict.fromkeys(values)))
 
 
 def full_rotation_counterexample():
@@ -211,8 +172,6 @@ def full_rotation_counterexample():
     rotation in generation order mapping two equal-component axes to axes
     with different components.
     """
-    from .variables import is_permissible
-
     action = octahedral_axes_action()
     var = axis_component_variable("z")
     ok, witness = is_permissible(var, action)

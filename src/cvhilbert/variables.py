@@ -214,15 +214,6 @@ def joint_variable(theta: ConceptualVariable, xi: ConceptualVariable) -> Concept
     )
 
 
-def are_complementary(
-    theta1: ConceptualVariable, theta2: ConceptualVariable, context: Context
-) -> bool:
-    """True iff both are accessible but their joint variable is not."""
-    if not (is_accessible(context, theta1) and is_accessible(context, theta2)):
-        raise NotAccessible("both variables must be accessible")
-    return not is_accessible(context, joint_variable(theta1, theta2))
-
-
 def find_relating_transformations(
     theta: ConceptualVariable, xi: ConceptualVariable, action: GroupAction
 ) -> list[int]:

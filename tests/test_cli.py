@@ -195,6 +195,13 @@ class TestMainEntry:
     def test_operator_undefined_variable(self, capsys):
         assert cli.main(["operator", TWO_BIT, "--variable", "bitX"]) == 1
 
+    def test_operator_rejects_format_flag(self, capsys):
+        # operator prints one text layout, so a --format would go unread
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["operator", TWO_BIT, "--variable", "bit1", "--format", "structured"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format structured" in capsys.readouterr().err
+
     def test_pair_verb(self, capsys):
         code = cli.main(["pair", TWO_BIT, "--pair", "0"])
         out = capsys.readouterr().out

@@ -6,11 +6,13 @@ both formats on the shipped fixtures, on the cyclic-product documents with
 m = 2..8 and on the XOR-product document with m = 4 (all in `golden/docs/`,
 with fixed numeric values), plus `demo`, `pair` and `operator`, the last also
 on single-variable documents whose induced groups are S5 and D48, so that
-regular representations of order 120 and 96 are built. The outputs were
-recorded before the pair chain was refactored (m = 8 before the commutant
-moved to the character norm and the thin SVD, S5 and D48 before the
-representation check moved to generators); a mismatch is a change in
-behaviour to be fixed in the code, not in the recorded file.
+regular representations of order 120 and 96 are built, and the spin suite:
+`spin` at r = 1/2 and 5/2 and `verify` of the two-bit document with
+`spin_suite` on. The outputs were recorded before the pair chain was
+refactored (m = 8 before the commutant moved to the character norm and the
+thin SVD, S5 and D48 before the representation check moved to generators,
+the spin cases before operators were built by one function); a mismatch is
+a change in behaviour to be fixed in the code, not in the recorded file.
 """
 
 import json

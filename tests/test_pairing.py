@@ -261,9 +261,11 @@ class TestJointOperators:
         assert np.abs(b.matrix).max() == 0.0
 
     def test_marginals_sum_to_identity(self, two_bit):
-        p_x, q_y = pairing.marginal_projectors(two_bit["system"])
-        assert np.abs(p_x.sum(axis=0) - np.eye(2)).max() <= 1e-9
-        assert np.abs(q_y.sum(axis=0) - np.eye(2)).max() <= 1e-9
+        # the operators of the value indicators are the marginal projectors
+        marginals = [pairing.joint_operators(two_bit["system"], e, e) for e in np.eye(2)]
+        for axis in (0, 1):
+            total = sum(ops[axis].matrix for ops in marginals)
+            assert np.abs(total - np.eye(2)).max() <= 1e-9
 
     def test_degenerate_pair_commutes(self, two_bit_operators):
         a_theta, a_xi = two_bit_operators
@@ -302,13 +304,12 @@ class TestCovariance:
 
     def test_transported_operator_matches_value_motion(self, two_bit):
         system = two_bit["system"]
-        theta_vals = two_bit["theta"].numeric()
-        xi_vals = two_bit["xi"].numeric()
+        records = pairing.covariance_records(
+            system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
         # the swap turns the first-axis grid variable into the second-axis one
-        op = pairing.transported_operator(system, theta_vals, xi_vals,
-                                          system.joint.swap_element)
-        _, a_xi = pairing.joint_operators(system, theta_vals, xi_vals)
-        assert np.abs(op.matrix - a_xi.matrix).max() <= 1e-12
+        rec = records[system.joint.swap_element]
+        assert rec.element == system.joint.swap_element
+        assert rec.ok and rec.residual <= 1e-12
 
     def test_obstruction_is_scalar_collision(self, two_bit):
         system = two_bit["system"]
@@ -325,31 +326,10 @@ class TestCovariance:
 
 
 class TestExplicitTransformations:
-    def test_transform_outside_group_rejected(self, two_bit):
-        system = two_bit["system"]
-        cnot = (0, 1, 3, 2)  # preserves the first bit but is not in the join
-        with pytest.raises(pairing.UndefinedTransport):
-            pairing.find_element_for_transformation(system, cnot)
-
-    def test_group_member_found_by_permutation(self, two_bit):
-        system = two_bit["system"]
-        swap = (0, 2, 1, 3)
-        n = pairing.find_element_for_transformation(system, swap)
-        assert n == system.joint.swap_element
-
     def test_non_factoring_table_rejected(self, two_bit):
         system = two_bit["system"]
-        four_cycle = (1, 2, 3, 0)
+        four_cycle = [1, 2, 3, 0]
+        theta = np.asarray(two_bit["theta"].numeric())
+        table = theta[np.asarray(four_cycle) // system.joint.value_size]
         with pytest.raises(pairing.UndefinedTransport):
-            pairing.transported_operator(
-                system, two_bit["theta"].numeric(), two_bit["xi"].numeric(),
-                four_cycle)
-
-    def test_explicit_factoring_permutation_accepted(self, two_bit):
-        system = two_bit["system"]
-        cnot = (0, 1, 3, 2)  # moved first-bit table still factors through x
-        op = pairing.transported_operator(
-            system, two_bit["theta"].numeric(), two_bit["xi"].numeric(), cnot)
-        a_theta, _ = pairing.joint_operators(
-            system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
-        assert np.abs(op.matrix - a_theta.matrix).max() <= 1e-12
+            pairing._axis_values(system, table, four_cycle)

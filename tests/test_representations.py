@@ -472,12 +472,6 @@ class TestSplit:
         with pytest.raises(IrreducibleInput):
             reps.invariant_subspace_split(qubit_rep)
 
-    def test_restriction_valid(self):
-        rep = reps.regular_representation(z(3))
-        b0, b1 = reps.invariant_subspace_split(rep)
-        sub = reps.restricted_representation(rep, b0)
-        assert sub.dim == b0.shape[1]
-
 
 class TestDirectSum:
     def test_trivial_sum(self):

@@ -215,21 +215,21 @@ class TestCoarsening:
         twice = spectra.operator_for_coarsening(spectra.eigensystem(f_first), g)
         assert np.abs(once.matrix - twice.matrix).max() <= 1e-12
 
-    def test_covariance_check_helper(self, two_bit, two_bit_operators):
-        a_theta, a_xi = two_bit_operators
+    def test_explicit_factoring_permutation_accepted(self, two_bit, two_bit_operators):
+        # a permutation of the points whose moved first-bit table is a function
+        # f of the first bit moves the first operator to f applied to it
+        a_theta, _ = two_bit_operators
+        eig = spectra.eigensystem(a_theta)
+        bit1 = np.array([0.0, 0.0, 1.0, 1.0])      # at the points 00, 01, 10, 11
+        cnot, flip1 = [0, 1, 3, 2], [2, 3, 0, 1]
+        assert np.array_equal(bit1[cnot], bit1)
+        assert np.array_equal(bit1[flip1], 1.0 - bit1)
+        kept = spectra.operator_for_coarsening(eig, lambda v: v)
+        flipped = spectra.operator_for_coarsening(eig, lambda v: 1.0 - v)
+        back = spectra.operator_for_coarsening(spectra.eigensystem(flipped), lambda v: 1.0 - v)
+        assert np.abs(kept.matrix - a_theta.matrix).max() <= 1e-12
+        assert np.abs(back.matrix - a_theta.matrix).max() <= 1e-12
+        # and the first-bit flip of the joined group transports it the same way
         system = two_bit["system"]
-        w = system.coherent.rep.matrices[system.joint.swap_element]
-        residual, ok = spectra.verify_conjugation_covariance(w, a_theta, a_xi)
-        assert ok and residual <= 1e-12
-
-
-class TestVectorSearch:
-    def test_basis_vector_found(self, two_bit_operators):
-        a_theta, _ = two_bit_operators
-        hit = spectra.find_question_for_vector(np.array([0.0, 1.0]), [a_theta])
-        assert hit == (0, 1.0)
-
-    def test_non_eigenvector_not_found(self, two_bit_operators):
-        a_theta, _ = two_bit_operators
-        v = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert spectra.find_question_for_vector(v, [a_theta]) is None
+        w = system.coherent.rep.matrices[system.joint.first_embed[1]]
+        assert np.abs(w.conj().T @ a_theta.matrix @ w - flipped.matrix).max() <= 1e-12

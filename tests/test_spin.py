@@ -107,48 +107,6 @@ class TestRotations:
             spin.rotation_operator(sr, (1.0, 1.0, 0.0), 1.0)
 
 
-class TestCoherentStates:
-    def test_lowest_weight_for_minus_z(self):
-        sr = spin.build_spin(1.5)
-        state = spin.spin_coherent_state(sr, (0, 0, -1.0))
-        expect = np.zeros(4)
-        expect[0] = 1.0
-        assert np.allclose(state, expect)
-
-    def test_plus_x_equal_magnitudes(self):
-        sr = spin.build_spin(0.5)
-        state = spin.spin_coherent_state(sr, (1.0, 0, 0))
-        assert np.allclose(np.abs(state), [1 / math.sqrt(2)] * 2, atol=1e-12)
-
-    def test_antipodal_tiebreak(self):
-        sr = spin.build_spin(0.5)
-        state = spin.spin_coherent_state(sr, (0, 0, 1.0))
-        # highest-weight ray up to phase
-        assert abs(abs(state[1]) - 1.0) <= 1e-12
-
-    def test_overlap_depends_only_on_angle(self):
-        sr = spin.build_spin(1.0)
-        pairs = [
-            ((0, 0, 1.0), (0, 1.0, 0)),
-            ((1.0, 0, 0), (0, 0, 1.0)),
-            ((0, 1.0, 0), (1.0, 0, 0)),
-        ]
-        overlaps = []
-        for n1, n2 in pairs:
-            s1 = spin.spin_coherent_state(sr, n1)
-            s2 = spin.spin_coherent_state(sr, n2)
-            overlaps.append(abs(np.vdot(s1, s2)))
-        assert max(overlaps) - min(overlaps) <= 1e-9
-
-    def test_overlap_matches_half_angle_power(self):
-        sr = spin.build_spin(1.5)
-        s1 = spin.spin_coherent_state(sr, (0, 0, -1.0))
-        s2 = spin.spin_coherent_state(sr, (1.0, 0, 0))
-        got = abs(np.vdot(s1, s2))
-        want = math.cos(math.pi / 4) ** (2 * 1.5)
-        assert abs(got - want) <= 1e-9
-
-
 class TestPlanarContext:
     def test_four_point_component_values(self):
         ctx, comps = spin.stern_gerlach_context(4)

@@ -178,34 +178,6 @@ class TestRefinesAndAccessibility:
         assert not variables.is_maximally_accessible(ident_ctx, merged)
 
 
-class TestComplementarity:
-    def test_self_not_complementary(self):
-        ctx = variables.Context(4, shift_action(4), (PARITY4,))
-        assert not variables.are_complementary(PARITY4, PARITY4, ctx)
-
-    def test_two_bit_family_complementary(self):
-        flips = groups.generate_permutation_group([(2, 3, 0, 1), (1, 0, 3, 2)])[1]
-        bit1 = variables.make_variable("bit1", [0, 0, 1, 1])
-        bit2 = variables.make_variable("bit2", [0, 1, 0, 1])
-        ctx = variables.Context(4, flips, (bit1, bit2))
-        assert variables.are_complementary(bit1, bit2, ctx)
-
-    def test_coarsening_not_complementary(self):
-        flips = groups.generate_permutation_group([(2, 3, 0, 1), (1, 0, 3, 2)])[1]
-        bit1 = variables.make_variable("bit1", [0, 0, 1, 1])
-        bit2 = variables.make_variable("bit2", [0, 1, 0, 1])
-        ctx = variables.Context(4, flips, (bit1, bit2))
-        assert not variables.are_complementary(bit1, bit1, ctx)
-
-    def test_symmetry(self):
-        flips = groups.generate_permutation_group([(2, 3, 0, 1), (1, 0, 3, 2)])[1]
-        bit1 = variables.make_variable("bit1", [0, 0, 1, 1])
-        bit2 = variables.make_variable("bit2", [0, 1, 0, 1])
-        ctx = variables.Context(4, flips, (bit1, bit2))
-        assert (variables.are_complementary(bit1, bit2, ctx)
-                == variables.are_complementary(bit2, bit1, ctx))
-
-
 class TestRelatingTransformations:
     def test_self_relation_contains_identity(self):
         action = shift_action(4)
