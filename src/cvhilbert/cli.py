@@ -101,6 +101,17 @@ def _fmt(x) -> str:
     return f"{v:.11e}"
 
 
+def _pair_rows(pairs, sep: str) -> list[str]:
+    """Each row of `[re,im]` pairs as text, every number printed as `_fmt` prints it.
+
+    `pairs` has shape (rows, cols, 2). Adding 0.0 turns -0.0 into 0.0, and one
+    `%.11e` template formats a whole row.
+    """
+    pairs = np.asarray(pairs, dtype=float) + 0.0
+    template = sep.join(["[%.11e,%.11e]"] * pairs.shape[1])
+    return [template % tuple(row.tolist()) for row in pairs.reshape(len(pairs), -1)]
+
+
 def _matrix_payload(m: np.ndarray) -> list:
     return [[[_num(v.real), _num(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
@@ -544,13 +555,12 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         lines.append(" ".join(parts))
     for op in report.operators:
         lines.append(f"operator pair={op['pair']} variable={op['variable']}")
-        for row in op["matrix"]:
-            lines.append("  " + "  ".join(f"[{_fmt(re)},{_fmt(im)}]" for re, im in row))
+        lines.extend("  " + row for row in _pair_rows(op["matrix"], "  "))
         lines.append("  eigenvalues: " + " ".join(_fmt(v) for v in op["eigenvalues"]))
     for qa in report.question_answers:
         vec = ""
         if qa["vector"] is not None:
-            vec = " vector=" + " ".join(f"[{_fmt(re)},{_fmt(im)}]" for re, im in qa["vector"])
+            vec = " vector=" + _pair_rows([qa["vector"]], " ")[0]
         lines.append(
             f"question variable={qa['variable']} answer={qa['value']} "
             f"numeric={_fmt(qa['numeric'])} rank={qa['rank']}{vec}"
@@ -674,8 +684,8 @@ def _cmd_operator(args) -> int:
     points = [g_action.apply(r, 0) for r in system.cosets.representatives]
     op = coherent.operator_from_variable(system, [numeric[p] for p in points], var.name)
     lines.append("matrix:")
-    for row in op.matrix:
-        lines.append("  " + "  ".join(f"[{_fmt(v.real)},{_fmt(v.imag)}]" for v in row))
+    lines.extend("  " + row for row in _pair_rows(
+        np.stack([op.matrix.real, op.matrix.imag], axis=-1), "  "))
     eig = spectra.eigensystem(op)
     lines.append("eigenvalues: " + " ".join(_fmt(v) for v in eig.eigenvalues))
     for qa in spectra.question_answer_labels(eig, var):

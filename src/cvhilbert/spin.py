@@ -112,11 +112,8 @@ def stern_gerlach_context(n_points: int) -> tuple[Context, list[ConceptualVariab
     variables = []
     for a in range(n_points):
         keys = [float(k) for k in np.round(np.cos(angles - angles[a]), 9)]
-        distinct = []
-        for k in keys:
-            if k not in distinct:
-                distinct.append(k)
-        variables.append(make_variable(f"component[{a}]", keys, numeric_values=distinct))
+        variables.append(make_variable(f"component[{a}]", keys,
+                                       numeric_values=list(dict.fromkeys(keys))))
     context = Context(n_points, action, tuple(variables))
     return context, variables
 
@@ -127,19 +124,29 @@ def planar_component_covariance(n_points: int) -> bool:
     For every rotation k, every grid direction a and every pair of points with
     equal components along a, the components along the rotated direction of
     the rotated points are equal as well. This is exact on the even grid.
+    The components are cosines rounded to nine digits, compared exactly, one
+    boolean array of the n^3 pairwise equalities per rotation.
     """
     angles = planar_angles(n_points)
-    cos_table = np.round(np.cos(angles[None, :] - angles[:, None]), 9)
+    return _rotated_level_sets_agree(np.round(np.cos(angles[None, :] - angles[:, None]), 9))
 
-    # cos_table[a, p]: component along direction a at point p
-    for k in range(n_points):
-        for a in range(n_points):
-            a_rot = (a + k) % n_points
-            for p1 in range(n_points):
-                for p2 in range(n_points):
-                    if cos_table[a, p1] == cos_table[a, p2]:
-                        if cos_table[a_rot, (p1 + k) % n_points] != cos_table[a_rot, (p2 + k) % n_points]:
-                            return False
+
+def _rotated_level_sets_agree(table: np.ndarray) -> bool:
+    """False when some k, a, p1, p2 has table[a, p1] == table[a, p2] but
+    table[a+k, p1+k] != table[a+k, p2+k], indices mod n.
+
+    table[a, p] is the component along direction a at point p. Each rotation
+    gathers the rotated table with one fancy index and compares its equalities
+    with the unrotated ones as whole n x n x n arrays, so no array has more
+    than n^3 elements.
+    """
+    n = len(table)
+    equal = table[:, :, None] == table[:, None, :]
+    for k in range(n):
+        shift = (np.arange(n) + k) % n
+        rotated = table[shift[:, None], shift]
+        if (equal & (rotated[:, :, None] != rotated[:, None, :])).any():
+            return False
     return True
 
 

@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -149,6 +150,19 @@ class TestReports:
     def test_negative_zero_normalized(self):
         assert cli._fmt(-0.0) == "0.00000000000e+00"
         assert cli._num(-0.0) == 0.0
+
+    @pytest.mark.parametrize("sep", [" ", "  "])
+    def test_pair_rows_match_per_entry_fmt(self, sep):
+        # signed zeros, infinities, nan, the smallest subnormal, a huge value
+        # and values that round at the twelfth significant digit
+        values = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                  -5e-324, 1e300, -1e300, 1.234567890125, 1.2345678901249999,
+                  9.999999999995e10, -9.999999999995e-10, 0.1 + 0.2, 2.5e-5]
+        pairs = np.array(values).reshape(2, 4, 2)
+        expected = [sep.join(f"[{cli._fmt(re)},{cli._fmt(im)}]" for re, im in row)
+                    for row in pairs]
+        assert cli._pair_rows(pairs, sep) == expected
+        assert cli._pair_rows(pairs.tolist(), sep) == expected
 
 
 class TestMainEntry:

@@ -107,6 +107,21 @@ class TestRotations:
             spin.rotation_operator(sr, (1.0, 1.0, 0.0), 1.0)
 
 
+def _covariance_by_loops(table) -> bool:
+    """Brute-force reference for `spin._rotated_level_sets_agree`: every
+    rotation k, direction a and pair of points p1, p2 in turn."""
+    n = len(table)
+    for k in range(n):
+        for a in range(n):
+            a_rot = (a + k) % n
+            for p1 in range(n):
+                for p2 in range(n):
+                    if table[a, p1] == table[a, p2]:
+                        if table[a_rot, (p1 + k) % n] != table[a_rot, (p2 + k) % n]:
+                            return False
+    return True
+
+
 class TestPlanarContext:
     def test_four_point_component_values(self):
         ctx, comps = spin.stern_gerlach_context(4)
@@ -123,6 +138,27 @@ class TestPlanarContext:
     @pytest.mark.parametrize("n", range(3, 13))
     def test_rotated_component_covariance(self, n):
         assert spin.planar_component_covariance(n)
+        angles = spin.planar_angles(n)
+        table = np.round(np.cos(angles[None, :] - angles[:, None]), 9)
+        assert _covariance_by_loops(table)
+
+    @given(st.integers(min_value=1, max_value=7), st.booleans(), st.data())
+    def test_level_set_check_matches_loops(self, n, circulant, data):
+        # small integers give ties; a circulant table, row a the first row
+        # shifted by a, always passes, so both verdicts are drawn
+        draw = st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)
+        values = np.array(data.draw(draw)).reshape(n, n)
+        if circulant:
+            shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+            values = values[0][shift]
+        assert spin._rotated_level_sets_agree(values) == _covariance_by_loops(values)
+
+    def test_level_set_check_fails(self):
+        # points 0 and 1 agree along direction 0, but after one rotation
+        # points 1 and 2 differ along direction 1
+        table = np.array([[0, 0, 1], [0, 1, 2], [0, 1, 2]])
+        assert not _covariance_by_loops(table)
+        assert not spin._rotated_level_sets_agree(table)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_fixed_component_level_sets_break(self, n):
