@@ -20,6 +20,7 @@ from .errors import (
     CosetLabelingError,
     CvhilbertError,
     InvolutionViolation,
+    IrreducibleInput,
     NotMaximal,
     NotRelated,
     NotWellDefined,
@@ -404,8 +405,9 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
         base_rep = representations.regular_representation(g_group, doc.tolerance)
         swap_matrix = pairing.build_swap_matrix(base_rep)
         joint_rep, words = pairing.build_joint_representation(joint, base_rep, swap_matrix)
-    except (NotWellDefined, SizeLimit) as exc:
-        detail = f"not evaluated: {exc}" if isinstance(exc, SizeLimit) else str(exc)
+    except (NotWellDefined, SizeLimit, IrreducibleInput) as exc:
+        # no swap matrix, or a bound hit: the extension itself was not decided
+        detail = str(exc) if isinstance(exc, NotWellDefined) else f"not evaluated: {exc}"
         checks.append(CheckRecord(f"well-defined-extension[{idx}]",
                                   "generator-assignment-extends", "fail", detail=detail))
         return
@@ -731,7 +733,9 @@ def _cmd_spin(args) -> int:
     return 0 if ok else 2
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="cvhilbert",
         description="verify operator constructions over finite symmetry contexts",
@@ -771,8 +775,11 @@ def main(argv=None) -> int:
     p_demo.add_argument("name")
     reporting(p_demo)
     p_demo.set_defaults(func=_cmd_demo)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, SchemaError) as exc:

@@ -153,5 +153,5 @@ def operator_from_variable(
     # the product rounds entries (i, j) and (j, i) apart; a sum of projectors
     # is Hermitian, and so is the mean of a and its adjoint, bit for bit
     a = (a + a.conj().T) / 2
-    return Operator(system.rep.dim, a, hermitian=True, source_variable=name,
+    return Operator(system.rep.dim, a, source_variable=name,
                     tolerance=system.tolerance)

@@ -4,13 +4,16 @@ All structures are immutable after construction and fully verified at desk
 scale (orders up to ~1000). Element 0 is the identity for every group built
 by the constructors in this module.
 
-Every group given by distinct permutations (closures, the catalogue, the
-induced groups of `variables`) is built by `permutation_group` and needs no
-associativity scan: `build_action` checks its table against the permutations,
-act[a * b] = act[a] o act[b], so the product is composition of functions,
-which is associative. A raw table (`build_group`) has no such witness and
-gets the cubic scan, refused above order 200. Every exhaustive table check is
-one row-major scan, `_first_violation`, reporting the first failing tuple.
+Every group is built from distinct permutations (closures, the catalogue,
+the induced groups of `variables`) by `permutation_group`, which checks each
+table once. Its rows are checked first, with no composition: each is a
+permutation and the first is the identity (`_permutation_rows`, shared with
+`build_action`). The closure scan that reads the Cayley table off the
+composed rows is then the one table check: it makes
+act[a * b] = act[a] o act[b] hold by construction, so the product is
+composition of functions, which is associative, and the rows are an action
+of the group. Every exhaustive table check is one row-major scan,
+`_first_violation`, reporting the first failing tuple.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ import numpy as np
 from .errors import AxiomViolation, NotASubgroup, SizeLimit
 
 DEFAULT_ORDER_BOUND = 1024
-
-# The associativity scan of a raw table is cubic; above this order it is refused.
-_ASSOC_SCAN_LIMIT = 200
 
 # Largest table of element rows (one int64 row of images per element, which
 # is the action table) that a generated permutation group may hold.
@@ -89,25 +89,6 @@ class CosetSpace:
         return len(self.cosets)
 
 
-def _check_latin(cayley: np.ndarray) -> None:
-    n = cayley.shape[0]
-    want = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(cayley[a]), want):
-            raise AxiomViolation("latin-square", ("row", a))
-        if not np.array_equal(np.sort(cayley[:, a]), want):
-            raise AxiomViolation("latin-square", ("column", a))
-
-
-def _find_identity(cayley: np.ndarray) -> int:
-    n = cayley.shape[0]
-    want = np.arange(n)
-    for e in range(n):
-        if np.array_equal(cayley[e], want) and np.array_equal(cayley[:, e], want):
-            return e
-    raise AxiomViolation("identity", None)
-
-
 def _block_cells(cell_bytes: int) -> int:
     """Cells in one step of a table scan whose cells cost `cell_bytes` each."""
     return max(1, STEP_BYTES // max(1, cell_bytes))
@@ -134,45 +115,6 @@ def _first_violation(shape: tuple[int, int], broken, cell_bytes: int):
     return None
 
 
-def _check_associativity(cayley: np.ndarray) -> None:
-    # [(a*b)*c] against [a*(b*c)] over (a, b), c along the last axis
-    witness = _first_violation(
-        cayley.shape, lambda a, b: cayley[cayley[a, b]] != cayley[a][:, cayley[b]],
-        8 * len(cayley))
-    if witness is not None:
-        raise AxiomViolation("associativity", witness)
-
-
-def build_group(cayley_table, labels: tuple[str, ...] | None = None) -> FiniteGroup:
-    """Build and fully verify a group from a raw multiplication table.
-
-    Raises AxiomViolation naming the broken axiom and a witnessing tuple, and
-    SizeLimit above order 200, where the cubic associativity scan is refused;
-    a group given by permutations is built by `permutation_group` instead.
-    """
-    cayley = np.asarray(cayley_table, dtype=np.int64)
-    if cayley.ndim != 2 or cayley.shape[0] != cayley.shape[1]:
-        raise AxiomViolation("latin-square", ("shape", cayley.shape))
-    n = cayley.shape[0]
-    if n == 0 or cayley.min() < 0 or cayley.max() >= n:
-        raise AxiomViolation("latin-square", ("range", int(cayley.min(initial=0))))
-    _check_latin(cayley)
-    identity = _find_identity(cayley)
-    inverse = np.argmax(cayley == identity, axis=1)     # one hit per latin row
-    one_sided = np.nonzero(cayley[inverse, np.arange(n)] != identity)[0]
-    if one_sided.size:
-        raise AxiomViolation("inverse", (int(one_sided[0]),))
-    if n > _ASSOC_SCAN_LIMIT:
-        raise SizeLimit(
-            f"order {n} exceeds associativity scan limit; "
-            "construct via permutation_group instead"
-        )
-    _check_associativity(cayley)
-    cayley.setflags(write=False)
-    inverse.setflags(write=False)
-    return FiniteGroup(n, cayley, identity, inverse, labels)
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One comparable key per row (last axis) of an integer array."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -183,13 +125,14 @@ def permutation_group(elements, labels: tuple[str, ...] | None = None):
     """The group of an ordered list of distinct permutations, identity first.
 
     Element i acts by elements[i], and a * b is the listed element equal to
-    elements[a] composed after elements[b] (`compose`). Blocks of products
-    are composed by fancy indexing, E[a][:, E[b]], and each product is looked
-    up among the sorted rows; AxiomViolation("closure", (a, b)) names the
-    first pair in row-major order whose product is not listed. Returns the
-    group and its action on the points, verified by `build_action`.
+    elements[a] composed after elements[b] (`compose`). The rows are checked
+    first as `build_action` checks them. Blocks of products are then composed
+    by fancy indexing, E[a][:, E[b]], and each product is looked up among the
+    sorted rows; AxiomViolation("closure", (a, b)) names the first pair in
+    row-major order whose product is not listed. Returns the group and the
+    rows as its action on the points, which the closure scan has verified.
     """
-    rows = np.asarray(elements, dtype=np.int64)
+    rows = _permutation_rows(elements, len(elements), 0)
     n = len(rows)
     keys = _row_keys(rows)
     order = np.argsort(keys)
@@ -208,10 +151,10 @@ def permutation_group(elements, labels: tuple[str, ...] | None = None):
     if witness is not None:
         raise AxiomViolation("closure", witness)
     inverse = np.argmax(cayley == 0, axis=1)
-    cayley.setflags(write=False)
-    inverse.setflags(write=False)
+    for table in (cayley, inverse, rows):
+        table.setflags(write=False)
     group = FiniteGroup(n, cayley, 0, inverse, labels)
-    return group, build_action(group, rows)
+    return group, GroupAction(group, rows.shape[1], rows)
 
 
 def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
@@ -255,27 +198,34 @@ def _action_violation(group: FiniteGroup, act: np.ndarray):
         lambda g1, g2: act[group.cayley[g1, g2]] != act[g1][:, act[g2]], 8 * act.shape[1])
 
 
-def build_action(group: FiniteGroup, act_table) -> GroupAction:
-    """Verify and wrap an action table act[g, x] = g . x."""
-    act = np.asarray(act_table, dtype=np.int64)
-    n = group.order
-    if act.ndim != 2 or act.shape[0] != n:
+def _permutation_rows(rows, count: int, identity: int) -> np.ndarray:
+    """`rows` as a (count, m) int64 table after the checks that compose
+    nothing: its shape, its range, a permutation in every row and the
+    identity in row `identity`. Raises AxiomViolation with the first failure."""
+    act = np.asarray(rows, dtype=np.int64)
+    if act.ndim != 2 or act.shape[0] != count:
         raise AxiomViolation("identity-action", ("shape", act.shape))
     m = act.shape[1]
-    if m == 0 or act.min() < 0 or act.max() >= m:
+    if act.size == 0 or act.min() < 0 or act.max() >= m:
         raise AxiomViolation("identity-action", ("range",))
     want = np.arange(m)
     not_permutation = np.any(np.sort(act, axis=1) != want, axis=1)
     if not_permutation.any():
         raise AxiomViolation("compatibility", ("not-a-permutation", int(np.argmax(not_permutation))))
-    if not np.array_equal(act[group.identity], want):
-        x = int(np.nonzero(act[group.identity] != want)[0][0])
-        raise AxiomViolation("identity-action", (group.identity, x))
+    if not np.array_equal(act[identity], want):
+        x = int(np.nonzero(act[identity] != want)[0][0])
+        raise AxiomViolation("identity-action", (identity, x))
+    return act
+
+
+def build_action(group: FiniteGroup, act_table) -> GroupAction:
+    """Verify and wrap an action table act[g, x] = g . x of an existing group."""
+    act = _permutation_rows(act_table, group.order, group.identity)
     witness = _action_violation(group, act)
     if witness is not None:
         raise AxiomViolation("compatibility", witness)
     act.setflags(write=False)
-    return GroupAction(group, m, act)
+    return GroupAction(group, act.shape[1], act)
 
 
 def orbits(action: GroupAction) -> list[list[int]]:

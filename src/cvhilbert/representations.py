@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
+from .errors import GroupMismatch, IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
 from .groups import (FiniteGroup, GroupAction, _action_violation, _block_cells,
                      _first_violation, _greedy_generators, bfs_words)
 
@@ -143,15 +143,14 @@ class UnitaryRepresentation:
 class Operator:
     dim: int
     matrix: np.ndarray
-    hermitian: bool
     source_variable: str | None = None
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("operator matrix has wrong shape")
-        if self.hermitian and _maxabs(self.matrix - self.matrix.conj().T) > self.tolerance:
-            raise ValueError("matrix declared hermitian but is not")
+        if _maxabs(self.matrix - self.matrix.conj().T) > self.tolerance:
+            raise NotHermitian("operator is not Hermitian at tolerance")
 
 
 def _maxabs(a: np.ndarray) -> float:

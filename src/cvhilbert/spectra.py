@@ -47,8 +47,6 @@ class QuestionAnswer:
 def eigensystem(op: Operator) -> EigenSystem:
     """Hermitian eigendecomposition with tolerance clustering."""
     tol = op.tolerance
-    if _maxabs(op.matrix - op.matrix.conj().T) > tol:
-        raise NotHermitian("operator is not Hermitian at tolerance")
     evals, cols, clusters, scale = _clustered_eigh(op.matrix, tol)
     distinct, mults, projs = [], [], []
     for cl in clusters:
@@ -129,6 +127,5 @@ def operator_for_coarsening(eig: EigenSystem, value_map) -> Operator:
     a = sum(
         float(value_map(l)) * p for l, p in zip(eig.eigenvalues, eig.projectors)
     )
-    return Operator(eig.operator.dim, a, hermitian=True,
-                    source_variable=eig.operator.source_variable,
+    return Operator(eig.operator.dim, a, source_variable=eig.operator.source_variable,
                     tolerance=eig.operator.tolerance)

@@ -174,8 +174,8 @@ def test_criterion_6_spectral_properties(two_bit, two_bit_operators):
     assert unitary_resid <= 1e-9
 
     sr = spin.build_spin(0.5)
-    eig_z = spectra.eigensystem(reps.Operator(2, sr.az, hermitian=True))
-    eig_x = spectra.eigensystem(reps.Operator(2, sr.ax, hermitian=True))
+    eig_z = spectra.eigensystem(reps.Operator(2, sr.az))
+    eig_x = spectra.eigensystem(reps.Operator(2, sr.ax))
     t_mub = spectra.transition_matrix(eig_z, eig_x)
     mub_resid = np.abs(np.abs(t_mub) ** 2 - 0.5).max()
     assert mub_resid <= 1e-9

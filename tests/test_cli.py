@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvhilbert import cli, coherent, groups, pairing, representations
+from cvhilbert import cli, coherent, groups, pairing, representations, variables
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -411,34 +411,37 @@ class TestWorkCounts:
     def test_groups_verified_once_where_built(self, monkeypatch):
         calls = collections.Counter()
 
-        def count(module, name):
-            original = getattr(module, name)
+        def count(name, *modules):
+            original = getattr(groups, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
 
-        count(groups, "build_action")
-        count(groups, "_check_associativity")
+        count("permutation_group", groups, variables)
+        count("build_action", groups)
+        count("_action_violation", groups, representations)
         regular = representations.regular_representation
 
         def regular_spy(*args, **kwargs):
-            before = calls["build_action"]
+            before = sum(calls.values())
             rep = regular(*args, **kwargs)
-            calls["regular_representation actions"] += calls["build_action"] - before
+            calls["regular_representation checks"] += sum(calls.values()) - before
             return rep
 
         monkeypatch.setattr(representations, "regular_representation", regular_spy)
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         assert not report.failed
-        # K, the groups induced by bit1 and bit2, and N, each verified through
-        # its action where it is built; no associativity scan, and the regular
-        # representation of G verifies no action of its own
-        assert calls["build_action"] == 4
-        assert calls["_check_associativity"] == 0
-        assert "regular_representation actions" in calls
-        assert calls["regular_representation actions"] == 0
+        # K, the groups induced by bit1 and bit2, and N, each built once from
+        # its permutations, whose closure scan is its one table check; no
+        # action is verified again, and the regular representation of G
+        # verifies no action of its own
+        assert calls["permutation_group"] == 4
+        assert calls["build_action"] == calls["_action_violation"] == 0
+        assert "regular_representation checks" in calls
+        assert calls["regular_representation checks"] == 0
 
     def test_operator_checks_generators_not_the_table(self, constructor_work, capsys):
         # operator on S5 builds the regular representation, d = |G| = 120, and
@@ -511,6 +514,18 @@ class TestCommutantChecks:
         assert check["status"] == "fail"
         assert check["detail"].startswith("not evaluated: ") and "MiB bound" in check["detail"]
         assert _check(captured.out, "joint-group[0]")["status"] == "pass"
+
+    def test_no_swap_matrix_is_a_failed_check(self, capsys):
+        # at tolerance 0.9 every Hermitian part of the commutant basis counts
+        # as scalar, so no swap matrix is built; the checks before it stay
+        code = cli.main(["verify", TWO_BIT, "--tolerance", "0.9", "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        check = _check(captured.out, "well-defined-extension[0]")
+        assert check["status"] == "fail"
+        assert check["detail"] == "not evaluated: no non-scalar Hermitian commutant element found"
+        assert json.loads(captured.out)["summary"] == {"pass": 11, "fail": 1, "skip": 0}
 
     @pytest.mark.parametrize("norm, dim", [(2.0, 2), (1.25, 1)])
     def test_irreducibility_reads_character_norm(self, norm, dim, monkeypatch, capsys):

@@ -19,7 +19,7 @@ def unit_vector(draw_values):
 
 class TestIsotropy:
     def test_trivial_group(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
         sub, alpha = coherent.isotropy_of_state(rep, np.array([1.0]))
         assert sub.members == (0,)
@@ -52,7 +52,7 @@ class TestIsotropy:
 
 class TestBuildSystem:
     def test_one_dim_trivial(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
         system = coherent.build_coherent_system(rep)
         assert system.states.shape == (1, 1)
@@ -76,7 +76,7 @@ class TestBuildSystem:
 
 class TestResolution:
     def test_trivial_system(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
         res = coherent.resolution_of_identity(coherent.build_coherent_system(rep))
         assert res.constant == 1.0 and res.residual == 0.0 and res.ok

@@ -14,7 +14,8 @@ and the thin SVD, S5 and D48 before the representation check moved to
 generators, the spin cases before operators were built by one function, the
 structured spin-suite report before the planar check became an array
 comparison); a mismatch is a change in behaviour to be fixed in the code, not
-in the recorded file.
+in the recorded file. A separate test keeps the set whole: unique case names,
+one output per case and no file in `out/` or `docs/` that no case uses.
 """
 
 import json
@@ -36,3 +37,14 @@ def test_output_matches_golden(case, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == case["exit_code"]
     assert out.encode("utf-8") == (GOLDEN / "out" / f"{case['name']}.out").read_bytes()
+
+
+def test_golden_set_is_consistent():
+    # each case names one output file, and each file in the set is used
+    names = [c["name"] for c in CASES]
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    recorded = {p.stem for p in (GOLDEN / "out").glob("*.out")}
+    assert sorted(recorded - set(names)) == []      # output no case names
+    assert sorted(set(names) - recorded) == []      # case without its output
+    used = {(ROOT / arg).resolve() for c in CASES for arg in c["argv"]}
+    assert sorted(p.name for p in (GOLDEN / "docs").iterdir() if p.resolve() not in used) == []

@@ -11,52 +11,54 @@ from hypothesis import strategies as st
 from cvhilbert import cli, groups, pairing
 from cvhilbert.errors import AxiomViolation, NotASubgroup, SizeLimit
 
-Z3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-
-# order-5 loop with two-sided inverses that is not associative;
-# (1*1)*2 != 1*(1*2)
-NONASSOC_LOOP = [
-    [0, 1, 2, 3, 4],
-    [1, 0, 3, 4, 2],
-    [2, 4, 0, 1, 3],
-    [3, 2, 4, 0, 1],
-    [4, 3, 1, 2, 0],
-]
-
-
 class TestBuildGroup:
     def test_trivial(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         assert g.order == 1 and g.identity == 0
 
     def test_z3_by_hand(self):
-        g = groups.build_group(Z3_TABLE)
+        g = groups.standard_group("cyclic", 3)
         assert g.order == 3
         assert g.identity == 0
         assert g.inv(1) == 2
         assert g.inv(2) == 1
 
-    def test_corrupted_latin(self):
-        bad = [[0, 1, 2], [1, 2, 0], [2, 0, 2]]
-        with pytest.raises(AxiomViolation) as exc:
-            groups.build_group(bad)
-        assert exc.value.axiom == "latin-square"
-        assert exc.value.witness is not None
 
-    def test_nonassociative_loop(self):
-        with pytest.raises(AxiomViolation) as exc:
-            groups.build_group(NONASSOC_LOOP)
-        assert exc.value.axiom == "associativity"
-        a, b, c = exc.value.witness
-        t = np.array(NONASSOC_LOOP)
-        assert t[t[a, b], c] != t[a, t[b, c]]
+class TestPermutationRows:
+    """`permutation_group` checks its rows before it composes any of them."""
 
-    def test_no_identity(self):
-        # subtraction mod 3 is latin but has no two-sided identity
-        bad = [[(a - b) % 3 for b in range(3)] for a in range(3)]
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 2]], [[0, 1], [-1, 0]],
+                                      [[0, 1, 2], [3, 0, 1]]])
+    def test_out_of_range(self, rows):
         with pytest.raises(AxiomViolation) as exc:
-            groups.build_group(bad)
-        assert exc.value.axiom == "identity"
+            groups.permutation_group(rows)
+        assert (exc.value.axiom, exc.value.witness) == ("identity-action", ("range",))
+
+    @pytest.mark.parametrize("rows, witness", [
+        ([[0, 1], [0, 0]], ("not-a-permutation", 1)),          # closed under composition
+        ([[0, 1, 2], [0, 0, 1]], ("not-a-permutation", 1)),    # its square is not listed
+    ])
+    def test_not_a_permutation(self, rows, witness):
+        with pytest.raises(AxiomViolation) as exc:
+            groups.permutation_group(rows)
+        assert (exc.value.axiom, exc.value.witness) == ("compatibility", witness)
+
+    @pytest.mark.parametrize("rows, witness", [
+        ([[1, 0], [0, 1]], (0, 0)),             # Z2 with the identity listed second
+        ([[0, 2, 1], [0, 1, 2]], (0, 1)),
+        ([[1, 2, 0]], (0, 0)),                  # its square is not listed
+    ])
+    def test_identity_first(self, rows, witness):
+        with pytest.raises(AxiomViolation) as exc:
+            groups.permutation_group(rows)
+        assert (exc.value.axiom, exc.value.witness) == ("identity-action", witness)
+
+    def test_rows_are_the_action(self):
+        rows = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        g, act = groups.permutation_group(rows)
+        assert act.group is g and act.space_size == 3
+        assert act.act.tolist() == rows.tolist() and not act.act.flags.writeable
+        assert g.cayley.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 class TestStandardGroups:
@@ -96,7 +98,7 @@ class TestStandardGroups:
 
 class TestActions:
     def test_trivial_group_on_five_points(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         act = groups.build_action(g, [[0, 1, 2, 3, 4]])
         assert act.space_size == 5
 
@@ -120,7 +122,7 @@ class TestActions:
 
 class TestOrbitsAndIsotropy:
     def test_trivial_orbits(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         act = groups.build_action(g, [[0, 1, 2]])
         assert groups.orbits(act) == [[0], [1], [2]]
         assert not groups.is_transitive(act)
@@ -137,7 +139,7 @@ class TestOrbitsAndIsotropy:
         assert groups.is_transitive(act)
 
     def test_one_point_space_transitive(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         act = groups.build_action(g, [[0]])
         assert groups.is_transitive(act)
 
@@ -315,7 +317,7 @@ def reference_table(kind, n):
                          + [("dihedral", n) for n in (1, 2, 3, 4, 150)]
                          + [("symmetric", n) for n in (1, 2, 3, 4)])
 def test_catalogue_tables_match_formula(kind, n):
-    # orders above 200 were refused by the raw-table associativity scan
+    # every order is built from permutations, the 300- and 150-gons included
     g = groups.standard_group(kind, n)
     assert g.cayley.tolist() == reference_table(kind, n)
     assert g.identity == 0
@@ -348,14 +350,6 @@ def test_orbit_stabilizer_on_regular_action(kind, n):
 
 # Row-major references for the table scans: the first failing tuple of a
 # plain Python loop, in the order the reports print it.
-
-def reference_associativity(t):
-    n = len(t)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            return (a, b, c)
-    return None
-
 
 def reference_compatibility(t, act):
     n, m = len(t), len(act[0])
@@ -409,17 +403,6 @@ def _raised(fn, *args):
 
 class TestScanWitnesses:
     """One corrupted entry; the scan names the same tuple as the loop."""
-
-    @given(st.sampled_from(SMALL), STEPS, st.data())
-    def test_associativity(self, group, step, data):
-        t = groups.standard_group(*group).cayley.copy()
-        n = len(t)
-        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        t[a, b] = data.draw(st.integers(0, n - 1))
-        with mock.patch.object(groups, "STEP_BYTES", step):
-            exc = _raised(groups._check_associativity, t)
-        expected = reference_associativity(t.tolist())
-        assert (exc and (exc.axiom, exc.witness)) == (expected and ("associativity", expected))
 
     @given(st.sampled_from(SMALL), STEPS, st.data())
     def test_compatibility(self, group, step, data):
@@ -534,6 +517,6 @@ class TestWords:
         assert groups.bfs_words(n, greedy) == reference_bfs_words(n, greedy)
 
     def test_trivial_group(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         assert groups._greedy_generators(g) == []
         assert groups.bfs_words(g, []) == [()]

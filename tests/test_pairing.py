@@ -44,7 +44,6 @@ class TestRelatedPair:
         pair = two_bit["pair"]
         assert pair.k_squared_identity
         assert pair.product_structure
-        assert pair.k_in_group is None  # swap lies outside the flip group
 
     def test_not_related_witness(self, two_bit):
         ctx, theta, xi = two_bit["context"], two_bit["theta"], two_bit["xi"]

@@ -84,7 +84,7 @@ def constructor_verdict(g, mats):
 
 class TestConstructions:
     def test_trivial_group_permutation_rep(self):
-        g = groups.build_group([[0]])
+        g = groups.standard_group("cyclic", 1)
         act = groups.build_action(g, [[0, 1]])
         rep = reps.permutation_representation(act)
         assert np.allclose(rep.matrices[0], np.eye(2))

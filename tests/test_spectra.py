@@ -10,7 +10,7 @@ from cvhilbert.representations import Operator
 
 def herm_op(matrix, tol=1e-9):
     m = np.asarray(matrix, dtype=complex)
-    return Operator(m.shape[0], m, hermitian=True, tolerance=tol)
+    return Operator(m.shape[0], m, tolerance=tol)
 
 
 def random_hermitian(rng, d):
@@ -36,9 +36,9 @@ class TestEigenSystem:
         assert eig.multiplicities == (1, 1)
 
     def test_not_hermitian_rejected(self):
-        bad = Operator(2, np.array([[0, 1], [0, 0]], dtype=complex), hermitian=False)
+        # the constructor checks once; every operator reaching eigensystem is Hermitian
         with pytest.raises(NotHermitian):
-            spectra.eigensystem(bad)
+            Operator(2, np.array([[0, 1], [0, 0]], dtype=complex))
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     def test_invariants_on_random_hermitian(self, d, seed):
@@ -75,7 +75,7 @@ class TestValueChecks:
 
         ones = variables.make_variable("unit", [0, 0, 0, 0], numeric_values=[1.0])
         a, _ = pairing.joint_operators(two_bit["system"], [1.0, 1.0], [0.0, 1.0])
-        op = Operator(2, a.matrix, hermitian=True)
+        op = Operator(2, a.matrix)
         assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(op), ones)
 
     def test_two_bit_values(self, two_bit, two_bit_operators):

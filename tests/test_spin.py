@@ -192,7 +192,7 @@ class TestFullRotationCounterexample:
         from cvhilbert import groups
 
         var = spin.axis_component_variable("z")
-        trivial = groups.build_group([[0]])
+        trivial = groups.standard_group("cyclic", 1)
         act = groups.build_action(trivial, [list(range(6))])
         ok, _ = variables.is_permissible(var, act)
         assert ok

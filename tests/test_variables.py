@@ -13,7 +13,7 @@ def shift_action(n):
 
 
 def trivial_action(m):
-    g = groups.build_group([[0]])
+    g = groups.standard_group("cyclic", 1)
     return groups.build_action(g, [list(range(m))])
 
 
