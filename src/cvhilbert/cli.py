@@ -21,7 +21,9 @@ from .errors import (
     CvhilbertError,
     InvolutionViolation,
     IrreducibleInput,
+    NotAccessible,
     NotMaximal,
+    NotPermissible,
     NotRelated,
     NotWellDefined,
     ParseError,
@@ -337,23 +339,23 @@ def run_verify(doc: ContextDocument, context_name: str = "document") -> Verifica
     permissible: dict[str, bool] = {}
     induced: dict[str, tuple] = {}
     for name, var in var_map.items():
-        ok, witness = variables.is_permissible(var, k_action)
-        permissible[name] = ok
-        if ok:
-            checks.append(CheckRecord(f"permissibility[{name}]", "level-set-preservation", "pass"))
-            g_group, g_action, hom = variables.induced_group(var, k_action)
-            induced[name] = (g_group, g_action, hom)
-            checks.append(CheckRecord(
-                f"induced-group[{name}]", "induced-value-group", "pass",
-                detail=f"order={g_group.order}"))
-        else:
-            k, p1, p2 = witness
+        try:
+            induced[name] = variables.induced_group(var, k_action)
+        except NotPermissible as exc:
+            permissible[name] = False
+            k, p1, p2 = exc.witness
             checks.append(CheckRecord(
                 f"permissibility[{name}]", "level-set-preservation", "fail",
                 witness=f"k={k} p1={p1} p2={p2}"))
             checks.append(CheckRecord(
                 f"induced-group[{name}]", "induced-value-group", "skip",
                 detail="variable not permissible"))
+            continue
+        permissible[name] = True
+        checks.append(CheckRecord(f"permissibility[{name}]", "level-set-preservation", "pass"))
+        checks.append(CheckRecord(
+            f"induced-group[{name}]", "induced-value-group", "pass",
+            detail=f"order={induced[name][0].order}"))
 
     for name in doc.maximal_family:
         is_max = variables.is_maximally_accessible(context, var_map[name])
@@ -369,7 +371,7 @@ def run_verify(doc: ContextDocument, context_name: str = "document") -> Verifica
             k_perm = _resolve_word(doc, dpair.k_word)
         try:
             pair = pairing.build_related_pair(context, theta, xi, k_perm)
-        except (NotRelated, NotMaximal, InvolutionViolation) as exc:
+        except (NotRelated, NotAccessible, NotMaximal, InvolutionViolation) as exc:
             checks.append(CheckRecord(f"relatedness[{idx}]", "relating-transformation",
                                       "fail", detail=str(exc)))
             continue
@@ -660,11 +662,11 @@ def _cmd_operator(args) -> int:
         print(f"undefined variable {args.variable!r}", file=sys.stderr)
         return 1
     var = var_map[args.variable]
-    ok, witness = variables.is_permissible(var, k_action)
-    if not ok:
-        print(f"variable {var.name} is not permissible: witness {witness}", file=sys.stderr)
+    try:
+        g_group, g_action, _ = variables.induced_group(var, k_action)
+    except NotPermissible as exc:
+        print(f"variable {var.name} is not permissible: witness {exc.witness}", file=sys.stderr)
         return 2
-    g_group, g_action, _ = variables.induced_group(var, k_action)
     base_rep = representations.regular_representation(g_group, doc.tolerance)
     system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
     res = system.resolution

@@ -1,27 +1,55 @@
-"""Finite groups as explicit Cayley tables, group actions, subgroups, cosets.
+"""Finite permutation groups kept as element rows and Cayley-graph columns;
+group actions, subgroups, cosets.
 
 All structures are immutable after construction and fully verified at desk
-scale (orders up to ~1000). Element 0 is the identity for every group built
-by the constructors in this module.
+scale (orders up to ~1000). Every group is a list of distinct permutations
+of range(m), identity first (element 0): element a acts by rows[a], and a * b
+is the listed element whose row is rows[a] o rows[b] (`compose`). The product
+is composition of functions, which is associative, and the rows are an
+action of the group.
 
-Every group is built from distinct permutations (closures, the catalogue,
-the induced groups of `variables`) by `permutation_group`, which checks each
-table once. Its rows are checked first, with no composition: each is a
-permutation and the first is the identity (`_permutation_rows`, shared with
-`build_action`). The closure scan that reads the Cayley table off the
-composed rows is then the one table check: it makes
-act[a * b] = act[a] o act[b] hold by construction, so the product is
-composition of functions, which is associative, and the rows are an action
-of the group. Every exhaustive table check is one row-major scan,
-`_first_violation`, reporting the first failing tuple.
+Besides its rows, a group keeps a generating set S and the |G|*|S| columns
+columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
+Permutation Group Algorithms, 2003, ch. 4). Each constructor computes them
+as it checks the group, and no constructor composes all |G|^2 pairs.
+
+Products are told apart by base keys. A base is a list of points whose
+images tell all the elements apart (Sims), and a key packs the images of the
+base points into one int64 (`_Keys`). `FiniteGroup._products` composes only
+those images, so a product, an inverse, a subgroup or a coset costs a few
+points per product.
+
+* `generate_permutation_group` closes generators breadth-first, composing
+  each element with each generator and telling the products apart by their
+  keys (`_breadth_first`). Every product is then compared whole with the
+  element it was identified with, in one pass over the columns; a wrong
+  identification means the base was too short, and the first point at which
+  the two rows differ joins it before the closure runs again. The closure
+  is a group by construction.
+* `permutation_group` takes a listed set (the catalogue, the groups induced
+  on a variable's values) after checking that its rows are permutations,
+  the first the identity (`_permutation_rows`, shared with `build_action`),
+  and distinct; one lexicographic sort of the rows gives a base
+  (`_separating_points`). It reads a generating set greedily off the list
+  (`_greedy`) and finds every g * s among the rows. A list that holds every
+  g * s holds every product of two elements, by induction on word length,
+  so it is closed; when some g * s is missing, the row-major scan of every
+  pair names the first product that is not listed.
+
+The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
+a full table is read: the regular representation of the small induced groups
+and the tests. Checks over a whole group (an action, a homomorphism,
+commutativity) are made on the generators; a failure runs the row-major
+scan, `_first_violation`, only to name the first failing tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -36,23 +64,77 @@ PERMUTATION_BYTE_LIMIT = 32 * 2**20
 # Temporaries of one numpy step of a table scan stay near this many bytes.
 STEP_BYTES = 2**20
 
+# Base keys are int64 while m**len(base) stays below this bound, and void
+# keys of the base images above it.
+_KEY_BOUND = 2**63
+
+
+class _Keys(NamedTuple):
+    """Base keys of distinct rows of m points: the images of the base points
+    packed into one int64 each, radix m, or void keys of the images where
+    m**len(points) reaches _KEY_BOUND."""
+    points: np.ndarray          # the base: points whose images tell the rows apart
+    weights: np.ndarray | None  # radix-m digit weights; None for void keys
+    keys: np.ndarray            # base keys of the rows, sorted
+    elements: np.ndarray        # the row of each sorted key
+
+    def find(self, images: np.ndarray) -> np.ndarray:
+        """The row whose base images these are; exact for rows that are listed."""
+        return self.elements[self.keys.searchsorted(_pack(images, self.weights))]
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    order: int
-    cayley: np.ndarray          # (n, n) int array, cayley[a, b] = a * b
-    identity: int
-    inverse: np.ndarray         # (n,) int array
+    rows: np.ndarray            # (n, m) int array, element a is x -> rows[a, x]
+    generators: tuple[int, ...]  # the generating set S, as elements
+    columns: np.ndarray         # (n, |S|) int array, columns[g, j] = g * S[j]
+    keys: _Keys
     labels: tuple[str, ...] | None = None
+    identity: ClassVar[int] = 0
+
+    @property
+    def order(self) -> int:
+        return len(self.rows)
+
+    def _products(self, a, b) -> np.ndarray:
+        """a * b elementwise for broadcastable arrays of elements, composing
+        only the images of the base points."""
+        a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+        return self.keys.find(self.rows[a, self.rows[b, self.keys.points]])
+
+    def _inverses(self, a) -> np.ndarray:
+        """The inverse of each element of an array: the preimages of the base
+        points under it."""
+        rows = self.rows[np.asarray(a)][..., None, :]
+        return self.keys.find((rows == self.keys.points[:, None]).argmax(axis=-1))
 
     def mult(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
+        return int(self._products(a, b))
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return int(self._inverses(a))
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        inverse = self._inverses(np.arange(self.order))
+        inverse.setflags(write=False)
+        return inverse
+
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """(n, n) int array, cayley[a, b] = a * b, filled one breadth-first
+        level of b at a time: a * (b' * s) = (a * b') * s is a column entry."""
+        table = np.empty((self.order, self.order), dtype=np.int64)
+        table[:, 0] = np.arange(self.order)
+        for elements, parents, slots in _bfs_levels(self.columns):
+            table[:, elements] = self.columns[table[:, parents], slots]
+        table.setflags(write=False)
+        return table
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.cayley, self.cayley.T))
+        """The generators commute pairwise."""
+        table = self.columns[list(self.generators)]      # S[i] * S[j]
+        return bool(np.array_equal(table, table.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +186,8 @@ def _first_violation(shape: tuple[int, int], broken, cell_bytes: int):
     that its temporaries stay near STEP_BYTES. None when nothing fails.
     """
     n_rows, n_cols = shape
+    if not n_rows or not n_cols:
+        return None
     cells = _block_cells(cell_bytes)
     row_step, col_step = max(1, cells // n_cols), min(cells, n_cols)
     for a in range(0, n_rows, row_step):
@@ -115,10 +199,84 @@ def _first_violation(shape: tuple[int, int], broken, cell_bytes: int):
     return None
 
 
+def _pair_scan(group: FiniteGroup, broken, cell_bytes: int):
+    """`_first_violation` over every pair of elements, where broken(a, b, ab)
+    gets the two arrays of elements of a block and their products."""
+    everything = np.arange(group.order)
+
+    def block(a, b):
+        a, b = everything[a][:, None], everything[b][None]
+        return broken(a, b, group._products(a, b))
+    return _first_violation((group.order, group.order), block, cell_bytes)
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One comparable key per row (last axis) of an integer array."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """The position of the first occurrence of each distinct value, in order."""
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = order[starts]
+    first.sort()
+    return first
+
+
+def _ranks(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """For each value, the index in `first` (`_first_occurrences`) of its
+    first occurrence."""
+    distinct = values[first]
+    order = distinct.argsort()
+    return order[distinct[order].searchsorted(values)]
+
+
+def _pack(images: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """One key per row (last axis) of images of the base points."""
+    return _row_keys(images) if weights is None else images @ weights
+
+
+def _weights(m: int, k: int) -> np.ndarray | None:
+    """Digit weights that pack k images in range(m) into one int64, or None
+    where m**k reaches _KEY_BOUND."""
+    return None if m**k >= _KEY_BOUND else m ** np.arange(k, dtype=np.int64)
+
+
+def _keyed(rows: np.ndarray, points: np.ndarray) -> _Keys:
+    """Base keys of rows that the images of `points` tell apart."""
+    weights = _weights(rows.shape[1], len(points))
+    keys = _pack(rows[:, points], weights)
+    elements = keys.argsort()
+    return _Keys(points, weights, keys[elements], elements)
+
+
+def _separating_points(rows: np.ndarray):
+    """(points, distinct): the first point at which each row differs from the
+    next in lexicographic order, and whether the rows are distinct.
+
+    Two rows in that order first differ where some adjacent pair between
+    them first differs, so the points tell every two distinct rows apart.
+    For the rows of a group a point c is there only when the elements that
+    agree on the points before c do not all agree on c, so each point at
+    least halves them, and there are at most log2 |G| points: a base (Sims).
+    """
+    ordered = rows[_row_keys(rows).argsort()]
+    differ = ordered[1:] != ordered[:-1]
+    apart = differ.any(axis=1)
+    return np.unique(np.argmax(differ[apart], axis=1)), bool(apart.all())
+
+
+def _listed(rows: np.ndarray, keys: _Keys, products: np.ndarray) -> np.ndarray:
+    """The listed row equal to each product row (last axis), -1 where none is."""
+    found = np.minimum(keys.keys.searchsorted(_pack(products[..., keys.points], keys.weights)),
+                       len(rows) - 1)
+    element = keys.elements[found]
+    return np.where((products == rows[element]).all(axis=-1), element, -1)
 
 
 def permutation_group(elements, labels: tuple[str, ...] | None = None):
@@ -126,34 +284,39 @@ def permutation_group(elements, labels: tuple[str, ...] | None = None):
 
     Element i acts by elements[i], and a * b is the listed element equal to
     elements[a] composed after elements[b] (`compose`). The rows are checked
-    first as `build_action` checks them. Blocks of products are then composed
-    by fancy indexing, E[a][:, E[b]], and each product is looked up among the
-    sorted rows; AxiomViolation("closure", (a, b)) names the first pair in
+    first as `build_action` checks them, then for distinct elements. A
+    generating set is read greedily off the list (`_greedy`), and each of
+    its columns is composed and looked up among the rows; when some g * s is
+    not listed, AxiomViolation("closure", (a, b)) names the first pair in
     row-major order whose product is not listed. Returns the group and the
-    rows as its action on the points, which the closure scan has verified.
+    rows as its action on the points.
     """
     rows = _permutation_rows(elements, len(elements), 0)
-    n = len(rows)
-    keys = _row_keys(rows)
-    order = np.argsort(keys)
-    listed = keys[order]
-    if np.any(listed[1:] == listed[:-1]):
+    n, m = rows.shape
+    points, distinct = _separating_points(rows)
+    if not distinct:
         raise AxiomViolation("distinct-elements")
-    cayley = np.empty((n, n), dtype=np.int64)
+    keys = _keyed(rows, points)
 
     def unlisted(a, b):
-        products = _row_keys(rows[a][:, rows[b]])
-        found = np.minimum(np.searchsorted(listed, products), n - 1)
-        cayley[a, b] = order[found]
-        return listed[found] != products
+        return _listed(rows, keys, rows[a][:, rows[b]]) < 0
 
-    witness = _first_violation((n, n), unlisted, 8 * rows.shape[1])
-    if witness is not None:
-        raise AxiomViolation("closure", witness)
-    inverse = np.argmax(cayley == 0, axis=1)
-    for table in (cayley, inverse, rows):
-        table.setflags(write=False)
-    group = FiniteGroup(n, cayley, 0, inverse, labels)
+    def column(s):
+        index = _listed(rows, keys, rows[:, rows[s]])
+        if (index < 0).any():
+            raise AxiomViolation("closure", _first_violation((n, n), unlisted, 8 * m))
+        return index
+
+    gens, columns = _greedy(n, column)
+    return _group(rows, gens, columns, keys, labels)
+
+
+def _group(rows, generators, columns, keys: _Keys, labels=None):
+    """The group and its action on the points, its tables made read-only."""
+    for table in (rows, columns, *keys):
+        if table is not None:
+            table.setflags(write=False)
+    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, keys, labels)
     return group, GroupAction(group, rows.shape[1], rows)
 
 
@@ -191,11 +354,18 @@ def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) ->
 
 def _action_violation(group: FiniteGroup, act: np.ndarray):
     """First (g1, g2, x) in row-major order with (g1*g2) . x != g1 . (g2 . x)
-    for an (n, m) table act of functions, or None."""
+    for an (n, m) table act of functions, or None.
+
+    act[e] the identity and act[g*s] = act[g] o act[s] for every g and every
+    generator s give every pair, by induction on word length, so only a
+    failure of that check runs the scan."""
+    gens = list(group.generators)
+    if (np.array_equal(act[group.identity], np.arange(act.shape[1]))
+            and np.array_equal(act[group.columns], act[:, act[gens]])):
+        return None
     # x along the last axis of each block
-    return _first_violation(
-        (group.order, group.order),
-        lambda g1, g2: act[group.cayley[g1, g2]] != act[g1][:, act[g2]], 8 * act.shape[1])
+    return _pair_scan(group, lambda a, b, ab: act[ab] != act[a[:, 0]][:, act[b[0]]],
+                      8 * act.shape[1])
 
 
 def _permutation_rows(rows, count: int, identity: int) -> np.ndarray:
@@ -262,7 +432,9 @@ def subgroup(group: FiniteGroup, members) -> Subgroup:
     inside = np.zeros(group.order, dtype=bool)
     inside[mset] = True
     # per member: its inverse, then its products with every member
-    table = np.column_stack([group.inverse[mset], group.cayley[np.ix_(mset, mset)]])
+    ms = np.array(mset)
+    table = np.concatenate([group._inverses(ms)[:, None], group._products(ms[:, None], ms[None])],
+                           axis=1)
     witness = _first_violation(table.shape, lambda a, b: ~inside[table[a, b]], 8)
     if witness is not None:
         a, b = witness
@@ -276,12 +448,13 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
     """Left cosets aH; the representative is the smallest element index."""
     if sub.parent is not group:
         raise NotASubgroup("subgroup belongs to a different group")
+    products = group._products(np.arange(group.order)[:, None], np.array(sub.members)[None])
     seen = [False] * group.order
     cosets, reps = [], []
     for a in range(group.order):
         if seen[a]:
             continue
-        block = tuple(np.sort(group.cayley[a, list(sub.members)]).tolist())
+        block = tuple(sorted(products[a].tolist()))
         for x in block:
             seen[x] = True
         cosets.append(block)
@@ -312,8 +485,10 @@ def generate_permutation_group(
     Elements are indexed in breadth-first discovery order with the identity
     first, which fixes words, coset representatives and reports: each
     element in turn is composed with each generator in listed order, and a
-    product not seen before becomes the next element. Raises SizeLimit
-    before the element rows pass order_bound or PERMUTATION_BYTE_LIMIT.
+    product not seen before becomes the next element. The generators, in
+    listed order, are the group's generating set, and the products are its
+    columns. Raises SizeLimit before the element rows pass order_bound or
+    PERMUTATION_BYTE_LIMIT.
     """
     gens = [tuple(int(v) for v in p) for p in generators]
     if space_size is None:
@@ -325,23 +500,107 @@ def generate_permutation_group(
         if len(p) != space_size or sorted(p) != list(range(space_size)):
             raise ValueError(f"generator {p!r} is not a permutation of {space_size} points")
     gen_rows = np.array(gens, dtype=np.int64).reshape(len(gens), space_size)
-    elements = np.arange(space_size, dtype=np.int64)[None]
-    seen = _row_keys(elements)          # keys of the elements so far, sorted
-    done = 0
-    while done < len(elements):
-        parents = elements[done:done + _block_cells(gen_rows.nbytes)]
+    points, _ = _separating_points(np.vstack([np.arange(space_size), gen_rows]))
+    while True:
+        rows, columns, pending, keys = _breadth_first(gen_rows, points, order_bound)
+        # each product the closure identified by its key, against the element
+        # it was identified with; the first wrong one adds the first point at
+        # which the two differ to the base, and the closure runs again
+        composed = rows[:len(columns)]
+        wrong = _first_violation(
+            columns.shape,
+            lambda a, b: np.any(composed[a][:, gen_rows[b]] != rows[columns[a, b]], axis=-1),
+            8 * space_size)
+        if wrong is None:
+            break
+        g, s = wrong
+        points = np.append(points, np.argmax(rows[g][gen_rows[s]] != rows[columns[g, s]]))
+    if pending is not None:
+        _check_closure(pending, space_size, order_bound)
+    return _group(rows, columns[0], columns, keys)
+
+
+def _breadth_first(gen_rows: np.ndarray, points: np.ndarray, order_bound: int):
+    """(rows, columns, pending, keys): the breadth-first closure of the
+    generators when products are told apart by their images at `points`
+    alone, and the base keys of its rows.
+
+    Each element in turn is composed with each generator, a product whose key
+    is new becomes the next element, and columns[g, j] is the element that
+    g * S[j] was identified with. Where two elements share a key a product is
+    identified with the wrong one, which `generate_permutation_group` finds
+    in the columns. A step that would pass order_bound or
+    PERMUTATION_BYTE_LIMIT ends the closure before its rows are allocated;
+    `pending` is then the exact number of elements after that step, its
+    products compared whole (`_check_closure` raises on it), else None.
+    """
+    count, m = gen_rows.shape
+    weights = _weights(m, len(points))
+    at_points = gen_rows[:, points]             # images of the base under each generator
+    rows = np.arange(m, dtype=np.int64)[None]
+    keys = _pack(rows[:, points], weights)
+    elements, listed = np.zeros(1, dtype=np.int64), keys
+    columns, done = [np.zeros((0, count), dtype=np.int64)], 0
+    while done < len(rows):
+        parents = rows[done:done + _block_cells(gen_rows.nbytes)]
+        found = _pack(parents[:, at_points], weights).ravel()
+        at = np.minimum(listed.searchsorted(found), len(rows) - 1)
+        index = elements[at]
+        miss = (listed[at] != found).nonzero()[0]
+        if miss.size:
+            first = _first_occurrences(found[miss])
+            fresh = miss[first]
+            try:
+                _check_closure(len(rows) + len(fresh), m, order_bound)
+            except SizeLimit:
+                # the listed rows have distinct keys, so `_listed` is exact
+                products = parents[:, gen_rows].reshape(-1, m)
+                unlisted = _listed(rows, _Keys(points, weights, listed, elements), products) < 0
+                pending = len(rows) + len(np.unique(products[unlisted], axis=0))
+                return rows, np.concatenate(columns), pending, None
+            index[miss] = len(rows) + _ranks(found[miss], first)
+            rows = np.concatenate([rows, parents[(fresh // count)[:, None], gen_rows[fresh % count]]])
+            keys = np.concatenate([keys, found[fresh]])
+            elements = keys.argsort()
+            listed = keys[elements]
+        columns.append(index.reshape(len(parents), count))
         done += len(parents)
-        products = parents[:, gen_rows].reshape(-1, space_size)
-        keys = _row_keys(products)
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        found = np.minimum(np.searchsorted(seen, keys[first]), len(seen) - 1)
-        new = first[seen[found] != keys[first]]
-        if len(elements) + len(new) > order_bound:
-            raise SizeLimit(f"closure exceeds order bound {order_bound}")
-        _check_rows(len(elements) + len(new), space_size)
-        elements = np.concatenate([elements, products[new]])
-        seen = np.sort(np.concatenate([seen, keys[new]]))
-    return permutation_group(elements)
+    return rows, np.concatenate(columns), None, _Keys(points, weights, listed, elements)
+
+
+def _check_closure(count: int, size: int, order_bound: int) -> None:
+    if count > order_bound:
+        raise SizeLimit(f"closure exceeds order bound {order_bound}")
+    _check_rows(count, size)
+
+
+def _bfs_levels(columns: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first search of a Cayley graph from the identity, one level at
+    a time: per level (elements, parents, slots) with element = parent * S[slot],
+    in the order a queue would discover them: the level's products parent by
+    parent in the order of the level, generators in listed order."""
+    n, count = columns.shape
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier, levels = np.zeros(1, dtype=np.int64), []
+    while count:
+        products = columns[frontier].ravel()
+        fresh = (~seen[products]).nonzero()[0]
+        fresh = fresh[_first_occurrences(products[fresh])]
+        if not fresh.size:
+            break
+        levels.append((products[fresh], frontier[fresh // count], fresh % count))
+        frontier = products[fresh]
+        seen[frontier] = True
+    return levels
+
+
+def _columns_of(group: FiniteGroup, gens) -> np.ndarray:
+    """(n, len(gens)) table of g * s for every element g and every s in gens."""
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1)
+    if np.array_equal(gens, group.generators):
+        return group.columns
+    return group._products(np.arange(group.order)[:, None], gens[None])
 
 
 def bfs_words(
@@ -351,51 +610,64 @@ def bfs_words(
 
     Words multiply left to right: element = gens[w0] * gens[w1] * ...
     Breadth-first order with generators tried in listed order makes the
-    choice deterministic (shortest word, then lexicographic).
+    choice deterministic (shortest word, then lexicographic). The search
+    expands one level at a time over the columns of the generators.
     """
-    n = group.order
-    words: list[tuple[int, ...] | None] = [None] * n
+    words: list[tuple[int, ...] | None] = [None] * group.order
     words[group.identity] = ()
-    queue = deque([group.identity])
-    while queue:
-        v = queue.popleft()
-        for slot, g in enumerate(generator_indices):
-            w = group.mult(v, g)
-            if words[w] is None:
-                words[w] = words[v] + (slot,)
-                queue.append(w)
+    for elements, parents, slots in _bfs_levels(_columns_of(group, generator_indices)):
+        for e, p, s in zip(elements.tolist(), parents.tolist(), slots.tolist()):
+            words[e] = words[p] + (s,)
     missing = [i for i, w in enumerate(words) if w is None]
     if missing:
         raise ValueError(f"generators do not generate the group; missing {missing[:4]}")
     return words  # type: ignore[return-value]
 
 
-def _greedy_generators(group: FiniteGroup) -> list[int]:
-    """A generating set read off the table: in turn, the first element
-    outside the subgroup generated so far. Each one at least doubles that
-    subgroup (Lagrange), so there are at most log2 |G| of them."""
-    inside = np.zeros(group.order, dtype=bool)
-    inside[group.identity] = True
+def _greedy(n: int, column):
+    """(gens, columns): a generating set read off a list of n elements,
+    identity first, and the columns of its Cayley graph. In turn, the first
+    element s outside the subgroup generated so far joins, and column(s)
+    gives g * s for every listed g. Each one at least doubles that subgroup
+    (Lagrange), so there are at most log2 n of them."""
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
     gens: list[int] = []
+    columns = np.zeros((n, 0), dtype=np.int64)
     while not inside.all():
-        gens.append(int(np.argmin(inside)))
+        gens.append(int(inside.argmin()))
+        columns = np.concatenate([columns, column(gens[-1])[:, None]], axis=1)
         # close under right multiplication by the generators
-        frontier = np.flatnonzero(inside)
+        frontier = inside.nonzero()[0]
         while frontier.size:
-            new = np.zeros_like(inside)
-            new[group.cayley[np.ix_(frontier, gens)]] = True
+            new = np.zeros(n, dtype=bool)
+            new[columns[frontier]] = True
             new &= ~inside
             inside |= new
-            frontier = np.flatnonzero(new)
-    return gens
+            frontier = new.nonzero()[0]
+    return gens, columns
+
+
+def _greedy_generators(group: FiniteGroup) -> list[int]:
+    """A generating set read off the elements: in turn, the first element
+    outside the subgroup generated so far (`_greedy`)."""
+    everything = np.arange(group.order)
+    return _greedy(group.order, lambda s: group._products(everything, s))[0]
 
 
 def homomorphism_witness(mapping, group_a: FiniteGroup, group_b: FiniteGroup):
     """None if the map is a homomorphism, else the first failing pair
-    (a1, a2) in row-major order: mapping(a1*a2) != mapping(a1)*mapping(a2)."""
+    (a1, a2) in row-major order: mapping(a1*a2) != mapping(a1)*mapping(a2).
+
+    A map with mapping(e) = e that respects g*s for every g and every
+    generator s respects every product, by induction on word length, so only
+    a failure of that check runs the scan."""
     m = np.array([int(v) for v in mapping], dtype=np.int64)
     if len(m) != group_a.order:
         raise ValueError("mapping must be total on the source group")
-    return _first_violation(
-        group_a.cayley.shape,
-        lambda a1, a2: m[group_a.cayley[a1, a2]] != group_b.cayley[np.ix_(m[a1], m[a2])], 8)
+    gens = list(group_a.generators)
+    if m[group_a.identity] == group_b.identity and np.array_equal(
+            m[group_a.columns], group_b._products(m[:, None], m[gens][None])):
+        return None
+    return _pair_scan(group_a, lambda a, b, ab: m[ab] != group_b._products(m[a], m[b]),
+                      8 * (len(group_a.keys.points) + len(group_b.keys.points) + 2))

@@ -175,19 +175,19 @@ def build_joint_group(
     gens = [*firsts[moved], *seconds[moved], *swaps]
     slots = [("first", g) for g in moved] + [("second", g) for g in moved] + [("swap",)] * len(swaps)
     n_group, n_action = generate_permutation_group(gens, space_size=m * m, order_bound=order_bound)
-    perm_index = {n_action.permutation(n): n for n in range(n_group.order)}
-
-    def elements(rows):
-        return tuple(perm_index[tuple(int(v) for v in row)] for row in rows)
-
-    swap_element = elements(swaps)[0] if swaps else n_group.identity
+    # the closure lists each generator as an element; the copies of the
+    # identity of G are the identity of N
+    gen_elements = n_group.generators
+    k = len(moved)
+    swap_element = gen_elements[-1] if swaps else n_group.identity
     if m > 1:
         if not is_transitive(n_action):
             raise NotTransitive("joined group is not transitive on the product")
         if n_group.is_abelian():
             raise NotTransitive("joined group is unexpectedly abelian")
-    return JointGroup(n_group, n_action, m, tuple(slots), elements(gens),
-                      elements(firsts), elements(seconds), swap_element)
+    return JointGroup(n_group, n_action, m, tuple(slots), gen_elements,
+                      (n_group.identity, *gen_elements[:k]),
+                      (n_group.identity, *gen_elements[k:2 * k]), swap_element)
 
 
 def build_swap_matrix(base_rep: UnitaryRepresentation) -> np.ndarray:

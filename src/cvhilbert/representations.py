@@ -7,14 +7,16 @@ matrices of functions, as `permutation_representation` and
 off the stack, and is checked on that table with no matrix product: the 0/1
 matrices of functions multiply as the functions compose, P_f P_h = P_{f o h},
 exactly in floating point, so comparing act[g*s] with act[g] o act[s] is the
-float check made exact. Any other stack must be finite, and its table is
-checked on a generating set S read off the Cayley table, |G|*|S| products
-instead of |G|^2, and a certificate (`_certified`) bounds the residual of
+float check made exact. Both checks run on a generating set S read greedily
+off the group's elements (`groups._greedy_generators`), whose products g*s
+are found by base key: |G|*|S| products instead of |G|^2. Any other stack
+must be finite, and a certificate (`_certified`) bounds the residual of
 every other pair by the generator residual, the BFS depth over S, the
 unitarity residual and the rounding of the scan. When that bound does not
-prove the table, the full row-major scan runs as the fallback and names the
-first failing pair, so a verdict or a witness never depends on the
-certificate or on the table. A stack of more than
+prove the table, the row-major scan runs as the fallback, composing one
+block of products at a time, and names the first failing pair, so a verdict
+or a witness never depends on the certificate. No check builds the group's
+full multiplication table. A stack of more than
 REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
 allocated.
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
-from .groups import (FiniteGroup, GroupAction, _action_violation, _block_cells,
-                     _first_violation, _greedy_generators, bfs_words)
+from .groups import (FiniteGroup, GroupAction, _action_violation, _bfs_levels, _block_cells,
+                     _columns_of, _first_violation, _greedy_generators)
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -77,11 +79,11 @@ class UnitaryRepresentation:
         identity_residual = _maxabs(mats[self.group.identity] - eye)
         if identity_residual > self.tolerance:
             raise ValueError("identity element is not represented by the identity")
-        cay, d = self.group.cayley, self.dim
+        group, d = self.group, self.dim
         # The blocks reuse three buffers: a fresh temporary of a block's size
         # faults in new pages on every step, which costs more than the products.
-        # The table's entries are element indices, so `take` need not check
-        # them ("clip"), which spares it a buffered copy.
+        # Products are element indices, so `take` need not check them
+        # ("clip"), which spares it a buffered copy.
         cell_bytes = mats.itemsize * d * d
         cells = _block_cells(cell_bytes)
         product, target = np.empty((2, cells * d * d), dtype=mats.dtype)
@@ -89,22 +91,25 @@ class UnitaryRepresentation:
 
         # the certificate's rounding bound holds for floating-point stacks only
         if np.issubdtype(mats.dtype, np.inexact):
-            gens = _greedy_generators(self.group)
-            depth = max(len(w) for w in bfs_words(self.group, gens))
-            r, u = _generator_residuals(mats, cay, gens, cells, (product, target, residual))
+            gens = _greedy_generators(group)
+            columns = _columns_of(group, gens)
+            depth = len(_bfs_levels(columns))
+            r, u = _generator_residuals(mats, gens, columns, cells, (product, target, residual))
             if _certified(r, u, identity_residual, depth, d, self.tolerance,
                           float(np.finfo(mats.dtype).eps)):
                 return
 
+        everything = np.arange(group.order)
+
         def broken(a, b):
-            index = cay[a, b]
+            index = group._products(everything[a][:, None], everything[b][None])
             shape, size = (*index.shape, d, d), index.size * d * d
             p = np.matmul(mats[a][:, None], mats[b][None], out=product[:size].reshape(shape))
             t = np.take(mats, index, axis=0, out=target[:size].reshape(shape), mode="clip")
             r = np.abs(np.subtract(t, p, out=p), out=residual[:size].reshape(shape))
             return r.max(axis=(2, 3), initial=0.0) > self.tolerance
 
-        pair = _first_violation(cay.shape, broken, cell_bytes)
+        pair = _first_violation((group.order, group.order), broken, cell_bytes)
         if pair is not None:
             raise NotHomomorphism(*pair)
         for g, u in enumerate(mats):
@@ -120,15 +125,18 @@ class UnitaryRepresentation:
         check gives the verdict and the witness of the float path at any
         tolerance, and exactness needs no certificate.
         """
-        cay, n, d = self.group.cayley, self.group.order, self.dim
+        group, n, d = self.group, self.group.order, self.dim
         mismatch_fails = 1.0 > self.tolerance       # the residual of a wrong 0/1 matrix
-        if mismatch_fails and not np.array_equal(act[self.group.identity], np.arange(d)):
+        if mismatch_fails and not np.array_equal(act[group.identity], np.arange(d)):
             raise ValueError("identity element is not represented by the identity")
         # act[g*s] = act[g] o act[s] for generators s and U(e) = I give the
         # whole table by induction on words, as in `_certified` with no residual
-        if mismatch_fails and any(not np.array_equal(act[cay[:, s]], act[:, act[s]])
-                                  for s in _greedy_generators(self.group)):
-            raise NotHomomorphism(*_action_violation(self.group, act)[:2])
+        if mismatch_fails:
+            gens = _greedy_generators(group)
+            columns = _columns_of(group, gens)
+            if any(not np.array_equal(act[columns[:, j]], act[:, act[s]])
+                   for j, s in enumerate(gens)):
+                raise NotHomomorphism(*_action_violation(group, act)[:2])
         # U(g)U(g)^dagger is diagonal, holding the preimage counts of act[g]
         counts = np.bincount((act + d * np.arange(n)[:, None]).ravel(), minlength=n * d)
         broken = np.abs(counts.reshape(n, d) - 1).max(axis=1, initial=0) > self.tolerance
@@ -175,9 +183,10 @@ def _table_of(mats: np.ndarray) -> np.ndarray | None:
     return act if np.all(mats[np.arange(n)[:, None], act, np.arange(d)] == 1) else None
 
 
-def _generator_residuals(mats, cayley, gens, step, buffers):
+def _generator_residuals(mats, gens, columns, step, buffers):
     """(r, u): the largest entry of U(g*s) - U(g)U(s) over every g and every
-    s in gens, and of U(g)U(g)^dagger - I over every g.
+    s in gens, and of U(g)U(g)^dagger - I over every g; columns[g, j] is
+    g * gens[j].
 
     One pass over blocks of `step` rows, whose products, targets and
     residuals fill the three buffers. NaN propagates into the result.
@@ -187,9 +196,9 @@ def _generator_residuals(mats, cayley, gens, step, buffers):
     for a in range(0, len(mats), step):
         block = mats[a:a + step]
         p, t, res = (buf[:block.size].reshape(block.shape) for buf in buffers)
-        for s in gens:
+        for j, s in enumerate(gens):
             np.matmul(block, mats[s], out=p)
-            np.take(mats, cayley[a:a + step, s], axis=0, out=t, mode="clip")
+            np.take(mats, columns[a:a + step, j], axis=0, out=t, mode="clip")
             r = np.maximum(r, np.abs(np.subtract(t, p, out=p), out=res).max(initial=0.0))
         np.matmul(block, np.conj(block, out=t).transpose(0, 2, 1), out=p)
         u = np.maximum(u, np.abs(np.subtract(p, eye, out=p), out=res).max(initial=0.0))
@@ -292,8 +301,11 @@ def regular_representation(
 ) -> UnitaryRepresentation:
     """Left translation on coordinate functions over the group itself.
 
-    The group's own table is the action, verified where the group was built.
+    The group's multiplication table is the action: `FiniteGroup.cayley`,
+    computed from the Cayley-graph columns verified where the group was
+    built. The stack's size is checked before that table is computed.
     """
+    _check_stack(group.order, group.order)
     return permutation_representation(GroupAction(group, group.order, group.cayley), tolerance)
 
 

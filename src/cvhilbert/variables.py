@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomViolation, NotAccessible, NotPermissible
-from .groups import GroupAction, homomorphism_witness, permutation_group
+from .groups import (GroupAction, _first_occurrences, _ranks, _row_keys,
+                     homomorphism_witness, permutation_group)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,24 +114,36 @@ def induced_partition(variable: ConceptualVariable) -> Partition:
     return Partition(tuple(tuple(b) for b in ordered))
 
 
+def _first_points(variable: ConceptualVariable) -> np.ndarray:
+    """The smallest point with each value, in value order; each value index
+    is attained."""
+    values = np.asarray(variable.values, dtype=np.int64)
+    order = values.argsort(kind="stable")
+    return order[values[order].searchsorted(np.arange(variable.value_count))]
+
+
 def is_permissible(variable: ConceptualVariable, action: GroupAction):
     """Decide whether level sets map into level sets under every element.
 
     Returns (True, None) or (False, (k, p1, p2)) with the first witnessing
-    triple in scan order: variable(p1) == variable(p2) but the images differ.
+    triple in scan order (k, then the level sets by smallest point, then the
+    points of each): variable(p1) == variable(p2) but the images differ, and
+    p1 is the smallest point of its level set. A generator that maps level
+    sets into level sets permutes them, and so does every product of
+    generators, so only a failure on the generators runs the scan.
     """
     if action.space_size != variable.domain_size:
         raise ValueError("action and variable live on different spaces")
-    part = induced_partition(variable)
-    vals = variable.values
-    for k in range(action.group.order):
-        row = action.act[k]
-        for block in part.blocks:
-            first = vals[row[block[0]]]
-            for p in block[1:]:
-                if vals[row[p]] != first:
-                    return False, (k, block[0], int(p))
-    return True, None
+    vals = np.asarray(variable.values, dtype=np.int64)
+    lead = _first_points(variable)[vals]    # the smallest point of each point's level set
+    gens = action.act[list(action.group.generators)]
+    if np.array_equal(vals[gens], vals[gens[:, lead]]):
+        return True, None
+    broken = vals[action.act] != vals[action.act[:, lead]]
+    k = int(np.argmax(broken.any(axis=1)))
+    points = np.flatnonzero(broken[k])
+    p = int(points[np.lexsort((points, lead[points]))[0]])
+    return False, (k, int(lead[p]), p)
 
 
 def induced_group(variable: ConceptualVariable, action: GroupAction):
@@ -138,29 +151,30 @@ def induced_group(variable: ConceptualVariable, action: GroupAction):
 
     Returns (G, G_action on the value set, hom) where hom[k] is the index in
     G of the map induced by k. The identity map gets index 0; the remaining
-    maps are ordered by first appearance over k.
+    maps are ordered by first appearance over k. A variable that is not
+    permissible raises NotPermissible with the witness of `is_permissible`,
+    so a caller needs no check of its own.
     """
     ok, witness = is_permissible(variable, action)
     if not ok:
         raise NotPermissible(witness)
     vals = np.asarray(variable.values, dtype=np.int64)
-    _, pick = np.unique(vals, return_index=True)   # one point per value
+    pick = _first_points(variable)      # one point per value
     # the identity map, then the map induced by each k; distinct maps are
     # numbered in order of first appearance
     maps = np.vstack([np.arange(variable.value_count), vals[action.act[:, pick]]])
-    distinct, first, index = np.unique(maps, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    keys = _row_keys(maps)
+    first = _first_occurrences(keys)
     try:
-        group, g_action = permutation_group(distinct[order])
+        group, g_action = permutation_group(maps[first])
     except AxiomViolation as exc:
         if exc.axiom != "closure":
             raise
         raise NotPermissible(("induced maps not closed", *exc.witness)) from exc
-    hom = tuple(int(h) for h in rank[index.ravel()[1:]])
-    if homomorphism_witness(hom, action.group, group) is not None:
-        raise NotPermissible(("induced map is not a homomorphism",))
+    hom = tuple(_ranks(keys, first)[1:].tolist())
+    witness = homomorphism_witness(hom, action.group, group)
+    if witness is not None:
+        raise NotPermissible(("induced map is not a homomorphism", *witness))
     return group, g_action, hom
 
 
@@ -197,7 +211,7 @@ def is_maximally_accessible(context: Context, variable: ConceptualVariable) -> b
     partition coincides with some family member's partition.
     """
     if not is_accessible(context, variable):
-        raise NotAccessible(variable.name)
+        raise NotAccessible(f"variable {variable.name} is not accessible")
     part = induced_partition(variable)
     return any(induced_partition(member) == part
                for member in context.maximal_accessible_family)

@@ -15,6 +15,7 @@ TWO_BIT = str(FIXTURES / "two_bit.json")
 CORRUPTED = str(FIXTURES / "two_bit_corrupted.json")
 XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
 S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.json")
+CYCLIC8 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json")
 
 
 class TestParsing:
@@ -115,6 +116,24 @@ class TestRunVerify:
         assert "full-rotation-witness" in cids
         assert not report.failed
 
+
+    def test_inaccessible_pair_variable_is_a_failed_check(self, tmp_path, capsys):
+        # par = bit1 xor bit2 is permissible but no coarsening of a family
+        # member; the pair it joins fails relatedness and the report survives
+        raw = cli.two_bit_document()
+        raw["variables"].append({"name": "par", "values": [0, 1, 1, 0],
+                                 "numeric_values": [0.0, 1.0]})
+        raw["pairs"].append({"theta": "par", "xi": "bit2", "k": [0, 1, 2, 3]})
+        path = tmp_path / "par.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["verify", str(path), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        check = _check(captured.out, "relatedness[1]")
+        assert check["status"] == "fail"
+        assert check["detail"] == "variable par is not accessible"
+        assert _check(captured.out, "permissibility[par]")["status"] == "pass"
+        assert _check(captured.out, "resolution-of-identity[0]")["status"] == "pass"
 
     def test_state_injectivity_reads_library_check(self, monkeypatch):
         monkeypatch.setattr(coherent, "one_to_one_check", lambda system: (False, (0, 3)))
@@ -420,6 +439,7 @@ class TestWorkCounts:
             for module in modules:
                 monkeypatch.setattr(module, name, wrapper)
 
+        count("generate_permutation_group", groups, cli, pairing)
         count("permutation_group", groups, variables)
         count("build_action", groups)
         count("_action_violation", groups, representations)
@@ -434,14 +454,59 @@ class TestWorkCounts:
         monkeypatch.setattr(representations, "regular_representation", regular_spy)
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         assert not report.failed
-        # K, the groups induced by bit1 and bit2, and N, each built once from
-        # its permutations, whose closure scan is its one table check; no
-        # action is verified again, and the regular representation of G
-        # verifies no action of its own
-        assert calls["permutation_group"] == 4
+        # K and N, each closed once from its generators, and the groups
+        # induced by bit1 and bit2, each built once from its list, whose
+        # generator columns are its one table check; no action is verified
+        # again, and the regular representation of G verifies no action of
+        # its own
+        assert calls["generate_permutation_group"] == 2
+        assert calls["permutation_group"] == 2
         assert calls["build_action"] == calls["_action_violation"] == 0
         assert "regular_representation checks" in calls
         assert calls["regular_representation checks"] == 0
+
+    def test_one_permissibility_check_per_variable(self, monkeypatch, capsys):
+        calls = []
+        original = variables.is_permissible
+
+        def spy(var, action):
+            calls.append(var.name)
+            return original(var, action)
+
+        monkeypatch.setattr(variables, "is_permissible", spy)
+        cli.run_verify(cli.parse_context(CORRUPTED), "corrupted")
+        assert calls == ["bit1", "bit2"]
+        calls.clear()
+        assert cli.main(["operator", TWO_BIT, "--variable", "bit2"]) == 0
+        assert calls == ["bit2"]
+        calls.clear()
+        assert cli.main(["operator", CORRUPTED, "--variable", "bit1"]) == 2
+        assert calls == ["bit1"]
+        assert "bit1 is not permissible: witness (1, 0, 1)" in capsys.readouterr().err
+
+    def test_no_full_table_for_k_or_n(self, monkeypatch):
+        # verify on cyclic m=8: K (order 64) and N (order 128) are checked on
+        # their generator columns; only the regular representation of the
+        # induced group G reads a full multiplication table
+        built = {}
+
+        def spy(name, module, original):
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                built.setdefault(name, []).append(result[0])
+                return result
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy("generate_permutation_group", cli, cli.generate_permutation_group)
+        spy("generate_permutation_group", pairing, pairing.generate_permutation_group)
+        spy("induced_group", variables, variables.induced_group)
+        report = cli.run_verify(cli.parse_context(CYCLIC8), "cyclic m=8")
+        assert report.failed       # the pinned irreducibility and coset failures
+        k_group, n_group = built["generate_permutation_group"]
+        assert (k_group.order, n_group.order) == (64, 128)
+        assert "cayley" not in vars(k_group) and "cayley" not in vars(n_group)
+        assert [g.order for g in built["induced_group"]] == [8, 8]
+        assert "cayley" in vars(built["induced_group"][0])
 
     def test_operator_checks_generators_not_the_table(self, constructor_work, capsys):
         # operator on S5 builds the regular representation, d = |G| = 120, and

@@ -296,7 +296,38 @@ def reference_closure(gens, size):
     return [list(p) for p in elements], table
 
 
-def reference_table(kind, n):
+def reference_scan(rows):
+    """The |G|^2 closure scan of `permutation_group` before groups kept their
+    generator columns: every pair of rows is composed, and each product is
+    looked up among the sorted rows by a whole-row key. Returns (table, None)
+    with the Cayley table, or (None, (a, b)) with the first pair in row-major
+    order whose product is not listed."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    n, m = rows.shape
+
+    def keys(table):
+        return np.ascontiguousarray(table).view(np.dtype((np.void, 8 * m)))[:, 0]
+
+    order = np.argsort(keys(rows))
+    listed = keys(rows)[order]
+    table = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        products = keys(rows[a][rows])          # rows[a] o rows[b] for every b
+        found = np.minimum(np.searchsorted(listed, products), n - 1)
+        unlisted = listed[found] != products
+        if unlisted.any():
+            return None, (a, int(np.argmax(unlisted)))
+        table[a] = order[found]
+    return table, None
+
+
+def reference_table(rows):
+    table, witness = reference_scan(rows)
+    assert witness is None
+    return table
+
+
+def formula_table(kind, n):
     """The catalogue tables by formula: r_i r_j = r_{i+j}, D_n as rotation^i
     flip^s with the flip conjugating a rotation to its inverse, and S_n as
     composition of the permutations in lexicographic order."""
@@ -319,7 +350,7 @@ def reference_table(kind, n):
 def test_catalogue_tables_match_formula(kind, n):
     # every order is built from permutations, the 300- and 150-gons included
     g = groups.standard_group(kind, n)
-    assert g.cayley.tolist() == reference_table(kind, n)
+    assert g.cayley.tolist() == formula_table(kind, n)
     assert g.identity == 0
 
 
@@ -417,7 +448,7 @@ class TestScanWitnesses:
             rows[k, [x, y]] = rows[k, [y, x]]
         with mock.patch.object(groups, "STEP_BYTES", step):
             exc = _raised(groups.build_action, g, rows)
-        expected = reference_compatibility(g.cayley.tolist(), rows.tolist())
+        expected = reference_compatibility(reference_table(g.rows).tolist(), rows.tolist())
         assert (exc and (exc.axiom, exc.witness)) == (expected and ("compatibility", expected))
 
     @given(st.sampled_from(SMALL), STEPS, st.data())
@@ -427,7 +458,8 @@ class TestScanWitnesses:
         mapping[data.draw(st.integers(0, g.order - 1))] = data.draw(st.integers(0, g.order - 1))
         with mock.patch.object(groups, "STEP_BYTES", step):
             witness = groups.homomorphism_witness(mapping, g, g)
-        assert witness == reference_homomorphism(mapping, g.cayley.tolist(), g.cayley.tolist())
+        table = reference_table(g.rows).tolist()
+        assert witness == reference_homomorphism(mapping, table, table)
 
     @given(st.sampled_from(SMALL), STEPS, st.data())
     def test_closure(self, group, step, data):
@@ -439,6 +471,7 @@ class TestScanWitnesses:
             exc = _raised(groups.permutation_group, rows)
         expected = reference_closure_failure(rows)
         assert (exc and (exc.axiom, exc.witness)) == (expected and ("closure", expected))
+        assert reference_scan(rows)[1] == expected
 
     @given(st.sampled_from(SMALL), STEPS, st.data())
     def test_subgroup_messages(self, group, step, data):
@@ -455,29 +488,30 @@ class TestScanWitnesses:
         assert (exc and str(exc)) == expected
 
 
-def reference_bfs_words(group, gens):
-    """The list-queue loop `bfs_words` had before its queue became a deque."""
-    words = [None] * group.order
-    words[group.identity] = ()
-    queue = [group.identity]
+def reference_bfs_words(table, gens):
+    """The queue loop `bfs_words` had before it expanded whole levels over
+    generator columns, on a multiplication table."""
+    words = [None] * len(table)
+    words[0] = ()
+    queue = [0]
     while queue:
         v = queue.pop(0)
         for slot, g in enumerate(gens):
-            w = group.mult(v, g)
+            w = table[v][g]
             if words[w] is None:
                 words[w] = words[v] + (slot,)
                 queue.append(w)
     return words
 
 
-def reference_greedy_generators(group):
+def reference_greedy_generators(table):
     """In turn, the smallest element outside the subgroup generated so far."""
-    gens, inside = [], {group.identity}
-    while len(inside) < group.order:
-        gens.append(min(set(range(group.order)) - inside))
+    gens, inside = [], {0}
+    while len(inside) < len(table):
+        gens.append(min(set(range(len(table))) - inside))
         frontier = inside
         while frontier:
-            frontier = {group.mult(v, s) for v in frontier for s in gens} - inside
+            frontier = {table[v][s] for v in frontier for s in gens} - inside
             inside = inside | frontier
     return gens
 
@@ -501,22 +535,117 @@ class TestWords:
     @pytest.mark.parametrize("kind,n", CATALOGUE)
     def test_catalogue_generators_and_words(self, kind, n):
         g = groups.standard_group(kind, n)
+        table = reference_table(g.rows).tolist()
         gens = groups._greedy_generators(g)
-        assert gens == reference_greedy_generators(g)
+        assert gens == reference_greedy_generators(table)
         assert len(gens) <= math.log2(g.order)
         for generators in (gens, list(range(g.order))):
-            assert groups.bfs_words(g, generators) == reference_bfs_words(g, generators)
+            assert groups.bfs_words(g, generators) == reference_bfs_words(table, generators)
 
     def test_joined_group_m8(self):
         joint = joined_group_m8()
         n, gens = joint.group, list(joint.gen_elements)
         assert n.order == 128
-        assert groups.bfs_words(n, gens) == reference_bfs_words(n, gens)
+        table = reference_table(n.rows).tolist()
+        assert groups.bfs_words(n, gens) == reference_bfs_words(table, gens)
         greedy = groups._greedy_generators(n)
-        assert greedy == reference_greedy_generators(n)
-        assert groups.bfs_words(n, greedy) == reference_bfs_words(n, greedy)
+        assert greedy == reference_greedy_generators(table)
+        assert groups.bfs_words(n, greedy) == reference_bfs_words(table, greedy)
 
     def test_trivial_group(self):
         g = groups.standard_group("cyclic", 1)
         assert groups._greedy_generators(g) == []
         assert groups.bfs_words(g, []) == [()]
+
+
+# Random generator sets: up to three permutations of at most six points.
+GENERATOR_SETS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.permutations(range(size)), max_size=3)))
+
+
+def assert_matches_reference(g):
+    """Everything a group computes from its generator columns and base keys
+    against the |G|^2 reference table of its rows."""
+    table = reference_table(g.rows)
+    n = g.order
+    assert g.cayley.tolist() == table.tolist()
+    everything = np.arange(n)
+    assert g._products(everything[:, None], everything[None]).tolist() == table.tolist()
+    assert g.inverse.tolist() == np.argmax(table == 0, axis=1).tolist()
+    assert g.columns.tolist() == table[:, list(g.generators)].tolist()
+    assert g.is_abelian() == np.array_equal(table, table.T)
+    greedy = groups._greedy_generators(g)
+    assert greedy == reference_greedy_generators(table.tolist())
+    for gens in (list(g.generators), greedy):
+        assert groups.bfs_words(g, gens) == reference_bfs_words(table.tolist(), gens)
+
+
+class TestGeneratorColumns:
+    """Groups built from generators against the table of every pair."""
+
+    @pytest.mark.parametrize("kind,n", CATALOGUE)
+    def test_catalogue(self, kind, n):
+        assert_matches_reference(groups.standard_group(kind, n))
+
+    @given(GENERATOR_SETS)
+    def test_generated(self, case):
+        size, gens = case
+        g, act = groups.generate_permutation_group(gens, space_size=size)
+        assert act.act is g.rows
+        assert list(g.generators) == [act.act.tolist().index(list(p)) for p in gens]
+        assert_matches_reference(g)
+
+    @given(GENERATOR_SETS, st.randoms())
+    def test_listed(self, case, rng):
+        # the elements of a generated group listed in another order
+        size, gens = case
+        rows = groups.generate_permutation_group(gens, space_size=size)[0].rows.tolist()
+        rest = rows[1:]
+        rng.shuffle(rest)
+        assert_matches_reference(groups.permutation_group([rows[0]] + rest)[0])
+
+    @given(GENERATOR_SETS)
+    def test_void_keys(self, case):
+        # base keys of more than one point overflow the int64 bound and fall
+        # back to void keys of the base images
+        size, gens = case
+        with mock.patch.object(groups, "_KEY_BOUND", 2):
+            g, _ = groups.generate_permutation_group(gens, space_size=size)
+            assert_matches_reference(g)
+
+    def test_joined_group_m8(self):
+        g = joined_group_m8().group
+        assert g.order == 128 and len(g.generators) == 15
+        assert_matches_reference(g)
+
+    def test_base_grows_where_the_closure_merged_elements(self):
+        # (0 1)(2 3 4): point 0 tells the generator from the identity, but
+        # its square fixes 0; the first closure identifies the square with
+        # the identity, the columns show it, and point 2 joins the base
+        seen = []
+        original = groups._breadth_first
+
+        def spy(gen_rows, points, order_bound):
+            seen.append(points.tolist())
+            return original(gen_rows, points, order_bound)
+
+        with mock.patch.object(groups, "_breadth_first", spy):
+            g, _ = groups.generate_permutation_group([[1, 0, 3, 4, 2]])
+            with pytest.raises(SizeLimit, match="order bound 5"):
+                groups.generate_permutation_group([[1, 0, 3, 4, 2]], order_bound=5)
+        assert seen == [[0], [0, 2], [0], [0, 2]]
+        assert g.order == 6 and g.keys.points.tolist() == [0, 2]
+        assert_matches_reference(g)
+
+    @pytest.mark.parametrize("source", [("symmetric", 5), ("dihedral", 150), "cyclic_m16.json"],
+                             ids=["S5", "D150", "K-cyclic-m16"])
+    def test_base_tells_elements_apart(self, source):
+        # every base point at least halves the elements that agree on the
+        # base so far, so a base has at most log2 |G| points
+        if isinstance(source, tuple):
+            g = groups.standard_group(*source)
+        else:
+            doc = cli.parse_context(str(Path(__file__).resolve().parent / "golden" / "docs" / source))
+            g, _ = groups.generate_permutation_group(doc.generators, space_size=doc.phi_size)
+        assert len(np.unique(g.rows[:, g.keys.points], axis=0)) == g.order
+        assert len(g.keys.points) <= math.log2(g.order)

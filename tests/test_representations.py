@@ -416,13 +416,11 @@ class TestCommutant:
 
 class TestStackBound:
     def test_regular_z512_refused_before_allocation(self):
-        # 512 matrices of 512x512 complex entries: 2 GiB; the table is taken
-        # by formula, unverified, since only the stack's size is at stake
-        n = 512
-        table = (np.arange(n)[:, None] + np.arange(n)) % n
-        group = groups.FiniteGroup(n, table, 0, (-np.arange(n)) % n)
+        # 512 matrices of 512x512 complex entries: 2 GiB; the rotations of
+        # the 512-gon are the regular action of Z_512
+        group = z(512)
         with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):
-            reps.permutation_representation(groups.GroupAction(group, n, table))
+            reps.permutation_representation(groups.GroupAction(group, 512, group.rows))
 
     def test_direct_sum_refused(self, monkeypatch):
         # two 1x1 matrices stack 32 bytes, their sum's 2x2 ones 128

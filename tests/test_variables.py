@@ -87,6 +87,41 @@ class TestPermissibility:
                     != var.values[action.apply(k, p2)])
 
 
+def reference_permissibility(variable, action):
+    """The loop `is_permissible` ran over every element before it checked the
+    generators first: the first (k, p1, p2) by element, then level set by
+    smallest point, then point."""
+    vals = variable.values
+    for k in range(action.group.order):
+        row = action.act[k]
+        for block in variables.induced_partition(variable).blocks:
+            for p in block[1:]:
+                if vals[row[p]] != vals[row[block[0]]]:
+                    return False, (k, block[0], p)
+    return True, None
+
+
+class TestPermissibilityWitness:
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda size: st.tuples(
+            st.lists(st.permutations(range(size)), max_size=3),
+            st.lists(st.integers(min_value=0, max_value=3), min_size=size, max_size=size))))
+    def test_matches_reference_loop(self, case):
+        # random K and a random value table: permissible or not, the verdict
+        # and the witness are those of the loop over every element
+        gens, table = case
+        _, action = groups.generate_permutation_group(gens, space_size=len(table))
+        var = variables.make_variable("v", table)
+        assert variables.is_permissible(var, action) == reference_permissibility(var, action)
+
+    def test_witness_in_level_set_order(self):
+        # under the shift by one, point 2 is the smallest point whose image
+        # leaves its level set, but the level set {0, 3} comes first
+        var = variables.make_variable("v", [0, 1, 1, 0])
+        assert variables.is_permissible(var, shift_action(4)) == (False, (1, 0, 3))
+        assert reference_permissibility(var, shift_action(4)) == (False, (1, 0, 3))
+
+
 class TestInducedGroup:
     def test_constant_gives_trivial_group(self):
         g, act, hom = variables.induced_group(CONST4, shift_action(4))
