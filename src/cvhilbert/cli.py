@@ -107,12 +107,16 @@ def _fmt(x) -> str:
 def _pair_rows(pairs, sep: str) -> list[str]:
     """Each row of `[re,im]` pairs as text, every number printed as `_fmt` prints it.
 
-    `pairs` has shape (rows, cols, 2). Adding 0.0 turns -0.0 into 0.0, and one
-    `%.11e` template formats a whole row.
+    `pairs` has shape (rows, cols, 2). Adding 0.0 turns -0.0 into 0.0. Each
+    distinct pair is formatted once, with the `%.11e` template, and the rows
+    are joined from those strings; every NaN counts as distinct.
     """
-    pairs = np.asarray(pairs, dtype=float) + 0.0
-    template = sep.join(["[%.11e,%.11e]"] * pairs.shape[1])
-    return [template % tuple(row.tolist()) for row in pairs.reshape(len(pairs), -1)]
+    pairs = np.ascontiguousarray(np.asarray(pairs, dtype=float) + 0.0)
+    keys = pairs.view(complex).reshape(-1)
+    distinct, inverse = np.unique(keys, return_inverse=True, equal_nan=False)
+    texts = np.array(["[%.11e,%.11e]" % (z.real, z.imag) for z in distinct.tolist()],
+                     dtype=object)
+    return [sep.join(row) for row in texts[inverse.reshape(pairs.shape[:2])].tolist()]
 
 
 def _matrix_payload(m: np.ndarray) -> list:

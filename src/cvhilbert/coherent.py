@@ -57,13 +57,20 @@ def isotropy_of_state(rep: UnitaryRepresentation, fiducial: np.ndarray):
 
 
 def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
-    """(orbit, isotropy, phases): the orbit U(g) fiducial of every element is
-    one batched product over the stack, row g for element g."""
+    """(orbit, isotropy, phases): the orbit U(g) fiducial of every element,
+    row g for element g. A permutation representation moves the entries of
+    the fiducial along its table, (U(g) psi)[act[g, x]] = psi[x]; any other
+    is one batched product over the stack."""
     tol = rep.tolerance
     fiducial = np.asarray(fiducial, dtype=complex)
     if abs(np.linalg.norm(fiducial) - 1.0) > tol:
         raise ValueError("fiducial must be a unit vector")
-    orbit = rep.matrices @ fiducial
+    act = rep._permutations
+    if act is None:
+        orbit = rep.matrices @ fiducial
+    else:
+        orbit = np.empty(act.shape, dtype=complex)
+        orbit[np.arange(len(act))[:, None], act] = fiducial
     members, phases = [], []
     for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
         mag = abs(overlap)

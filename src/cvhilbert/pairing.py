@@ -38,6 +38,9 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupAction,
+    _bfs_levels,
+    _block_cells,
+    _columns_of,
     bfs_words,
     generate_permutation_group,
     is_transitive,
@@ -221,34 +224,36 @@ def build_joint_representation(
 
     The swap J must square to the identity, or NotWellDefined names the swap
     element. Each element receives the matrix product along its breadth-first
-    shortest word. A generator's word is the generator alone, so a second-axis
-    copy gets exactly J U(g) J, the defining relation. The extension is
-    accepted only if the full multiplication table is respected, which
-    `UnitaryRepresentation` verifies on construction; otherwise NotWellDefined
-    carries an element with two words whose products disagree. A stack above
-    REPRESENTATION_BYTE_LIMIT raises SizeLimit before it is allocated.
+    shortest word: U(e) = I and U(n) = U(parent) U(s) down the breadth-first
+    tree, one batched product per level. A generator's word is the generator
+    alone, so a second-axis copy gets exactly J U(g) J, the defining
+    relation. The extension is accepted only if the full multiplication table
+    is respected, which `UnitaryRepresentation` verifies on construction;
+    otherwise NotWellDefined carries an element with two words whose products
+    disagree. A stack above REPRESENTATION_BYTE_LIMIT raises SizeLimit before
+    it is allocated.
     """
     d = base_rep.dim
     tol = base_rep.tolerance
     swap_matrix = np.asarray(swap_matrix, dtype=complex)
     if _maxabs(swap_matrix @ swap_matrix - np.eye(d)) > tol:
         raise NotWellDefined(joint.swap_element, ("swap", "swap"), ())
-    gen_mats = []
-    for slot in joint.gen_slots:
+    gen_mats = np.empty((len(joint.gen_slots), d, d), dtype=complex)
+    for i, slot in enumerate(joint.gen_slots):
         if slot[0] == "first":
-            gen_mats.append(base_rep.matrices[slot[1]])
+            gen_mats[i] = base_rep.matrices[slot[1]]
         elif slot[0] == "second":
-            gen_mats.append(swap_matrix @ base_rep.matrices[slot[1]] @ swap_matrix)
+            gen_mats[i] = swap_matrix @ base_rep.matrices[slot[1]] @ swap_matrix
         else:
-            gen_mats.append(swap_matrix)
-    words = bfs_words(joint.group, list(joint.gen_elements))
+            gen_mats[i] = swap_matrix
+    gen_elements = list(joint.gen_elements)
+    words = bfs_words(joint.group, gen_elements)
     _check_stack(joint.group.order, d)
     mats = np.empty((joint.group.order, d, d), dtype=complex)
-    for n, word in enumerate(words):
-        acc = np.eye(d, dtype=complex)
-        for slot_idx in word:
-            acc = acc @ gen_mats[slot_idx]
-        mats[n] = acc
+    mats[joint.group.identity] = np.eye(d)
+    # the word of an element is its parent's word and one more letter
+    for elements, parents, slots in _bfs_levels(_columns_of(joint.group, gen_elements)):
+        mats[elements] = mats[parents] @ gen_mats[slots]
     mats.setflags(write=False)
     try:
         joint_rep = UnitaryRepresentation(joint.group, d, mats, tol)
@@ -360,22 +365,26 @@ def _axis_values(system: JointSystem, table: np.ndarray, element):
 
 def _projective_classes(system: JointSystem) -> list[int]:
     """Class label per element; two elements share a class when their matrices
-    differ only by a unit scalar."""
-    n = system.joint.group.order
-    tol = system.tolerance
-    classes = [-1] * n
-    reps: list[int] = []
-    for a in range(n):
-        for ci, r in enumerate(reps):
-            prod = system.coherent.rep.matrices[a] @ system.coherent.rep.matrices[r].conj().T
-            lam = np.trace(prod) / system.dim
-            if abs(abs(lam) - 1.0) < 1e-6 and _maxabs(prod - lam * np.eye(system.dim)) <= 10 * tol:
-                classes[a] = ci
-                break
-        if classes[a] < 0:
-            classes[a] = len(reps)
-            reps.append(a)
-    return classes
+    differ only by a unit scalar.
+
+    Classes are numbered in the order of their first members. The first
+    element not yet in a class starts the next one, and batched products,
+    in blocks near STEP_BYTES, compare it with every element still outside
+    a class."""
+    mats = system.coherent.rep.matrices
+    d, tol = system.dim, system.tolerance
+    step = _block_cells(mats.itemsize * d * d)
+    classes = np.full(len(mats), -1)
+    while (classes < 0).any():
+        first = int(np.argmin(classes))
+        classes[first] = label = classes.max() + 1
+        outside = (classes < 0).nonzero()[0]
+        for block in np.split(outside, range(step, len(outside), step)):
+            prods = mats[block] @ mats[first].conj().T
+            lam = np.trace(prods, axis1=1, axis2=2) / d
+            residual = np.abs(prods - lam[:, None, None] * np.eye(d)).max(axis=(1, 2), initial=0.0)
+            classes[block[(np.abs(np.abs(lam) - 1.0) < 1e-6) & (residual <= 10 * tol)]] = label
+    return classes.tolist()
 
 
 def covariance_records(

@@ -1,24 +1,27 @@
 """Unitary representations on finite-dimensional complex spaces.
 
 A representation is verified once, where it is built: U(e) = I, the
-multiplication table U(a*b) = U(a)U(b) and unitarity. A stack of 0/1
-matrices of functions, as `permutation_representation` and
-`regular_representation` build, is recognised by reading its integer table
-off the stack, and is checked on that table with no matrix product: the 0/1
-matrices of functions multiply as the functions compose, P_f P_h = P_{f o h},
-exactly in floating point, so comparing act[g*s] with act[g] o act[s] is the
-float check made exact. Both checks run on a generating set S read greedily
-off the group's elements (`groups._greedy_generators`), whose products g*s
-are found by base key: |G|*|S| products instead of |G|^2. Any other stack
-must be finite, and a certificate (`_certified`) bounds the residual of
-every other pair by the generator residual, the BFS depth over S, the
-unitarity residual and the rounding of the scan. When that bound does not
-prove the table, the row-major scan runs as the fallback, composing one
-block of products at a time, and names the first failing pair, so a verdict
-or a witness never depends on the certificate. No check builds the group's
-full multiplication table. A stack of more than
-REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
-allocated.
+multiplication table U(a*b) = U(a)U(b) and unitarity. A permutation
+representation, as `permutation_representation` and `regular_representation`
+build, is held as its (n, d) integer table act, U(g)[act[g, x], x] = 1: it is
+checked on that table with no matrix product, and its stack of 0/1 matrices
+is built only when `matrices` is first read. A 0/1 stack of functions built
+by hand is recognised by reading its table off the stack, and is checked the
+same way. The 0/1 matrices of functions multiply as the functions compose,
+P_f P_h = P_{f o h}, exactly in floating point, so comparing act[g*s] with
+act[g] o act[s] is the float check made exact. Both checks run on a
+generating set S read greedily off the group's elements
+(`groups._greedy_generators`), whose products g*s are found by base key:
+|G|*|S| products instead of |G|^2. Any other stack must be finite, and a
+certificate (`_certified`) bounds the residual of every other pair by the
+generator residual, the BFS depth over S, the unitarity residual and the
+rounding of the scan. When that bound does not prove the table, the
+row-major scan runs as the fallback, composing one block of products at a
+time, and names the first failing pair, so a verdict or a witness never
+depends on the certificate. No check builds the group's full multiplication
+table. A stack of more than REPRESENTATION_BYTE_LIMIT bytes is refused with
+SizeLimit before it is allocated, and a permutation representation's where
+it is built, though its stack is built only when read.
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
@@ -33,6 +36,7 @@ its thin SVD.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +64,35 @@ def _check_stack(order: int, dim: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRepresentation:
+    """U(g) for every element g of a finite group, on C^dim.
+
+    `source` is the (n, d, d) stack of the matrices, or the (n, d) integer
+    table act of a permutation representation: U(g)[act[g, x], x] = 1 and
+    every other entry 0. A table is kept as it is, and `matrices` builds its
+    stack on first read.
+    """
     group: FiniteGroup
     dim: int
-    matrices: np.ndarray        # (n, d, d) complex
+    source: np.ndarray          # (n, d, d) complex stack, or (n, d) integer table
     tolerance: float = DEFAULT_TOLERANCE
 
+    # the table given as `source` when every U(g) is a permutation matrix
+    _permutations = None
+
     def __post_init__(self):
-        mats = self.matrices
-        if mats.shape != (self.group.order, self.dim, self.dim):
+        group = self.group
+        n, d = group.order, self.dim
+        if self.source.ndim == 2 and np.issubdtype(self.source.dtype, np.integer):
+            act = self.source
+            if act.shape != (n, d):
+                raise ValueError("action table has wrong shape")
+            if act.size and (act.min() < 0 or act.max() >= d):
+                raise ValueError("action table has a point outside the space")
+            if self._check_table(act):
+                object.__setattr__(self, "_permutations", act)
+            return
+        mats = self.source
+        if mats.shape != (n, d, d):
             raise ValueError("matrix stack has wrong shape")
         act = _table_of(mats)
         if act is not None:
@@ -75,11 +100,10 @@ class UnitaryRepresentation:
             return
         if not np.isfinite(mats).all():
             raise ValueError("matrix stack has a non-finite entry")
-        eye = np.eye(self.dim)
-        identity_residual = _maxabs(mats[self.group.identity] - eye)
+        eye = np.eye(d)
+        identity_residual = _maxabs(mats[group.identity] - eye)
         if identity_residual > self.tolerance:
             raise ValueError("identity element is not represented by the identity")
-        group, d = self.group, self.dim
         # The blocks reuse three buffers: a fresh temporary of a block's size
         # faults in new pages on every step, which costs more than the products.
         # Products are element indices, so `take` need not check them
@@ -116,8 +140,9 @@ class UnitaryRepresentation:
             if _maxabs(u @ u.conj().T - eye) > self.tolerance:
                 raise ValueError(f"matrix for element {g} is not unitary")
 
-    def _check_table(self, act):
-        """The checks of `__post_init__`, made exactly on the table of the stack.
+    def _check_table(self, act) -> bool:
+        """The checks of `__post_init__`, made exactly on the table of the
+        0/1 stack; True when every row of the table is a bijection.
 
         Products of 0/1 matrices of functions are exact in floating point, and
         two distinct such matrices differ by exactly 1 in some entry, so every
@@ -139,12 +164,24 @@ class UnitaryRepresentation:
                 raise NotHomomorphism(*_action_violation(group, act)[:2])
         # U(g)U(g)^dagger is diagonal, holding the preimage counts of act[g]
         counts = np.bincount((act + d * np.arange(n)[:, None]).ravel(), minlength=n * d)
-        broken = np.abs(counts.reshape(n, d) - 1).max(axis=1, initial=0) > self.tolerance
+        misses = np.abs(counts.reshape(n, d) - 1).max(axis=1, initial=0)
+        broken = misses > self.tolerance
         if broken.any():
             raise ValueError(f"matrix for element {int(np.argmax(broken))} is not unitary")
+        return not misses.any()
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """The read-only (n, d, d) stack; a table's 0/1 stack is built here,
+        on first read, after its size is checked."""
+        if self.source.ndim == 3:
+            return self.source
+        n, d = self.group.order, self.dim
+        _check_stack(n, d)
+        mats = np.zeros((n, d, d), dtype=complex)
+        mats[np.arange(n)[:, None], self.source, np.arange(d)] = 1.0
+        mats.setflags(write=False)
+        return mats
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +194,8 @@ class Operator:
     def __post_init__(self):
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("operator matrix has wrong shape")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("operator matrix has a non-finite entry")
         if _maxabs(self.matrix - self.matrix.conj().T) > self.tolerance:
             raise NotHermitian("operator is not Hermitian at tolerance")
 
@@ -255,22 +294,15 @@ def _certified(r, u, e, depth, d, tolerance, eps) -> bool:
             and kappa * (u_exact + rho * c2) <= tolerance)
 
 
-def _canonical_phase(v: np.ndarray, tolerance: float) -> np.ndarray:
-    """Rotate so the first component above tolerance is real positive."""
-    idx = np.nonzero(np.abs(v) > tolerance)[0]
-    if idx.size == 0:
-        return v
-    phase = v[idx[0]] / abs(v[idx[0]])
-    return v / phase
-
-
 def _clustered_eigh(herm: np.ndarray, tolerance: float):
     """Hermitian eigendecomposition with eigenvalues clustered at tolerance.
 
     Returns (eigenvalues ascending, canonical-phase eigenvector columns,
     clusters as lists of column indices, scale), where an eigenvalue joins
     the current cluster when it lies within tolerance * scale of the
-    cluster's last member and scale = max(largest |eigenvalue|, 1).
+    cluster's last member and scale = max(largest |eigenvalue|, 1). The
+    canonical phase makes the first entry above tolerance of each column
+    real positive.
     """
     evals, evecs = np.linalg.eigh(herm)
     scale = max(float(np.abs(evals).max()), 1.0)
@@ -280,20 +312,25 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    cols = np.column_stack([_canonical_phase(evecs[:, i], tolerance) for i in range(len(evals))])
+    sizable = np.abs(evecs) > tolerance
+    found = sizable.any(axis=0)
+    lead = evecs[sizable.argmax(axis=0), np.arange(len(evals))]
+    phase = np.divide(lead, np.abs(lead), out=np.ones_like(lead), where=found)
+    # a column with no entry above tolerance keeps its phase
+    cols = np.divide(evecs, phase, out=evecs.copy(), where=found)
     return evals, cols, clusters, scale
 
 
 def permutation_representation(
     action: GroupAction, tolerance: float = DEFAULT_TOLERANCE
 ) -> UnitaryRepresentation:
-    """0/1 matrices with U(g)[g.x, x] = 1, verified on their integer table."""
-    n, m = action.group.order, action.space_size
-    _check_stack(n, m)
-    mats = np.zeros((n, m, m), dtype=complex)
-    mats[np.arange(n)[:, None], action.act, np.arange(m)] = 1.0
-    mats.setflags(write=False)
-    return UnitaryRepresentation(action.group, m, mats, tolerance)
+    """0/1 matrices with U(g)[g.x, x] = 1, held and verified as the action's
+    integer table. The size of their stack is checked here, though the stack
+    is built only when read."""
+    _check_stack(action.group.order, action.space_size)
+    act = np.array(action.act)
+    act.setflags(write=False)
+    return UnitaryRepresentation(action.group, action.space_size, act, tolerance)
 
 
 def regular_representation(

@@ -8,6 +8,7 @@ so basis-change coefficients are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,21 @@ class EigenSystem:
     operator: Operator
     eigenvalues: tuple[float, ...]          # distinct, ascending
     multiplicities: tuple[int, ...]
-    projectors: np.ndarray                  # (k, d, d) Hermitian idempotents
     vectors: np.ndarray                     # (d, d) canonical-phase eigenvector columns
     spectrum: np.ndarray                    # (d,) every eigenvalue, ascending, unclustered
 
     @property
     def degenerate(self) -> bool:
         return any(m > 1 for m in self.multiplicities)
+
+    @functools.cached_property
+    def projectors(self) -> np.ndarray:
+        """(k, d, d) Hermitian idempotents, one per distinct eigenvalue, from
+        its block of eigenvector columns; built on first read."""
+        bounds = np.cumsum((0, *self.multiplicities)).tolist()
+        blocks = [np.ascontiguousarray(self.vectors[:, a:b])
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        return np.stack([b @ b.conj().T for b in blocks])
 
     def vector_for(self, cluster: int) -> np.ndarray:
         start = sum(self.multiplicities[:cluster])
@@ -48,17 +57,14 @@ def eigensystem(op: Operator) -> EigenSystem:
     """Hermitian eigendecomposition with tolerance clustering."""
     tol = op.tolerance
     evals, cols, clusters, scale = _clustered_eigh(op.matrix, tol)
-    distinct, mults, projs = [], [], []
-    for cl in clusters:
-        distinct.append(float(np.mean(evals[cl])))
-        mults.append(len(cl))
-        block = cols[:, cl]
-        projs.append(block @ block.conj().T)
-    projectors = np.stack(projs)
-    recon = sum(l * p for l, p in zip(distinct, projectors))
-    if _maxabs(recon - op.matrix) > 100 * tol * scale:
+    distinct = [float(np.mean(evals[cl])) for cl in clusters]
+    mults = [len(cl) for cl in clusters]
+    # sum_k lambda_k P_k, with each column weighted by its cluster's mean
+    recon = (cols * np.repeat(distinct, mults)) @ cols.conj().T
+    # a NaN residual fails the comparison
+    if not _maxabs(recon - op.matrix) <= 100 * tol * scale:
         raise NotHermitian("spectral reconstruction failed")
-    return EigenSystem(op, tuple(distinct), tuple(mults), projectors, cols, evals)
+    return EigenSystem(op, tuple(distinct), tuple(mults), cols, evals)
 
 
 def verify_values_are_eigenvalues(eig: EigenSystem, variable: ConceptualVariable) -> bool:

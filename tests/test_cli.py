@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cvhilbert import cli, coherent, groups, pairing, representations, variables
+from cvhilbert import cli, coherent, groups, pairing, representations, spectra, variables
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -170,18 +172,43 @@ class TestReports:
         assert cli._fmt(-0.0) == "0.00000000000e+00"
         assert cli._num(-0.0) == 0.0
 
+    # signed zeros, infinities, nan, the smallest subnormal, a huge value
+    # and values that round at the twelfth significant digit
+    EDGE_VALUES = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                   -5e-324, 1e300, -1e300, 1.234567890125, 1.2345678901249999,
+                   9.999999999995e10, -9.999999999995e-10, 0.1 + 0.2, 2.5e-5]
+
     @pytest.mark.parametrize("sep", [" ", "  "])
     def test_pair_rows_match_per_entry_fmt(self, sep):
-        # signed zeros, infinities, nan, the smallest subnormal, a huge value
-        # and values that round at the twelfth significant digit
-        values = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
-                  -5e-324, 1e300, -1e300, 1.234567890125, 1.2345678901249999,
-                  9.999999999995e10, -9.999999999995e-10, 0.1 + 0.2, 2.5e-5]
-        pairs = np.array(values).reshape(2, 4, 2)
+        pairs = np.array(self.EDGE_VALUES).reshape(2, 4, 2)
         expected = [sep.join(f"[{cli._fmt(re)},{cli._fmt(im)}]" for re, im in row)
                     for row in pairs]
         assert cli._pair_rows(pairs, sep) == expected
         assert cli._pair_rows(pairs.tolist(), sep) == expected
+
+    @given(st.integers(1, 5), st.integers(0, 6), st.sampled_from([" ", "  "]), st.data())
+    def test_pair_rows_match_one_template_per_row(self, rows, cols, sep, data):
+        # entries drawn from a small pool, so that pairs repeat; NaNs with
+        # different imaginary parts must not share a string
+        pool = data.draw(st.lists(st.sampled_from(self.EDGE_VALUES) | st.floats(), min_size=1,
+                                  max_size=6))
+        pairs = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=rows * cols * 2,
+                                            max_size=rows * cols * 2))).reshape(rows, cols, 2)
+        assert cli._pair_rows(pairs, sep) == one_template_rows(pairs, sep)
+
+    def test_pair_rows_keep_nans_apart(self):
+        pairs = np.array([[[math.nan, 1.0], [math.nan, 2.0], [-math.nan, 1.0], [0.0, -0.0]]])
+        assert cli._pair_rows(pairs, " ") == one_template_rows(pairs, " ") == [
+            "[nan,1.00000000000e+00] [nan,2.00000000000e+00] [nan,1.00000000000e+00] "
+            "[0.00000000000e+00,0.00000000000e+00]"]
+
+
+def one_template_rows(pairs, sep):
+    """The reference for `cli._pair_rows`: adding 0.0 turns -0.0 into 0.0,
+    and one `%.11e` template formats each whole row."""
+    pairs = np.asarray(pairs, dtype=float) + 0.0
+    template = sep.join(["[%.11e,%.11e]"] * pairs.shape[1])
+    return [template % tuple(row.tolist()) for row in pairs.reshape(len(pairs), -1)]
 
 
 class TestMainEntry:
@@ -625,6 +652,39 @@ class TestSpaceSizeBound:
             assert captured.err == ""
         else:
             assert "MiB bound" in captured.err and "Traceback" not in captured.err
+
+
+class TestOperatorMemory:
+    def test_operator_s5_peak(self, capsys):
+        # the regular representation of S5 is held as its 120x120 table:
+        # its 27.6 MB stack of 0/1 matrices is never built
+        tracemalloc.start()
+        try:
+            code = cli.main(["operator", S5, "--variable", "v"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "induced group order: 120" in capsys.readouterr().out
+        assert peak < 6 * 2**20
+
+    def test_operator_reads_no_stack_and_no_projectors(self, monkeypatch, capsys):
+        built = []
+        regular = representations.regular_representation
+
+        def spy(*args, **kwargs):
+            built.append(regular(*args, **kwargs))
+            return built[-1]
+
+        def unread(self):
+            raise AssertionError("projectors read")
+
+        monkeypatch.setattr(representations, "regular_representation", spy)
+        monkeypatch.setattr(spectra.EigenSystem, "projectors", property(unread))
+        for doc in (S5, TWO_BIT):
+            assert cli.main(["operator", doc, "--variable", "v" if doc == S5 else "bit1"]) == 0
+        assert "eigenvalues:" in capsys.readouterr().out
+        assert len(built) == 2 and all("matrices" not in vars(rep) for rep in built)
 
 
 class TestRepresentationBound:

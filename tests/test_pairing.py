@@ -1,7 +1,10 @@
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from cvhilbert import coherent, groups, pairing, representations as reps, variables
+from cvhilbert import cli, coherent, groups, pairing, representations as reps, variables
 from cvhilbert.errors import (
     CosetLabelingError,
     InvolutionViolation,
@@ -11,6 +14,8 @@ from cvhilbert.errors import (
 )
 
 from conftest import SWAP
+
+GOLDEN_DOCS = sorted((Path(__file__).resolve().parent / "golden" / "docs").glob("*.json"))
 
 
 def one_dim(group, phases):
@@ -322,6 +327,79 @@ class TestCovariance:
         both = system.joint.group.mult(system.joint.first_embed[1], system.joint.second_embed[1])
         w = system.coherent.rep.matrices[both]
         assert np.abs(w + np.eye(2)).max() <= 1e-12
+
+
+def word_products(joint, base_rep, swap_matrix, words):
+    """The reference extension: for every element, the generator matrices
+    multiplied left to right along its whole word, starting from I."""
+    gen_mats = []
+    for slot in joint.gen_slots:
+        if slot[0] == "first":
+            gen_mats.append(base_rep.matrices[slot[1]])
+        elif slot[0] == "second":
+            gen_mats.append(swap_matrix @ base_rep.matrices[slot[1]] @ swap_matrix)
+        else:
+            gen_mats.append(swap_matrix)
+    mats = []
+    for word in words:
+        acc = np.eye(base_rep.dim, dtype=complex)
+        for slot in word:
+            acc = acc @ gen_mats[slot]
+        mats.append(acc)
+    return np.stack(mats)
+
+
+def looped_classes(system):
+    """The reference labels: each element against each earlier class
+    representative in turn, one product and trace per pair."""
+    mats, d, tol = system.coherent.rep.matrices, system.dim, system.tolerance
+    classes, reps_ = [], []
+    for a in range(len(mats)):
+        for ci, r in enumerate(reps_):
+            prod = mats[a] @ mats[r].conj().T
+            lam = np.trace(prod) / d
+            if abs(abs(lam) - 1.0) < 1e-6 and np.abs(prod - lam * np.eye(d)).max() <= 10 * tol:
+                classes.append(ci)
+                break
+        else:
+            classes.append(len(reps_))
+            reps_.append(a)
+    return classes
+
+
+class TestBatchedAgainstLoops:
+    def test_golden_documents(self, monkeypatch):
+        # every joined representation and projective class labeling that
+        # `verify` builds for the golden documents, against the loops
+        extend, label = pairing.build_joint_representation, pairing._projective_classes
+        seen = {"extensions": 0, "labelings": 0}
+
+        def extend_spy(joint, base_rep, swap_matrix):
+            rep, words = extend(joint, base_rep, swap_matrix)
+            want = word_products(joint, base_rep, np.asarray(swap_matrix, dtype=complex), words)
+            assert np.array_equal(rep.matrices.view(np.uint64), want.view(np.uint64))
+            seen["extensions"] += 1
+            return rep, words
+
+        def label_spy(system):
+            got = label(system)
+            assert got == looped_classes(system)
+            seen["labelings"] += 1
+            return got
+
+        monkeypatch.setattr(pairing, "build_joint_representation", extend_spy)
+        monkeypatch.setattr(pairing, "_projective_classes", label_spy)
+        for doc in GOLDEN_DOCS:
+            cli.run_verify(cli.parse_context(str(doc)))
+        assert seen["extensions"] >= 5 and seen["labelings"] >= 3
+
+    @pytest.mark.parametrize("step", [groups.STEP_BYTES, 3 * 16 * 4, 1])
+    def test_classes_in_blocks(self, two_bit, step):
+        # blocks of one element, of a few and of all give the same labels
+        system = two_bit["system"]
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            assert pairing._projective_classes(system) == looped_classes(system)
+        assert len(set(looped_classes(system))) == 4
 
 
 class TestExplicitTransformations:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvhilbert import cli, groups, pairing, representations as reps
+from cvhilbert import cli, coherent, groups, pairing, representations as reps
 from cvhilbert.errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
 
 
@@ -258,6 +258,26 @@ def _action(source):
     return group, np.array(group.cayley)
 
 
+@st.composite
+def random_actions(draw):
+    """(group, table): the group one or two random permutations of up to five
+    points generate, with its action table."""
+    m = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=2))
+    group, action = groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)
+    return group, np.array(action.act)
+
+
+def outcome(call):
+    """(orbit, isotropy members, phases) of `coherent._orbit_isotropy`, or
+    (None, exception type, message) when it raises."""
+    try:
+        orbit, sub, phases = call()
+    except ValueError as exc:
+        return None, type(exc), str(exc)
+    return orbit, sub.members, phases
+
+
 class TestPermutationTables:
     @settings(max_examples=100)
     @given(st.sampled_from(ACTIONS), st.sampled_from(["valid", "identity", "composition",
@@ -291,6 +311,55 @@ class TestPermutationTables:
         # below a tolerance of 1 every edit breaks the action (n >= 3)
         if kind == "valid" or (tol < 1 and kind != "random"):
             assert (got is None) == (kind == "valid")
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(ACTIONS).map(_action) | random_actions(),
+           st.sampled_from(["valid", "identity", "composition", "coset", "bijection"]),
+           st.sampled_from([reps.DEFAULT_TOLERANCE, 1.0, 1.5]), st.booleans(), st.data())
+    def test_table_backed_equals_stack_built_by_hand(self, source, kind, tol, basis, data):
+        # the representation that holds a table against the 0/1 stack of the
+        # same table built by hand and read back off: verdict and witness,
+        # then the stack, the character norm and the orbit of a fiducial
+        group, table = source
+        table = table.copy()
+        n, m = table.shape
+        x, y = data.draw(st.permutations(range(m)))[:2] if m > 1 else (0, 0)
+        row = data.draw(st.integers(0, n - 1))
+        if kind == "identity":
+            table[group.identity, x] = y
+        elif kind == "composition":
+            table[row, [x, y]] = table[row, [y, x]]
+        elif kind == "coset" and row != group.identity:
+            twist_coset(group, table, row, x, y)
+        elif kind == "bijection":
+            table[row, x] = table[row, y]
+        built = []
+        got = verdict(lambda: built.append(
+            reps.permutation_representation(groups.GroupAction(group, m, table), tol)))
+        want = verdict(lambda: built.append(
+            reps.UnitaryRepresentation(group, m, zero_one_stack(table, m), tol)))
+        assert got == want
+        if got is not None:
+            return
+        held, by_hand = built
+        assert "matrices" not in vars(held)
+        assert (held._permutations is not None) == all(len(set(r)) == m for r in table.tolist())
+        assert np.array_equal(held.matrices.view(np.uint64), by_hand.matrices.view(np.uint64))
+        assert not held.matrices.flags.writeable
+        assert reps.character_norm(held) == reps.character_norm(by_hand)
+        if basis:
+            fiducial = np.eye(m, dtype=complex)[data.draw(st.integers(0, m - 1))]
+        else:
+            parts = data.draw(st.lists(st.floats(-1, 1), min_size=2 * m, max_size=2 * m))
+            fiducial = np.array(parts[:m]) + 1j * np.array(parts[m:])
+            if np.linalg.norm(fiducial) < 0.1:
+                fiducial[0] = 1.0
+            fiducial /= np.linalg.norm(fiducial)
+        orbits = [outcome(lambda: coherent._orbit_isotropy(rep, fiducial)) for rep in built]
+        assert orbits[0][1:] == orbits[1][1:]
+        assert (orbits[0][0] is None) == (orbits[1][0] is None)
+        if orbits[0][0] is not None:
+            assert np.array_equal(*(o[0] for o in orbits))
 
     @pytest.mark.parametrize("kind, message", [
         ("identity", "identity element"), ("composition", None), ("coset", None),

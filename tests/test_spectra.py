@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvhilbert import spectra, spin, variables
+from cvhilbert import representations, spectra, spin, variables
 from cvhilbert.errors import DegenerateSpectrum, DimensionMismatch, NotHermitian
 from cvhilbert.representations import Operator
 
@@ -39,6 +39,60 @@ class TestEigenSystem:
         # the constructor checks once; every operator reaching eigensystem is Hermitian
         with pytest.raises(NotHermitian):
             Operator(2, np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        # nan - nan is nan, and nan > tolerance is False: the Hermitian check
+        # alone would pass a NaN on the diagonal
+        with pytest.raises(ValueError, match="non-finite"):
+            Operator(2, np.array([[bad, 0], [0, 1]], dtype=complex))
+
+    def test_nan_reconstruction_fails(self, monkeypatch):
+        # a decomposition whose reconstruction residual is NaN is refused
+        def nan_eigh(herm, tolerance):
+            d = len(herm)
+            return np.full(d, np.nan), np.eye(d, dtype=complex), [list(range(d))], 1.0
+
+        monkeypatch.setattr(spectra, "_clustered_eigh", nan_eigh)
+        with pytest.raises(NotHermitian, match="reconstruction"):
+            spectra.eigensystem(herm_op(np.diag([0.0, 1.0])))
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1e-9, 0.3, 1.0]))
+    def test_canonical_phase_matches_column_loop(self, d, seed, tol):
+        # the reference rotates one column at a time by its first entry above
+        # tolerance, a column with none staying as it is; one division of a
+        # unit vector by a unit scalar rounds apart from the loop's scalar
+        # division by at most a few ulps
+        rng = np.random.default_rng(seed)
+        herm = random_hermitian(rng, d)
+        _, evecs = np.linalg.eigh(herm)
+        want = evecs.copy()
+        for i, v in enumerate(evecs.T):
+            idx = np.nonzero(np.abs(v) > tol)[0]
+            if idx.size:
+                want[:, i] = v / (v[idx[0]] / abs(v[idx[0]]))
+        _, cols, _, _ = representations._clustered_eigh(herm, tol)
+        assert np.abs(cols - want).max() <= 4 * np.finfo(float).eps
+        sizable = np.abs(cols) > tol
+        for i in np.flatnonzero(sizable.any(axis=0)):
+            lead = cols[sizable[:, i].argmax(), i]
+            assert lead.real > 0 and abs(lead.imag) <= 2 * np.finfo(float).eps
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1e-9, 0.3]))
+    def test_projectors_built_when_read(self, d, seed, tol):
+        # equal, bit for bit, to one block product per cluster of eigenvector
+        # columns; rounded entries make repeated eigenvalues
+        rng = np.random.default_rng(seed)
+        op = herm_op(np.round(random_hermitian(rng, d)), tol)
+        eig = spectra.eigensystem(op)
+        assert "projectors" not in vars(eig)
+        ends = np.cumsum(eig.multiplicities)
+        clusters = [list(range(end - m, end)) for m, end in zip(eig.multiplicities, ends)]
+        want = np.stack([eig.vectors[:, cl] @ eig.vectors[:, cl].conj().T for cl in clusters])
+        assert np.array_equal(eig.projectors.view(np.uint64), want.view(np.uint64))
+        assert eig.projectors is eig.projectors
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
     def test_invariants_on_random_hermitian(self, d, seed):
