@@ -457,7 +457,13 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
             f"operator-construction[{idx}]", "weighted-projector-operators",
             "skip", detail=str(exc)))
         return
-    a_theta, a_xi = pairing.joint_operators(system, theta_vals, xi_vals)
+    try:
+        a_theta, a_xi = pairing.joint_operators(system, theta_vals, xi_vals)
+    except ValueError as exc:
+        checks.append(CheckRecord(
+            f"operator-construction[{idx}]", "weighted-projector-operators",
+            "fail", detail=str(exc)))
+        return
     unit = coherent.operator_from_variable(system.coherent, np.ones(len(system.x_index)))
     unit_residual = float(np.abs(unit.matrix - np.eye(system.dim)).max())
     checks.append(CheckRecord(
@@ -492,7 +498,14 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
                 "vector": _vector_payload(qa.eigenvector) if qa.eigenvector is not None else None,
             })
 
-    records = pairing.covariance_records(system, theta_vals, xi_vals)
+    try:
+        records = pairing.covariance_records(system, theta_vals, xi_vals)
+    except ValueError as exc:
+        # a moved operator can overflow where the first operator did not
+        checks.append(CheckRecord(
+            f"conjugation-covariance[{idx}]", "operator-transport",
+            "fail", detail=f"moved operator not built: {exc}"))
+        records = []
     for rec in records:
         if rec.ok:
             status, detail = "pass", None
@@ -690,7 +703,11 @@ def _cmd_operator(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     points = [g_action.apply(r, 0) for r in system.cosets.representatives]
-    op = coherent.operator_from_variable(system, [numeric[p] for p in points], var.name)
+    try:
+        op = coherent.operator_from_variable(system, [numeric[p] for p in points], var.name)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     lines.append("matrix:")
     lines.extend("  " + row for row in _pair_rows(
         np.stack([op.matrix.real, op.matrix.imag], axis=-1), "  "))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoResolution, NumericalAmbiguity
 from .groups import CosetSpace, Subgroup, left_cosets, subgroup
-from .representations import Operator, UnitaryRepresentation, _maxabs
+from .representations import Operator, UnitaryRepresentation, _check_operators, _maxabs
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,18 +147,40 @@ def one_to_one_check(system: CoherentStateSystem):
 def operator_from_variable(
     system: CoherentStateSystem, values, name: str | None = None
 ) -> Operator:
-    """A = c * sum_x values[x] |x><x| over the coset states."""
+    """A = c * sum_x values[x] |x><x| over the coset states: the one-row
+    case of `operator_stack`, checked where the `Operator` is built."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(system.cosets),):
         raise ValueError("need one numeric value per coset state")
+    return Operator(system.rep.dim, _projector_sums(system, values[None])[0],
+                    source_variable=name, tolerance=system.tolerance)
+
+
+def operator_stack(system: CoherentStateSystem, values) -> np.ndarray:
+    """The (k, d, d) stack A_i = c * sum_x values[i, x] |x><x|, one operator
+    per row of a (k, |X|) array of values, checked finite and Hermitian at
+    the system's tolerance as one stack."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(system.cosets):
+        raise ValueError("need one numeric value per coset state in every row")
+    stack = _projector_sums(system, values)
+    _check_operators(stack, system.tolerance)
+    return stack
+
+
+def _projector_sums(system: CoherentStateSystem, values: np.ndarray) -> np.ndarray:
+    """c * (states^T values_i) @ states* for each row i of values; raises
+    NoResolution when the system does not resolve the identity."""
     res = system.resolution
     if not res.ok:
         raise NoResolution(
             f"resolution of identity fails with residual {res.residual:.3e}"
         )
-    a = res.constant * (system.states.T * values) @ system.states.conj()
+    a = res.constant * (system.states.T * values[:, None, :]) @ system.states.conj()
     # the product rounds entries (i, j) and (j, i) apart; a sum of projectors
-    # is Hermitian, and so is the mean of a and its adjoint, bit for bit
-    a = (a + a.conj().T) / 2
-    return Operator(system.rep.dim, a, source_variable=name,
-                    tolerance=system.tolerance)
+    # is Hermitian, and so is the mean of a and its adjoint, bit for bit.
+    # Halving each term first is exact in the normal range and cannot
+    # overflow where the sum would; in place, it costs no more passes.
+    a *= 0.5
+    a += a.conj().swapaxes(1, 2)
+    return a

@@ -10,7 +10,9 @@ instance and rejected with a witness when it fails.
 The coherent-state system of the joined representation (built by
 `coherent`) has one state per coset of the fiducial's isotropy; the cosets
 carry the (x, y) labels through which each state takes the values of the two
-variables, and `coherent.operator_from_variable` builds every operator. The
+variables, and `coherent.operator_stack` builds every operator: the
+stack of moved operators of the covariance stage at once, and each single
+one as its one-row case, `coherent.operator_from_variable`. The
 labeling and the covariance of the resulting operators are checked rather
 than assumed; structural obstructions (distinct value motions
 represented by matrices equal up to a scalar) are detected and reported
@@ -349,18 +351,22 @@ def joint_operators(
     )
 
 
-def _axis_values(system: JointSystem, table: np.ndarray, element):
-    """(values, axis) of a moved value table that is constant along one axis
-    of the product: axis 0 when it depends on x only, 1 when on y only."""
+def _axis_values(system: JointSystem, tables: np.ndarray):
+    """(values, axes) of moved value tables, one table per row, each constant
+    along one axis of the product: axis 0 when it depends on x only (a
+    constant table included), 1 when on y only. values[i] is table i along
+    its axis. UndefinedTransport names the first table that depends on both."""
     m = system.joint.value_size
-    by_x = table.reshape(m, m)
-    if np.all(by_x == by_x[:, :1]):
-        return by_x[:, 0], 0
-    if np.all(by_x == by_x[:1, :]):
-        return by_x[0, :], 1
-    raise UndefinedTransport(
-        f"moved variable does not factor through either axis for element {element}"
-    )
+    by_x = tables.reshape(len(tables), m, m)
+    on_x = (by_x == by_x[:, :, :1]).all(axis=(1, 2))
+    on_y = (by_x == by_x[:, :1, :]).all(axis=(1, 2))
+    neither = ~(on_x | on_y)
+    if neither.any():
+        raise UndefinedTransport(
+            "moved variable does not factor through either axis for element "
+            f"{int(neither.argmax())}"
+        )
+    return np.where(on_x[:, None], by_x[:, :, 0], by_x[:, 0, :]), np.where(on_x, 0, 1)
 
 
 def _projective_classes(system: JointSystem) -> list[int]:
@@ -396,28 +402,35 @@ def covariance_records(
     variable. When two elements whose matrices agree up to a scalar move the
     values differently, no operator assignment can satisfy both; such
     elements are flagged obstructed, which explains any failures they cause.
+
+    Every element's moved value table is gathered at once, and the moved
+    operators and residuals are computed as stacks, in blocks of elements
+    whose temporaries stay near STEP_BYTES.
     """
     a_theta, _ = joint_operators(system, theta_values, xi_values)
-    labels = (list(system.x_index), list(system.y_index))
-    n = system.joint.group.order
-    m = system.joint.value_size
-    act = system.joint.action.act
-    theta_arr = np.asarray(theta_values, dtype=float)
-    moved_tables = [theta_arr[act[t] // m] for t in range(n)]
-    classes = _projective_classes(system)
-    obstructed_class = set()
-    for ci in set(classes):
-        tables = {tuple(moved_tables[t].tolist()) for t in range(n) if classes[t] == ci}
-        if len(tables) > 1:
-            obstructed_class.add(ci)
-    records = []
-    for t in range(n):
-        w = system.coherent.rep.matrices[t]
-        values, axis = _axis_values(system, moved_tables[t], t)
-        a_moved = coherent.operator_from_variable(system.coherent, values[labels[axis]])
-        residual = _maxabs(w.conj().T @ a_theta.matrix @ w - a_moved.matrix)
-        records.append(
-            CovarianceRecord(t, residual, residual <= system.tolerance,
-                             classes[t] in obstructed_class)
-        )
-    return records
+    n, m, d = system.joint.group.order, system.joint.value_size, system.dim
+    tables = np.asarray(theta_values, dtype=float)[system.joint.action.act // m]
+    values, axes = _axis_values(system, tables)
+    coset_values = np.where(axes[:, None] == 0, values[:, list(system.x_index)],
+                            values[:, list(system.y_index)])
+    classes = np.array(_projective_classes(system))
+    # a class is obstructed when some member's table differs from its first
+    # member's; the first member is not compared with itself, as a table
+    # holding NaN would differ
+    _, first = np.unique(classes, return_index=True)
+    leader = first[classes]
+    differs = (tables != tables[leader]).any(axis=1) & (leader != np.arange(n))
+    obstructed = np.zeros(len(first), dtype=bool)
+    obstructed[classes[differs]] = True
+    mats = system.coherent.rep.matrices
+    residuals = np.empty(n)
+    step = _block_cells(a_theta.matrix.itemsize * d * max(d, coset_values.shape[1]))
+    for a in range(0, n, step):
+        w = mats[a:a + step]
+        moved = coherent.operator_stack(system.coherent, coset_values[a:a + step])
+        diff = w.conj().swapaxes(1, 2) @ a_theta.matrix @ w - moved
+        residuals[a:a + step] = np.abs(diff).max(axis=(1, 2), initial=0.0)
+    return [
+        CovarianceRecord(t, r, r <= system.tolerance, bool(o))
+        for t, (r, o) in enumerate(zip(residuals.tolist(), obstructed[classes].tolist()))
+    ]

@@ -20,8 +20,8 @@ row-major scan runs as the fallback, composing one block of products at a
 time, and names the first failing pair, so a verdict or a witness never
 depends on the certificate. No check builds the group's full multiplication
 table. A stack of more than REPRESENTATION_BYTE_LIMIT bytes is refused with
-SizeLimit before it is allocated, and a permutation representation's where
-it is built, though its stack is built only when read.
+SizeLimit before it is allocated: a permutation representation's when
+`matrices` is first read, as it is built only then.
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
@@ -194,10 +194,16 @@ class Operator:
     def __post_init__(self):
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("operator matrix has wrong shape")
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("operator matrix has a non-finite entry")
-        if _maxabs(self.matrix - self.matrix.conj().T) > self.tolerance:
-            raise NotHermitian("operator is not Hermitian at tolerance")
+        _check_operators(self.matrix, self.tolerance)
+
+
+def _check_operators(stack: np.ndarray, tolerance: float) -> None:
+    """Refuse a matrix, or a stack of matrices along the first axes, with a
+    non-finite entry (ValueError) or one that is not Hermitian at tolerance."""
+    if not np.isfinite(stack).all():
+        raise ValueError("operator matrix has a non-finite entry")
+    if _maxabs(stack - stack.conj().swapaxes(-1, -2)) > tolerance:
+        raise NotHermitian("operator is not Hermitian at tolerance")
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -325,9 +331,8 @@ def permutation_representation(
     action: GroupAction, tolerance: float = DEFAULT_TOLERANCE
 ) -> UnitaryRepresentation:
     """0/1 matrices with U(g)[g.x, x] = 1, held and verified as the action's
-    integer table. The size of their stack is checked here, though the stack
-    is built only when read."""
-    _check_stack(action.group.order, action.space_size)
+    integer table. Their stack is built, and its size checked, only when
+    `matrices` is read."""
     act = np.array(action.act)
     act.setflags(write=False)
     return UnitaryRepresentation(action.group, action.space_size, act, tolerance)
@@ -340,9 +345,8 @@ def regular_representation(
 
     The group's multiplication table is the action: `FiniteGroup.cayley`,
     computed from the Cayley-graph columns verified where the group was
-    built. The stack's size is checked before that table is computed.
+    built.
     """
-    _check_stack(group.order, group.order)
     return permutation_representation(GroupAction(group, group.order, group.cayley), tolerance)
 
 
@@ -360,11 +364,18 @@ def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
         raise SizeLimit(
             f"commutant system of {k * d * d}x{d * d} needs {nbytes / 2**20:.0f} MiB, "
             f"above the {COMMUTANT_BYTE_LIMIT / 2**20:.0f} MiB bound")
+    mats = rep.matrices
     eye = np.eye(d)
-    system = np.empty((k * d * d, d * d), dtype=np.result_type(rep.matrices, eye))
-    for i, u in enumerate(rep.matrices):
-        # vec(UX - XU) = (U (x) I - I (x) U^T) vec(X), row-major vec
-        system[i * d * d:(i + 1) * d * d] = np.kron(u, eye) - np.kron(eye, u.T)
+    system = np.empty((k, d, d, d, d), dtype=np.result_type(mats, eye))
+    # vec(UX - XU) = (U (x) I - I (x) U^T) vec(X), row-major vec: entry
+    # (a d + b, c d + e) of element g's block is U[a, c] I[b, e] - I[a, c] U[e, b],
+    # the products `np.kron` makes, filled in blocks of elements near STEP_BYTES
+    step = _block_cells(system.itemsize * d ** 4)
+    for g in range(0, k, step):
+        u = mats[g:g + step]
+        block = np.multiply(u[:, :, None, :, None], eye[:, None, :], out=system[g:g + step])
+        block -= eye[:, None, :, None] * u.transpose(0, 2, 1)[:, None, :, None, :]
+    system = system.reshape(k * d * d, d * d)
     # a group has at least one element, so at least d^2 rows and a square thin vh
     _, sigma, vh = np.linalg.svd(system, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
@@ -421,9 +432,8 @@ def invariant_subspace_split(rep: UnitaryRepresentation):
     cols1 = cols[:, clusters[1]]
     for cols in (cols0, cols1):
         proj = cols @ cols.conj().T
-        for u in rep.matrices:
-            if _maxabs(u @ proj - proj @ u) > 10 * tol:
-                raise IrreducibleInput("split subspace is not invariant")
+        if _maxabs(rep.matrices @ proj - proj @ rep.matrices) > 10 * tol:
+            raise IrreducibleInput("split subspace is not invariant")
     return cols0, cols1
 
 

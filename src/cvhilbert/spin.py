@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpin, NonUnitAxis
-from .groups import GroupAction, generate_permutation_group
+from .groups import GroupAction, _block_cells, generate_permutation_group
 from .representations import _maxabs
 from .variables import ConceptualVariable, Context, is_permissible, make_variable
 
@@ -124,8 +124,9 @@ def planar_component_covariance(n_points: int) -> bool:
     For every rotation k, every grid direction a and every pair of points with
     equal components along a, the components along the rotated direction of
     the rotated points are equal as well. This is exact on the even grid.
-    The components are cosines rounded to nine digits, compared exactly, one
-    boolean array of the n^3 pairwise equalities per rotation.
+    The components are cosines rounded to nine digits, compared exactly, as
+    boolean arrays of the n^3 pairwise equalities of several rotations at
+    once.
     """
     angles = planar_angles(n_points)
     return _rotated_level_sets_agree(np.round(np.cos(angles[None, :] - angles[:, None]), 9))
@@ -135,17 +136,18 @@ def _rotated_level_sets_agree(table: np.ndarray) -> bool:
     """False when some k, a, p1, p2 has table[a, p1] == table[a, p2] but
     table[a+k, p1+k] != table[a+k, p2+k], indices mod n.
 
-    table[a, p] is the component along direction a at point p. Each rotation
-    gathers the rotated table with one fancy index and compares its equalities
-    with the unrotated ones as whole n x n x n arrays, so no array has more
-    than n^3 elements.
+    table[a, p] is the component along direction a at point p. Each block of
+    rotations gathers its rotated tables with one fancy index and compares
+    their equalities with the unrotated ones as whole arrays; a block holds
+    as many rotations as keep its n^3 booleans per rotation near STEP_BYTES.
     """
     n = len(table)
     equal = table[:, :, None] == table[:, None, :]
-    for k in range(n):
-        shift = (np.arange(n) + k) % n
-        rotated = table[shift[:, None], shift]
-        if (equal & (rotated[:, :, None] != rotated[:, None, :])).any():
+    step = _block_cells(n ** 3)
+    for k in range(0, n, step):
+        shifts = (np.arange(n) + np.arange(k, min(k + step, n))[:, None]) % n
+        rotated = table[shifts[:, :, None], shifts[:, None, :]]
+        if (equal & (rotated[:, :, :, None] != rotated[:, :, None, :])).any():
             return False
     return True
 

@@ -688,10 +688,11 @@ class TestOperatorMemory:
 
 
 class TestRepresentationBound:
-    def test_operator_refuses_regular_stack(self, tmp_path, capsys):
+    def test_operator_builds_no_regular_stack(self, tmp_path, capsys):
         # the identity variable of a cyclic K of order 257 induces Z_257, whose
-        # regular representation would stack 257 matrices of 257x257 (259 MiB):
-        # the smallest cyclic order above the 256 MiB bound
+        # regular representation would stack 257 matrices of 257x257 (259 MiB,
+        # above the 256 MiB bound): `operator` reads the representation's table
+        # and never builds that stack, so the bound does not refuse it
         n = 257
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps({
@@ -706,10 +707,10 @@ class TestRepresentationBound:
         finally:
             tracemalloc.stop()
         captured = capsys.readouterr()
-        assert code == 2
-        assert "259 MiB" in captured.err and "256 MiB bound" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
-        assert peak < 16 * 2**20
+        assert code == 0
+        assert captured.err == ""
+        assert "induced group order: 257" in captured.out and "eigenvalues:" in captured.out
+        assert peak < 32 * 2**20
 
     # two-bit: the base representation stacks 2 matrices of 2x2 (128 bytes),
     # the joined representation 8 of them (512 bytes)
@@ -724,3 +725,63 @@ class TestRepresentationBound:
         assert check["status"] == "fail"
         assert check["detail"].startswith("not evaluated: ") and "MiB bound" in check["detail"]
         assert _check(captured.out, "joint-group[0]")["status"] == "pass"
+
+
+def _large_value_document(tmp_path) -> str:
+    """The two-bit fixture with bit1's values 0 and 1.7e308: finite, and
+    above half the float maximum."""
+    raw = json.loads(Path(TWO_BIT).read_text())
+    raw["variables"][0]["numeric_values"] = [0.0, 1.7e308]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _unbuilt_operators(monkeypatch):
+    """Every operator matrix comes out infinite, so building one fails."""
+    sums = coherent._projector_sums
+    monkeypatch.setattr(coherent, "_projector_sums", lambda system, values:
+                        sums(system, values) + np.inf)
+
+
+class TestLargeValues:
+    def test_verify_builds_operators(self, tmp_path, capsys):
+        code = cli.main(["verify", _large_value_document(tmp_path), "--format", "structured"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["summary"] == {"pass": 25, "fail": 0, "skip": 5}
+        assert _check(out, "operator-construction[0]")["status"] == "pass"
+
+    def test_operator_builds_matrix(self, tmp_path, capsys):
+        code = cli.main(["operator", _large_value_document(tmp_path), "--variable", "bit1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "eigenvalues: 0.00000000000e+00 1.70000000000e+308" in captured.out
+
+    def test_verify_reports_unbuilt_operator(self, tmp_path, monkeypatch, capsys):
+        _unbuilt_operators(monkeypatch)
+        code = cli.main(["verify", _large_value_document(tmp_path), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        check = _check(captured.out, "operator-construction[0]")
+        assert check["status"] == "fail" and "non-finite" in check["detail"]
+
+    def test_operator_reports_unbuilt_operator(self, tmp_path, monkeypatch, capsys):
+        _unbuilt_operators(monkeypatch)
+        code = cli.main(["operator", _large_value_document(tmp_path), "--variable", "bit1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+
+    def test_verify_reports_unbuilt_moved_operators(self, tmp_path, monkeypatch, capsys):
+        def unbuilt(system, values):
+            raise ValueError("operator matrix has a non-finite entry")
+
+        monkeypatch.setattr(coherent, "operator_stack", unbuilt)
+        code = cli.main(["verify", _large_value_document(tmp_path), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert _check(captured.out, "operator-construction[0]")["status"] == "pass"
+        check = _check(captured.out, "conjugation-covariance[0]")
+        assert check["status"] == "fail" and check["detail"].startswith("moved operator not built")
+        assert _check(captured.out, "transition-unitarity[0]")["status"] == "pass"

@@ -1,8 +1,11 @@
+import functools
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps, variables
 from cvhilbert.errors import (
@@ -15,7 +18,9 @@ from cvhilbert.errors import (
 
 from conftest import SWAP
 
-GOLDEN_DOCS = sorted((Path(__file__).resolve().parent / "golden" / "docs").glob("*.json"))
+TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
+DOCS = Path(__file__).resolve().parent / "golden" / "docs"
+GOLDEN_DOCS = sorted(DOCS.glob("*.json"))
 
 
 def one_dim(group, phases):
@@ -367,6 +372,120 @@ def looped_classes(system):
     return classes
 
 
+def looped_covariance(system, theta_values, xi_values):
+    """The reference stage: one moved table, axis, operator and sandwich
+    product per element in turn. (element, residual, ok, obstructed) per
+    element."""
+    a_theta, _ = pairing.joint_operators(system, theta_values, xi_values)
+    labels = (list(system.x_index), list(system.y_index))
+    n, m = system.joint.group.order, system.joint.value_size
+    act = system.joint.action.act
+    theta_arr = np.asarray(theta_values, dtype=float)
+    moved_tables = [theta_arr[act[t] // m] for t in range(n)]
+    classes = pairing._projective_classes(system)
+    obstructed_class = set()
+    for ci in set(classes):
+        tables = {tuple(moved_tables[t].tolist()) for t in range(n) if classes[t] == ci}
+        if len(tables) > 1:
+            obstructed_class.add(ci)
+    records = []
+    for t in range(n):
+        w = system.coherent.rep.matrices[t]
+        by_x = moved_tables[t].reshape(m, m)
+        if np.all(by_x == by_x[:, :1]):
+            values, axis = by_x[:, 0], 0
+        elif np.all(by_x == by_x[:1, :]):
+            values, axis = by_x[0, :], 1
+        else:
+            raise pairing.UndefinedTransport(
+                f"moved variable does not factor through either axis for element {t}")
+        a_moved = coherent.operator_from_variable(system.coherent, values[labels[axis]])
+        residual = float(np.abs(w.conj().T @ a_theta.matrix @ w - a_moved.matrix).max())
+        records.append((t, residual, residual <= system.tolerance, classes[t] in obstructed_class))
+    return records
+
+
+def assert_records_match(records, want):
+    assert [(r.element, r.ok, r.obstructed) for r in records] == [(t, ok, o) for t, _, ok, o in want]
+    got = np.array([r.residual for r in records])
+    assert np.array_equal(got.view(np.uint64), np.array([w[1] for w in want]).view(np.uint64))
+
+
+@functools.cache
+def verified_systems():
+    """{document: (system, theta values, xi values)} for every golden document
+    whose `verify` reaches the covariance stage."""
+    stage = pairing.covariance_records
+    found = {}
+
+    def spy(system, theta_values, xi_values):
+        found[doc.stem] = (system, theta_values, xi_values)
+        return stage(system, theta_values, xi_values)
+
+    with mock.patch.object(pairing, "covariance_records", spy):
+        for doc in [*GOLDEN_DOCS, TWO_BIT]:
+            cli.run_verify(cli.parse_context(str(doc)))
+    return found
+
+
+class TestCovarianceAgainstLoop:
+    def test_golden_documents(self):
+        systems = verified_systems()
+        assert {"two_bit", "cyclic_m2", "xor_m4", "two_bit_spin_suite"} <= set(systems)
+        for system, theta_values, xi_values in systems.values():
+            assert_records_match(pairing.covariance_records(system, theta_values, xi_values),
+                                 looped_covariance(system, theta_values, xi_values))
+
+    @given(st.sampled_from(["two_bit", "xor_m4"]), st.data())
+    def test_random_values(self, document, data):
+        # ties among the values decide which classes are obstructed
+        system, _, _ = verified_systems()[document]
+        value = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
+        m = system.joint.value_size
+        theta_values, xi_values = (data.draw(st.lists(value, min_size=m, max_size=m))
+                                   for _ in range(2))
+        assert_records_match(pairing.covariance_records(system, theta_values, xi_values),
+                             looped_covariance(system, theta_values, xi_values))
+
+    @pytest.mark.parametrize("step", [groups.STEP_BYTES, 3 * 16 * 4 * 4, 1])
+    def test_elements_in_blocks(self, step):
+        # blocks of one element, of a few and of all give the same records
+        system, theta_values, xi_values = verified_systems()["xor_m4"]
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            records = pairing.covariance_records(system, theta_values, xi_values)
+        assert_records_match(records, looped_covariance(system, theta_values, xi_values))
+
+    def test_operator_count_independent_of_joined_group_order(self, monkeypatch):
+        built = []
+        check = reps.Operator.__post_init__
+
+        def counting(op):
+            built.append(op)
+            check(op)
+
+        monkeypatch.setattr(reps.Operator, "__post_init__", counting)
+        orders, counts = [], []
+        for doc in (TWO_BIT, DOCS / "xor_m4.json"):
+            built.clear()
+            report = cli.run_verify(cli.parse_context(str(doc)))
+            orders.append(next(c.detail for c in report.checks if c.cid == "joint-group[0]"))
+            counts.append(len(built))
+        assert "order=8" in orders[0] and "order=32" in orders[1]
+        assert 0 < counts[0] == counts[1]
+
+    def test_first_undefined_transport_named(self, two_bit):
+        # a table that factors through neither axis, after one that does
+        system = two_bit["system"]
+        tables = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(pairing.UndefinedTransport, match="for element 1$"):
+            pairing._axis_values(system, tables)
+
+    def test_constant_table_takes_x_axis(self, two_bit):
+        values, axes = pairing._axis_values(two_bit["system"], np.array([[2.0] * 4, [0, 1, 0, 1.0]]))
+        assert axes.tolist() == [0, 1]
+        assert values.tolist() == [[2.0, 2.0], [0.0, 1.0]]
+
+
 class TestBatchedAgainstLoops:
     def test_golden_documents(self, monkeypatch):
         # every joined representation and projective class labeling that
@@ -409,4 +528,4 @@ class TestExplicitTransformations:
         theta = np.asarray(two_bit["theta"].numeric())
         table = theta[np.asarray(four_cycle) // system.joint.value_size]
         with pytest.raises(pairing.UndefinedTransport):
-            pairing._axis_values(system, table, four_cycle)
+            pairing._axis_values(system, table[None])

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -483,13 +484,72 @@ class TestCommutant:
         assert reps.regular_representation(z(3), 1e-6).tolerance == 1e-6
 
 
+def kron_system(rep):
+    """The reference commutator system: one `np.kron` pair per element."""
+    eye = np.eye(rep.dim)
+    return np.concatenate([np.kron(u, eye) - np.kron(eye, u.T) for u in rep.matrices])
+
+
+# Representations whose commutator systems are compared with the kron loop:
+# 0/1 stacks, complex phases, a direct sum and the joined representations of
+# two golden documents, whose products carry signed zeros.
+SYSTEMS = {
+    "regular Z2": lambda: reps.regular_representation(z(2)),
+    "regular Z7": lambda: reps.regular_representation(z(7)),
+    "regular S3": lambda: reps.regular_representation(groups.standard_group("symmetric", 3)),
+    "phases Z4": lambda: one_dim(z(4), [1, 1j, -1, -1j]),
+    "sum Z3": lambda g=z(3): reps.direct_sum(
+        reps.regular_representation(g), one_dim(g, [1, np.exp(2j * np.pi / 3),
+                                                    np.exp(-2j * np.pi / 3)])),
+    "joined xor m4": lambda: joined_representation("xor_m4.json"),
+    "joined cyclic m6": lambda: joined_representation("cyclic_m6.json"),
+}
+
+
+class TestCommutantSystem:
+    @pytest.mark.parametrize("step", [groups.STEP_BYTES, 3 * 16 * 7**4, 1])
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_system_matches_kron_loop(self, name, step, monkeypatch):
+        # blocks of one element, of a few and of all fill the SVD input bit
+        # for bit as the loop does, signed zeros included
+        rep = SYSTEMS[name]()
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(groups, "STEP_BYTES", step)
+        reps.commutant_basis(rep)
+        want = kron_system(rep)
+        assert seen[0].shape == want.shape
+        assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
+
+    def test_bound_checked_before_matrices_read(self, monkeypatch):
+        monkeypatch.setattr(reps, "COMMUTANT_BYTE_LIMIT", 16 * 2 * 2**4 - 1)
+        rep = reps.regular_representation(z(2))
+        with pytest.raises(SizeLimit, match="commutant system of 8x4"):
+            reps.commutant_basis(rep)
+        assert "matrices" not in vars(rep)
+
+
 class TestStackBound:
     def test_regular_z512_refused_before_allocation(self):
         # 512 matrices of 512x512 complex entries: 2 GiB; the rotations of
-        # the 512-gon are the regular action of Z_512
+        # the 512-gon are the regular action of Z_512. The representation is
+        # held as its table, and its stack is refused when first read
         group = z(512)
-        with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):
-            reps.permutation_representation(groups.GroupAction(group, 512, group.rows))
+        rep = reps.permutation_representation(groups.GroupAction(group, 512, group.rows))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):
+                rep.matrices
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_direct_sum_refused(self, monkeypatch):
         # two 1x1 matrices stack 32 bytes, their sum's 2x2 ones 128
@@ -538,6 +598,19 @@ class TestSplit:
     def test_irreducible_input_rejected(self, qubit_rep):
         with pytest.raises(IrreducibleInput):
             reps.invariant_subspace_split(qubit_rep)
+
+    def test_non_invariant_split_refused(self, monkeypatch):
+        # the first basis vector of C^3 spans no subspace invariant under the
+        # shifts of Z_3
+        eigh = reps._clustered_eigh
+
+        def turned(herm, tolerance):
+            evals, _, clusters, scale = eigh(herm, tolerance)
+            return evals, np.eye(len(evals), dtype=complex), clusters, scale
+
+        monkeypatch.setattr(reps, "_clustered_eigh", turned)
+        with pytest.raises(IrreducibleInput, match="not invariant"):
+            reps.invariant_subspace_split(reps.regular_representation(z(3)))
 
 
 class TestDirectSum:

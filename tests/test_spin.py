@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvhilbert import spin, variables
+from cvhilbert import groups, spin, variables
 from cvhilbert.errors import InvalidSpin, NonUnitAxis
 
 HALF_INTEGERS = [0.5, 1.0, 1.5, 2.0, 2.5]
@@ -152,6 +152,19 @@ class TestPlanarContext:
             shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
             values = values[0][shift]
         assert spin._rotated_level_sets_agree(values) == _covariance_by_loops(values)
+
+    @pytest.mark.parametrize("step", [1, 3 * 6**3, groups.STEP_BYTES])
+    def test_rotations_in_blocks(self, step, monkeypatch):
+        # blocks of one rotation, of a few and of all give the verdict of the
+        # loops, on the planar tables and on tables with ties
+        monkeypatch.setattr(groups, "STEP_BYTES", step)
+        rng = np.random.default_rng(7)
+        tables = [np.round(np.cos(spin.planar_angles(n)[None, :]
+                                  - spin.planar_angles(n)[:, None]), 9) for n in (3, 6, 7)]
+        tables += [rng.integers(0, 2, (n, n)) for n in (3, 6, 7) for _ in range(4)]
+        verdicts = [spin._rotated_level_sets_agree(t) for t in tables]
+        assert verdicts == [_covariance_by_loops(t) for t in tables]
+        assert True in verdicts and False in verdicts
 
     def test_level_set_check_fails(self):
         # points 0 and 1 agree along direction 0, but after one rotation
