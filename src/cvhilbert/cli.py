@@ -46,12 +46,10 @@ class DocumentPair:
 
 @dataclass(frozen=True)
 class ContextDocument:
-    schema_version: str
     phi_size: int
-    phi_labels: tuple[str, ...] | None
     generators: tuple[tuple[int, ...], ...]
     generator_names: tuple[str, ...]
-    variables: tuple[dict, ...]
+    variables: dict[str, ConceptualVariable]
     maximal_family: tuple[str, ...]
     pairs: tuple[DocumentPair, ...]
     tolerance: float
@@ -186,14 +184,14 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             return None
         return value
 
-    version = str(raw.get("schema_version", SCHEMA_VERSION))
+    if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        problems.append(f"schema_version: must be {SCHEMA_VERSION!r}")
     phi = need(raw, "phi_space", dict, "document") or {}
     size = need(phi, "size", int, "phi_space") or 0
     labels = phi.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != size:
-            problems.append("phi_space: labels must list one name per point")
-            labels = None
+    if labels is not None and (not isinstance(labels, list) or len(labels) != size
+                               or not all(isinstance(x, str) for x in labels)):
+        problems.append("phi_space: labels must list one name per point")
     group_k = need(raw, "group_K", dict, "document") or {}
     gens_raw = need(group_k, "generators", list, "group_K") or []
     gens: list[tuple[int, ...]] = []
@@ -208,7 +206,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
         problems.append("group_K: names must be unique, one per generator")
         names = [f"g{i}" for i in range(len(gens_raw))]
     vars_raw = need(raw, "variables", list, "document")
-    vars_out: list[dict] = []
+    vars_out: dict[str, ConceptualVariable] = {}
     seen_names: set[str] = set()
     for i, v in enumerate(vars_raw or []):
         if not isinstance(v, dict):
@@ -233,7 +231,11 @@ def document_from_mapping(raw: dict) -> ContextDocument:
                                     or not all(_is_real(x) for x in numeric)):
             problems.append(f"variables[{i}] ({name}): numeric_values must be a list of numbers")
             continue
-        vars_out.append({"name": name, "values": values, "numeric_values": numeric})
+        try:
+            vars_out[name] = make_variable(
+                name, [tuple(x) if isinstance(x, list) else x for x in values], numeric)
+        except ValueError as exc:       # a numeric value count that is not the value count
+            problems.append(f"variables[{i}] ({name}): {exc}")
     family = raw.get("maximal_family", [])
     if not isinstance(family, list) or not all(isinstance(n, str) for n in family):
         problems.append("maximal_family: must be a list of variable names")
@@ -283,10 +285,8 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     if problems:
         raise SchemaError(problems)
     return ContextDocument(
-        version, size, tuple(labels) if labels else None,
-        tuple(gens), tuple(names), tuple(vars_out), tuple(family),
-        tuple(pairs), float(opts["tolerance"]), opts["fiducial_index"],
-        opts["max_order"], opts["spin_suite"],
+        size, tuple(gens), tuple(names), vars_out, tuple(family), tuple(pairs),
+        float(opts["tolerance"]), opts["fiducial_index"], opts["max_order"], opts["spin_suite"],
     )
 
 
@@ -304,193 +304,213 @@ def _fiducial(doc: ContextDocument, dim: int) -> np.ndarray:
     return fid
 
 
-def _build_variables(doc: ContextDocument) -> dict[str, ConceptualVariable]:
-    out: dict[str, ConceptualVariable] = {}
-    for entry in doc.variables:
-        out[entry["name"]] = make_variable(
-            entry["name"],
-            [tuple(v) if isinstance(v, list) else v for v in entry["values"]],
-            numeric_values=entry["numeric_values"],
-        )
-    return out
+# check family -> the construction step its records are anchored to
+_ANCHORS = {
+    "group-axioms": "group-axioms",
+    "action-axioms": "action-axioms",
+    "permissibility": "level-set-preservation",
+    "induced-group": "induced-value-group",
+    "maximality": "no-strict-accessible-refinement",
+    "relatedness": "relating-transformation",
+    "involution": "square-of-relating-transformation",
+    "joint-group": "joined-group",
+    "well-defined-extension": "generator-assignment-extends",
+    "irreducibility": "trivial-commutant",
+    "coset-labels": "axis-factorization",
+    "state-injectivity": "values-to-states",
+    "resolution-of-identity": "projector-sum-identity",
+    "operator-construction": "weighted-projector-operators",
+    "eigenvalue-value-match": "spectrum-equals-values",
+    "maximality-nondegeneracy": "maximal-iff-multiplicity-free",
+    "conjugation-covariance": "operator-transport",
+    "transition-unitarity": "basis-change",
+    "spin-commutation": "ladder-commutators",
+    "spin-eigen": "basis-eigenvalues",
+    "planar-covariance": "rotated-component-equalities",
+    "full-rotation-witness": "axis-component-obstruction",
+}
+
+
+class _Stop(Exception):
+    """Raised by a stage to end its chain: the run's, or the current pair's."""
+
+
+@dataclass
+class _Run:
+    """The state of one `verify` run; each stage reads what earlier ones set."""
+    doc: ContextDocument
+    report: VerificationReport
+    context: Context | None = None      # K acting on the space, and the family
+    induced: dict = field(default_factory=dict)     # permissible name -> (G, action, hom)
+    # the pair in hand, set stage by stage
+    idx: int = 0
+    dpair: DocumentPair | None = None
+    pair: pairing.RelatedPair | None = None
+    joint: pairing.JointGroup | None = None
+    joint_rep: representations.UnitaryRepresentation | None = None
+    system: pairing.JointSystem | None = None
+    values: tuple = ()                  # numeric values of the pair's two variables
+    eigs: tuple = ()                    # and the eigensystems of their operators
+
+    def add(self, family: str, status, *keys, **fields) -> None:
+        """Append the check family[key]..., anchored by `_ANCHORS`; a status
+        that is not a string is read as pass or fail by its truth."""
+        if not isinstance(status, str):
+            status = "pass" if status else "fail"
+        cid = family + "".join(f"[{key}]" for key in keys)
+        self.report.checks.append(CheckRecord(cid, _ANCHORS[family], status, **fields))
+
+
+def _run_stages(run: _Run, stages) -> None:
+    try:
+        for stage in stages:
+            stage(run)
+    except _Stop:
+        pass
 
 
 def run_verify(doc: ContextDocument, context_name: str = "document") -> VerificationReport:
-    """Execute the full check chain on a parsed document."""
-    report = VerificationReport(context_name, doc.tolerance)
-    checks = report.checks
+    """Execute the full check chain on a parsed document: `_STAGES` in order."""
+    run = _Run(doc, VerificationReport(context_name, doc.tolerance))
+    _run_stages(run, _STAGES)
+    return run.report
 
+
+def _close_k(run: _Run) -> None:
+    doc = run.doc
     try:
         k_group, k_action = generate_permutation_group(
-            doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
-        )
-    except (SizeLimit, CvhilbertError) as exc:
-        checks.append(CheckRecord("group-axioms", "group-axioms", "fail", detail=str(exc)))
-        return report
-    checks.append(CheckRecord("group-axioms", "group-axioms", "pass",
-                              detail=f"order={k_group.order}"))
-    checks.append(CheckRecord("action-axioms", "action-axioms", "pass",
-                              detail=f"points={k_action.space_size}"))
-
-    try:
-        var_map = _build_variables(doc)
-    except ValueError as exc:
-        checks.append(CheckRecord("variables", "variable-tables", "fail", detail=str(exc)))
-        return report
-    family = tuple(var_map[name] for name in doc.maximal_family)
-    context = Context(doc.phi_size, k_action, family)
-
-    permissible: dict[str, bool] = {}
-    induced: dict[str, tuple] = {}
-    for name, var in var_map.items():
-        try:
-            induced[name] = variables.induced_group(var, k_action)
-        except NotPermissible as exc:
-            permissible[name] = False
-            k, p1, p2 = exc.witness
-            checks.append(CheckRecord(
-                f"permissibility[{name}]", "level-set-preservation", "fail",
-                witness=f"k={k} p1={p1} p2={p2}"))
-            checks.append(CheckRecord(
-                f"induced-group[{name}]", "induced-value-group", "skip",
-                detail="variable not permissible"))
-            continue
-        permissible[name] = True
-        checks.append(CheckRecord(f"permissibility[{name}]", "level-set-preservation", "pass"))
-        checks.append(CheckRecord(
-            f"induced-group[{name}]", "induced-value-group", "pass",
-            detail=f"order={induced[name][0].order}"))
-
-    for name in doc.maximal_family:
-        is_max = variables.is_maximally_accessible(context, var_map[name])
-        checks.append(CheckRecord(
-            f"maximality[{name}]", "no-strict-accessible-refinement",
-            "pass" if is_max else "fail"))
-
-    for idx, dpair in enumerate(doc.pairs):
-        theta = var_map[dpair.theta]
-        xi = var_map[dpair.xi]
-        k_perm = dpair.k_perm
-        if k_perm is None and dpair.k_word is not None:
-            k_perm = _resolve_word(doc, dpair.k_word)
-        try:
-            pair = pairing.build_related_pair(context, theta, xi, k_perm)
-        except (NotRelated, NotAccessible, NotMaximal, InvolutionViolation) as exc:
-            checks.append(CheckRecord(f"relatedness[{idx}]", "relating-transformation",
-                                      "fail", detail=str(exc)))
-            continue
-        checks.append(CheckRecord(f"relatedness[{idx}]", "relating-transformation", "pass"))
-        checks.append(CheckRecord(
-            f"involution[{idx}]", "square-of-relating-transformation",
-            "pass", detail=f"k_squared_identity={pair.k_squared_identity}"))
-        if not permissible.get(dpair.theta, False):
-            checks.append(CheckRecord(f"joint-group[{idx}]", "joined-group", "skip",
-                                      detail="first variable not permissible"))
-            continue
-        _verify_pair_chain(report, doc, idx, pair, induced[dpair.theta])
-
-    if doc.spin_suite:
-        _spin_suite(report)
-    return report
-
-
-def _verify_pair_chain(report, doc, idx, pair, induced_triple):
-    checks = report.checks
-    g_group, g_action, _ = induced_triple
-    try:
-        joint = pairing.build_joint_group(pair, g_group, g_action, doc.max_order)
+            doc.generators, space_size=doc.phi_size, order_bound=doc.max_order)
     except CvhilbertError as exc:
-        checks.append(CheckRecord(f"joint-group[{idx}]", "joined-group", "fail",
-                                  detail=str(exc)))
-        return
-    checks.append(CheckRecord(
-        f"joint-group[{idx}]", "joined-group", "pass",
-        detail=f"order={joint.group.order} points={joint.action.space_size}"))
+        run.add("group-axioms", "fail", detail=str(exc))
+        raise _Stop from exc
+    run.add("group-axioms", "pass", detail=f"order={k_group.order}")
+    run.add("action-axioms", "pass", detail=f"points={k_action.space_size}")
+    family = tuple(doc.variables[name] for name in doc.maximal_family)
+    run.context = Context(doc.phi_size, k_action, family)
 
+
+def _permissibility(run: _Run) -> None:
+    for name, var in run.doc.variables.items():
+        try:
+            run.induced[name] = variables.induced_group(var, run.context.acting_group)
+        except NotPermissible as exc:
+            k, p1, p2 = exc.witness
+            run.add("permissibility", "fail", name, witness=f"k={k} p1={p1} p2={p2}")
+            run.add("induced-group", "skip", name, detail="variable not permissible")
+            continue
+        run.add("permissibility", "pass", name)
+        run.add("induced-group", "pass", name, detail=f"order={run.induced[name][0].order}")
+
+
+def _maximality(run: _Run) -> None:
+    for name in run.doc.maximal_family:
+        is_max = variables.is_maximally_accessible(run.context, run.doc.variables[name])
+        run.add("maximality", is_max, name)
+
+
+def _pairs(run: _Run) -> None:
+    for idx, dpair in enumerate(run.doc.pairs):
+        run.idx, run.dpair = idx, dpair
+        _run_stages(run, _PAIR_STAGES)
+
+
+def _relate(run: _Run) -> None:
+    doc, dpair = run.doc, run.dpair
+    k = dpair.k_perm or _resolve_word(doc, dpair.k_word)
     try:
-        base_rep = representations.regular_representation(g_group, doc.tolerance)
-        swap_matrix = pairing.build_swap_matrix(base_rep)
-        joint_rep, words = pairing.build_joint_representation(joint, base_rep, swap_matrix)
+        run.pair = pairing.build_related_pair(
+            run.context, doc.variables[dpair.theta], doc.variables[dpair.xi], k)
+    except (NotRelated, NotAccessible, NotMaximal, InvolutionViolation) as exc:
+        run.add("relatedness", "fail", run.idx, detail=str(exc))
+        raise _Stop from exc
+    run.add("relatedness", "pass", run.idx)
+    run.add("involution", "pass", run.idx,
+            detail=f"k_squared_identity={run.pair.k_squared_identity}")
+
+
+def _join(run: _Run) -> None:
+    if run.dpair.theta not in run.induced:
+        run.add("joint-group", "skip", run.idx, detail="first variable not permissible")
+        raise _Stop
+    g_group, g_action, _ = run.induced[run.dpair.theta]
+    try:
+        run.joint = pairing.build_joint_group(run.pair, g_group, g_action, run.doc.max_order)
+    except CvhilbertError as exc:
+        run.add("joint-group", "fail", run.idx, detail=str(exc))
+        raise _Stop from exc
+    run.add("joint-group", "pass", run.idx,
+            detail=f"order={run.joint.group.order} points={run.joint.action.space_size}")
+
+
+def _extend(run: _Run) -> None:
+    g_group = run.induced[run.dpair.theta][0]
+    try:
+        base_rep = representations.regular_representation(g_group, run.doc.tolerance)
+        run.joint_rep = pairing.build_joint_representation(
+            run.joint, base_rep, pairing.build_swap_matrix(base_rep))
     except (NotWellDefined, SizeLimit, IrreducibleInput) as exc:
         # no swap matrix, or a bound hit: the extension itself was not decided
         detail = str(exc) if isinstance(exc, NotWellDefined) else f"not evaluated: {exc}"
-        checks.append(CheckRecord(f"well-defined-extension[{idx}]",
-                                  "generator-assignment-extends", "fail", detail=detail))
-        return
-    checks.append(CheckRecord(f"well-defined-extension[{idx}]",
-                              "generator-assignment-extends", "pass"))
+        run.add("well-defined-extension", "fail", run.idx, detail=detail)
+        raise _Stop from exc
+    run.add("well-defined-extension", "pass", run.idx)
+    dim = representations.commutant_dimension(run.joint_rep)
+    run.add("irreducibility", dim == 1, run.idx, detail=f"commutant_dim={dim}")
 
-    dim = representations.commutant_dimension(joint_rep)
-    checks.append(CheckRecord(f"irreducibility[{idx}]", "trivial-commutant",
-                              "pass" if dim == 1 else "fail", detail=f"commutant_dim={dim}"))
 
+def _label(run: _Run) -> None:
     try:
-        system = pairing.joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep,
-                                               words, _fiducial(doc, base_rep.dim))
+        run.system = pairing.joint_coset_structure(
+            run.pair, run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
     except CosetLabelingError as exc:
-        checks.append(CheckRecord(f"coset-labels[{idx}]", "axis-factorization",
-                                  "fail", detail=str(exc)))
-        return
-    checks.append(CheckRecord(
-        f"coset-labels[{idx}]", "axis-factorization", "pass",
-        detail=f"cosets={len(system.coherent.cosets)} isotropy={system.coherent.isotropy.order}"))
-
-    injective, collision = coherent.one_to_one_check(system.coherent)
-    checks.append(CheckRecord(
-        f"state-injectivity[{idx}]", "values-to-states",
-        "pass" if injective else "fail",
-        witness=None if injective else f"elements {collision}"))
-
-    res = system.coherent.resolution
-    checks.append(CheckRecord(
-        f"resolution-of-identity[{idx}]", "projector-sum-identity",
-        "pass" if res.ok else "fail", residual=_num(res.residual),
-        detail=f"c={_fmt(res.constant)}"))
+        run.add("coset-labels", "fail", run.idx, detail=str(exc))
+        raise _Stop from exc
+    states = run.system.coherent
+    run.add("coset-labels", "pass", run.idx,
+            detail=f"cosets={len(states.cosets)} isotropy={states.isotropy.order}")
+    injective, collision = coherent.one_to_one_check(states)
+    run.add("state-injectivity", injective, run.idx,
+            witness=None if injective else f"elements {collision}")
+    res = states.resolution
+    run.add("resolution-of-identity", res.ok, run.idx, residual=_num(res.residual),
+            detail=f"c={_fmt(res.constant)}")
     if not res.ok:
-        return
+        raise _Stop
 
+
+def _operators(run: _Run) -> None:
+    pair, system = run.pair, run.system
     try:
-        theta_vals = pair.theta.numeric()
-        xi_vals = pair.xi.numeric()
+        run.values = (pair.theta.numeric(), pair.xi.numeric())
     except ValueError as exc:
-        checks.append(CheckRecord(
-            f"operator-construction[{idx}]", "weighted-projector-operators",
-            "skip", detail=str(exc)))
-        return
+        run.add("operator-construction", "skip", run.idx, detail=str(exc))
+        raise _Stop from exc
     try:
-        a_theta, a_xi = pairing.joint_operators(system, theta_vals, xi_vals)
+        ops = pairing.joint_operators(system, *run.values)
     except ValueError as exc:
-        checks.append(CheckRecord(
-            f"operator-construction[{idx}]", "weighted-projector-operators",
-            "fail", detail=str(exc)))
-        return
+        run.add("operator-construction", "fail", run.idx, detail=str(exc))
+        raise _Stop from exc
     unit = coherent.operator_from_variable(system.coherent, np.ones(len(system.x_index)))
     unit_residual = float(np.abs(unit.matrix - np.eye(system.dim)).max())
-    checks.append(CheckRecord(
-        f"operator-construction[{idx}]", "weighted-projector-operators",
-        "pass" if unit_residual <= doc.tolerance else "fail",
-        residual=_num(unit_residual), detail="unit variable gives identity"))
-
-    eig_theta = spectra.eigensystem(a_theta)
-    eig_xi = spectra.eigensystem(a_xi)
-    for var, eig in ((pair.theta, eig_theta), (pair.xi, eig_xi)):
-        report.operators.append({
-            "pair": idx,
+    run.add("operator-construction", unit_residual <= run.doc.tolerance, run.idx,
+            residual=_num(unit_residual), detail="unit variable gives identity")
+    run.eigs = tuple(spectra.eigensystem(op) for op in ops)
+    for var, eig in zip((pair.theta, pair.xi), run.eigs):
+        run.report.operators.append({
+            "pair": run.idx,
             "variable": var.name,
             "matrix": _matrix_payload(eig.operator.matrix),
             "eigenvalues": [_num(v) for v in eig.spectrum],
         })
-        ok = spectra.verify_values_are_eigenvalues(eig, var)
-        checks.append(CheckRecord(
-            f"eigenvalue-value-match[{idx}][{var.name}]", "spectrum-equals-values",
-            "pass" if ok else "fail"))
-        ok2 = spectra.verify_maximality_iff_nondegenerate(pair.context, var, eig)
-        checks.append(CheckRecord(
-            f"maximality-nondegeneracy[{idx}][{var.name}]",
-            "maximal-iff-multiplicity-free", "pass" if ok2 else "fail"))
+        run.add("eigenvalue-value-match", spectra.verify_values_are_eigenvalues(eig, var),
+                run.idx, var.name)
+        run.add("maximality-nondegeneracy",
+                spectra.verify_maximality_iff_nondegenerate(pair.context, var, eig),
+                run.idx, var.name)
         for qa in spectra.question_answer_labels(eig, var):
-            report.question_answers.append({
-                "pair": idx,
+            run.report.question_answers.append({
+                "pair": run.idx,
                 "variable": qa.variable,
                 "value": qa.value_label,
                 "numeric": _num(qa.numeric_value),
@@ -498,13 +518,14 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
                 "vector": _vector_payload(qa.eigenvector) if qa.eigenvector is not None else None,
             })
 
+
+def _covariance(run: _Run) -> None:
     try:
-        records = pairing.covariance_records(system, theta_vals, xi_vals)
+        records = pairing.covariance_records(run.system, *run.values)
     except ValueError as exc:
         # a moved operator can overflow where the first operator did not
-        checks.append(CheckRecord(
-            f"conjugation-covariance[{idx}]", "operator-transport",
-            "fail", detail=f"moved operator not built: {exc}"))
+        run.add("conjugation-covariance", "fail", run.idx,
+                detail=f"moved operator not built: {exc}")
         records = []
     for rec in records:
         if rec.ok:
@@ -514,44 +535,43 @@ def _verify_pair_chain(report, doc, idx, pair, induced_triple):
             detail = "transport undefined: value motion not resolved by matrices (scalar collision)"
         else:
             status, detail = "fail", None
-        checks.append(CheckRecord(
-            f"conjugation-covariance[{idx}][t={rec.element}]", "operator-transport",
-            status, residual=_num(rec.residual), detail=detail))
+        run.add("conjugation-covariance", status, run.idx, f"t={rec.element}",
+                residual=_num(rec.residual), detail=detail)
 
+
+def _basis_change(run: _Run) -> None:
+    eig_theta, eig_xi = run.eigs
     if eig_theta.degenerate or eig_xi.degenerate:
-        checks.append(CheckRecord(f"transition-unitarity[{idx}]", "basis-change",
-                                  "skip", detail="degenerate spectrum"))
-    else:
-        t = spectra.transition_matrix(eig_theta, eig_xi)
-        resid = float(np.abs(t @ t.conj().T - np.eye(system.dim)).max())
-        checks.append(CheckRecord(
-            f"transition-unitarity[{idx}]", "basis-change",
-            "pass" if resid <= doc.tolerance else "fail", residual=_num(resid)))
+        run.add("transition-unitarity", "skip", run.idx, detail="degenerate spectrum")
+        return
+    t = spectra.transition_matrix(eig_theta, eig_xi)
+    resid = float(np.abs(t @ t.conj().T - np.eye(run.system.dim)).max())
+    run.add("transition-unitarity", resid <= run.doc.tolerance, run.idx, residual=_num(resid))
 
 
-def _spin_suite(report: VerificationReport) -> None:
-    checks = report.checks
+def _spin_suite(run: _Run) -> None:
+    if not run.doc.spin_suite:
+        return
     for twice_r in (1, 2, 3, 4, 5):
         r = twice_r / 2
         sr = spin.build_spin(r)
         resid = spin.verify_commutation(sr)
-        checks.append(CheckRecord(
-            f"spin-commutation[r={r}]", "ladder-commutators",
-            "pass" if resid <= 1e-12 else "fail", residual=_num(resid)))
-        ok = spin.verify_eigen(sr)
-        checks.append(CheckRecord(
-            f"spin-eigen[r={r}]", "basis-eigenvalues",
-            "pass" if ok and sr.dim == twice_r + 1 else "fail",
-            detail=f"dim={sr.dim}"))
+        run.add("spin-commutation", resid <= 1e-12, f"r={r}", residual=_num(resid))
+        run.add("spin-eigen", spin.verify_eigen(sr) and sr.dim == twice_r + 1, f"r={r}",
+                detail=f"dim={sr.dim}")
     for n in range(3, 13):
-        ok = spin.planar_component_covariance(n)
-        checks.append(CheckRecord(
-            f"planar-covariance[n={n}]", "rotated-component-equalities",
-            "pass" if ok else "fail"))
+        run.add("planar-covariance", spin.planar_component_covariance(n), f"n={n}")
     _, _, witness, axes = spin.full_rotation_counterexample()
-    checks.append(CheckRecord(
-        "full-rotation-witness", "axis-component-obstruction", "pass",
-        witness=f"k={witness[0]} points=({axes[0]},{axes[1]})"))
+    run.add("full-rotation-witness", "pass",
+            witness=f"k={witness[0]} points=({axes[0]},{axes[1]})")
+
+
+# The chain: close K, permissibility and the induced groups, maximality, the
+# pairs, the spin suite. Each pair runs relate, join, extend (with
+# irreducibility), label the cosets (with injectivity and the resolution of
+# identity), build the operators and their spectra, covariance, basis change.
+_STAGES = (_close_k, _permissibility, _maximality, _pairs, _spin_suite)
+_PAIR_STAGES = (_relate, _join, _extend, _label, _operators, _covariance, _basis_change)
 
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
@@ -644,24 +664,25 @@ def _apply_overrides(doc: ContextDocument, args) -> ContextDocument:
     return replace(doc, **updates)
 
 
-def _write_report(report: VerificationReport, fmt: str) -> int:
-    sys.stdout.write(emit_report(report, fmt))
+def _cmd_report(args) -> int:
+    """verify, pair and demo: a verification report on stdout."""
+    if args.command == "demo":
+        if args.name != "two-bit":
+            print(f"unknown demo {args.name!r}", file=sys.stderr)
+            return 1
+        doc, name = document_from_mapping(two_bit_document()), "demo:two-bit"
+    else:
+        doc, name = parse_context(args.file), args.file
+    doc = _apply_overrides(doc, args)
+    if args.command == "pair":
+        if not 0 <= args.pair < len(doc.pairs):
+            print(f"pair index {args.pair} out of range", file=sys.stderr)
+            return 1
+        doc = replace(doc, pairs=(doc.pairs[args.pair],), spin_suite=False)
+        name = f"{args.file}#pair{args.pair}"
+    report = run_verify(doc, context_name=name)
+    sys.stdout.write(emit_report(report, args.format))
     return 2 if report.failed else 0
-
-
-def _cmd_verify(args) -> int:
-    doc = parse_context(args.file)
-    doc = _apply_overrides(doc, args)
-    return _write_report(run_verify(doc, context_name=args.file), args.format)
-
-
-def _cmd_demo(args) -> int:
-    if args.name != "two-bit":
-        print(f"unknown demo {args.name!r}", file=sys.stderr)
-        return 1
-    doc = document_from_mapping(two_bit_document())
-    doc = _apply_overrides(doc, args)
-    return _write_report(run_verify(doc, context_name="demo:two-bit"), args.format)
 
 
 def _cmd_operator(args) -> int:
@@ -670,15 +691,10 @@ def _cmd_operator(args) -> int:
     _, k_action = generate_permutation_group(
         doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
     )
-    try:
-        var_map = _build_variables(doc)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    if args.variable not in var_map:
+    if args.variable not in doc.variables:
         print(f"undefined variable {args.variable!r}", file=sys.stderr)
         return 1
-    var = var_map[args.variable]
+    var = doc.variables[args.variable]
     try:
         g_group, g_action, _ = variables.induced_group(var, k_action)
     except NotPermissible as exc:
@@ -719,17 +735,6 @@ def _cmd_operator(args) -> int:
     return 0
 
 
-def _cmd_pair(args) -> int:
-    doc = parse_context(args.file)
-    doc = _apply_overrides(doc, args)
-    if not 0 <= args.pair < len(doc.pairs):
-        print(f"pair index {args.pair} out of range", file=sys.stderr)
-        return 1
-    doc = replace(doc, pairs=(doc.pairs[args.pair],), spin_suite=False)
-    return _write_report(run_verify(doc, context_name=f"{args.file}#pair{args.pair}"),
-                         args.format)
-
-
 def _cmd_spin(args) -> int:
     try:
         sr = spin.build_spin(args.r)
@@ -756,9 +761,8 @@ def _cmd_spin(args) -> int:
     return 0 if ok else 2
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process on first use."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once, when the module is imported."""
     parser = argparse.ArgumentParser(
         prog="cvhilbert",
         description="verify operator constructions over finite symmetry contexts",
@@ -776,7 +780,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full check chain on a document")
     p_verify.add_argument("file")
     reporting(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_report)
 
     p_operator = sub.add_parser("operator", help="single-variable operator report")
     p_operator.add_argument("file")
@@ -788,7 +792,7 @@ def _parser() -> argparse.ArgumentParser:
     p_pair.add_argument("file")
     p_pair.add_argument("--pair", type=int, required=True)
     reporting(p_pair)
-    p_pair.set_defaults(func=_cmd_pair)
+    p_pair.set_defaults(func=_cmd_report)
 
     p_spin = sub.add_parser("spin", help="spin matrix suite")
     p_spin.add_argument("--r", type=float, required=True)
@@ -797,12 +801,17 @@ def _parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run a built-in demonstration document")
     p_demo.add_argument("name")
     reporting(p_demo)
-    p_demo.set_defaults(func=_cmd_demo)
+    p_demo.set_defaults(func=_cmd_report)
     return parser
 
 
+# Built at import: the first parse then imports nothing (argparse's messages
+# load `locale`), and every command runs on the modules already loaded.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, SchemaError) as exc:

@@ -268,7 +268,8 @@ def _separating_points(rows: np.ndarray):
     ordered = rows[_row_keys(rows).argsort()]
     differ = ordered[1:] != ordered[:-1]
     apart = differ.any(axis=1)
-    return np.unique(np.argmax(differ[apart], axis=1)), bool(apart.all())
+    # bincount, not np.unique, which imports numpy.ma on its first call
+    return np.flatnonzero(np.bincount(np.argmax(differ[apart], axis=1))), bool(apart.all())
 
 
 def _listed(rows: np.ndarray, keys: _Keys, products: np.ndarray) -> np.ndarray:
@@ -556,7 +557,7 @@ def _breadth_first(gen_rows: np.ndarray, points: np.ndarray, order_bound: int):
                 # the listed rows have distinct keys, so `_listed` is exact
                 products = parents[:, gen_rows].reshape(-1, m)
                 unlisted = _listed(rows, _Keys(points, weights, listed, elements), products) < 0
-                pending = len(rows) + len(np.unique(products[unlisted], axis=0))
+                pending = len(rows) + len(_first_occurrences(_row_keys(products[unlisted])))
                 return rows, np.concatenate(columns), pending, None
             index[miss] = len(rows) + _ranks(found[miss], first)
             rows = np.concatenate([rows, parents[(fresh // count)[:, None], gen_rows[fresh % count]]])

@@ -96,16 +96,13 @@ class JointGroup:
 class JointSystem:
     pair: RelatedPair
     joint: JointGroup
-    base_rep: UnitaryRepresentation     # representation feeding the join
-    swap_matrix: np.ndarray
-    words: tuple[tuple[int, ...], ...]  # generator word per joined-group element
     coherent: coherent.CoherentStateSystem  # states of the joined representation
     x_index: tuple[int, ...]            # first-axis label per coset
     y_index: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.base_rep.dim
+        return self.coherent.rep.dim
 
     @property
     def tolerance(self) -> float:
@@ -221,7 +218,7 @@ def build_swap_matrix(base_rep: UnitaryRepresentation) -> np.ndarray:
 
 def build_joint_representation(
     joint: JointGroup, base_rep: UnitaryRepresentation, swap_matrix: np.ndarray
-):
+) -> UnitaryRepresentation:
     """Extend the generator assignment to all of N and verify it.
 
     The swap J must square to the identity, or NotWellDefined names the swap
@@ -232,8 +229,8 @@ def build_joint_representation(
     relation. The extension is accepted only if the full multiplication table
     is respected, which `UnitaryRepresentation` verifies on construction;
     otherwise NotWellDefined carries an element with two words whose products
-    disagree. A stack above REPRESENTATION_BYTE_LIMIT raises SizeLimit before
-    it is allocated.
+    disagree, the words read off `bfs_words` only then. A stack above
+    REPRESENTATION_BYTE_LIMIT raises SizeLimit before it is allocated.
     """
     d = base_rep.dim
     tol = base_rep.tolerance
@@ -249,7 +246,6 @@ def build_joint_representation(
         else:
             gen_mats[i] = swap_matrix
     gen_elements = list(joint.gen_elements)
-    words = bfs_words(joint.group, gen_elements)
     _check_stack(joint.group.order, d)
     mats = np.empty((joint.group.order, d, d), dtype=complex)
     mats[joint.group.identity] = np.eye(d)
@@ -258,21 +254,18 @@ def build_joint_representation(
         mats[elements] = mats[parents] @ gen_mats[slots]
     mats.setflags(write=False)
     try:
-        joint_rep = UnitaryRepresentation(joint.group, d, mats, tol)
+        return UnitaryRepresentation(joint.group, d, mats, tol)
     except NotHomomorphism as exc:
         a, b = exc.pair
         c = joint.group.mult(a, b)
+        words = bfs_words(joint.group, gen_elements)
         raise NotWellDefined(c, words[a] + words[b], words[c]) from exc
-    return joint_rep, tuple(words)
 
 
 def joint_coset_structure(
     pair: RelatedPair,
     joint: JointGroup,
-    base_rep: UnitaryRepresentation,
-    swap_matrix: np.ndarray,
     joint_rep: UnitaryRepresentation,
-    words,
     fiducial=None,
 ) -> JointSystem:
     """Coherent states of the joined representation with consistent, injective
@@ -303,31 +296,7 @@ def joint_coset_structure(
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
         raise CosetLabelingError("label collision", dup)
-    return JointSystem(
-        pair, joint, base_rep, np.asarray(swap_matrix, dtype=complex), tuple(words),
-        coherent_system, tuple(x_index), tuple(y_index),
-    )
-
-
-def build_joint_system(
-    pair: RelatedPair,
-    g_group: FiniteGroup,
-    g_action: GroupAction,
-    base_rep: UnitaryRepresentation | None = None,
-    swap_matrix: np.ndarray | None = None,
-    fiducial=None,
-    order_bound: int = 1024,
-) -> JointSystem:
-    """One-shot pipeline: join the groups, extend the representation, label cosets."""
-    from .representations import regular_representation
-
-    joint = build_joint_group(pair, g_group, g_action, order_bound)
-    if base_rep is None:
-        base_rep = regular_representation(g_group)
-    if swap_matrix is None:
-        swap_matrix = build_swap_matrix(base_rep)
-    joint_rep, words = build_joint_representation(joint, base_rep, swap_matrix)
-    return joint_coset_structure(pair, joint, base_rep, swap_matrix, joint_rep, words, fiducial)
+    return JointSystem(pair, joint, coherent_system, tuple(x_index), tuple(y_index))
 
 
 def joint_operators(

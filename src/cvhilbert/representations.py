@@ -5,23 +5,22 @@ multiplication table U(a*b) = U(a)U(b) and unitarity. A permutation
 representation, as `permutation_representation` and `regular_representation`
 build, is held as its (n, d) integer table act, U(g)[act[g, x], x] = 1: it is
 checked on that table with no matrix product, and its stack of 0/1 matrices
-is built only when `matrices` is first read. A 0/1 stack of functions built
-by hand is recognised by reading its table off the stack, and is checked the
-same way. The 0/1 matrices of functions multiply as the functions compose,
-P_f P_h = P_{f o h}, exactly in floating point, so comparing act[g*s] with
-act[g] o act[s] is the float check made exact. Both checks run on a
-generating set S read greedily off the group's elements
-(`groups._greedy_generators`), whose products g*s are found by base key:
-|G|*|S| products instead of |G|^2. Any other stack must be finite, and a
-certificate (`_certified`) bounds the residual of every other pair by the
-generator residual, the BFS depth over S, the unitarity residual and the
-rounding of the scan. When that bound does not prove the table, the
-row-major scan runs as the fallback, composing one block of products at a
-time, and names the first failing pair, so a verdict or a witness never
-depends on the certificate. No check builds the group's full multiplication
-table. A stack of more than REPRESENTATION_BYTE_LIMIT bytes is refused with
-SizeLimit before it is allocated: a permutation representation's when
-`matrices` is first read, as it is built only then.
+is built only when `matrices` is first read. The 0/1 matrices of functions
+multiply as the functions compose, P_f P_h = P_{f o h}, exactly in floating
+point, so comparing act[g*s] with act[g] o act[s] is the float check made
+exact. Both checks run on a generating set S read greedily off the group's
+elements (`groups._greedy_generators`), whose products g*s are found by
+base key: |G|*|S| products instead of |G|^2. A stack given as matrices, 0/1
+or not, takes the float check: it must be finite, and a certificate
+(`_certified`) bounds the residual of every other pair by the generator
+residual, the BFS depth over S, the unitarity residual and the rounding of
+the scan. When that bound does not prove the table, the row-major scan runs
+as the fallback, composing one block of products at a time, and names the
+first failing pair, so a verdict or a witness never depends on the
+certificate. No check builds the group's full multiplication table. A stack
+of more than REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit
+before it is allocated: a permutation representation's when `matrices` is
+first read, as it is built only then.
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
@@ -94,10 +93,6 @@ class UnitaryRepresentation:
         mats = self.source
         if mats.shape != (n, d, d):
             raise ValueError("matrix stack has wrong shape")
-        act = _table_of(mats)
-        if act is not None:
-            self._check_table(act)
-            return
         if not np.isfinite(mats).all():
             raise ValueError("matrix stack has a non-finite entry")
         eye = np.eye(d)
@@ -208,24 +203,6 @@ def _check_operators(stack: np.ndarray, tolerance: float) -> None:
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def _table_of(mats: np.ndarray) -> np.ndarray | None:
-    """The (n, d) table act when mats is, bit for bit, the complex 0/1 stack
-    of the functions x -> act[g, x]: U(g)[act[g, x], x] = 1 and every other
-    entry 0. None for any other stack."""
-    n, d = mats.shape[:2]
-    if mats.dtype != np.complex128 or d == 0:
-        return None
-    # n*d nonzero 64-bit words, and a 1 at each of the n*d distinct positions
-    # (g, act[g, x], x): then every other word is zero
-    if np.count_nonzero(np.ascontiguousarray(mats).view(np.uint64)) != n * d:
-        return None
-    # argmax along a strided axis copies its input: blocks of elements keep
-    # that copy near STEP_BYTES
-    step = _block_cells(8 * d * d)
-    act = np.concatenate([mats[a:a + step].real.argmax(axis=1) for a in range(0, n, step)])
-    return act if np.all(mats[np.arange(n)[:, None], act, np.arange(d)] == 1) else None
 
 
 def _generator_residuals(mats, gens, columns, step, buffers):
@@ -381,7 +358,8 @@ def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
     if sigma.size == 0 or sigma[0] == 0.0:
         null_rows = vh
     else:
-        threshold = rep.tolerance * sigma[0]
+        # a Python float product: a huge tolerance gives inf, not a warning
+        threshold = rep.tolerance * float(sigma[0])
         rank = int(np.sum(sigma > threshold))
         null_rows = vh[rank:]
     return [row.conj().reshape(d, d) for row in null_rows]

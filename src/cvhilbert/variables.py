@@ -207,14 +207,14 @@ def is_accessible(context: Context, variable: ConceptualVariable) -> bool:
 def is_maximally_accessible(context: Context, variable: ConceptualVariable) -> bool:
     """Accessible with no accessible strict refinement.
 
-    With the declared-family model this holds exactly when the variable's
-    partition coincides with some family member's partition.
+    With the declared-family model this holds exactly when no family member
+    strictly refines the variable: an accessible strict refinement is a
+    coarsening of some member, which then strictly refines the variable too.
     """
-    if not is_accessible(context, variable):
+    found = [refines(member, variable) for member in context.maximal_accessible_family]
+    if all(f is None for f in found):
         raise NotAccessible(f"variable {variable.name} is not accessible")
-    part = induced_partition(variable)
-    return any(induced_partition(member) == part
-               for member in context.maximal_accessible_family)
+    return not any(f[1] for f in found if f is not None)
 
 
 def joint_variable(theta: ConceptualVariable, xi: ConceptualVariable) -> ConceptualVariable:

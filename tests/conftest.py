@@ -13,6 +13,18 @@ FLIP2 = (1, 0, 3, 2)
 SWAP = (0, 2, 1, 3)
 
 
+def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
+    """The joint system of a related pair, by the steps `verify` takes: join
+    the groups, build the swap matrix, extend the representation, label the
+    cosets. The base representation defaults to G's regular one."""
+    joint = pairing.build_joint_group(pair, g_group, g_action)
+    if base_rep is None:
+        base_rep = representations.regular_representation(g_group)
+    joint_rep = pairing.build_joint_representation(
+        joint, base_rep, pairing.build_swap_matrix(base_rep))
+    return pairing.joint_coset_structure(pair, joint, joint_rep, fiducial)
+
+
 @pytest.fixture(scope="session")
 def two_bit():
     """The worked two-binary-variable joint system and its ingredients."""
@@ -22,7 +34,8 @@ def two_bit():
     context = variables.Context(4, k_action, (theta, xi))
     pair = pairing.build_related_pair(context, theta, xi, SWAP)
     g_group, g_action, hom = variables.induced_group(theta, k_action)
-    system = pairing.build_joint_system(pair, g_group, g_action)
+    base_rep = representations.regular_representation(g_group)
+    system = joint_system(pair, g_group, g_action, base_rep)
     return {
         "k_group": k_group,
         "k_action": k_action,
@@ -33,6 +46,7 @@ def two_bit():
         "g_group": g_group,
         "g_action": g_action,
         "hom": hom,
+        "base_rep": base_rep,
         "system": system,
     }
 

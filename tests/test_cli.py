@@ -1,6 +1,9 @@
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +21,7 @@ CORRUPTED = str(FIXTURES / "two_bit_corrupted.json")
 XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
 S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.json")
 CYCLIC8 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json")
+CYCLIC3 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m3.json")
 
 
 class TestParsing:
@@ -136,6 +140,20 @@ class TestRunVerify:
         assert check["detail"] == "variable par is not accessible"
         assert _check(captured.out, "permissibility[par]")["status"] == "pass"
         assert _check(captured.out, "resolution-of-identity[0]")["status"] == "pass"
+
+    def test_family_member_strictly_refined_is_not_maximal(self, tmp_path, capsys):
+        # const matches its own partition, but bit1 strictly refines it
+        raw = cli.two_bit_document()
+        raw["variables"].append({"name": "const", "values": [0, 0, 0, 0]})
+        raw["maximal_family"].append("const")
+        path = tmp_path / "const.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["verify", str(path), "--format", "structured"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert _check(out, "maximality[const]")["status"] == "fail"
+        assert _check(out, "maximality[bit1]")["status"] == "pass"
+        assert json.loads(out)["summary"]["fail"] == 1
 
     def test_state_injectivity_reads_library_check(self, monkeypatch):
         monkeypatch.setattr(coherent, "one_to_one_check", lambda system: (False, (0, 3)))
@@ -328,6 +346,12 @@ def _with_option(key, value):
     return raw
 
 
+def _edited(edit):
+    raw = cli.two_bit_document()
+    edit(raw)
+    return raw
+
+
 MALFORMED = {
     "top-level array": ([cli.two_bit_document()], "document"),
     "tolerance string": (_with_option("tolerance", "abc"), "'tolerance'"),
@@ -337,6 +361,15 @@ MALFORMED = {
     "spin_suite string": (_with_option("spin_suite", "no"), "'spin_suite'"),
     "negative fiducial_index": (_with_option("fiducial_index", -1), "'fiducial_index'"),
     "bool size": ({**_one_point_document(), "phi_space": {"size": True}}, "'size'"),
+    # three numbers for bit1's two distinct values
+    "numeric_values count": (_edited(lambda raw: raw["variables"][0].update(
+        numeric_values=[0.0, 1.0, 2.0])), "(bit1): numeric_values must have one entry"),
+    "schema_version list": ({**cli.two_bit_document(), "schema_version": ["x"]},
+                            "schema_version: must be '1'"),
+    "schema_version number": ({**cli.two_bit_document(), "schema_version": 1},
+                              "schema_version: must be '1'"),
+    "labels not strings": (_edited(lambda raw: raw["phi_space"].update(labels=[0, 1, 2, 3])),
+                           "labels must list one name per point"),
 }
 
 
@@ -350,6 +383,15 @@ class TestMalformedOptions:
         assert code == 1
         assert captured.out == ""
         assert "schema violations" in captured.err and field in captured.err
+
+    def test_operator_rejects_numeric_values_count(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(MALFORMED["numeric_values count"][0]))
+        code = cli.main(["operator", str(path), "--variable", "bit2"])
+        captured = capsys.readouterr()
+        # a schema violation, as in verify, though bit2 itself is well formed
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("schema violations: variables[0] (bit1): numeric_values")
 
     def test_large_fiducial_index_clamped(self):
         doc = cli.document_from_mapping(_with_option("fiducial_index", 7))
@@ -535,6 +577,25 @@ class TestWorkCounts:
         assert [g.order for g in built["induced_group"]] == [8, 8]
         assert "cayley" in vars(built["induced_group"][0])
 
+    @pytest.mark.parametrize("doc, extends", [(CYCLIC8, True), (CYCLIC3, False)],
+                             ids=["cyclic-m8", "cyclic-m3"])
+    def test_words_only_name_a_failed_extension(self, doc, extends, monkeypatch):
+        # cyclic m=8 extends and reads no word; on cyclic m=3 the extension
+        # fails and the words name its witness
+        seen = []
+        original = groups.bfs_words
+
+        def spy(*args, **kwargs):
+            seen.append(args[0].order)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "bfs_words", spy)
+        monkeypatch.setattr(pairing, "bfs_words", spy)
+        report = cli.run_verify(cli.parse_context(doc))
+        extension = next(c for c in report.checks if c.cid == "well-defined-extension[0]")
+        assert extension.status == ("pass" if extends else "fail")
+        assert (seen == []) == extends
+
     def test_operator_checks_generators_not_the_table(self, constructor_work, capsys):
         # operator on S5 builds the regular representation, d = |G| = 120, and
         # the constructor checks its integer table on |G|*|S| generator pairs:
@@ -550,7 +611,6 @@ class TestWorkCounts:
         # the two-bit joined representation is not a permutation representation:
         # its stack is proven by the generator residuals and the certificate,
         # |N|*|S| products plus |N| unitarity products, N of order 8
-        assert representations._table_of(qubit_rep.matrices) is None
         representations.UnitaryRepresentation(
             qubit_rep.group, qubit_rep.dim, qubit_rep.matrices, qubit_rep.tolerance)
         assert constructor_work["order"] == 8
@@ -785,3 +845,36 @@ class TestLargeValues:
         check = _check(captured.out, "conjugation-covariance[0]")
         assert check["status"] == "fail" and check["detail"].startswith("moved operator not built")
         assert _check(captured.out, "transition-unitarity[0]")["status"] == "pass"
+
+
+class TestFreshProcess:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def run_python(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], cwd=self.ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_verify_imports_nothing_new(self):
+        # a lazy import inside the chain (numpy.ma behind np.unique, locale
+        # behind argparse's messages) costs every one-shot command its time
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import numpy, cvhilbert.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cvhilbert.cli.main(['verify', 'fixtures/two_bit.json'])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+        done = self.run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0, []]
+
+    def test_huge_tolerance_warns_nothing(self):
+        # the commutant's rank threshold, tolerance * largest singular value,
+        # passes the float maximum here
+        done = self.run_python("-W", "error", "-m", "cvhilbert.cli", "verify",
+                               "fixtures/two_bit.json", "--tolerance", "1e308")
+        assert done.returncode == 2 and done.stderr == ""
+        assert "FAIL well-defined-extension[0]" in done.stdout

@@ -16,8 +16,19 @@ the representation check moved to generators, the spin cases before
 operators were built by one function, the structured spin-suite report
 before the planar check became an array comparison, m = 12, 16 and XOR
 m = 8 before groups were built from their generator columns); a mismatch is
-a change in behaviour to be fixed in the code, not in the recorded file. A
-separate test keeps the set whole: unique case names,
+a change in behaviour to be fixed in the code, not in the recorded file.
+
+Seven text cases cover the exits of the chain that no case above reaches,
+recorded before the chain became a list of stages: the two-bit fixture with
+`--max-order 2` (`group-axioms` fails) and 4 (`joint-group` fails) and with
+`--tolerance 0.9` (`well-defined-extension` not evaluated), and variants of
+it in `golden/docs/`: K generated by a 4-cycle (`permissibility` fails,
+`joint-group` skipped), no `numeric_values` (`operator-construction`
+skipped), bit1 with the numeric values [1, 1] (`maximality-nondegeneracy`
+fails, `transition-unitarity` skipped) and k given as the generator word
+"flip1 flip2" (`relatedness` fails).
+
+A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 """
 

@@ -16,7 +16,7 @@ from cvhilbert.errors import (
     NotWellDefined,
 )
 
-from conftest import SWAP
+from conftest import SWAP, joint_system
 
 TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
@@ -151,7 +151,7 @@ class TestJointRepresentation:
 
     def test_corrupted_swap_rejected(self, two_bit):
         joint = two_bit["system"].joint
-        base_rep = two_bit["system"].base_rep
+        base_rep = two_bit["base_rep"]
         bad_j = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NotWellDefined):
             pairing.build_joint_representation(joint, base_rep, bad_j)
@@ -162,7 +162,7 @@ class TestJointRepresentation:
         system = two_bit["system"]
         bad_j = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
         with pytest.raises(NotWellDefined) as exc:
-            pairing.build_joint_representation(system.joint, system.base_rep, bad_j)
+            pairing.build_joint_representation(system.joint, two_bit["base_rep"], bad_j)
         assert (exc.value.element, exc.value.word_a, exc.value.word_b) == (4, (1, 0), (0, 1))
 
     def test_three_value_join_not_well_defined(self):
@@ -178,7 +178,7 @@ class TestJointRepresentation:
         joint = two_bit["system"].joint
         g = two_bit["g_group"]
         flat = reps.direct_sum(one_dim(g, [1, 1]), one_dim(g, [1, 1]))
-        joint_rep, _ = pairing.build_joint_representation(joint, flat, np.eye(2, dtype=complex))
+        joint_rep = pairing.build_joint_representation(joint, flat, np.eye(2, dtype=complex))
         assert reps.commutant_dimension(joint_rep) == 4
 
     def test_two_bit_irreducible(self, two_bit):
@@ -190,14 +190,13 @@ class TestJointRepresentation:
         const = variables.make_variable("c", [0], numeric_values=[1.0])
         pair = pairing.build_related_pair(variables.Context(1, action, (const,)),
                                           const, const, (0,))
-        system = pairing.build_joint_system(pair, group, action)
+        system = joint_system(pair, group, action)
         assert system.joint.gen_elements == ()
         assert reps.character_norm(system.coherent.rep) == 1.0
 
     def test_tolerance_reaches_joint_system(self, two_bit):
         base_rep = reps.regular_representation(two_bit["g_group"], 1e-6)
-        system = pairing.build_joint_system(two_bit["pair"], two_bit["g_group"],
-                                            two_bit["g_action"], base_rep=base_rep)
+        system = joint_system(two_bit["pair"], two_bit["g_group"], two_bit["g_action"], base_rep)
         assert system.tolerance == 1e-6
 
 
@@ -207,7 +206,7 @@ class TestCosetStructure:
         const = variables.make_variable("c", [0], numeric_values=[1.0])
         ctx = variables.Context(1, action, (const,))
         pair = pairing.build_related_pair(ctx, const, const, (0,))
-        system = pairing.build_joint_system(pair, group, action)
+        system = joint_system(pair, group, action)
         assert len(system.coherent.cosets) == 1
         assert system.x_index == (0,) and system.y_index == (0,)
 
@@ -222,9 +221,7 @@ class TestCosetStructure:
         system = two_bit["system"]
         psi = np.array([2.0, 1.0], dtype=complex) / np.sqrt(5)
         with pytest.raises(CosetLabelingError):
-            pairing.joint_coset_structure(
-                system.pair, system.joint, system.base_rep, system.swap_matrix,
-                system.coherent.rep, system.words, psi)
+            pairing.joint_coset_structure(system.pair, system.joint, system.coherent.rep, psi)
 
     def test_value_state_vectors_distinct(self, two_bit):
         system = two_bit["system"]
@@ -494,11 +491,12 @@ class TestBatchedAgainstLoops:
         seen = {"extensions": 0, "labelings": 0}
 
         def extend_spy(joint, base_rep, swap_matrix):
-            rep, words = extend(joint, base_rep, swap_matrix)
+            rep = extend(joint, base_rep, swap_matrix)
+            words = groups.bfs_words(joint.group, list(joint.gen_elements))
             want = word_products(joint, base_rep, np.asarray(swap_matrix, dtype=complex), words)
             assert np.array_equal(rep.matrices.view(np.uint64), want.view(np.uint64))
             seen["extensions"] += 1
-            return rep, words
+            return rep
 
         def label_spy(system):
             got = label(system)

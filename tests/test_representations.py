@@ -40,7 +40,7 @@ def joined_representation(document):
     path = Path(__file__).resolve().parent / "golden" / "docs" / document
     with mock.patch.object(pairing, "build_joint_representation", spy):
         cli.run_verify(cli.parse_context(str(path)))
-    return built[0][0]
+    return built[0]
 
 
 # Stacks the constructor is tried on: regular representations of catalogue
@@ -226,11 +226,10 @@ def verdict(build):
 
 
 def float_verdict(group, table, tol):
-    """The verdict of the constructor on the 0/1 stack of a table when its
-    table is not read off: the float checks, certificate and scan."""
+    """The verdict of the constructor on the 0/1 stack of a table: the
+    float checks, certificate and scan."""
     m = table.shape[1]
-    with mock.patch.object(reps, "_table_of", return_value=None):
-        return verdict(lambda: reps.UnitaryRepresentation(group, m, zero_one_stack(table, m), tol))
+    return verdict(lambda: reps.UnitaryRepresentation(group, m, zero_one_stack(table, m), tol))
 
 
 def twist_coset(group, table, row, x, y):
@@ -398,25 +397,9 @@ class TestPermutationTables:
         group, table = _action(("dihedral", 3))
         mats = zero_one_stack(table, len(table))
         mats[2, (table[2, 0] + offset) % len(table), 0] += delta
-        assert reps._table_of(mats) is None
         with mock.patch.object(reps.UnitaryRepresentation, "_check_table") as table_check:
             verdict(lambda: reps.UnitaryRepresentation(group, len(table), mats))
         assert not table_check.called
-
-    def test_table_read_off_the_stack(self, qubit_rep):
-        group, table = _action(("symmetric", 3))
-        regular = reps.regular_representation(group)
-        assert np.array_equal(reps._table_of(regular.matrices), table)
-        # a function that is not a bijection, and a stack built by hand
-        assert np.array_equal(reps._table_of(zero_one_stack(np.zeros((1, 3), int), 3)), [[0, 0, 0]])
-        with mock.patch.object(reps, "_generator_residuals") as residuals:
-            reps.UnitaryRepresentation(group, 6, regular.matrices.copy())
-        assert not residuals.called
-        # stacks with entries other than 0 and 1, or not complex
-        sign = one_dim(z(2), [1, -1])
-        for mats in (qubit_rep.matrices, sign.matrices, reps.direct_sum(sign, sign).matrices,
-                     regular.matrices.real, 1j * regular.matrices):
-            assert reps._table_of(mats) is None
 
 
 class TestCommutant:

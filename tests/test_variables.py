@@ -206,6 +206,12 @@ class TestRefinesAndAccessibility:
         with pytest.raises(NotAccessible):
             variables.is_maximally_accessible(ctx, IDENT4)
 
+    def test_family_member_strictly_refined_by_another_not_maximal(self):
+        # every member matches its own partition; PARITY4 strictly refines CONST4
+        ctx = variables.Context(4, shift_action(4), (PARITY4, CONST4))
+        assert variables.is_maximally_accessible(ctx, PARITY4)
+        assert not variables.is_maximally_accessible(ctx, CONST4)
+
     def test_coarsening_of_family_member_not_maximal(self):
         ident_ctx = variables.Context(4, shift_action(4), (IDENT4,))
         merged = variables.make_variable("merged", [0, 0, 1, 2])
