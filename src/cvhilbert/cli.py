@@ -688,13 +688,18 @@ def _cmd_report(args) -> int:
 def _cmd_operator(args) -> int:
     doc = parse_context(args.file)
     doc = _apply_overrides(doc, args)
-    _, k_action = generate_permutation_group(
-        doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
-    )
     if args.variable not in doc.variables:
         print(f"undefined variable {args.variable!r}", file=sys.stderr)
         return 1
     var = doc.variables[args.variable]
+    try:
+        numeric = var.numeric()
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    _, k_action = generate_permutation_group(
+        doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
+    )
     try:
         g_group, g_action, _ = variables.induced_group(var, k_action)
     except NotPermissible as exc:
@@ -713,11 +718,6 @@ def _cmd_operator(args) -> int:
         lines.append("operator not constructed: resolution of identity fails")
         sys.stdout.write("\n".join(lines) + "\n")
         return 2
-    try:
-        numeric = var.numeric()
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     points = [g_action.apply(r, 0) for r in system.cosets.representatives]
     try:
         op = coherent.operator_from_variable(system, [numeric[p] for p in points], var.name)

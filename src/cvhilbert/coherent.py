@@ -65,8 +65,8 @@ def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
     fiducial = np.asarray(fiducial, dtype=complex)
     if abs(np.linalg.norm(fiducial) - 1.0) > tol:
         raise ValueError("fiducial must be a unit vector")
-    act = rep._permutations
-    if act is None:
+    act = rep.source
+    if act.ndim == 3:
         orbit = rep.matrices @ fiducial
     else:
         orbit = np.empty(act.shape, dtype=complex)

@@ -38,9 +38,16 @@ points per product.
 
 The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
 a full table is read: the regular representation of the small induced groups
-and the tests. Checks over a whole group (an action, a homomorphism,
-commutativity) are made on the generators; a failure runs the row-major
-scan, `_first_violation`, only to name the first failing tuple.
+and the tests. It is the group's regular action (Cayley), verified with the
+columns it is read from.
+
+Every exact check of an integer table is made here, once, where the table is
+built: `_permutation_rows` checks that rows are permutations, and
+`_action_violation` that a table respects the products. A map between groups
+is checked as the action it induces on the rows of its target
+(`homomorphism_witness`). Checks over a whole group are made on the
+generators; a failure runs the row-major scan, `_first_violation`, only to
+name the first failing tuple.
 """
 
 from __future__ import annotations
@@ -199,17 +206,6 @@ def _first_violation(shape: tuple[int, int], broken, cell_bytes: int):
     return None
 
 
-def _pair_scan(group: FiniteGroup, broken, cell_bytes: int):
-    """`_first_violation` over every pair of elements, where broken(a, b, ab)
-    gets the two arrays of elements of a block and their products."""
-    everything = np.arange(group.order)
-
-    def block(a, b):
-        a, b = everything[a][:, None], everything[b][None]
-        return broken(a, b, group._products(a, b))
-    return _first_violation((group.order, group.order), block, cell_bytes)
-
-
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One comparable key per row (last axis) of an integer array."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -364,9 +360,13 @@ def _action_violation(group: FiniteGroup, act: np.ndarray):
     if (np.array_equal(act[group.identity], np.arange(act.shape[1]))
             and np.array_equal(act[group.columns], act[:, act[gens]])):
         return None
-    # x along the last axis of each block
-    return _pair_scan(group, lambda a, b, ab: act[ab] != act[a[:, 0]][:, act[b[0]]],
-                      8 * act.shape[1])
+    everything = np.arange(group.order)
+
+    def broken(a, b):
+        # x along the last axis of each block
+        a, b = everything[a], everything[b]
+        return act[group._products(a[:, None], b[None])] != act[a][:, act[b]]
+    return _first_violation((group.order, group.order), broken, 8 * act.shape[1])
 
 
 def _permutation_rows(rows, count: int, identity: int) -> np.ndarray:
@@ -660,15 +660,12 @@ def homomorphism_witness(mapping, group_a: FiniteGroup, group_b: FiniteGroup):
     """None if the map is a homomorphism, else the first failing pair
     (a1, a2) in row-major order: mapping(a1*a2) != mapping(a1)*mapping(a2).
 
-    A map with mapping(e) = e that respects g*s for every g and every
-    generator s respects every product, by induction on word length, so only
-    a failure of that check runs the scan."""
+    The rows of B are distinct and its product composes them, so the map is
+    a homomorphism exactly when the rows it picks, act[a] = rows_B[mapping(a)],
+    are an action of A, and a pair breaks the one where it breaks the other:
+    the check is `_action_violation` on that table."""
     m = np.array([int(v) for v in mapping], dtype=np.int64)
     if len(m) != group_a.order:
         raise ValueError("mapping must be total on the source group")
-    gens = list(group_a.generators)
-    if m[group_a.identity] == group_b.identity and np.array_equal(
-            m[group_a.columns], group_b._products(m[:, None], m[gens][None])):
-        return None
-    return _pair_scan(group_a, lambda a, b, ab: m[ab] != group_b._products(m[a], m[b]),
-                      8 * (len(group_a.keys.points) + len(group_b.keys.points) + 2))
+    witness = _action_violation(group_a, group_b.rows[m])
+    return None if witness is None else witness[:2]

@@ -3,24 +3,24 @@
 A representation is verified once, where it is built: U(e) = I, the
 multiplication table U(a*b) = U(a)U(b) and unitarity. A permutation
 representation, as `permutation_representation` and `regular_representation`
-build, is held as its (n, d) integer table act, U(g)[act[g, x], x] = 1: it is
-checked on that table with no matrix product, and its stack of 0/1 matrices
-is built only when `matrices` is first read. The 0/1 matrices of functions
-multiply as the functions compose, P_f P_h = P_{f o h}, exactly in floating
-point, so comparing act[g*s] with act[g] o act[s] is the float check made
-exact. Both checks run on a generating set S read greedily off the group's
-elements (`groups._greedy_generators`), whose products g*s are found by
-base key: |G|*|S| products instead of |G|^2. A stack given as matrices, 0/1
-or not, takes the float check: it must be finite, and a certificate
-(`_certified`) bounds the residual of every other pair by the generator
-residual, the BFS depth over S, the unitarity residual and the rounding of
-the scan. When that bound does not prove the table, the row-major scan runs
-as the fallback, composing one block of products at a time, and names the
-first failing pair, so a verdict or a witness never depends on the
-certificate. No check builds the group's full multiplication table. A stack
-of more than REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit
-before it is allocated: a permutation representation's when `matrices` is
-first read, as it is built only then.
+build, is held as the (n, d) integer table act of an action,
+U(g)[act[g, x], x] = 1, and inherits the check the action passed where it
+was built (`groups`); its stack of 0/1 matrices is built only when
+`matrices` is first read. The 0/1 matrices of functions multiply as the
+functions compose, P_f P_h = P_{f o h}, so a verified action is a verified
+representation, and the constructor checks only the table's shape. A stack
+given as matrices, 0/1 or not, takes the float check on a generating set S
+read greedily off the group's elements (`groups._greedy_generators`), whose
+products g*s are found by base key: |G|*|S| products instead of |G|^2. The
+stack must be finite, and a certificate (`_certified`) bounds the residual
+of every other pair by the generator residual, the BFS depth over S, the
+unitarity residual and the rounding of the scan. When that bound does not
+prove the table, the row-major scan runs as the fallback, composing one
+block of products at a time, and names the first failing pair, so a verdict
+or a witness never depends on the certificate. No check builds the group's
+full multiplication table. A stack of more than REPRESENTATION_BYTE_LIMIT
+bytes is refused with SizeLimit before it is allocated: a permutation
+representation's when `matrices` is first read, as it is built only then.
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatch, IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
-from .groups import (FiniteGroup, GroupAction, _action_violation, _bfs_levels, _block_cells,
-                     _columns_of, _first_violation, _greedy_generators)
+from .groups import (FiniteGroup, GroupAction, _bfs_levels, _block_cells, _columns_of,
+                     _first_violation, _greedy_generators)
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -67,28 +67,20 @@ class UnitaryRepresentation:
 
     `source` is the (n, d, d) stack of the matrices, or the (n, d) integer
     table act of a permutation representation: U(g)[act[g, x], x] = 1 and
-    every other entry 0. A table is kept as it is, and `matrices` builds its
-    stack on first read.
+    every other entry 0. A table is that of an action verified where it was
+    built; it is kept as it is, and `matrices` builds its stack on first read.
     """
     group: FiniteGroup
     dim: int
     source: np.ndarray          # (n, d, d) complex stack, or (n, d) integer table
     tolerance: float = DEFAULT_TOLERANCE
 
-    # the table given as `source` when every U(g) is a permutation matrix
-    _permutations = None
-
     def __post_init__(self):
         group = self.group
         n, d = group.order, self.dim
         if self.source.ndim == 2 and np.issubdtype(self.source.dtype, np.integer):
-            act = self.source
-            if act.shape != (n, d):
+            if self.source.shape != (n, d):
                 raise ValueError("action table has wrong shape")
-            if act.size and (act.min() < 0 or act.max() >= d):
-                raise ValueError("action table has a point outside the space")
-            if self._check_table(act):
-                object.__setattr__(self, "_permutations", act)
             return
         mats = self.source
         if mats.shape != (n, d, d):
@@ -134,36 +126,6 @@ class UnitaryRepresentation:
         for g, u in enumerate(mats):
             if _maxabs(u @ u.conj().T - eye) > self.tolerance:
                 raise ValueError(f"matrix for element {g} is not unitary")
-
-    def _check_table(self, act) -> bool:
-        """The checks of `__post_init__`, made exactly on the table of the
-        0/1 stack; True when every row of the table is a bijection.
-
-        Products of 0/1 matrices of functions are exact in floating point, and
-        two distinct such matrices differ by exactly 1 in some entry, so every
-        float residual of the stack is an integer read off the table: each
-        check gives the verdict and the witness of the float path at any
-        tolerance, and exactness needs no certificate.
-        """
-        group, n, d = self.group, self.group.order, self.dim
-        mismatch_fails = 1.0 > self.tolerance       # the residual of a wrong 0/1 matrix
-        if mismatch_fails and not np.array_equal(act[group.identity], np.arange(d)):
-            raise ValueError("identity element is not represented by the identity")
-        # act[g*s] = act[g] o act[s] for generators s and U(e) = I give the
-        # whole table by induction on words, as in `_certified` with no residual
-        if mismatch_fails:
-            gens = _greedy_generators(group)
-            columns = _columns_of(group, gens)
-            if any(not np.array_equal(act[columns[:, j]], act[:, act[s]])
-                   for j, s in enumerate(gens)):
-                raise NotHomomorphism(*_action_violation(group, act)[:2])
-        # U(g)U(g)^dagger is diagonal, holding the preimage counts of act[g]
-        counts = np.bincount((act + d * np.arange(n)[:, None]).ravel(), minlength=n * d)
-        misses = np.abs(counts.reshape(n, d) - 1).max(axis=1, initial=0)
-        broken = misses > self.tolerance
-        if broken.any():
-            raise ValueError(f"matrix for element {int(np.argmax(broken))} is not unitary")
-        return not misses.any()
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
@@ -307,8 +269,12 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
 def permutation_representation(
     action: GroupAction, tolerance: float = DEFAULT_TOLERANCE
 ) -> UnitaryRepresentation:
-    """0/1 matrices with U(g)[g.x, x] = 1, held and verified as the action's
-    integer table. Their stack is built, and its size checked, only when
+    """0/1 matrices with U(g)[g.x, x] = 1, held as the action's integer table.
+
+    The action must have been verified where it was built, by
+    `permutation_group`, `generate_permutation_group` or `build_action`, or be
+    a group's `cayley`: the representation inherits that check and runs none
+    of its own. Its stack is built, and its size checked, only when
     `matrices` is read."""
     act = np.array(action.act)
     act.setflags(write=False)

@@ -198,12 +198,6 @@ def refines(xi: ConceptualVariable, theta: ConceptualVariable):
     return table, strict
 
 
-def is_accessible(context: Context, variable: ConceptualVariable) -> bool:
-    """Accessible means: a coarsening of some declared maximal variable."""
-    return any(refines(member, variable) is not None
-               for member in context.maximal_accessible_family)
-
-
 def is_maximally_accessible(context: Context, variable: ConceptualVariable) -> bool:
     """Accessible with no accessible strict refinement.
 
@@ -226,24 +220,3 @@ def joint_variable(theta: ConceptualVariable, xi: ConceptualVariable) -> Concept
         pairs,
         value_labels=None,
     )
-
-
-def find_relating_transformations(
-    theta: ConceptualVariable, xi: ConceptualVariable, action: GroupAction
-) -> list[int]:
-    """All k in the acting group with xi(p) = theta(k . p) for every p.
-
-    Comparison is by value label, so variables with unrelated label sets give
-    an empty list.
-    """
-    if theta.domain_size != xi.domain_size or action.space_size != theta.domain_size:
-        raise ValueError("domain mismatch")
-    out = []
-    for k in range(action.group.order):
-        row = action.act[k]
-        if all(
-            theta.value_labels[theta.values[row[p]]] == xi.value_labels[xi.values[p]]
-            for p in range(theta.domain_size)
-        ):
-            out.append(k)
-    return out

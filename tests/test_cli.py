@@ -22,6 +22,7 @@ XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
 S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.json")
 CYCLIC8 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json")
 CYCLIC3 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m3.json")
+NO_NUMERIC = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_bit_no_numeric.json")
 
 
 class TestParsing:
@@ -328,6 +329,31 @@ class TestMissingNumericValues:
         code = cli.main(["operator", str(path), "--variable", "bit1"])
         assert code == 1
 
+    def test_operator_input_error_before_group_work(self, monkeypatch, capsys):
+        built = []
+        original = coherent.build_coherent_system
+
+        def spy(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(coherent, "build_coherent_system", spy)
+        assert cli.main(["operator", NO_NUMERIC, "--variable", "bit1"]) == 1
+        assert capsys.readouterr().err == "bit1: numeric values required but not declared\n"
+        assert built == []
+
+    @pytest.mark.parametrize("document, variable, message", [
+        (TWO_BIT, "nosuch", "undefined variable 'nosuch'"),
+        (NO_NUMERIC, "bit1", "bit1: numeric values required but not declared")],
+        ids=["undefined", "no-numeric"])
+    def test_operator_input_error_not_hidden_by_order_bound(self, document, variable, message,
+                                                            capsys):
+        # K of order 4 exceeds --max-order 1, which is found only after the
+        # variable is read
+        code = cli.main(["operator", document, "--variable", variable, "--max-order", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == message + "\n"
+
 
 def _one_point_document() -> dict:
     return {
@@ -436,8 +462,9 @@ def work_counts(monkeypatch):
 def constructor_work(monkeypatch):
     """Counter of the work of `UnitaryRepresentation` while the fixture is
     active: table scans, matrix products made by `np.matmul`, calls of the
-    generator residuals and of the certificate, and the order and generator
-    count of the last group whose generators were read off."""
+    generator residuals, of the certificate and of the greedy generating
+    set, and the order and generator count of the last group whose
+    generators were read off."""
     calls = collections.Counter()
     greedy, matmul = representations._greedy_generators, np.matmul
 
@@ -451,6 +478,7 @@ def constructor_work(monkeypatch):
 
     def greedy_spy(group):
         gens = greedy(group)
+        calls["greedy"] += 1
         calls["order"], calls["generators"] = group.order, len(gens)
         return gens
 
@@ -511,7 +539,7 @@ class TestWorkCounts:
         count("generate_permutation_group", groups, cli, pairing)
         count("permutation_group", groups, variables)
         count("build_action", groups)
-        count("_action_violation", groups, representations)
+        count("_action_violation", groups)
         regular = representations.regular_representation
 
         def regular_spy(*args, **kwargs):
@@ -525,12 +553,13 @@ class TestWorkCounts:
         assert not report.failed
         # K and N, each closed once from its generators, and the groups
         # induced by bit1 and bit2, each built once from its list, whose
-        # generator columns are its one table check; no action is verified
-        # again, and the regular representation of G verifies no action of
-        # its own
+        # generator columns are its one table check; the maps K -> G of bit1
+        # and bit2 are each checked once as an action, no action is verified
+        # again, and the regular representation of G checks nothing
         assert calls["generate_permutation_group"] == 2
         assert calls["permutation_group"] == 2
-        assert calls["build_action"] == calls["_action_violation"] == 0
+        assert calls["_action_violation"] == 2
+        assert calls["build_action"] == 0
         assert "regular_representation checks" in calls
         assert calls["regular_representation checks"] == 0
 
@@ -597,12 +626,13 @@ class TestWorkCounts:
         assert (seen == []) == extends
 
     def test_operator_checks_generators_not_the_table(self, constructor_work, capsys):
-        # operator on S5 builds the regular representation, d = |G| = 120, and
-        # the constructor checks its integer table on |G|*|S| generator pairs:
-        # no matrix product, no residual, no certificate and no table scan
+        # operator on S5 builds the regular representation, d = |G| = 120, as
+        # the table of the group's Cayley columns, checked where the group was
+        # built: no generating set read off, no matrix product, no residual,
+        # no certificate and no table scan
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "induced group order: 120" in capsys.readouterr().out
-        assert constructor_work["order"] == 120 and 2 <= constructor_work["generators"] <= 6
+        assert constructor_work["greedy"] == 0
         assert constructor_work["scans"] == 0
         assert constructor_work["products"] == 0
         assert constructor_work["residuals"] == constructor_work["certificates"] == 0
@@ -704,14 +734,23 @@ class TestSpaceSizeBound:
         finally:
             tracemalloc.stop()
         captured = capsys.readouterr()
-        assert code == 2
         assert peak < 8 * 2**20
         if argv[0] == "verify":
+            assert code == 2
             check = _check(captured.out, "group-axioms")
             assert check["status"] == "fail" and "MiB bound" in check["detail"]
             assert captured.err == ""
         else:
-            assert "MiB bound" in captured.err and "Traceback" not in captured.err
+            # the document has no variable x, which is told before K is closed
+            assert code == 1
+            assert captured.err == "undefined variable 'x'\n"
+
+    def test_operator_refuses_k_above_byte_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 64)
+        code = cli.main(["operator", TWO_BIT, "--variable", "bit1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "MiB bound" in captured.err and "Traceback" not in captured.err
 
 
 class TestOperatorMemory:

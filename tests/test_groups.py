@@ -460,6 +460,13 @@ class TestScanWitnesses:
             witness = groups.homomorphism_witness(mapping, g, g)
         table = reference_table(g.rows).tolist()
         assert witness == reference_homomorphism(mapping, table, table)
+        # into another group: the map onto its identity, one entry corrupted
+        h = groups.standard_group(*data.draw(st.sampled_from(SMALL)))
+        mapping = [h.identity] * g.order
+        mapping[data.draw(st.integers(0, g.order - 1))] = data.draw(st.integers(0, h.order - 1))
+        with mock.patch.object(groups, "STEP_BYTES", step):
+            witness = groups.homomorphism_witness(mapping, g, h)
+        assert witness == reference_homomorphism(mapping, table, reference_table(h.rows).tolist())
 
     @given(st.sampled_from(SMALL), STEPS, st.data())
     def test_closure(self, group, step, data):

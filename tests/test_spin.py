@@ -187,11 +187,6 @@ class TestPlanarContext:
         assert (comps[0].values[act.apply(k, p1)]
                 != comps[0].values[act.apply(k, p2)])
 
-    def test_components_related_to_each_other(self):
-        ctx, comps = spin.stern_gerlach_context(4)
-        ks = variables.find_relating_transformations(comps[0], comps[1], ctx.acting_group)
-        assert ks, "adjacent components must be related by a grid rotation"
-
 
 class TestFullRotationCounterexample:
     def test_documented_witness(self):

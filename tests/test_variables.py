@@ -193,12 +193,6 @@ class TestRefinesAndAccessibility:
                     if variables.refines(a, b) and variables.refines(b, c):
                         assert variables.refines(a, c) is not None
 
-    def test_accessibility_through_family(self):
-        ctx = variables.Context(4, shift_action(4), (PARITY4,))
-        assert variables.is_accessible(ctx, CONST4)
-        assert variables.is_accessible(ctx, PARITY4)
-        assert not variables.is_accessible(ctx, IDENT4)
-
     def test_maximality(self):
         ctx = variables.Context(4, shift_action(4), (PARITY4,))
         assert variables.is_maximally_accessible(ctx, PARITY4)
@@ -215,37 +209,4 @@ class TestRefinesAndAccessibility:
     def test_coarsening_of_family_member_not_maximal(self):
         ident_ctx = variables.Context(4, shift_action(4), (IDENT4,))
         merged = variables.make_variable("merged", [0, 0, 1, 2])
-        assert variables.is_accessible(ident_ctx, merged)
         assert not variables.is_maximally_accessible(ident_ctx, merged)
-
-
-class TestRelatingTransformations:
-    def test_self_relation_contains_identity(self):
-        action = shift_action(4)
-        ks = variables.find_relating_transformations(PARITY4, PARITY4, action)
-        assert action.group.identity in ks
-
-    def test_two_bit_swap(self):
-        group, action = groups.generate_permutation_group([(0, 2, 1, 3)])
-        bit1 = variables.make_variable("bit1", [0, 0, 1, 1])
-        bit2 = variables.make_variable("bit2", [0, 1, 0, 1])
-        ks = variables.find_relating_transformations(bit1, bit2, action)
-        swap_index = next(
-            i for i in range(group.order)
-            if action.permutation(i) == (0, 2, 1, 3)
-        )
-        assert swap_index in ks
-        assert group.mult(swap_index, swap_index) == group.identity
-
-    def test_unrelated_ranges_empty(self):
-        action = shift_action(4)
-        assert variables.find_relating_transformations(PARITY4, CONST4, action) == []
-
-    def test_inverse_direction(self):
-        group, action = groups.generate_permutation_group([(0, 2, 1, 3)])
-        bit1 = variables.make_variable("bit1", [0, 0, 1, 1])
-        bit2 = variables.make_variable("bit2", [0, 1, 0, 1])
-        forward = variables.find_relating_transformations(bit1, bit2, action)
-        backward = variables.find_relating_transformations(bit2, bit1, action)
-        for k in forward:
-            assert group.inv(k) in backward
