@@ -5,6 +5,14 @@ to one state per left coset of the fiducial's isotropy subgroup. Summing the
 state projectors against the counting measure and normalizing by the trace
 either reproduces the identity (guaranteed for irreducible representations)
 or reports a residual.
+
+When every state is a standard basis vector e_p at a distinct index p, as the
+orbit of a basis fiducial under a permutation representation always is, the
+projector |x><x| is the single diagonal entry (p, p). The resolution of
+identity and every operator sum are then read off the states' basis indices
+in O(d) per operator, plus the O(d^2) of writing the d x d matrix, instead of
+a d x d x d product. The floats are those the products give: each diagonal
+entry is one product c * v, never a sum.
 """
 
 from __future__ import annotations
@@ -38,6 +46,20 @@ class CoherentStateSystem:
     @property
     def tolerance(self) -> float:
         return self.rep.tolerance
+
+    @functools.cached_property
+    def basis_index(self) -> np.ndarray | None:
+        """The index p of each state when every state is the standard basis
+        vector e_p, exactly, at a distinct index; None otherwise. Derived
+        from `states` on first read."""
+        # one nonzero entry per row, row-major, gives rows 0, 1, 2, ...
+        rows, cols = np.nonzero(self.states)
+        if not np.array_equal(rows, np.arange(len(self.states))):
+            return None
+        if not (self.states[rows, cols] == 1.0).all() or np.bincount(cols).max() > 1:
+            return None
+        cols.setflags(write=False)
+        return cols
 
     @functools.cached_property
     def resolution(self) -> ResolutionResult:
@@ -110,11 +132,20 @@ def resolution_of_identity(system: CoherentStateSystem) -> ResolutionResult:
 
     c is computed from the trace, never assumed. A reducible representation
     typically fails here; that outcome is reported, not raised. Callers read
-    it once per system as `system.resolution`.
+    it once per system as `system.resolution`. Basis states give the
+    diagonal sum directly: c = d / |X|, and the residual is the largest
+    |c b_pp - 1| over the diagonal, b_pp 1 at a state's index and 0 elsewhere.
     """
-    b = system.states.T @ system.states.conj()
-    c = system.rep.dim / float(np.trace(b).real)
-    residual = _maxabs(c * b - np.eye(system.rep.dim))
+    d, index = system.rep.dim, system.basis_index
+    if index is None:
+        b = system.states.T @ system.states.conj()
+        c = d / float(np.trace(b).real)
+        residual = _maxabs(c * b - np.eye(d))
+    else:
+        c = d / float(len(index))
+        diagonal = np.zeros(d)
+        diagonal[index] = c
+        residual = _maxabs(diagonal - 1.0)
     return ResolutionResult(c, residual, residual <= system.tolerance)
 
 
@@ -169,14 +200,22 @@ def operator_stack(system: CoherentStateSystem, values) -> np.ndarray:
 
 
 def _projector_sums(system: CoherentStateSystem, values: np.ndarray) -> np.ndarray:
-    """c * (states^T values_i) @ states* for each row i of values; raises
-    NoResolution when the system does not resolve the identity."""
+    """c * (states^T values_i) @ states* for each row i of values, or, for
+    basis states, c * values_i scattered onto the diagonal at the states'
+    indices; raises NoResolution when the system does not resolve the
+    identity."""
     res = system.resolution
     if not res.ok:
         raise NoResolution(
             f"resolution of identity fails with residual {res.residual:.3e}"
         )
-    a = res.constant * (system.states.T * values[:, None, :]) @ system.states.conj()
+    index = system.basis_index
+    if index is None:
+        a = res.constant * (system.states.T * values[:, None, :]) @ system.states.conj()
+    else:
+        d = system.rep.dim
+        a = np.zeros((len(values), d, d), dtype=complex)
+        a[:, index, index] = res.constant * values
     # the product rounds entries (i, j) and (j, i) apart; a sum of projectors
     # is Hermitian, and so is the mean of a and its adjoint, bit for bit.
     # Halving each term first is exact in the normal range and cannot

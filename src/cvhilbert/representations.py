@@ -243,13 +243,34 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     """Hermitian eigendecomposition with eigenvalues clustered at tolerance.
 
     Returns (eigenvalues ascending, canonical-phase eigenvector columns,
-    clusters as lists of column indices, scale), where an eigenvalue joins
-    the current cluster when it lies within tolerance * scale of the
+    clusters as lists of column indices, scale, order), where an eigenvalue
+    joins the current cluster when it lies within tolerance * scale of the
     cluster's last member and scale = max(largest |eigenvalue|, 1). The
     canonical phase makes the first entry above tolerance of each column
     real positive.
+
+    A matrix whose off-diagonal is exactly zero and whose diagonal is finite
+    is read off: its eigenvalues are the real parts of its diagonal sorted
+    stably, which are the floats `eigh` returns for it, and its eigenvectors
+    the matching columns of the identity, whose phase is already canonical.
+    `order` is then the diagonal index of each eigenvalue; it is None for a
+    matrix that `eigh` decomposes. Inside a cluster of equal entries the
+    read-off takes the basis vectors by ascending index where LAPACK may
+    take another basis of the same eigenspace.
     """
-    evals, evecs = np.linalg.eigh(herm)
+    d = len(herm)
+    # entry (i, i) of a row-major d x d matrix is element i (d + 1) of its
+    # flattening, so after dropping element 0 each row of d + 1 ends on one
+    # and its first d elements are off the diagonal
+    order = None
+    if not herm.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any():
+        diagonal = np.diagonal(herm).real
+        if np.isfinite(diagonal).all():
+            order = np.argsort(diagonal, kind="stable")
+    if order is None:
+        evals, evecs = np.linalg.eigh(herm)
+    else:
+        evals, evecs = diagonal[order], np.eye(d, dtype=complex)[:, order]
     scale = max(float(np.abs(evals).max()), 1.0)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
@@ -257,13 +278,15 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
             clusters[-1].append(i)
         else:
             clusters.append([i])
+    if order is not None:
+        return evals, evecs, clusters, scale, order
     sizable = np.abs(evecs) > tolerance
     found = sizable.any(axis=0)
     lead = evecs[sizable.argmax(axis=0), np.arange(len(evals))]
     phase = np.divide(lead, np.abs(lead), out=np.ones_like(lead), where=found)
     # a column with no entry above tolerance keeps its phase
     cols = np.divide(evecs, phase, out=evecs.copy(), where=found)
-    return evals, cols, clusters, scale
+    return evals, cols, clusters, scale, None
 
 
 def permutation_representation(
@@ -369,7 +392,7 @@ def invariant_subspace_split(rep: UnitaryRepresentation):
             break
     if herm is None:
         raise IrreducibleInput("no non-scalar Hermitian commutant element found")
-    _, cols, clusters, _ = _clustered_eigh(herm, tol)
+    _, cols, clusters, _, _ = _clustered_eigh(herm, tol)
     if len(clusters) < 2:
         raise IrreducibleInput("commutant element has a single eigenvalue")
     cols0 = cols[:, clusters[0]]

@@ -3,7 +3,10 @@
 Eigenvalues within the tolerance of each other are clustered into one
 projector so discrete multiplicity claims survive floating arithmetic.
 Eigenvectors carry a canonical phase (first sizable component real positive)
-so basis-change coefficients are reproducible.
+so basis-change coefficients are reproducible. An operator whose off-diagonal
+is exactly zero, as every operator on coherent basis states is, is read off
+its diagonal instead of decomposed (`representations._clustered_eigh`), and
+its reconstruction is checked entry by entry in O(d).
 """
 
 from __future__ import annotations
@@ -56,13 +59,19 @@ class QuestionAnswer:
 def eigensystem(op: Operator) -> EigenSystem:
     """Hermitian eigendecomposition with tolerance clustering."""
     tol = op.tolerance
-    evals, cols, clusters, scale = _clustered_eigh(op.matrix, tol)
+    evals, cols, clusters, scale, order = _clustered_eigh(op.matrix, tol)
     distinct = [float(np.mean(evals[cl])) for cl in clusters]
     mults = [len(cl) for cl in clusters]
-    # sum_k lambda_k P_k, with each column weighted by its cluster's mean
-    recon = (cols * np.repeat(distinct, mults)) @ cols.conj().T
+    means = np.repeat(distinct, mults)
+    if order is None:
+        # sum_k lambda_k P_k, with each column weighted by its cluster's mean
+        residual = _maxabs((cols * means) @ cols.conj().T - op.matrix)
+    else:
+        # a read-off diagonal matrix: sum_k lambda_k P_k is diagonal too, and
+        # differs from the matrix only where an entry is not its cluster's mean
+        residual = _maxabs(means - np.diagonal(op.matrix)[order])
     # a NaN residual fails the comparison
-    if not _maxabs(recon - op.matrix) <= 100 * tol * scale:
+    if not residual <= 100 * tol * scale:
         raise NotHermitian("spectral reconstruction failed")
     return EigenSystem(op, tuple(distinct), tuple(mults), cols, evals)
 
@@ -94,15 +103,16 @@ def question_answer_labels(eig: EigenSystem, variable: ConceptualVariable) -> li
     """
     numeric = variable.numeric()
     scale = max(max(abs(v) for v in numeric), 1.0)
+    # hits[c, i]: numeric value i lies within tolerance of eigenvalue c, the
+    # label being that of the first such value. A NaN matches nothing, and a
+    # difference beyond the float range is inf, as in Python arithmetic.
+    with np.errstate(over="ignore"):
+        distance = np.abs(np.subtract.outer(eig.eigenvalues, numeric))
+    hits = distance <= eig.operator.tolerance * scale
+    first = hits.argmax(axis=1).tolist()
     out = []
-    for ci, (lam, mult) in enumerate(zip(eig.eigenvalues, eig.multiplicities)):
-        label = None
-        for idx, nv in enumerate(numeric):
-            if abs(nv - lam) <= eig.operator.tolerance * scale:
-                label = variable.value_labels[idx]
-                break
-        if label is None:
-            label = f"{lam!r}"
+    for ci, (lam, mult, idx) in enumerate(zip(eig.eigenvalues, eig.multiplicities, first)):
+        label = variable.value_labels[idx] if hits[ci, idx] else f"{lam!r}"
         vec = eig.vector_for(ci) if mult == 1 else None
         out.append(QuestionAnswer(variable.name, label, lam, vec, mult))
     return out

@@ -498,8 +498,17 @@ def constructor_work(monkeypatch):
 class TestWorkCounts:
     def test_one_eigendecomposition_per_operator(self, work_counts):
         cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
-        # one per operator, plus the invariant split behind the swap matrix
-        assert work_counts["eigh"] == 3
+        # both operators are diagonal on the coordinate states and are read
+        # off; the one decomposition left is the invariant split behind the
+        # swap matrix
+        assert work_counts["eigh"] == 1
+
+    def test_operator_on_basis_states_decomposes_nothing(self, work_counts, capsys):
+        # the regular representation of S5 with a basis fiducial: the
+        # operator is diagonal, so its spectrum is read off its diagonal
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        assert "eigenvalues:" in capsys.readouterr().out
+        assert work_counts["eigh"] == 0
 
     def test_resolution_count_independent_of_joined_group_order(self, work_counts):
         two_bit = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
@@ -896,15 +905,20 @@ class TestFreshProcess:
         return subprocess.run([sys.executable, *args], cwd=self.ROOT, env=env,
                               capture_output=True, text=True, timeout=120)
 
-    def test_verify_imports_nothing_new(self):
+    @pytest.mark.parametrize("argv", [
+        ["verify", "fixtures/two_bit.json"],
+        ["operator", "tests/golden/docs/symmetric_n5.json", "--variable", "v"],
+    ], ids=["verify-two-bit", "operator-s5"])
+    def test_verify_imports_nothing_new(self, argv):
         # a lazy import inside the chain (numpy.ma behind np.unique, locale
-        # behind argparse's messages) costs every one-shot command its time
+        # behind argparse's messages) costs every one-shot command its time;
+        # the operator on S5 takes the basis-state and diagonal read-off paths
         script = (
             "import contextlib, io, json, sys\n"
             "import numpy, cvhilbert.cli\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cvhilbert.cli.main(['verify', 'fixtures/two_bit.json'])\n"
+            f"    code = cvhilbert.cli.main({argv!r})\n"
             "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
         done = self.run_python("-c", script)
         assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -185,6 +186,39 @@ def pairwise_one_to_one(system):
     return True, None
 
 
+@functools.cache
+def catalogue_systems():
+    """The coherent system of every basis fiducial e_p under the regular and
+    the natural permutation representations of small catalogue groups; the
+    dihedral groups' natural action, on the n-gon and two more points, is
+    not transitive, so those systems do not resolve the identity."""
+    systems = []
+    for kind, sizes in (("cyclic", range(1, 6)), ("dihedral", range(1, 5)),
+                        ("symmetric", range(1, 5))):
+        for n in sizes:
+            group = groups.standard_group(kind, n)
+            for rep in (reps.regular_representation(group),
+                        reps.permutation_representation(groups.build_action(group, group.rows))):
+                systems.extend(coherent.build_coherent_system(rep, e)
+                               for e in np.eye(rep.dim, dtype=complex))
+    return tuple(systems)
+
+
+def gram_resolution(system):
+    """(c, residual) from the Gram matrix of the states, as one product."""
+    b = system.states.T @ system.states.conj()
+    c = system.rep.dim / float(np.trace(b).real)
+    return c, float(np.abs(c * b - np.eye(system.rep.dim)).max())
+
+
+def product_stack(system, values):
+    """c * (states^T values_i) @ states* for each row of values, averaged
+    with its adjoint as a sum of projectors is: the dense product."""
+    c = gram_resolution(system)[0]
+    a = 0.5 * (c * (system.states.T * values[:, None, :]) @ system.states.conj())
+    return a + a.conj().swapaxes(1, 2)
+
+
 def einsum_resolution(system):
     """The resolution of identity as an einsum over the state projectors."""
     b = np.einsum("xi,xj->ij", system.states, system.states.conj())
@@ -199,24 +233,50 @@ def einsum_operator(system, values):
 
 
 class TestOperator:
-    @given(st.lists(st.floats(-4, 4), min_size=4, max_size=4), st.sampled_from([1.0, 1e8]))
+    @given(st.lists(st.floats(-4, 4), min_size=24, max_size=24), st.sampled_from([1.0, 1e8]))
     def test_matrix_products_match_projector_sums(self, two_bit, values, scale):
         # the joined coherent system of the two-bit document (two coordinate
-        # states), and the system of its representation from a complex
-        # fiducial (four states that are not): the products reproduce the
-        # projector einsums, and the operator is Hermitian bit for bit at any
-        # scale of the values, as a sum of projectors is
+        # states), the system of its representation from a complex fiducial
+        # (four states that are not) and the basis-fiducial systems of the
+        # catalogue groups: the operators reproduce the projector einsums,
+        # are Hermitian bit for bit at any scale of the values, as a sum of
+        # projectors is, and equal the dense products bit for bit, whether
+        # the states' basis indices were read or the products made
         joined = two_bit["system"].coherent
         fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
-        for system in (joined, coherent.build_coherent_system(
-                joined.rep, fiducial / np.linalg.norm(fiducial))):
+        complex_states = coherent.build_coherent_system(
+            joined.rep, fiducial / np.linalg.norm(fiducial))
+        assert joined.basis_index is not None and complex_states.basis_index is None
+        for system in (joined, complex_states, *catalogue_systems()):
             res = coherent.resolution_of_identity(system)
+            assert (res.constant, res.residual) == gram_resolution(system)
             c, residual = einsum_resolution(system)
             assert abs(res.constant - c) <= 1e-12 and abs(res.residual - residual) <= 1e-12
+            if not res.ok:
+                continue
             x = scale * np.array(values[:len(system.cosets)])
             op = coherent.operator_from_variable(system, x)
             assert np.abs(op.matrix - einsum_operator(system, x)).max() <= 1e-12 * scale
             assert np.array_equal(op.matrix, op.matrix.conj().T)
+            rows = np.stack([x, -x[::-1], np.zeros_like(x)])
+            assert np.array_equal(op.matrix, product_stack(system, x[None])[0])
+            assert np.array_equal(coherent.operator_stack(system, rows),
+                                  product_stack(system, rows))
+
+    def test_only_distinct_unit_basis_states_are_read_off(self):
+        rep = reps.regular_representation(groups.standard_group("symmetric", 3))
+        e0 = np.eye(6, dtype=complex)[0]
+        system = coherent.build_coherent_system(rep, e0)
+        assert np.array_equal(system.basis_index, [rep.source[g, 0] for g in range(6)])
+        # a unit-modulus entry other than 1, repeated indices and a state with
+        # two entries all keep the products
+        turned = coherent.build_coherent_system(rep, 1j * e0)
+        assert turned.basis_index is None
+        assert (turned.resolution.constant, turned.resolution.residual) == gram_resolution(turned)
+        repeated = system.states[[0, 0, 1, 2, 3, 4]]
+        spread = np.vstack([system.states[:5], np.full(6, 6 ** -0.5)])
+        for states in (repeated, spread):
+            assert dataclasses.replace(system, states=states).basis_index is None
 
     def test_unit_variable_gives_identity(self):
         _, _, _, system = circle_system(3)

@@ -467,8 +467,8 @@ class TestSplit:
         eigh = reps._clustered_eigh
 
         def turned(herm, tolerance):
-            evals, _, clusters, scale = eigh(herm, tolerance)
-            return evals, np.eye(len(evals), dtype=complex), clusters, scale
+            evals, _, clusters, scale, order = eigh(herm, tolerance)
+            return evals, np.eye(len(evals), dtype=complex), clusters, scale, order
 
         monkeypatch.setattr(reps, "_clustered_eigh", turned)
         with pytest.raises(IrreducibleInput, match="not invariant"):

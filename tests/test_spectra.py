@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -48,14 +50,17 @@ class TestEigenSystem:
             Operator(2, np.array([[bad, 0], [0, 1]], dtype=complex))
 
     def test_nan_reconstruction_fails(self, monkeypatch):
-        # a decomposition whose reconstruction residual is NaN is refused
-        def nan_eigh(herm, tolerance):
-            d = len(herm)
-            return np.full(d, np.nan), np.eye(d, dtype=complex), [list(range(d))], 1.0
+        # a decomposition whose reconstruction residual is NaN is refused,
+        # whether it came from eigh (order None) or was read off a diagonal
+        for order in (None, np.arange(2)):
+            def nan_eigh(herm, tolerance):
+                d = len(herm)
+                return (np.full(d, np.nan), np.eye(d, dtype=complex), [list(range(d))],
+                        1.0, order)
 
-        monkeypatch.setattr(spectra, "_clustered_eigh", nan_eigh)
-        with pytest.raises(NotHermitian, match="reconstruction"):
-            spectra.eigensystem(herm_op(np.diag([0.0, 1.0])))
+            monkeypatch.setattr(spectra, "_clustered_eigh", nan_eigh)
+            with pytest.raises(NotHermitian, match="reconstruction"):
+                spectra.eigensystem(herm_op(np.diag([0.0, 1.0])))
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([1e-9, 0.3, 1.0]))
@@ -72,12 +77,45 @@ class TestEigenSystem:
             idx = np.nonzero(np.abs(v) > tol)[0]
             if idx.size:
                 want[:, i] = v / (v[idx[0]] / abs(v[idx[0]]))
-        _, cols, _, _ = representations._clustered_eigh(herm, tol)
+        _, cols, _, _, _ = representations._clustered_eigh(herm, tol)
         assert np.abs(cols - want).max() <= 4 * np.finfo(float).eps
         sizable = np.abs(cols) > tol
         for i in np.flatnonzero(sizable.any(axis=0)):
             lead = cols[sizable[:, i].argmax(), i]
             assert lead.real > 0 and abs(lead.imag) <= 2 * np.finfo(float).eps
+
+    @given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 1e-10, 0.5, 1.0, 3e8]),
+                    min_size=1, max_size=8),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+           st.sampled_from([1e-9, 0.3]))
+    def test_diagonal_read_off_equals_eigh(self, pooled, drawn, tol):
+        # entries from a pool tie; drawn ones are almost surely distinct
+        for entries in (pooled, drawn):
+            matrix = np.diag(np.array(entries, dtype=complex))
+            evals, cols, clusters, scale, order = representations._clustered_eigh(matrix, tol)
+            want_evals, want_vecs = np.linalg.eigh(matrix)
+            assert order is not None and np.array_equal(evals, want_evals)
+            assert np.array_equal(evals, np.array(entries)[order])
+            assert scale == max(float(np.abs(want_evals).max()), 1.0)
+            # eigh's columns, basis vectors up to a phase, in canonical phase
+            lead = want_vecs[np.abs(want_vecs).argmax(axis=0), np.arange(len(entries))]
+            want_cols = want_vecs / (lead / np.abs(lead))
+            for cl in clusters:
+                got, want = cols[:, cl], want_cols[:, cl]
+                assert np.array_equal(got @ got.conj().T, want @ want.conj().T)
+            if len(set(entries)) == len(entries):
+                assert np.array_equal(cols, want_cols)
+            assert np.array_equal(spectra.eigensystem(herm_op(matrix, tol)).spectrum, want_evals)
+
+    def test_only_an_exactly_zero_off_diagonal_is_read_off(self):
+        # one tiny entry anywhere off the diagonal, Hermitian at tolerance,
+        # keeps eigh
+        diagonal = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        assert representations._clustered_eigh(diagonal, 1e-9)[4] is not None
+        for i, j in itertools.permutations(range(3), 2):
+            tiny = diagonal.copy()
+            tiny[i, j] = 1e-300j
+            assert representations._clustered_eigh(tiny, 1e-9)[4] is None
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
            st.sampled_from([1e-9, 0.3]))
@@ -175,7 +213,42 @@ class TestMaximalityBiconditional:
         assert spectra.verify_maximality_iff_nondegenerate(ctx, ident, spectra.eigensystem(op))
 
 
+def looped_labels(eig, variable):
+    """The scan over clusters and values that `question_answer_labels`
+    replaced, kept as its reference: the first value within tolerance * scale
+    of an eigenvalue names it, and an eigenvalue no value matches is named
+    by its repr."""
+    numeric = variable.numeric()
+    scale = max(max(abs(v) for v in numeric), 1.0)
+    labels = []
+    for lam in eig.eigenvalues:
+        label = None
+        for idx, nv in enumerate(numeric):
+            if abs(nv - lam) <= eig.operator.tolerance * scale:
+                label = variable.value_labels[idx]
+                break
+        labels.append(f"{lam!r}" if label is None else label)
+    return labels
+
+
+VALUE_POOL = [0.0, -0.0, 1.0, 1.0 + 1e-10, 2.5, -1.7e308, 1.7e308, float("nan"), float("inf")]
+
+
 class TestQuestionAnswers:
+    @given(st.lists(st.sampled_from(VALUE_POOL), min_size=1, max_size=6),
+           st.lists(st.sampled_from(VALUE_POOL[:7]), min_size=1, max_size=6),
+           st.sampled_from([1e-9, 0.3, 1e308]))
+    def test_labels_match_the_scan(self, numeric, eigenvalues, tol):
+        # repeated and near values (the first wins), a NaN that matches
+        # nothing, an infinite value and differences beyond the float range
+        var = variables.make_variable("v", list(range(len(numeric))), numeric_values=numeric)
+        k = len(eigenvalues)
+        eig = spectra.EigenSystem(herm_op(np.eye(k), tol), tuple(eigenvalues), (1,) * k,
+                                  np.eye(k, dtype=complex), np.array(eigenvalues))
+        got = spectra.question_answer_labels(eig, var)
+        assert [q.value_label for q in got] == looped_labels(eig, var)
+        assert [q.numeric_value for q in got] == eigenvalues
+
     def test_indicator_labels(self):
         var = variables.make_variable("bit", [0, 1], numeric_values=[0.0, 1.0])
         labels = spectra.question_answer_labels(spectra.eigensystem(herm_op(np.diag([0.0, 1.0]))), var)
