@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoResolution, NumericalAmbiguity
-from .groups import CosetSpace, Subgroup, left_cosets, subgroup
+from .groups import CosetSpace, GroupAction, Subgroup, left_cosets, subgroup
 from .representations import Operator, UnitaryRepresentation, _check_operators, _maxabs
 
 
@@ -67,32 +67,27 @@ class CoherentStateSystem:
         return resolution_of_identity(self)
 
 
-def isotropy_of_state(rep: UnitaryRepresentation, fiducial: np.ndarray):
-    """Subgroup fixing the fiducial up to a unit-modulus scalar, with phases.
+def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
+    """(orbit, isotropy, phases): the orbit U(g) fiducial of every element,
+    row g for element g, and the subgroup fixing the fiducial up to a
+    unit-modulus scalar, with the phase of each member. A permutation
+    representation moves the entries of the fiducial along its action,
+    (U(g) psi)[act[g, x]] = psi[x]; any other is one batched product over
+    the stack.
 
     Parallelism is decided by |<fiducial|U(g)|fiducial>| >= 1 - tolerance for
     unit vectors; overlaps inside the tolerance band around that boundary
-    raise NumericalAmbiguity rather than silently classifying.
-    """
-    _, sub, alpha = _orbit_isotropy(rep, fiducial)
-    return sub, alpha
-
-
-def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
-    """(orbit, isotropy, phases): the orbit U(g) fiducial of every element,
-    row g for element g. A permutation representation moves the entries of
-    the fiducial along its table, (U(g) psi)[act[g, x]] = psi[x]; any other
-    is one batched product over the stack."""
+    raise NumericalAmbiguity rather than silently classifying."""
     tol = rep.tolerance
     fiducial = np.asarray(fiducial, dtype=complex)
     if abs(np.linalg.norm(fiducial) - 1.0) > tol:
         raise ValueError("fiducial must be a unit vector")
-    act = rep.source
-    if act.ndim == 3:
-        orbit = rep.matrices @ fiducial
-    else:
+    if isinstance(rep.source, GroupAction):
+        act = rep.source.act
         orbit = np.empty(act.shape, dtype=complex)
         orbit[np.arange(len(act))[:, None], act] = fiducial
+    else:
+        orbit = rep.matrices @ fiducial
     members, phases = [], []
     for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
         mag = abs(overlap)

@@ -24,10 +24,6 @@ class NotASubgroup(CvhilbertError):
     pass
 
 
-class GroupMismatch(CvhilbertError):
-    pass
-
-
 class NotPermissible(CvhilbertError):
     """Level sets of the variable are not respected by the acting group."""
 

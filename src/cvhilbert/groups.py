@@ -39,22 +39,26 @@ points per product.
 The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
 a full table is read: the regular representation of the small induced groups
 and the tests. It is the group's regular action (Cayley), verified with the
-columns it is read from.
+columns it is read from, and `regular_action` wraps it as one.
 
 Every exact check of an integer table is made here, once, where the table is
 built: `_permutation_rows` checks that rows are permutations, and
-`_action_violation` that a table respects the products. A map between groups
-is checked as the action it induces on the rows of its target
-(`homomorphism_witness`). Checks over a whole group are made on the
-generators; a failure runs the row-major scan, `_first_violation`, only to
-name the first failing tuple.
+`_action_violation` that a table respects the products. Checks over a whole
+group are made on the generators; a failure runs the row-major scan,
+`_first_violation`, only to name the first failing tuple.
+
+Only these builders make a `FiniteGroup` or a `GroupAction`: each passes a
+module-private token, and a constructor called without it raises TypeError.
+The token is an init-only field, so `dataclasses.replace` cannot carry it
+over to a copy with another table. A group or an action anywhere in the
+package has therefore passed the checks above.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
@@ -74,6 +78,15 @@ STEP_BYTES = 2**20
 # Base keys are int64 while m**len(base) stays below this bound, and void
 # keys of the base images above it.
 _KEY_BOUND = 2**63
+
+# Passed by the builders alone; `FiniteGroup` and `GroupAction` refuse a call
+# without it.
+_BUILT = object()
+
+
+def _check_built(token, kind: str) -> None:
+    if token is not _BUILT:
+        raise TypeError(f"a {kind} is made only by the verifying builders in cvhilbert.groups")
 
 
 class _Keys(NamedTuple):
@@ -96,8 +109,11 @@ class FiniteGroup:
     generators: tuple[int, ...]  # the generating set S, as elements
     columns: np.ndarray         # (n, |S|) int array, columns[g, j] = g * S[j]
     keys: _Keys
-    labels: tuple[str, ...] | None = None
+    token: InitVar[object] = None
     identity: ClassVar[int] = 0
+
+    def __post_init__(self, token):
+        _check_built(token, "FiniteGroup")
 
     @property
     def order(self) -> int:
@@ -117,9 +133,6 @@ class FiniteGroup:
 
     def mult(self, a: int, b: int) -> int:
         return int(self._products(a, b))
-
-    def inv(self, a: int) -> int:
-        return int(self._inverses(a))
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -149,6 +162,10 @@ class GroupAction:
     group: FiniteGroup
     space_size: int
     act: np.ndarray             # (n, m) int array, act[g, x] = g . x
+    token: InitVar[object] = None
+
+    def __post_init__(self, token):
+        _check_built(token, "GroupAction")
 
     def apply(self, g: int, x: int) -> int:
         return int(self.act[g, x])
@@ -276,7 +293,7 @@ def _listed(rows: np.ndarray, keys: _Keys, products: np.ndarray) -> np.ndarray:
     return np.where((products == rows[element]).all(axis=-1), element, -1)
 
 
-def permutation_group(elements, labels: tuple[str, ...] | None = None):
+def permutation_group(elements):
     """The group of an ordered list of distinct permutations, identity first.
 
     Element i acts by elements[i], and a * b is the listed element equal to
@@ -305,16 +322,25 @@ def permutation_group(elements, labels: tuple[str, ...] | None = None):
         return index
 
     gens, columns = _greedy(n, column)
-    return _group(rows, gens, columns, keys, labels)
+    return _group(rows, gens, columns, keys)
 
 
-def _group(rows, generators, columns, keys: _Keys, labels=None):
+def _group(rows, generators, columns, keys: _Keys):
     """The group and its action on the points, its tables made read-only."""
     for table in (rows, columns, *keys):
         if table is not None:
             table.setflags(write=False)
-    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, keys, labels)
-    return group, GroupAction(group, rows.shape[1], rows)
+    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, keys, _BUILT)
+    return group, GroupAction(group, rows.shape[1], rows, _BUILT)
+
+
+def regular_action(group: FiniteGroup) -> GroupAction:
+    """The group acting on itself by left multiplication, a . b = a * b.
+
+    Its table is `FiniteGroup.cayley`, read off the columns verified where
+    the group was built, and left multiplication is an action by
+    associativity (Cayley's theorem), so it is wrapped with no check."""
+    return GroupAction(group, group.order, group.cayley, _BUILT)
 
 
 def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
@@ -332,7 +358,6 @@ def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) ->
     if kind == "cyclic":
         # rotation r_i of n points: x -> x + i
         rows = (shift[:, None] + shift) % n
-        labels = tuple(f"r{i}" for i in range(n))
     elif kind == "dihedral":
         # element i + n*s is r_i * f^s: vertex v -> i + (-1)^s v of the n-gon,
         # and the flips swap two more points, which keeps the action faithful
@@ -342,11 +367,9 @@ def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) ->
         rows[n:, :n] = (shift[:, None] - shift) % n
         rows[:n, n:] = (n, n + 1)
         rows[n:, n:] = (n + 1, n)
-        labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
     else:
         rows = list(itertools.permutations(range(n)))
-        labels = tuple("".join(map(str, p)) for p in rows)
-    return permutation_group(rows, labels)[0]
+    return permutation_group(rows)[0]
 
 
 def _action_violation(group: FiniteGroup, act: np.ndarray):
@@ -396,7 +419,7 @@ def build_action(group: FiniteGroup, act_table) -> GroupAction:
     if witness is not None:
         raise AxiomViolation("compatibility", witness)
     act.setflags(write=False)
-    return GroupAction(group, act.shape[1], act)
+    return GroupAction(group, act.shape[1], act, _BUILT)
 
 
 def orbits(action: GroupAction) -> list[list[int]]:
@@ -654,18 +677,3 @@ def _greedy_generators(group: FiniteGroup) -> list[int]:
     outside the subgroup generated so far (`_greedy`)."""
     everything = np.arange(group.order)
     return _greedy(group.order, lambda s: group._products(everything, s))[0]
-
-
-def homomorphism_witness(mapping, group_a: FiniteGroup, group_b: FiniteGroup):
-    """None if the map is a homomorphism, else the first failing pair
-    (a1, a2) in row-major order: mapping(a1*a2) != mapping(a1)*mapping(a2).
-
-    The rows of B are distinct and its product composes them, so the map is
-    a homomorphism exactly when the rows it picks, act[a] = rows_B[mapping(a)],
-    are an action of A, and a pair breaks the one where it breaks the other:
-    the check is `_action_violation` on that table."""
-    m = np.array([int(v) for v in mapping], dtype=np.int64)
-    if len(m) != group_a.order:
-        raise ValueError("mapping must be total on the source group")
-    witness = _action_violation(group_a, group_b.rows[m])
-    return None if witness is None else witness[:2]

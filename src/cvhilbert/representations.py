@@ -3,13 +3,13 @@
 A representation is verified once, where it is built: U(e) = I, the
 multiplication table U(a*b) = U(a)U(b) and unitarity. A permutation
 representation, as `permutation_representation` and `regular_representation`
-build, is held as the (n, d) integer table act of an action,
-U(g)[act[g, x], x] = 1, and inherits the check the action passed where it
-was built (`groups`); its stack of 0/1 matrices is built only when
-`matrices` is first read. The 0/1 matrices of functions multiply as the
-functions compose, P_f P_h = P_{f o h}, so a verified action is a verified
-representation, and the constructor checks only the table's shape. A stack
-given as matrices, 0/1 or not, takes the float check on a generating set S
+build, holds its `GroupAction`, U(g)[act[g, x], x] = 1. Only the verifying
+builders in `groups` make an action, so it inherits the check the action
+passed there; its stack of 0/1 matrices is built only when `matrices` is
+first read. The 0/1 matrices of functions multiply as the functions compose,
+P_f P_h = P_{f o h}, so a verified action is a verified representation, and
+the constructor checks only that the action is one of its group on C^dim. A
+stack given as matrices, 0/1 or not, takes the float check on a generating set S
 read greedily off the group's elements (`groups._greedy_generators`), whose
 products g*s are found by base key: |G|*|S| products instead of |G|^2. The
 stack must be finite, and a certificate (`_certified`) bounds the residual
@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupMismatch, IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
+from .errors import IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
 from .groups import (FiniteGroup, GroupAction, _bfs_levels, _block_cells, _columns_of,
-                     _first_violation, _greedy_generators)
+                     _first_violation, _greedy_generators, regular_action)
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -65,22 +65,22 @@ def _check_stack(order: int, dim: int) -> None:
 class UnitaryRepresentation:
     """U(g) for every element g of a finite group, on C^dim.
 
-    `source` is the (n, d, d) stack of the matrices, or the (n, d) integer
-    table act of a permutation representation: U(g)[act[g, x], x] = 1 and
-    every other entry 0. A table is that of an action verified where it was
-    built; it is kept as it is, and `matrices` builds its stack on first read.
+    `source` is the (n, d, d) stack of the matrices, or the `GroupAction`
+    of a permutation representation: U(g)[act[g, x], x] = 1 and every other
+    entry 0. An action was verified where it was built; `matrices` builds
+    its stack on first read.
     """
     group: FiniteGroup
     dim: int
-    source: np.ndarray          # (n, d, d) complex stack, or (n, d) integer table
+    source: GroupAction | np.ndarray    # an action on C^dim, or an (n, d, d) stack
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         group = self.group
         n, d = group.order, self.dim
-        if self.source.ndim == 2 and np.issubdtype(self.source.dtype, np.integer):
-            if self.source.shape != (n, d):
-                raise ValueError("action table has wrong shape")
+        if isinstance(self.source, GroupAction):
+            if self.source.group is not group or self.source.space_size != d:
+                raise ValueError("the action is not one of this group on C^dim")
             return
         mats = self.source
         if mats.shape != (n, d, d):
@@ -129,14 +129,14 @@ class UnitaryRepresentation:
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
-        """The read-only (n, d, d) stack; a table's 0/1 stack is built here,
-        on first read, after its size is checked."""
-        if self.source.ndim == 3:
+        """The read-only (n, d, d) stack; an action's 0/1 stack is built
+        here, on first read, after its size is checked."""
+        if not isinstance(self.source, GroupAction):
             return self.source
         n, d = self.group.order, self.dim
         _check_stack(n, d)
         mats = np.zeros((n, d, d), dtype=complex)
-        mats[np.arange(n)[:, None], self.source, np.arange(d)] = 1.0
+        mats[np.arange(n)[:, None], self.source.act, np.arange(d)] = 1.0
         mats.setflags(write=False)
         return mats
 
@@ -292,16 +292,12 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
 def permutation_representation(
     action: GroupAction, tolerance: float = DEFAULT_TOLERANCE
 ) -> UnitaryRepresentation:
-    """0/1 matrices with U(g)[g.x, x] = 1, held as the action's integer table.
+    """0/1 matrices with U(g)[g.x, x] = 1, held as the action itself.
 
-    The action must have been verified where it was built, by
-    `permutation_group`, `generate_permutation_group` or `build_action`, or be
-    a group's `cayley`: the representation inherits that check and runs none
-    of its own. Its stack is built, and its size checked, only when
-    `matrices` is read."""
-    act = np.array(action.act)
-    act.setflags(write=False)
-    return UnitaryRepresentation(action.group, action.space_size, act, tolerance)
+    The builders in `groups` verify every action they make, so the
+    representation inherits that check and runs none of its own. Its stack
+    is built, and its size checked, only when `matrices` is read."""
+    return UnitaryRepresentation(action.group, action.space_size, action, tolerance)
 
 
 def regular_representation(
@@ -309,11 +305,11 @@ def regular_representation(
 ) -> UnitaryRepresentation:
     """Left translation on coordinate functions over the group itself.
 
-    The group's multiplication table is the action: `FiniteGroup.cayley`,
-    computed from the Cayley-graph columns verified where the group was
-    built.
+    The action is `groups.regular_action`, whose table is the group's
+    multiplication table, computed from the Cayley-graph columns verified
+    where the group was built.
     """
-    return permutation_representation(GroupAction(group, group.order, group.cayley), tolerance)
+    return permutation_representation(regular_action(group), tolerance)
 
 
 def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
@@ -402,16 +398,3 @@ def invariant_subspace_split(rep: UnitaryRepresentation):
         if _maxabs(rep.matrices @ proj - proj @ rep.matrices) > 10 * tol:
             raise IrreducibleInput("split subspace is not invariant")
     return cols0, cols1
-
-
-def direct_sum(rep1: UnitaryRepresentation, rep2: UnitaryRepresentation) -> UnitaryRepresentation:
-    if rep1.group is not rep2.group:
-        raise GroupMismatch("direct sum requires a common group")
-    n = rep1.group.order
-    d = rep1.dim + rep2.dim
-    _check_stack(n, d)
-    mats = np.zeros((n, d, d), dtype=complex)
-    mats[:, : rep1.dim, : rep1.dim] = rep1.matrices
-    mats[:, rep1.dim :, rep1.dim :] = rep2.matrices
-    mats.setflags(write=False)
-    return UnitaryRepresentation(rep1.group, d, mats, min(rep1.tolerance, rep2.tolerance))

@@ -1,7 +1,9 @@
 import hypothesis
+import numpy as np
 import pytest
 
 from cvhilbert import groups, pairing, representations, variables
+from cvhilbert.errors import CvhilbertError
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None
@@ -74,3 +76,23 @@ def circle_system(n):
     rep = representations.permutation_representation(action)
     system = coherent.build_coherent_system(rep)
     return group, action, rep, system
+
+
+class GroupMismatch(CvhilbertError):
+    pass
+
+
+def direct_sum(rep1, rep2):
+    """The block-diagonal representation U1(g) + U2(g) of two
+    representations of one group, checked where it is built."""
+    if rep1.group is not rep2.group:
+        raise GroupMismatch("direct sum requires a common group")
+    n = rep1.group.order
+    d = rep1.dim + rep2.dim
+    representations._check_stack(n, d)
+    mats = np.zeros((n, d, d), dtype=complex)
+    mats[:, : rep1.dim, : rep1.dim] = rep1.matrices
+    mats[:, rep1.dim :, rep1.dim :] = rep2.matrices
+    mats.setflags(write=False)
+    return representations.UnitaryRepresentation(
+        rep1.group, d, mats, min(rep1.tolerance, rep2.tolerance))

@@ -18,22 +18,28 @@ def unit_vector(draw_values):
     return v / norm
 
 
+def isotropy(rep, fiducial):
+    """The isotropy subgroup of a fiducial and its phases, as the system holds them."""
+    system = coherent.build_coherent_system(rep, fiducial)
+    return system.isotropy, system.alpha
+
+
 class TestIsotropy:
     def test_trivial_group(self):
         g = groups.standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
-        sub, alpha = coherent.isotropy_of_state(rep, np.array([1.0]))
+        sub, alpha = isotropy(rep, np.array([1.0]))
         assert sub.members == (0,)
         assert alpha == (0.0,)
 
     def test_moved_fiducial_has_trivial_isotropy(self):
         rep = reps.regular_representation(groups.standard_group("cyclic", 2))
-        sub, _ = coherent.isotropy_of_state(rep, np.array([1.0, 0.0]))
+        sub, _ = isotropy(rep, np.array([1.0, 0.0]))
         assert sub.members == (0,)
 
     def test_antisymmetric_fiducial_fixed_with_phase_pi(self):
         rep = reps.regular_representation(groups.standard_group("cyclic", 2))
-        sub, alpha = coherent.isotropy_of_state(rep, np.array([1.0, -1.0]) / np.sqrt(2))
+        sub, alpha = isotropy(rep, np.array([1.0, -1.0]) / np.sqrt(2))
         assert sub.members == (0, 1)
         assert alpha[0] == 0.0
         assert abs(alpha[1] - np.pi) < 1e-12
@@ -42,7 +48,7 @@ class TestIsotropy:
         rng = np.random.default_rng(3)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        sub, alpha = coherent.isotropy_of_state(qubit_rep, v)
+        sub, alpha = isotropy(qubit_rep, v)
         pos = {m: i for i, m in enumerate(sub.members)}
         for a in sub.members:
             for b in sub.members:
@@ -267,7 +273,7 @@ class TestOperator:
         rep = reps.regular_representation(groups.standard_group("symmetric", 3))
         e0 = np.eye(6, dtype=complex)[0]
         system = coherent.build_coherent_system(rep, e0)
-        assert np.array_equal(system.basis_index, [rep.source[g, 0] for g in range(6)])
+        assert np.array_equal(system.basis_index, [rep.source.act[g, 0] for g in range(6)])
         # a unit-modulus entry other than 1, repeated indices and a state with
         # two entries all keep the products
         turned = coherent.build_coherent_system(rep, 1j * e0)
@@ -368,4 +374,4 @@ class TestAmbiguityBand:
         rep = reps.UnitaryRepresentation(
             g, 2, np.stack([np.eye(2, dtype=complex), reflection]))
         with pytest.raises(NumericalAmbiguity):
-            coherent.isotropy_of_state(rep, np.array([1.0, 0.0]))
+            coherent.build_coherent_system(rep, np.array([1.0, 0.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvhilbert import cli, groups, pairing
+from cvhilbert import cli, groups, pairing, variables
 from cvhilbert.errors import AxiomViolation, NotASubgroup, SizeLimit
+
+ROOT = Path(__file__).resolve().parent.parent
+
 
 class TestBuildGroup:
     def test_trivial(self):
@@ -20,8 +24,8 @@ class TestBuildGroup:
         g = groups.standard_group("cyclic", 3)
         assert g.order == 3
         assert g.identity == 0
-        assert g.inv(1) == 2
-        assert g.inv(2) == 1
+        assert g.inverse[1] == 2
+        assert g.inverse[2] == 1
 
 
 class TestPermutationRows:
@@ -254,23 +258,57 @@ class TestGeneratedGroups:
             assert acc == i
 
 
-class TestHomomorphisms:
-    def test_identity_map(self):
-        z3 = groups.standard_group("cyclic", 3)
-        assert groups.homomorphism_witness(range(3), z3, z3) is None
+class TestBuildersOnly:
+    """A group or an action comes only from the verifying builders."""
 
-    def test_parity_map(self):
-        z4 = groups.standard_group("cyclic", 4)
-        z2 = groups.standard_group("cyclic", 2)
-        assert groups.homomorphism_witness([0, 1, 0, 1], z4, z2) is None
+    def test_action_table_refused(self):
+        # not an action: the identity is listed second
+        with pytest.raises(TypeError, match="verifying builders"):
+            groups.GroupAction(groups.standard_group("cyclic", 2), 2, [[1, 0], [0, 1]])
 
-    def test_bad_map_has_witness(self):
-        z4 = groups.standard_group("cyclic", 4)
-        bad = [0, 1, 2, 0]
-        witness = groups.homomorphism_witness(bad, z4, z4)
-        assert witness is not None
-        a1, a2 = witness
-        assert bad[z4.mult(a1, a2)] != z4.mult(bad[a1], bad[a2])
+    def test_group_refused(self):
+        g = groups.standard_group("cyclic", 3)
+        with pytest.raises(TypeError, match="verifying builders"):
+            groups.FiniteGroup(g.rows, g.generators, g.columns, g.keys)
+
+    def test_replace_does_not_carry_the_token(self):
+        action = groups.regular_action(groups.standard_group("cyclic", 2))
+        with pytest.raises(TypeError, match="verifying builders"):
+            dataclasses.replace(action, act=np.array([[1, 0], [0, 1]]))
+        with pytest.raises(TypeError, match="verifying builders"):
+            dataclasses.replace(action.group, rows=action.group.rows[::-1])
+
+    @pytest.mark.parametrize("kind,n", [("cyclic", 1), ("cyclic", 4), ("dihedral", 3),
+                                        ("symmetric", 3)])
+    def test_regular_action(self, kind, n):
+        g = groups.standard_group(kind, n)
+        action = groups.regular_action(g)
+        assert action.group is g and action.space_size == g.order
+        assert action.act is g.cayley
+        assert groups.build_action(g, action.act).act.tolist() == action.act.tolist()
+
+
+DOCUMENTS = sorted((ROOT / "fixtures").glob("*.json")) + sorted(
+    (ROOT / "tests" / "golden" / "docs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=[p.name for p in DOCUMENTS])
+def test_induced_maps_are_homomorphisms(path):
+    # K -> G of every permissible variable against the |K|^2 loop over the
+    # reference tables of both groups
+    doc = cli.parse_context(str(path))
+    k, k_action = groups.generate_permutation_group(
+        doc.generators, space_size=doc.phi_size, order_bound=doc.max_order)
+    table_k = reference_table(k.rows).tolist()
+    permissible = 0
+    for var in doc.variables.values():
+        if not variables.is_permissible(var, k_action)[0]:
+            continue
+        g, _, hom = variables.induced_group(var, k_action)
+        assert len(hom) == k.order and hom[k.identity] == g.identity
+        assert reference_homomorphism(hom, table_k, reference_table(g.rows).tolist()) is None
+        permissible += 1
+    assert permissible
 
 
 CATALOGUE = [
@@ -410,7 +448,7 @@ def reference_subgroup_message(g, members):
     if g.identity not in mset:
         return "identity missing"
     for a in mset:
-        if g.inv(a) not in mset:
+        if g.inverse[a] not in mset:
             return f"inverse of {a} missing"
         for b in mset:
             if g.mult(a, b) not in mset:
@@ -450,23 +488,6 @@ class TestScanWitnesses:
             exc = _raised(groups.build_action, g, rows)
         expected = reference_compatibility(reference_table(g.rows).tolist(), rows.tolist())
         assert (exc and (exc.axiom, exc.witness)) == (expected and ("compatibility", expected))
-
-    @given(st.sampled_from(SMALL), STEPS, st.data())
-    def test_homomorphism(self, group, step, data):
-        g = groups.standard_group(*group)
-        mapping = list(range(g.order))
-        mapping[data.draw(st.integers(0, g.order - 1))] = data.draw(st.integers(0, g.order - 1))
-        with mock.patch.object(groups, "STEP_BYTES", step):
-            witness = groups.homomorphism_witness(mapping, g, g)
-        table = reference_table(g.rows).tolist()
-        assert witness == reference_homomorphism(mapping, table, table)
-        # into another group: the map onto its identity, one entry corrupted
-        h = groups.standard_group(*data.draw(st.sampled_from(SMALL)))
-        mapping = [h.identity] * g.order
-        mapping[data.draw(st.integers(0, g.order - 1))] = data.draw(st.integers(0, h.order - 1))
-        with mock.patch.object(groups, "STEP_BYTES", step):
-            witness = groups.homomorphism_witness(mapping, g, h)
-        assert witness == reference_homomorphism(mapping, table, reference_table(h.rows).tolist())
 
     @given(st.sampled_from(SMALL), STEPS, st.data())
     def test_closure(self, group, step, data):

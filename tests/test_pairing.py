@@ -16,7 +16,7 @@ from cvhilbert.errors import (
     NotWellDefined,
 )
 
-from conftest import SWAP, joint_system
+from conftest import SWAP, direct_sum, joint_system
 
 TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
@@ -123,7 +123,7 @@ class TestSwapMatrix:
 
     def test_trivial_plus_sign_gives_exchange(self):
         g = groups.standard_group("cyclic", 2)
-        rep = reps.direct_sum(one_dim(g, [1, 1]), one_dim(g, [1, -1]))
+        rep = direct_sum(one_dim(g, [1, 1]), one_dim(g, [1, -1]))
         j = pairing.build_swap_matrix(rep)
         assert np.allclose(np.abs(j), [[0, 1], [1, 0]], atol=1e-9)
 
@@ -177,7 +177,7 @@ class TestJointRepresentation:
     def test_irreducibility_with_trivial_inputs(self, two_bit):
         joint = two_bit["system"].joint
         g = two_bit["g_group"]
-        flat = reps.direct_sum(one_dim(g, [1, 1]), one_dim(g, [1, 1]))
+        flat = direct_sum(one_dim(g, [1, 1]), one_dim(g, [1, 1]))
         joint_rep = pairing.build_joint_representation(joint, flat, np.eye(2, dtype=complex))
         assert reps.commutant_dimension(joint_rep) == 4
 

@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
-from cvhilbert.errors import GroupMismatch, IrreducibleInput, NotHomomorphism, SizeLimit
+from cvhilbert.errors import IrreducibleInput, NotHomomorphism, SizeLimit
+
+from conftest import GroupMismatch, direct_sum
 
 
 def z(n):
@@ -224,19 +228,17 @@ ACTIONS = [("cyclic", 4), ("dihedral", 3), ("symmetric", 3), "s3-natural"]
 def _action(source):
     if source == "s3-natural":
         s3 = groups.standard_group("symmetric", 3)
-        return s3, np.array(list(itertools.permutations(range(3))))
-    group = groups.standard_group(*source)
-    return group, np.array(group.cayley)
+        return groups.build_action(s3, list(itertools.permutations(range(3))))
+    return groups.regular_action(groups.standard_group(*source))
 
 
 @st.composite
 def random_actions(draw):
-    """(group, table): the group one or two random permutations of up to five
-    points generate, with its action table."""
+    """The action of the group one or two random permutations of up to five
+    points generate, on those points."""
     m = draw(st.integers(1, 5))
     gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=2))
-    group, action = groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)
-    return group, np.array(action.act)
+    return groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)[1]
 
 
 def outcome(call):
@@ -253,14 +255,13 @@ class TestPermutationTables:
     @settings(max_examples=100)
     @given(st.sampled_from(ACTIONS).map(_action) | random_actions(),
            st.sampled_from([reps.DEFAULT_TOLERANCE, 1.0, 1.5]), st.booleans(), st.data())
-    def test_table_backed_equals_stack_built_by_hand(self, source, tol, basis, data):
-        # the representation that holds a valid action's table against the
-        # 0/1 stack of the same table built by hand and read back off: the
-        # stack, the character norm and the orbit of a fiducial
-        group, table = source
-        n, m = table.shape
-        built = [reps.permutation_representation(groups.GroupAction(group, m, table), tol),
-                 reps.UnitaryRepresentation(group, m, zero_one_stack(table, m), tol)]
+    def test_table_backed_equals_stack_built_by_hand(self, action, tol, basis, data):
+        # the representation that holds a verified action against the 0/1
+        # stack of its table built by hand and read back off: the stack, the
+        # character norm and the orbit of a fiducial
+        group, m = action.group, action.space_size
+        built = [reps.permutation_representation(action, tol),
+                 reps.UnitaryRepresentation(group, m, zero_one_stack(action.act, m), tol)]
         held, by_hand = built
         assert "matrices" not in vars(held)
         assert np.array_equal(held.matrices.view(np.uint64), by_hand.matrices.view(np.uint64))
@@ -279,6 +280,36 @@ class TestPermutationTables:
         assert (orbits[0][0] is None) == (orbits[1][0] is None)
         if orbits[0][0] is not None:
             assert np.array_equal(*(o[0] for o in orbits))
+
+
+class TestHeldAction:
+    """A permutation representation holds a verified action, not a table."""
+
+    def test_integer_table_refused(self):
+        # U(e) would be the swap: an integer table is not a verified action
+        with pytest.raises(ValueError, match="matrix stack has wrong shape"):
+            reps.UnitaryRepresentation(z(2), 2, np.array([[1, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("action", [lambda: groups.regular_action(z(2)),
+                                        lambda: groups.regular_action(z(3))],
+                             ids=["same-order", "other-order"])
+    def test_action_of_another_group_refused(self, action):
+        with pytest.raises(ValueError, match="not one of this group"):
+            reps.UnitaryRepresentation(z(2), 2, action())
+
+    def test_group_freed_without_the_cycle_collector(self):
+        # the representation, its action and its group form no reference
+        # cycle, so dropping them frees the group at once
+        gc.disable()
+        try:
+            group = groups.standard_group("symmetric", 3)
+            rep = reps.regular_representation(group)
+            assert reps.character_norm(rep) == 6.0
+            freed = weakref.ref(group)
+            del group, rep
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestCommutant:
@@ -323,13 +354,13 @@ class TestCommutant:
     def test_double_copy_dimension(self):
         g = z(2)
         sign = one_dim(g, [1, -1])
-        assert_commutant_dimension(reps.direct_sum(sign, sign), 4)
+        assert_commutant_dimension(direct_sum(sign, sign), 4)
 
     def test_inequivalent_sum_dimension(self):
         g = z(2)
         triv = one_dim(g, [1, 1])
         sign = one_dim(g, [1, -1])
-        assert_commutant_dimension(reps.direct_sum(triv, sign), 2)
+        assert_commutant_dimension(direct_sum(triv, sign), 2)
 
     def test_commutant_elements_commute(self):
         rep = reps.regular_representation(z(4))
@@ -360,7 +391,7 @@ SYSTEMS = {
     "regular Z7": lambda: reps.regular_representation(z(7)),
     "regular S3": lambda: reps.regular_representation(groups.standard_group("symmetric", 3)),
     "phases Z4": lambda: one_dim(z(4), [1, 1j, -1, -1j]),
-    "sum Z3": lambda g=z(3): reps.direct_sum(
+    "sum Z3": lambda g=z(3): direct_sum(
         reps.regular_representation(g), one_dim(g, [1, np.exp(2j * np.pi / 3),
                                                     np.exp(-2j * np.pi / 3)])),
     "joined xor m4": lambda: joined_representation("xor_m4.json"),
@@ -401,9 +432,9 @@ class TestStackBound:
     def test_regular_z512_refused_before_allocation(self):
         # 512 matrices of 512x512 complex entries: 2 GiB; the rotations of
         # the 512-gon are the regular action of Z_512. The representation is
-        # held as its table, and its stack is refused when first read
+        # held as its action, and its stack is refused when first read
         group = z(512)
-        rep = reps.permutation_representation(groups.GroupAction(group, 512, group.rows))
+        rep = reps.permutation_representation(groups.build_action(group, group.rows))
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):
@@ -418,7 +449,7 @@ class TestStackBound:
         monkeypatch.setattr(reps, "REPRESENTATION_BYTE_LIMIT", 64)
         sign = one_dim(z(2), [1, -1])
         with pytest.raises(SizeLimit, match="2 matrices of 2x2"):
-            reps.direct_sum(sign, sign)
+            direct_sum(sign, sign)
 
 
 class TestSplit:
@@ -442,7 +473,7 @@ class TestSplit:
     def test_block_structure_of_double_sum(self):
         g = z(2)
         triv = one_dim(g, [1, 1])
-        rep = reps.direct_sum(triv, triv)
+        rep = direct_sum(triv, triv)
         b0, b1 = reps.invariant_subspace_split(rep)
         assert b0.shape[1] + b1.shape[1] <= 2
         for cols in (b0, b1):
@@ -479,7 +510,7 @@ class TestDirectSum:
     def test_trivial_sum(self):
         g = z(2)
         triv = one_dim(g, [1, 1])
-        rep = reps.direct_sum(triv, triv)
+        rep = direct_sum(triv, triv)
         assert rep.dim == 2
         assert np.allclose(rep.matrices[1], np.eye(2))
 
@@ -487,12 +518,12 @@ class TestDirectSum:
         g = z(2)
         triv = one_dim(g, [1, 1])
         sign = one_dim(g, [1, -1])
-        rep = reps.direct_sum(sign, triv)
+        rep = direct_sum(sign, triv)
         assert np.allclose(rep.matrices[1], np.diag([-1, 1]))
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatch):
-            reps.direct_sum(one_dim(z(2), [1, 1]), one_dim(z(3), [1, 1, 1]))
+            direct_sum(one_dim(z(2), [1, 1]), one_dim(z(3), [1, 1, 1]))
 
 
 @given(st.integers(min_value=1, max_value=5))
