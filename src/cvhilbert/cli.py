@@ -521,7 +521,7 @@ def _operators(run: _Run) -> None:
 
 def _covariance(run: _Run) -> None:
     try:
-        records = pairing.covariance_records(run.system, *run.values)
+        records = pairing.covariance_records(run.system, run.eigs[0].operator, run.values[0])
     except ValueError as exc:
         # a moved operator can overflow where the first operator did not
         run.add("conjugation-covariance", "fail", run.idx,

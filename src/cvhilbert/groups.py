@@ -39,7 +39,13 @@ points per product.
 The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
 a full table is read: the regular representation of the small induced groups
 and the tests. It is the group's regular action (Cayley), verified with the
-columns it is read from, and `regular_action` wraps it as one.
+columns it is read from, and `regular_action` wraps it as one. Like the
+element rows of a closure, it is refused with SizeLimit above
+PERMUTATION_BYTE_LIMIT before it is allocated.
+
+A built action needs no further check to answer questions about it:
+`is_transitive` reads the orbit of point 0 off its table, and
+`isotropy_subgroup` wraps a point stabilizer, a subgroup of any action.
 
 Every exact check of an integer table is made here, once, where the table is
 built: `_permutation_rows` checks that rows are permutations, and
@@ -143,18 +149,16 @@ class FiniteGroup:
     @cached_property
     def cayley(self) -> np.ndarray:
         """(n, n) int array, cayley[a, b] = a * b, filled one breadth-first
-        level of b at a time: a * (b' * s) = (a * b') * s is a column entry."""
+        level of b at a time: a * (b' * s) = (a * b') * s is a column entry.
+        A table above PERMUTATION_BYTE_LIMIT raises SizeLimit before it is
+        allocated."""
+        _check_rows(self.order, self.order)
         table = np.empty((self.order, self.order), dtype=np.int64)
         table[:, 0] = np.arange(self.order)
         for elements, parents, slots in _bfs_levels(self.columns):
             table[:, elements] = self.columns[table[:, parents], slots]
         table.setflags(write=False)
         return table
-
-    def is_abelian(self) -> bool:
-        """The generators commute pairwise."""
-        table = self.columns[list(self.generators)]      # S[i] * S[j]
-        return bool(np.array_equal(table, table.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,30 +426,17 @@ def build_action(group: FiniteGroup, act_table) -> GroupAction:
     return GroupAction(group, act.shape[1], act, _BUILT)
 
 
-def orbits(action: GroupAction) -> list[list[int]]:
-    """Orbit partition of the point set, blocks ordered by smallest member."""
-    m = action.space_size
-    seen = [False] * m
-    blocks = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        block = sorted(set(int(v) for v in action.act[:, start]))
-        for p in block:
-            seen[p] = True
-        blocks.append(block)
-    return blocks
-
-
 def is_transitive(action: GroupAction) -> bool:
-    return len(orbits(action)) == 1
+    """The orbit of point 0 is the whole space."""
+    return bool(np.bincount(action.act[:, 0], minlength=action.space_size).all())
 
 
 def isotropy_subgroup(action: GroupAction, point: int) -> Subgroup:
+    """The elements fixing a point. A point stabilizer of an action is a
+    subgroup, and a built action is one, so nothing is checked."""
     if not 0 <= point < action.space_size:
         raise ValueError(f"point {point} out of range")
-    members = tuple(int(g) for g in np.nonzero(action.act[:, point] == point)[0])
-    return subgroup(action.group, members)
+    return Subgroup(action.group, tuple(np.flatnonzero(action.act[:, point] == point).tolist()))
 
 
 def subgroup(group: FiniteGroup, members) -> Subgroup:
@@ -672,8 +663,9 @@ def _greedy(n: int, column):
     return gens, columns
 
 
-def _greedy_generators(group: FiniteGroup) -> list[int]:
-    """A generating set read off the elements: in turn, the first element
-    outside the subgroup generated so far (`_greedy`)."""
+def _greedy_generators(group: FiniteGroup):
+    """(gens, columns): a generating set read off the elements, in turn the
+    first element outside the subgroup generated so far, and the columns of
+    its Cayley graph (`_greedy`)."""
     everything = np.arange(group.order)
-    return _greedy(group.order, lambda s: group._products(everything, s))[0]
+    return _greedy(group.order, lambda s: group._products(everything, s))

@@ -2,17 +2,21 @@
 
 Given a transitive free group on the first variable's value set, an
 independent copy acts on the second value set and a swap generator joins
-them into a group N on the value product. A representation of N is grown
-from matrices assigned to the generators; nothing guarantees in advance that
-the assignment extends to a homomorphism, so the extension is verified per
-instance and rejected with a witness when it fails.
+them into a group N on the value product. That N is transitive, and not
+abelian for more than one value, follows from G (`build_joint_group` has
+the proof) and is not checked. N's generators are listed in a fixed order,
+so the matrices assigned to them are one stack: U(g), J U(g) J, then J. A
+representation of N is grown from those matrices; nothing guarantees in
+advance that the assignment extends to a homomorphism, so the extension is
+verified per instance and rejected with a witness when it fails.
 
 The coherent-state system of the joined representation (built by
 `coherent`) has one state per coset of the fiducial's isotropy; the cosets
 carry the (x, y) labels through which each state takes the values of the two
 variables, and `coherent.operator_stack` builds every operator: the
 stack of moved operators of the covariance stage at once, and each single
-one as its one-row case, `coherent.operator_from_variable`. The
+one as its one-row case, `coherent.operator_from_variable`. The covariance
+stage takes the first operator as built by `joint_operators`. The
 labeling and the covariance of the resulting operators are checked rather
 than assumed; structural obstructions (distinct value motions
 represented by matrices equal up to a scalar) are detected and reported
@@ -42,7 +46,6 @@ from .groups import (
     GroupAction,
     _bfs_levels,
     _block_cells,
-    _columns_of,
     bfs_words,
     generate_permutation_group,
     is_transitive,
@@ -56,12 +59,7 @@ from .representations import (
     invariant_subspace_split,
     is_irreducible,
 )
-from .variables import (
-    ConceptualVariable,
-    Context,
-    is_maximally_accessible,
-    joint_variable,
-)
+from .variables import ConceptualVariable, Context, is_maximally_accessible
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +77,8 @@ class JointGroup:
     group: FiniteGroup
     action: GroupAction                 # on the value product
     value_size: int                     # points per axis of the product
-    gen_slots: tuple[tuple, ...]        # ('first', idx) | ('second', idx) | ('swap',)
-    gen_elements: tuple[int, ...]       # joined-group index per slot
+    gen_elements: tuple[int, ...]       # N's generators: G's elements 1..|G|-1 on the
+                                        # first axis, then on the second, then the swap
     first_embed: tuple[int, ...]        # joined-group index of each first-axis copy
     second_embed: tuple[int, ...]
     swap_element: int
@@ -139,10 +137,9 @@ def build_related_pair(
             raise NotRelated(p)
     k_squared = tuple(k_perm[k_perm[p]] for p in range(len(k_perm)))
     k_squared_identity = k_squared == tuple(range(len(k_perm)))
-    joint = joint_variable(theta, xi)
     product_structure = (
         context.phi_size == theta.value_count * xi.value_count
-        and joint.value_count == context.phi_size
+        and len(set(zip(theta.values, xi.values))) == context.phi_size
     )
     if product_structure and not k_squared_identity:
         raise InvolutionViolation(
@@ -160,7 +157,17 @@ def build_joint_group(
     """Close the first-axis copies, second-axis copies and the swap into N.
 
     The supplied group must be transitive with trivial isotropy on the value
-    set, so group elements match values one to one.
+    set, so group elements match values one to one. Nothing about N needs
+    checking once it is closed:
+
+    * N is transitive on the product: for a value pair (x, y) take g and h in
+      G with g . 0 = x and h . 0 = y; the first-axis copy of g after the
+      second-axis copy of h sends (0, 0) to (x, y).
+    * N is not abelian when m > 1: G is transitive on more than one value,
+      so some g moves some value x to g . x != x. Its first-axis copy sends
+      (x, x) to (g . x, x) and its second-axis copy to (x, g . x), so the two
+      differ, and the swap, which conjugates the one into the other, does not
+      commute with the first.
     """
     if not is_transitive(g_action):
         raise NotTransitive("the supplied group is not transitive on the values")
@@ -175,19 +182,13 @@ def build_joint_group(
     moved = [g for g in range(g_group.order) if g != g_group.identity]
     swaps = [y * m + x] if m > 1 else []
     gens = [*firsts[moved], *seconds[moved], *swaps]
-    slots = [("first", g) for g in moved] + [("second", g) for g in moved] + [("swap",)] * len(swaps)
     n_group, n_action = generate_permutation_group(gens, space_size=m * m, order_bound=order_bound)
     # the closure lists each generator as an element; the copies of the
     # identity of G are the identity of N
     gen_elements = n_group.generators
     k = len(moved)
     swap_element = gen_elements[-1] if swaps else n_group.identity
-    if m > 1:
-        if not is_transitive(n_action):
-            raise NotTransitive("joined group is not transitive on the product")
-        if n_group.is_abelian():
-            raise NotTransitive("joined group is unexpectedly abelian")
-    return JointGroup(n_group, n_action, m, tuple(slots), gen_elements,
+    return JointGroup(n_group, n_action, m, gen_elements,
                       (n_group.identity, *gen_elements[:k]),
                       (n_group.identity, *gen_elements[k:2 * k]), swap_element)
 
@@ -237,20 +238,15 @@ def build_joint_representation(
     swap_matrix = np.asarray(swap_matrix, dtype=complex)
     if _maxabs(swap_matrix @ swap_matrix - np.eye(d)) > tol:
         raise NotWellDefined(joint.swap_element, ("swap", "swap"), ())
-    gen_mats = np.empty((len(joint.gen_slots), d, d), dtype=complex)
-    for i, slot in enumerate(joint.gen_slots):
-        if slot[0] == "first":
-            gen_mats[i] = base_rep.matrices[slot[1]]
-        elif slot[0] == "second":
-            gen_mats[i] = swap_matrix @ base_rep.matrices[slot[1]] @ swap_matrix
-        else:
-            gen_mats[i] = swap_matrix
-    gen_elements = list(joint.gen_elements)
+    # the generators in the order `build_joint_group` lists them; with one
+    # value N has none, and the swap's matrix is never read
+    moved = base_rep.matrices[1:]
+    gen_mats = np.concatenate([moved, swap_matrix @ moved @ swap_matrix, swap_matrix[None]])
     _check_stack(joint.group.order, d)
     mats = np.empty((joint.group.order, d, d), dtype=complex)
     mats[joint.group.identity] = np.eye(d)
     # the word of an element is its parent's word and one more letter
-    for elements, parents, slots in _bfs_levels(_columns_of(joint.group, gen_elements)):
+    for elements, parents, slots in _bfs_levels(joint.group.columns):
         mats[elements] = mats[parents] @ gen_mats[slots]
     mats.setflags(write=False)
     try:
@@ -258,7 +254,7 @@ def build_joint_representation(
     except NotHomomorphism as exc:
         a, b = exc.pair
         c = joint.group.mult(a, b)
-        words = bfs_words(joint.group, gen_elements)
+        words = bfs_words(joint.group, list(joint.gen_elements))
         raise NotWellDefined(c, words[a] + words[b], words[c]) from exc
 
 
@@ -363,20 +359,21 @@ def _projective_classes(system: JointSystem) -> list[int]:
 
 
 def covariance_records(
-    system: JointSystem, theta_values, xi_values
+    system: JointSystem, a_theta: Operator, theta_values
 ) -> list[CovarianceRecord]:
     """Conjugation covariance of the first operator under every element of N.
 
-    residual = || W(n)^dagger A W(n) - A' || with A' built for the moved
-    variable. When two elements whose matrices agree up to a scalar move the
-    values differently, no operator assignment can satisfy both; such
-    elements are flagged obstructed, which explains any failures they cause.
+    a_theta is the first operator, built by `joint_operators` from the
+    numeric theta_values, one per value-set point. residual =
+    || W(n)^dagger A W(n) - A' || with A' built for the moved variable.
+    When two elements whose matrices agree up to a scalar move the values
+    differently, no operator assignment can satisfy both; such elements are
+    flagged obstructed, which explains any failures they cause.
 
     Every element's moved value table is gathered at once, and the moved
     operators and residuals are computed as stacks, in blocks of elements
     whose temporaries stay near STEP_BYTES.
     """
-    a_theta, _ = joint_operators(system, theta_values, xi_values)
     n, m, d = system.joint.group.order, system.joint.value_size, system.dim
     tables = np.asarray(theta_values, dtype=float)[system.joint.action.act // m]
     values, axes = _axis_values(system, tables)

@@ -10,8 +10,9 @@ first read. The 0/1 matrices of functions multiply as the functions compose,
 P_f P_h = P_{f o h}, so a verified action is a verified representation, and
 the constructor checks only that the action is one of its group on C^dim. A
 stack given as matrices, 0/1 or not, takes the float check on a generating set S
-read greedily off the group's elements (`groups._greedy_generators`), whose
-products g*s are found by base key: |G|*|S| products instead of |G|^2. The
+read greedily off the group's elements (`groups._greedy_generators`), which
+finds the products g*s by base key as it reads S off and returns them with
+it: |G|*|S| products instead of |G|^2. The
 stack must be finite, and a certificate (`_certified`) bounds the residual
 of every other pair by the generator residual, the BFS depth over S, the
 unitarity residual and the rounding of the scan. When that bound does not
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
-from .groups import (FiniteGroup, GroupAction, _bfs_levels, _block_cells, _columns_of,
-                     _first_violation, _greedy_generators, regular_action)
+from .groups import (FiniteGroup, GroupAction, _bfs_levels, _block_cells, _first_violation,
+                     _greedy_generators, regular_action)
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -102,8 +103,7 @@ class UnitaryRepresentation:
 
         # the certificate's rounding bound holds for floating-point stacks only
         if np.issubdtype(mats.dtype, np.inexact):
-            gens = _greedy_generators(group)
-            columns = _columns_of(group, gens)
+            gens, columns = _greedy_generators(group)
             depth = len(_bfs_levels(columns))
             r, u = _generator_residuals(mats, gens, columns, cells, (product, target, residual))
             if _certified(r, u, identity_residual, depth, d, self.tolerance,
@@ -249,14 +249,19 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     canonical phase makes the first entry above tolerance of each column
     real positive.
 
-    A matrix whose off-diagonal is exactly zero and whose diagonal is finite
-    is read off: its eigenvalues are the real parts of its diagonal sorted
-    stably, which are the floats `eigh` returns for it, and its eigenvectors
-    the matching columns of the identity, whose phase is already canonical.
-    `order` is then the diagonal index of each eigenvalue; it is None for a
-    matrix that `eigh` decomposes. Inside a cluster of equal entries the
-    read-off takes the basis vectors by ascending index where LAPACK may
-    take another basis of the same eigenspace.
+    A matrix whose off-diagonal is exactly zero is read off when the largest
+    |real part| on its diagonal is 0 or lies in [2^-485, 2^485]: its
+    eigenvalues are the real parts of its diagonal sorted stably, which are
+    the floats `eigh` returns for it, and its eigenvectors the matching
+    columns of the identity, whose phase is already canonical. Outside that
+    range LAPACK's eigh (zheevd) rescales the matrix by
+    sqrt(safe minimum / eps) or its inverse, which rounds the eigenvalues,
+    so such a matrix, and one with a NaN or an infinity on its diagonal,
+    goes to `eigh`. `order` is the diagonal index of each eigenvalue of a
+    read-off matrix, and None for a matrix that `eigh` decomposes. Inside a
+    cluster of equal entries the read-off takes the basis vectors by
+    ascending index where LAPACK may take another basis of the same
+    eigenspace.
     """
     d = len(herm)
     # entry (i, i) of a row-major d x d matrix is element i (d + 1) of its
@@ -265,7 +270,9 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     order = None
     if not herm.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any():
         diagonal = np.diagonal(herm).real
-        if np.isfinite(diagonal).all():
+        # a NaN or an infinity fails the range test
+        top = float(np.abs(diagonal).max())
+        if top == 0.0 or 2.0**-485 <= top <= 2.0**485:
             order = np.argsort(diagonal, kind="stable")
     if order is None:
         evals, evecs = np.linalg.eigh(herm)

@@ -36,7 +36,8 @@ class SpinRepresentation:
 def build_spin(r) -> SpinRepresentation:
     """Spin-r matrices on a (2r+1)-dimensional space, basis ascending in m."""
     r = float(r)
-    if r < 0 or abs(2 * r - round(2 * r)) > 1e-12 or r > MAX_SPIN:
+    # the range first: round() raises on a NaN or an infinity
+    if not 0 <= r <= MAX_SPIN or abs(2 * r - round(2 * r)) > 1e-12:
         raise InvalidSpin(f"r must be a half-integer in [0, {MAX_SPIN}], got {r}")
     dim = int(round(2 * r)) + 1
     m = -r + np.arange(dim)

@@ -207,14 +207,3 @@ def is_maximally_accessible(context: Context, variable: ConceptualVariable) -> b
     if all(f is None for f in found):
         raise NotAccessible(f"variable {variable.name} is not accessible")
     return not any(f[1] for f in found if f is not None)
-
-
-def joint_variable(theta: ConceptualVariable, xi: ConceptualVariable) -> ConceptualVariable:
-    if theta.domain_size != xi.domain_size:
-        raise ValueError("variables live on different spaces")
-    pairs = list(zip(theta.values, xi.values))
-    return make_variable(
-        f"({theta.name},{xi.name})",
-        pairs,
-        value_labels=None,
-    )

@@ -43,9 +43,8 @@ def test_criterion_1_group_action_suites():
                 x = g.mult(x, a)
             sub = groups.subgroup(g, members)
             assert len(groups.left_cosets(g, sub)) * sub.order == g.order
-        blocks = groups.orbits(act)
         for p in range(act.space_size):
-            orbit = next(b for b in blocks if p in b)
+            orbit = set(act.act[:, p].tolist())
             assert len(orbit) * groups.isotropy_subgroup(act, p).order == g.order
     elapsed = time.perf_counter() - start
     announce(1, elapsed < 1.0,
@@ -127,11 +126,10 @@ def test_criterion_5_conjugation_covariance(two_bit, two_bit_operators):
     assert worst_single <= 1e-9
 
     system = two_bit["system"]
-    records = pairing.covariance_records(
-        system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
+    a_theta, a_xi = two_bit_operators
+    records = pairing.covariance_records(system, a_theta, two_bit["theta"].numeric())
     assert all(r.residual <= 1e-9 for r in records if r.ok)
     assert all(r.ok or r.obstructed for r in records)
-    a_theta, a_xi = two_bit_operators
     w = system.coherent.rep.matrices[system.joint.swap_element]
     swap_resid = np.abs(w.conj().T @ a_theta.matrix @ w - a_xi.matrix).max()
     assert swap_resid <= 1e-12

@@ -296,6 +296,14 @@ class TestMainEntry:
         assert code == 0
         assert "dimension: 6" in out
 
+    @pytest.mark.parametrize("r", ["nan", "inf", "1e308"])
+    def test_spin_outside_the_range_refused(self, r, capsys):
+        # the range is checked before 2r is rounded, which raises on these
+        assert cli.main(["spin", "--r", r]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"r must be a half-integer in [0, 12.5], got {float(r)}\n"
+
     def test_structured_format_flag(self, capsys):
         code = cli.main(["verify", TWO_BIT, "--format", "structured"])
         out = capsys.readouterr().out
@@ -462,11 +470,12 @@ def work_counts(monkeypatch):
 def constructor_work(monkeypatch):
     """Counter of the work of `UnitaryRepresentation` while the fixture is
     active: table scans, matrix products made by `np.matmul`, calls of the
-    generator residuals, of the certificate and of the greedy generating
-    set, and the order and generator count of the last group whose
-    generators were read off."""
+    generator residuals, of the certificate, of the greedy generating set
+    and of the base-key products, and the order and generator count of the
+    last group whose generators were read off."""
     calls = collections.Counter()
     greedy, matmul = representations._greedy_generators, np.matmul
+    products = groups.FiniteGroup._products
 
     def counting(name, key):
         original = getattr(representations, name)
@@ -477,10 +486,14 @@ def constructor_work(monkeypatch):
         monkeypatch.setattr(representations, name, wrapper)
 
     def greedy_spy(group):
-        gens = greedy(group)
+        gens, columns = greedy(group)
         calls["greedy"] += 1
         calls["order"], calls["generators"] = group.order, len(gens)
-        return gens
+        return gens, columns
+
+    def products_spy(group, a, b):
+        calls["base-key products"] += 1
+        return products(group, a, b)
 
     def matmul_spy(x1, x2, *args, **kwargs):
         out = matmul(x1, x2, *args, **kwargs)
@@ -491,6 +504,7 @@ def constructor_work(monkeypatch):
     counting("_generator_residuals", "residuals")
     counting("_certified", "certificates")
     monkeypatch.setattr(representations, "_greedy_generators", greedy_spy)
+    monkeypatch.setattr(groups.FiniteGroup, "_products", products_spy)
     monkeypatch.setattr(np, "matmul", matmul_spy)
     return calls
 
@@ -519,6 +533,22 @@ class TestWorkCounts:
         assert "order=8" in next(c.detail for c in two_bit.checks if c.cid == "joint-group[0]")
         assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
         assert 0 < on_order_8 == on_order_32 <= 5
+
+    def test_three_operators_per_pair(self, monkeypatch):
+        # two-bit: the two variable operators and the unit one, each a one-row
+        # projector sum, and the one stack of the 8 moved operators of the
+        # covariance stage, which reuses the first operator
+        rows = []
+        sums = coherent._projector_sums
+
+        def spy(system, values):
+            rows.append(len(values))
+            return sums(system, values)
+
+        monkeypatch.setattr(coherent, "_projector_sums", spy)
+        report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        assert not report.failed
+        assert sorted(rows) == [1, 1, 1, 8]
 
     def test_one_svd_per_commutant_basis(self, work_counts):
         cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
@@ -657,6 +687,9 @@ class TestWorkCounts:
         assert constructor_work["residuals"] == constructor_work["certificates"] == 1
         assert constructor_work["scans"] == 0
         assert constructor_work["products"] == 8 * constructor_work["generators"] + 8
+        # the columns g * s come with the generating set, one batch of base-key
+        # products per generator, and are not composed again
+        assert constructor_work["base-key products"] == constructor_work["generators"]
 
 
 def _check(out: str, cid: str) -> dict:
@@ -760,6 +793,16 @@ class TestSpaceSizeBound:
         code = cli.main(["operator", TWO_BIT, "--variable", "bit1"])
         captured = capsys.readouterr()
         assert code == 2
+        assert "MiB bound" in captured.err and "Traceback" not in captured.err
+
+    def test_operator_refuses_cayley_table_above_byte_bound(self, monkeypatch, capsys):
+        # K, S5 on 5 points, fits; the 120 x 120 table of the induced group's
+        # regular action does not, and is refused before it is allocated
+        monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 2**16)
+        code = cli.main(["operator", S5, "--variable", "v"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("120 permutations of 120 points need ")
         assert "MiB bound" in captured.err and "Traceback" not in captured.err
 
 

@@ -76,6 +76,19 @@ class TestRelatedPair:
             pairing.build_related_pair(ctx, theta, xi, four_cycle)
 
 
+@st.composite
+def transitive_free_actions(draw):
+    """A group closed from up to three permutations of at most four points,
+    acting on itself by left multiplication with its points relabeled; every
+    transitive free action is one of these."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    gens = draw(st.lists(st.permutations(range(size)), max_size=3))
+    group, _ = groups.generate_permutation_group(gens, space_size=size)
+    relabel = np.array(draw(st.permutations(range(group.order))))
+    # x -> relabel[g * relabel^-1[x]]
+    return group, groups.build_action(group, relabel[group.cayley][:, np.argsort(relabel)])
+
+
 class TestJointGroup:
     def test_single_value_trivial(self):
         group, action = groups.generate_permutation_group([(0,)], space_size=1)
@@ -89,13 +102,31 @@ class TestJointGroup:
         joint = two_bit["system"].joint
         assert joint.group.order == 8
         assert groups.is_transitive(joint.action)
-        assert not joint.group.is_abelian()
+        assert not np.array_equal(joint.group.cayley, joint.group.cayley.T)
 
     def test_three_values_order_eighteen(self):
         ctx, pair, g_group, g_action = nine_point_setup()
         joint = pairing.build_joint_group(pair, g_group, g_action)
         assert joint.group.order == 18
         assert groups.is_transitive(joint.action)
+
+    @given(transitive_free_actions())
+    def test_joined_group_transitive_and_not_abelian(self, drawn):
+        # the two facts `build_joint_group` proves instead of checking, for a
+        # random transitive free G
+        group, action = drawn
+        m = action.space_size
+        points = range(m * m)
+        theta = variables.make_variable("x", [p // m for p in points])
+        xi = variables.make_variable("y", [p % m for p in points])
+        swap = [(p % m) * m + p // m for p in points]
+        _, k_action = groups.generate_permutation_group([swap])
+        context = variables.Context(m * m, k_action, (theta, xi))
+        pair = pairing.build_related_pair(context, theta, xi, swap)
+        n = pairing.build_joint_group(pair, group, action, order_bound=2 * 24**2)
+        assert set(n.action.act[:, 0].tolist()) == set(points)
+        assert np.array_equal(n.group.cayley, n.group.cayley.T) == (m == 1)
+        assert n.group.order == (2 * m * m if m > 1 else 1)
 
     def test_embeddings_commute(self, two_bit):
         joint = two_bit["system"].joint
@@ -280,16 +311,16 @@ class TestJointOperators:
 
 
 class TestCovariance:
-    def test_records_cover_group(self, two_bit):
+    def test_records_cover_group(self, two_bit, two_bit_operators):
         system = two_bit["system"]
         records = pairing.covariance_records(
-            system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
+            system, two_bit_operators[0], two_bit["theta"].numeric())
         assert len(records) == system.joint.group.order
 
-    def test_every_element_passes_or_is_obstructed(self, two_bit):
+    def test_every_element_passes_or_is_obstructed(self, two_bit, two_bit_operators):
         system = two_bit["system"]
         records = pairing.covariance_records(
-            system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
+            system, two_bit_operators[0], two_bit["theta"].numeric())
         for rec in records:
             assert rec.ok or rec.obstructed
 
@@ -308,19 +339,19 @@ class TestCovariance:
         moved = w.conj().T @ a_theta.matrix @ w
         assert np.abs(moved - (np.eye(2) - a_theta.matrix)).max() <= 1e-12
 
-    def test_transported_operator_matches_value_motion(self, two_bit):
+    def test_transported_operator_matches_value_motion(self, two_bit, two_bit_operators):
         system = two_bit["system"]
         records = pairing.covariance_records(
-            system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
+            system, two_bit_operators[0], two_bit["theta"].numeric())
         # the swap turns the first-axis grid variable into the second-axis one
         rec = records[system.joint.swap_element]
         assert rec.element == system.joint.swap_element
         assert rec.ok and rec.residual <= 1e-12
 
-    def test_obstruction_is_scalar_collision(self, two_bit):
+    def test_obstruction_is_scalar_collision(self, two_bit, two_bit_operators):
         system = two_bit["system"]
         records = pairing.covariance_records(
-            system, two_bit["theta"].numeric(), two_bit["xi"].numeric())
+            system, two_bit_operators[0], two_bit["theta"].numeric())
         failing = [r for r in records if not r.ok]
         assert failing, "the worked example is known to have obstructed elements"
         for rec in failing:
@@ -333,15 +364,14 @@ class TestCovariance:
 
 def word_products(joint, base_rep, swap_matrix, words):
     """The reference extension: for every element, the generator matrices
-    multiplied left to right along its whole word, starting from I."""
-    gen_mats = []
-    for slot in joint.gen_slots:
-        if slot[0] == "first":
-            gen_mats.append(base_rep.matrices[slot[1]])
-        elif slot[0] == "second":
-            gen_mats.append(swap_matrix @ base_rep.matrices[slot[1]] @ swap_matrix)
-        else:
-            gen_mats.append(swap_matrix)
+    multiplied left to right along its whole word, starting from I. The
+    generators are the first-axis copies of G's elements 1..|G|-1, their
+    second-axis copies, then the swap when there are two values or more."""
+    moved = range(1, base_rep.group.order)
+    gen_mats = [*(base_rep.matrices[g] for g in moved),
+                *(swap_matrix @ base_rep.matrices[g] @ swap_matrix for g in moved),
+                *([swap_matrix] if joint.value_size > 1 else [])]
+    assert len(gen_mats) == len(joint.gen_elements)
     mats = []
     for word in words:
         acc = np.eye(base_rep.dim, dtype=complex)
@@ -369,11 +399,16 @@ def looped_classes(system):
     return classes
 
 
-def looped_covariance(system, theta_values, xi_values):
+def theta_operator(system, theta_values):
+    """The first operator of a joint system for one value per value-set point."""
+    return pairing.joint_operators(system, theta_values, theta_values)[0]
+
+
+def looped_covariance(system, theta_values):
     """The reference stage: one moved table, axis, operator and sandwich
     product per element in turn. (element, residual, ok, obstructed) per
     element."""
-    a_theta, _ = pairing.joint_operators(system, theta_values, xi_values)
+    a_theta = theta_operator(system, theta_values)
     labels = (list(system.x_index), list(system.y_index))
     n, m = system.joint.group.order, system.joint.value_size
     act = system.joint.action.act
@@ -410,14 +445,14 @@ def assert_records_match(records, want):
 
 @functools.cache
 def verified_systems():
-    """{document: (system, theta values, xi values)} for every golden document
-    whose `verify` reaches the covariance stage."""
+    """{document: (system, first operator, theta values)} for every golden
+    document whose `verify` reaches the covariance stage."""
     stage = pairing.covariance_records
     found = {}
 
-    def spy(system, theta_values, xi_values):
-        found[doc.stem] = (system, theta_values, xi_values)
-        return stage(system, theta_values, xi_values)
+    def spy(system, a_theta, theta_values):
+        found[doc.stem] = (system, a_theta, theta_values)
+        return stage(system, a_theta, theta_values)
 
     with mock.patch.object(pairing, "covariance_records", spy):
         for doc in [*GOLDEN_DOCS, TWO_BIT]:
@@ -429,9 +464,9 @@ class TestCovarianceAgainstLoop:
     def test_golden_documents(self):
         systems = verified_systems()
         assert {"two_bit", "cyclic_m2", "xor_m4", "two_bit_spin_suite"} <= set(systems)
-        for system, theta_values, xi_values in systems.values():
-            assert_records_match(pairing.covariance_records(system, theta_values, xi_values),
-                                 looped_covariance(system, theta_values, xi_values))
+        for system, a_theta, theta_values in systems.values():
+            assert_records_match(pairing.covariance_records(system, a_theta, theta_values),
+                                 looped_covariance(system, theta_values))
 
     @given(st.sampled_from(["two_bit", "xor_m4"]), st.data())
     def test_random_values(self, document, data):
@@ -439,18 +474,18 @@ class TestCovarianceAgainstLoop:
         system, _, _ = verified_systems()[document]
         value = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
         m = system.joint.value_size
-        theta_values, xi_values = (data.draw(st.lists(value, min_size=m, max_size=m))
-                                   for _ in range(2))
-        assert_records_match(pairing.covariance_records(system, theta_values, xi_values),
-                             looped_covariance(system, theta_values, xi_values))
+        theta_values = data.draw(st.lists(value, min_size=m, max_size=m))
+        a_theta = theta_operator(system, theta_values)
+        assert_records_match(pairing.covariance_records(system, a_theta, theta_values),
+                             looped_covariance(system, theta_values))
 
     @pytest.mark.parametrize("step", [groups.STEP_BYTES, 3 * 16 * 4 * 4, 1])
     def test_elements_in_blocks(self, step):
         # blocks of one element, of a few and of all give the same records
-        system, theta_values, xi_values = verified_systems()["xor_m4"]
+        system, a_theta, theta_values = verified_systems()["xor_m4"]
         with mock.patch.object(groups, "STEP_BYTES", step):
-            records = pairing.covariance_records(system, theta_values, xi_values)
-        assert_records_match(records, looped_covariance(system, theta_values, xi_values))
+            records = pairing.covariance_records(system, a_theta, theta_values)
+        assert_records_match(records, looped_covariance(system, theta_values))
 
     def test_operator_count_independent_of_joined_group_order(self, monkeypatch):
         built = []
