@@ -98,9 +98,8 @@ def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
             raise NumericalAmbiguity(
                 f"overlap modulus {mag!r} for element {g} is too close to the boundary"
             )
-    sub = subgroup(rep.group, members)
-    ordered = [phases[members.index(m)] for m in sub.members]
-    return orbit, sub, tuple(ordered)
+    # members are ascending and distinct, as `subgroup` lists them
+    return orbit, subgroup(rep.group, members), tuple(phases)
 
 
 def build_coherent_system(

@@ -47,6 +47,13 @@ A built action needs no further check to answer questions about it:
 `is_transitive` reads the orbit of point 0 off its table, and
 `isotropy_subgroup` wraps a point stabilizer, a subgroup of any action.
 
+Cosets have one routine. `coset_leaders` composes every element with every
+member of a subgroup H in one batch of products and takes the smallest
+element of each a * H, its leader; two elements share a left coset exactly
+when they share a leader. `left_cosets` sorts the elements by leader, which
+lists the cosets, |H| elements each, in the order of their leaders, and the
+covariance stage reads the leaders of N's scalar subgroup directly.
+
 Every exact check of an integer table is made here, once, where the table is
 built: `_permutation_rows` checks that rows are permutations, and
 `_action_violation` that a table respects the products. Checks over a whole
@@ -459,22 +466,22 @@ def subgroup(group: FiniteGroup, members) -> Subgroup:
     return Subgroup(group, tuple(mset))
 
 
+def coset_leaders(group: FiniteGroup, members) -> np.ndarray:
+    """The smallest element of each left coset a * H, one per element a, for
+    the members of a subgroup H. Two elements share a coset exactly when they
+    share a leader, and an element leads its coset when it is its own leader."""
+    members = np.asarray(members, dtype=np.int64)
+    return group._products(np.arange(group.order)[:, None], members[None]).min(axis=1)
+
+
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
-    """Left cosets aH; the representative is the smallest element index."""
+    """Left cosets aH in the order of their leaders (`coset_leaders`), each
+    ascending, so that its representative, its leader, comes first."""
     if sub.parent is not group:
         raise NotASubgroup("subgroup belongs to a different group")
-    products = group._products(np.arange(group.order)[:, None], np.array(sub.members)[None])
-    seen = [False] * group.order
-    cosets, reps = [], []
-    for a in range(group.order):
-        if seen[a]:
-            continue
-        block = tuple(sorted(products[a].tolist()))
-        for x in block:
-            seen[x] = True
-        cosets.append(block)
-        reps.append(block[0])
-    return CosetSpace(group, sub, tuple(cosets), tuple(reps))
+    # sorted by leader, stably, the elements run coset by coset, |H| each
+    cosets = coset_leaders(group, sub.members).argsort(kind="stable").reshape(-1, sub.order)
+    return CosetSpace(group, sub, tuple(map(tuple, cosets.tolist())), tuple(cosets[:, 0].tolist()))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -610,33 +617,20 @@ def _bfs_levels(columns: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.nd
     return levels
 
 
-def _columns_of(group: FiniteGroup, gens) -> np.ndarray:
-    """(n, len(gens)) table of g * s for every element g and every s in gens."""
-    gens = np.asarray(gens, dtype=np.int64).reshape(-1)
-    if np.array_equal(gens, group.generators):
-        return group.columns
-    return group._products(np.arange(group.order)[:, None], gens[None])
+def bfs_words(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Shortest word over the group's generating set S for every element.
 
-
-def bfs_words(
-    group: FiniteGroup, generator_indices: list[int]
-) -> list[tuple[int, ...]]:
-    """Shortest word over the given generators for every element.
-
-    Words multiply left to right: element = gens[w0] * gens[w1] * ...
-    Breadth-first order with generators tried in listed order makes the
-    choice deterministic (shortest word, then lexicographic). The search
-    expands one level at a time over the columns of the generators.
+    Words multiply left to right: element = S[w0] * S[w1] * ... Breadth-first
+    order with generators tried in listed order makes the choice
+    deterministic (shortest word, then lexicographic). The search expands
+    one level at a time over the group's columns; S generates the group by
+    construction, so every element has a word.
     """
-    words: list[tuple[int, ...] | None] = [None] * group.order
-    words[group.identity] = ()
-    for elements, parents, slots in _bfs_levels(_columns_of(group, generator_indices)):
+    words: list[tuple[int, ...]] = [()] * group.order
+    for elements, parents, slots in _bfs_levels(group.columns):
         for e, p, s in zip(elements.tolist(), parents.tolist(), slots.tolist()):
             words[e] = words[p] + (s,)
-    missing = [i for i, w in enumerate(words) if w is None]
-    if missing:
-        raise ValueError(f"generators do not generate the group; missing {missing[:4]}")
-    return words  # type: ignore[return-value]
+    return words
 
 
 def _greedy(n: int, column):

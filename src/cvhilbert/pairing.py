@@ -20,7 +20,12 @@ stage takes the first operator as built by `joint_operators`. The
 labeling and the covariance of the resulting operators are checked rather
 than assumed; structural obstructions (distinct value motions
 represented by matrices equal up to a scalar) are detected and reported
-explicitly.
+explicitly. Two matrices of N differ only by a unit scalar exactly when
+their elements lie in one left coset of the scalar subgroup Z, the elements
+whose matrix is a unit scalar; the covariance stage finds Z in one batched
+pass over the stack and reads each element's class off the coset leaders
+of Z (`groups.coset_leaders`), the routine that also gives the coherent
+states' cosets.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .groups import (
     _bfs_levels,
     _block_cells,
     bfs_words,
+    coset_leaders,
     generate_permutation_group,
     is_transitive,
     isotropy_subgroup,
@@ -77,17 +83,9 @@ class JointGroup:
     group: FiniteGroup
     action: GroupAction                 # on the value product
     value_size: int                     # points per axis of the product
-    gen_elements: tuple[int, ...]       # N's generators: G's elements 1..|G|-1 on the
-                                        # first axis, then on the second, then the swap
     first_embed: tuple[int, ...]        # joined-group index of each first-axis copy
     second_embed: tuple[int, ...]
     swap_element: int
-
-    def product_point(self, a: int, b: int) -> int:
-        return a * self.value_size + b
-
-    def split_point(self, p: int) -> tuple[int, int]:
-        return divmod(p, self.value_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +181,13 @@ def build_joint_group(
     swaps = [y * m + x] if m > 1 else []
     gens = [*firsts[moved], *seconds[moved], *swaps]
     n_group, n_action = generate_permutation_group(gens, space_size=m * m, order_bound=order_bound)
-    # the closure lists each generator as an element; the copies of the
-    # identity of G are the identity of N
-    gen_elements = n_group.generators
-    k = len(moved)
-    swap_element = gen_elements[-1] if swaps else n_group.identity
-    return JointGroup(n_group, n_action, m, gen_elements,
-                      (n_group.identity, *gen_elements[:k]),
-                      (n_group.identity, *gen_elements[k:2 * k]), swap_element)
+    # the closure lists each generator as an element, in the order given:
+    # G's elements 1..|G|-1 on the first axis, then on the second, then the
+    # swap; the copies of the identity of G are the identity of N
+    gens, k = n_group.generators, len(moved)
+    swap_element = gens[-1] if swaps else n_group.identity
+    return JointGroup(n_group, n_action, m, (n_group.identity, *gens[:k]),
+                      (n_group.identity, *gens[k:2 * k]), swap_element)
 
 
 def build_swap_matrix(base_rep: UnitaryRepresentation) -> np.ndarray:
@@ -254,7 +251,7 @@ def build_joint_representation(
     except NotHomomorphism as exc:
         a, b = exc.pair
         c = joint.group.mult(a, b)
-        words = bfs_words(joint.group, list(joint.gen_elements))
+        words = bfs_words(joint.group)
         raise NotWellDefined(c, words[a] + words[b], words[c]) from exc
 
 
@@ -274,14 +271,13 @@ def joint_coset_structure(
     a label pair. Violations raise CosetLabelingError with a witness.
     """
     coherent_system = coherent.build_coherent_system(joint_rep, fiducial)
-    base = joint.product_point(0, 0)
+    # the (x, y) to which each element moves (0, 0), which is point 0
+    x_of, y_of = (v.tolist() for v in np.divmod(joint.action.act[:, 0], joint.value_size))
     first, second = set(joint.first_embed), set(joint.second_embed)
     x_index, y_index = [], []
     for block in coherent_system.cosets.cosets:
-        xs = sorted({joint.split_point(joint.action.apply(n, base))[0]
-                     for n in block if n in first})
-        ys = sorted({joint.split_point(joint.action.apply(n, base))[1]
-                     for n in block if n in second})
+        xs = sorted({x_of[n] for n in block if n in first})
+        ys = sorted({y_of[n] for n in block if n in second})
         if not xs or not ys:
             raise CosetLabelingError("coset meets no axis copy", block)
         if len(xs) > 1 or len(ys) > 1:
@@ -334,28 +330,30 @@ def _axis_values(system: JointSystem, tables: np.ndarray):
     return np.where(on_x[:, None], by_x[:, :, 0], by_x[:, 0, :]), np.where(on_x, 0, 1)
 
 
-def _projective_classes(system: JointSystem) -> list[int]:
-    """Class label per element; two elements share a class when their matrices
-    differ only by a unit scalar.
+def _scalar_elements(rep: UnitaryRepresentation) -> np.ndarray:
+    """The elements n whose matrix is a unit scalar, U(n) = lambda I, in
+    ascending order: the scalar subgroup Z of the representation.
 
-    Classes are numbered in the order of their first members. The first
-    element not yet in a class starts the next one, and batched products,
-    in blocks near STEP_BYTES, compare it with every element still outside
-    a class."""
-    mats = system.coherent.rep.matrices
-    d, tol = system.dim, system.tolerance
+    lambda is tr U(n) / d, and n is in Z when ||lambda| - 1| < 1e-6 and U(n)
+    is within 10 tol of lambda I. Every matrix of the stack is tested in one
+    batched pass, in blocks near STEP_BYTES.
+
+    Z gives the classes of elements whose matrices differ only by a unit
+    scalar. For a unitary homomorphism U(a) = lambda U(b) holds exactly when
+    U(b^-1 a) = U(b)^dagger U(a) = lambda I, that is when a lies in bZ, so
+    the classes are the left cosets of Z. Z is a subgroup, as U(e) = I and
+    products and inverses of unit scalars are unit scalars, and a normal
+    one, as U(g) lambda I U(g)^dagger = lambda I.
+    """
+    mats, d = rep.matrices, rep.dim
     step = _block_cells(mats.itemsize * d * d)
-    classes = np.full(len(mats), -1)
-    while (classes < 0).any():
-        first = int(np.argmin(classes))
-        classes[first] = label = classes.max() + 1
-        outside = (classes < 0).nonzero()[0]
-        for block in np.split(outside, range(step, len(outside), step)):
-            prods = mats[block] @ mats[first].conj().T
-            lam = np.trace(prods, axis1=1, axis2=2) / d
-            residual = np.abs(prods - lam[:, None, None] * np.eye(d)).max(axis=(1, 2), initial=0.0)
-            classes[block[(np.abs(np.abs(lam) - 1.0) < 1e-6) & (residual <= 10 * tol)]] = label
-    return classes.tolist()
+    scalar = np.empty(len(mats), dtype=bool)
+    for a in range(0, len(mats), step):
+        block = mats[a:a + step]
+        lam = np.trace(block, axis1=1, axis2=2) / d
+        residual = np.abs(block - lam[:, None, None] * np.eye(d)).max(axis=(1, 2), initial=0.0)
+        scalar[a:a + step] = (np.abs(np.abs(lam) - 1.0) < 1e-6) & (residual <= 10 * rep.tolerance)
+    return np.flatnonzero(scalar)
 
 
 def covariance_records(
@@ -379,15 +377,14 @@ def covariance_records(
     values, axes = _axis_values(system, tables)
     coset_values = np.where(axes[:, None] == 0, values[:, list(system.x_index)],
                             values[:, list(system.y_index)])
-    classes = np.array(_projective_classes(system))
-    # a class is obstructed when some member's table differs from its first
-    # member's; the first member is not compared with itself, as a table
+    # the leader of each element's class, its coset of the scalar subgroup;
+    # a class is obstructed when some member's table differs from its
+    # leader's, and the leader is not compared with itself, as a table
     # holding NaN would differ
-    _, first = np.unique(classes, return_index=True)
-    leader = first[classes]
-    differs = (tables != tables[leader]).any(axis=1) & (leader != np.arange(n))
-    obstructed = np.zeros(len(first), dtype=bool)
-    obstructed[classes[differs]] = True
+    leaders = coset_leaders(system.joint.group, _scalar_elements(system.coherent.rep))
+    differs = (tables != tables[leaders]).any(axis=1) & (leaders != np.arange(n))
+    obstructed = np.zeros(n, dtype=bool)
+    obstructed[leaders[differs]] = True
     mats = system.coherent.rep.matrices
     residuals = np.empty(n)
     step = _block_cells(a_theta.matrix.itemsize * d * max(d, coset_values.shape[1]))
@@ -398,5 +395,5 @@ def covariance_records(
         residuals[a:a + step] = np.abs(diff).max(axis=(1, 2), initial=0.0)
     return [
         CovarianceRecord(t, r, r <= system.tolerance, bool(o))
-        for t, (r, o) in enumerate(zip(residuals.tolist(), obstructed[classes].tolist()))
+        for t, (r, o) in enumerate(zip(residuals.tolist(), obstructed[leaders].tolist()))
     ]

@@ -156,6 +156,40 @@ class TestRunVerify:
         assert _check(out, "maximality[bit1]")["status"] == "pass"
         assert json.loads(out)["summary"]["fail"] == 1
 
+    @pytest.mark.parametrize("case, detail", [
+        ("flip2-only", "the supplied group is not transitive on the values"),
+        ("S3-axes", "the supplied group has a nontrivial point stabilizer"),
+    ])
+    def test_joined_group_refusals(self, case, detail, tmp_path, capsys):
+        # G must match values one to one: K = <flip2> induces the trivial
+        # group on bit1's two values, and S3 on each axis of the 3x3 value
+        # product fixes a value with a transposition
+        if case == "flip2-only":
+            raw = cli.two_bit_document()
+            raw["group_K"] = {"generators": [[1, 0, 3, 2]], "names": ["flip2"]}
+        else:
+            moves = [[1, 0, 2], [1, 2, 0]]
+            gens = [[move[p // 3] * 3 + p % 3 for p in range(9)] for move in moves]
+            gens += [[(p // 3) * 3 + move[p % 3] for p in range(9)] for move in moves]
+            raw = {
+                "schema_version": "1",
+                "phi_space": {"size": 9},
+                "group_K": {"generators": gens},
+                "variables": [{"name": "a", "values": [p // 3 for p in range(9)]},
+                              {"name": "b", "values": [p % 3 for p in range(9)]}],
+                "maximal_family": ["a", "b"],
+                "pairs": [{"theta": "a", "xi": "b", "k": [(p % 3) * 3 + p // 3 for p in range(9)]}],
+            }
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["verify", str(path), "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        check = _check(captured.out, "joint-group[0]")
+        assert (check["status"], check["detail"]) == ("fail", detail)
+        assert _check(captured.out, "involution[0]")["status"] == "pass"
+        assert json.loads(captured.out)["summary"]["fail"] == 1
+
     def test_state_injectivity_reads_library_check(self, monkeypatch):
         monkeypatch.setattr(coherent, "one_to_one_check", lambda system: (False, (0, 3)))
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")

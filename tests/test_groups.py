@@ -251,8 +251,10 @@ class TestGeneratedGroups:
 
     def test_bfs_words_cover(self):
         g, act = groups.generate_permutation_group([(1, 0, 2), (0, 2, 1)])
-        gens = [1, 2]  # BFS indices of the two generators
-        words = groups.bfs_words(g, gens)
+        gens = list(g.generators)
+        assert gens == [1, 2]  # BFS indices of the two generators
+        words = groups.bfs_words(g)
+        assert words == reference_bfs_words(g.cayley.tolist(), gens)
         for i, w in enumerate(words):
             acc = g.identity
             for slot in w:
@@ -569,24 +571,22 @@ class TestWords:
         assert gens == reference_greedy_generators(table)
         assert columns.tolist() == np.array(table)[:, gens].tolist()
         assert len(gens) <= math.log2(g.order)
-        for generators in (gens, list(range(g.order))):
-            assert groups.bfs_words(g, generators) == reference_bfs_words(table, generators)
+        assert list(g.generators) == gens
+        assert groups.bfs_words(g) == reference_bfs_words(table, gens)
 
     def test_joined_group_m8(self):
-        joint = joined_group_m8()
-        n, gens = joint.group, list(joint.gen_elements)
+        n = joined_group_m8().group
         assert n.order == 128
         table = reference_table(n.rows).tolist()
-        assert groups.bfs_words(n, gens) == reference_bfs_words(table, gens)
+        assert groups.bfs_words(n) == reference_bfs_words(table, list(n.generators))
         greedy, _ = groups._greedy_generators(n)
         assert greedy == reference_greedy_generators(table)
-        assert groups.bfs_words(n, greedy) == reference_bfs_words(table, greedy)
 
     def test_trivial_group(self):
         g = groups.standard_group("cyclic", 1)
         gens, columns = groups._greedy_generators(g)
         assert gens == [] and columns.shape == (1, 0)
-        assert groups.bfs_words(g, []) == [()]
+        assert groups.bfs_words(g) == [()]
 
 
 # Random generator sets: up to three permutations of at most six points.
@@ -607,8 +607,7 @@ def assert_matches_reference(g):
     greedy, columns = groups._greedy_generators(g)
     assert greedy == reference_greedy_generators(table.tolist())
     assert columns.tolist() == table[:, greedy].tolist()
-    for gens in (list(g.generators), greedy):
-        assert groups.bfs_words(g, gens) == reference_bfs_words(table.tolist(), gens)
+    assert groups.bfs_words(g) == reference_bfs_words(table.tolist(), list(g.generators))
 
 
 class TestGeneratorColumns:
@@ -680,3 +679,35 @@ class TestGeneratorColumns:
             g, _ = groups.generate_permutation_group(doc.generators, space_size=doc.phi_size)
         assert len(np.unique(g.rows[:, g.keys.points], axis=0)) == g.order
         assert len(g.keys.points) <= math.log2(g.order)
+
+
+def reference_left_cosets(table, members):
+    """The loop `left_cosets` had before it read the coset leaders: each
+    element not yet in a coset starts the next one."""
+    seen, cosets = set(), []
+    for a in range(len(table)):
+        if a not in seen:
+            block = tuple(sorted(table[a][h] for h in members))
+            seen.update(block)
+            cosets.append(block)
+    return tuple(cosets)
+
+
+@pytest.mark.parametrize("kind,n", [*SMALL, ("symmetric", 4)])
+def test_cosets_match_reference(kind, n):
+    # the cyclic subgroups and the point stabilizers of the group's rows
+    g = groups.standard_group(kind, n)
+    table = g.cayley.tolist()
+    action = groups.build_action(g, g.rows)
+    subs = [groups.isotropy_subgroup(action, p) for p in range(action.space_size)]
+    for a in range(g.order):
+        members = [g.identity]
+        while table[members[-1]][a] != g.identity:
+            members.append(table[members[-1]][a])
+        subs.append(groups.subgroup(g, members))
+    for sub in subs:
+        leaders = groups.coset_leaders(g, sub.members)
+        assert leaders.tolist() == [min(table[a][h] for h in sub.members) for a in range(g.order)]
+        cosets = groups.left_cosets(g, sub)
+        assert cosets.cosets == reference_left_cosets(table, sub.members)
+        assert cosets.representatives == tuple(c[0] for c in cosets.cosets)

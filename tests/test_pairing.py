@@ -222,7 +222,7 @@ class TestJointRepresentation:
         pair = pairing.build_related_pair(variables.Context(1, action, (const,)),
                                           const, const, (0,))
         system = joint_system(pair, group, action)
-        assert system.joint.gen_elements == ()
+        assert system.joint.group.generators == ()
         assert reps.character_norm(system.coherent.rep) == 1.0
 
     def test_tolerance_reaches_joint_system(self, two_bit):
@@ -371,7 +371,7 @@ def word_products(joint, base_rep, swap_matrix, words):
     gen_mats = [*(base_rep.matrices[g] for g in moved),
                 *(swap_matrix @ base_rep.matrices[g] @ swap_matrix for g in moved),
                 *([swap_matrix] if joint.value_size > 1 else [])]
-    assert len(gen_mats) == len(joint.gen_elements)
+    assert len(gen_mats) == len(joint.group.generators)
     mats = []
     for word in words:
         acc = np.eye(base_rep.dim, dtype=complex)
@@ -382,21 +382,29 @@ def word_products(joint, base_rep, swap_matrix, words):
 
 
 def looped_classes(system):
-    """The reference labels: each element against each earlier class
-    representative in turn, one product and trace per pair."""
+    """The reference classes of matrices equal up to a unit scalar: each
+    element against each earlier class leader in turn, one product and
+    trace per pair. The leader of each element's class, its first member."""
     mats, d, tol = system.coherent.rep.matrices, system.dim, system.tolerance
-    classes, reps_ = [], []
+    leaders, firsts = [], []
     for a in range(len(mats)):
-        for ci, r in enumerate(reps_):
+        for r in firsts:
             prod = mats[a] @ mats[r].conj().T
             lam = np.trace(prod) / d
             if abs(abs(lam) - 1.0) < 1e-6 and np.abs(prod - lam * np.eye(d)).max() <= 10 * tol:
-                classes.append(ci)
+                leaders.append(r)
                 break
         else:
-            classes.append(len(reps_))
-            reps_.append(a)
-    return classes
+            leaders.append(a)
+            firsts.append(a)
+    return leaders
+
+
+def scalar_leaders(system):
+    """The class leaders the covariance stage reads: the coset leaders of
+    the scalar subgroup."""
+    return groups.coset_leaders(system.joint.group,
+                                pairing._scalar_elements(system.coherent.rep)).tolist()
 
 
 def theta_operator(system, theta_values):
@@ -414,7 +422,7 @@ def looped_covariance(system, theta_values):
     act = system.joint.action.act
     theta_arr = np.asarray(theta_values, dtype=float)
     moved_tables = [theta_arr[act[t] // m] for t in range(n)]
-    classes = pairing._projective_classes(system)
+    classes = looped_classes(system)
     obstructed_class = set()
     for ci in set(classes):
         tables = {tuple(moved_tables[t].tolist()) for t in range(n) if classes[t] == ci}
@@ -520,38 +528,109 @@ class TestCovarianceAgainstLoop:
 
 class TestBatchedAgainstLoops:
     def test_golden_documents(self, monkeypatch):
-        # every joined representation and projective class labeling that
-        # `verify` builds for the golden documents, against the loops
-        extend, label = pairing.build_joint_representation, pairing._projective_classes
-        seen = {"extensions": 0, "labelings": 0}
+        # every joined representation that `verify` builds for the golden
+        # documents, against the loop
+        extend = pairing.build_joint_representation
+        seen = {"extensions": 0}
 
         def extend_spy(joint, base_rep, swap_matrix):
             rep = extend(joint, base_rep, swap_matrix)
-            words = groups.bfs_words(joint.group, list(joint.gen_elements))
+            words = groups.bfs_words(joint.group)
             want = word_products(joint, base_rep, np.asarray(swap_matrix, dtype=complex), words)
             assert np.array_equal(rep.matrices.view(np.uint64), want.view(np.uint64))
             seen["extensions"] += 1
             return rep
 
-        def label_spy(system):
-            got = label(system)
-            assert got == looped_classes(system)
-            seen["labelings"] += 1
-            return got
-
         monkeypatch.setattr(pairing, "build_joint_representation", extend_spy)
-        monkeypatch.setattr(pairing, "_projective_classes", label_spy)
         for doc in GOLDEN_DOCS:
             cli.run_verify(cli.parse_context(str(doc)))
-        assert seen["extensions"] >= 5 and seen["labelings"] >= 3
+        assert seen["extensions"] >= 5
+
+    def test_golden_classes(self):
+        # the classes of every system that reaches the covariance stage
+        systems = verified_systems()
+        assert len(systems) >= 5
+        for system, _, _ in systems.values():
+            assert scalar_leaders(system) == looped_classes(system)
 
     @pytest.mark.parametrize("step", [groups.STEP_BYTES, 3 * 16 * 4, 1])
     def test_classes_in_blocks(self, two_bit, step):
-        # blocks of one element, of a few and of all give the same labels
+        # blocks of one element, of a few and of all give the same classes
         system = two_bit["system"]
         with mock.patch.object(groups, "STEP_BYTES", step):
-            assert pairing._projective_classes(system) == looped_classes(system)
+            assert scalar_leaders(system) == looped_classes(system)
         assert len(set(looped_classes(system))) == 4
+
+
+def product_document(m, moves):
+    """A document on the m x m value square, point (x, y) at x*m + y: K moves
+    each axis by the given permutations of the values, the variables read
+    x and y, and k is the swap (x, y) -> (y, x)."""
+    size = m * m
+    gens = [[move[p // m] * m + p % m for p in range(size)] for move in moves]
+    gens += [[(p // m) * m + move[p % m] for p in range(size)] for move in moves]
+    values = [float(x) for x in range(m)]
+    return {
+        "schema_version": "1",
+        "phi_space": {"size": size},
+        "group_K": {"generators": gens},
+        "variables": [{"name": "a", "values": [p // m for p in range(size)], "numeric_values": values},
+                      {"name": "b", "values": [p % m for p in range(size)], "numeric_values": values}],
+        "maximal_family": ["a", "b"],
+        "pairs": [{"theta": "a", "xi": "b", "k": [(p % m) * m + p // m for p in range(size)]}],
+    }
+
+
+def inversion_swap(base_rep):
+    """The swap J e_g = e_(g^-1) on G's regular representation."""
+    j = np.zeros((base_rep.dim, base_rep.dim), dtype=complex)
+    j[base_rep.group.inverse, np.arange(base_rep.dim)] = 1.0
+    return j
+
+
+# (moves, commutant dimension): the cyclic shift on m values, where G = Z_m,
+# and the XOR by each power of two below m, where G = Z_2^k. The dimension is
+# the number of orbitals, (m + #{g : g^2 = e}) / 2: floor(m/2) + 1 on Z_m
+# and m on Z_2^k.
+INVERSION_RUNGS = {
+    **{f"cyclic-m{m}": ([[(x + 1) % m for x in range(m)]], m // 2 + 1) for m in range(2, 13)},
+    **{f"xor-m{m}": ([[x ^ (1 << i) for x in range(m)] for i in range(m.bit_length() - 1)], m)
+       for m in (2, 4, 8)},
+}
+
+
+class TestInversionRungs:
+    """The product documents with the inversion as the swap matrix, in
+    place of the one `build_swap_matrix` reads off the commutant: every
+    rung extends and labels its cosets, so the later stages run at scale."""
+
+    @pytest.mark.parametrize("rung", INVERSION_RUNGS)
+    def test_rung(self, rung, monkeypatch):
+        moves, dim = INVERSION_RUNGS[rung]
+        m = len(moves[0])
+        label, systems = pairing.joint_coset_structure, []
+
+        def label_spy(*args):
+            systems.append(label(*args))
+            return systems[-1]
+
+        monkeypatch.setattr(pairing, "build_swap_matrix", inversion_swap)
+        monkeypatch.setattr(pairing, "joint_coset_structure", label_spy)
+        report = cli.run_verify(cli.document_from_mapping(product_document(m, moves)))
+        checks = {c.cid: c for c in report.checks}
+        assert checks["well-defined-extension[0]"].status == "pass"
+        assert checks["coset-labels[0]"].status == "pass"
+        assert checks["irreducibility[0]"].detail == f"commutant_dim={dim}"
+        system, = systems
+        rep = system.coherent.rep
+        if rep.group.order <= 128:
+            assert len(reps.commutant_basis(rep)) == dim
+        assert scalar_leaders(system) == looped_classes(system)
+        if m <= 6:
+            values = [float(x) for x in range(m)]
+            assert_records_match(
+                pairing.covariance_records(system, theta_operator(system, values), values),
+                looped_covariance(system, values))
 
 
 class TestExplicitTransformations:
