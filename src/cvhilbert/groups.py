@@ -13,28 +13,28 @@ columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
 Permutation Group Algorithms, 2003, ch. 4). Each constructor computes them
 as it checks the group, and no constructor composes all |G|^2 pairs.
 
-Products are told apart by base keys. A base is a list of points whose
-images tell all the elements apart (Sims), and a key packs the images of the
-base points into one int64 (`_Keys`). `FiniteGroup._products` composes only
-those images, so a product, an inverse, a subgroup or a coset costs a few
-points per product.
+Once a group is built, its products are told apart by base keys. A base is
+a list of points whose images tell all the elements apart (Sims), read off
+the rows by one lexicographic sort (`_separating_points`), and a key packs
+the images of the base points into one int64 (`_Keys`).
+`FiniteGroup._products` composes only those images, so a product, an
+inverse, a subgroup or a coset costs a few points per product.
 
 * `generate_permutation_group` closes generators breadth-first, composing
-  each element with each generator and telling the products apart by their
-  keys (`_breadth_first`). Every product is then compared whole with the
-  element it was identified with, in one pass over the columns; a wrong
-  identification means the base was too short, and the first point at which
-  the two rows differ joins it before the closure runs again. The closure
-  is a group by construction.
+  each element with each generator and matching each product by its whole
+  row, through a dict keyed on the row's bytes in the narrowest unsigned
+  dtype that holds the points (`_breadth_first`). The match is exact, so one
+  pass closes the group, and the closure is a group by construction. Its
+  base keys are read off the closed rows, as for a listed group.
 * `permutation_group` takes a listed set (the catalogue, the groups induced
   on a variable's values) after checking that its rows are permutations,
   the first the identity (`_permutation_rows`, shared with `build_action`),
-  and distinct; one lexicographic sort of the rows gives a base
-  (`_separating_points`). It reads a generating set greedily off the list
-  (`_greedy`) and finds every g * s among the rows. A list that holds every
-  g * s holds every product of two elements, by induction on word length,
-  so it is closed; when some g * s is missing, the row-major scan of every
-  pair names the first product that is not listed.
+  and distinct; the same sort gives its base. It reads a generating set
+  greedily off the list (`_greedy`) and finds every g * s among the rows.
+  A list that holds every g * s holds every product of two elements, by
+  induction on word length, so it is closed; when some g * s is missing,
+  the row-major scan of every pair names the first product that is not
+  listed.
 
 The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
 a full table is read: the regular representation of the small induced groups
@@ -507,93 +507,61 @@ def generate_permutation_group(
     Elements are indexed in breadth-first discovery order with the identity
     first, which fixes words, coset representatives and reports: each
     element in turn is composed with each generator in listed order, and a
-    product not seen before becomes the next element. The generators, in
-    listed order, are the group's generating set, and the products are its
-    columns. Raises SizeLimit before the element rows pass order_bound or
-    PERMUTATION_BYTE_LIMIT.
+    product not seen before becomes the next element (`_breadth_first`). The
+    generators, in listed order, are the group's generating set, and the
+    products are its columns. The base keys are read off the closed rows, as
+    for a listed group. Raises SizeLimit before the element rows pass
+    order_bound or PERMUTATION_BYTE_LIMIT.
     """
-    gens = [tuple(int(v) for v in p) for p in generators]
+    gens = list(generators)
     if space_size is None:
         if not gens:
             raise ValueError("need generators or an explicit space size")
         space_size = len(gens[0])
     _check_rows(1 + len(gens), space_size)
-    for p in gens:
-        if len(p) != space_size or sorted(p) != list(range(space_size)):
-            raise ValueError(f"generator {p!r} is not a permutation of {space_size} points")
     gen_rows = np.array(gens, dtype=np.int64).reshape(len(gens), space_size)
-    points, _ = _separating_points(np.vstack([np.arange(space_size), gen_rows]))
-    while True:
-        rows, columns, pending, keys = _breadth_first(gen_rows, points, order_bound)
-        # each product the closure identified by its key, against the element
-        # it was identified with; the first wrong one adds the first point at
-        # which the two differ to the base, and the closure runs again
-        composed = rows[:len(columns)]
-        wrong = _first_violation(
-            columns.shape,
-            lambda a, b: np.any(composed[a][:, gen_rows[b]] != rows[columns[a, b]], axis=-1),
-            8 * space_size)
-        if wrong is None:
-            break
-        g, s = wrong
-        points = np.append(points, np.argmax(rows[g][gen_rows[s]] != rows[columns[g, s]]))
-    if pending is not None:
-        _check_closure(pending, space_size, order_bound)
-    return _group(rows, columns[0], columns, keys)
+    wrong = np.flatnonzero((np.sort(gen_rows, axis=1) != np.arange(space_size)).any(axis=1))
+    if wrong.size:
+        raise ValueError(f"generator {tuple(gen_rows[wrong[0]].tolist())!r} "
+                         f"is not a permutation of {space_size} points")
+    rows, columns = _breadth_first(gen_rows, order_bound)
+    return _group(rows, columns[0], columns, _keyed(rows, _separating_points(rows)[0]))
 
 
-def _breadth_first(gen_rows: np.ndarray, points: np.ndarray, order_bound: int):
-    """(rows, columns, pending, keys): the breadth-first closure of the
-    generators when products are told apart by their images at `points`
-    alone, and the base keys of its rows.
+def _breadth_first(gen_rows: np.ndarray, order_bound: int):
+    """(rows, columns): the breadth-first closure of the generators.
 
-    Each element in turn is composed with each generator, a product whose key
-    is new becomes the next element, and columns[g, j] is the element that
-    g * S[j] was identified with. Where two elements share a key a product is
-    identified with the wrong one, which `generate_permutation_group` finds
-    in the columns. A step that would pass order_bound or
-    PERMUTATION_BYTE_LIMIT ends the closure before its rows are allocated;
-    `pending` is then the exact number of elements after that step, its
-    products compared whole (`_check_closure` raises on it), else None.
+    Each element in turn is composed with each generator, a product whose row
+    is new becomes the next element, and columns[g, j] is the element equal
+    to g * S[j]. Products are matched whole, by the bytes of their rows in
+    the narrowest unsigned dtype that holds the points. The elements are
+    composed a block at a time, in discovery order, and a block whose
+    products pass order_bound or PERMUTATION_BYTE_LIMIT raises SizeLimit
+    before their rows are kept.
     """
     count, m = gen_rows.shape
-    weights = _weights(m, len(points))
-    at_points = gen_rows[:, points]             # images of the base under each generator
-    rows = np.arange(m, dtype=np.int64)[None]
-    keys = _pack(rows[:, points], weights)
-    elements, listed = np.zeros(1, dtype=np.int64), keys
-    columns, done = [np.zeros((0, count), dtype=np.int64)], 0
-    while done < len(rows):
-        parents = rows[done:done + _block_cells(gen_rows.nbytes)]
-        found = _pack(parents[:, at_points], weights).ravel()
-        at = np.minimum(listed.searchsorted(found), len(rows) - 1)
-        index = elements[at]
-        miss = (listed[at] != found).nonzero()[0]
-        if miss.size:
-            first = _first_occurrences(found[miss])
-            fresh = miss[first]
-            try:
-                _check_closure(len(rows) + len(fresh), m, order_bound)
-            except SizeLimit:
-                # the listed rows have distinct keys, so `_listed` is exact
-                products = parents[:, gen_rows].reshape(-1, m)
-                unlisted = _listed(rows, _Keys(points, weights, listed, elements), products) < 0
-                pending = len(rows) + len(_first_occurrences(_row_keys(products[unlisted])))
-                return rows, np.concatenate(columns), pending, None
-            index[miss] = len(rows) + _ranks(found[miss], first)
-            rows = np.concatenate([rows, parents[(fresh // count)[:, None], gen_rows[fresh % count]]])
-            keys = np.concatenate([keys, found[fresh]])
-            elements = keys.argsort()
-            listed = keys[elements]
-        columns.append(index.reshape(len(parents), count))
-        done += len(parents)
-    return rows, np.concatenate(columns), None, _Keys(points, weights, listed, elements)
-
-
-def _check_closure(count: int, size: int, order_bound: int) -> None:
-    if count > order_bound:
-        raise SizeLimit(f"closure exceeds order bound {order_bound}")
-    _check_rows(count, size)
+    narrow = gen_rows.astype(np.min_scalar_type(m - 1))
+    row_key, step = np.dtype((np.void, narrow.itemsize * m)), _block_cells(narrow.nbytes)
+    queue = [np.arange(m, dtype=narrow.dtype)[None]]
+    index = {queue[0].tobytes(): 0}
+    columns = []
+    for block in queue:  # grows by the new elements of each block
+        for start in range(0, len(block), step):
+            products = block[start:start + step][:, narrow]
+            known = len(index)
+            ids = np.array([index.setdefault(key, len(index))
+                            for key in products.reshape(-1, m).view(row_key).ravel().tolist()],
+                           dtype=np.int64)
+            if len(index) > order_bound:
+                raise SizeLimit(f"closure exceeds order bound {order_bound}")
+            _check_rows(len(index), m)
+            if len(index) > known:
+                # the new elements first appear in order, each where the
+                # running maximum of the ids first reaches it
+                fresh = np.maximum.accumulate(ids).searchsorted(np.arange(known, len(index)))
+                queue.append(products.reshape(-1, m)[fresh])
+            columns.append(ids.reshape(len(products), count))
+    return np.concatenate(queue, dtype=np.int64), np.concatenate(columns)
 
 
 def _bfs_levels(columns: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

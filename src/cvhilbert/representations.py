@@ -280,8 +280,10 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
         evals, evecs = diagonal[order], np.eye(d, dtype=complex)[:, order]
     scale = max(float(np.abs(evals).max()), 1.0)
     clusters: list[list[int]] = [[0]]
-    for i in range(1, len(evals)):
-        if evals[i] - evals[clusters[-1][-1]] <= tolerance * scale:
+    # Python floats: a gap past the largest float is inf, with no warning
+    values = evals.tolist()
+    for i in range(1, len(values)):
+        if values[i] - values[clusters[-1][-1]] <= tolerance * scale:
             clusters[-1].append(i)
         else:
             clusters.append([i])

@@ -558,6 +558,21 @@ class TestWorkCounts:
         assert "eigenvalues:" in capsys.readouterr().out
         assert work_counts["eigh"] == 0
 
+    def test_k_closed_in_one_pass(self, monkeypatch, capsys):
+        # S5 on 5 points from a transposition and a 5-cycle: products are
+        # matched by their whole rows, so no closure is run again
+        passes = []
+        closure = groups._breadth_first
+
+        def spy(*args):
+            passes.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(groups, "_breadth_first", spy)
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        assert "eigenvalues:" in capsys.readouterr().out
+        assert len(passes) == 1
+
     def test_resolution_count_independent_of_joined_group_order(self, work_counts):
         two_bit = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         on_order_8 = work_counts["resolution"]
@@ -913,11 +928,11 @@ class TestRepresentationBound:
         assert _check(captured.out, "joint-group[0]")["status"] == "pass"
 
 
-def _large_value_document(tmp_path) -> str:
-    """The two-bit fixture with bit1's values 0 and 1.7e308: finite, and
-    above half the float maximum."""
+def _large_value_document(tmp_path, values=(0.0, 1.7e308)) -> str:
+    """The two-bit fixture with bit1's values 0 and 1.7e308 by default:
+    finite, and above half the float maximum."""
     raw = json.loads(Path(TWO_BIT).read_text())
-    raw["variables"][0]["numeric_values"] = [0.0, 1.7e308]
+    raw["variables"][0]["numeric_values"] = list(values)
     path = tmp_path / "large.json"
     path.write_text(json.dumps(raw))
     return str(path)
@@ -943,6 +958,17 @@ class TestLargeValues:
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         assert "eigenvalues: 0.00000000000e+00 1.70000000000e+308" in captured.out
+
+    def test_operator_eigenvalues_a_float_range_apart(self, tmp_path, capsys):
+        # the gap between the two eigenvalues overflows to inf, which is above
+        # the clustering bound, without an overflow warning
+        path = _large_value_document(tmp_path, (-1.7e308, 1.7e308))
+        code = cli.main(["operator", path, "--variable", "bit1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        questions = [line for line in captured.out.splitlines() if line.startswith("question")]
+        assert questions == ["question value=0 numeric=-1.70000000000e+308 rank=1",
+                             "question value=1 numeric=1.70000000000e+308 rank=1"]
 
     def test_verify_reports_unbuilt_operator(self, tmp_path, monkeypatch, capsys):
         _unbuilt_operators(monkeypatch)

@@ -228,6 +228,10 @@ class TestGeneratedGroups:
                 [tuple((i + 1) % 40 for i in range(40))], order_bound=10
             )
 
+    def test_generator_not_a_permutation(self):
+        with pytest.raises(ValueError, match=r"generator \(0, 0, 2\) is not a permutation of 3"):
+            groups.generate_permutation_group([(1, 0, 2), (0, 0, 2)])
+
     def test_space_size_refused_before_allocation(self):
         # one identity row of 10^8 points would be 800 MB of int64
         with pytest.raises(SizeLimit, match="MiB bound"):
@@ -594,9 +598,19 @@ GENERATOR_SETS = st.integers(min_value=1, max_value=6).flatmap(
     lambda size: st.tuples(st.just(size), st.lists(st.permutations(range(size)), max_size=3)))
 
 
-def assert_matches_reference(g):
+def assert_breadth_first(g):
+    """Element i of a closure is the i-th that a breadth-first search of its
+    Cayley graph from the identity discovers."""
+    found = [e for elements, _, _ in groups._bfs_levels(g.columns) for e in elements.tolist()]
+    assert found == list(range(1, g.order))
+
+
+def assert_matches_reference(g, closed=True):
     """Everything a group computes from its generator columns and base keys
-    against the |G|^2 reference table of its rows."""
+    against the |G|^2 reference table of its rows; the breadth-first
+    numbering too for a group `closed` from its generators."""
+    if closed:
+        assert_breadth_first(g)
     table = reference_table(g.rows)
     n = g.order
     assert g.cayley.tolist() == table.tolist()
@@ -615,7 +629,7 @@ class TestGeneratorColumns:
 
     @pytest.mark.parametrize("kind,n", CATALOGUE)
     def test_catalogue(self, kind, n):
-        assert_matches_reference(groups.standard_group(kind, n))
+        assert_matches_reference(groups.standard_group(kind, n), closed=False)
 
     @given(GENERATOR_SETS)
     def test_generated(self, case):
@@ -632,7 +646,7 @@ class TestGeneratorColumns:
         rows = groups.generate_permutation_group(gens, space_size=size)[0].rows.tolist()
         rest = rows[1:]
         rng.shuffle(rest)
-        assert_matches_reference(groups.permutation_group([rows[0]] + rest)[0])
+        assert_matches_reference(groups.permutation_group([rows[0]] + rest)[0], closed=False)
 
     @given(GENERATOR_SETS)
     def test_void_keys(self, case):
@@ -648,37 +662,71 @@ class TestGeneratorColumns:
         assert g.order == 128 and len(g.generators) == 15
         assert_matches_reference(g)
 
-    def test_base_grows_where_the_closure_merged_elements(self):
-        # (0 1)(2 3 4): point 0 tells the generator from the identity, but
-        # its square fixes 0; the first closure identifies the square with
-        # the identity, the columns show it, and point 2 joins the base
-        seen = []
+    def test_one_closure_pass(self):
+        # (0 1)(2 3 4): point 0 tells the generator from the identity, but its
+        # square fixes 0; products are matched by their whole rows, so one
+        # breadth-first pass tells the square from the identity
+        calls = []
         original = groups._breadth_first
 
-        def spy(gen_rows, points, order_bound):
-            seen.append(points.tolist())
-            return original(gen_rows, points, order_bound)
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
 
         with mock.patch.object(groups, "_breadth_first", spy):
             g, _ = groups.generate_permutation_group([[1, 0, 3, 4, 2]])
+            assert len(calls) == 1
             with pytest.raises(SizeLimit, match="order bound 5"):
                 groups.generate_permutation_group([[1, 0, 3, 4, 2]], order_bound=5)
-        assert seen == [[0], [0, 2], [0], [0, 2]]
-        assert g.order == 6 and g.keys.points.tolist() == [0, 2]
+        assert len(calls) == 2
+        assert g.order == 6
         assert_matches_reference(g)
 
-    @pytest.mark.parametrize("source", [("symmetric", 5), ("dihedral", 150), "cyclic_m16.json"],
-                             ids=["S5", "D150", "K-cyclic-m16"])
+    @pytest.mark.parametrize(
+        "source",
+        [("symmetric", 5), ("dihedral", 150), "cyclic_m16.json", "D512", "N-cyclic-m16"],
+        ids=["S5", "D150", "K-cyclic-m16", "D512", "N-cyclic-m16"])
     def test_base_tells_elements_apart(self, source):
         # every base point at least halves the elements that agree on the
-        # base so far, so a base has at most log2 |G| points
+        # base so far, so a base has at most log2 |G| points; a closure is
+        # numbered breadth-first at any depth (D512 has 257 levels)
         if isinstance(source, tuple):
             g = groups.standard_group(*source)
         else:
-            doc = cli.parse_context(str(Path(__file__).resolve().parent / "golden" / "docs" / source))
-            g, _ = groups.generate_permutation_group(doc.generators, space_size=doc.phi_size)
+            g = CLOSURES[source]()
+            assert_breadth_first(g)
         assert len(np.unique(g.rows[:, g.keys.points], axis=0)) == g.order
         assert len(g.keys.points) <= math.log2(g.order)
+
+
+def joined_cyclic(m):
+    """N for the product of two variables of m values under Z_m on each axis,
+    related by the swap, joined as `verify` joins it: |N| = 2 m^2."""
+    x, y = np.divmod(np.arange(m * m), m)
+    _, k_action = groups.generate_permutation_group([(x + 1) % m * m + y, x * m + (y + 1) % m])
+    theta, xi = variables.make_variable("x", x.tolist()), variables.make_variable("y", y.tolist())
+    context = variables.Context(m * m, k_action, (theta, xi))
+    pair = pairing.build_related_pair(context, theta, xi, tuple((y * m + x).tolist()))
+    g_group, g_action, _ = variables.induced_group(theta, k_action)
+    return pairing.build_joint_group(pair, g_group, g_action).group
+
+
+def k_of(name):
+    doc = cli.parse_context(str(Path(__file__).resolve().parent / "golden" / "docs" / name))
+    return groups.generate_permutation_group(doc.generators, space_size=doc.phi_size)[0]
+
+
+def dihedral_on_polygon(n):
+    """D_n of order 2n, closed from the rotation and a reflection of the n-gon."""
+    x = np.arange(n)
+    return groups.generate_permutation_group([(x + 1) % n, -x % n])[0]
+
+
+CLOSURES = {
+    "cyclic_m16.json": lambda: k_of("cyclic_m16.json"),
+    "D512": lambda: dihedral_on_polygon(512),
+    "N-cyclic-m16": lambda: joined_cyclic(16),
+}
 
 
 def reference_left_cosets(table, members):
