@@ -26,6 +26,7 @@ from .errors import (
     NotPermissible,
     NotRelated,
     NotWellDefined,
+    NumericalAmbiguity,
     ParseError,
     SchemaError,
     SizeLimit,
@@ -463,7 +464,7 @@ def _label(run: _Run) -> None:
     try:
         run.system = pairing.joint_coset_structure(
             run.pair, run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
-    except CosetLabelingError as exc:
+    except (CosetLabelingError, NumericalAmbiguity) as exc:
         run.add("coset-labels", "fail", run.idx, detail=str(exc))
         raise _Stop from exc
     states = run.system.coherent
@@ -505,9 +506,8 @@ def _operators(run: _Run) -> None:
         })
         run.add("eigenvalue-value-match", spectra.verify_values_are_eigenvalues(eig, var),
                 run.idx, var.name)
-        run.add("maximality-nondegeneracy",
-                spectra.verify_maximality_iff_nondegenerate(pair.context, var, eig),
-                run.idx, var.name)
+        # both variables are maximal, or `_relate` would have stopped the pair
+        run.add("maximality-nondegeneracy", not eig.degenerate, run.idx, var.name)
         for qa in spectra.question_answer_labels(eig, var):
             run.report.question_answers.append({
                 "pair": run.idx,

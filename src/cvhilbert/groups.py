@@ -26,11 +26,11 @@ inverse, a subgroup or a coset costs a few points per product.
   dtype that holds the points (`_breadth_first`). The match is exact, so one
   pass closes the group, and the closure is a group by construction. Its
   base keys are read off the closed rows, as for a listed group.
-* `permutation_group` takes a listed set (the catalogue, the groups induced
-  on a variable's values) after checking that its rows are permutations,
-  the first the identity (`_permutation_rows`, shared with `build_action`),
-  and distinct; the same sort gives its base. It reads a generating set
-  greedily off the list (`_greedy`) and finds every g * s among the rows.
+* `permutation_group` takes a listed set (the groups induced on a
+  variable's values) after checking that its rows are permutations, the
+  first the identity (`_permutation_rows`), and distinct; the same sort
+  gives its base. It reads a generating set greedily off the list
+  (`_greedy`) and finds every g * s among the rows.
   A list that holds every g * s holds every product of two elements, by
   induction on word length, so it is closed; when some g * s is missing,
   the row-major scan of every pair names the first product that is not
@@ -55,10 +55,11 @@ lists the cosets, |H| elements each, in the order of their leaders, and the
 covariance stage reads the leaders of N's scalar subgroup directly.
 
 Every exact check of an integer table is made here, once, where the table is
-built: `_permutation_rows` checks that rows are permutations, and
-`_action_violation` that a table respects the products. Checks over a whole
-group are made on the generators; a failure runs the row-major scan,
-`_first_violation`, only to name the first failing tuple.
+built: `_permutation_rows` checks that rows are permutations. Every action is
+a group's own rows or its Cayley table, so no table of an action is checked
+against the products. Checks over a whole group are made on the generators;
+a failure runs the row-major scan, `_first_violation`, only to name the
+first failing tuple.
 
 Only these builders make a `FiniteGroup` or a `GroupAction`: each passes a
 module-private token, and a constructor called without it raises TypeError.
@@ -69,8 +70,6 @@ package has therefore passed the checks above.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
@@ -148,12 +147,6 @@ class FiniteGroup:
         return int(self._products(a, b))
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        inverse = self._inverses(np.arange(self.order))
-        inverse.setflags(write=False)
-        return inverse
-
-    @cached_property
     def cayley(self) -> np.ndarray:
         """(n, n) int array, cayley[a, b] = a * b, filled one breadth-first
         level of b at a time: a * (b' * s) = (a * b') * s is a column entry.
@@ -180,9 +173,6 @@ class GroupAction:
 
     def apply(self, g: int, x: int) -> int:
         return int(self.act[g, x])
-
-    def permutation(self, g: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.act[g])
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,14 +299,14 @@ def permutation_group(elements):
 
     Element i acts by elements[i], and a * b is the listed element equal to
     elements[a] composed after elements[b] (`compose`). The rows are checked
-    first as `build_action` checks them, then for distinct elements. A
+    first (`_permutation_rows`), then for distinct elements. A
     generating set is read greedily off the list (`_greedy`), and each of
     its columns is composed and looked up among the rows; when some g * s is
     not listed, AxiomViolation("closure", (a, b)) names the first pair in
     row-major order whose product is not listed. Returns the group and the
     rows as its action on the points.
     """
-    rows = _permutation_rows(elements, len(elements), 0)
+    rows = _permutation_rows(elements)
     n, m = rows.shape
     points, distinct = _separating_points(rows)
     if not distinct:
@@ -354,61 +344,12 @@ def regular_action(group: FiniteGroup) -> GroupAction:
     return GroupAction(group, group.order, group.cayley, _BUILT)
 
 
-def standard_group(kind: str, n: int, order_bound: int = DEFAULT_ORDER_BOUND) -> FiniteGroup:
-    """Catalogue groups: cyclic Z_n, dihedral D_n (order 2n), symmetric S_n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind == "symmetric" and n > 6:
-        raise SizeLimit(f"symmetric({n}) refused; order {math.factorial(n)}")
-    orders = {"cyclic": n, "dihedral": 2 * n, "symmetric": math.factorial(n)}
-    if kind not in orders:
-        raise ValueError(f"unknown group kind {kind!r}")
-    if orders[kind] > order_bound:
-        raise SizeLimit(f"{kind}({n}) order {orders[kind]} exceeds bound {order_bound}")
-    shift = np.arange(n)
-    if kind == "cyclic":
-        # rotation r_i of n points: x -> x + i
-        rows = (shift[:, None] + shift) % n
-    elif kind == "dihedral":
-        # element i + n*s is r_i * f^s: vertex v -> i + (-1)^s v of the n-gon,
-        # and the flips swap two more points, which keeps the action faithful
-        # for n <= 2, where the vertices alone do not tell r_i from s_i
-        rows = np.empty((2 * n, n + 2), dtype=np.int64)
-        rows[:n, :n] = (shift[:, None] + shift) % n
-        rows[n:, :n] = (shift[:, None] - shift) % n
-        rows[:n, n:] = (n, n + 1)
-        rows[n:, n:] = (n + 1, n)
-    else:
-        rows = list(itertools.permutations(range(n)))
-    return permutation_group(rows)[0]
-
-
-def _action_violation(group: FiniteGroup, act: np.ndarray):
-    """First (g1, g2, x) in row-major order with (g1*g2) . x != g1 . (g2 . x)
-    for an (n, m) table act of functions, or None.
-
-    act[e] the identity and act[g*s] = act[g] o act[s] for every g and every
-    generator s give every pair, by induction on word length, so only a
-    failure of that check runs the scan."""
-    gens = list(group.generators)
-    if (np.array_equal(act[group.identity], np.arange(act.shape[1]))
-            and np.array_equal(act[group.columns], act[:, act[gens]])):
-        return None
-    everything = np.arange(group.order)
-
-    def broken(a, b):
-        # x along the last axis of each block
-        a, b = everything[a], everything[b]
-        return act[group._products(a[:, None], b[None])] != act[a][:, act[b]]
-    return _first_violation((group.order, group.order), broken, 8 * act.shape[1])
-
-
-def _permutation_rows(rows, count: int, identity: int) -> np.ndarray:
-    """`rows` as a (count, m) int64 table after the checks that compose
-    nothing: its shape, its range, a permutation in every row and the
-    identity in row `identity`. Raises AxiomViolation with the first failure."""
+def _permutation_rows(rows) -> np.ndarray:
+    """`rows` as an (n, m) int64 table after the checks that compose nothing:
+    its shape, its range, a permutation in every row and the identity first.
+    Raises AxiomViolation with the first failure."""
     act = np.asarray(rows, dtype=np.int64)
-    if act.ndim != 2 or act.shape[0] != count:
+    if act.ndim != 2:
         raise AxiomViolation("identity-action", ("shape", act.shape))
     m = act.shape[1]
     if act.size == 0 or act.min() < 0 or act.max() >= m:
@@ -417,20 +358,10 @@ def _permutation_rows(rows, count: int, identity: int) -> np.ndarray:
     not_permutation = np.any(np.sort(act, axis=1) != want, axis=1)
     if not_permutation.any():
         raise AxiomViolation("compatibility", ("not-a-permutation", int(np.argmax(not_permutation))))
-    if not np.array_equal(act[identity], want):
-        x = int(np.nonzero(act[identity] != want)[0][0])
-        raise AxiomViolation("identity-action", (identity, x))
+    if not np.array_equal(act[0], want):
+        x = int(np.nonzero(act[0] != want)[0][0])
+        raise AxiomViolation("identity-action", (0, x))
     return act
-
-
-def build_action(group: FiniteGroup, act_table) -> GroupAction:
-    """Verify and wrap an action table act[g, x] = g . x of an existing group."""
-    act = _permutation_rows(act_table, group.order, group.identity)
-    witness = _action_violation(group, act)
-    if witness is not None:
-        raise AxiomViolation("compatibility", witness)
-    act.setflags(write=False)
-    return GroupAction(group, act.shape[1], act, _BUILT)
 
 
 def is_transitive(action: GroupAction) -> bool:

@@ -368,6 +368,10 @@ def covariance_records(
     differently, no operator assignment can satisfy both; such elements are
     flagged obstructed, which explains any failures they cause.
 
+    A residual passes at tol * scale, with scale = max(1, largest |value|)
+    as in `_clustered_eigh` (`_residuals` keeps values near the float range
+    from overflowing).
+
     Every element's moved value table is gathered at once, and the moved
     operators and residuals are computed as stacks, in blocks of elements
     whose temporaries stay near STEP_BYTES.
@@ -385,15 +389,31 @@ def covariance_records(
     differs = (tables != tables[leaders]).any(axis=1) & (leaders != np.arange(n))
     obstructed = np.zeros(n, dtype=bool)
     obstructed[leaders[differs]] = True
+    scale = max(1.0, float(np.abs(np.asarray(theta_values, dtype=float)).max(initial=0.0)))
     mats = system.coherent.rep.matrices
     residuals = np.empty(n)
     step = _block_cells(a_theta.matrix.itemsize * d * max(d, coset_values.shape[1]))
     for a in range(0, n, step):
         w = mats[a:a + step]
         moved = coherent.operator_stack(system.coherent, coset_values[a:a + step])
-        diff = w.conj().swapaxes(1, 2) @ a_theta.matrix @ w - moved
-        residuals[a:a + step] = np.abs(diff).max(axis=(1, 2), initial=0.0)
+        residuals[a:a + step] = _residuals(w, a_theta.matrix, moved, scale)
     return [
-        CovarianceRecord(t, r, r <= system.tolerance, bool(o))
+        CovarianceRecord(t, r, r <= system.tolerance * scale, bool(o))
         for t, (r, o) in enumerate(zip(residuals.tolist(), obstructed[leaders].tolist()))
     ]
+
+
+def _residuals(w: np.ndarray, a: np.ndarray, moved: np.ndarray, scale: float) -> np.ndarray:
+    """max |W^dagger A W - A'| for each matrix W of a stack and each moved
+    operator A'. Where that passes the float range, A and A' are scaled by
+    2^-k, 2^k the smallest power of two above scale, which is exact, and the
+    residuals are scaled back."""
+    left = w.conj().swapaxes(1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.abs(left @ a @ w - moved).max(axis=(1, 2), initial=0.0)
+    if np.isfinite(residuals).all():
+        return residuals
+    k = int(np.frexp(scale)[1])
+    shrink = np.ldexp(1.0, -k)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.abs(left @ (a * shrink) @ w - moved * shrink).max(axis=(1, 2)), k)

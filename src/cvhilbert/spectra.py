@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, NotHermitian
 from .representations import Operator, _clustered_eigh, _maxabs
-from .variables import ConceptualVariable, Context, is_maximally_accessible
+from .variables import ConceptualVariable
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,11 +57,23 @@ class QuestionAnswer:
     rank: int = 1
 
 
+def _mean(values: np.ndarray) -> float:
+    """The mean of a cluster of eigenvalues, called with overflow ignored;
+    where their sum passes the float range, the mean of the values scaled by
+    2^-k, 2^k > n, scaled back, which is exact."""
+    mean = float(np.mean(values))
+    if abs(mean) == np.inf:
+        k = len(values).bit_length()
+        mean = float(np.ldexp(np.mean(np.ldexp(values, -k)), k))
+    return mean
+
+
 def eigensystem(op: Operator) -> EigenSystem:
     """Hermitian eigendecomposition with tolerance clustering."""
     tol = op.tolerance
     evals, cols, clusters, scale, order = _clustered_eigh(op.matrix, tol)
-    distinct = [float(np.mean(evals[cl])) for cl in clusters]
+    with np.errstate(over="ignore"):
+        distinct = [_mean(evals[cl]) for cl in clusters]
     mults = [len(cl) for cl in clusters]
     means = np.repeat(distinct, mults)
     if order is None:
@@ -87,13 +99,6 @@ def verify_values_are_eigenvalues(eig: EigenSystem, variable: ConceptualVariable
         abs(l - v) <= eig.operator.tolerance * scale
         for l, v in zip(eig.eigenvalues, values)
     )
-
-
-def verify_maximality_iff_nondegenerate(
-    context: Context, variable: ConceptualVariable, eig: EigenSystem
-) -> bool:
-    """The biconditional: maximal accessibility vs a multiplicity-free spectrum."""
-    return is_maximally_accessible(context, variable) == (not eig.degenerate)
 
 
 def question_answer_labels(eig: EigenSystem, variable: ConceptualVariable) -> list[QuestionAnswer]:

@@ -1,4 +1,4 @@
-"""Angular momentum matrices, rotations, planar contexts.
+"""Angular momentum matrices, rotations, planar and axis-component checks.
 
 Matrices follow the standard ladder construction: raising and lowering
 operators connect adjacent basis labels m in {-r, ..., r}, the third component
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidSpin, NonUnitAxis
 from .groups import GroupAction, _block_cells, generate_permutation_group
 from .representations import _maxabs
-from .variables import ConceptualVariable, Context, is_permissible, make_variable
+from .variables import ConceptualVariable, is_permissible, make_variable
 
 MAX_SPIN = 12.5
 
@@ -95,28 +95,6 @@ def rotation_operator(sr: SpinRepresentation, axis, angle: float) -> np.ndarray:
 
 def planar_angles(n_points: int) -> np.ndarray:
     return 2 * math.pi * np.arange(n_points) / n_points
-
-
-def stern_gerlach_context(n_points: int) -> tuple[Context, list[ConceptualVariable]]:
-    """Planar-component variables on an evenly spaced circle of directions.
-
-    Points are unit vectors in the measurement plane, the acting group is the
-    cyclic rotation group of the grid, and each grid direction contributes a
-    component variable with cosine values. Level sets use rounded cosines so
-    exact angle coincidences survive floating arithmetic.
-    """
-    if n_points < 3:
-        raise ValueError("need at least three directions")
-    angles = planar_angles(n_points)
-    rotation = tuple((p + 1) % n_points for p in range(n_points))
-    group, action = generate_permutation_group([rotation])
-    variables = []
-    for a in range(n_points):
-        keys = [float(k) for k in np.round(np.cos(angles - angles[a]), 9)]
-        variables.append(make_variable(f"component[{a}]", keys,
-                                       numeric_values=list(dict.fromkeys(keys))))
-    context = Context(n_points, action, tuple(variables))
-    return context, variables
 
 
 def planar_component_covariance(n_points: int) -> bool:

@@ -47,22 +47,6 @@ class ConceptualVariable:
 
 
 @dataclass(frozen=True, eq=False)
-class Partition:
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        flat = sorted(p for b in self.blocks for p in b)
-        if flat != list(range(len(flat))):
-            raise ValueError("blocks must partition 0..m-1")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash(self.blocks)
-
-
-@dataclass(frozen=True, eq=False)
 class Context:
     phi_size: int
     acting_group: GroupAction                       # K acting on the underlying space
@@ -76,12 +60,7 @@ class Context:
                 raise ValueError(f"family member {var.name} has wrong domain")
 
 
-def make_variable(
-    name: str,
-    values,
-    numeric_values=None,
-    value_labels=None,
-) -> ConceptualVariable:
+def make_variable(name: str, values, numeric_values=None) -> ConceptualVariable:
     """Build a variable from a raw value list, relabeling to dense indices.
 
     Raw values may be arbitrary hashables; distinct raw values become distinct
@@ -94,23 +73,11 @@ def make_variable(
         if v not in seen:
             seen[v] = len(seen)
         table.append(seen[v])
-    labels = value_labels
-    if labels is None:
-        labels = tuple(str(v) for v in seen)
     if numeric_values is not None:
         numeric_values = tuple(float(x) for x in numeric_values)
         if len(numeric_values) != len(seen):
             raise ValueError("numeric_values must have one entry per distinct value")
-    return ConceptualVariable(name, tuple(table), tuple(labels), numeric_values)
-
-
-def induced_partition(variable: ConceptualVariable) -> Partition:
-    """Level sets of the value table, blocks ordered by smallest point."""
-    blocks: dict[int, list[int]] = {}
-    for p, v in enumerate(variable.values):
-        blocks.setdefault(v, []).append(p)
-    ordered = sorted(blocks.values(), key=lambda b: b[0])
-    return Partition(tuple(tuple(b) for b in ordered))
+    return ConceptualVariable(name, tuple(table), tuple(str(v) for v in seen), numeric_values)
 
 
 def _first_points(variable: ConceptualVariable) -> np.ndarray:

@@ -1,9 +1,12 @@
+import itertools
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
 from cvhilbert import groups, pairing, representations, variables
-from cvhilbert.errors import CvhilbertError
+from cvhilbert.errors import CvhilbertError, SizeLimit
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None
@@ -13,6 +16,40 @@ hypothesis.settings.load_profile("default")
 FLIP1 = (2, 3, 0, 1)
 FLIP2 = (1, 0, 3, 2)
 SWAP = (0, 2, 1, 3)
+
+
+def standard_action(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BOUND):
+    """Catalogue groups, cyclic Z_n, dihedral D_n (order 2n) and symmetric
+    S_n, as listed permutations, and their action on the points."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind == "symmetric" and n > 6:
+        raise SizeLimit(f"symmetric({n}) refused; order {math.factorial(n)}")
+    orders = {"cyclic": n, "dihedral": 2 * n, "symmetric": math.factorial(n)}
+    if kind not in orders:
+        raise ValueError(f"unknown group kind {kind!r}")
+    if orders[kind] > order_bound:
+        raise SizeLimit(f"{kind}({n}) order {orders[kind]} exceeds bound {order_bound}")
+    shift = np.arange(n)
+    if kind == "cyclic":
+        # rotation r_i of n points: x -> x + i
+        rows = (shift[:, None] + shift) % n
+    elif kind == "dihedral":
+        # element i + n*s is r_i * f^s: vertex v -> i + (-1)^s v of the n-gon,
+        # and the flips swap two more points, which keeps the action faithful
+        # for n <= 2, where the vertices alone do not tell r_i from s_i
+        rows = np.empty((2 * n, n + 2), dtype=np.int64)
+        rows[:n, :n] = (shift[:, None] + shift) % n
+        rows[n:, :n] = (shift[:, None] - shift) % n
+        rows[:n, n:] = (n, n + 1)
+        rows[n:, n:] = (n + 1, n)
+    else:
+        rows = list(itertools.permutations(range(n)))
+    return groups.permutation_group(rows)[1]
+
+
+def standard_group(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BOUND):
+    return standard_action(kind, n, order_bound).group
 
 
 def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
@@ -71,8 +108,8 @@ def circle_system(n):
     """Value circle: cyclic shifts acting on n labeled points, basis fiducial."""
     from cvhilbert import coherent
 
-    group = groups.standard_group("cyclic", n)
-    action = groups.build_action(group, group.cayley)
+    group = standard_group("cyclic", n)
+    action = groups.regular_action(group)
     rep = representations.permutation_representation(action)
     system = coherent.build_coherent_system(rep)
     return group, action, rep, system

@@ -13,7 +13,7 @@ import numpy as np
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
 from cvhilbert import spectra, spin, variables
 
-from conftest import circle_system
+from conftest import circle_system, standard_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TWO_BIT = str(FIXTURES / "two_bit.json")
@@ -33,8 +33,8 @@ def announce(n, ok, text):
 def test_criterion_1_group_action_suites():
     start = time.perf_counter()
     for kind, n in CATALOGUE:
-        g = groups.standard_group(kind, n)
-        act = groups.build_action(g, g.cayley)     # constructors verify all axioms
+        g = standard_group(kind, n)
+        act = groups.regular_action(g)     # builders verify all axioms
         for a in range(g.order):
             members = {g.identity}
             x = a
@@ -55,7 +55,7 @@ def test_criterion_1_group_action_suites():
 def test_criterion_2_abelian_obstruction():
     ok = True
     for n in range(2, 7):
-        rep = reps.regular_representation(groups.standard_group("cyclic", n))
+        rep = reps.regular_representation(standard_group("cyclic", n))
         ok &= reps.commutant_dimension(rep) == n
         ok &= not reps.is_irreducible(rep)
     announce(2, ok, "regular cyclic representations have commutant dimension n "
@@ -72,7 +72,7 @@ def test_criterion_3_resolution_of_identity(qubit_rep):
         res = coherent.resolution_of_identity(system)
         assert res.ok
         worst = max(worst, res.residual)
-    reducible = reps.regular_representation(groups.standard_group("cyclic", 2))
+    reducible = reps.regular_representation(standard_group("cyclic", 2))
     system = coherent.build_coherent_system(
         reducible, np.array([2.0, 1.0]) / np.sqrt(5))
     res = coherent.resolution_of_identity(system)     # reports, must not raise
@@ -148,14 +148,14 @@ def test_criterion_6_spectral_properties(two_bit, two_bit_operators):
     assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(a_xi), two_bit["xi"])
 
     # context 1: the two-bit pair, maximal and non-degenerate
-    assert spectra.verify_maximality_iff_nondegenerate(
-        two_bit["context"], two_bit["theta"], spectra.eigensystem(a_theta))
+    assert variables.is_maximally_accessible(two_bit["context"], two_bit["theta"]) == (
+        not spectra.eigensystem(a_theta).degenerate)
     # context 2: engineered degenerate coarsening, non-maximal and degenerate
     eig = spectra.eigensystem(a_theta)
     collapsed = spectra.operator_for_coarsening(eig, lambda v: 5.0)
     const = variables.make_variable("const", [0, 0, 0, 0], numeric_values=[5.0])
-    assert spectra.verify_maximality_iff_nondegenerate(
-        two_bit["context"], const, spectra.eigensystem(collapsed))
+    assert variables.is_maximally_accessible(two_bit["context"], const) == (
+        not spectra.eigensystem(collapsed).degenerate)
     # context 3: four-point circle with its identity variable
     group, action, rep, system = circle_system(4)
     ident = variables.make_variable("point", [0, 1, 2, 3],
@@ -164,7 +164,8 @@ def test_criterion_6_spectral_properties(two_bit, two_bit_operators):
     points = [action.apply(r, 0) for r in system.cosets.representatives]
     op = coherent.operator_from_variable(system, [ident.numeric()[p] for p in points])
     assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(op), ident)
-    assert spectra.verify_maximality_iff_nondegenerate(ctx, ident, spectra.eigensystem(op))
+    assert variables.is_maximally_accessible(ctx, ident) == (
+        not spectra.eigensystem(op).degenerate)
 
     t_pair = spectra.transition_matrix(spectra.eigensystem(a_theta),
                                        spectra.eigensystem(a_xi))

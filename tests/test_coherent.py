@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cvhilbert import coherent, groups, representations as reps, variables
 from cvhilbert.errors import NoResolution
 
-from conftest import circle_system
+from conftest import circle_system, standard_action, standard_group
 
 
 def unit_vector(draw_values):
@@ -26,19 +26,19 @@ def isotropy(rep, fiducial):
 
 class TestIsotropy:
     def test_trivial_group(self):
-        g = groups.standard_group("cyclic", 1)
+        g = standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
         sub, alpha = isotropy(rep, np.array([1.0]))
         assert sub.members == (0,)
         assert alpha == (0.0,)
 
     def test_moved_fiducial_has_trivial_isotropy(self):
-        rep = reps.regular_representation(groups.standard_group("cyclic", 2))
+        rep = reps.regular_representation(standard_group("cyclic", 2))
         sub, _ = isotropy(rep, np.array([1.0, 0.0]))
         assert sub.members == (0,)
 
     def test_antisymmetric_fiducial_fixed_with_phase_pi(self):
-        rep = reps.regular_representation(groups.standard_group("cyclic", 2))
+        rep = reps.regular_representation(standard_group("cyclic", 2))
         sub, alpha = isotropy(rep, np.array([1.0, -1.0]) / np.sqrt(2))
         assert sub.members == (0, 1)
         assert alpha[0] == 0.0
@@ -59,7 +59,7 @@ class TestIsotropy:
 
 class TestBuildSystem:
     def test_one_dim_trivial(self):
-        g = groups.standard_group("cyclic", 1)
+        g = standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
         system = coherent.build_coherent_system(rep)
         assert system.states.shape == (1, 1)
@@ -76,26 +76,26 @@ class TestBuildSystem:
         ]
 
     def test_non_unit_fiducial_rejected(self):
-        rep = reps.regular_representation(groups.standard_group("cyclic", 2))
+        rep = reps.regular_representation(standard_group("cyclic", 2))
         with pytest.raises(ValueError):
             coherent.build_coherent_system(rep, np.array([2.0, 0.0]))
 
 
 class TestResolution:
     def test_trivial_system(self):
-        g = groups.standard_group("cyclic", 1)
+        g = standard_group("cyclic", 1)
         rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
         res = coherent.resolution_of_identity(coherent.build_coherent_system(rep))
         assert res.constant == 1.0 and res.residual == 0.0 and res.ok
 
     def test_permutation_orbit_passes_even_when_reducible(self):
-        rep = reps.regular_representation(groups.standard_group("cyclic", 2))
+        rep = reps.regular_representation(standard_group("cyclic", 2))
         system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
         res = coherent.resolution_of_identity(system)
         assert res.ok and res.residual == 0.0
 
     def test_reducible_generic_fiducial_fails_with_reported_residual(self):
-        rep = reps.regular_representation(groups.standard_group("cyclic", 2))
+        rep = reps.regular_representation(standard_group("cyclic", 2))
         fid = np.array([2.0, 1.0]) / np.sqrt(5)
         system = coherent.build_coherent_system(rep, fid)
         res = coherent.resolution_of_identity(system)
@@ -127,7 +127,7 @@ class TestOneToOne:
         assert ok and witness is None
 
     def test_fully_fixed_fiducial_fails(self):
-        g = groups.standard_group("cyclic", 2)
+        g = standard_group("cyclic", 2)
         rep = reps.UnitaryRepresentation(g, 2, np.stack([np.eye(2, dtype=complex)] * 2))
         system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
         ok, witness = coherent.one_to_one_check(system)
@@ -135,7 +135,7 @@ class TestOneToOne:
 
     def test_states_compared_up_to_phase(self):
         # U(1) psi = -psi is a distinct vector but the same state
-        g = groups.standard_group("cyclic", 2)
+        g = standard_group("cyclic", 2)
         rep = reps.UnitaryRepresentation(g, 1, np.array([[[1.0]], [[-1.0]]], dtype=complex))
         system = coherent.build_coherent_system(rep, np.array([1.0]))
         assert system.alpha == (0.0, np.pi)
@@ -152,7 +152,7 @@ class TestOneToOne:
         fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
         fiducial /= np.linalg.norm(fiducial)
         half = np.array([1, 0, 0, 1, 0, 0]) / np.sqrt(2)
-        z6 = reps.regular_representation(groups.standard_group("cyclic", 6))
+        z6 = reps.regular_representation(standard_group("cyclic", 6))
         for rep, fid in ((qubit_rep, fiducial), (circle_system(5)[2], None), (z6, half)):
             system = coherent.build_coherent_system(rep, fid)
             looped = np.stack([rep.matrices[g] @ system.fiducial
@@ -168,7 +168,7 @@ class TestOneToOne:
         # vector inside the tolerance: the first witness is the loop's
         pool = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0],
                          [1, 1e-10, 0, 0, 0, 0], [0, 0, 1j, 0, 0, 0]], dtype=complex)
-        z6 = reps.regular_representation(groups.standard_group("cyclic", 6))
+        z6 = reps.regular_representation(standard_group("cyclic", 6))
         half = np.array([1, 0, 0, 1, 0, 0]) / np.sqrt(2)
         for system, rows in ((coherent.build_coherent_system(z6, half), nontrivial_rows),
                              (circle_system(5)[3], trivial_rows)):
@@ -202,9 +202,9 @@ def catalogue_systems():
     for kind, sizes in (("cyclic", range(1, 6)), ("dihedral", range(1, 5)),
                         ("symmetric", range(1, 5))):
         for n in sizes:
-            group = groups.standard_group(kind, n)
-            for rep in (reps.regular_representation(group),
-                        reps.permutation_representation(groups.build_action(group, group.rows))):
+            action = standard_action(kind, n)
+            for rep in (reps.regular_representation(action.group),
+                        reps.permutation_representation(action)):
                 systems.extend(coherent.build_coherent_system(rep, e)
                                for e in np.eye(rep.dim, dtype=complex))
     return tuple(systems)
@@ -270,7 +270,7 @@ class TestOperator:
                                   product_stack(system, rows))
 
     def test_only_distinct_unit_basis_states_are_read_off(self):
-        rep = reps.regular_representation(groups.standard_group("symmetric", 3))
+        rep = reps.regular_representation(standard_group("symmetric", 3))
         e0 = np.eye(6, dtype=complex)[0]
         system = coherent.build_coherent_system(rep, e0)
         assert np.array_equal(system.basis_index, [rep.source.act[g, 0] for g in range(6)])
@@ -302,7 +302,7 @@ class TestOperator:
         assert np.allclose(sorted(evals), [0.0, 1.0], atol=1e-12)
 
     def test_no_resolution_raises(self):
-        rep = reps.regular_representation(groups.standard_group("cyclic", 2))
+        rep = reps.regular_representation(standard_group("cyclic", 2))
         fid = np.array([2.0, 1.0]) / np.sqrt(5)
         system = coherent.build_coherent_system(rep, fid)
         with pytest.raises(NoResolution):
@@ -333,10 +333,7 @@ class TestPushforwardEquivalence:
     def test_parity_on_circle(self):
         # sum over underlying points composed with the variable, then normalize;
         # must match the coset-state construction
-        k_action = groups.build_action(
-            groups.standard_group("cyclic", 4),
-            [[(x + k) % 4 for x in range(4)] for k in range(4)],
-        )
+        _, k_action = groups.permutation_group([[(x + k) % 4 for x in range(4)] for k in range(4)])
         parity = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
         g_group, g_action, hom = variables.induced_group(parity, k_action)
         rep = reps.regular_representation(g_group)
@@ -368,7 +365,7 @@ class TestAmbiguityBand:
         from cvhilbert.errors import NumericalAmbiguity
 
         eps = math.sqrt(3e-9)  # cos(eps) ~ 1 - 1.5e-9, between 1-2tol and 1-tol
-        g = groups.standard_group("cyclic", 2)
+        g = standard_group("cyclic", 2)
         reflection = np.array([[math.cos(eps), math.sin(eps)],
                                [math.sin(eps), -math.cos(eps)]], dtype=complex)
         rep = reps.UnitaryRepresentation(

@@ -1,8 +1,11 @@
-"""Arbitrary JSON through the command line: an exit code, never a traceback."""
+"""Arbitrary JSON through the command line: an exit code, never a traceback;
+and every `verify` of a valid document ends in a whole report."""
 
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -61,3 +64,46 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, doc, command):
     argv = ["verify", str(path)] if command == "verify" else [
         "operator", str(path), "--variable", "bit1"]
     assert _run(argv) in (0, 1, 2)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+VALID = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in (
+    ROOT / "fixtures" / "two_bit.json",
+    ROOT / "tests" / "golden" / "docs" / "cyclic_m2.json",
+    ROOT / "tests" / "golden" / "docs" / "xor_m8.json",
+)}
+# the float range's ends, the smallest normal and subnormal, and any finite
+EXTREME = st.sampled_from([1.7976931348623157e308, 1.7e308, 2.2250738585072014e-308,
+                           5e-324, 0.0]).flatmap(lambda v: st.sampled_from([v, -v])) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def extreme_documents(draw):
+    """A valid document with a tolerance in (0, 1), any fiducial index and
+    extreme finite numeric values."""
+    doc = json.loads(json.dumps(VALID[draw(st.sampled_from(sorted(VALID)))]))
+    doc["options"]["tolerance"] = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    doc["options"]["fiducial_index"] = draw(st.integers(0, 20))
+    for var in doc["variables"]:
+        count = len(var["numeric_values"])
+        var["numeric_values"] = draw(st.lists(EXTREME, min_size=count, max_size=count))
+    return doc
+
+
+@settings(max_examples=100)
+@given(doc=extreme_documents())
+def test_verify_ends_in_a_report(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "extreme.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", str(path)])
+    if code == 1:
+        assert err.getvalue().startswith("schema violations: ") and not out.getvalue()
+        return
+    statuses = re.findall(r"^\[ *\d+\] (PASS|FAIL|SKIP) ", out.getvalue(), re.M)
+    counts = [statuses.count(s) for s in ("PASS", "FAIL", "SKIP")]
+    summary = "summary: checks={} pass={} fail={} skip={}".format(len(statuses), *counts)
+    assert out.getvalue().endswith(summary + "\n")
+    assert code == (2 if counts[1] else 0) and not err.getvalue()

@@ -1,6 +1,5 @@
 import functools
 import gc
-import itertools
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,11 +13,11 @@ from hypothesis import strategies as st
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
 from cvhilbert.errors import IrreducibleInput, NotHomomorphism, SizeLimit
 
-from conftest import GroupMismatch, direct_sum
+from conftest import GroupMismatch, direct_sum, standard_action, standard_group
 
 
 def z(n):
-    return groups.standard_group("cyclic", n)
+    return standard_group("cyclic", n)
 
 
 def one_dim(group, phases):
@@ -59,7 +58,7 @@ PERTURBATIONS = [1.0, 1e-6j, 2 * reps.DEFAULT_TOLERANCE, 0.5 * reps.DEFAULT_TOLE
 @functools.cache
 def _stack(source):
     if isinstance(source, tuple):
-        rep = reps.regular_representation(groups.standard_group(*source))
+        rep = reps.regular_representation(standard_group(*source))
     else:
         rep = joined_representation(source)
     return rep.group, rep.matrices
@@ -89,24 +88,21 @@ def constructor_verdict(g, mats):
 
 class TestConstructions:
     def test_trivial_group_permutation_rep(self):
-        g = groups.standard_group("cyclic", 1)
-        act = groups.build_action(g, [[0, 1]])
+        _, act = groups.generate_permutation_group([], space_size=2)
         rep = reps.permutation_representation(act)
         assert np.allclose(rep.matrices[0], np.eye(2))
 
     def test_swap_rep(self):
-        g = z(2)
-        act = groups.build_action(g, [[0, 1], [1, 0]])
+        _, act = groups.permutation_group([[0, 1], [1, 0]])
         rep = reps.permutation_representation(act)
         assert np.allclose(rep.matrices[1], [[0, 1], [1, 0]])
 
     def test_s3_natural_is_valid(self):
-        s3 = groups.standard_group("symmetric", 3)
-        act = groups.build_action(s3, [list(p) for p in itertools.permutations(range(3))])
+        act = standard_action("symmetric", 3)   # S3 on its three points
         rep = reps.permutation_representation(act)
         # the constructor proves the table from the generators; spot-check one product
         a, b = 2, 4
-        assert np.allclose(rep.matrices[s3.mult(a, b)], rep.matrices[a] @ rep.matrices[b])
+        assert np.allclose(rep.matrices[act.group.mult(a, b)], rep.matrices[a] @ rep.matrices[b])
 
     def test_regular_rep_dims(self):
         for n in (1, 2, 3):
@@ -227,9 +223,8 @@ ACTIONS = [("cyclic", 4), ("dihedral", 3), ("symmetric", 3), "s3-natural"]
 @functools.cache
 def _action(source):
     if source == "s3-natural":
-        s3 = groups.standard_group("symmetric", 3)
-        return groups.build_action(s3, list(itertools.permutations(range(3))))
-    return groups.regular_action(groups.standard_group(*source))
+        return standard_action("symmetric", 3)
+    return groups.regular_action(standard_group(*source))
 
 
 @st.composite
@@ -302,7 +297,7 @@ class TestHeldAction:
         # cycle, so dropping them frees the group at once
         gc.disable()
         try:
-            group = groups.standard_group("symmetric", 3)
+            group = standard_group("symmetric", 3)
             rep = reps.regular_representation(group)
             assert reps.character_norm(rep) == 6.0
             freed = weakref.ref(group)
@@ -326,19 +321,15 @@ class TestCommutant:
 
     def test_regular_s3(self):
         # two one-dimensional irreducibles once, the two-dimensional one twice
-        rep = reps.regular_representation(groups.standard_group("symmetric", 3))
+        rep = reps.regular_representation(standard_group("symmetric", 3))
         assert_commutant_dimension(rep, 1 + 1 + 2**2)
 
     def test_s3_natural_two_blocks(self):
-        s3 = groups.standard_group("symmetric", 3)
-        act = groups.build_action(s3, [list(p) for p in itertools.permutations(range(3))])
-        rep = reps.permutation_representation(act)
+        rep = reps.permutation_representation(standard_action("symmetric", 3))
         assert_commutant_dimension(rep, 2)
 
     def test_s4_natural_two_blocks(self):
-        s4 = groups.standard_group("symmetric", 4)
-        act = groups.build_action(s4, [list(p) for p in itertools.permutations(range(4))])
-        assert_commutant_dimension(reps.permutation_representation(act), 2)
+        assert_commutant_dimension(reps.permutation_representation(standard_action("symmetric", 4)), 2)
 
     def test_qubit_rep_irreducible(self, qubit_rep):
         # the joined representation of the two-bit document
@@ -389,7 +380,7 @@ def kron_system(rep):
 SYSTEMS = {
     "regular Z2": lambda: reps.regular_representation(z(2)),
     "regular Z7": lambda: reps.regular_representation(z(7)),
-    "regular S3": lambda: reps.regular_representation(groups.standard_group("symmetric", 3)),
+    "regular S3": lambda: reps.regular_representation(standard_group("symmetric", 3)),
     "phases Z4": lambda: one_dim(z(4), [1, 1j, -1, -1j]),
     "sum Z3": lambda g=z(3): direct_sum(
         reps.regular_representation(g), one_dim(g, [1, np.exp(2j * np.pi / 3),
@@ -433,8 +424,7 @@ class TestStackBound:
         # 512 matrices of 512x512 complex entries: 2 GiB; the rotations of
         # the 512-gon are the regular action of Z_512. The representation is
         # held as its action, and its stack is refused when first read
-        group = z(512)
-        rep = reps.permutation_representation(groups.build_action(group, group.rows))
+        rep = reps.permutation_representation(standard_action("cyclic", 512))
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):
@@ -461,9 +451,7 @@ class TestSplit:
         assert np.allclose(vecs, expect, atol=1e-12)
 
     def test_s3_constant_block(self):
-        s3 = groups.standard_group("symmetric", 3)
-        act = groups.build_action(s3, [list(p) for p in itertools.permutations(range(3))])
-        rep = reps.permutation_representation(act)
+        rep = reps.permutation_representation(standard_action("symmetric", 3))
         b0, b1 = reps.invariant_subspace_split(rep)
         dims = sorted([b0.shape[1], b1.shape[1]])
         assert dims == [1, 2]
@@ -482,7 +470,7 @@ class TestSplit:
                 assert np.abs(u @ proj - proj @ u).max() < 1e-9
 
     def test_projector_commutes_property(self):
-        rep = reps.regular_representation(groups.standard_group("dihedral", 3))
+        rep = reps.regular_representation(standard_group("dihedral", 3))
         b0, b1 = reps.invariant_subspace_split(rep)
         proj = b0 @ b0.conj().T
         for u in rep.matrices:

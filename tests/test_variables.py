@@ -8,13 +8,11 @@ from cvhilbert.spin import axis_component_variable, octahedral_axes_action
 
 
 def shift_action(n):
-    g = groups.standard_group("cyclic", n)
-    return groups.build_action(g, [[(x + k) % n for x in range(n)] for k in range(n)])
+    return groups.permutation_group([[(x + k) % n for x in range(n)] for k in range(n)])[1]
 
 
 def trivial_action(m):
-    g = groups.standard_group("cyclic", 1)
-    return groups.build_action(g, [list(range(m))])
+    return groups.generate_permutation_group([], space_size=m)[1]
 
 
 def reference_induced_group(variable, action):
@@ -33,18 +31,6 @@ def reference_induced_group(variable, action):
 PARITY4 = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
 IDENT4 = variables.make_variable("point", [0, 1, 2, 3], numeric_values=[0.0, 1.0, 2.0, 3.0])
 CONST4 = variables.make_variable("const", [0, 0, 0, 0], numeric_values=[1.0])
-
-
-class TestPartitions:
-    def test_constant_single_block(self):
-        assert variables.induced_partition(CONST4).blocks == ((0, 1, 2, 3),)
-
-    def test_identity_singletons(self):
-        v = variables.make_variable("id3", [0, 1, 2])
-        assert variables.induced_partition(v).blocks == ((0,), (1,), (2,))
-
-    def test_parity_blocks(self):
-        assert variables.induced_partition(PARITY4).blocks == ((0, 2), (1, 3))
 
 
 class TestPermissibility:
@@ -92,9 +78,13 @@ def reference_permissibility(variable, action):
     generators first: the first (k, p1, p2) by element, then level set by
     smallest point, then point."""
     vals = variable.values
+    # the level sets, in order of their smallest points
+    blocks = {}
+    for p, v in enumerate(vals):
+        blocks.setdefault(v, []).append(p)
     for k in range(action.group.order):
         row = action.act[k]
-        for block in variables.induced_partition(variable).blocks:
+        for block in blocks.values():
             for p in block[1:]:
                 if vals[row[p]] != vals[row[block[0]]]:
                     return False, (k, block[0], p)
