@@ -706,14 +706,16 @@ def _cmd_operator(args) -> int:
         print(f"variable {var.name} is not permissible: witness {exc.witness}", file=sys.stderr)
         return 2
     base_rep = representations.regular_representation(g_group, doc.tolerance)
-    system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
+    lines = [f"operator for {var.name}", f"induced group order: {g_group.order}"]
+    try:
+        system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
+    except NumericalAmbiguity as exc:
+        lines.append(f"operator not constructed: {exc}")
+        sys.stdout.write("\n".join(lines) + "\n")
+        return 2
     res = system.resolution
-    lines = [
-        f"operator for {var.name}",
-        f"induced group order: {g_group.order}",
-        f"resolution constant: {_fmt(res.constant)} residual: {_fmt(res.residual)} "
-        f"pass: {res.ok}",
-    ]
+    lines.append(f"resolution constant: {_fmt(res.constant)} residual: {_fmt(res.residual)} "
+                 f"pass: {res.ok}")
     if not res.ok:
         lines.append("operator not constructed: resolution of identity fails")
         sys.stdout.write("\n".join(lines) + "\n")

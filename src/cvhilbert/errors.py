@@ -7,15 +7,6 @@ class CvhilbertError(Exception):
     """Base class for all package errors."""
 
 
-class AxiomViolation(CvhilbertError):
-    """A group or action axiom failed; carries the axiom name and a witness."""
-
-    def __init__(self, axiom: str, witness=None):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(f"axiom violated: {axiom}, witness={witness!r}")
-
-
 class SizeLimit(CvhilbertError):
     """A generated structure would exceed an order or memory bound."""
 

@@ -10,8 +10,8 @@ action of the group.
 
 Besides its rows, a group keeps a generating set S and the |G|*|S| columns
 columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
-Permutation Group Algorithms, 2003, ch. 4). Each constructor computes them
-as it checks the group, and no constructor composes all |G|^2 pairs.
+Permutation Group Algorithms, 2003, ch. 4). The builder computes them as it
+closes the group, and composes no |G|^2 pairs.
 
 Once a group is built, its products are told apart by base keys. A base is
 a list of points whose images tell all the elements apart (Sims), read off
@@ -20,21 +20,14 @@ the images of the base points into one int64 (`_Keys`).
 `FiniteGroup._products` composes only those images, so a product, an
 inverse, a subgroup or a coset costs a few points per product.
 
-* `generate_permutation_group` closes generators breadth-first, composing
-  each element with each generator and matching each product by its whole
-  row, through a dict keyed on the row's bytes in the narrowest unsigned
-  dtype that holds the points (`_breadth_first`). The match is exact, so one
-  pass closes the group, and the closure is a group by construction. Its
-  base keys are read off the closed rows, as for a listed group.
-* `permutation_group` takes a listed set (the groups induced on a
-  variable's values) after checking that its rows are permutations, the
-  first the identity (`_permutation_rows`), and distinct; the same sort
-  gives its base. It reads a generating set greedily off the list
-  (`_greedy`) and finds every g * s among the rows.
-  A list that holds every g * s holds every product of two elements, by
-  induction on word length, so it is closed; when some g * s is missing,
-  the row-major scan of every pair names the first product that is not
-  listed.
+There is one builder. `generate_permutation_group` closes generators
+breadth-first, composing each element with each generator and matching each
+product by its whole row, through a dict keyed on the row's bytes in the
+narrowest unsigned dtype that holds the points (`_breadth_first`). The match
+is exact, so one pass closes the group, and the closure is a group by
+construction. Its base keys are read off the closed rows. K, the group G
+induced on a variable's values (closed from the images of K's generators)
+and the joined group N are all built by it.
 
 The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
 a full table is read: the regular representation of the small induced groups
@@ -55,17 +48,19 @@ lists the cosets, |H| elements each, in the order of their leaders, and the
 covariance stage reads the leaders of N's scalar subgroup directly.
 
 Every exact check of an integer table is made here, once, where the table is
-built: `_permutation_rows` checks that rows are permutations. Every action is
+built: `generate_permutation_group` checks that its generators are
+permutations, and their products are permutations too. Every action is
 a group's own rows or its Cayley table, so no table of an action is checked
 against the products. Checks over a whole group are made on the generators;
 a failure runs the row-major scan, `_first_violation`, only to name the
 first failing tuple.
 
-Only these builders make a `FiniteGroup` or a `GroupAction`: each passes a
-module-private token, and a constructor called without it raises TypeError.
-The token is an init-only field, so `dataclasses.replace` cannot carry it
-over to a copy with another table. A group or an action anywhere in the
-package has therefore passed the checks above.
+Only `generate_permutation_group` and `regular_action` make a `FiniteGroup`
+or a `GroupAction`: each passes a module-private token, and a constructor
+called without it raises TypeError. The token is an init-only field, so
+`dataclasses.replace` cannot carry it over to a copy with another table. A
+group or an action anywhere in the package has therefore passed the checks
+above.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import AxiomViolation, NotASubgroup, SizeLimit
+from .errors import NotASubgroup, SizeLimit
 
 DEFAULT_ORDER_BOUND = 1024
 
@@ -242,14 +237,6 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _ranks(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """For each value, the index in `first` (`_first_occurrences`) of its
-    first occurrence."""
-    distinct = values[first]
-    order = distinct.argsort()
-    return order[distinct[order].searchsorted(values)]
-
-
 def _pack(images: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     """One key per row (last axis) of images of the base points."""
     return _row_keys(images) if weights is None else images @ weights
@@ -269,61 +256,20 @@ def _keyed(rows: np.ndarray, points: np.ndarray) -> _Keys:
     return _Keys(points, weights, keys[elements], elements)
 
 
-def _separating_points(rows: np.ndarray):
-    """(points, distinct): the first point at which each row differs from the
-    next in lexicographic order, and whether the rows are distinct.
+def _separating_points(rows: np.ndarray) -> np.ndarray:
+    """The first point at which each row differs from the next in
+    lexicographic order, for distinct rows.
 
     Two rows in that order first differ where some adjacent pair between
-    them first differs, so the points tell every two distinct rows apart.
-    For the rows of a group a point c is there only when the elements that
-    agree on the points before c do not all agree on c, so each point at
-    least halves them, and there are at most log2 |G| points: a base (Sims).
+    them first differs, so the points tell every two rows apart. For the
+    rows of a group a point c is there only when the elements that agree on
+    the points before c do not all agree on c, so each point at least halves
+    them, and there are at most log2 |G| points: a base (Sims).
     """
     ordered = rows[_row_keys(rows).argsort()]
     differ = ordered[1:] != ordered[:-1]
-    apart = differ.any(axis=1)
     # bincount, not np.unique, which imports numpy.ma on its first call
-    return np.flatnonzero(np.bincount(np.argmax(differ[apart], axis=1))), bool(apart.all())
-
-
-def _listed(rows: np.ndarray, keys: _Keys, products: np.ndarray) -> np.ndarray:
-    """The listed row equal to each product row (last axis), -1 where none is."""
-    found = np.minimum(keys.keys.searchsorted(_pack(products[..., keys.points], keys.weights)),
-                       len(rows) - 1)
-    element = keys.elements[found]
-    return np.where((products == rows[element]).all(axis=-1), element, -1)
-
-
-def permutation_group(elements):
-    """The group of an ordered list of distinct permutations, identity first.
-
-    Element i acts by elements[i], and a * b is the listed element equal to
-    elements[a] composed after elements[b] (`compose`). The rows are checked
-    first (`_permutation_rows`), then for distinct elements. A
-    generating set is read greedily off the list (`_greedy`), and each of
-    its columns is composed and looked up among the rows; when some g * s is
-    not listed, AxiomViolation("closure", (a, b)) names the first pair in
-    row-major order whose product is not listed. Returns the group and the
-    rows as its action on the points.
-    """
-    rows = _permutation_rows(elements)
-    n, m = rows.shape
-    points, distinct = _separating_points(rows)
-    if not distinct:
-        raise AxiomViolation("distinct-elements")
-    keys = _keyed(rows, points)
-
-    def unlisted(a, b):
-        return _listed(rows, keys, rows[a][:, rows[b]]) < 0
-
-    def column(s):
-        index = _listed(rows, keys, rows[:, rows[s]])
-        if (index < 0).any():
-            raise AxiomViolation("closure", _first_violation((n, n), unlisted, 8 * m))
-        return index
-
-    gens, columns = _greedy(n, column)
-    return _group(rows, gens, columns, keys)
+    return np.flatnonzero(np.bincount(np.argmax(differ, axis=1)))
 
 
 def _group(rows, generators, columns, keys: _Keys):
@@ -342,26 +288,6 @@ def regular_action(group: FiniteGroup) -> GroupAction:
     the group was built, and left multiplication is an action by
     associativity (Cayley's theorem), so it is wrapped with no check."""
     return GroupAction(group, group.order, group.cayley, _BUILT)
-
-
-def _permutation_rows(rows) -> np.ndarray:
-    """`rows` as an (n, m) int64 table after the checks that compose nothing:
-    its shape, its range, a permutation in every row and the identity first.
-    Raises AxiomViolation with the first failure."""
-    act = np.asarray(rows, dtype=np.int64)
-    if act.ndim != 2:
-        raise AxiomViolation("identity-action", ("shape", act.shape))
-    m = act.shape[1]
-    if act.size == 0 or act.min() < 0 or act.max() >= m:
-        raise AxiomViolation("identity-action", ("range",))
-    want = np.arange(m)
-    not_permutation = np.any(np.sort(act, axis=1) != want, axis=1)
-    if not_permutation.any():
-        raise AxiomViolation("compatibility", ("not-a-permutation", int(np.argmax(not_permutation))))
-    if not np.array_equal(act[0], want):
-        x = int(np.nonzero(act[0] != want)[0][0])
-        raise AxiomViolation("identity-action", (0, x))
-    return act
 
 
 def is_transitive(action: GroupAction) -> bool:
@@ -440,9 +366,9 @@ def generate_permutation_group(
     element in turn is composed with each generator in listed order, and a
     product not seen before becomes the next element (`_breadth_first`). The
     generators, in listed order, are the group's generating set, and the
-    products are its columns. The base keys are read off the closed rows, as
-    for a listed group. Raises SizeLimit before the element rows pass
-    order_bound or PERMUTATION_BYTE_LIMIT.
+    products are its columns. The base keys are read off the closed rows.
+    Raises SizeLimit before the element rows pass order_bound or
+    PERMUTATION_BYTE_LIMIT.
     """
     gens = list(generators)
     if space_size is None:
@@ -456,7 +382,7 @@ def generate_permutation_group(
         raise ValueError(f"generator {tuple(gen_rows[wrong[0]].tolist())!r} "
                          f"is not a permutation of {space_size} points")
     rows, columns = _breadth_first(gen_rows, order_bound)
-    return _group(rows, columns[0], columns, _keyed(rows, _separating_points(rows)[0]))
+    return _group(rows, columns[0], columns, _keyed(rows, _separating_points(rows)))
 
 
 def _breadth_first(gen_rows: np.ndarray, order_bound: int):
@@ -532,19 +458,21 @@ def bfs_words(group: FiniteGroup) -> list[tuple[int, ...]]:
     return words
 
 
-def _greedy(n: int, column):
-    """(gens, columns): a generating set read off a list of n elements,
-    identity first, and the columns of its Cayley graph. In turn, the first
-    element s outside the subgroup generated so far joins, and column(s)
-    gives g * s for every listed g. Each one at least doubles that subgroup
-    (Lagrange), so there are at most log2 n of them."""
+def _greedy_generators(group: FiniteGroup):
+    """(gens, columns): a generating set read off the elements and the
+    columns of its Cayley graph. In turn, the first element s outside the
+    subgroup generated so far joins, and g * s is found by base key for
+    every g. Each one at least doubles that subgroup (Lagrange), so there are
+    at most log2 |G| of them."""
+    n = group.order
+    everything = np.arange(n)
     inside = np.zeros(n, dtype=bool)
     inside[0] = True
     gens: list[int] = []
     columns = np.zeros((n, 0), dtype=np.int64)
     while not inside.all():
         gens.append(int(inside.argmin()))
-        columns = np.concatenate([columns, column(gens[-1])[:, None]], axis=1)
+        columns = np.concatenate([columns, group._products(everything, gens[-1])[:, None]], axis=1)
         # close under right multiplication by the generators
         frontier = inside.nonzero()[0]
         while frontier.size:
@@ -554,11 +482,3 @@ def _greedy(n: int, column):
             inside |= new
             frontier = new.nonzero()[0]
     return gens, columns
-
-
-def _greedy_generators(group: FiniteGroup):
-    """(gens, columns): a generating set read off the elements, in turn the
-    first element outside the subgroup generated so far, and the columns of
-    its Cayley graph (`_greedy`)."""
-    everything = np.arange(group.order)
-    return _greedy(group.order, lambda s: group._products(everything, s))

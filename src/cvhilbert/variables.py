@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAccessible, NotPermissible
-from .groups import GroupAction, _first_occurrences, _ranks, _row_keys, permutation_group
+from .groups import GroupAction, generate_permutation_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,23 +124,34 @@ def induced_group(variable: ConceptualVariable, action: GroupAction):
     Nothing else needs checking. Permissibility gives each k a map h(k) on
     the values with h(k)(theta(p)) = theta(k . p), and K's action was
     verified where it was built, so (k1 k2) . p = k1 . (k2 . p) and
-    h(k1 k2) = h(k1) o h(k2) exactly. The maps are therefore closed under
-    composition, h(e) is the identity, and h(k^-1) inverts h(k), so each is
-    a permutation: `permutation_group` accepts the distinct maps, and hom is
-    a homomorphism onto G.
+    h(k1 k2) = h(k1) o h(k2) exactly. So h is a homomorphism, each h(k) is a
+    permutation (h(k^-1) inverts it), and G, the image of K, is generated by
+    the images of K's generators: it is closed from them
+    (`generate_permutation_group`), with no more than |K| elements, and
+    hom[k] is the element whose base images are those of h(k).
+
+    The numbering is the order of first appearance over K. Every group is a
+    breadth-first closure, so K's elements are numbered in the order in
+    which they first appear in its scan: the identity, then k * s for k in
+    element order and s in the listed order of K's generators S. G is closed
+    the same way from h(S). In K's scan, a pair (k, s) whose k has the map
+    of an earlier element k' gives h(k * s) = h(k' * s), which the earlier
+    pair (k', s) gave already, so it shows no map first. Strike those
+    pairs; by induction on the elements of G found so far, the pairs left
+    are G's scan, pair for pair and map for map. So G numbers its elements
+    in the order in which the maps first appear in K's scan, which is the
+    order in which they first appear over K's elements.
     """
     ok, witness = is_permissible(variable, action)
     if not ok:
         raise NotPermissible(witness)
     vals = np.asarray(variable.values, dtype=np.int64)
-    pick = _first_points(variable)      # one point per value
-    # the identity map, then the map induced by each k; distinct maps are
-    # numbered in order of first appearance
-    maps = np.vstack([np.arange(variable.value_count), vals[action.act[:, pick]]])
-    keys = _row_keys(maps)
-    first = _first_occurrences(keys)
-    group, g_action = permutation_group(maps[first])
-    return group, g_action, tuple(_ranks(keys, first)[1:].tolist())
+    # the map induced by each k, read at one point per value
+    maps = vals[action.act[:, _first_points(variable)]]
+    group, g_action = generate_permutation_group(
+        maps[list(action.group.generators)], space_size=variable.value_count,
+        order_bound=action.group.order)
+    return group, g_action, tuple(group.keys.find(maps[:, group.keys.points]).tolist())
 
 
 def refines(xi: ConceptualVariable, theta: ConceptualVariable):

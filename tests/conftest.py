@@ -20,7 +20,9 @@ SWAP = (0, 2, 1, 3)
 
 def standard_action(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BOUND):
     """Catalogue groups, cyclic Z_n, dihedral D_n (order 2n) and symmetric
-    S_n, as listed permutations, and their action on the points."""
+    S_n, and their action on the points, closed from their listed
+    permutations; the identity is listed first, so the closure keeps the
+    listed numbering."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind == "symmetric" and n > 6:
@@ -45,7 +47,7 @@ def standard_action(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_B
         rows[n:, n:] = (n + 1, n)
     else:
         rows = list(itertools.permutations(range(n)))
-    return groups.permutation_group(rows)[1]
+    return groups.generate_permutation_group(rows, order_bound=order_bound)[1]
 
 
 def standard_group(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BOUND):

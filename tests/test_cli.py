@@ -560,7 +560,9 @@ class TestWorkCounts:
 
     def test_k_closed_in_one_pass(self, monkeypatch, capsys):
         # S5 on 5 points from a transposition and a 5-cycle: products are
-        # matched by their whole rows, so no closure is run again
+        # matched by their whole rows, so no closure is run again. K is closed
+        # once, then G once from the images of K's generators, bounded by |K|;
+        # v names each point, so the images are the generators themselves
         passes = []
         closure = groups._breadth_first
 
@@ -571,7 +573,8 @@ class TestWorkCounts:
         monkeypatch.setattr(groups, "_breadth_first", spy)
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "eigenvalues:" in capsys.readouterr().out
-        assert len(passes) == 1
+        assert [bound for _, bound in passes] == [1024, 120]
+        assert np.array_equal(passes[0][0], passes[1][0])
 
     def test_resolution_count_independent_of_joined_group_order(self, work_counts):
         two_bit = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
@@ -612,20 +615,21 @@ class TestWorkCounts:
         # against |N| * d^2 = 512 rows
         assert work_counts["svd_rows"] == 4 * 4**2
 
-    def test_groups_verified_once_where_built(self, monkeypatch):
+    def test_groups_verified_once_where_built(self, monkeypatch, capsys):
         calls = collections.Counter()
+        closure, post_init = groups.generate_permutation_group, groups.FiniteGroup.__post_init__
 
-        def count(name, *modules):
-            original = getattr(groups, name)
+        def closure_spy(*args, **kwargs):
+            calls["closures"] += 1
+            return closure(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            for module in modules:
-                monkeypatch.setattr(module, name, wrapper)
+        def post_init_spy(group, token):
+            calls["groups"] += 1
+            post_init(group, token)
 
-        count("generate_permutation_group", groups, cli, pairing)
-        count("permutation_group", groups, variables)
+        for module in (groups, cli, pairing, variables):
+            monkeypatch.setattr(module, "generate_permutation_group", closure_spy)
+        monkeypatch.setattr(groups.FiniteGroup, "__post_init__", post_init_spy)
         regular = representations.regular_representation
 
         def regular_spy(*args, **kwargs):
@@ -637,15 +641,18 @@ class TestWorkCounts:
         monkeypatch.setattr(representations, "regular_representation", regular_spy)
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         assert not report.failed
-        # K and N, each closed once from its generators, and the groups
-        # induced by bit1 and bit2, each built once from its list, whose
-        # generator columns are its one table check; the maps K -> G of bit1
-        # and bit2 are homomorphisms by permissibility and are not checked,
-        # and the regular representation of G checks nothing
-        assert calls["generate_permutation_group"] == 2
-        assert calls["permutation_group"] == 2
+        # K, the groups induced by bit1 and bit2, and N: every group is closed
+        # once from its generators, G from the images of K's; the maps K -> G
+        # are homomorphisms by permissibility and are not checked, and the
+        # regular representation of G checks nothing
+        assert calls["closures"] == calls["groups"] == 4
         assert "regular_representation checks" in calls
         assert calls["regular_representation checks"] == 0
+        calls.clear()
+        # operator: K and the group induced by v
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        assert "eigenvalues:" in capsys.readouterr().out
+        assert calls["closures"] == calls["groups"] == 2
 
     def test_one_permissibility_check_per_variable(self, monkeypatch, capsys):
         calls = []

@@ -333,7 +333,7 @@ class TestPushforwardEquivalence:
     def test_parity_on_circle(self):
         # sum over underlying points composed with the variable, then normalize;
         # must match the coset-state construction
-        _, k_action = groups.permutation_group([[(x + k) % 4 for x in range(4)] for k in range(4)])
+        _, k_action = groups.generate_permutation_group([[1, 2, 3, 0]])
         parity = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
         g_group, g_action, hom = variables.induced_group(parity, k_action)
         rep = reps.regular_representation(g_group)

@@ -28,7 +28,9 @@ that outcome first ended in a report), and variants of it in
 `joint-group` skipped), no `numeric_values` (`operator-construction`
 skipped), bit1 with the numeric values [1, 1] (`maximality-nondegeneracy`
 fails, `transition-unitarity` skipped) and k given as the generator word
-"flip1 flip2" (`relatedness` fails).
+"flip1 flip2" (`relatedness` fails). One `operator` case covers the same
+overlap at `--tolerance 0.6`: the operator is not constructed, and the
+command says why on stdout.
 
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
@@ -72,13 +74,8 @@ def test_golden_set_is_consistent():
 
 # Functions no golden command calls, each kept for a stated reason.
 UNREACHED = {
-    # raised with a witness by a check whose failure no case reaches
-    "errors.AxiomViolation.__init__",
     # the schema message of a malformed document; no case holds one
     "errors.SchemaError.__init__",
-    # names the first unlisted product, a closure failure that the groups
-    # induced on a variable's values cannot have
-    "groups.permutation_group.<locals>.unlisted",
     # the paper's coarsening result, checked by test_acceptance.py
     "spectra.operator_for_coarsening",
     "spectra.EigenSystem.projectors",

@@ -86,7 +86,7 @@ def transitive_free_actions(draw):
     group, _ = groups.generate_permutation_group(gens, space_size=size)
     relabel = np.array(draw(st.permutations(range(group.order))))
     # x -> relabel[g * relabel^-1[x]]
-    return groups.permutation_group(relabel[group.cayley][:, np.argsort(relabel)])
+    return groups.generate_permutation_group(relabel[group.cayley][:, np.argsort(relabel)])
 
 
 class TestJointGroup:

@@ -93,7 +93,7 @@ class TestConstructions:
         assert np.allclose(rep.matrices[0], np.eye(2))
 
     def test_swap_rep(self):
-        _, act = groups.permutation_group([[0, 1], [1, 0]])
+        _, act = groups.generate_permutation_group([[0, 1], [1, 0]])
         rep = reps.permutation_representation(act)
         assert np.allclose(rep.matrices[1], [[0, 1], [1, 0]])
 
@@ -422,9 +422,11 @@ class TestCommutantSystem:
 class TestStackBound:
     def test_regular_z512_refused_before_allocation(self):
         # 512 matrices of 512x512 complex entries: 2 GiB; the rotations of
-        # the 512-gon are the regular action of Z_512. The representation is
-        # held as its action, and its stack is refused when first read
-        rep = reps.permutation_representation(standard_action("cyclic", 512))
+        # the 512-gon, closed from the rotation by one, are the regular action
+        # of Z_512. The representation is held as its action, and its stack
+        # is refused when first read
+        _, action = groups.generate_permutation_group([(np.arange(512) + 1) % 512])
+        rep = reps.permutation_representation(action)
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimit, match="2048 MiB, above the 256 MiB bound"):

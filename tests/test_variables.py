@@ -1,14 +1,14 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cvhilbert import groups, variables
-from cvhilbert.errors import NotAccessible, NotPermissible
+from cvhilbert.errors import NotAccessible, NotPermissible, SizeLimit
 from cvhilbert.spin import axis_component_variable, octahedral_axes_action
 
 
 def shift_action(n):
-    return groups.permutation_group([[(x + k) % n for x in range(n)] for k in range(n)])[1]
+    return groups.generate_permutation_group([[(x + k) % n for x in range(n)] for k in range(n)])[1]
 
 
 def trivial_action(m):
@@ -26,6 +26,53 @@ def reference_induced_group(variable, action):
     index = {m: i for i, m in enumerate(maps)}
     table = [[index[groups.compose(p, q)] for q in maps] for p in maps]
     return [list(m) for m in maps], table, tuple(index[m] for m in induced)
+
+
+@st.composite
+def residues_under_shifts(draw):
+    """A relabelled residue mod a divisor of n, permissible under shifts."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    labels = draw(st.permutations(range(d)))
+    return shift_action(n), variables.make_variable("v", [labels[p % d] for p in range(n)])
+
+
+@st.composite
+def labellings_under_random_k(draw):
+    """K closed from 0 to 4 generators on up to 7 points, the identity and
+    repeated generators among them, and a random labelling of the points.
+    The labelling is mostly one into blocks of equal size that the
+    generators permute, so that it is permissible and K -> G need not be
+    one to one. A K above order 120 is rejected, to keep the reference loop
+    small."""
+    rng = draw(st.randoms(use_true_random=True))
+    count = rng.randint(1, 3)
+    size = rng.randint(1, 7 // count)
+    n = count * size
+    points = rng.sample(range(n), n)
+    blocks = [points[i:i + size] for i in range(0, n, size)]
+    table = [0] * n
+    for b, block in enumerate(blocks):
+        for p in block:
+            table[p] = b
+
+    def block_map():
+        # the blocks permuted, each mapped onto its image in a random order
+        row = [0] * n
+        for block, target in zip(blocks, rng.sample(blocks, count)):
+            for p, q in zip(block, rng.sample(target, size)):
+                row[p] = q
+        return tuple(row)
+
+    pool = [tuple(range(n))] + [block_map() for _ in range(rng.randint(1, 3))]
+    gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+    try:
+        _, action = groups.generate_permutation_group(gens, space_size=n, order_bound=120)
+    except SizeLimit:
+        reject()
+    if rng.random() < 0.25:     # any labelling, seldom permissible
+        table = [rng.randrange(n) for _ in range(n)]
+    return action, variables.make_variable("v", table)
 
 
 PARITY4 = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
@@ -134,15 +181,16 @@ class TestInducedGroup:
         with pytest.raises(NotPermissible):
             variables.induced_group(var, action)
 
-    @given(st.integers(min_value=1, max_value=8).flatmap(
-        lambda n: st.tuples(st.just(n), st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
-                            st.randoms())))
+    @settings(max_examples=200)
+    @given(st.one_of(residues_under_shifts(), labellings_under_random_k()))
     def test_matches_reference_loop(self, case):
-        # a relabelled residue mod a divisor of n is permissible under shifts
-        n, d, rng = case
-        labels = rng.sample(range(d), d)
-        var = variables.make_variable("v", [labels[p % d] for p in range(n)])
-        action = shift_action(n)
+        # G's rows are the induced maps in order of first appearance over K,
+        # and hom is the loop's; a labelling that is not permissible is refused
+        action, var = case
+        if not variables.is_permissible(var, action)[0]:
+            with pytest.raises(NotPermissible):
+                variables.induced_group(var, action)
+            return
         g, act, hom = variables.induced_group(var, action)
         maps, table, ref_hom = reference_induced_group(var, action)
         assert act.act.tolist() == maps
