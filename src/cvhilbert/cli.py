@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     SizeLimit,
 )
-from .groups import compose, generate_permutation_group
+from .groups import DEFAULT_ORDER_BOUND, compose, generate_permutation_group
 from .variables import ConceptualVariable, Context, make_variable
 
 SCHEMA_VERSION = "1"
@@ -162,9 +162,10 @@ def _is_value(v) -> bool:
 
 # options field -> (default, validity test, expected form)
 _OPTIONS = {
-    "tolerance": (1e-9, lambda v: _is_real(v) and v > 0, "a positive number"),
+    "tolerance": (representations.DEFAULT_TOLERANCE, lambda v: _is_real(v) and v > 0,
+                  "a positive number"),
     "fiducial_index": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "max_order": (1024, lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "max_order": (DEFAULT_ORDER_BOUND, lambda v: _is_int(v) and v > 0, "a positive integer"),
     "spin_suite": (False, lambda v: isinstance(v, bool), "true or false"),
 }
 
@@ -342,7 +343,7 @@ class _Run:
     doc: ContextDocument
     report: VerificationReport
     context: Context | None = None      # K acting on the space, and the family
-    induced: dict = field(default_factory=dict)     # permissible name -> (G, action, hom)
+    induced: dict = field(default_factory=dict)     # permissible name -> (G, action)
     # the pair in hand, set stage by stage
     idx: int = 0
     dpair: DocumentPair | None = None
@@ -434,7 +435,7 @@ def _join(run: _Run) -> None:
     if run.dpair.theta not in run.induced:
         run.add("joint-group", "skip", run.idx, detail="first variable not permissible")
         raise _Stop
-    g_group, g_action, _ = run.induced[run.dpair.theta]
+    g_group, g_action = run.induced[run.dpair.theta]
     try:
         run.joint = pairing.build_joint_group(run.pair, g_group, g_action, run.doc.max_order)
     except CvhilbertError as exc:
@@ -701,15 +702,15 @@ def _cmd_operator(args) -> int:
         doc.generators, space_size=doc.phi_size, order_bound=doc.max_order
     )
     try:
-        g_group, g_action, _ = variables.induced_group(var, k_action)
+        g_group, g_action = variables.induced_group(var, k_action)
     except NotPermissible as exc:
         print(f"variable {var.name} is not permissible: witness {exc.witness}", file=sys.stderr)
         return 2
-    base_rep = representations.regular_representation(g_group, doc.tolerance)
     lines = [f"operator for {var.name}", f"induced group order: {g_group.order}"]
     try:
+        base_rep = representations.regular_representation(g_group, doc.tolerance)
         system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
-    except NumericalAmbiguity as exc:
+    except (SizeLimit, NumericalAmbiguity) as exc:
         lines.append(f"operator not constructed: {exc}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 2

@@ -13,39 +13,36 @@ columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
 Permutation Group Algorithms, 2003, ch. 4). The builder computes them as it
 closes the group, and composes no |G|^2 pairs.
 
-Once a group is built, its products are told apart by base keys. A base is
-a list of points whose images tell all the elements apart (Sims), read off
-the rows by one lexicographic sort (`_separating_points`), and a key packs
-the images of the base points into one int64 (`_Keys`).
-`FiniteGroup._products` composes only those images, so a product, an
-inverse, a subgroup or a coset costs a few points per product.
-
 There is one builder. `generate_permutation_group` closes generators
 breadth-first, composing each element with each generator and matching each
 product by its whole row, through a dict keyed on the row's bytes in the
 narrowest unsigned dtype that holds the points (`_breadth_first`). The match
 is exact, so one pass closes the group, and the closure is a group by
-construction. Its base keys are read off the closed rows. K, the group G
-induced on a variable's values (closed from the images of K's generators)
-and the joined group N are all built by it.
+construction. K, the group G induced on a variable's values (closed from the
+images of K's generators) and the joined group N are all built by it.
 
-The |G|^2 table `FiniteGroup.cayley` is computed from the columns only where
-a full table is read: the regular representation of the small induced groups
-and the tests. It is the group's regular action (Cayley), verified with the
-columns it is read from, and `regular_action` wraps it as one. Like the
-element rows of a closure, it is refused with SizeLimit above
-PERMUTATION_BYTE_LIMIT before it is allocated.
+Every product reads the |G|^2 table `FiniteGroup.cayley`: `mult`, the
+inverses and products of `subgroup`, `coset_leaders`, the greedy generating
+set of the representation check and its fallback scan. The table is filled
+from the columns, one breadth-first level at a time, on its first read, and
+only a group that is multiplied builds it: G, whose regular representation
+is its table, and N, at the representation check. K is read only through
+its rows and generators and builds none. The table is the group's regular
+action (Cayley), verified with the columns it is read from, and
+`regular_action` wraps it as one. Like the element rows of a closure, it is
+refused with SizeLimit above PERMUTATION_BYTE_LIMIT before it is allocated.
 
 A built action needs no further check to answer questions about it:
 `is_transitive` reads the orbit of point 0 off its table, and
 `isotropy_subgroup` wraps a point stabilizer, a subgroup of any action.
 
-Cosets have one routine. `coset_leaders` composes every element with every
-member of a subgroup H in one batch of products and takes the smallest
-element of each a * H, its leader; two elements share a left coset exactly
-when they share a leader. `left_cosets` sorts the elements by leader, which
-lists the cosets, |H| elements each, in the order of their leaders, and the
-covariance stage reads the leaders of N's scalar subgroup directly.
+Cosets have one routine. `coset_leaders` reads the products of every
+element with every member of a subgroup H off the table and takes the
+smallest element of each a * H, its leader; two elements share a left coset
+exactly when they share a leader. `left_cosets` sorts the elements by
+leader, which lists the cosets, |H| elements each, in the order of their
+leaders, and the covariance stage reads the leaders of N's scalar subgroup
+directly.
 
 Every exact check of an integer table is made here, once, where the table is
 built: `generate_permutation_group` checks that its generators are
@@ -67,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,10 +79,6 @@ PERMUTATION_BYTE_LIMIT = 32 * 2**20
 # Temporaries of one numpy step of a table scan stay near this many bytes.
 STEP_BYTES = 2**20
 
-# Base keys are int64 while m**len(base) stays below this bound, and void
-# keys of the base images above it.
-_KEY_BOUND = 2**63
-
 # Passed by the builders alone; `FiniteGroup` and `GroupAction` refuse a call
 # without it.
 _BUILT = object()
@@ -96,26 +89,11 @@ def _check_built(token, kind: str) -> None:
         raise TypeError(f"a {kind} is made only by the verifying builders in cvhilbert.groups")
 
 
-class _Keys(NamedTuple):
-    """Base keys of distinct rows of m points: the images of the base points
-    packed into one int64 each, radix m, or void keys of the images where
-    m**len(points) reaches _KEY_BOUND."""
-    points: np.ndarray          # the base: points whose images tell the rows apart
-    weights: np.ndarray | None  # radix-m digit weights; None for void keys
-    keys: np.ndarray            # base keys of the rows, sorted
-    elements: np.ndarray        # the row of each sorted key
-
-    def find(self, images: np.ndarray) -> np.ndarray:
-        """The row whose base images these are; exact for rows that are listed."""
-        return self.elements[self.keys.searchsorted(_pack(images, self.weights))]
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     rows: np.ndarray            # (n, m) int array, element a is x -> rows[a, x]
     generators: tuple[int, ...]  # the generating set S, as elements
     columns: np.ndarray         # (n, |S|) int array, columns[g, j] = g * S[j]
-    keys: _Keys
     token: InitVar[object] = None
     identity: ClassVar[int] = 0
 
@@ -126,20 +104,8 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.rows)
 
-    def _products(self, a, b) -> np.ndarray:
-        """a * b elementwise for broadcastable arrays of elements, composing
-        only the images of the base points."""
-        a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-        return self.keys.find(self.rows[a, self.rows[b, self.keys.points]])
-
-    def _inverses(self, a) -> np.ndarray:
-        """The inverse of each element of an array: the preimages of the base
-        points under it."""
-        rows = self.rows[np.asarray(a)][..., None, :]
-        return self.keys.find((rows == self.keys.points[:, None]).argmax(axis=-1))
-
     def mult(self, a: int, b: int) -> int:
-        return int(self._products(a, b))
+        return int(self.cayley[a, b])
 
     @cached_property
     def cayley(self) -> np.ndarray:
@@ -219,12 +185,6 @@ def _first_violation(shape: tuple[int, int], broken, cell_bytes: int):
     return None
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One comparable key per row (last axis) of an integer array."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
-
-
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """The position of the first occurrence of each distinct value, in order."""
     order = values.argsort(kind="stable")
@@ -237,47 +197,11 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _pack(images: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """One key per row (last axis) of images of the base points."""
-    return _row_keys(images) if weights is None else images @ weights
-
-
-def _weights(m: int, k: int) -> np.ndarray | None:
-    """Digit weights that pack k images in range(m) into one int64, or None
-    where m**k reaches _KEY_BOUND."""
-    return None if m**k >= _KEY_BOUND else m ** np.arange(k, dtype=np.int64)
-
-
-def _keyed(rows: np.ndarray, points: np.ndarray) -> _Keys:
-    """Base keys of rows that the images of `points` tell apart."""
-    weights = _weights(rows.shape[1], len(points))
-    keys = _pack(rows[:, points], weights)
-    elements = keys.argsort()
-    return _Keys(points, weights, keys[elements], elements)
-
-
-def _separating_points(rows: np.ndarray) -> np.ndarray:
-    """The first point at which each row differs from the next in
-    lexicographic order, for distinct rows.
-
-    Two rows in that order first differ where some adjacent pair between
-    them first differs, so the points tell every two rows apart. For the
-    rows of a group a point c is there only when the elements that agree on
-    the points before c do not all agree on c, so each point at least halves
-    them, and there are at most log2 |G| points: a base (Sims).
-    """
-    ordered = rows[_row_keys(rows).argsort()]
-    differ = ordered[1:] != ordered[:-1]
-    # bincount, not np.unique, which imports numpy.ma on its first call
-    return np.flatnonzero(np.bincount(np.argmax(differ, axis=1)))
-
-
-def _group(rows, generators, columns, keys: _Keys):
+def _group(rows, generators, columns):
     """The group and its action on the points, its tables made read-only."""
-    for table in (rows, columns, *keys):
-        if table is not None:
-            table.setflags(write=False)
-    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, keys, _BUILT)
+    rows.setflags(write=False)
+    columns.setflags(write=False)
+    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, _BUILT)
     return group, GroupAction(group, rows.shape[1], rows, _BUILT)
 
 
@@ -310,10 +234,10 @@ def subgroup(group: FiniteGroup, members) -> Subgroup:
         raise NotASubgroup("identity missing")
     inside = np.zeros(group.order, dtype=bool)
     inside[mset] = True
-    # per member: its inverse, then its products with every member
-    ms = np.array(mset)
-    table = np.concatenate([group._inverses(ms)[:, None], group._products(ms[:, None], ms[None])],
-                           axis=1)
+    # per member: its inverse, the one column of its row that holds the
+    # identity, element 0, then its products with every member
+    rows = group.cayley[mset]
+    table = np.concatenate([rows.argmin(axis=1)[:, None], rows[:, mset]], axis=1)
     witness = _first_violation(table.shape, lambda a, b: ~inside[table[a, b]], 8)
     if witness is not None:
         a, b = witness
@@ -327,8 +251,7 @@ def coset_leaders(group: FiniteGroup, members) -> np.ndarray:
     """The smallest element of each left coset a * H, one per element a, for
     the members of a subgroup H. Two elements share a coset exactly when they
     share a leader, and an element leads its coset when it is its own leader."""
-    members = np.asarray(members, dtype=np.int64)
-    return group._products(np.arange(group.order)[:, None], members[None]).min(axis=1)
+    return group.cayley[:, np.asarray(members, dtype=np.int64)].min(axis=1)
 
 
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
@@ -366,9 +289,8 @@ def generate_permutation_group(
     element in turn is composed with each generator in listed order, and a
     product not seen before becomes the next element (`_breadth_first`). The
     generators, in listed order, are the group's generating set, and the
-    products are its columns. The base keys are read off the closed rows.
-    Raises SizeLimit before the element rows pass order_bound or
-    PERMUTATION_BYTE_LIMIT.
+    products are its columns. Raises SizeLimit before the element rows pass
+    order_bound or PERMUTATION_BYTE_LIMIT.
     """
     gens = list(generators)
     if space_size is None:
@@ -382,7 +304,7 @@ def generate_permutation_group(
         raise ValueError(f"generator {tuple(gen_rows[wrong[0]].tolist())!r} "
                          f"is not a permutation of {space_size} points")
     rows, columns = _breadth_first(gen_rows, order_bound)
-    return _group(rows, columns[0], columns, _keyed(rows, _separating_points(rows)))
+    return _group(rows, columns[0], columns)
 
 
 def _breadth_first(gen_rows: np.ndarray, order_bound: int):
@@ -461,18 +383,17 @@ def bfs_words(group: FiniteGroup) -> list[tuple[int, ...]]:
 def _greedy_generators(group: FiniteGroup):
     """(gens, columns): a generating set read off the elements and the
     columns of its Cayley graph. In turn, the first element s outside the
-    subgroup generated so far joins, and g * s is found by base key for
-    every g. Each one at least doubles that subgroup (Lagrange), so there are
-    at most log2 |G| of them."""
+    subgroup generated so far joins, and g * s is read off the Cayley table
+    for every g. Each one at least doubles that subgroup (Lagrange), so there
+    are at most log2 |G| of them."""
     n = group.order
-    everything = np.arange(n)
     inside = np.zeros(n, dtype=bool)
     inside[0] = True
     gens: list[int] = []
     columns = np.zeros((n, 0), dtype=np.int64)
     while not inside.all():
         gens.append(int(inside.argmin()))
-        columns = np.concatenate([columns, group._products(everything, gens[-1])[:, None]], axis=1)
+        columns = group.cayley[:, gens]
         # close under right multiplication by the generators
         frontier = inside.nonzero()[0]
         while frontier.size:

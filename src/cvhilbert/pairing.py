@@ -47,6 +47,7 @@ from .errors import (
     UndefinedTransport,
 )
 from .groups import (
+    DEFAULT_ORDER_BOUND,
     FiniteGroup,
     GroupAction,
     _bfs_levels,
@@ -150,7 +151,7 @@ def build_joint_group(
     pair: RelatedPair,
     g_group: FiniteGroup,
     g_action: GroupAction,
-    order_bound: int = 1024,
+    order_bound: int = DEFAULT_ORDER_BOUND,
 ) -> JointGroup:
     """Close the first-axis copies, second-axis copies and the swap into N.
 
@@ -229,6 +230,10 @@ def build_joint_representation(
     otherwise NotWellDefined carries an element with two words whose products
     disagree, the words read off `bfs_words` only then. A stack above
     REPRESENTATION_BYTE_LIMIT raises SizeLimit before it is allocated.
+
+    The check reads N's Cayley table, built there: its |N|^2 * 8 bytes are
+    the |N| d^2 * 16 bytes of the stack, as |N| = 2 d^2 for more than one
+    value.
     """
     d = base_rep.dim
     tol = base_rep.tolerance

@@ -9,19 +9,19 @@ passed there; its stack of 0/1 matrices is built only when `matrices` is
 first read. The 0/1 matrices of functions multiply as the functions compose,
 P_f P_h = P_{f o h}, so a verified action is a verified representation, and
 the constructor checks only that the action is one of its group on C^dim. A
-stack given as matrices, 0/1 or not, takes the float check on a generating set S
-read greedily off the group's elements (`groups._greedy_generators`), which
-finds the products g*s by base key as it reads S off and returns them with
-it: |G|*|S| products instead of |G|^2. The
+stack given as matrices, 0/1 or not, takes the float check on a generating
+set S read greedily off the group's elements (`groups._greedy_generators`),
+which reads the products g*s off the group's Cayley table as it reads S off
+and returns them with it: |G|*|S| matrix products instead of |G|^2. The
 stack must be finite, and a certificate (`_certified`) bounds the residual
 of every other pair by the generator residual, the BFS depth over S, the
 unitarity residual and the rounding of the scan. When that bound does not
-prove the table, the row-major scan runs as the fallback, composing one
-block of products at a time, and names the first failing pair, so a verdict
-or a witness never depends on the certificate. No check builds the group's
-full multiplication table. A stack of more than REPRESENTATION_BYTE_LIMIT
-bytes is refused with SizeLimit before it is allocated: a permutation
-representation's when `matrices` is first read, as it is built only then.
+prove the table, the row-major scan runs as the fallback, one block of the
+Cayley table at a time, and names the first failing pair, so a verdict or a
+witness never depends on the certificate. A stack of more than
+REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
+allocated: a permutation representation's when `matrices` is first read, as
+it is built only then.
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
@@ -110,10 +110,8 @@ class UnitaryRepresentation:
                           float(np.finfo(mats.dtype).eps)):
                 return
 
-        everything = np.arange(group.order)
-
         def broken(a, b):
-            index = group._products(everything[a][:, None], everything[b][None])
+            index = group.cayley[a, b]
             shape, size = (*index.shape, d, d), index.size * d * d
             p = np.matmul(mats[a][:, None], mats[b][None], out=product[:size].reshape(shape))
             t = np.take(mats, index, axis=0, out=target[:size].reshape(shape), mode="clip")

@@ -115,11 +115,10 @@ def is_permissible(variable: ConceptualVariable, action: GroupAction):
 def induced_group(variable: ConceptualVariable, action: GroupAction):
     """Value-set maps induced by a permissible variable.
 
-    Returns (G, G_action on the value set, hom) where hom[k] is the index in
-    G of the map induced by k. The identity map gets index 0; the remaining
-    maps are ordered by first appearance over k. A variable that is not
-    permissible raises NotPermissible with the witness of `is_permissible`,
-    so a caller needs no check of its own.
+    Returns (G, G_action on the value set). The identity map is element 0;
+    the remaining maps are numbered in the order of their first appearance
+    over k. A variable that is not permissible raises NotPermissible with
+    the witness of `is_permissible`, so a caller needs no check of its own.
 
     Nothing else needs checking. Permissibility gives each k a map h(k) on
     the values with h(k)(theta(p)) = theta(k . p), and K's action was
@@ -127,8 +126,7 @@ def induced_group(variable: ConceptualVariable, action: GroupAction):
     h(k1 k2) = h(k1) o h(k2) exactly. So h is a homomorphism, each h(k) is a
     permutation (h(k^-1) inverts it), and G, the image of K, is generated by
     the images of K's generators: it is closed from them
-    (`generate_permutation_group`), with no more than |K| elements, and
-    hom[k] is the element whose base images are those of h(k).
+    (`generate_permutation_group`), with no more than |K| elements.
 
     The numbering is the order of first appearance over K. Every group is a
     breadth-first closure, so K's elements are numbered in the order in
@@ -146,12 +144,11 @@ def induced_group(variable: ConceptualVariable, action: GroupAction):
     if not ok:
         raise NotPermissible(witness)
     vals = np.asarray(variable.values, dtype=np.int64)
-    # the map induced by each k, read at one point per value
-    maps = vals[action.act[:, _first_points(variable)]]
-    group, g_action = generate_permutation_group(
-        maps[list(action.group.generators)], space_size=variable.value_count,
-        order_bound=action.group.order)
-    return group, g_action, tuple(group.keys.find(maps[:, group.keys.points]).tolist())
+    # the map induced by each generator, read at one point per value
+    gens = action.act[list(action.group.generators)]
+    return generate_permutation_group(vals[gens[:, _first_points(variable)]],
+                                      space_size=variable.value_count,
+                                      order_bound=action.group.order)
 
 
 def refines(xi: ConceptualVariable, theta: ConceptualVariable):

@@ -54,6 +54,15 @@ def standard_group(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BO
     return standard_action(kind, n, order_bound).group
 
 
+def induced_indices(variable, action, g_action):
+    """The element of G that each k of K induces: the map k makes on the
+    values, read at the first point of each value, found among G's rows."""
+    pick = [variable.values.index(v) for v in range(variable.value_count)]
+    vals = np.asarray(variable.values)
+    index = {tuple(row): i for i, row in enumerate(g_action.act.tolist())}
+    return tuple(index[tuple(vals[row[pick]].tolist())] for row in action.act)
+
+
 def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
     """The joint system of a related pair, by the steps `verify` takes: join
     the groups, build the swap matrix, extend the representation, label the
@@ -74,7 +83,7 @@ def two_bit():
     xi = variables.make_variable("bit2", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
     context = variables.Context(4, k_action, (theta, xi))
     pair = pairing.build_related_pair(context, theta, xi, SWAP)
-    g_group, g_action, hom = variables.induced_group(theta, k_action)
+    g_group, g_action = variables.induced_group(theta, k_action)
     base_rep = representations.regular_representation(g_group)
     system = joint_system(pair, g_group, g_action, base_rep)
     return {
@@ -86,7 +95,6 @@ def two_bit():
         "pair": pair,
         "g_group": g_group,
         "g_action": g_action,
-        "hom": hom,
         "base_rep": base_rep,
         "system": system,
     }

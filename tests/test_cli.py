@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import math
 import os
@@ -504,12 +505,12 @@ def work_counts(monkeypatch):
 def constructor_work(monkeypatch):
     """Counter of the work of `UnitaryRepresentation` while the fixture is
     active: table scans, matrix products made by `np.matmul`, calls of the
-    generator residuals, of the certificate, of the greedy generating set
-    and of the base-key products, and the order and generator count of the
+    generator residuals, of the certificate and of the greedy generating
+    set, the Cayley tables built, and the order and generator count of the
     last group whose generators were read off."""
     calls = collections.Counter()
     greedy, matmul = representations._greedy_generators, np.matmul
-    products = groups.FiniteGroup._products
+    fill = vars(groups.FiniteGroup)["cayley"].func
 
     def counting(name, key):
         original = getattr(representations, name)
@@ -525,9 +526,12 @@ def constructor_work(monkeypatch):
         calls["order"], calls["generators"] = group.order, len(gens)
         return gens, columns
 
-    def products_spy(group, a, b):
-        calls["base-key products"] += 1
-        return products(group, a, b)
+    def table_spy(group):
+        calls["tables"] += 1
+        return fill(group)
+
+    cayley = functools.cached_property(table_spy)
+    cayley.__set_name__(groups.FiniteGroup, "cayley")
 
     def matmul_spy(x1, x2, *args, **kwargs):
         out = matmul(x1, x2, *args, **kwargs)
@@ -538,7 +542,7 @@ def constructor_work(monkeypatch):
     counting("_generator_residuals", "residuals")
     counting("_certified", "certificates")
     monkeypatch.setattr(representations, "_greedy_generators", greedy_spy)
-    monkeypatch.setattr(groups.FiniteGroup, "_products", products_spy)
+    monkeypatch.setattr(groups.FiniteGroup, "cayley", cayley)
     monkeypatch.setattr(np, "matmul", matmul_spy)
     return calls
 
@@ -674,28 +678,35 @@ class TestWorkCounts:
         assert "bit1 is not permissible: witness (1, 0, 1)" in capsys.readouterr().err
 
     def test_no_full_table_for_k_or_n(self, monkeypatch):
-        # verify on cyclic m=8: K (order 64) and N (order 128) are checked on
-        # their generator columns; only the regular representation of the
-        # induced group G reads a full multiplication table
+        # verify on cyclic m=8: K (order 64) is read only through its rows
+        # and generators and builds no Cayley table; the induced group G
+        # builds one for its regular representation, and N (order 128) one
+        # at the check of the joined representation, whose |N|^2 int64
+        # entries take the bytes of the joined stack, |N| = 2 d^2
         built = {}
 
         def spy(name, module, original):
             def wrapper(*args, **kwargs):
                 result = original(*args, **kwargs)
-                built.setdefault(name, []).append(result[0])
+                built.setdefault(name, []).append(result)
                 return result
             monkeypatch.setattr(module, name, wrapper)
 
         spy("generate_permutation_group", cli, cli.generate_permutation_group)
         spy("generate_permutation_group", pairing, pairing.generate_permutation_group)
         spy("induced_group", variables, variables.induced_group)
+        spy("build_joint_representation", pairing, pairing.build_joint_representation)
         report = cli.run_verify(cli.parse_context(CYCLIC8), "cyclic m=8")
         assert report.failed       # the pinned irreducibility and coset failures
-        k_group, n_group = built["generate_permutation_group"]
+        (k_group, _), (n_group, _) = built["generate_permutation_group"]
         assert (k_group.order, n_group.order) == (64, 128)
-        assert "cayley" not in vars(k_group) and "cayley" not in vars(n_group)
-        assert [g.order for g in built["induced_group"]] == [8, 8]
-        assert "cayley" in vars(built["induced_group"][0])
+        assert "cayley" not in vars(k_group)
+        assert [g.order for g, _ in built["induced_group"]] == [8, 8]
+        assert "cayley" in vars(built["induced_group"][0][0])
+        assert "cayley" not in vars(built["induced_group"][1][0])
+        [joint_rep] = built["build_joint_representation"]
+        assert joint_rep.group is n_group
+        assert n_group.cayley.nbytes == joint_rep.matrices.nbytes
 
     @pytest.mark.parametrize("doc, extends", [(CYCLIC8, True), (CYCLIC3, False)],
                              ids=["cyclic-m8", "cyclic-m3"])
@@ -728,19 +739,23 @@ class TestWorkCounts:
         assert constructor_work["products"] == 0
         assert constructor_work["residuals"] == constructor_work["certificates"] == 0
 
-    def test_joined_representation_checks_products(self, constructor_work, qubit_rep):
+    def test_joined_representation_checks_products(self, constructor_work, two_bit, qubit_rep):
         # the two-bit joined representation is not a permutation representation:
         # its stack is proven by the generator residuals and the certificate,
-        # |N|*|S| products plus |N| unitarity products, N of order 8
+        # |N|*|S| products plus |N| unitarity products, N of order 8; N is
+        # joined again, as `verify` joins it, so that its table is not built yet
+        joint = pairing.build_joint_group(two_bit["pair"], two_bit["g_group"],
+                                          two_bit["g_action"])
+        assert np.array_equal(joint.group.rows, qubit_rep.group.rows)
         representations.UnitaryRepresentation(
-            qubit_rep.group, qubit_rep.dim, qubit_rep.matrices, qubit_rep.tolerance)
+            joint.group, qubit_rep.dim, qubit_rep.matrices, qubit_rep.tolerance)
         assert constructor_work["order"] == 8
         assert constructor_work["residuals"] == constructor_work["certificates"] == 1
         assert constructor_work["scans"] == 0
         assert constructor_work["products"] == 8 * constructor_work["generators"] + 8
-        # the columns g * s come with the generating set, one batch of base-key
-        # products per generator, and are not composed again
-        assert constructor_work["base-key products"] == constructor_work["generators"]
+        # the columns g * s come with the generating set, read off N's Cayley
+        # table, built once, and are not composed again
+        assert constructor_work["tables"] == 1
 
 
 def _check(out: str, cid: str) -> dict:
@@ -848,13 +863,16 @@ class TestSpaceSizeBound:
 
     def test_operator_refuses_cayley_table_above_byte_bound(self, monkeypatch, capsys):
         # K, S5 on 5 points, fits; the 120 x 120 table of the induced group's
-        # regular action does not, and is refused before it is allocated
+        # regular action does not, and is refused before it is allocated: the
+        # report says so on stdout, after the group's order
         monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 2**16)
         code = cli.main(["operator", S5, "--variable", "v"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("120 permutations of 120 points need ")
-        assert "MiB bound" in captured.err and "Traceback" not in captured.err
+        assert code == 2 and captured.err == ""
+        assert captured.out.splitlines() == [
+            "operator for v", "induced group order: 120",
+            "operator not constructed: 120 permutations of 120 points need 0 MiB, "
+            "above the 0 MiB bound"]
 
 
 class TestOperatorMemory:

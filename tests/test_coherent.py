@@ -335,7 +335,7 @@ class TestPushforwardEquivalence:
         # must match the coset-state construction
         _, k_action = groups.generate_permutation_group([[1, 2, 3, 0]])
         parity = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
-        g_group, g_action, hom = variables.induced_group(parity, k_action)
+        g_group, g_action = variables.induced_group(parity, k_action)
         rep = reps.regular_representation(g_group)
         system = coherent.build_coherent_system(rep)
         points = [g_action.apply(r, 0) for r in system.cosets.representatives]

@@ -32,6 +32,14 @@ fails, `transition-unitarity` skipped) and k given as the generator word
 overlap at `--tolerance 0.6`: the operator is not constructed, and the
 command says why on stdout.
 
+Three cases were recorded when every group product came to read the group's
+Cayley table: `verify` in both formats on the one-point document
+`cyclic_m1.json`, whose N has one element and whose swap matrix is the
+identity of an irreducible base (23 checks pass), and `operator` with
+`--max-order 5040` on `symmetric_n7.json`, whose induced group S7 has a
+Cayley table above its byte bound: the operator is not constructed, and the
+command says why on stdout.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cvhilbert import cli, groups, pairing, variables
 from cvhilbert.errors import NotASubgroup, SizeLimit
 
-from conftest import standard_action, standard_group
+from conftest import induced_indices, standard_action, standard_group
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,7 +26,8 @@ class TestBuildGroup:
         g = standard_group("cyclic", 3)
         assert g.order == 3
         assert g.identity == 0
-        assert g._inverses([1, 2]).tolist() == [2, 1]
+        # the inverse of a is the column of its row that holds the identity
+        assert (g.cayley[[1, 2]] == g.identity).argmax(axis=1).tolist() == [2, 1]
 
 
 class TestPermutationRows:
@@ -248,7 +249,7 @@ class TestBuildersOnly:
     def test_group_refused(self):
         g = standard_group("cyclic", 3)
         with pytest.raises(TypeError, match="verifying builders"):
-            groups.FiniteGroup(g.rows, g.generators, g.columns, g.keys)
+            groups.FiniteGroup(g.rows, g.generators, g.columns)
 
     def test_replace_does_not_carry_the_token(self):
         action = groups.regular_action(standard_group("cyclic", 2))
@@ -268,14 +269,17 @@ class TestBuildersOnly:
         assert np.array_equal(action.act[g.cayley], action.act[:, action.act])
 
 
+# symmetric_n7.json is left out: its K, S7 of order 5040, passes the order
+# bound of the document, and the |K|^2 loop would take 25 million steps
 DOCUMENTS = sorted((ROOT / "fixtures").glob("*.json")) + sorted(
-    (ROOT / "tests" / "golden" / "docs").glob("*.json"))
+    p for p in (ROOT / "tests" / "golden" / "docs").glob("*.json")
+    if p.name != "symmetric_n7.json")
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=[p.name for p in DOCUMENTS])
 def test_induced_maps_are_homomorphisms(path):
-    # K -> G of every permissible variable against the |K|^2 loop over the
-    # reference tables of both groups
+    # K -> G of every permissible variable, each k's map found among G's
+    # rows, against the |K|^2 loop over the reference tables of both groups
     doc = cli.parse_context(str(path))
     k, k_action = groups.generate_permutation_group(
         doc.generators, space_size=doc.phi_size, order_bound=doc.max_order)
@@ -284,8 +288,9 @@ def test_induced_maps_are_homomorphisms(path):
     for var in doc.variables.values():
         if not variables.is_permissible(var, k_action)[0]:
             continue
-        g, _, hom = variables.induced_group(var, k_action)
-        assert len(hom) == k.order and hom[k.identity] == g.identity
+        g, g_action = variables.induced_group(var, k_action)
+        hom = induced_indices(var, k_action, g_action)
+        assert hom[k.identity] == g.identity
         assert reference_homomorphism(hom, table_k, reference_table(g.rows).tolist()) is None
         permissible += 1
     assert permissible
@@ -535,17 +540,22 @@ def assert_breadth_first(g):
 
 
 def assert_matches_reference(g, closed=True):
-    """Everything a group computes from its generator columns and base keys
-    against the |G|^2 reference table of its rows; the breadth-first
+    """Everything a group computes from its generator columns and its Cayley
+    table against the |G|^2 reference table of its rows; the breadth-first
     numbering too for a group `closed` from its generators."""
     if closed:
         assert_breadth_first(g)
     table = reference_table(g.rows)
     n = g.order
     assert g.cayley.tolist() == table.tolist()
-    everything = np.arange(n)
-    assert g._products(everything[:, None], everything[None]).tolist() == table.tolist()
-    assert g._inverses(everything).tolist() == np.argmax(table == 0, axis=1).tolist()
+    # the cyclic subgroup of the last element, its coset leaders, and the
+    # product of every element with it
+    last, members = n - 1, [g.identity]
+    while table[members[-1], last] != g.identity:
+        members.append(int(table[members[-1], last]))
+    assert groups.subgroup(g, members).members == tuple(sorted(members))
+    assert groups.coset_leaders(g, members).tolist() == table[:, members].min(axis=1).tolist()
+    assert [g.mult(a, last) for a in range(n)] == table[:, last].tolist()
     assert g.columns.tolist() == table[:, list(g.generators)].tolist()
     greedy, columns = groups._greedy_generators(g)
     assert greedy == reference_greedy_generators(table.tolist())
@@ -579,15 +589,6 @@ class TestGeneratorColumns:
         assert g.rows.tolist() == [rows[0]] + rest
         assert_matches_reference(g)
 
-    @given(GENERATOR_SETS)
-    def test_void_keys(self, case):
-        # base keys of more than one point overflow the int64 bound and fall
-        # back to void keys of the base images
-        size, gens = case
-        with mock.patch.object(groups, "_KEY_BOUND", 2):
-            g, _ = groups.generate_permutation_group(gens, space_size=size)
-            assert_matches_reference(g)
-
     def test_joined_group_m8(self):
         g = joined_group_m8().group
         assert g.order == 128 and len(g.generators) == 15
@@ -613,22 +614,6 @@ class TestGeneratorColumns:
         assert g.order == 6
         assert_matches_reference(g)
 
-    @pytest.mark.parametrize(
-        "source",
-        [("symmetric", 5), ("dihedral", 150), "cyclic_m16.json", "D512", "N-cyclic-m16"],
-        ids=["S5", "D150", "K-cyclic-m16", "D512", "N-cyclic-m16"])
-    def test_base_tells_elements_apart(self, source):
-        # every base point at least halves the elements that agree on the
-        # base so far, so a base has at most log2 |G| points; a closure is
-        # numbered breadth-first at any depth (D512 has 257 levels)
-        if isinstance(source, tuple):
-            g = standard_group(*source)
-        else:
-            g = CLOSURES[source]()
-            assert_breadth_first(g)
-        assert len(np.unique(g.rows[:, g.keys.points], axis=0)) == g.order
-        assert len(g.keys.points) <= math.log2(g.order)
-
 
 def joined_cyclic(m):
     """N for the product of two variables of m values under Z_m on each axis,
@@ -638,7 +623,7 @@ def joined_cyclic(m):
     theta, xi = variables.make_variable("x", x.tolist()), variables.make_variable("y", y.tolist())
     context = variables.Context(m * m, k_action, (theta, xi))
     pair = pairing.build_related_pair(context, theta, xi, tuple((y * m + x).tolist()))
-    g_group, g_action, _ = variables.induced_group(theta, k_action)
+    g_group, g_action = variables.induced_group(theta, k_action)
     return pairing.build_joint_group(pair, g_group, g_action).group
 
 
@@ -658,6 +643,12 @@ CLOSURES = {
     "D512": lambda: dihedral_on_polygon(512),
     "N-cyclic-m16": lambda: joined_cyclic(16),
 }
+
+
+@pytest.mark.parametrize("source", CLOSURES)
+def test_deep_closures_are_breadth_first(source):
+    # a closure is numbered breadth-first at any depth (D512 has 257 levels)
+    assert_breadth_first(CLOSURES[source]())
 
 
 def reference_left_cosets(table, members):

@@ -40,7 +40,7 @@ def nine_point_setup():
     ctx = variables.Context(9, k_action, (coord1, coord2))
     swap9 = tuple((p % 3) * 3 + (p // 3) for p in range(9))
     pair = pairing.build_related_pair(ctx, coord1, coord2, swap9)
-    g_group, g_action, _ = variables.induced_group(coord1, k_action)
+    g_group, g_action = variables.induced_group(coord1, k_action)
     return ctx, pair, g_group, g_action
 
 
