@@ -106,16 +106,29 @@ def _fmt(x) -> str:
 def _pair_rows(pairs, sep: str) -> list[str]:
     """Each row of `[re,im]` pairs as text, every number printed as `_fmt` prints it.
 
-    `pairs` has shape (rows, cols, 2). Adding 0.0 turns -0.0 into 0.0. Each
-    distinct pair is formatted once, with the `%.11e` template, and the rows
-    are joined from those strings; every NaN counts as distinct.
+    `pairs` has shape (rows, cols, 2). Adding 0.0 turns -0.0 into 0.0. Only
+    the nonzero entries are formatted, each with the `%.11e` template, in
+    row-major order; a NaN counts as nonzero. Each run of exact zeros
+    between them is the one zero string repeated, so a row formats its
+    nonzero entries, not its width: a diagonal d×d operator formats d
+    numbers.
     """
     pairs = np.ascontiguousarray(np.asarray(pairs, dtype=float) + 0.0)
-    keys = pairs.view(complex).reshape(-1)
-    distinct, inverse = np.unique(keys, return_inverse=True, equal_nan=False)
-    texts = np.array(["[%.11e,%.11e]" % (z.real, z.imag) for z in distinct.tolist()],
-                     dtype=object)
-    return [sep.join(row) for row in texts[inverse.reshape(pairs.shape[:2])].tolist()]
+    entries = pairs.view(complex).reshape(pairs.shape[:2])
+    rows, cols = np.nonzero(entries)
+    template = "[%.11e,%.11e]" + sep
+    texts = [template % (z.real, z.imag) for z in entries[rows, cols].tolist()]
+    zero = template % (0.0, 0.0)
+    lines, k, rows, cols = [], 0, rows.tolist(), cols.tolist()
+    for i in range(entries.shape[0]):
+        parts, at = [], 0
+        while k < len(rows) and rows[k] == i:
+            parts += (zero * (cols[k] - at), texts[k])
+            at, k = cols[k] + 1, k + 1
+        parts.append(zero * (entries.shape[1] - at))
+        line = "".join(parts)
+        lines.append(line[:len(line) - len(sep)])
+    return lines
 
 
 def _matrix_payload(m: np.ndarray) -> list:
@@ -202,10 +215,13 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             problems.append(f"group_K: generator {i} is not a permutation of {size} points")
         else:
             gens.append(tuple(g))
-    names = group_k.get("names") or [f"g{i}" for i in range(len(gens_raw))]
-    if (not isinstance(names, list) or not all(isinstance(n, str) for n in names)
-            or len(names) != len(gens_raw) or len(set(names)) != len(names)):
+    names = group_k.get("names")
+    if names is not None and (not isinstance(names, list)
+                              or not all(isinstance(n, str) for n in names)
+                              or len(names) != len(gens_raw) or len(set(names)) != len(names)):
         problems.append("group_K: names must be unique, one per generator")
+        names = None
+    if names is None:
         names = [f"g{i}" for i in range(len(gens_raw))]
     vars_raw = need(raw, "variables", list, "document")
     vars_out: dict[str, ConceptualVariable] = {}

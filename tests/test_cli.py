@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations, spectra, variables
@@ -240,14 +240,22 @@ class TestReports:
         assert cli._pair_rows(pairs, sep) == expected
         assert cli._pair_rows(pairs.tolist(), sep) == expected
 
+    # more examples than the profile's 30, so that each run draws widths 0
+    # and 1 and zero runs in every position
+    @settings(max_examples=200)
     @given(st.integers(1, 5), st.integers(0, 6), st.sampled_from([" ", "  "]), st.data())
     def test_pair_rows_match_one_template_per_row(self, rows, cols, sep, data):
         # entries drawn from a small pool, so that pairs repeat; NaNs with
-        # different imaginary parts must not share a string
+        # different imaginary parts must not share a string. About half the
+        # entries are signed zeros, so that runs of zeros, -0.0 among them,
+        # open, split and close rows, and whole rows are zero
         pool = data.draw(st.lists(st.sampled_from(self.EDGE_VALUES) | st.floats(), min_size=1,
                                   max_size=6))
-        pairs = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=rows * cols * 2,
-                                            max_size=rows * cols * 2))).reshape(rows, cols, 2)
+        signed_zero = st.sampled_from([0.0, -0.0])
+        entry = (st.tuples(st.sampled_from(pool), st.sampled_from(pool))
+                 | st.tuples(signed_zero, signed_zero))
+        pairs = np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                         dtype=float).reshape(rows, cols, 2)
         assert cli._pair_rows(pairs, sep) == one_template_rows(pairs, sep)
 
     def test_pair_rows_keep_nans_apart(self):
@@ -439,6 +447,10 @@ MALFORMED = {
                               "schema_version: must be '1'"),
     "labels not strings": (_edited(lambda raw: raw["phi_space"].update(labels=[0, 1, 2, 3])),
                            "labels must list one name per point"),
+    # only an absent or null `names` gets the default names
+    **{f"names {value!r}": (_edited(lambda raw, value=value: raw["group_K"].update(names=value)),
+                            "group_K: names must be unique, one per generator")
+       for value in (0, "", {}, False, [])},
 }
 
 
@@ -561,6 +573,16 @@ class TestWorkCounts:
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "eigenvalues:" in capsys.readouterr().out
         assert work_counts["eigh"] == 0
+
+    def test_operator_sorts_no_matrix_entries(self, monkeypatch, capsys):
+        # the diagonal 120×120 operator is printed from its 120 nonzero
+        # entries; no sort over its 14,400 entries finds the distinct ones
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        assert "eigenvalues:" in capsys.readouterr().out
 
     def test_k_closed_in_one_pass(self, monkeypatch, capsys):
         # S5 on 5 points from a transposition and a 5-cycle: products are
@@ -1048,9 +1070,10 @@ class TestFreshProcess:
         ["operator", "tests/golden/docs/symmetric_n5.json", "--variable", "v"],
     ], ids=["verify-two-bit", "operator-s5"])
     def test_verify_imports_nothing_new(self, argv):
-        # a lazy import inside the chain (numpy.ma behind np.unique, locale
-        # behind argparse's messages) costs every one-shot command its time;
-        # the operator on S5 takes the basis-state and diagonal read-off paths
+        # a lazy import inside the chain (numpy.ma behind numpy 2.4's
+        # np.unique, locale behind argparse's messages) costs every one-shot
+        # command its time; the operator on S5 takes the basis-state and
+        # diagonal read-off paths
         script = (
             "import contextlib, io, json, sys\n"
             "import numpy, cvhilbert.cli\n"

@@ -40,6 +40,11 @@ identity of an irreducible base (23 checks pass), and `operator` with
 Cayley table above its byte bound: the operator is not constructed, and the
 command says why on stdout.
 
+One case holds a malformed document: `verify` on a copy of the two-bit
+fixture whose `group_K.names` is 0, recorded when only an absent or null
+`names` came to get the default names. It exits 1 with the schema message
+on stderr and nothing on stdout.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the
@@ -82,8 +87,6 @@ def test_golden_set_is_consistent():
 
 # Functions no golden command calls, each kept for a stated reason.
 UNREACHED = {
-    # the schema message of a malformed document; no case holds one
-    "errors.SchemaError.__init__",
     # the paper's coarsening result, checked by test_acceptance.py
     "spectra.operator_for_coarsening",
     "spectra.EigenSystem.projectors",

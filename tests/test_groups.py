@@ -270,10 +270,11 @@ class TestBuildersOnly:
 
 
 # symmetric_n7.json is left out: its K, S7 of order 5040, passes the order
-# bound of the document, and the |K|^2 loop would take 25 million steps
+# bound of the document, and the |K|^2 loop would take 25 million steps;
+# two_bit_names_zero.json is the schema-error golden, which does not parse
 DOCUMENTS = sorted((ROOT / "fixtures").glob("*.json")) + sorted(
     p for p in (ROOT / "tests" / "golden" / "docs").glob("*.json")
-    if p.name != "symmetric_n7.json")
+    if p.name not in ("symmetric_n7.json", "two_bit_names_zero.json"))
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=[p.name for p in DOCUMENTS])

@@ -20,7 +20,8 @@ from conftest import SWAP, direct_sum, joint_system, standard_group
 
 TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
-GOLDEN_DOCS = sorted(DOCS.glob("*.json"))
+# every golden document but the schema-error one, which does not parse
+GOLDEN_DOCS = sorted(p for p in DOCS.glob("*.json") if p.name != "two_bit_names_zero.json")
 
 
 def one_dim(group, phases):
