@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -593,7 +595,7 @@ _PAIR_STAGES = (_relate, _join, _extend, _label, _operators, _covariance, _basis
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     if fmt == "structured":
-        return json.dumps(_report_payload(report), indent=2, sort_keys=False) + "\n"
+        return _structured_report(report)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     lines = [
@@ -628,27 +630,74 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_payload(report: VerificationReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "context": report.context_name,
-        "tolerance": _num(report.tolerance),
-        "seeds": None,
-        "checks": [
-            {
-                "id": c.cid,
-                "anchor": c.anchor,
-                "status": c.status,
-                "residual": c.residual,
-                "witness": c.witness,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
-        "operators": report.operators,
-        "question_answers": report.question_answers,
-        "summary": dict(zip(("pass", "fail", "skip"), report.counts())),
-    }
+def _list(items, pad: int) -> str:
+    """The indent=2 JSON layout of a list of the laid-out `items`, its
+    brackets `pad` spaces in."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (pad + 2)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * pad + "]"
+
+
+def _fill(cut: list[str], *layouts: str) -> str:
+    """A layout cut at its "|" slots, with the given layouts in the slots."""
+    return "".join(itertools.chain.from_iterable(zip(cut, layouts))) + cut[-1]
+
+
+# The structured report is written without json's pure-Python indent
+# encoder: every leaf, in document order and each [re, im] entry as two, is
+# encoded by one call to the C encoder with NUL between leaves, which its
+# ASCII escaping never leaves inside a string, and the pieces fill one
+# layout template of "%s" slots. Report text is only ever an argument.
+_LEAF_ENCODER = json.JSONEncoder(separators=("\x00", ":"))
+# non-finite numbers, which strict JSON refuses, as the text report prints them
+_NON_FINITE = {"Infinity": '"inf"', "-Infinity": '"-inf"', "NaN": '"nan"'}
+_CHECK_LEAVES = attrgetter("cid", "anchor", "status", "residual", "witness", "detail")
+# the layouts of a check, an operator, an answer and the document, the last
+# three cut at the "|" slots of their lists
+_CHECK = ('{\n      "id": %s,\n      "anchor": %s,\n      "status": %s,\n'
+          '      "residual": %s,\n      "witness": %s,\n      "detail": %s\n    }')
+_OPERATOR = ('{\n      "pair": %s,\n      "variable": %s,\n      "matrix": |,\n'
+             '      "eigenvalues": |\n    }').split("|")
+_ANSWER = ('{\n      "pair": %s,\n      "variable": %s,\n      "value": %s,\n'
+           '      "numeric": %s,\n      "rank": %s,\n      "vector": |\n    }').split("|")
+_DOCUMENT = ('{\n  "schema_version": %s,\n  "context": %s,\n  "tolerance": %s,\n  "seeds": %s,\n'
+             '  "checks": |,\n  "operators": |,\n  "question_answers": |,\n  "summary": {\n'
+             '    "pass": %s,\n    "fail": %s,\n    "skip": %s\n  }\n}\n').split("|")
+_ENTRY_8, _ENTRY_10 = _list(("%s", "%s"), 8), _list(("%s", "%s"), 10)
+
+
+def _structured_report(report: VerificationReport) -> str:
+    """The report's JSON document, laid out as `json.dumps(..., indent=2)`
+    lays it out, and a newline. A matrix is rectangular, as `_matrix_payload`
+    writes it, so each matrix and vector is one entry layout repeated."""
+    flat = itertools.chain.from_iterable
+    leaves = [SCHEMA_VERSION, report.context_name, _num(report.tolerance), None]
+    leaves += flat(map(_CHECK_LEAVES, report.checks))
+    operators = []
+    for op in report.operators:
+        matrix, eigenvalues = op["matrix"], op["eigenvalues"]
+        leaves += (op["pair"], op["variable"])
+        leaves += flat(flat(matrix))
+        leaves += eigenvalues
+        row = _list((_ENTRY_10,) * (len(matrix[0]) if matrix else 0), 8)
+        operators.append(_fill(_OPERATOR, _list((row,) * len(matrix), 6),
+                               _list(("%s",) * len(eigenvalues), 6)))
+    answers = []
+    for qa in report.question_answers:
+        vector = qa["vector"]
+        leaves += (qa["pair"], qa["variable"], qa["value"], qa["numeric"], qa["rank"])
+        leaves += flat(vector) if vector is not None else (None,)
+        answers.append(_fill(_ANSWER, "%s" if vector is None
+                             else _list((_ENTRY_8,) * len(vector), 6)))
+    leaves += report.counts()
+    encoded = _LEAF_ENCODER.encode(leaves)
+    texts = encoded[1:-1].split("\x00")
+    if "Infinity" in encoded or "NaN" in encoded:
+        # a string leaf holding these words is quoted, so only numbers match
+        texts = map(_NON_FINITE.get, texts, texts)
+    return _fill(_DOCUMENT, _list((_CHECK,) * len(report.checks), 2), _list(operators, 2),
+                 _list(answers, 2)) % tuple(texts)
 
 
 def two_bit_document() -> dict:

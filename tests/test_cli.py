@@ -24,6 +24,7 @@ S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.jso
 CYCLIC8 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json")
 CYCLIC3 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m3.json")
 NO_NUMERIC = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_bit_no_numeric.json")
+HUGE_VALUES = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_bit_huge_values.json")
 
 
 class TestParsing:
@@ -271,6 +272,93 @@ def one_template_rows(pairs, sep):
     pairs = np.asarray(pairs, dtype=float) + 0.0
     template = sep.join(["[%.11e,%.11e]"] * pairs.shape[1])
     return [template % tuple(row.tolist()) for row in pairs.reshape(len(pairs), -1)]
+
+
+def reference_payload(report):
+    """The reference for the structured report: its payload, which
+    `json.dumps(..., indent=2)` lays out."""
+    return {
+        "schema_version": cli.SCHEMA_VERSION,
+        "context": report.context_name,
+        "tolerance": cli._num(report.tolerance),
+        "seeds": None,
+        "checks": [
+            {"id": c.cid, "anchor": c.anchor, "status": c.status, "residual": c.residual,
+             "witness": c.witness, "detail": c.detail}
+            for c in report.checks
+        ],
+        "operators": report.operators,
+        "question_answers": report.question_answers,
+        "summary": dict(zip(("pass", "fail", "skip"), report.counts())),
+    }
+
+
+def spelled(value):
+    """`value` with each non-finite number as the string the text report
+    prints for it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return cli._fmt(value)
+    if isinstance(value, dict):
+        return {key: spelled(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [spelled(v) for v in value]
+    return value
+
+
+def strict_loads(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# report text: the layout's own characters, a comma, NUL (the leaves' separator),
+# a line separator, the spellings of non-finite numbers, escapes, and any
+# character at all
+TEXT = st.lists(st.sampled_from(["%", "%s", "|", "{", ",", '"', "\\", "\x00", "\u2028", " ",
+                                 "\n", "é", "漢", "Infinity", "NaN"]) | st.characters(),
+                max_size=5).map("".join)
+
+
+@st.composite
+def reports(draw, number):
+    """A VerificationReport of every shape the writer lays out, numbers
+    normalized by `_num` as the chain stores them."""
+    num = number.map(cli._num)
+    entry = st.lists(num, min_size=2, max_size=2)
+    checks = st.builds(cli.CheckRecord, TEXT, TEXT, st.sampled_from(["pass", "fail", "skip"]),
+                       st.none() | num, st.none() | TEXT, st.none() | TEXT)
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    # the keys in the order the chain writes them
+    operators = st.tuples(
+        st.integers(), TEXT,
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows),
+        st.lists(num, max_size=3),
+    ).map(lambda fields: dict(zip(("pair", "variable", "matrix", "eigenvalues"), fields)))
+    answers = st.tuples(
+        st.integers(), TEXT, TEXT, num, st.integers(), st.none() | st.lists(entry, max_size=3),
+    ).map(lambda fields: dict(zip(("pair", "variable", "value", "numeric", "rank", "vector"),
+                                  fields)))
+    return cli.VerificationReport(draw(TEXT), draw(number), draw(st.lists(checks, max_size=4)),
+                                  draw(st.lists(operators, max_size=2)),
+                                  draw(st.lists(answers, max_size=3)))
+
+
+class TestStructuredReport:
+    # more examples than the profile's 30, so that empty and one-entry
+    # matrices, vectors and lists of each kind are drawn
+    @settings(max_examples=200)
+    @given(reports(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_matches_indented_json(self, report):
+        assert cli.emit_report(report, "structured") == json.dumps(
+            reference_payload(report), indent=2) + "\n"
+
+    @settings(max_examples=100)
+    @given(reports(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])))
+    def test_non_finite_numbers_spelled_as_text_report(self, report):
+        out = cli.emit_report(report, "structured")
+        assert out == json.dumps(spelled(reference_payload(report)), indent=2,
+                                 allow_nan=False) + "\n"
+        strict_loads(out)
 
 
 class TestMainEntry:
@@ -583,6 +671,16 @@ class TestWorkCounts:
         monkeypatch.setattr(np, "unique", refuse)
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "eigenvalues:" in capsys.readouterr().out
+
+    def test_structured_report_uses_no_python_encoder(self, monkeypatch, capsys):
+        # json's indent encoder is its pure-Python one; the report's leaves
+        # go through the C encoder in one call
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        assert cli.main(["verify", TWO_BIT, "--format", "structured"]) == 0
+        assert strict_loads(capsys.readouterr().out)["summary"]["fail"] == 0
 
     def test_k_closed_in_one_pass(self, monkeypatch, capsys):
         # S5 on 5 points from a transposition and a 5-cycle: products are
@@ -1025,6 +1123,17 @@ class TestLargeValues:
         assert code == 0 and captured.err == ""
         for t in (3, 5):
             assert _check(captured.out, f"conjugation-covariance[0][t={t}]")["status"] == "pass"
+
+    def test_structured_report_is_strict_json(self, capsys):
+        # both variables' values a float range apart: moved operators that
+        # collide in a scalar class leave infinite residuals, which the
+        # report spells as the text report prints them
+        code = cli.main(["verify", HUGE_VALUES, "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        payload = strict_loads(captured.out)
+        check = next(c for c in payload["checks"] if c["id"] == "conjugation-covariance[0][t=2]")
+        assert (check["status"], check["residual"]) == ("skip", "inf")
 
     def test_verify_reports_unbuilt_operator(self, tmp_path, monkeypatch, capsys):
         _unbuilt_operators(monkeypatch)

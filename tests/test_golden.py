@@ -45,6 +45,12 @@ fixture whose `group_K.names` is 0, recorded when only an absent or null
 `names` came to get the default names. It exits 1 with the schema message
 on stderr and nothing on stdout.
 
+One structured case holds non-finite numbers: `verify` on a copy of the
+two-bit fixture with both variables' numeric values [-1.7e308, 1.7e308],
+recorded when the structured report came to spell a non-finite number as
+the string the text report prints for it. Four covariance residuals are
+"inf"; every other byte is as the report before that change printed it.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the

@@ -474,7 +474,11 @@ class TestCovarianceAgainstLoop:
     def test_golden_documents(self):
         systems = verified_systems()
         assert {"two_bit", "cyclic_m2", "xor_m4", "two_bit_spin_suite"} <= set(systems)
-        for system, a_theta, theta_values in systems.values():
+        # the loop subtracts unscaled, which passes the float range at values
+        # of ±1.7e308; TestLargeValues in test_cli.py covers that document
+        for name, (system, a_theta, theta_values) in systems.items():
+            if name == "two_bit_huge_values":
+                continue
             assert_records_match(pairing.covariance_records(system, a_theta, theta_values),
                                  looped_covariance(system, theta_values))
 
