@@ -63,14 +63,6 @@ class NoResolution(CvhilbertError):
     """Operator construction requires a passing resolution of identity."""
 
 
-class NotHomomorphism(CvhilbertError, ValueError):
-    """A matrix stack breaks the multiplication table at a pair of elements."""
-
-    def __init__(self, a: int, b: int):
-        self.pair = (a, b)
-        super().__init__(f"not a homomorphism at pair ({a}, {b})")
-
-
 class NotWellDefined(CvhilbertError):
     """The generated matrix assignment is not a homomorphism.
 

@@ -21,15 +21,15 @@ is exact, so one pass closes the group, and the closure is a group by
 construction. K, the group G induced on a variable's values (closed from the
 images of K's generators) and the joined group N are all built by it.
 
-Every product reads the |G|^2 table `FiniteGroup.cayley`: `mult`, the
-inverses and products of `subgroup`, `coset_leaders`, the greedy generating
-set of the representation check and its fallback scan. The table is filled
-from the columns, one breadth-first level at a time, on its first read, and
-only a group that is multiplied builds it: G, whose regular representation
-is its table, and N, at the representation check. K is read only through
-its rows and generators and builds none. The table is the group's regular
-action (Cayley), verified with the columns it is read from, and
-`regular_action` wraps it as one. Like the element rows of a closure, it is
+Every product of two arbitrary elements reads the |G|^2 table
+`FiniteGroup.cayley`: the inverses and products of `subgroup` and
+`coset_leaders`. The table is filled from the columns, one breadth-first
+level at a time, on its first read, and only a group that is multiplied
+builds it: G, whose regular representation is its table, and N, at the
+cosets of a joined representation that extends. K is read only through its
+rows and generators and builds none. The table is the group's regular action
+(Cayley), verified with the columns it is read from, and `regular_action`
+wraps it as one. Like the element rows of a closure, it is
 refused with SizeLimit above PERMUTATION_BYTE_LIMIT before it is allocated.
 
 A built action needs no further check to answer questions about it:
@@ -103,9 +103,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.rows)
-
-    def mult(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
 
     @cached_property
     def cayley(self) -> np.ndarray:
@@ -379,27 +376,3 @@ def bfs_words(group: FiniteGroup) -> list[tuple[int, ...]]:
             words[e] = words[p] + (s,)
     return words
 
-
-def _greedy_generators(group: FiniteGroup):
-    """(gens, columns): a generating set read off the elements and the
-    columns of its Cayley graph. In turn, the first element s outside the
-    subgroup generated so far joins, and g * s is read off the Cayley table
-    for every g. Each one at least doubles that subgroup (Lagrange), so there
-    are at most log2 |G| of them."""
-    n = group.order
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
-    gens: list[int] = []
-    columns = np.zeros((n, 0), dtype=np.int64)
-    while not inside.all():
-        gens.append(int(inside.argmin()))
-        columns = group.cayley[:, gens]
-        # close under right multiplication by the generators
-        frontier = inside.nonzero()[0]
-        while frontier.size:
-            new = np.zeros(n, dtype=bool)
-            new[columns[frontier]] = True
-            new &= ~inside
-            inside |= new
-            frontier = new.nonzero()[0]
-    return gens, columns

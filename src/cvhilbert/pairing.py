@@ -5,10 +5,14 @@ independent copy acts on the second value set and a swap generator joins
 them into a group N on the value product. That N is transitive, and not
 abelian for more than one value, follows from G (`build_joint_group` has
 the proof) and is not checked. N's generators are listed in a fixed order,
-so the matrices assigned to them are one stack: U(g), J U(g) J, then J. A
-representation of N is grown from those matrices; nothing guarantees in
-advance that the assignment extends to a homomorphism, so the extension is
-verified per instance and rejected with a witness when it fails.
+so the matrices assigned to them are one stack: U(g), J U(g) J, then J.
+Nothing guarantees in advance that this assignment extends to a
+homomorphism. N is the wreath product G wr Z_2, so it extends exactly when
+the images satisfy N's defining relations (von Dyck's theorem), and those
+reduce to J^2 = I and U(g) commuting with J U(h) J for every g and h in G;
+`build_joint_representation` decides them, names the first failing
+commutator as two disagreeing words, and only then grows the representation
+of N from the generator matrices.
 
 The coherent-state system of the joined representation (built by
 `coherent`) has one state per coset of the fiducial's isotropy; the cosets
@@ -39,7 +43,6 @@ from .errors import (
     CosetLabelingError,
     InvolutionViolation,
     NontrivialIsotropy,
-    NotHomomorphism,
     NotMaximal,
     NotRelated,
     NotTransitive,
@@ -52,6 +55,7 @@ from .groups import (
     GroupAction,
     _bfs_levels,
     _block_cells,
+    _first_violation,
     bfs_words,
     coset_leaders,
     generate_permutation_group,
@@ -59,6 +63,7 @@ from .groups import (
     isotropy_subgroup,
 )
 from .representations import (
+    _BUILT,
     Operator,
     UnitaryRepresentation,
     _check_stack,
@@ -218,46 +223,85 @@ def build_swap_matrix(base_rep: UnitaryRepresentation) -> np.ndarray:
 def build_joint_representation(
     joint: JointGroup, base_rep: UnitaryRepresentation, swap_matrix: np.ndarray
 ) -> UnitaryRepresentation:
-    """Extend the generator assignment to all of N and verify it.
+    """Decide from N's defining relations that the generator assignment
+    F_g -> U(g), S_g -> B_g = J U(g) J, W -> J extends to N, then extend it.
 
-    The swap J must square to the identity, or NotWellDefined names the swap
-    element. Each element receives the matrix product along its breadth-first
-    shortest word: U(e) = I and U(n) = U(parent) U(s) down the breadth-first
-    tree, one batched product per level. A generator's word is the generator
-    alone, so a second-axis copy gets exactly J U(g) J, the defining
-    relation. The extension is accepted only if the full multiplication table
-    is respected, which `UnitaryRepresentation` verifies on construction;
-    otherwise NotWellDefined carries an element with two words whose products
-    disagree, the words read off `bfs_words` only then. A stack above
-    REPRESENTATION_BYTE_LIMIT raises SizeLimit before it is allocated.
+    N, with first-axis copies F_g, second-axis copies S_g and the swap W, is
+    the wreath product G wr Z_2 = (G x G) x| Z_2 (Dixon and Mortimer,
+    Permutation Groups, 1996, 2.6). By von Dyck's theorem (D. L. Johnson,
+    Presentations of Groups, 1997) the assignment extends to a homomorphism
+    exactly when the images satisfy N's defining relations: the F-copies
+    multiply as G, which holds as U is a verified representation of G;
+    W F_g W = S_g, which holds by the definition of B_g; W^2 = 1, after which
+    B_g B_h = J U(g) J^2 U(h) J = B_gh, so the S-copies multiply as G; and
+    F_g S_h = S_h F_g. So this decides, in order, each comparison written
+    `not residual <= tol`, so that a NaN fails:
 
-    The check reads N's Cayley table, built there: its |N|^2 * 8 bytes are
-    the |N| d^2 * 16 bytes of the stack, as |N| = 2 d^2 for more than one
-    value.
+    1. J is finite, or ValueError, before any product is taken;
+    2. J^2 = I, or NotWellDefined names the swap, words ("swap", "swap"), ();
+    3. U(g) B_h = B_h U(g) for every pair of moved elements g, h of G,
+       scanned row-major with h in the outer loop;
+    4. J J^dagger = I, or ValueError names the swap element; every U(n), a
+       product of unitary matrices, is then unitary. With one value no
+       element is sent to J, and this is not asked.
+
+    The first failing pair (h, g) raises NotWellDefined at c = S_h F_g, read
+    off N's Cayley-graph columns, with the words (`bfs_words`) of S_h and F_g
+    joined and the word of c. That is the first pair (a, b) in row-major
+    order with U(a*b) != U(a)U(b) in the stack built below, up to a residual
+    within rounding of the tolerance. Breadth-first words are the normal form
+    F_x S_y W^s, as the generators are listed F, S, W and every moved element
+    of G is one, and the elements are numbered e, F_1.., S_1.., W, ... In
+    exact arithmetic, once J^2 = I: no row F_g fails, as U(gx) = U(g)U(x); no
+    row S_h' whose commutators hold fails, as B_h' U(x) B_y J^s =
+    U(x) B_h'y J^s; and row S_h at column F_g compares U(g) B_h, the product
+    along the word of c, with B_h U(g): this commutator, float for float.
+    Every other residual of the table is rounding, which only a tolerance
+    within rounding, such as 1e-15, can see.
+
+    Each element then receives the matrix product along its breadth-first
+    word: U(e) = I and U(n) = U(parent) U(s) down the breadth-first tree, one
+    batched product per level, so a generator gets its own matrix. A stack
+    above REPRESENTATION_BYTE_LIMIT raises SizeLimit before it is allocated.
+    N's Cayley table is not read.
     """
     d = base_rep.dim
     tol = base_rep.tolerance
     swap_matrix = np.asarray(swap_matrix, dtype=complex)
-    if _maxabs(swap_matrix @ swap_matrix - np.eye(d)) > tol:
-        raise NotWellDefined(joint.swap_element, ("swap", "swap"), ())
+    if not np.isfinite(swap_matrix).all():
+        raise ValueError("swap matrix has a non-finite entry")
+    # products of a J with huge entries overflow to inf and NaN, which fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _maxabs(swap_matrix @ swap_matrix - np.eye(d)) <= tol:
+            raise NotWellDefined(joint.swap_element, ("swap", "swap"), ())
+        _check_stack(joint.group.order, d)
+        moved = base_rep.matrices[1:]
+        sandwiched = swap_matrix @ moved @ swap_matrix
+
+        def broken(hs, gs):
+            u, b = moved[gs][None], sandwiched[hs][:, None]
+            return ~(np.abs(u @ b - b @ u).max(axis=(2, 3), initial=0.0) <= tol)
+
+        k = len(moved)
+        pair = _first_violation((k, k), broken, swap_matrix.itemsize * d * d)
+        if pair is not None:
+            h, g = pair
+            a, b = joint.second_embed[h + 1], joint.first_embed[g + 1]
+            c = int(joint.group.columns[b, k + h])
+            words = bfs_words(joint.group)
+            raise NotWellDefined(c, words[a] + words[b], words[c])
+        if k and not _maxabs(swap_matrix @ swap_matrix.conj().T - np.eye(d)) <= tol:
+            raise ValueError(f"matrix for element {joint.swap_element} is not unitary")
     # the generators in the order `build_joint_group` lists them; with one
     # value N has none, and the swap's matrix is never read
-    moved = base_rep.matrices[1:]
-    gen_mats = np.concatenate([moved, swap_matrix @ moved @ swap_matrix, swap_matrix[None]])
-    _check_stack(joint.group.order, d)
+    gen_mats = np.concatenate([moved, sandwiched, swap_matrix[None]])
     mats = np.empty((joint.group.order, d, d), dtype=complex)
     mats[joint.group.identity] = np.eye(d)
     # the word of an element is its parent's word and one more letter
     for elements, parents, slots in _bfs_levels(joint.group.columns):
         mats[elements] = mats[parents] @ gen_mats[slots]
     mats.setflags(write=False)
-    try:
-        return UnitaryRepresentation(joint.group, d, mats, tol)
-    except NotHomomorphism as exc:
-        a, b = exc.pair
-        c = joint.group.mult(a, b)
-        words = bfs_words(joint.group)
-        raise NotWellDefined(c, words[a] + words[b], words[c]) from exc
+    return UnitaryRepresentation(joint.group, d, mats, tol, _BUILT)
 
 
 def joint_coset_structure(

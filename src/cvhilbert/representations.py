@@ -1,33 +1,27 @@
 """Unitary representations on finite-dimensional complex spaces.
 
-A representation is verified once, where it is built: U(e) = I, the
-multiplication table U(a*b) = U(a)U(b) and unitarity. A permutation
-representation, as `permutation_representation` and `regular_representation`
-build, holds its `GroupAction`, U(g)[act[g, x], x] = 1. Only the verifying
-builders in `groups` make an action, so it inherits the check the action
-passed there; its stack of 0/1 matrices is built only when `matrices` is
-first read. The 0/1 matrices of functions multiply as the functions compose,
-P_f P_h = P_{f o h}, so a verified action is a verified representation, and
-the constructor checks only that the action is one of its group on C^dim. A
-stack given as matrices, 0/1 or not, takes the float check on a generating
-set S read greedily off the group's elements (`groups._greedy_generators`),
-which reads the products g*s off the group's Cayley table as it reads S off
-and returns them with it: |G|*|S| matrix products instead of |G|^2. The
-stack must be finite, and a certificate (`_certified`) bounds the residual
-of every other pair by the generator residual, the BFS depth over S, the
-unitarity residual and the rounding of the scan. When that bound does not
-prove the table, the row-major scan runs as the fallback, one block of the
-Cayley table at a time, and names the first failing pair, so a verdict or a
-witness never depends on the certificate. A stack of more than
-REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before it is
-allocated: a permutation representation's when `matrices` is first read, as
-it is built only then.
+A representation is verified once, where it is built, and only the two
+verifying builders make one, each passing a module-private token. A
+permutation representation, as `permutation_representation` and
+`regular_representation` build, holds its `GroupAction`,
+U(g)[act[g, x], x] = 1. Only the verifying builders in `groups` make an
+action, so it inherits the check the action passed there; its stack of 0/1
+matrices is built only when `matrices` is first read. The 0/1 matrices of
+functions multiply as the functions compose, P_f P_h = P_{f o h}, so a
+verified action is a verified representation, and the constructor checks
+only that the action is one of its group on C^dim. The one stack of
+matrices, the joined representation, is decided by
+`pairing.build_joint_representation` from the defining relations of the
+joined group before it is built, and takes no further check. A stack of
+more than REPRESENTATION_BYTE_LIMIT bytes is refused with SizeLimit before
+it is allocated: a permutation representation's when `matrices` is first
+read, as it is built only then.
 
 Irreducibility is decided through the commutant: the linear space of matrices
 commuting with every representation matrix. Dimension one is the Schur
 criterion. The dimension is the character norm (1/|G|) sum_g |tr U(g)|^2
 (Schur orthogonality; Serre, Linear Representations of Finite Groups, 2.3),
-one batched trace; it is exact because the constructor has verified the
+one batched trace; it is exact because the builder has verified the
 multiplication table and unitarity. A basis, needed where a Hermitian
 commutant element supplies the invariant subspaces of the joining
 construction, is the null space of the stacked commutator system, taken from
@@ -37,13 +31,12 @@ its thin SVD.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import IrreducibleInput, NotHermitian, NotHomomorphism, SizeLimit
-from .groups import (FiniteGroup, GroupAction, _bfs_levels, _block_cells, _first_violation,
-                     _greedy_generators, regular_action)
+from .errors import IrreducibleInput, NotHermitian, SizeLimit
+from .groups import FiniteGroup, GroupAction, _block_cells, regular_action
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
@@ -52,6 +45,11 @@ DEFAULT_TOLERANCE = 1e-9
 COMMUTANT_BYTE_LIMIT = 256 * 2**20
 # Largest stack of representation matrices, in bytes of complex entries.
 REPRESENTATION_BYTE_LIMIT = 256 * 2**20
+
+# Passed by the verifying builders alone, `permutation_representation` and
+# `pairing.build_joint_representation`; `UnitaryRepresentation` refuses a
+# call without it.
+_BUILT = object()
 
 
 def _check_stack(order: int, dim: int) -> None:
@@ -66,64 +64,25 @@ def _check_stack(order: int, dim: int) -> None:
 class UnitaryRepresentation:
     """U(g) for every element g of a finite group, on C^dim.
 
-    `source` is the (n, d, d) stack of the matrices, or the `GroupAction`
-    of a permutation representation: U(g)[act[g, x], x] = 1 and every other
-    entry 0. An action was verified where it was built; `matrices` builds
-    its stack on first read.
+    `source` is the `GroupAction` of a permutation representation, U(g)[act[g,
+    x], x] = 1 and every other entry 0, whose stack `matrices` builds on first
+    read, or the (n, d, d) stack of a joined representation. Only the
+    verifying builders make one: each passes the module-private token, and
+    the constructor refuses a call without it with TypeError.
     """
     group: FiniteGroup
     dim: int
     source: GroupAction | np.ndarray    # an action on C^dim, or an (n, d, d) stack
     tolerance: float = DEFAULT_TOLERANCE
+    token: InitVar[object] = None
 
-    def __post_init__(self):
-        group = self.group
-        n, d = group.order, self.dim
-        if isinstance(self.source, GroupAction):
-            if self.source.group is not group or self.source.space_size != d:
-                raise ValueError("the action is not one of this group on C^dim")
-            return
-        mats = self.source
-        if mats.shape != (n, d, d):
-            raise ValueError("matrix stack has wrong shape")
-        if not np.isfinite(mats).all():
-            raise ValueError("matrix stack has a non-finite entry")
-        eye = np.eye(d)
-        identity_residual = _maxabs(mats[group.identity] - eye)
-        if identity_residual > self.tolerance:
-            raise ValueError("identity element is not represented by the identity")
-        # The blocks reuse three buffers: a fresh temporary of a block's size
-        # faults in new pages on every step, which costs more than the products.
-        # Products are element indices, so `take` need not check them
-        # ("clip"), which spares it a buffered copy.
-        cell_bytes = mats.itemsize * d * d
-        cells = _block_cells(cell_bytes)
-        product, target = np.empty((2, cells * d * d), dtype=mats.dtype)
-        residual = np.empty(cells * d * d)
-
-        # the certificate's rounding bound holds for floating-point stacks only
-        if np.issubdtype(mats.dtype, np.inexact):
-            gens, columns = _greedy_generators(group)
-            depth = len(_bfs_levels(columns))
-            r, u = _generator_residuals(mats, gens, columns, cells, (product, target, residual))
-            if _certified(r, u, identity_residual, depth, d, self.tolerance,
-                          float(np.finfo(mats.dtype).eps)):
-                return
-
-        def broken(a, b):
-            index = group.cayley[a, b]
-            shape, size = (*index.shape, d, d), index.size * d * d
-            p = np.matmul(mats[a][:, None], mats[b][None], out=product[:size].reshape(shape))
-            t = np.take(mats, index, axis=0, out=target[:size].reshape(shape), mode="clip")
-            r = np.abs(np.subtract(t, p, out=p), out=residual[:size].reshape(shape))
-            return r.max(axis=(2, 3), initial=0.0) > self.tolerance
-
-        pair = _first_violation((group.order, group.order), broken, cell_bytes)
-        if pair is not None:
-            raise NotHomomorphism(*pair)
-        for g, u in enumerate(mats):
-            if _maxabs(u @ u.conj().T - eye) > self.tolerance:
-                raise ValueError(f"matrix for element {g} is not unitary")
+    def __post_init__(self, token):
+        if token is not _BUILT:
+            raise TypeError("a UnitaryRepresentation is made only by "
+                            "permutation_representation and build_joint_representation")
+        if isinstance(self.source, GroupAction) and (
+                self.source.group is not self.group or self.source.space_size != self.dim):
+            raise ValueError("the action is not one of this group on C^dim")
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
@@ -163,78 +122,6 @@ def _check_operators(stack: np.ndarray, tolerance: float) -> None:
 
 def _maxabs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def _generator_residuals(mats, gens, columns, step, buffers):
-    """(r, u): the largest entry of U(g*s) - U(g)U(s) over every g and every
-    s in gens, and of U(g)U(g)^dagger - I over every g; columns[g, j] is
-    g * gens[j].
-
-    One pass over blocks of `step` rows, whose products, targets and
-    residuals fill the three buffers. NaN propagates into the result.
-    """
-    eye = np.eye(mats.shape[1])
-    r = u = 0.0
-    for a in range(0, len(mats), step):
-        block = mats[a:a + step]
-        p, t, res = (buf[:block.size].reshape(block.shape) for buf in buffers)
-        for j, s in enumerate(gens):
-            np.matmul(block, mats[s], out=p)
-            np.take(mats, columns[a:a + step, j], axis=0, out=t, mode="clip")
-            r = np.maximum(r, np.abs(np.subtract(t, p, out=p), out=res).max(initial=0.0))
-        np.matmul(block, np.conj(block, out=t).transpose(0, 2, 1), out=p)
-        u = np.maximum(u, np.abs(np.subtract(p, eye, out=p), out=res).max(initial=0.0))
-    return float(r), float(u)
-
-
-def _certified(r, u, e, depth, d, tolerance, eps) -> bool:
-    """True when the full table scan and the unitarity loop are proven to pass.
-
-    Inputs, all computed in floating point with machine epsilon eps: r the
-    largest entry of U(g*s) - U(g)U(s) over every g and every s of a
-    generating set S, u that of U(g)U(g)^dagger - I over every g, e that of
-    U(e) - I, and depth L the longest breadth-first word over S
-    (`bfs_words`).
-
-    Notation: |X| is the largest entry modulus of a d x d matrix, the quantity
-    the scans compare with the tolerance, and ||X|| the spectral norm; then
-    |X| <= ||X|| <= d |X|. Rounding (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, 3.1 and 3.6; underflow ignored): a computed
-    entry of a complex product AB lies within rho ||A|| ||B|| of the exact
-    one, rho = (d + 4) eps, in any summation order, and the subtraction and
-    the modulus that follow change a residual by a factor within
-    kappa = 1 + 4 eps of 1. So an exact residual is at most kappa times the
-    computed one plus the product's rho ||A|| ||B||, and the other way round.
-
-    1. Norms. ||U(g)||^2 = ||U(g)U(g)^dagger|| <= 1 + d |U(g)U(g)^dagger - I|
-       <= 1 + d (kappa u + rho ||U(g)||^2), so with d rho < 1,
-       ||U(g)||^2 <= c^2 = (1 + d kappa u) / (1 - d rho).
-    2. Exact residuals. |U(g*s) - U(g)U(s)| <= r' = kappa r + rho c^2,
-       |U(g)U(g)^dagger - I| <= u' = kappa u + rho c^2, |U(e) - I| <= kappa e.
-    3. Induction on word length. Let D(a, b) = U(a*b) - U(a)U(b). For b = e,
-       D(a, e) = U(a)(I - U(e)), so ||D(a, e)|| <= B_0 = c d kappa e. An
-       element b at depth k >= 1 is b'*s with b' its parent at depth k - 1
-       and s in S, and
-         D(a, b) = [U(a*b'*s) - U(a*b')U(s)] + D(a, b')U(s)
-                   - U(a)[U(b'*s) - U(b')U(s)],
-       where each bracket is a generator residual. So ||D(a, b)|| <= B_k =
-       c B_{k-1} + (1 + c) d r', and every pair has ||D(a, b)|| <= B_L.
-    4. The scans. The table scan computes |U(a*b) - U(a)U(b)| as at most
-       kappa (B_L + rho c^2), and the unitarity loop computes
-       |U(g)U(g)^dagger - I| as at most kappa (u' + rho c^2). When both lie
-       within the tolerance, neither can report a failure.
-    """
-    kappa, rho = 1 + 4 * eps, (d + 4) * eps
-    if d * rho >= 0.5:
-        return False
-    c2 = (1 + d * kappa * u) / (1 - d * rho)
-    c = c2 ** 0.5
-    r_exact, u_exact = kappa * r + rho * c2, kappa * u + rho * c2
-    bound = c * d * kappa * e
-    for _ in range(depth):
-        bound = c * bound + (1 + c) * d * r_exact
-    return (kappa * (bound + rho * c2) <= tolerance
-            and kappa * (u_exact + rho * c2) <= tolerance)
 
 
 def _clustered_eigh(herm: np.ndarray, tolerance: float):
@@ -304,7 +191,7 @@ def permutation_representation(
     The builders in `groups` verify every action they make, so the
     representation inherits that check and runs none of its own. Its stack
     is built, and its size checked, only when `matrices` is read."""
-    return UnitaryRepresentation(action.group, action.space_size, action, tolerance)
+    return UnitaryRepresentation(action.group, action.space_size, action, tolerance, _BUILT)
 
 
 def regular_representation(

@@ -75,6 +75,22 @@ def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
     return pairing.joint_coset_structure(pair, joint, joint_rep, fiducial)
 
 
+def nine_point_setup():
+    """Two three-valued coordinates on a 3x3 product space."""
+    shift_first = tuple((((p // 3) + 1) % 3) * 3 + p % 3 for p in range(9))
+    shift_second = tuple((p // 3) * 3 + ((p % 3) + 1) % 3 for p in range(9))
+    _, k_action = groups.generate_permutation_group([shift_first, shift_second])
+    coord1 = variables.make_variable("coord1", [p // 3 for p in range(9)],
+                                     numeric_values=[0.0, 1.0, 2.0])
+    coord2 = variables.make_variable("coord2", [p % 3 for p in range(9)],
+                                     numeric_values=[0.0, 1.0, 2.0])
+    ctx = variables.Context(9, k_action, (coord1, coord2))
+    swap9 = tuple((p % 3) * 3 + (p // 3) for p in range(9))
+    pair = pairing.build_related_pair(ctx, coord1, coord2, swap9)
+    g_group, g_action = variables.induced_group(coord1, k_action)
+    return ctx, pair, g_group, g_action
+
+
 @pytest.fixture(scope="session")
 def two_bit():
     """The worked two-binary-variable joint system and its ingredients."""
@@ -129,9 +145,34 @@ class GroupMismatch(CvhilbertError):
     pass
 
 
+def reference_verdict(g, mats, tol=representations.DEFAULT_TOLERANCE):
+    """A row-major loop over the table, then one over the elements: the
+    first pair (a, b) with U(a*b) != U(a)U(b), else "not unitary", else None.
+    Each comparison is `not residual <= tol`, so a NaN fails."""
+    for a in range(g.order):
+        bad = ~(np.abs(mats[g.cayley[a]] - mats[a] @ mats).max(axis=(1, 2)) <= tol)
+        if bad.any():
+            return (a, int(np.argmax(bad)))
+    if any(not np.abs(u @ u.conj().T - np.eye(len(u))).max() <= tol for u in mats):
+        return "not unitary"
+    return None
+
+
+def stack_representation(group, mats, tolerance=representations.DEFAULT_TOLERANCE):
+    """A representation held as a stack of matrices, which the package makes
+    only for a joined group: the stack must pass the reference check, and is
+    then made with the verifying builders' token."""
+    mats = np.asarray(mats)
+    d = mats.shape[1]
+    assert mats.shape == (group.order, d, d)
+    assert reference_verdict(group, mats, tolerance) is None
+    return representations.UnitaryRepresentation(group, d, mats, tolerance, representations._BUILT)
+
+
 def direct_sum(rep1, rep2):
     """The block-diagonal representation U1(g) + U2(g) of two
-    representations of one group, checked where it is built."""
+    representations of one group, checked where it is built
+    (`stack_representation`)."""
     if rep1.group is not rep2.group:
         raise GroupMismatch("direct sum requires a common group")
     n = rep1.group.order
@@ -141,5 +182,4 @@ def direct_sum(rep1, rep2):
     mats[:, : rep1.dim, : rep1.dim] = rep1.matrices
     mats[:, rep1.dim :, rep1.dim :] = rep2.matrices
     mats.setflags(write=False)
-    return representations.UnitaryRepresentation(
-        rep1.group, d, mats, min(rep1.tolerance, rep2.tolerance))
+    return stack_representation(rep1.group, mats, min(rep1.tolerance, rep2.tolerance))

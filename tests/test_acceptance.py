@@ -40,7 +40,7 @@ def test_criterion_1_group_action_suites():
             x = a
             while x != g.identity:
                 members.add(x)
-                x = g.mult(x, a)
+                x = int(g.cayley[x, a])
             sub = groups.subgroup(g, members)
             assert len(groups.left_cosets(g, sub)) * sub.order == g.order
         for p in range(act.space_size):
@@ -89,7 +89,7 @@ def test_criterion_4_two_bit_end_to_end(two_bit, two_bit_operators):
     assert joint.group.order == 8
     assert joint.action.space_size == 4
     assert groups.is_transitive(joint.action)
-    # representation extension verified over the whole multiplication table
+    # representation extension decided from the joined group's defining relations
     assert system.coherent.rep.group is joint.group
     assert reps.commutant_dimension(system.coherent.rep) == 1
     # coset labeling on the four-point product: consistent and injective

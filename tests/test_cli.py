@@ -23,6 +23,7 @@ XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
 S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.json")
 CYCLIC8 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json")
 CYCLIC3 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m3.json")
+CYCLIC5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m5.json")
 NO_NUMERIC = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_bit_no_numeric.json")
 HUGE_VALUES = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_bit_huge_values.json")
 
@@ -602,49 +603,27 @@ def work_counts(monkeypatch):
 
 
 @pytest.fixture
-def constructor_work(monkeypatch):
-    """Counter of the work of `UnitaryRepresentation` while the fixture is
-    active: table scans, matrix products made by `np.matmul`, calls of the
-    generator residuals, of the certificate and of the greedy generating
-    set, the Cayley tables built, and the order and generator count of the
-    last group whose generators were read off."""
-    calls = collections.Counter()
-    greedy, matmul = representations._greedy_generators, np.matmul
-    fill = vars(groups.FiniteGroup)["cayley"].func
-
-    def counting(name, key):
-        original = getattr(representations, name)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(representations, name, wrapper)
-
-    def greedy_spy(group):
-        gens, columns = greedy(group)
-        calls["greedy"] += 1
-        calls["order"], calls["generators"] = group.order, len(gens)
-        return gens, columns
+def table_work(monkeypatch):
+    """Work on group tables while the fixture is active: the order of each
+    Cayley table built, and the shape of each table scan
+    (`_first_violation`, in every module that binds it)."""
+    work = {"tables": [], "scans": []}
+    fill, scan = vars(groups.FiniteGroup)["cayley"].func, groups._first_violation
 
     def table_spy(group):
-        calls["tables"] += 1
+        work["tables"].append(group.order)
         return fill(group)
+
+    def scan_spy(shape, *args):
+        work["scans"].append(tuple(shape))
+        return scan(shape, *args)
 
     cayley = functools.cached_property(table_spy)
     cayley.__set_name__(groups.FiniteGroup, "cayley")
-
-    def matmul_spy(x1, x2, *args, **kwargs):
-        out = matmul(x1, x2, *args, **kwargs)
-        calls["products"] += int(np.prod(out.shape[:-2]))
-        return out
-
-    counting("_first_violation", "scans")
-    counting("_generator_residuals", "residuals")
-    counting("_certified", "certificates")
-    monkeypatch.setattr(representations, "_greedy_generators", greedy_spy)
     monkeypatch.setattr(groups.FiniteGroup, "cayley", cayley)
-    monkeypatch.setattr(np, "matmul", matmul_spy)
-    return calls
+    monkeypatch.setattr(groups, "_first_violation", scan_spy)
+    monkeypatch.setattr(pairing, "_first_violation", scan_spy)
+    return work
 
 
 class TestWorkCounts:
@@ -801,7 +780,7 @@ class TestWorkCounts:
         # verify on cyclic m=8: K (order 64) is read only through its rows
         # and generators and builds no Cayley table; the induced group G
         # builds one for its regular representation, and N (order 128) one
-        # at the check of the joined representation, whose |N|^2 int64
+        # for the cosets of the joined representation, whose |N|^2 int64
         # entries take the bytes of the joined stack, |N| = 2 d^2
         built = {}
 
@@ -847,35 +826,26 @@ class TestWorkCounts:
         assert extension.status == ("pass" if extends else "fail")
         assert (seen == []) == extends
 
-    def test_operator_checks_generators_not_the_table(self, constructor_work, capsys):
+    def test_operator_checks_generators_not_the_table(self, table_work, capsys):
         # operator on S5 builds the regular representation, d = |G| = 120, as
         # the table of the group's Cayley columns, checked where the group was
-        # built: no generating set read off, no matrix product, no residual,
-        # no certificate and no table scan
+        # built: G's Cayley table is the one table built, and the one scan is
+        # the closure check of the fiducial's isotropy, one member by its
+        # inverse and itself
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "induced group order: 120" in capsys.readouterr().out
-        assert constructor_work["greedy"] == 0
-        assert constructor_work["scans"] == 0
-        assert constructor_work["products"] == 0
-        assert constructor_work["residuals"] == constructor_work["certificates"] == 0
+        assert table_work == {"tables": [120], "scans": [(1, 2)]}
 
-    def test_joined_representation_checks_products(self, constructor_work, two_bit, qubit_rep):
-        # the two-bit joined representation is not a permutation representation:
-        # its stack is proven by the generator residuals and the certificate,
-        # |N|*|S| products plus |N| unitarity products, N of order 8; N is
-        # joined again, as `verify` joins it, so that its table is not built yet
-        joint = pairing.build_joint_group(two_bit["pair"], two_bit["g_group"],
-                                          two_bit["g_action"])
-        assert np.array_equal(joint.group.rows, qubit_rep.group.rows)
-        representations.UnitaryRepresentation(
-            joint.group, qubit_rep.dim, qubit_rep.matrices, qubit_rep.tolerance)
-        assert constructor_work["order"] == 8
-        assert constructor_work["residuals"] == constructor_work["certificates"] == 1
-        assert constructor_work["scans"] == 0
-        assert constructor_work["products"] == 8 * constructor_work["generators"] + 8
-        # the columns g * s come with the generating set, read off N's Cayley
-        # table, built once, and are not composed again
-        assert constructor_work["tables"] == 1
+    def test_failed_extension_reads_no_table_of_n(self, table_work):
+        # cyclic m=5 fails the extension: the relations are decided on the
+        # 4 x 4 commutators of the moved elements of G = Z_5, and N, of order
+        # 50, builds no Cayley table; G builds its own for its regular
+        # representation
+        report = cli.run_verify(cli.parse_context(CYCLIC5))
+        extension = next(c for c in report.checks if c.cid == "well-defined-extension[0]")
+        assert extension.status == "fail"
+        assert 50 not in table_work["tables"]
+        assert set(table_work["scans"]) == {(4, 4)}
 
 
 def _check(out: str, cid: str) -> dict:

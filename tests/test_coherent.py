@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cvhilbert import coherent, groups, representations as reps, variables
 from cvhilbert.errors import NoResolution
 
-from conftest import circle_system, standard_action, standard_group
+from conftest import circle_system, stack_representation, standard_action, standard_group
 
 
 def unit_vector(draw_values):
@@ -27,7 +27,7 @@ def isotropy(rep, fiducial):
 class TestIsotropy:
     def test_trivial_group(self):
         g = standard_group("cyclic", 1)
-        rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
+        rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
         sub, alpha = isotropy(rep, np.array([1.0]))
         assert sub.members == (0,)
         assert alpha == (0.0,)
@@ -52,7 +52,7 @@ class TestIsotropy:
         pos = {m: i for i, m in enumerate(sub.members)}
         for a in sub.members:
             for b in sub.members:
-                c = qubit_rep.group.mult(a, b)
+                c = int(qubit_rep.group.cayley[a, b])
                 diff = (alpha[pos[a]] + alpha[pos[b]] - alpha[pos[c]]) % (2 * np.pi)
                 assert min(diff, 2 * np.pi - diff) < 1e-9
 
@@ -60,7 +60,7 @@ class TestIsotropy:
 class TestBuildSystem:
     def test_one_dim_trivial(self):
         g = standard_group("cyclic", 1)
-        rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
+        rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
         system = coherent.build_coherent_system(rep)
         assert system.states.shape == (1, 1)
 
@@ -84,7 +84,7 @@ class TestBuildSystem:
 class TestResolution:
     def test_trivial_system(self):
         g = standard_group("cyclic", 1)
-        rep = reps.UnitaryRepresentation(g, 1, np.ones((1, 1, 1), dtype=complex))
+        rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
         res = coherent.resolution_of_identity(coherent.build_coherent_system(rep))
         assert res.constant == 1.0 and res.residual == 0.0 and res.ok
 
@@ -128,7 +128,7 @@ class TestOneToOne:
 
     def test_fully_fixed_fiducial_fails(self):
         g = standard_group("cyclic", 2)
-        rep = reps.UnitaryRepresentation(g, 2, np.stack([np.eye(2, dtype=complex)] * 2))
+        rep = stack_representation(g, np.stack([np.eye(2, dtype=complex)] * 2))
         system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
         ok, witness = coherent.one_to_one_check(system)
         assert not ok and witness is not None
@@ -136,7 +136,7 @@ class TestOneToOne:
     def test_states_compared_up_to_phase(self):
         # U(1) psi = -psi is a distinct vector but the same state
         g = standard_group("cyclic", 2)
-        rep = reps.UnitaryRepresentation(g, 1, np.array([[[1.0]], [[-1.0]]], dtype=complex))
+        rep = stack_representation(g, np.array([[[1.0]], [[-1.0]]], dtype=complex))
         system = coherent.build_coherent_system(rep, np.array([1.0]))
         assert system.alpha == (0.0, np.pi)
         assert coherent.one_to_one_check(system) == (False, (0, 1))
@@ -368,7 +368,6 @@ class TestAmbiguityBand:
         g = standard_group("cyclic", 2)
         reflection = np.array([[math.cos(eps), math.sin(eps)],
                                [math.sin(eps), -math.cos(eps)]], dtype=complex)
-        rep = reps.UnitaryRepresentation(
-            g, 2, np.stack([np.eye(2, dtype=complex), reflection]))
+        rep = stack_representation(g, np.stack([np.eye(2, dtype=complex), reflection]))
         with pytest.raises(NumericalAmbiguity):
             coherent.build_coherent_system(rep, np.array([1.0, 0.0]))

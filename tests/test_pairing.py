@@ -2,9 +2,10 @@ import functools
 from pathlib import Path
 from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps, variables
@@ -16,7 +17,8 @@ from cvhilbert.errors import (
     NotWellDefined,
 )
 
-from conftest import SWAP, direct_sum, joint_system, standard_group
+from conftest import (SWAP, direct_sum, joint_system, nine_point_setup, reference_verdict,
+                      stack_representation, standard_group)
 
 TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
@@ -25,24 +27,7 @@ GOLDEN_DOCS = sorted(p for p in DOCS.glob("*.json") if p.name != "two_bit_names_
 
 
 def one_dim(group, phases):
-    mats = np.array([[[p]] for p in phases], dtype=complex)
-    return reps.UnitaryRepresentation(group, 1, mats)
-
-
-def nine_point_setup():
-    """Two three-valued coordinates on a 3x3 product space."""
-    shift_first = tuple((((p // 3) + 1) % 3) * 3 + p % 3 for p in range(9))
-    shift_second = tuple((p // 3) * 3 + ((p % 3) + 1) % 3 for p in range(9))
-    _, k_action = groups.generate_permutation_group([shift_first, shift_second])
-    coord1 = variables.make_variable("coord1", [p // 3 for p in range(9)],
-                                     numeric_values=[0.0, 1.0, 2.0])
-    coord2 = variables.make_variable("coord2", [p % 3 for p in range(9)],
-                                     numeric_values=[0.0, 1.0, 2.0])
-    ctx = variables.Context(9, k_action, (coord1, coord2))
-    swap9 = tuple((p % 3) * 3 + (p // 3) for p in range(9))
-    pair = pairing.build_related_pair(ctx, coord1, coord2, swap9)
-    g_group, g_action = variables.induced_group(coord1, k_action)
-    return ctx, pair, g_group, g_action
+    return stack_representation(group, np.array([[[p]] for p in phases], dtype=complex))
 
 
 class TestRelatedPair:
@@ -90,6 +75,26 @@ def transitive_free_actions(draw):
     return groups.generate_permutation_group(relabel[group.cayley][:, np.argsort(relabel)])
 
 
+def regular_symmetric(n):
+    """S_n acting on itself by left multiplication, as
+    `transitive_free_actions` draws it."""
+    return groups.generate_permutation_group(standard_group("symmetric", n).cayley)
+
+
+def square_join(group, action):
+    """N for G acting on the m values of each axis of the m x m square, with
+    the variables x and y and the swap (x, y) -> (y, x) as k."""
+    m = action.space_size
+    points = range(m * m)
+    theta = variables.make_variable("x", [p // m for p in points])
+    xi = variables.make_variable("y", [p % m for p in points])
+    swap = [(p % m) * m + p // m for p in points]
+    _, k_action = groups.generate_permutation_group([swap])
+    context = variables.Context(m * m, k_action, (theta, xi))
+    pair = pairing.build_related_pair(context, theta, xi, swap)
+    return pairing.build_joint_group(pair, group, action, order_bound=2 * 24**2)
+
+
 class TestJointGroup:
     def test_single_value_trivial(self):
         group, action = groups.generate_permutation_group([(0,)], space_size=1)
@@ -118,13 +123,7 @@ class TestJointGroup:
         group, action = drawn
         m = action.space_size
         points = range(m * m)
-        theta = variables.make_variable("x", [p // m for p in points])
-        xi = variables.make_variable("y", [p % m for p in points])
-        swap = [(p % m) * m + p // m for p in points]
-        _, k_action = groups.generate_permutation_group([swap])
-        context = variables.Context(m * m, k_action, (theta, xi))
-        pair = pairing.build_related_pair(context, theta, xi, swap)
-        n = pairing.build_joint_group(pair, group, action, order_bound=2 * 24**2)
+        n = square_join(group, action)
         assert set(n.action.act[:, 0].tolist()) == set(points)
         assert np.array_equal(n.group.cayley, n.group.cayley.T) == (m == 1)
         assert n.group.order == (2 * m * m if m > 1 else 1)
@@ -133,13 +132,13 @@ class TestJointGroup:
         joint = two_bit["system"].joint
         for a in joint.first_embed:
             for b in joint.second_embed:
-                assert joint.group.mult(a, b) == joint.group.mult(b, a)
+                assert joint.group.cayley[a, b] == joint.group.cayley[b, a]
 
     def test_swap_conjugation_exchanges_copies(self, two_bit):
         joint = two_bit["system"].joint
         j = joint.swap_element
         for g_idx, n in enumerate(joint.first_embed):
-            conj = joint.group.mult(joint.group.mult(j, n), j)
+            conj = joint.group.cayley[joint.group.cayley[j, n], j]
             assert conj == joint.second_embed[g_idx]
 
 
@@ -189,13 +188,70 @@ class TestJointRepresentation:
             pairing.build_joint_representation(joint, base_rep, bad_j)
 
     def test_non_unitary_involution_keeps_word_witness(self, two_bit):
-        # the multiplication table is checked before unitarity, so the failing
+        # the commutators are decided before unitarity, so the failing
         # extension is reported with its two words
         system = two_bit["system"]
         bad_j = np.array([[1.0, 1.0], [0.0, -1.0]], dtype=complex)
         with pytest.raises(NotWellDefined) as exc:
             pairing.build_joint_representation(system.joint, two_bit["base_rep"], bad_j)
         assert (exc.value.element, exc.value.word_a, exc.value.word_b) == (4, (1, 0), (0, 1))
+
+    @given(transitive_free_actions().filter(lambda drawn: drawn[0].order > 1),
+           st.sampled_from(["commutant", "inversion", "random", "non-unitary"]),
+           st.integers(0, 2**32 - 1))
+    @example(regular_symmetric(3), "commutant", 0)
+    @example(regular_symmetric(3), "inversion", 0)
+    @example(regular_symmetric(3), "random", 0)
+    @example(regular_symmetric(3), "non-unitary", 0)
+    @example(regular_symmetric(4), "random", 0)
+    @example(regular_symmetric(4), "non-unitary", 0)
+    def test_relations_decide_as_the_table_scan(self, drawn, source, seed):
+        # the relations against the full check of the stack the extension
+        # builds, word by word: the row-major scan of the table for the first
+        # failing pair, then unitarity. J is the one `build_swap_matrix`
+        # reads off the commutant, the inversion, a random unitary
+        # involution, or [[1, 1], [0, -1]] on two random coordinates with the
+        # identity on the rest. On S4 the commutant's SVD (13824 x 576) and,
+        # for the inversion, which extends on every G as it turns left
+        # translations into right ones, the scan of all 1152^2 pairs take
+        # seconds, so those two are tried on groups up to order 12
+        group, action = drawn
+        hypothesis.assume(source in ("random", "non-unitary") or group.order <= 12)
+        joint, base_rep = square_join(group, action), reps.regular_representation(group)
+        d = base_rep.dim
+        rng = np.random.default_rng(seed)
+        if source == "commutant":
+            swap = pairing.build_swap_matrix(base_rep)
+        elif source == "inversion":
+            swap = inversion_swap(base_rep)
+        elif source == "random":
+            swap = random_unitary_involution(d, rng)
+        else:
+            swap = np.eye(d, dtype=complex)
+            coordinates = rng.choice(d, 2, replace=False)
+            swap[np.ix_(coordinates, coordinates)] = [[1, 1], [0, -1]]
+        outcome = extension_outcome(joint, base_rep, swap)
+        hypothesis.event(f"|G|={group.order} {source} {'fails' if outcome else 'extends'}")
+        assert outcome == reference_outcome(joint, base_rep, swap)
+
+    def test_overflowing_commutator_fails(self, two_bit):
+        # [[1, x], [0, -1]] squares to I for every x; at x = 1e300 the
+        # commutators overflow to inf and NaN, and a NaN residual fails
+        bad_j = np.array([[1.0, 1e300], [0.0, -1.0]], dtype=complex)
+        with pytest.raises(NotWellDefined) as exc:
+            pairing.build_joint_representation(two_bit["system"].joint, two_bit["base_rep"], bad_j)
+        assert (exc.value.element, exc.value.word_a, exc.value.word_b) == (4, (1, 0), (0, 1))
+
+    def test_non_unitary_swap_refused(self, two_bit):
+        # J anticommutes with the flip X of the regular representation of
+        # Z_2, so J X J = -X commutes with X and every relation holds; J is
+        # an involution, cosh^2 - sinh^2 = 1, but not unitary
+        joint = two_bit["system"].joint
+        c, s = np.cosh(1.0), np.sinh(1.0)
+        bad_j = np.array([[c, s], [-s, -c]], dtype=complex)
+        with pytest.raises(ValueError, match=f"matrix for element {joint.swap_element} is not"):
+            pairing.build_joint_representation(joint, two_bit["base_rep"], bad_j)
+        assert reference_outcome(joint, two_bit["base_rep"], bad_j) == "not unitary"
 
     def test_three_value_join_not_well_defined(self):
         ctx, pair, g_group, g_action = nine_point_setup()
@@ -225,6 +281,12 @@ class TestJointRepresentation:
         system = joint_system(pair, group, action)
         assert system.joint.group.generators == ()
         assert reps.character_norm(system.coherent.rep) == 1.0
+        # no element is sent to J, so a non-unitary involution is not refused
+        c, s = np.cosh(1.0), np.sinh(1.0)
+        flat = direct_sum(one_dim(group, [1]), one_dim(group, [1]))
+        joined = pairing.build_joint_representation(system.joint, flat,
+                                                     np.array([[c, s], [-s, -c]]))
+        assert np.array_equal(joined.matrices, np.eye(2)[None])
 
     def test_tolerance_reaches_joint_system(self, two_bit):
         base_rep = reps.regular_representation(two_bit["g_group"], 1e-6)
@@ -358,7 +420,7 @@ class TestCovariance:
         for rec in failing:
             assert rec.obstructed
         # the simultaneous flip is represented by a scalar yet moves the values
-        both = system.joint.group.mult(system.joint.first_embed[1], system.joint.second_embed[1])
+        both = system.joint.group.cayley[system.joint.first_embed[1], system.joint.second_embed[1]]
         w = system.coherent.rep.matrices[both]
         assert np.abs(w + np.eye(2)).max() <= 1e-12
 
@@ -380,6 +442,39 @@ def word_products(joint, base_rep, swap_matrix, words):
             acc = acc @ gen_mats[slot]
         mats.append(acc)
     return np.stack(mats)
+
+
+def random_unitary_involution(d, rng):
+    """V diag(+-1) V^dagger for a random unitary V and random signs."""
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (v * rng.choice([-1.0, 1.0], size=d)) @ v.conj().T
+
+
+def extension_outcome(joint, base_rep, swap_matrix):
+    """None when the extension is built, (element, word, word) when it is
+    not well defined, "not unitary" when J is not."""
+    try:
+        pairing.build_joint_representation(joint, base_rep, swap_matrix)
+    except NotWellDefined as exc:
+        return exc.element, exc.word_a, exc.word_b
+    except ValueError as exc:
+        assert "is not unitary" in str(exc)
+        return "not unitary"
+    return None
+
+
+def reference_outcome(joint, base_rep, swap_matrix):
+    """The outcome the full check gives on the products along every word:
+    the first failing pair (a, b) named by the element a*b, the words of a
+    and of b joined, and the word of a*b."""
+    words = groups.bfs_words(joint.group)
+    verdict = reference_verdict(joint.group, word_products(joint, base_rep, swap_matrix, words),
+                                base_rep.tolerance)
+    if verdict is None or verdict == "not unitary":
+        return verdict
+    a, b = verdict
+    c = int(joint.group.cayley[a, b])
+    return c, words[a] + words[b], words[c]
 
 
 def looped_classes(system):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import tracemalloc
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
-from cvhilbert.errors import IrreducibleInput, NotHomomorphism, SizeLimit
+from cvhilbert.errors import IrreducibleInput, SizeLimit
 
-from conftest import GroupMismatch, direct_sum, standard_action, standard_group
+from conftest import (GroupMismatch, direct_sum, nine_point_setup, stack_representation,
+                      standard_action, standard_group)
 
 
 def z(n):
@@ -21,8 +23,7 @@ def z(n):
 
 
 def one_dim(group, phases):
-    mats = np.array([[[p]] for p in phases], dtype=complex)
-    return reps.UnitaryRepresentation(group, 1, mats)
+    return stack_representation(group, np.array([[[p]] for p in phases], dtype=complex))
 
 
 def assert_commutant_dimension(rep, expected):
@@ -31,59 +32,25 @@ def assert_commutant_dimension(rep, expected):
     assert abs(reps.character_norm(rep) - expected) < 1e-9
 
 
-def joined_representation(document):
-    """The joined representation `verify` builds for a golden document."""
-    built = []
+def joined_arguments(document):
+    """The (joint, base representation, swap matrix) that `verify` extends
+    for a golden document."""
+    seen = []
     original = pairing.build_joint_representation
 
     def spy(*args):
-        built.append(original(*args))
-        return built[-1]
+        seen.append(args)
+        return original(*args)
 
     path = Path(__file__).resolve().parent / "golden" / "docs" / document
     with mock.patch.object(pairing, "build_joint_representation", spy):
         cli.run_verify(cli.parse_context(str(path)))
-    return built[0]
+    return seen[0]
 
 
-# Stacks the constructor is tried on: regular representations of catalogue
-# groups (0/1 entries) and the joined representations `verify` builds for two
-# golden documents, which are not permutation representations.
-STACKS = [("cyclic", 4), ("dihedral", 3), ("symmetric", 3), "xor_m4.json", "cyclic_m6.json"]
-# Perturbations of one entry: far off, well above, just above, just below and
-# far below the tolerance.
-PERTURBATIONS = [1.0, 1e-6j, 2 * reps.DEFAULT_TOLERANCE, 0.5 * reps.DEFAULT_TOLERANCE, 1e-12]
-
-
-@functools.cache
-def _stack(source):
-    if isinstance(source, tuple):
-        rep = reps.regular_representation(standard_group(*source))
-    else:
-        rep = joined_representation(source)
-    return rep.group, rep.matrices
-
-
-def reference_verdict(g, mats, tol=reps.DEFAULT_TOLERANCE):
-    """A row-major loop over the table, then one over the elements: the
-    first pair (a, b) with U(a*b) != U(a)U(b), else "not unitary", else None."""
-    for a in range(g.order):
-        bad = np.abs(mats[g.cayley[a]] - mats[a] @ mats).max(axis=(1, 2)) > tol
-        if bad.any():
-            return (a, int(np.argmax(bad)))
-    if any(np.abs(u @ u.conj().T - np.eye(len(u))).max() > tol for u in mats):
-        return "not unitary"
-    return None
-
-
-def constructor_verdict(g, mats):
-    try:
-        reps.UnitaryRepresentation(g, mats.shape[1], mats)
-    except NotHomomorphism as exc:
-        return exc.pair
-    except ValueError:
-        return "not unitary"
-    return None
+def joined_representation(document):
+    """The joined representation `verify` builds for a golden document."""
+    return pairing.build_joint_representation(*joined_arguments(document))
 
 
 class TestConstructions:
@@ -100,9 +67,9 @@ class TestConstructions:
     def test_s3_natural_is_valid(self):
         act = standard_action("symmetric", 3)   # S3 on its three points
         rep = reps.permutation_representation(act)
-        # the constructor proves the table from the generators; spot-check one product
+        # the verified action is the check; spot-check one product
         a, b = 2, 4
-        assert np.allclose(rep.matrices[act.group.mult(a, b)], rep.matrices[a] @ rep.matrices[b])
+        assert np.allclose(rep.matrices[act.group.cayley[a, b]], rep.matrices[a] @ rep.matrices[b])
 
     def test_regular_rep_dims(self):
         for n in (1, 2, 3):
@@ -117,95 +84,38 @@ class TestConstructions:
         moved = rep.matrices[1] @ e1
         assert np.allclose(moved, [0, 1, 0])
 
-    @settings(max_examples=100)
-    @given(st.sampled_from(STACKS), st.sampled_from(PERTURBATIONS),
-           st.sampled_from([groups.STEP_BYTES, 2 * 16 * 36, 16 * 36]), st.data())
-    def test_homomorphism_witness_is_first_failing_pair(self, source, delta, step, data):
-        # one corrupted entry of a non-identity matrix; whether the certificate
-        # or the scan decides, the constructor names the first pair of a
-        # row-major loop over the table
-        g, mats = _stack(source)
-        mats = mats.copy()
-        k = data.draw(st.integers(1, g.order - 1))
-        i, j = data.draw(st.integers(0, len(mats[0]) - 1)), data.draw(st.integers(0, len(mats[0]) - 1))
-        mats[k, i, j] += delta
-        with mock.patch.object(groups, "STEP_BYTES", step):
-            assert constructor_verdict(g, mats) == reference_verdict(g, mats)
-
-    @pytest.mark.parametrize("delta", PERTURBATIONS[2:])
-    @pytest.mark.parametrize("source", STACKS)
-    def test_certificate_near_tolerance(self, source, delta):
-        # the last element's first entry; a perturbation a few tolerances off
-        # is decided by the full scan, one far below by the certificate alone
-        g, mats = _stack(source)
-        mats = mats.copy()
-        mats[-1, 0, 0] += delta
-        scans = []
-        original = reps._first_violation
-
-        def scan(*args):
-            scans.append(args[0])
-            return original(*args)
-
-        with mock.patch.object(reps, "_first_violation", scan):
-            verdict = constructor_verdict(g, mats)
-        assert verdict == reference_verdict(g, mats)
-        assert (verdict is None) == (delta != 2 * reps.DEFAULT_TOLERANCE)
-        assert len(scans) == (0 if delta == 1e-12 else 1)
-
-    def test_residual_growing_along_words(self):
-        # U(k) = exp(i (2 pi k / 16 + c k (16 - k))) on Z_16: every generator
-        # product is off by at most 0.3 tolerances, yet U(8)U(8) is off by 1.28
-        # of them; only the depth term keeps the certificate from passing it
-        g = z(16)
-        k = np.arange(16)
-        mats = np.exp(2j * np.pi * k / 16 + 1e-11j * k * (16 - k)).reshape(16, 1, 1)
-        assert np.abs(mats[g.cayley[:, 1]] - mats @ mats[1]).max() < 0.3 * reps.DEFAULT_TOLERANCE
-        expected = reference_verdict(g, mats)
-        assert expected is not None and expected != "not unitary"
-        assert constructor_verdict(g, mats) == expected
-
-    def test_certificate_bound(self):
-        # exact inputs certify at any depth; the bound grows with the depth,
-        # the dimension and the residuals, and a NaN never certifies
-        eps = float(np.finfo(float).eps)
-        assert reps._certified(0.0, 0.0, 0.0, 100, 120, 1e-9, eps)
-        assert reps._certified(1e-13, 1e-13, 0.0, 10, 4, 1e-9, eps)
-        assert not reps._certified(1e-13, 1e-13, 0.0, 2000, 4, 1e-9, eps)
-        assert not reps._certified(1e-13, 1e-13, 0.0, 10, 1000, 1e-9, eps)
-        assert not reps._certified(0.0, 2e-9, 0.0, 1, 4, 1e-9, eps)
-        assert not reps._certified(0.0, 0.0, 1e-9, 1, 4, 1e-9, eps)
-        for nan in ((np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)):
-            assert not reps._certified(*nan, 3, 4, 1e-9, eps)
-        # rounding alone: d rho >= 1/2 leaves nothing to certify with
-        assert not reps._certified(0.0, 0.0, 0.0, 1, 2**25, 1e-9, eps)
-
     def test_bad_homomorphism_rejected(self):
+        # a stack is made only by the builder of the joined representation,
+        # which decides the extension first; a call without its token is
+        # refused, whatever the stack
         g = z(2)
         mats = np.stack([np.eye(2, dtype=complex),
                          np.array([[0, 1j], [1j, 0]])])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="made only by"):
             reps.UnitaryRepresentation(g, 2, mats)
 
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_one_dimensional_z3_refused(self, bad):
-        # every check compares residual > tolerance, which is False for NaN
-        phases = [1, np.exp(2j * np.pi / 3), bad]
-        with mock.patch.object(reps, "_first_violation") as scan, \
-                mock.patch.object(reps, "_generator_residuals") as residuals:
-            with pytest.raises(ValueError, match="non-finite"):
-                one_dim(z(3), phases)
-        assert not scan.called and not residuals.called
+        # the trivial representation of Z_3 on C^1 joined with a non-finite
+        # J: a NaN passes every comparison written residual > tolerance, so
+        # J is refused before any product is taken
+        _, pair, g_group, g_action = nine_point_setup()
+        joint = pairing.build_joint_group(pair, g_group, g_action)
+        with mock.patch.object(pairing, "_first_violation") as scan:
+            with pytest.raises(ValueError, match="swap matrix has a non-finite entry"):
+                pairing.build_joint_representation(joint, one_dim(g_group, [1, 1, 1]),
+                                                   np.array([[bad]]))
+        assert not scan.called
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_joined_stack_refused(self, bad):
-        g, mats = _stack("xor_m4.json")
-        mats = mats.copy()
-        mats[-1, 0, -1] = bad
+        joint, base_rep, swap = joined_arguments("xor_m4.json")
+        swap = swap.copy()
+        swap[0, -1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            reps.UnitaryRepresentation(g, mats.shape[1], mats)
+            pairing.build_joint_representation(joint, base_rep, swap)
 
 
 def zero_one_stack(table, m):
@@ -256,7 +166,7 @@ class TestPermutationTables:
         # character norm and the orbit of a fiducial
         group, m = action.group, action.space_size
         built = [reps.permutation_representation(action, tol),
-                 reps.UnitaryRepresentation(group, m, zero_one_stack(action.act, m), tol)]
+                 stack_representation(group, zero_one_stack(action.act, m), tol)]
         held, by_hand = built
         assert "matrices" not in vars(held)
         assert np.array_equal(held.matrices.view(np.uint64), by_hand.matrices.view(np.uint64))
@@ -281,8 +191,9 @@ class TestHeldAction:
     """A permutation representation holds a verified action, not a table."""
 
     def test_integer_table_refused(self):
-        # U(e) would be the swap: an integer table is not a verified action
-        with pytest.raises(ValueError, match="matrix stack has wrong shape"):
+        # U(e) would be the swap: an integer table is not a verified action,
+        # and a call without the builders' token is refused
+        with pytest.raises(TypeError, match="made only by"):
             reps.UnitaryRepresentation(z(2), 2, np.array([[1, 0], [0, 1]]))
 
     @pytest.mark.parametrize("action", [lambda: groups.regular_action(z(2)),
@@ -290,7 +201,13 @@ class TestHeldAction:
                              ids=["same-order", "other-order"])
     def test_action_of_another_group_refused(self, action):
         with pytest.raises(ValueError, match="not one of this group"):
-            reps.UnitaryRepresentation(z(2), 2, action())
+            reps.UnitaryRepresentation(z(2), 2, action(), reps.DEFAULT_TOLERANCE, reps._BUILT)
+
+    def test_copy_with_another_stack_refused(self):
+        # the token is an init-only field, so a copy does not carry it over
+        rep = reps.regular_representation(z(2))
+        with pytest.raises(TypeError, match="made only by"):
+            dataclasses.replace(rep, source=np.stack([np.eye(2, dtype=complex)] * 2))
 
     def test_group_freed_without_the_cycle_collector(self):
         # the representation, its action and its group form no reference
