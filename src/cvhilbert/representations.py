@@ -25,7 +25,7 @@ one batched trace; it is exact because the builder has verified the
 multiplication table and unitarity. A basis, needed where a Hermitian
 commutant element supplies the invariant subspaces of the joining
 construction, is the null space of the stacked commutator system, taken from
-its thin SVD.
+the SVD of the system's triangular QR factor.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .groups import FiniteGroup, GroupAction, _block_cells, regular_action
 
 DEFAULT_TOLERANCE = 1e-9
 # Largest commutator system, in bytes of complex entries, that a commutant
-# basis may stack; its thin SVD allocates a factor and a working copy of the
-# same size on top.
+# basis may stack; its QR allocates two working copies of the same size on
+# top, numpy's and LAPACK's column-major one, and a d^2 x d^2 triangular factor.
 COMMUTANT_BYTE_LIMIT = 256 * 2**20
 # Largest stack of representation matrices, in bytes of complex entries.
 REPRESENTATION_BYTE_LIMIT = 256 * 2**20
@@ -209,7 +209,15 @@ def regular_representation(
 def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
     """Deterministic basis of {X : X U(g) = U(g) X for all g}.
 
-    Solves the stacked (|G| d^2) x d^2 linear system with a thin SVD; rank
+    Solves the stacked (|G| d^2) x d^2 linear system A through the SVD of
+    the d^2 x d^2 triangular factor R of A = QR, the R-SVD (T. F. Chan, "An
+    improved algorithm for computing the singular value decomposition",
+    ACM TOMS 8(1), 1982): A and R share their singular values and right
+    singular vectors. LAPACK's thin SVD of A, `zgesdd` with JOBZ='S', takes
+    this path itself for M >= 17N/9 rows, which every group of order two or
+    more gives; Q enters only its left factor, which this basis discards. So
+    the SVD of R is the one of A bit for bit, without building Q or U. A
+    group of order one has an all-zero system, and so an all-zero R. Rank
     decisions use the scale-free threshold tolerance * largest singular
     value. Raises SizeLimit before stacking a system above
     COMMUTANT_BYTE_LIMIT bytes.
@@ -232,8 +240,9 @@ def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
         block = np.multiply(u[:, :, None, :, None], eye[:, None, :], out=system[g:g + step])
         block -= eye[:, None, :, None] * u.transpose(0, 2, 1)[:, None, :, None, :]
     system = system.reshape(k * d * d, d * d)
-    # a group has at least one element, so at least d^2 rows and a square thin vh
-    _, sigma, vh = np.linalg.svd(system, full_matrices=False)
+    # a group has at least one element, so at least d^2 rows, a square R and
+    # a square vh
+    _, sigma, vh = np.linalg.svd(np.linalg.qr(system, mode="r"), full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         null_rows = vh
     else:

@@ -577,9 +577,10 @@ class TestMalformedOptions:
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counter of eigendecompositions (`eigh` plus `eigvalsh`), of SVDs and the
-    most rows one SVD input had (`svd_rows`), and of resolution-of-identity
-    computations made while the fixture is active."""
+    """Counter of eigendecompositions (`eigh` plus `eigvalsh`), of SVDs, of
+    the most rows one SVD input had (`svd_rows`) and one QR input had
+    (`qr_rows`), and of resolution-of-identity computations made while the
+    fixture is active."""
     calls = collections.Counter()
 
     def counting(key, fn):
@@ -588,15 +589,20 @@ def work_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    np_svd = np.linalg.svd
+    np_svd, np_qr = np.linalg.svd, np.linalg.qr
 
     def svd(a, *args, **kwargs):
         calls["svd_rows"] = max(calls["svd_rows"], a.shape[0])
         return np_svd(a, *args, **kwargs)
 
+    def qr(a, *args, **kwargs):
+        calls["qr_rows"] = max(calls["qr_rows"], a.shape[0])
+        return np_qr(a, *args, **kwargs)
+
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting("eigh", getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    monkeypatch.setattr(np.linalg, "qr", qr)
     monkeypatch.setattr(coherent, "resolution_of_identity",
                         counting("resolution", coherent.resolution_of_identity))
     return calls
@@ -716,7 +722,15 @@ class TestWorkCounts:
         assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
         # only the base representation's system, |G| * d^2 with d = |G| = 4,
         # against |N| * d^2 = 512 rows
-        assert work_counts["svd_rows"] == 4 * 4**2
+        assert work_counts["qr_rows"] == 4 * 4**2
+
+    def test_svd_reads_only_the_triangular_factor(self, work_counts):
+        # cyclic m=8: the base representation's system has |G| * d^2 = 512
+        # rows of d^2 = 64; the one SVD reads only its 64x64 R factor
+        cli.run_verify(cli.parse_context(CYCLIC8), "cyclic m=8")
+        assert work_counts["qr_rows"] == 8 * 8**2
+        assert work_counts["svd"] == 1
+        assert work_counts["svd_rows"] == 8**2
 
     def test_groups_verified_once_where_built(self, monkeypatch, capsys):
         calls = collections.Counter()

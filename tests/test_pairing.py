@@ -211,7 +211,7 @@ class TestJointRepresentation:
         # failing pair, then unitarity. J is the one `build_swap_matrix`
         # reads off the commutant, the inversion, a random unitary
         # involution, or [[1, 1], [0, -1]] on two random coordinates with the
-        # identity on the rest. On S4 the commutant's SVD (13824 x 576) and,
+        # identity on the rest. On S4 the commutant's QR (13824 x 576) and,
         # for the inversion, which extends on every G as it turns left
         # translations into right ones, the scan of all 1152^2 pairs take
         # seconds, so those two are tried on groups up to order 12

@@ -311,17 +311,17 @@ class TestCommutantSystem:
     @pytest.mark.parametrize("step", [groups.STEP_BYTES, 3 * 16 * 7**4, 1])
     @pytest.mark.parametrize("name", list(SYSTEMS))
     def test_system_matches_kron_loop(self, name, step, monkeypatch):
-        # blocks of one element, of a few and of all fill the SVD input bit
+        # blocks of one element, of a few and of all fill the QR input bit
         # for bit as the loop does, signed zeros included
         rep = SYSTEMS[name]()
         seen = []
-        svd = np.linalg.svd
+        qr = np.linalg.qr
 
         def spy(a, *args, **kwargs):
             seen.append(a.copy())
-            return svd(a, *args, **kwargs)
+            return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(np.linalg, "qr", spy)
         monkeypatch.setattr(groups, "STEP_BYTES", step)
         reps.commutant_basis(rep)
         want = kron_system(rep)
@@ -334,6 +334,41 @@ class TestCommutantSystem:
         with pytest.raises(SizeLimit, match="commutant system of 8x4"):
             reps.commutant_basis(rep)
         assert "matrices" not in vars(rep)
+
+
+def reference_commutant_basis(rep):
+    """The null space from the thin SVD of the whole system, with the rank
+    rule of `commutant_basis`."""
+    _, sigma, vh = np.linalg.svd(kron_system(rep), full_matrices=False)
+    if sigma[0] == 0.0:
+        null_rows = vh
+    else:
+        null_rows = vh[int(np.sum(sigma > rep.tolerance * float(sigma[0]))):]
+    return [row.conj().reshape(rep.dim, rep.dim) for row in null_rows]
+
+
+# Representations beyond SYSTEMS whose bases are compared with the SVD of the
+# whole system: the regular ladder, the base representation of the XOR-product
+# document with m = 8, and groups of order one, whose systems are all zeros.
+BASES = {
+    **SYSTEMS,
+    **{f"regular Z{m}": lambda m=m: reps.regular_representation(z(m)) for m in range(1, 13)},
+    "base xor m8": lambda: joined_arguments("xor_m8.json")[1],
+    "trivial on 2 points": lambda: reps.permutation_representation(
+        groups.generate_permutation_group([], space_size=2)[1]),
+}
+
+
+class TestCommutantSecondMethod:
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_basis_matches_svd_of_whole_system(self, name):
+        # LAPACK factors a tall system before its SVD and builds the right
+        # singular vectors from R alone, so the basis is the same bit for bit
+        rep = BASES[name]()
+        got, want = reps.commutant_basis(rep), reference_commutant_basis(rep)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestStackBound:
