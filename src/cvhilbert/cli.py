@@ -1,8 +1,8 @@
 """Batch driver: parse context documents, run the verification chain, report.
 
-Reports are deterministic: the same document produces byte-identical output,
-numbers are printed with twelve significant digits, negative zero is
-normalized, and nothing is seeded or timed.
+The chain records raw values, and the report writers alone round them, to
+twelve significant digits with negative zero normalized. Reports are
+deterministic: byte-identical for the same document, nothing seeded or timed.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     SchemaError,
     SizeLimit,
 )
-from .groups import DEFAULT_ORDER_BOUND, compose, generate_permutation_group
+from .groups import DEFAULT_ORDER_BOUND, generate_permutation_group
 from .variables import ConceptualVariable, Context, make_variable
 
 SCHEMA_VERSION = "1"
@@ -43,15 +43,13 @@ SCHEMA_VERSION = "1"
 class DocumentPair:
     theta: str
     xi: str
-    k_word: str | None
-    k_perm: tuple[int, ...] | None
+    k: tuple[int, ...]          # a generator word resolved to its permutation
 
 
 @dataclass(frozen=True)
 class ContextDocument:
     phi_size: int
     generators: tuple[tuple[int, ...], ...]
-    generator_names: tuple[str, ...]
     variables: dict[str, ConceptualVariable]
     maximal_family: tuple[str, ...]
     pairs: tuple[DocumentPair, ...]
@@ -90,33 +88,22 @@ class VerificationReport:
         return any(c.status == "fail" for c in self.checks)
 
 
-def _num(x) -> float:
-    """Normalize to twelve significant digits; negative zero becomes zero."""
-    v = float(x)
-    if v == 0.0:
-        return 0.0
-    return float(f"{v:.11e}")
-
-
 def _fmt(x) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.11e}"
+    """Twelve significant digits; adding 0.0 turns -0.0 into 0.0."""
+    return f"{float(x) + 0.0:.11e}"
 
 
-def _pair_rows(pairs, sep: str) -> list[str]:
-    """Each row of `[re,im]` pairs as text, every number printed as `_fmt` prints it.
+def _pair_rows(matrix, sep: str) -> list[str]:
+    """Each row of a complex matrix as text, an entry as its `[re,im]` pair,
+    every number printed as `_fmt` prints it.
 
-    `pairs` has shape (rows, cols, 2). Adding 0.0 turns -0.0 into 0.0. Only
-    the nonzero entries are formatted, each with the `%.11e` template, in
-    row-major order; a NaN counts as nonzero. Each run of exact zeros
-    between them is the one zero string repeated, so a row formats its
-    nonzero entries, not its width: a diagonal d×d operator formats d
-    numbers.
+    Adding 0.0 turns -0.0 into 0.0. Only the nonzero entries are formatted,
+    each with the `%.11e` template, in row-major order; a NaN counts as
+    nonzero. Each run of exact zeros between them is the one zero string
+    repeated, so a row formats its nonzero entries, not its width: a
+    diagonal d×d operator formats d numbers.
     """
-    pairs = np.ascontiguousarray(np.asarray(pairs, dtype=float) + 0.0)
-    entries = pairs.view(complex).reshape(pairs.shape[:2])
+    entries = np.asarray(matrix, dtype=complex) + 0.0
     rows, cols = np.nonzero(entries)
     template = "[%.11e,%.11e]" + sep
     texts = [template % (z.real, z.imag) for z in entries[rows, cols].tolist()]
@@ -133,14 +120,6 @@ def _pair_rows(pairs, sep: str) -> list[str]:
     return lines
 
 
-def _matrix_payload(m: np.ndarray) -> list:
-    return [[[_num(v.real), _num(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _vector_payload(v: np.ndarray) -> list:
-    return [[_num(x.real), _num(x.imag)] for x in np.asarray(v, dtype=complex)]
-
-
 def parse_context(path: str) -> ContextDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,6 +128,9 @@ def parse_context(path: str) -> ContextDocument:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past Python's digit limit, or nesting past the recursion limit
+        raise ParseError(f"{path}: {exc}") from exc
     return document_from_mapping(raw)
 
 
@@ -264,7 +246,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
         if name not in seen_names:
             problems.append(f"maximal_family: undefined variable {name!r}")
     pairs_raw = raw.get("pairs", [])
-    pairs: list[DocumentPair] = []
+    pairs = []
     if not isinstance(pairs_raw, list):
         problems.append("pairs: must be a list")
         pairs_raw = []
@@ -277,20 +259,15 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             if not isinstance(ref, str) or ref not in seen_names:
                 problems.append(f"pairs[{i}]: undefined variable {ref!r}")
         k = p.get("k")
-        word, perm = None, None
         if isinstance(k, str):
-            word = k
             for part in k.split():
                 if part not in names:
                     problems.append(f"pairs[{i}]: word element {part!r} is not a generator name")
-        elif isinstance(k, list):
-            if not _is_permutation(k, size):
-                problems.append(f"pairs[{i}]: k is not a permutation of {size} points")
-            else:
-                perm = tuple(k)
-        else:
+        elif not isinstance(k, list):
             problems.append(f"pairs[{i}]: k must be a generator word or a permutation")
-        pairs.append(DocumentPair(str(theta), str(xi), word, perm))
+        elif not _is_permutation(k, size):
+            problems.append(f"pairs[{i}]: k is not a permutation of {size} points")
+        pairs.append((str(theta), str(xi), k))
     options = raw.get("options", {})
     if not isinstance(options, dict):
         problems.append("options: must be an object")
@@ -304,17 +281,19 @@ def document_from_mapping(raw: dict) -> ContextDocument:
         problems.append("phi_space: size must be positive")
     if problems:
         raise SchemaError(problems)
+    # each k, now valid, as a permutation: the factors of a generator word
+    # multiply left to right, so "a b" applies b first
+    named = dict(zip(names, gens))
+    resolved = []
+    for theta, xi, k in pairs:
+        if isinstance(k, str):
+            k = functools.reduce(lambda perm, g: tuple(perm[x] for x in g),
+                                 map(named.get, k.split()), range(size))
+        resolved.append(DocumentPair(theta, xi, tuple(k)))
     return ContextDocument(
-        size, tuple(gens), tuple(names), vars_out, tuple(family), tuple(pairs),
+        size, tuple(gens), vars_out, tuple(family), tuple(resolved),
         float(opts["tolerance"]), opts["fiducial_index"], opts["max_order"], opts["spin_suite"],
     )
-
-
-def _resolve_word(doc: ContextDocument, word: str) -> tuple[int, ...]:
-    """Word factors multiply left to right, so "a b" applies b first."""
-    perms = dict(zip(doc.generator_names, doc.generators))
-    return functools.reduce(compose, (perms[part] for part in word.split()),
-                            tuple(range(doc.phi_size)))
 
 
 def _fiducial(doc: ContextDocument, dim: int) -> np.ndarray:
@@ -437,10 +416,9 @@ def _pairs(run: _Run) -> None:
 
 def _relate(run: _Run) -> None:
     doc, dpair = run.doc, run.dpair
-    k = dpair.k_perm or _resolve_word(doc, dpair.k_word)
     try:
         run.pair = pairing.build_related_pair(
-            run.context, doc.variables[dpair.theta], doc.variables[dpair.xi], k)
+            run.context, doc.variables[dpair.theta], doc.variables[dpair.xi], dpair.k)
     except (NotRelated, NotAccessible, NotMaximal, InvolutionViolation) as exc:
         run.add("relatedness", "fail", run.idx, detail=str(exc))
         raise _Stop from exc
@@ -493,7 +471,7 @@ def _label(run: _Run) -> None:
     run.add("state-injectivity", injective, run.idx,
             witness=None if injective else f"elements {collision}")
     res = states.resolution
-    run.add("resolution-of-identity", res.ok, run.idx, residual=_num(res.residual),
+    run.add("resolution-of-identity", res.ok, run.idx, residual=res.residual,
             detail=f"c={_fmt(res.constant)}")
     if not res.ok:
         raise _Stop
@@ -514,28 +492,19 @@ def _operators(run: _Run) -> None:
     unit = coherent.operator_from_variable(system.coherent, np.ones(len(system.x_index)))
     unit_residual = float(np.abs(unit.matrix - np.eye(system.dim)).max())
     run.add("operator-construction", unit_residual <= run.doc.tolerance, run.idx,
-            residual=_num(unit_residual), detail="unit variable gives identity")
+            residual=unit_residual, detail="unit variable gives identity")
     run.eigs = tuple(spectra.eigensystem(op) for op in ops)
     for var, eig in zip((pair.theta, pair.xi), run.eigs):
-        run.report.operators.append({
-            "pair": run.idx,
-            "variable": var.name,
-            "matrix": _matrix_payload(eig.operator.matrix),
-            "eigenvalues": [_num(v) for v in eig.spectrum],
-        })
+        run.report.operators.append({"pair": run.idx, "variable": var.name,
+                                     "matrix": eig.operator.matrix, "eigenvalues": eig.spectrum})
         run.add("eigenvalue-value-match", spectra.verify_values_are_eigenvalues(eig, var),
                 run.idx, var.name)
         # both variables are maximal, or `_relate` would have stopped the pair
         run.add("maximality-nondegeneracy", not eig.degenerate, run.idx, var.name)
         for qa in spectra.question_answer_labels(eig, var):
             run.report.question_answers.append({
-                "pair": run.idx,
-                "variable": qa.variable,
-                "value": qa.value_label,
-                "numeric": _num(qa.numeric_value),
-                "rank": qa.rank,
-                "vector": _vector_payload(qa.eigenvector) if qa.eigenvector is not None else None,
-            })
+                "pair": run.idx, "variable": qa.variable, "value": qa.value_label,
+                "numeric": qa.numeric_value, "rank": qa.rank, "vector": qa.eigenvector})
 
 
 def _covariance(run: _Run) -> None:
@@ -555,7 +524,7 @@ def _covariance(run: _Run) -> None:
         else:
             status, detail = "fail", None
         run.add("conjugation-covariance", status, run.idx, f"t={rec.element}",
-                residual=_num(rec.residual), detail=detail)
+                residual=rec.residual, detail=detail)
 
 
 def _basis_change(run: _Run) -> None:
@@ -565,7 +534,7 @@ def _basis_change(run: _Run) -> None:
         return
     t = spectra.transition_matrix(eig_theta, eig_xi)
     resid = float(np.abs(t @ t.conj().T - np.eye(run.system.dim)).max())
-    run.add("transition-unitarity", resid <= run.doc.tolerance, run.idx, residual=_num(resid))
+    run.add("transition-unitarity", resid <= run.doc.tolerance, run.idx, residual=resid)
 
 
 def _spin_suite(run: _Run) -> None:
@@ -575,7 +544,7 @@ def _spin_suite(run: _Run) -> None:
         r = twice_r / 2
         sr = spin.build_spin(r)
         resid = spin.verify_commutation(sr)
-        run.add("spin-commutation", resid <= 1e-12, f"r={r}", residual=_num(resid))
+        run.add("spin-commutation", resid <= 1e-12, f"r={r}", residual=resid)
         run.add("spin-eigen", spin.verify_eigen(sr) and sr.dim == twice_r + 1, f"r={r}",
                 detail=f"dim={sr.dim}")
     for n in range(3, 13):
@@ -618,9 +587,7 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         lines.extend("  " + row for row in _pair_rows(op["matrix"], "  "))
         lines.append("  eigenvalues: " + " ".join(_fmt(v) for v in op["eigenvalues"]))
     for qa in report.question_answers:
-        vec = ""
-        if qa["vector"] is not None:
-            vec = " vector=" + _pair_rows([qa["vector"]], " ")[0]
+        vec = "" if qa["vector"] is None else " vector=" + _pair_rows([qa["vector"]], " ")[0]
         lines.append(
             f"question variable={qa['variable']} answer={qa['value']} "
             f"numeric={_fmt(qa['numeric'])} rank={qa['rank']}{vec}"
@@ -667,31 +634,46 @@ _DOCUMENT = ('{\n  "schema_version": %s,\n  "context": %s,\n  "tolerance": %s,\n
 _ENTRY_8, _ENTRY_10 = _list(("%s", "%s"), 8), _list(("%s", "%s"), 10)
 
 
+def _rounded(values: list) -> list[float]:
+    """Each number to the twelve digits `_fmt` prints: one `%.11e` template
+    for all, one parse back, and adding 0.0 turns -0.0 into 0.0."""
+    texts = ("\x00".join(["%.11e"] * len(values)) % tuple(values)).split("\x00")
+    return (np.fromiter(map(float, texts), float, len(texts)) + 0.0).tolist()
+
+
+def _re_im(a: np.ndarray) -> list[float]:
+    """The entries of a complex array in row-major order, each as re, im."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).ravel().tolist()
+
+
 def _structured_report(report: VerificationReport) -> str:
     """The report's JSON document, laid out as `json.dumps(..., indent=2)`
-    lays it out, and a newline. A matrix is rectangular, as `_matrix_payload`
-    writes it, so each matrix and vector is one entry layout repeated."""
+    lays it out, and a newline. Every float leaf is rounded, all in one
+    `_rounded` pass. Each matrix and vector is one entry layout repeated."""
     flat = itertools.chain.from_iterable
-    leaves = [SCHEMA_VERSION, report.context_name, _num(report.tolerance), None]
+    leaves = [SCHEMA_VERSION, report.context_name, float(report.tolerance), None]
     leaves += flat(map(_CHECK_LEAVES, report.checks))
     operators = []
     for op in report.operators:
         matrix, eigenvalues = op["matrix"], op["eigenvalues"]
         leaves += (op["pair"], op["variable"])
-        leaves += flat(flat(matrix))
-        leaves += eigenvalues
-        row = _list((_ENTRY_10,) * (len(matrix[0]) if matrix else 0), 8)
+        leaves += _re_im(matrix)
+        leaves += eigenvalues.tolist()
+        row = _list((_ENTRY_10,) * matrix.shape[1], 8)
         operators.append(_fill(_OPERATOR, _list((row,) * len(matrix), 6),
                                _list(("%s",) * len(eigenvalues), 6)))
     answers = []
     for qa in report.question_answers:
         vector = qa["vector"]
         leaves += (qa["pair"], qa["variable"], qa["value"], qa["numeric"], qa["rank"])
-        leaves += flat(vector) if vector is not None else (None,)
+        leaves += (None,) if vector is None else _re_im(vector)
         answers.append(_fill(_ANSWER, "%s" if vector is None
                              else _list((_ENTRY_8,) * len(vector), 6)))
     leaves += report.counts()
-    encoded = _LEAF_ENCODER.encode(leaves)
+    floats = np.fromiter(map(isinstance, leaves, itertools.repeat(float)), bool, len(leaves))
+    leaves = np.fromiter(leaves, object, len(leaves))
+    leaves[floats] = _rounded(leaves[floats].tolist())
+    encoded = _LEAF_ENCODER.encode(leaves.tolist())
     texts = encoded[1:-1].split("\x00")
     if "Infinity" in encoded or "NaN" in encoded:
         # a string leaf holding these words is quoted, so only numbers match
@@ -793,8 +775,7 @@ def _cmd_operator(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     lines.append("matrix:")
-    lines.extend("  " + row for row in _pair_rows(
-        np.stack([op.matrix.real, op.matrix.imag], axis=-1), "  "))
+    lines.extend("  " + row for row in _pair_rows(op.matrix, "  "))
     eig = spectra.eigensystem(op)
     lines.append("eigenvalues: " + " ".join(_fmt(v) for v in eig.eigenvalues))
     for qa in spectra.question_answer_labels(eig, var):

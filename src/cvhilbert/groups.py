@@ -4,9 +4,9 @@ group actions, subgroups, cosets.
 All structures are immutable after construction and fully verified at desk
 scale (orders up to ~1000). Every group is a list of distinct permutations
 of range(m), identity first (element 0): element a acts by rows[a], and a * b
-is the listed element whose row is rows[a] o rows[b] (`compose`). The product
-is composition of functions, which is associative, and the rows are an
-action of the group.
+is the listed element whose row is rows[a] o rows[b], x -> rows[a][rows[b][x]].
+The product is composition of functions, which is associative, and the rows
+are an action of the group.
 
 Besides its rows, a group keeps a generating set S and the |G|*|S| columns
 columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
@@ -259,11 +259,6 @@ def left_cosets(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
     # sorted by leader, stably, the elements run coset by coset, |H| each
     cosets = coset_leaders(group, sub.members).argsort(kind="stable").reshape(-1, sub.order)
     return CosetSpace(group, sub, tuple(map(tuple, cosets.tolist())), tuple(cosets[:, 0].tolist()))
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p * q)(x) = p(q(x)), matching act[p*q] = act[p] o act[q]."""
-    return tuple(p[q[x]] for x in range(len(q)))
 
 
 def _check_rows(count: int, size: int) -> None:

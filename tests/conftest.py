@@ -18,6 +18,12 @@ FLIP2 = (1, 0, 3, 2)
 SWAP = (0, 2, 1, 3)
 
 
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p * q)(x) = p(q(x)), matching act[p*q] = act[p] o act[q]: the
+    reference product of two permutation rows."""
+    return tuple(p[q[x]] for x in range(len(q)))
+
+
 def standard_action(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BOUND):
     """Catalogue groups, cyclic Z_n, dihedral D_n (order 2n) and symmetric
     S_n, and their action on the points, closed from their listed

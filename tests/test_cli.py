@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -74,10 +75,33 @@ class TestParsing:
         assert "line" in str(exc.value)
 
     def test_word_resolution(self):
-        doc = cli.document_from_mapping(cli.two_bit_document())
+        raw = cli.two_bit_document()
+        raw["pairs"][0]["k"] = "flip1 flip2"
+        doc = cli.document_from_mapping(raw)
         # flip1 then flip2 equals the simultaneous flip
-        perm = cli._resolve_word(doc, "flip1 flip2")
-        assert perm == (3, 2, 1, 0)
+        assert doc.pairs[0].k == (3, 2, 1, 0)
+
+    @pytest.mark.parametrize("word, perm", [("flip1 swap", (2, 0, 3, 1)),
+                                            ("swap flip1", (1, 3, 0, 2)), ("", (0, 1, 2, 3))])
+    def test_word_applies_its_last_factor_first(self, word, perm):
+        raw = cli.two_bit_document()
+        raw["group_K"] = {"generators": [[2, 3, 0, 1], [0, 2, 1, 3]], "names": ["flip1", "swap"]}
+        raw["pairs"][0]["k"] = word
+        assert cli.document_from_mapping(raw).pairs[0].k == perm
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                                    # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,                 # nested past the recursion limit
+    ], ids=["not-utf8", "deep-nesting"])
+    @pytest.mark.parametrize("command", [["verify"], ["operator", "--variable", "bit1"]])
+    def test_unreadable_document_exits_one(self, tmp_path, capsys, content, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert cli.main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestRunVerify:
@@ -200,6 +224,44 @@ class TestRunVerify:
         assert (rec.status, rec.witness) == ("fail", "elements (0, 3)")
 
 
+class TestRawValues:
+    def test_chain_keeps_raw_values(self, monkeypatch):
+        # the writers alone round: each operator is its eigensystem's matrix
+        # bit for bit, each answer its eigenvector, and each residual the
+        # float its stage computed. The covariance residuals are given more
+        # digits than a report prints
+        eigs, systems, records = [], [], []
+
+        def spy(fn, sink, change=lambda x: x):
+            def wrapped(*args):
+                sink.append(change(fn(*args)))
+                return sink[-1]
+            return wrapped
+
+        monkeypatch.setattr(spectra, "eigensystem", spy(spectra.eigensystem, eigs))
+        monkeypatch.setattr(pairing, "joint_coset_structure",
+                            spy(pairing.joint_coset_structure, systems))
+        monkeypatch.setattr(pairing, "covariance_records", spy(
+            pairing.covariance_records, records,
+            lambda recs: [dataclasses.replace(r, residual=(r.element + 1) / 3 * 1e-17)
+                          for r in recs]))
+        report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
+        assert not report.failed and len(report.operators) == len(eigs) == 2
+        for op, eig in zip(report.operators, eigs):
+            assert isinstance(op["matrix"], np.ndarray)
+            assert np.array_equal(op["matrix"].view(np.uint64),
+                                  eig.operator.matrix.view(np.uint64))
+            assert np.array_equal(op["eigenvalues"].view(np.uint64), eig.spectrum.view(np.uint64))
+        vectors = [eig.vectors[:, i] for eig in eigs for i in range(eig.vectors.shape[1])]
+        assert all(any(qa["vector"].tobytes() == v.tobytes() for v in vectors)
+                   for qa in report.question_answers)
+        residuals = {c.cid: c.residual for c in report.checks if c.residual is not None}
+        assert all(type(r) is float for r in residuals.values())
+        assert residuals["resolution-of-identity[0]"] is systems[0].coherent.resolution.residual
+        covariance = [r for cid, r in residuals.items() if cid.startswith("conjugation-")]
+        assert covariance == [r.residual for r in records[0]] and len(covariance) == 8
+
+
 class TestReports:
     def test_text_determinism(self):
         doc = cli.parse_context(TWO_BIT)
@@ -226,7 +288,7 @@ class TestReports:
 
     def test_negative_zero_normalized(self):
         assert cli._fmt(-0.0) == "0.00000000000e+00"
-        assert cli._num(-0.0) == 0.0
+        assert math.copysign(1.0, cli._rounded([-0.0])[0]) == 1.0
 
     # signed zeros, infinities, nan, the smallest subnormal, a huge value
     # and values that round at the twelfth significant digit
@@ -236,11 +298,19 @@ class TestReports:
 
     @pytest.mark.parametrize("sep", [" ", "  "])
     def test_pair_rows_match_per_entry_fmt(self, sep):
-        pairs = np.array(self.EDGE_VALUES).reshape(2, 4, 2)
-        expected = [sep.join(f"[{cli._fmt(re)},{cli._fmt(im)}]" for re, im in row)
-                    for row in pairs]
-        assert cli._pair_rows(pairs, sep) == expected
-        assert cli._pair_rows(pairs.tolist(), sep) == expected
+        matrix = complex_matrix(np.array(self.EDGE_VALUES).reshape(2, 4, 2))
+        expected = [sep.join(f"[{cli._fmt(z.real)},{cli._fmt(z.imag)}]" for z in row)
+                    for row in matrix.tolist()]
+        assert cli._pair_rows(matrix, sep) == expected
+        assert cli._pair_rows(matrix.tolist(), sep) == expected
+
+    def test_rounded_as_fmt_prints(self):
+        # one template over every value, parsed back: the twelve digits that
+        # `_fmt` prints, which `_fmt` prints again unchanged
+        rounded = cli._rounded(self.EDGE_VALUES)
+        assert [cli._fmt(v) for v in rounded] == [cli._fmt(v) for v in self.EDGE_VALUES]
+        for v, r in zip(self.EDGE_VALUES, rounded):
+            assert repr(r) == repr(float(f"{v:.11e}") + 0.0)
 
     # more examples than the profile's 30, so that each run draws widths 0
     # and 1 and zero runs in every position
@@ -258,13 +328,19 @@ class TestReports:
                  | st.tuples(signed_zero, signed_zero))
         pairs = np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
                          dtype=float).reshape(rows, cols, 2)
-        assert cli._pair_rows(pairs, sep) == one_template_rows(pairs, sep)
+        assert cli._pair_rows(complex_matrix(pairs), sep) == one_template_rows(pairs, sep)
 
     def test_pair_rows_keep_nans_apart(self):
         pairs = np.array([[[math.nan, 1.0], [math.nan, 2.0], [-math.nan, 1.0], [0.0, -0.0]]])
-        assert cli._pair_rows(pairs, " ") == one_template_rows(pairs, " ") == [
+        assert cli._pair_rows(complex_matrix(pairs), " ") == one_template_rows(pairs, " ") == [
             "[nan,1.00000000000e+00] [nan,2.00000000000e+00] [nan,1.00000000000e+00] "
             "[0.00000000000e+00,0.00000000000e+00]"]
+
+
+def complex_matrix(pairs):
+    """The complex matrix whose entries are the [re, im] pairs of the last
+    axis, bit for bit."""
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def one_template_rows(pairs, sep):
@@ -275,21 +351,41 @@ def one_template_rows(pairs, sep):
     return [template % tuple(row.tolist()) for row in pairs.reshape(len(pairs), -1)]
 
 
+def rounded(v):
+    """The reference rounding: twelve significant digits, -0.0 as 0.0."""
+    return float(f"{v:.11e}") + 0.0
+
+
+def rounded_pairs(entries):
+    return [[rounded(z.real), rounded(z.imag)] for z in entries]
+
+
 def reference_payload(report):
-    """The reference for the structured report: its payload, which
-    `json.dumps(..., indent=2)` lays out."""
+    """The reference for the structured report: its payload, each number
+    rounded by `rounded`, which `json.dumps(..., indent=2)` lays out."""
     return {
         "schema_version": cli.SCHEMA_VERSION,
         "context": report.context_name,
-        "tolerance": cli._num(report.tolerance),
+        "tolerance": rounded(report.tolerance),
         "seeds": None,
         "checks": [
-            {"id": c.cid, "anchor": c.anchor, "status": c.status, "residual": c.residual,
+            {"id": c.cid, "anchor": c.anchor, "status": c.status,
+             "residual": None if c.residual is None else rounded(c.residual),
              "witness": c.witness, "detail": c.detail}
             for c in report.checks
         ],
-        "operators": report.operators,
-        "question_answers": report.question_answers,
+        "operators": [
+            {"pair": op["pair"], "variable": op["variable"],
+             "matrix": [rounded_pairs(row) for row in op["matrix"].tolist()],
+             "eigenvalues": [rounded(v) for v in op["eigenvalues"].tolist()]}
+            for op in report.operators
+        ],
+        "question_answers": [
+            {"pair": qa["pair"], "variable": qa["variable"], "value": qa["value"],
+             "numeric": rounded(qa["numeric"]), "rank": qa["rank"],
+             "vector": None if qa["vector"] is None else rounded_pairs(qa["vector"].tolist())}
+            for qa in report.question_answers
+        ],
         "summary": dict(zip(("pass", "fail", "skip"), report.counts())),
     }
 
@@ -322,21 +418,25 @@ TEXT = st.lists(st.sampled_from(["%", "%s", "|", "{", ",", '"', "\\", "\x00", "\
 
 @st.composite
 def reports(draw, number):
-    """A VerificationReport of every shape the writer lays out, numbers
-    normalized by `_num` as the chain stores them."""
-    num = number.map(cli._num)
-    entry = st.lists(num, min_size=2, max_size=2)
+    """A VerificationReport of every shape the writer lays out, with raw
+    numbers as the chain stores them: floats, float spectra, and complex
+    matrices and vectors whose parts are drawn from `number`."""
+    def complex_array(*shape):
+        size = 2 * math.prod(shape)
+        return st.lists(number, min_size=size, max_size=size).map(
+            lambda parts: complex_matrix(np.array(parts, dtype=float).reshape(*shape, 2)))
+
     checks = st.builds(cli.CheckRecord, TEXT, TEXT, st.sampled_from(["pass", "fail", "skip"]),
-                       st.none() | num, st.none() | TEXT, st.none() | TEXT)
+                       st.none() | number, st.none() | TEXT, st.none() | TEXT)
     rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     # the keys in the order the chain writes them
     operators = st.tuples(
-        st.integers(), TEXT,
-        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows),
-        st.lists(num, max_size=3),
+        st.integers(), TEXT, complex_array(rows, cols),
+        st.lists(number, max_size=3).map(lambda v: np.array(v, dtype=float)),
     ).map(lambda fields: dict(zip(("pair", "variable", "matrix", "eigenvalues"), fields)))
     answers = st.tuples(
-        st.integers(), TEXT, TEXT, num, st.integers(), st.none() | st.lists(entry, max_size=3),
+        st.integers(), TEXT, TEXT, number, st.integers(),
+        st.none() | st.integers(0, 3).flatmap(complex_array),
     ).map(lambda fields: dict(zip(("pair", "variable", "value", "numeric", "rank", "vector"),
                                   fields)))
     return cli.VerificationReport(draw(TEXT), draw(number), draw(st.lists(checks, max_size=4)),
@@ -344,17 +444,24 @@ def reports(draw, number):
                                   draw(st.lists(answers, max_size=3)))
 
 
+# signed zeros, the smallest subnormals, the largest normal numbers near the
+# float maximum and values that round at the twelfth significant digit
+FINITE_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1.7e308,
+                                -1.7e308, sys.float_info.max, 1.234567890125, 9.999999999995e10])
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, -math.nan])
+
+
 class TestStructuredReport:
     # more examples than the profile's 30, so that empty and one-entry
     # matrices, vectors and lists of each kind are drawn
     @settings(max_examples=200)
-    @given(reports(st.floats(allow_nan=False, allow_infinity=False)))
+    @given(reports(st.floats(allow_nan=False, allow_infinity=False) | FINITE_EDGES))
     def test_matches_indented_json(self, report):
         assert cli.emit_report(report, "structured") == json.dumps(
             reference_payload(report), indent=2) + "\n"
 
     @settings(max_examples=100)
-    @given(reports(st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])))
+    @given(reports(st.floats() | FINITE_EDGES | NON_FINITE))
     def test_non_finite_numbers_spelled_as_text_report(self, report):
         out = cli.emit_report(report, "structured")
         assert out == json.dumps(spelled(reference_payload(report)), indent=2,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cvhilbert import cli, groups, pairing, variables
 from cvhilbert.errors import NotASubgroup, SizeLimit
 
-from conftest import induced_indices, standard_action, standard_group
+from conftest import compose, induced_indices, standard_action, standard_group
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -310,12 +310,12 @@ def reference_closure(gens, size):
     while queue:
         current = queue.pop(0)
         for g in gens:
-            cand = groups.compose(current, tuple(g))
+            cand = compose(current, tuple(g))
             if cand not in index:
                 index[cand] = len(elements)
                 elements.append(cand)
                 queue.append(cand)
-    table = [[index[groups.compose(p, q)] for q in elements] for p in elements]
+    table = [[index[compose(p, q)] for q in elements] for p in elements]
     return [list(p) for p in elements], table
 
 

@@ -6,7 +6,7 @@ from cvhilbert import groups, variables
 from cvhilbert.errors import NotAccessible, NotPermissible, SizeLimit
 from cvhilbert.spin import axis_component_variable, octahedral_axes_action
 
-from conftest import induced_indices
+from conftest import compose, induced_indices
 
 
 def shift_action(n):
@@ -27,7 +27,7 @@ def reference_induced_group(variable, action):
     maps = [tuple(range(variable.value_count))]
     maps += [m for i, m in enumerate(induced) if m not in maps and m not in induced[:i]]
     index = {m: i for i, m in enumerate(maps)}
-    table = [[index[groups.compose(p, q)] for q in maps] for p in maps]
+    table = [[index[compose(p, q)] for q in maps] for p in maps]
     return [list(m) for m in maps], table, tuple(index[m] for m in induced)
 
 
