@@ -431,9 +431,9 @@ def _join(run: _Run) -> None:
     if run.dpair.theta not in run.induced:
         run.add("joint-group", "skip", run.idx, detail="first variable not permissible")
         raise _Stop
-    g_group, g_action = run.induced[run.dpair.theta]
+    g_action = run.induced[run.dpair.theta][1]
     try:
-        run.joint = pairing.build_joint_group(run.pair, g_group, g_action, run.doc.max_order)
+        run.joint = pairing.build_joint_group(run.pair, g_action, run.doc.max_order)
     except CvhilbertError as exc:
         run.add("joint-group", "fail", run.idx, detail=str(exc))
         raise _Stop from exc

@@ -10,24 +10,35 @@ are an action of the group.
 
 Besides its rows, a group keeps a generating set S and the |G|*|S| columns
 columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
-Permutation Group Algorithms, 2003, ch. 4). The builder computes them as it
-closes the group, and composes no |G|^2 pairs.
+Permutation Group Algorithms, 2003, ch. 4). The builders compute them as
+they build the group, and compose no |G|^2 pairs of its elements.
 
-There is one builder. `generate_permutation_group` closes generators
-breadth-first, composing each element with each generator and matching each
-product by its whole row, through a dict keyed on the row's bytes in the
-narrowest unsigned dtype that holds the points (`_breadth_first`). The match
-is exact, so one pass closes the group, and the closure is a group by
-construction. K, the group G induced on a variable's values (closed from the
-images of K's generators) and the joined group N are all built by it.
+Two groups are closed: K, the one group a document gives, and the spin
+suite's fixed octahedral group. `generate_permutation_group` closes
+generators breadth-first, composing each element with each generator and
+matching each product by its whole row, through a dict keyed on the row's
+bytes in the narrowest unsigned dtype that holds the points
+(`_breadth_first`, `_row_ids`). The match is exact, so one pass closes the
+group, and the closure is a group by construction. The other groups are
+derived from K, each in the numbering that its own closure would give, so
+words, coset representatives and reports are those of the closure:
+
+* `image_group` reads the image of a homomorphism off the closure of its
+  source: the group G induced on a variable's values is the image of K,
+  its rows matched by `_row_ids` and its columns K's columns
+  (`variables.induced_group` proves the homomorphism and the numbering);
+* `wreath_product` builds the joined group N = G wr Z_2 in closed form, its
+  rows and columns arithmetic on G's action and table
+  (`pairing.build_joint_group` proves the form and the numbering).
 
 Every product of two arbitrary elements reads the |G|^2 table
 `FiniteGroup.cayley`: the inverses and products of `subgroup` and
-`coset_leaders`. The table is filled from the columns, one breadth-first
-level at a time, on its first read, and only a group that is multiplied
-builds it: G, whose regular representation is its table, and N, at the
-cosets of a joined representation that extends. K is read only through its
-rows and generators and builds none. The table is the group's regular action
+`coset_leaders`, and the columns of `wreath_product`. The table is filled
+from the columns, one breadth-first level at a time, on its first read, and
+only a group that is multiplied builds it: G, whose regular representation
+is its table and which N is built from, and N, at the cosets of a joined
+representation that extends. K is read only through its rows and
+generators and builds none. The table is the group's regular action
 (Cayley), verified with the columns it is read from, and `regular_action`
 wraps it as one. Like the element rows of a closure, it is
 refused with SizeLimit above PERMUTATION_BYTE_LIMIT before it is allocated.
@@ -46,18 +57,20 @@ directly.
 
 Every exact check of an integer table is made here, once, where the table is
 built: `generate_permutation_group` checks that its generators are
-permutations, and their products are permutations too. Every action is
-a group's own rows or its Cayley table, so no table of an action is checked
+permutations, and their products are permutations too. The derived groups
+are groups by their callers' proofs and are not checked. Every action is a
+group's own rows or its Cayley table, so no table of an action is checked
 against the products. Checks over a whole group are made on the generators;
 a failure runs the row-major scan, `_first_violation`, only to name the
 first failing tuple.
 
-Only `generate_permutation_group` and `regular_action` make a `FiniteGroup`
-or a `GroupAction`: each passes a module-private token, and a constructor
-called without it raises TypeError. The token is an init-only field, so
-`dataclasses.replace` cannot carry it over to a copy with another table. A
-group or an action anywhere in the package has therefore passed the checks
-above.
+Only `generate_permutation_group`, `image_group`, `wreath_product` and
+`regular_action` make a `FiniteGroup` or a `GroupAction`: each passes a
+module-private token, and a constructor called without it raises TypeError.
+The token is an init-only field, so `dataclasses.replace` cannot carry it
+over to a copy with another table. A group or an action anywhere in the
+package has therefore passed the checks above, or is derived from one that
+has by a proof.
 """
 
 from __future__ import annotations
@@ -299,40 +312,113 @@ def generate_permutation_group(
     return _group(rows, columns[0], columns)
 
 
+def image_group(group: FiniteGroup, images: np.ndarray) -> tuple[FiniteGroup, GroupAction]:
+    """The image of a homomorphism a -> images[a] from a built group to the
+    permutations of images.shape[1] points, read off the group's closure.
+
+    The caller proves that the map is a homomorphism, and nothing is
+    checked. Its elements are the distinct images, matched whole
+    (`_row_ids`), numbered in the order in which they first appear over the
+    group's elements, so the identity, the image of element 0, is element
+    0. Its generating set is the images of the group's, in listed order,
+    and its columns are the group's columns at the first element with each
+    image, mapped through the same ids: h(a) * h(S[j]) = h(a * S[j]).
+    """
+    ids, first = _row_ids(images.astype(np.min_scalar_type(images.shape[1] - 1), order="C"), {})
+    columns = ids[group.columns[first]]
+    return _group(np.ascontiguousarray(images[first], dtype=np.int64), columns[0], columns)
+
+
+def wreath_product(action: GroupAction, order_bound: int) -> tuple[FiniteGroup, GroupAction]:
+    """N = G wr Z_2 on the square of the points of a regular action of G,
+    built in closed form, in the numbering of its breadth-first closure.
+
+    Point x * m + y is (x, y). N is generated by the first-axis copies F_a
+    of G's moved elements a = 1..m-1, (x, y) -> (a . x, y), then the
+    second-axis copies S_a, (x, y) -> (x, a . y), then the swap W,
+    (x, y) -> (y, x); with one point W is the identity, and N has one
+    element and no generator. The action must be regular, and nothing is
+    checked: then each element of N is F_g S_h W^s for one triple (g, h, s),
+    the closure numbers the triples in the order listed in the code, and
+    right factors act on them by G's Cayley table, as
+    `pairing.build_joint_group` proves. |N| = 2 m^2 is refused with
+    SizeLimit above order_bound or PERMUTATION_BYTE_LIMIT before any row is
+    allocated.
+    """
+    m = action.space_size
+    order, count = (2 * m * m, 2 * m - 1) if m > 1 else (1, 0)
+    if order > order_bound:
+        raise SizeLimit(f"closure exceeds order bound {order_bound}")
+    _check_rows(order, m * m)
+    # the position (s, g, h) of each element in breadth-first order: e; F_a;
+    # S_a; W; per g, (g, a, 0) for each a, then (g, e, 1); (e, h, 1); (g, h, 1)
+    flat = np.arange(2 * m * m).reshape(2, m, m)
+    found = np.concatenate([
+        flat[0, 0, :1], flat[0, 1:, 0], flat[0, 0, 1:], flat[1, 0, :1],
+        np.concatenate([flat[0, 1:, 1:], flat[1, 1:, :1]], axis=1).ravel(),
+        flat[1, 0, 1:], flat[1, 1:, 1:].ravel()])
+    number = found.argsort().reshape(2, m, m)
+    found = found[:order]   # with one point, W is e
+    # (g, h, 0) sends (x, y) to (g . x, h . y), and (g, h, 1) to (g . y, h . x)
+    act = action.act
+    x, y = np.divmod(np.arange(m * m), m)
+    rows = np.concatenate([act[:, None, x] * m + act[None, :, y],
+                           act[:, None, y] * m + act[None, :, x]]).reshape(2 * m * m, m * m)
+    # right factors: F_a takes (g, h, 0) to (g a, h, 0) and (g, h, 1) to
+    # (g, h a, 1); S_a the same with the axes exchanged; W flips s
+    g, h = np.arange(m)[:, None, None], np.arange(m)[None, :, None]
+    ga, ha = action.group.cayley[:, None, 1:], action.group.cayley[None, :, 1:]
+    columns = np.concatenate([
+        np.concatenate([number[0][ga, h], number[0][g, ha], number[1][..., None]], axis=2),
+        np.concatenate([number[1][g, ha], number[1][ga, h], number[0][..., None]], axis=2),
+    ]).reshape(2 * m * m, 2 * m - 1)[found, :count]
+    return _group(rows[found], columns[0], columns)
+
+
 def _breadth_first(gen_rows: np.ndarray, order_bound: int):
     """(rows, columns): the breadth-first closure of the generators.
 
     Each element in turn is composed with each generator, a product whose row
     is new becomes the next element, and columns[g, j] is the element equal
-    to g * S[j]. Products are matched whole, by the bytes of their rows in
-    the narrowest unsigned dtype that holds the points. The elements are
-    composed a block at a time, in discovery order, and a block whose
-    products pass order_bound or PERMUTATION_BYTE_LIMIT raises SizeLimit
-    before their rows are kept.
+    to g * S[j]. Products are matched whole (`_row_ids`), in the narrowest
+    unsigned dtype that holds the points. The elements are composed a block
+    at a time, in discovery order, and a block whose products pass
+    order_bound or PERMUTATION_BYTE_LIMIT raises SizeLimit before their rows
+    are kept.
     """
     count, m = gen_rows.shape
     narrow = gen_rows.astype(np.min_scalar_type(m - 1))
-    row_key, step = np.dtype((np.void, narrow.itemsize * m)), _block_cells(narrow.nbytes)
+    step = _block_cells(narrow.nbytes)
     queue = [np.arange(m, dtype=narrow.dtype)[None]]
     index = {queue[0].tobytes(): 0}
     columns = []
     for block in queue:  # grows by the new elements of each block
         for start in range(0, len(block), step):
             products = block[start:start + step][:, narrow]
-            known = len(index)
-            ids = np.array([index.setdefault(key, len(index))
-                            for key in products.reshape(-1, m).view(row_key).ravel().tolist()],
-                           dtype=np.int64)
+            ids, fresh = _row_ids(products.reshape(-1, m), index)
             if len(index) > order_bound:
                 raise SizeLimit(f"closure exceeds order bound {order_bound}")
             _check_rows(len(index), m)
-            if len(index) > known:
-                # the new elements first appear in order, each where the
-                # running maximum of the ids first reaches it
-                fresh = np.maximum.accumulate(ids).searchsorted(np.arange(known, len(index)))
+            if fresh.size:
                 queue.append(products.reshape(-1, m)[fresh])
             columns.append(ids.reshape(len(products), count))
     return np.concatenate(queue, dtype=np.int64), np.concatenate(columns)
+
+
+def _row_ids(rows: np.ndarray, index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, fresh): the id of each row of a C-contiguous (count, m) array,
+    and the positions at which rows new to the index first appear, in order.
+
+    Rows are matched whole, through a dict keyed on their bytes; a row not
+    in the index joins it with the next id. New ids are handed out in order,
+    so each new row first appears where the running maximum of the ids
+    first reaches its id.
+    """
+    known = len(index)
+    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    ids = np.array([index.setdefault(row, len(index)) for row in rows.view(key).ravel().tolist()],
+                   dtype=np.int64)
+    return ids, np.maximum.accumulate(ids).searchsorted(np.arange(known, len(index)))
 
 
 def _bfs_levels(columns: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

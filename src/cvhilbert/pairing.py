@@ -1,13 +1,17 @@
 """Joining two related maximal variables into one operator-bearing system.
 
-Given a transitive free group on the first variable's value set, an
+Given a transitive free group G on the first variable's value set, an
 independent copy acts on the second value set and a swap generator joins
-them into a group N on the value product. That N is transitive, and not
-abelian for more than one value, follows from G (`build_joint_group` has
-the proof) and is not checked. N's generators are listed in a fixed order,
+them into a group N on the value product, the wreath product G wr Z_2.
+Each element of N is F_g S_h W^s for one triple (g, h, s), so N is built in
+closed form from G's action and Cayley table, with no closure run, in the
+numbering that its breadth-first closure would give. That N is transitive,
+and not abelian for more than one value, follows from G, and the triples,
+the numbering and both facts are proved in `build_joint_group` and not
+checked. N's generators are listed in a fixed order,
 so the matrices assigned to them are one stack: U(g), J U(g) J, then J.
 Nothing guarantees in advance that this assignment extends to a
-homomorphism. N is the wreath product G wr Z_2, so it extends exactly when
+homomorphism. As N is G wr Z_2, it extends exactly when
 the images satisfy N's defining relations (von Dyck's theorem), and those
 reduce to J^2 = I and U(g) commuting with J U(h) J for every g and h in G;
 `build_joint_representation` decides them, names the first failing
@@ -58,9 +62,9 @@ from .groups import (
     _first_violation,
     bfs_words,
     coset_leaders,
-    generate_permutation_group,
     is_transitive,
     isotropy_subgroup,
+    wreath_product,
 )
 from .representations import (
     _BUILT,
@@ -154,24 +158,60 @@ def build_related_pair(
 
 def build_joint_group(
     pair: RelatedPair,
-    g_group: FiniteGroup,
     g_action: GroupAction,
     order_bound: int = DEFAULT_ORDER_BOUND,
 ) -> JointGroup:
-    """Close the first-axis copies, second-axis copies and the swap into N.
+    """Join the first-axis copies, second-axis copies and the swap into N,
+    the wreath product G wr Z_2, in closed form (`groups.wreath_product`).
 
     The supplied group must be transitive with trivial isotropy on the value
-    set, so group elements match values one to one. Nothing about N needs
-    checking once it is closed:
+    set, so group elements match values one to one: g is the element with
+    g . 0 = x for one value x. N is generated by F_a, (x, y) -> (a . x, y),
+    and S_a, (x, y) -> (x, a . y), for the moved elements a = 1..k of G
+    (k = m - 1), in G's order, then the swap W, (x, y) -> (y, x). Products
+    compose right to left, so F_g S_h W^s sends (x, y) to (g . x, h . y)
+    when s = 0 and to (g . y, h . x) when s = 1. With one value W is the
+    identity and N is the one-element group, with no generator. For m > 1:
 
-    * N is transitive on the product: for a value pair (x, y) take g and h in
-      G with g . 0 = x and h . 0 = y; the first-axis copy of g after the
-      second-axis copy of h sends (0, 0) to (x, y).
+    * Distinct. The 2 m^2 triples (g, h, s) give distinct permutations. An
+      element with s = 0 maps the line x = 0 onto a line of fixed x, one
+      with s = 1 onto a line of fixed y, and for m > 1 these differ. For
+      fixed s, the image of (0, 0) is (g . 0, h . 0), which names g and h.
+    * Closed. F_a and S_a commute, W F_a W = S_a and W^2 = 1, so right
+      multiplication by a generator keeps the form: F_a takes (g, h, 0) to
+      (g a, h, 0) and (g, h, 1) to (g, h a, 1); S_a does the same with the
+      axes exchanged; W flips s. The triples hold e and are closed under
+      right factors that generate N, so they are N, and |N| = 2 m^2.
+    * Numbered as the breadth-first closure of F_1..F_k, S_1..S_k, W
+      (`groups.generate_permutation_group`) numbers it, scanning the
+      elements in order and each against the generators in listed order.
+      The scan of e finds the generators, elements 1..2k+1. The scan of F_g,
+      for g in order, finds (g, a, 0) at S_a for a = 1..k, then (g, e, 1) at
+      W; at F_a it meets F's and e. The scan of S_h finds only (e, h, 1), at
+      W, as (a, h, 0) was found by F_a's; that of W finds nothing, as
+      (e, a, 1) and (a, e, 1) were found by S_a's and F_a's. Every triple
+      with s = 0 is now found, so the scan of (g, a, 0), in order, finds
+      only (g, a, 1), at W. (g, e, 1) follows (g, 1..k, 0), and (e, h, 1)
+      follows every (g, a, 0), so their products (g, b, 1), (g b, e, 1),
+      (e, h b, 1) and (b, h, 1) were found, and at W they give F_g and S_h.
+      That is all 1 + (2k + 1) + k (k + 1) + k + k^2 = 2 m^2 elements, in
+      the order e; F_a; S_a; W; per g, (g, a, 0) for a = 1..k, then
+      (g, e, 1); (e, h, 1); (g, h, 1), row-major. So the rows, the
+      generators, their columns and every word (`bfs_words`) are the
+      closure's.
+
+    Nothing about N needs checking once it is built:
+
+    * N is transitive on the product: F_g S_h sends (0, 0) to (x, y) for
+      g . 0 = x and h . 0 = y.
     * N is not abelian when m > 1: G is transitive on more than one value,
       so some g moves some value x to g . x != x. Its first-axis copy sends
       (x, x) to (g . x, x) and its second-axis copy to (x, g . x), so the two
       differ, and the swap, which conjugates the one into the other, does not
       commute with the first.
+
+    |N| is known before anything is built: above order_bound it raises
+    SizeLimit, "closure exceeds order bound", before any row is allocated.
     """
     if not is_transitive(g_action):
         raise NotTransitive("the supplied group is not transitive on the values")
@@ -180,18 +220,12 @@ def build_joint_group(
     m = g_action.space_size
     if m != pair.theta.value_count:
         raise ValueError("group acts on the wrong number of values")
-    x, y = np.divmod(np.arange(m * m), m)    # point x*m + y of the value product
-    firsts = g_action.act[:, x] * m + y       # each element of G on the first axis
-    seconds = x * m + g_action.act[:, y]      # and on the second
-    moved = [g for g in range(g_group.order) if g != g_group.identity]
-    swaps = [y * m + x] if m > 1 else []
-    gens = [*firsts[moved], *seconds[moved], *swaps]
-    n_group, n_action = generate_permutation_group(gens, space_size=m * m, order_bound=order_bound)
-    # the closure lists each generator as an element, in the order given:
-    # G's elements 1..|G|-1 on the first axis, then on the second, then the
-    # swap; the copies of the identity of G are the identity of N
-    gens, k = n_group.generators, len(moved)
-    swap_element = gens[-1] if swaps else n_group.identity
+    n_group, n_action = wreath_product(g_action, order_bound)
+    # the generators are elements 1..2k+1 in the order listed above: the
+    # first-axis copies, the second-axis copies, the swap; the copies of the
+    # identity of G are the identity of N
+    gens, k = n_group.generators, m - 1
+    swap_element = gens[-1] if m > 1 else n_group.identity
     return JointGroup(n_group, n_action, m, (n_group.identity, *gens[:k]),
                       (n_group.identity, *gens[k:2 * k]), swap_element)
 

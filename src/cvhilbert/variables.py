@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAccessible, NotPermissible
-from .groups import GroupAction, generate_permutation_group
+from .groups import GroupAction, image_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +113,7 @@ def is_permissible(variable: ConceptualVariable, action: GroupAction):
 
 
 def induced_group(variable: ConceptualVariable, action: GroupAction):
-    """Value-set maps induced by a permissible variable.
+    """Value-set maps induced by a permissible variable, read off K's closure.
 
     Returns (G, G_action on the value set). The identity map is element 0;
     the remaining maps are numbered in the order of their first appearance
@@ -124,31 +124,32 @@ def induced_group(variable: ConceptualVariable, action: GroupAction):
     the values with h(k)(theta(p)) = theta(k . p), and K's action was
     verified where it was built, so (k1 k2) . p = k1 . (k2 . p) and
     h(k1 k2) = h(k1) o h(k2) exactly. So h is a homomorphism, each h(k) is a
-    permutation (h(k^-1) inverts it), and G, the image of K, is generated by
-    the images of K's generators: it is closed from them
-    (`generate_permutation_group`), with no more than |K| elements.
+    permutation (h(k^-1) inverts it), and G, the image of K, is the set of
+    the maps h(k), read at one point per value: `groups.image_group` keeps
+    each map once, at its first appearance, and that is all of G. Its
+    generating set is h(S) for K's generators S, in listed order, and its
+    columns are K's, mapped through the same ids: h(k) * h(s) = h(k * s).
 
-    The numbering is the order of first appearance over K. Every group is a
-    breadth-first closure, so K's elements are numbered in the order in
-    which they first appear in its scan: the identity, then k * s for k in
-    element order and s in the listed order of K's generators S. G is closed
-    the same way from h(S). In K's scan, a pair (k, s) whose k has the map
-    of an earlier element k' gives h(k * s) = h(k' * s), which the earlier
-    pair (k', s) gave already, so it shows no map first. Strike those
-    pairs; by induction on the elements of G found so far, the pairs left
-    are G's scan, pair for pair and map for map. So G numbers its elements
-    in the order in which the maps first appear in K's scan, which is the
-    order in which they first appear over K's elements.
+    This is the group, element for element, that closing h(S) breadth-first
+    gives (`generate_permutation_group`). K's elements are numbered in the
+    order in which they first appear in its breadth-first scan: the
+    identity, then k * s for k in element order and s in the listed order
+    of S. The closure of h(S) scans the same way. In K's scan, a pair
+    (k, s) whose k has the map of an earlier element k' gives
+    h(k * s) = h(k' * s), which the earlier pair (k', s) gave already, so
+    it shows no map first. Strike those pairs; by induction on the elements
+    of G found so far, the pairs left are the closure's scan, pair for pair
+    and map for map. So the closure numbers its elements in the order in
+    which the maps first appear in K's scan, which is the order in which
+    they first appear over K's elements, and its columns and generators are
+    the ones read off K.
     """
     ok, witness = is_permissible(variable, action)
     if not ok:
         raise NotPermissible(witness)
     vals = np.asarray(variable.values, dtype=np.int64)
-    # the map induced by each generator, read at one point per value
-    gens = action.act[list(action.group.generators)]
-    return generate_permutation_group(vals[gens[:, _first_points(variable)]],
-                                      space_size=variable.value_count,
-                                      order_bound=action.group.order)
+    # the map induced by each element, read at one point per value
+    return image_group(action.group, vals[action.act[:, _first_points(variable)]])
 
 
 def refines(xi: ConceptualVariable, theta: ConceptualVariable):

@@ -73,7 +73,7 @@ def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
     """The joint system of a related pair, by the steps `verify` takes: join
     the groups, build the swap matrix, extend the representation, label the
     cosets. The base representation defaults to G's regular one."""
-    joint = pairing.build_joint_group(pair, g_group, g_action)
+    joint = pairing.build_joint_group(pair, g_action)
     if base_rep is None:
         base_rep = representations.regular_representation(g_group)
     joint_rep = pairing.build_joint_representation(

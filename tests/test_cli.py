@@ -776,21 +776,29 @@ class TestWorkCounts:
 
     def test_k_closed_in_one_pass(self, monkeypatch, capsys):
         # S5 on 5 points from a transposition and a 5-cycle: products are
-        # matched by their whole rows, so no closure is run again. K is closed
-        # once, then G once from the images of K's generators, bounded by |K|;
-        # v names each point, so the images are the generators themselves
-        passes = []
-        closure = groups._breadth_first
+        # matched by their whole rows, so no closure is run again. K is the
+        # one group closed; G is read off K's closure, and as v names each
+        # point, G's rows, generators and columns are K's
+        passes, induced = [], []
+        closure, induced_group = groups._breadth_first, variables.induced_group
 
         def spy(*args):
             passes.append(args)
             return closure(*args)
 
+        def induced_spy(var, action):
+            induced.append((induced_group(var, action), action.group))
+            return induced[-1][0]
+
         monkeypatch.setattr(groups, "_breadth_first", spy)
+        monkeypatch.setattr(variables, "induced_group", induced_spy)
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "eigenvalues:" in capsys.readouterr().out
-        assert [bound for _, bound in passes] == [1024, 120]
-        assert np.array_equal(passes[0][0], passes[1][0])
+        assert [bound for _, bound in passes] == [1024]
+        [((g_group, _), k_group)] = induced
+        assert g_group.generators == k_group.generators
+        assert np.array_equal(g_group.rows, k_group.rows)
+        assert np.array_equal(g_group.columns, k_group.columns)
 
     def test_resolution_count_independent_of_joined_group_order(self, work_counts):
         two_bit = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
@@ -841,18 +849,17 @@ class TestWorkCounts:
 
     def test_groups_verified_once_where_built(self, monkeypatch, capsys):
         calls = collections.Counter()
-        closure, post_init = groups.generate_permutation_group, groups.FiniteGroup.__post_init__
+        closure, post_init = groups._breadth_first, groups.FiniteGroup.__post_init__
 
-        def closure_spy(*args, **kwargs):
+        def closure_spy(*args):
             calls["closures"] += 1
-            return closure(*args, **kwargs)
+            return closure(*args)
 
         def post_init_spy(group, token):
             calls["groups"] += 1
             post_init(group, token)
 
-        for module in (groups, cli, pairing, variables):
-            monkeypatch.setattr(module, "generate_permutation_group", closure_spy)
+        monkeypatch.setattr(groups, "_breadth_first", closure_spy)
         monkeypatch.setattr(groups.FiniteGroup, "__post_init__", post_init_spy)
         regular = representations.regular_representation
 
@@ -865,18 +872,21 @@ class TestWorkCounts:
         monkeypatch.setattr(representations, "regular_representation", regular_spy)
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         assert not report.failed
-        # K, the groups induced by bit1 and bit2, and N: every group is closed
-        # once from its generators, G from the images of K's; the maps K -> G
-        # are homomorphisms by permissibility and are not checked, and the
-        # regular representation of G checks nothing
-        assert calls["closures"] == calls["groups"] == 4
+        # K, the groups induced by bit1 and bit2, and N: K alone is closed
+        # from its generators; each G is read off K's closure, as the maps
+        # K -> G are homomorphisms by permissibility and are not checked, and
+        # N is built in closed form from G; the regular representation of G
+        # checks nothing
+        assert calls["groups"] == 4
+        assert calls["closures"] == 1
         assert "regular_representation checks" in calls
         assert calls["regular_representation checks"] == 0
         calls.clear()
-        # operator: K and the group induced by v
+        # operator: K, closed, and the group induced by v, read off it
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "eigenvalues:" in capsys.readouterr().out
-        assert calls["closures"] == calls["groups"] == 2
+        assert calls["groups"] == 2
+        assert calls["closures"] == 1
 
     def test_one_permissibility_check_per_variable(self, monkeypatch, capsys):
         calls = []
@@ -913,12 +923,13 @@ class TestWorkCounts:
             monkeypatch.setattr(module, name, wrapper)
 
         spy("generate_permutation_group", cli, cli.generate_permutation_group)
-        spy("generate_permutation_group", pairing, pairing.generate_permutation_group)
         spy("induced_group", variables, variables.induced_group)
+        spy("build_joint_group", pairing, pairing.build_joint_group)
         spy("build_joint_representation", pairing, pairing.build_joint_representation)
         report = cli.run_verify(cli.parse_context(CYCLIC8), "cyclic m=8")
         assert report.failed       # the pinned irreducibility and coset failures
-        (k_group, _), (n_group, _) = built["generate_permutation_group"]
+        [(k_group, _)] = built["generate_permutation_group"]
+        n_group = built["build_joint_group"][0].group
         assert (k_group.order, n_group.order) == (64, 128)
         assert "cayley" not in vars(k_group)
         assert [g.order for g, _ in built["induced_group"]] == [8, 8]

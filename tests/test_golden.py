@@ -58,6 +58,15 @@ Before, the rounding of one five-letter word failed `well-defined-extension`
 there; the report is the one printed before at `--tolerance 2e-15`, but for
 its tolerance line.
 
+Two cases were recorded before K came to be the one group closed, G read
+off K's closure and N built in closed form: `verify` in both formats on
+`symmetric3_product.json`, the product document of S3 acting on itself by
+left multiplication on each axis, with a transposition and a 3-cycle per
+axis and k the swap. It is the one document whose G inside a pair is not
+abelian. N has 72 elements, and the extension fails at element 12 with the
+words (5, 0) and (0, 5), so N's numbering and its words are pinned on a
+non-abelian G. Both gave the same bytes at one and at two BLAS threads.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the

@@ -600,8 +600,8 @@ def joined_cyclic(m):
     theta, xi = variables.make_variable("x", x.tolist()), variables.make_variable("y", y.tolist())
     context = variables.Context(m * m, k_action, (theta, xi))
     pair = pairing.build_related_pair(context, theta, xi, tuple((y * m + x).tolist()))
-    g_group, g_action = variables.induced_group(theta, k_action)
-    return pairing.build_joint_group(pair, g_group, g_action).group
+    _, g_action = variables.induced_group(theta, k_action)
+    return pairing.build_joint_group(pair, g_action).group
 
 
 def k_of(name):

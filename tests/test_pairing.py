@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from cvhilbert.errors import (
     NotMaximal,
     NotRelated,
     NotWellDefined,
+    SizeLimit,
 )
 
 from conftest import (SWAP, direct_sum, joint_system, nine_point_setup, reference_verdict,
@@ -81,18 +83,54 @@ def regular_symmetric(n):
     return groups.generate_permutation_group(standard_group("symmetric", n).cayley)
 
 
-def square_join(group, action):
-    """N for G acting on the m values of each axis of the m x m square, with
-    the variables x and y and the swap (x, y) -> (y, x) as k."""
-    m = action.space_size
+def square_pair(m):
+    """The variables x and y of the m x m square, related by the swap
+    (x, y) -> (y, x) as k."""
     points = range(m * m)
     theta = variables.make_variable("x", [p // m for p in points])
     xi = variables.make_variable("y", [p % m for p in points])
     swap = [(p % m) * m + p // m for p in points]
     _, k_action = groups.generate_permutation_group([swap])
     context = variables.Context(m * m, k_action, (theta, xi))
-    pair = pairing.build_related_pair(context, theta, xi, swap)
-    return pairing.build_joint_group(pair, group, action, order_bound=2 * 24**2)
+    return pairing.build_related_pair(context, theta, xi, swap)
+
+
+def square_join(group, action, order_bound=2 * 24**2):
+    """N for G acting on the m values of each axis of the m x m square."""
+    return pairing.build_joint_group(square_pair(action.space_size), action, order_bound)
+
+
+def closed_joint_group(group, action, order_bound):
+    """N closed breadth-first from the first-axis copies of G's moved
+    elements, their second-axis copies and the swap, as `build_joint_group`
+    closed it before N was built in closed form: (group, action,
+    first_embed, second_embed, swap_element)."""
+    m = action.space_size
+    x, y = np.divmod(np.arange(m * m), m)
+    moved = action.act[1:group.order]
+    gens = [*(moved[:, x] * m + y), *(x * m + moved[:, y]), *([y * m + x] if m > 1 else [])]
+    n_group, n_action = groups.generate_permutation_group(gens, space_size=m * m,
+                                                          order_bound=order_bound)
+    gens, k = n_group.generators, m - 1
+    return (n_group, n_action, (0, *gens[:k]), (0, *gens[k:2 * k]), gens[-1] if m > 1 else 0)
+
+
+def cyclic_values(m):
+    return groups.generate_permutation_group([[(x + 1) % m for x in range(m)]])
+
+
+def xor_values(m):
+    return groups.generate_permutation_group(
+        [[x ^ (1 << i) for x in range(m)] for i in range(m.bit_length() - 1)], space_size=m)
+
+
+# G acting regularly on the values of each axis
+REGULAR_ACTIONS = {
+    **{f"cyclic-m{m}": functools.partial(cyclic_values, m) for m in range(1, 23)},
+    **{f"xor-m{m}": functools.partial(xor_values, m) for m in (2, 4, 8, 16)},
+    "symmetric-3": functools.partial(regular_symmetric, 3),
+    "symmetric-4": functools.partial(regular_symmetric, 4),
+}
 
 
 class TestJointGroup:
@@ -101,7 +139,7 @@ class TestJointGroup:
         const = variables.make_variable("c", [0], numeric_values=[1.0])
         ctx = variables.Context(1, action, (const,))
         pair = pairing.build_related_pair(ctx, const, const, (0,))
-        joint = pairing.build_joint_group(pair, group, action)
+        joint = pairing.build_joint_group(pair, action)
         assert joint.group.order == 1
 
     def test_two_bit_order_eight(self, two_bit):
@@ -111,8 +149,8 @@ class TestJointGroup:
         assert not np.array_equal(joint.group.cayley, joint.group.cayley.T)
 
     def test_three_values_order_eighteen(self):
-        ctx, pair, g_group, g_action = nine_point_setup()
-        joint = pairing.build_joint_group(pair, g_group, g_action)
+        ctx, pair, _, g_action = nine_point_setup()
+        joint = pairing.build_joint_group(pair, g_action)
         assert joint.group.order == 18
         assert groups.is_transitive(joint.action)
 
@@ -127,6 +165,50 @@ class TestJointGroup:
         assert set(n.action.act[:, 0].tolist()) == set(points)
         assert np.array_equal(n.group.cayley, n.group.cayley.T) == (m == 1)
         assert n.group.order == (2 * m * m if m > 1 else 1)
+
+    @pytest.mark.parametrize("case", REGULAR_ACTIONS)
+    def test_equals_breadth_first_closure(self, case):
+        # N in closed form is, element for element, the closure of the axis
+        # copies and the swap: rows, generators, columns, embeddings, swap
+        # element and the Cayley table filled from the columns
+        group, action = REGULAR_ACTIONS[case]()
+        joint = square_join(group, action)
+        n_group, n_action, first, second, swap = closed_joint_group(group, action, 2 * 24**2)
+        assert joint.group.generators == n_group.generators
+        assert joint.group.rows.dtype == n_group.rows.dtype
+        assert joint.group.columns.dtype == n_group.columns.dtype
+        assert np.array_equal(joint.group.rows, n_group.rows)
+        assert np.array_equal(joint.group.columns, n_group.columns)
+        assert np.array_equal(joint.action.act, n_action.act)
+        assert joint.action.space_size == n_action.space_size
+        assert (joint.first_embed, joint.second_embed, joint.swap_element) == (first, second, swap)
+        assert np.array_equal(joint.group.cayley, n_group.cayley)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 22])
+    def test_order_bound_as_the_closure_words_it(self, m):
+        # |N| = 2 m^2 is one above the bound: the closure's message
+        group, action = cyclic_values(m)
+        with pytest.raises(SizeLimit) as closed:
+            closed_joint_group(group, action, 2 * m * m - 1)
+        with pytest.raises(SizeLimit, match="^closure exceeds order bound") as built:
+            square_join(group, action, 2 * m * m - 1)
+        assert str(built.value) == str(closed.value)
+        assert square_join(group, action, 2 * m * m).group.order == 2 * m * m
+
+    def test_order_bound_decided_before_rows(self):
+        # at m = 40 the rows of N, 3200 of 1600 points, take 39 MiB; the
+        # bound is decided from |N| before any of them, or G's table, exists
+        group, action = cyclic_values(40)
+        pair = square_pair(40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="^closure exceeds order bound 3199$"):
+                pairing.build_joint_group(pair, action, 3199)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert "cayley" not in vars(group)
 
     def test_embeddings_commute(self, two_bit):
         joint = two_bit["system"].joint
@@ -255,7 +337,7 @@ class TestJointRepresentation:
 
     def test_three_value_join_not_well_defined(self):
         ctx, pair, g_group, g_action = nine_point_setup()
-        joint = pairing.build_joint_group(pair, g_group, g_action)
+        joint = pairing.build_joint_group(pair, g_action)
         base_rep = reps.regular_representation(g_group)
         j = pairing.build_swap_matrix(base_rep)
         with pytest.raises(NotWellDefined) as exc:

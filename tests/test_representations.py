@@ -102,7 +102,7 @@ class TestNonFinite:
         # J: a NaN passes every comparison written residual > tolerance, so
         # J is refused before any product is taken
         _, pair, g_group, g_action = nine_point_setup()
-        joint = pairing.build_joint_group(pair, g_group, g_action)
+        joint = pairing.build_joint_group(pair, g_action)
         with mock.patch.object(pairing, "_first_violation") as scan:
             with pytest.raises(ValueError, match="swap matrix has a non-finite entry"):
                 pairing.build_joint_representation(joint, one_dim(g_group, [1, 1, 1]),

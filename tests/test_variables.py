@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -200,6 +201,26 @@ class TestInducedGroup:
         assert act.act.tolist() == maps
         assert g.cayley.tolist() == table
         assert induced_indices(var, action, act) == ref_hom
+
+    @settings(max_examples=200)
+    @given(st.one_of(residues_under_shifts(), labellings_under_random_k()))
+    def test_equals_closure_of_generator_images(self, case):
+        # G read off K's closure is, element for element, the group closed
+        # breadth-first from the maps of K's generators: the same rows in the
+        # same order, the same generating set and the same columns
+        action, var = case
+        if not variables.is_permissible(var, action)[0]:
+            reject()
+        g, act = variables.induced_group(var, action)
+        pick = [var.values.index(v) for v in range(var.value_count)]
+        images = np.asarray(var.values)[action.act[list(action.group.generators)][:, pick]]
+        ref, ref_act = groups.generate_permutation_group(
+            images, space_size=var.value_count, order_bound=action.group.order)
+        assert g.generators == ref.generators
+        assert g.rows.dtype == ref.rows.dtype and g.columns.dtype == ref.columns.dtype
+        assert np.array_equal(g.rows, ref.rows)
+        assert np.array_equal(g.columns, ref.columns)
+        assert np.array_equal(act.act, ref_act.act) and act.space_size == ref_act.space_size
 
     def test_induced_action_matches_defining_equation(self):
         base = shift_action(4)
