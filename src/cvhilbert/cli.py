@@ -157,7 +157,7 @@ def _is_value(v) -> bool:
     return v is None or isinstance(v, (str, int, float))
 
 
-# options field -> (default, validity test, expected form)
+# options field -> (default, validity test, expected form); any other is refused
 _OPTIONS = {
     "tolerance": (representations.DEFAULT_TOLERANCE, lambda v: _is_real(v) and v > 0,
                   "a positive number"),
@@ -166,12 +166,16 @@ _OPTIONS = {
     "spin_suite": (False, lambda v: isinstance(v, bool), "true or false"),
 }
 
+# the fields of a document; any other, a misspelling among them, is refused
+_FIELDS = ("schema_version", "phi_space", "group_K", "variables", "maximal_family", "pairs",
+           "options")
+
 
 def document_from_mapping(raw: dict) -> ContextDocument:
     """Validate a raw mapping against the document schema."""
     if not isinstance(raw, dict):
         raise SchemaError(["document: must be a JSON object"])
-    problems: list[str] = []
+    problems = [f"document: unknown field {key!r}" for key in raw if key not in _FIELDS]
 
     def need(container, key, kind, where):
         if key not in container:
@@ -272,6 +276,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     if not isinstance(options, dict):
         problems.append("options: must be an object")
         options = {}
+    problems += [f"options: unknown field {key!r}" for key in options if key not in _OPTIONS]
     opts = {}
     for key, (default, valid, expected) in _OPTIONS.items():
         opts[key] = options.get(key, default)
@@ -306,12 +311,10 @@ def _fiducial(doc: ContextDocument, dim: int) -> np.ndarray:
 # check family -> the construction step its records are anchored to
 _ANCHORS = {
     "group-axioms": "group-axioms",
-    "action-axioms": "action-axioms",
     "permissibility": "level-set-preservation",
     "induced-group": "induced-value-group",
     "maximality": "no-strict-accessible-refinement",
     "relatedness": "relating-transformation",
-    "involution": "square-of-relating-transformation",
     "joint-group": "joined-group",
     "well-defined-extension": "generator-assignment-extends",
     "irreducibility": "trivial-commutant",
@@ -324,7 +327,6 @@ _ANCHORS = {
     "conjugation-covariance": "operator-transport",
     "transition-unitarity": "basis-change",
     "spin-commutation": "ladder-commutators",
-    "spin-eigen": "basis-eigenvalues",
     "planar-covariance": "rotated-component-equalities",
     "full-rotation-witness": "axis-component-obstruction",
 }
@@ -383,8 +385,8 @@ def _close_k(run: _Run) -> None:
     except CvhilbertError as exc:
         run.add("group-axioms", "fail", detail=str(exc))
         raise _Stop from exc
-    run.add("group-axioms", "pass", detail=f"order={k_group.order}")
-    run.add("action-axioms", "pass", detail=f"points={k_action.space_size}")
+    # a built group's rows are its action, so the points ride on the group's pass
+    run.add("group-axioms", "pass", detail=f"order={k_group.order} points={k_action.space_size}")
     family = tuple(doc.variables[name] for name in doc.maximal_family)
     run.context = Context(doc.phi_size, k_action, family)
 
@@ -422,8 +424,9 @@ def _relate(run: _Run) -> None:
     except (NotRelated, NotAccessible, NotMaximal, InvolutionViolation) as exc:
         run.add("relatedness", "fail", run.idx, detail=str(exc))
         raise _Stop from exc
-    run.add("relatedness", "pass", run.idx)
-    run.add("involution", "pass", run.idx,
+    # the involution condition fails as InvolutionViolation above, a failed
+    # relatedness, so k^2 = I rides on the pass
+    run.add("relatedness", "pass", run.idx,
             detail=f"k_squared_identity={run.pair.k_squared_identity}")
 
 
@@ -460,7 +463,7 @@ def _extend(run: _Run) -> None:
 def _label(run: _Run) -> None:
     try:
         run.system = pairing.joint_coset_structure(
-            run.pair, run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
+            run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
     except (CosetLabelingError, NumericalAmbiguity) as exc:
         run.add("coset-labels", "fail", run.idx, detail=str(exc))
         raise _Stop from exc
@@ -489,10 +492,7 @@ def _operators(run: _Run) -> None:
     except ValueError as exc:
         run.add("operator-construction", "fail", run.idx, detail=str(exc))
         raise _Stop from exc
-    unit = coherent.operator_from_variable(system.coherent, np.ones(len(system.x_index)))
-    unit_residual = float(np.abs(unit.matrix - np.eye(system.dim)).max())
-    run.add("operator-construction", unit_residual <= run.doc.tolerance, run.idx,
-            residual=unit_residual, detail="unit variable gives identity")
+    run.add("operator-construction", "pass", run.idx)
     run.eigs = tuple(spectra.eigensystem(op) for op in ops)
     for var, eig in zip((pair.theta, pair.xi), run.eigs):
         run.report.operators.append({"pair": run.idx, "variable": var.name,
@@ -542,16 +542,16 @@ def _spin_suite(run: _Run) -> None:
         return
     for twice_r in (1, 2, 3, 4, 5):
         r = twice_r / 2
+        # build_spin has checked the squared total, and A0 is diag(m) exactly
         sr = spin.build_spin(r)
         resid = spin.verify_commutation(sr)
-        run.add("spin-commutation", resid <= 1e-12, f"r={r}", residual=resid)
-        run.add("spin-eigen", spin.verify_eigen(sr) and sr.dim == twice_r + 1, f"r={r}",
+        run.add("spin-commutation", resid <= 1e-12, f"r={r}", residual=resid,
                 detail=f"dim={sr.dim}")
     for n in range(3, 13):
         run.add("planar-covariance", spin.planar_component_covariance(n), f"n={n}")
     _, _, witness, axes = spin.full_rotation_counterexample()
-    run.add("full-rotation-witness", "pass",
-            witness=f"k={witness[0]} points=({axes[0]},{axes[1]})")
+    run.add("full-rotation-witness", witness is not None,
+            witness=witness and f"k={witness[0]} points=({axes[0]},{axes[1]})")
 
 
 # The chain: close K, permissibility and the induced groups, maximality, the
@@ -770,7 +770,7 @@ def _cmd_operator(args) -> int:
         return 2
     points = [g_action.apply(r, 0) for r in system.cosets.representatives]
     try:
-        op = coherent.operator_from_variable(system, [numeric[p] for p in points], var.name)
+        op = coherent.operator_from_variable(system, [numeric[p] for p in points])
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -791,12 +791,10 @@ def _cmd_spin(args) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     resid = spin.verify_commutation(sr)
-    eigen_ok = spin.verify_eigen(sr)
     lines = [
         f"spin r={args.r}",
         f"dimension: {sr.dim}",
         f"commutation residual: {_fmt(resid)}",
-        f"eigen relations: {'pass' if eigen_ok else 'fail'}",
     ]
     full_turn = spin.rotation_operator(sr, (0.0, 0.0, 1.0), 2 * np.pi)
     sign = -1.0 if sr.dim % 2 == 0 else 1.0
@@ -804,7 +802,7 @@ def _cmd_spin(args) -> int:
     lines.append(
         f"full-turn sign: {'-1' if sign < 0 else '+1'} residual: {_fmt(flip_resid)}"
     )
-    ok = resid <= 1e-12 and eigen_ok and flip_resid <= 1e-10
+    ok = resid <= 1e-12 and flip_resid <= 1e-10
     lines.append(f"summary: {'pass' if ok else 'fail'}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 2

@@ -169,16 +169,14 @@ def one_to_one_check(system: CoherentStateSystem):
     return True, None
 
 
-def operator_from_variable(
-    system: CoherentStateSystem, values, name: str | None = None
-) -> Operator:
+def operator_from_variable(system: CoherentStateSystem, values) -> Operator:
     """A = c * sum_x values[x] |x><x| over the coset states: the one-row
     case of `operator_stack`, checked where the `Operator` is built."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(system.cosets),):
         raise ValueError("need one numeric value per coset state")
     return Operator(system.rep.dim, _projector_sums(system, values[None])[0],
-                    source_variable=name, tolerance=system.tolerance)
+                    tolerance=system.tolerance)
 
 
 def operator_stack(system: CoherentStateSystem, values) -> np.ndarray:

@@ -80,12 +80,9 @@ from .variables import ConceptualVariable, Context, is_maximally_accessible
 
 @dataclass(frozen=True, eq=False)
 class RelatedPair:
-    context: Context
     theta: ConceptualVariable
     xi: ConceptualVariable
-    k_perm: tuple[int, ...]
     k_squared_identity: bool
-    product_structure: bool             # underlying space is exactly the value product
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +97,6 @@ class JointGroup:
 
 @dataclass(frozen=True, eq=False)
 class JointSystem:
-    pair: RelatedPair
     joint: JointGroup
     coherent: coherent.CoherentStateSystem  # states of the joined representation
     x_index: tuple[int, ...]            # first-axis label per coset
@@ -153,7 +149,7 @@ def build_related_pair(
         raise InvolutionViolation(
             "underlying space is the value product but k squared is not the identity"
         )
-    return RelatedPair(context, theta, xi, k_perm, k_squared_identity, product_structure)
+    return RelatedPair(theta, xi, k_squared_identity)
 
 
 def build_joint_group(
@@ -339,7 +335,6 @@ def build_joint_representation(
 
 
 def joint_coset_structure(
-    pair: RelatedPair,
     joint: JointGroup,
     joint_rep: UnitaryRepresentation,
     fiducial=None,
@@ -371,7 +366,7 @@ def joint_coset_structure(
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
         raise CosetLabelingError("label collision", dup)
-    return JointSystem(pair, joint, coherent_system, tuple(x_index), tuple(y_index))
+    return JointSystem(joint, coherent_system, tuple(x_index), tuple(y_index))
 
 
 def joint_operators(
@@ -388,10 +383,8 @@ def joint_operators(
     if theta_values.shape != (m,) or xi_values.shape != (m,):
         raise ValueError("need one numeric value per value-set point")
     return (
-        coherent.operator_from_variable(system.coherent, theta_values[list(system.x_index)],
-                                        system.pair.theta.name),
-        coherent.operator_from_variable(system.coherent, xi_values[list(system.y_index)],
-                                        system.pair.xi.name),
+        coherent.operator_from_variable(system.coherent, theta_values[list(system.x_index)]),
+        coherent.operator_from_variable(system.coherent, xi_values[list(system.y_index)]),
     )
 
 

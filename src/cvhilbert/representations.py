@@ -102,7 +102,6 @@ class UnitaryRepresentation:
 class Operator:
     dim: int
     matrix: np.ndarray
-    source_variable: str | None = None
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):

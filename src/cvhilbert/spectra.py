@@ -147,5 +147,4 @@ def operator_for_coarsening(eig: EigenSystem, value_map) -> Operator:
     a = sum(
         float(value_map(l)) * p for l, p in zip(eig.eigenvalues, eig.projectors)
     )
-    return Operator(eig.operator.dim, a, source_variable=eig.operator.source_variable,
-                    tolerance=eig.operator.tolerance)
+    return Operator(eig.operator.dim, a, tolerance=eig.operator.tolerance)

@@ -34,7 +34,12 @@ class SpinRepresentation:
 
 
 def build_spin(r) -> SpinRepresentation:
-    """Spin-r matrices on a (2r+1)-dimensional space, basis ascending in m."""
+    """Spin-r matrices on a (2r+1)-dimensional space, basis ascending in m.
+
+    A0 is diag(m) exactly, and the squared total is checked against r(r+1)
+    times the identity here (InvalidSpin otherwise), so every basis vector
+    is an eigenvector of both with eigenvalues m and r(r+1).
+    """
     r = float(r)
     # the range first: round() raises on a NaN or an infinity
     if not 0 <= r <= MAX_SPIN or abs(2 * r - round(2 * r)) > 1e-12:
@@ -67,17 +72,6 @@ def verify_commutation(sr: SpinRepresentation) -> float:
         _maxabs(comm(sr.aminus, sr.aplus) + 2 * sr.az),
     )
     return res
-
-
-def verify_eigen(sr: SpinRepresentation) -> bool:
-    """Each basis vector: A0 eigenvalue m, squared-total eigenvalue r(r+1).
-
-    Column i of A - lambda_i I is the residual of basis vector i, so both
-    relations are read off whole matrices.
-    """
-    bound = 1e-12 * max(1.0, sr.r * (sr.r + 1))
-    return (_maxabs(sr.az - np.diag(sr.m_values)) <= bound
-            and _maxabs(sr.asq - sr.r * (sr.r + 1) * np.eye(sr.dim)) <= bound)
 
 
 def rotation_operator(sr: SpinRepresentation, axis, angle: float) -> np.ndarray:
@@ -158,12 +152,14 @@ def full_rotation_counterexample():
 
     Returns (action, variable, (k, p1, p2), labels) where k is the first
     rotation in generation order mapping two equal-component axes to axes
-    with different components.
+    with different components, and labels names the axes p1 and p2. The
+    witness and the labels are None when the component is permissible,
+    which would refute the obstruction.
     """
     action = octahedral_axes_action()
     var = axis_component_variable("z")
     ok, witness = is_permissible(var, action)
     if ok:
-        raise AssertionError("axis component is unexpectedly permissible")
+        return action, var, None, None
     k, p1, p2 = witness
     return action, var, witness, (_SIGNED_AXES[p1], _SIGNED_AXES[p2])

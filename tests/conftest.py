@@ -78,7 +78,7 @@ def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
         base_rep = representations.regular_representation(g_group)
     joint_rep = pairing.build_joint_representation(
         joint, base_rep, pairing.build_swap_matrix(base_rep))
-    return pairing.joint_coset_structure(pair, joint, joint_rep, fiducial)
+    return pairing.joint_coset_structure(joint, joint_rep, fiducial)
 
 
 def nine_point_setup():

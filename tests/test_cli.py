@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvhilbert import cli, coherent, groups, pairing, representations, spectra, variables
+from cvhilbert import cli, coherent, groups, pairing, representations, spectra, spin, variables
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -136,7 +136,7 @@ class TestRunVerify:
             "pairs": [],
         })
         report = cli.run_verify(doc, "groups-only")
-        assert [c.cid for c in report.checks] == ["group-axioms", "action-axioms"]
+        assert [(c.cid, c.detail) for c in report.checks] == [("group-axioms", "order=2 points=2")]
         assert not report.failed
 
     def test_spin_suite_appended_when_requested(self):
@@ -149,6 +149,19 @@ class TestRunVerify:
         assert "planar-covariance[n=12]" in cids
         assert "full-rotation-witness" in cids
         assert not report.failed
+        spin_checks = {c.cid: c.detail for c in report.checks if c.cid.startswith("spin-")}
+        assert spin_checks == {f"spin-commutation[r={t / 2}]": f"dim={t + 1}" for t in range(1, 6)}
+
+    def test_full_rotation_witness_reads_the_verdict(self, monkeypatch):
+        # an axis component found permissible refutes the obstruction: the
+        # record fails without a witness, and the report is still written
+        monkeypatch.setattr(spin, "is_permissible", lambda var, action: (True, None))
+        raw = cli.two_bit_document()
+        raw["options"]["spin_suite"] = True
+        report = cli.run_verify(cli.document_from_mapping(raw), "with-spin")
+        rec = report.checks[-1]
+        assert (rec.cid, rec.status, rec.witness) == ("full-rotation-witness", "fail", None)
+        assert [c.cid for c in report.checks if c.status == "fail"] == ["full-rotation-witness"]
 
 
     def test_inaccessible_pair_variable_is_a_failed_check(self, tmp_path, capsys):
@@ -214,7 +227,8 @@ class TestRunVerify:
         assert code == 2 and captured.err == ""
         check = _check(captured.out, "joint-group[0]")
         assert (check["status"], check["detail"]) == ("fail", detail)
-        assert _check(captured.out, "involution[0]")["status"] == "pass"
+        check = _check(captured.out, "relatedness[0]")
+        assert (check["status"], check["detail"]) == ("pass", "k_squared_identity=True")
         assert json.loads(captured.out)["summary"]["fail"] == 1
 
     def test_state_injectivity_reads_library_check(self, monkeypatch):
@@ -534,6 +548,8 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "dimension: 6" in out
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "spin r=2.5", "dimension", "commutation residual", "full-turn sign", "summary"]
 
     @pytest.mark.parametrize("r", ["nan", "inf", "1e308"])
     def test_spin_outside_the_range_refused(self, r, capsys):
@@ -647,6 +663,10 @@ MALFORMED = {
     **{f"names {value!r}": (_edited(lambda raw, value=value: raw["group_K"].update(names=value)),
                             "group_K: names must be unique, one per generator")
        for value in (0, "", {}, False, [])},
+    # a misspelled field is refused, not read as absent
+    "misspelled option": (_with_option("tolerence", 0.5), "options: unknown field 'tolerence'"),
+    "misspelled field": (_edited(lambda raw: raw.update(pair=raw.pop("pairs"))),
+                         "document: unknown field 'pair'"),
 }
 
 
@@ -810,10 +830,10 @@ class TestWorkCounts:
         assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
         assert 0 < on_order_8 == on_order_32 <= 5
 
-    def test_three_operators_per_pair(self, monkeypatch):
-        # two-bit: the two variable operators and the unit one, each a one-row
-        # projector sum, and the one stack of the 8 moved operators of the
-        # covariance stage, which reuses the first operator
+    def test_two_operators_per_pair(self, monkeypatch):
+        # two-bit: the two variable operators, each a one-row projector sum,
+        # and the one stack of the 8 moved operators of the covariance stage,
+        # which reuses the first operator
         rows = []
         sums = coherent._projector_sums
 
@@ -824,7 +844,7 @@ class TestWorkCounts:
         monkeypatch.setattr(coherent, "_projector_sums", spy)
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         assert not report.failed
-        assert sorted(rows) == [1, 1, 1, 8]
+        assert sorted(rows) == [1, 1, 8]
 
     def test_one_svd_per_commutant_basis(self, work_counts):
         cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
@@ -1038,7 +1058,7 @@ class TestCommutantChecks:
         check = _check(captured.out, "well-defined-extension[0]")
         assert check["status"] == "fail"
         assert check["detail"] == "not evaluated: no non-scalar Hermitian commutant element found"
-        assert json.loads(captured.out)["summary"] == {"pass": 11, "fail": 1, "skip": 0}
+        assert json.loads(captured.out)["summary"] == {"pass": 9, "fail": 1, "skip": 0}
 
     @pytest.mark.parametrize("norm, dim", [(2.0, 2), (1.25, 1)])
     def test_irreducibility_reads_character_norm(self, norm, dim, monkeypatch, capsys):
@@ -1192,8 +1212,9 @@ class TestLargeValues:
         code = cli.main(["verify", _large_value_document(tmp_path), "--format", "structured"])
         out = capsys.readouterr().out
         assert code == 0
-        assert json.loads(out)["summary"] == {"pass": 26, "fail": 0, "skip": 4}
-        assert _check(out, "operator-construction[0]")["status"] == "pass"
+        assert json.loads(out)["summary"] == {"pass": 24, "fail": 0, "skip": 4}
+        check = _check(out, "operator-construction[0]")
+        assert (check["status"], check["residual"], check["detail"]) == ("pass", None, None)
         # a residual of 1.6e293 is rounding at values of 1.7e308: it passes
         # at the tolerance times the largest |value|
         assert _check(out, "conjugation-covariance[0][t=3]")["status"] == "pass"

@@ -41,7 +41,7 @@ class TestRelatedPair:
     def test_two_bit_pair(self, two_bit):
         pair = two_bit["pair"]
         assert pair.k_squared_identity
-        assert pair.product_structure
+        assert (pair.theta, pair.xi) == (two_bit["theta"], two_bit["xi"])
 
     def test_not_related_witness(self, two_bit):
         ctx, theta, xi = two_bit["context"], two_bit["theta"], two_bit["xi"]
@@ -397,7 +397,7 @@ class TestCosetStructure:
         system = two_bit["system"]
         psi = np.array([2.0, 1.0], dtype=complex) / np.sqrt(5)
         with pytest.raises(CosetLabelingError):
-            pairing.joint_coset_structure(system.pair, system.joint, system.coherent.rep, psi)
+            pairing.joint_coset_structure(system.joint, system.coherent.rep, psi)
 
     def test_value_state_vectors_distinct(self, two_bit):
         system = two_bit["system"]

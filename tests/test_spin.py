@@ -57,7 +57,12 @@ class TestCommutationAndEigen:
 
     @pytest.mark.parametrize("r", [0.0] + HALF_INTEGERS)
     def test_eigen(self, r):
-        assert spin.verify_eigen(spin.build_spin(r))
+        # each basis vector is an eigenvector of A0 with eigenvalue m and of
+        # the squared total with r(r+1), at the bound build_spin checks
+        sr = spin.build_spin(r)
+        assert np.array_equal(sr.az, np.diag(sr.m_values))
+        bound = 1e-12 * max(1.0, r * (r + 1))
+        assert np.abs(sr.asq - r * (r + 1) * np.eye(sr.dim)).max() <= bound
 
     def test_specific_eigenvalues(self):
         sr = spin.build_spin(2)
