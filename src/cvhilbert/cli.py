@@ -19,16 +19,9 @@ import numpy as np
 
 from . import coherent, pairing, representations, spectra, spin, variables
 from .errors import (
-    CosetLabelingError,
     CvhilbertError,
-    InvolutionViolation,
     IrreducibleInput,
-    NotAccessible,
-    NotMaximal,
     NotPermissible,
-    NotRelated,
-    NotWellDefined,
-    NumericalAmbiguity,
     ParseError,
     SchemaError,
     SizeLimit,
@@ -166,16 +159,17 @@ _OPTIONS = {
     "spin_suite": (False, lambda v: isinstance(v, bool), "true or false"),
 }
 
-# the fields of a document; any other, a misspelling among them, is refused
-_FIELDS = ("schema_version", "phi_space", "group_K", "variables", "maximal_family", "pairs",
-           "options")
-
 
 def document_from_mapping(raw: dict) -> ContextDocument:
     """Validate a raw mapping against the document schema."""
     if not isinstance(raw, dict):
         raise SchemaError(["document: must be a JSON object"])
-    problems = [f"document: unknown field {key!r}" for key in raw if key not in _FIELDS]
+    problems = []
+
+    def closed(mapping, where, *fields):
+        """Refuse every key of `mapping` outside `fields`: a misspelled
+        field is an error, at any depth, not an absent one."""
+        problems.extend(f"{where}: unknown field {key!r}" for key in mapping if key not in fields)
 
     def need(container, key, kind, where):
         if key not in container:
@@ -187,15 +181,19 @@ def document_from_mapping(raw: dict) -> ContextDocument:
             return None
         return value
 
+    closed(raw, "document", "schema_version", "phi_space", "group_K", "variables",
+           "maximal_family", "pairs", "options")
     if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         problems.append(f"schema_version: must be {SCHEMA_VERSION!r}")
     phi = need(raw, "phi_space", dict, "document") or {}
+    closed(phi, "phi_space", "size", "labels")
     size = need(phi, "size", int, "phi_space") or 0
     labels = phi.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != size
                                or not all(isinstance(x, str) for x in labels)):
         problems.append("phi_space: labels must list one name per point")
     group_k = need(raw, "group_K", dict, "document") or {}
+    closed(group_k, "group_K", "generators", "names")
     gens_raw = need(group_k, "generators", list, "group_K") or []
     gens: list[tuple[int, ...]] = []
     for i, g in enumerate(gens_raw):
@@ -218,6 +216,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
         if not isinstance(v, dict):
             problems.append(f"variables[{i}]: must be an object")
             continue
+        closed(v, f"variables[{i}]", "name", "values", "numeric_values")
         name = v.get("name")
         values = v.get("values")
         if not isinstance(name, str) or not name:
@@ -246,9 +245,11 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     if not isinstance(family, list) or not all(isinstance(n, str) for n in family):
         problems.append("maximal_family: must be a list of variable names")
         family = []
-    for name in family:
+    for i, name in enumerate(family):
         if name not in seen_names:
             problems.append(f"maximal_family: undefined variable {name!r}")
+        elif name in family[:i]:
+            problems.append(f"maximal_family: duplicate variable {name!r}")
     pairs_raw = raw.get("pairs", [])
     pairs = []
     if not isinstance(pairs_raw, list):
@@ -258,6 +259,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
         if not isinstance(p, dict):
             problems.append(f"pairs[{i}]: must be an object")
             continue
+        closed(p, f"pairs[{i}]", "theta", "xi", "k")
         theta, xi = p.get("theta"), p.get("xi")
         for ref in (theta, xi):
             if not isinstance(ref, str) or ref not in seen_names:
@@ -276,7 +278,7 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     if not isinstance(options, dict):
         problems.append("options: must be an object")
         options = {}
-    problems += [f"options: unknown field {key!r}" for key in options if key not in _OPTIONS]
+    closed(options, "options", *_OPTIONS)
     opts = {}
     for key, (default, valid, expected) in _OPTIONS.items():
         opts[key] = options.get(key, default)
@@ -362,12 +364,19 @@ class _Run:
         self.report.checks.append(CheckRecord(cid, _ANCHORS[family], status, **fields))
 
 
-def _run_stages(run: _Run, stages) -> None:
-    try:
-        for stage in stages:
+def _run_stages(run: _Run, stages, *keys) -> None:
+    """Run the (stage, check family) pairs in order until one ends the chain:
+    by raising `_Stop` once it has recorded why, or by raising a library
+    error, which is then the stage's failed check family[keys], the error's
+    text its detail. A pair's chain is keyed by the pair's index."""
+    for stage, family in stages:
+        try:
             stage(run)
-    except _Stop:
-        pass
+        except _Stop:
+            return
+        except CvhilbertError as exc:
+            run.add(family, "fail", *keys, detail=str(exc))
+            return
 
 
 def run_verify(doc: ContextDocument, context_name: str = "document") -> VerificationReport:
@@ -379,12 +388,8 @@ def run_verify(doc: ContextDocument, context_name: str = "document") -> Verifica
 
 def _close_k(run: _Run) -> None:
     doc = run.doc
-    try:
-        k_group, k_action = generate_permutation_group(
-            doc.generators, space_size=doc.phi_size, order_bound=doc.max_order)
-    except CvhilbertError as exc:
-        run.add("group-axioms", "fail", detail=str(exc))
-        raise _Stop from exc
+    k_group, k_action = generate_permutation_group(
+        doc.generators, space_size=doc.phi_size, order_bound=doc.max_order)
     # a built group's rows are its action, so the points ride on the group's pass
     run.add("group-axioms", "pass", detail=f"order={k_group.order} points={k_action.space_size}")
     family = tuple(doc.variables[name] for name in doc.maximal_family)
@@ -413,18 +418,14 @@ def _maximality(run: _Run) -> None:
 def _pairs(run: _Run) -> None:
     for idx, dpair in enumerate(run.doc.pairs):
         run.idx, run.dpair = idx, dpair
-        _run_stages(run, _PAIR_STAGES)
+        _run_stages(run, _PAIR_STAGES, idx)
 
 
 def _relate(run: _Run) -> None:
     doc, dpair = run.doc, run.dpair
-    try:
-        run.pair = pairing.build_related_pair(
-            run.context, doc.variables[dpair.theta], doc.variables[dpair.xi], dpair.k)
-    except (NotRelated, NotAccessible, NotMaximal, InvolutionViolation) as exc:
-        run.add("relatedness", "fail", run.idx, detail=str(exc))
-        raise _Stop from exc
-    # the involution condition fails as InvolutionViolation above, a failed
+    run.pair = pairing.build_related_pair(
+        run.context, doc.variables[dpair.theta], doc.variables[dpair.xi], dpair.k)
+    # the involution condition fails as InvolutionViolation, a failed
     # relatedness, so k^2 = I rides on the pass
     run.add("relatedness", "pass", run.idx,
             detail=f"k_squared_identity={run.pair.k_squared_identity}")
@@ -435,11 +436,7 @@ def _join(run: _Run) -> None:
         run.add("joint-group", "skip", run.idx, detail="first variable not permissible")
         raise _Stop
     g_action = run.induced[run.dpair.theta][1]
-    try:
-        run.joint = pairing.build_joint_group(run.pair, g_action, run.doc.max_order)
-    except CvhilbertError as exc:
-        run.add("joint-group", "fail", run.idx, detail=str(exc))
-        raise _Stop from exc
+    run.joint = pairing.build_joint_group(run.pair, g_action, run.doc.max_order)
     run.add("joint-group", "pass", run.idx,
             detail=f"order={run.joint.group.order} points={run.joint.action.space_size}")
 
@@ -450,10 +447,9 @@ def _extend(run: _Run) -> None:
         base_rep = representations.regular_representation(g_group, run.doc.tolerance)
         run.joint_rep = pairing.build_joint_representation(
             run.joint, base_rep, pairing.build_swap_matrix(base_rep))
-    except (NotWellDefined, SizeLimit, IrreducibleInput) as exc:
+    except (SizeLimit, IrreducibleInput) as exc:
         # no swap matrix, or a bound hit: the extension itself was not decided
-        detail = str(exc) if isinstance(exc, NotWellDefined) else f"not evaluated: {exc}"
-        run.add("well-defined-extension", "fail", run.idx, detail=detail)
+        run.add("well-defined-extension", "fail", run.idx, detail=f"not evaluated: {exc}")
         raise _Stop from exc
     run.add("well-defined-extension", "pass", run.idx)
     dim = representations.commutant_dimension(run.joint_rep)
@@ -461,12 +457,8 @@ def _extend(run: _Run) -> None:
 
 
 def _label(run: _Run) -> None:
-    try:
-        run.system = pairing.joint_coset_structure(
-            run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
-    except (CosetLabelingError, NumericalAmbiguity) as exc:
-        run.add("coset-labels", "fail", run.idx, detail=str(exc))
-        raise _Stop from exc
+    run.system = pairing.joint_coset_structure(
+        run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
     states = run.system.coherent
     run.add("coset-labels", "pass", run.idx,
             detail=f"cosets={len(states.cosets)} isotropy={states.isotropy.order}")
@@ -492,8 +484,8 @@ def _operators(run: _Run) -> None:
     except ValueError as exc:
         run.add("operator-construction", "fail", run.idx, detail=str(exc))
         raise _Stop from exc
-    run.add("operator-construction", "pass", run.idx)
     run.eigs = tuple(spectra.eigensystem(op) for op in ops)
+    run.add("operator-construction", "pass", run.idx)
     for var, eig in zip((pair.theta, pair.xi), run.eigs):
         run.report.operators.append({"pair": run.idx, "variable": var.name,
                                      "matrix": eig.operator.matrix, "eigenvalues": eig.spectrum})
@@ -554,12 +546,18 @@ def _spin_suite(run: _Run) -> None:
             witness=witness and f"k={witness[0]} points=({axes[0]},{axes[1]})")
 
 
-# The chain: close K, permissibility and the induced groups, maximality, the
+# The chain, each stage with the check family that a library error raised in
+# it fails: close K, permissibility and the induced groups, maximality, the
 # pairs, the spin suite. Each pair runs relate, join, extend (with
 # irreducibility), label the cosets (with injectivity and the resolution of
 # identity), build the operators and their spectra, covariance, basis change.
-_STAGES = (_close_k, _permissibility, _maximality, _pairs, _spin_suite)
-_PAIR_STAGES = (_relate, _join, _extend, _label, _operators, _covariance, _basis_change)
+# `_pairs` has no family: each pair's chain records its own failures.
+_STAGES = ((_close_k, "group-axioms"), (_permissibility, "permissibility"),
+           (_maximality, "maximality"), (_pairs, None), (_spin_suite, "spin-commutation"))
+_PAIR_STAGES = ((_relate, "relatedness"), (_join, "joint-group"),
+                (_extend, "well-defined-extension"), (_label, "coset-labels"),
+                (_operators, "operator-construction"), (_covariance, "conjugation-covariance"),
+                (_basis_change, "transition-unitarity"))
 
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
@@ -757,7 +755,7 @@ def _cmd_operator(args) -> int:
     try:
         base_rep = representations.regular_representation(g_group, doc.tolerance)
         system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
-    except (SizeLimit, NumericalAmbiguity) as exc:
+    except CvhilbertError as exc:
         lines.append(f"operator not constructed: {exc}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 2

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvhilbert import cli, coherent, groups, pairing, representations, spectra, spin, variables
+from cvhilbert import (cli, coherent, errors, groups, pairing, representations, spectra, spin,
+                       variables)
 from cvhilbert.errors import ParseError, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -236,6 +237,65 @@ class TestRunVerify:
         report = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
         rec = next(c for c in report.checks if c.cid == "state-injectivity[0]")
         assert (rec.status, rec.witness) == ("fail", "elements (0, 3)")
+
+
+SPIN_SUITE = str(Path(__file__).resolve().parent / "golden" / "docs" / "two_bit_spin_suite.json")
+
+
+def _raise(error):
+    def call(*args, **kwargs):
+        raise error
+    return call
+
+
+class TestStageFailureRule:
+    """A library error raised in a stage of `verify` is that stage's failed
+    check: the report is whole, ends with that check and exits 2."""
+
+    @pytest.mark.parametrize("document, module, name, error, cid", [
+        (TWO_BIT, cli, "generate_permutation_group", errors.SizeLimit("K too large"),
+         "group-axioms"),
+        (TWO_BIT, variables, "induced_group", errors.SizeLimit("G too large"), "permissibility"),
+        (TWO_BIT, variables, "is_maximally_accessible", errors.NotAccessible("not accessible"),
+         "maximality"),
+        (TWO_BIT, pairing, "build_related_pair", errors.NotMaximal("bit1"), "relatedness[0]"),
+        (TWO_BIT, pairing, "build_joint_group", errors.NotTransitive("not transitive"),
+         "joint-group[0]"),
+        (TWO_BIT, pairing, "build_joint_representation", errors.NotWellDefined(3, (0,), (1,)),
+         "well-defined-extension[0]"),
+        (TWO_BIT, pairing, "joint_coset_structure", errors.NotASubgroup("not closed at (1, 1)"),
+         "coset-labels[0]"),
+        (TWO_BIT, spectra, "eigensystem", errors.NotHermitian("spectral reconstruction failed"),
+         "operator-construction[0]"),
+        (TWO_BIT, pairing, "covariance_records", errors.UndefinedTransport("no image"),
+         "conjugation-covariance[0]"),
+        (TWO_BIT, spectra, "transition_matrix", errors.DegenerateSpectrum("degenerate"),
+         "transition-unitarity[0]"),
+        (SPIN_SUITE, spin, "build_spin", errors.InvalidSpin("bad r"), "spin-commutation"),
+    ], ids=["close-k", "permissibility", "maximality", "relate", "join", "extend", "label",
+            "operators", "covariance", "basis-change", "spin-suite"])
+    def test_library_error_is_the_stage_check(self, document, module, name, error, cid,
+                                              monkeypatch, capsys):
+        monkeypatch.setattr(module, name, _raise(error))
+        code = cli.main(["verify", document, "--format", "structured"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        report = strict_loads(captured.out)
+        checks = report["checks"]
+        assert (checks[-1]["id"], checks[-1]["status"], checks[-1]["detail"]) == (
+            cid, "fail", str(error))
+        assert [c["id"] for c in checks].count(cid) == 1
+        assert sum(report["summary"].values()) == len(checks)
+
+    @pytest.mark.parametrize("module, name", [
+        (representations, "regular_representation"), (coherent, "build_coherent_system")])
+    def test_operator_not_constructed_on_library_error(self, module, name, monkeypatch, capsys):
+        monkeypatch.setattr(module, name, _raise(errors.NotASubgroup("not closed at (1, 1)")))
+        code = cli.main(["operator", TWO_BIT, "--variable", "bit1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert captured.out == ("operator for bit1\ninduced group order: 2\n"
+                                "operator not constructed: not closed at (1, 1)\n")
 
 
 class TestRawValues:
@@ -667,6 +727,20 @@ MALFORMED = {
     "misspelled option": (_with_option("tolerence", 0.5), "options: unknown field 'tolerence'"),
     "misspelled field": (_edited(lambda raw: raw.update(pair=raw.pop("pairs"))),
                          "document: unknown field 'pair'"),
+    # and so is one at any depth: without the numeric values the operator
+    # stage would be skipped and the run would pass
+    "misspelled numeric_values": (
+        _edited(lambda raw: raw["variables"][0].update(
+            numeric_vals=raw["variables"][0].pop("numeric_values"))),
+        "variables[0]: unknown field 'numeric_vals'"),
+    "misspelled labels": (_edited(lambda raw: raw["phi_space"].update(
+        lables=raw["phi_space"].pop("labels"))), "phi_space: unknown field 'lables'"),
+    "misspelled names": (_edited(lambda raw: raw["group_K"].update(
+        name=raw["group_K"].pop("names"))), "group_K: unknown field 'name'"),
+    "misspelled k": (_edited(lambda raw: raw["pairs"][0].update(kk=raw["pairs"][0].pop("k"))),
+                     "pairs[0]: unknown field 'kk'"),
+    "repeated family name": (_edited(lambda raw: raw.update(
+        maximal_family=["bit1", "bit1", "bit2"])), "maximal_family: duplicate variable 'bit1'"),
 }
 
 

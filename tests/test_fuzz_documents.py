@@ -1,5 +1,6 @@
 """Arbitrary JSON through the command line: an exit code, never a traceback;
-and every `verify` of a valid document ends in a whole report."""
+a misspelled field at any depth is refused; and every `verify` of a valid
+document ends in a whole report."""
 
 import contextlib
 import io
@@ -31,8 +32,18 @@ def _paths(value, prefix=()):
             yield from _paths(item, prefix + (i,))
 
 
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
 BASE = cli.two_bit_document()
 BASE_PATHS = sorted((p for p in _paths(BASE) if p), key=repr)
+# the paths to the document's mappings, the document itself included, and
+# every field name the schema knows
+MAPPINGS = [p for p in _paths(BASE) if isinstance(_at(BASE, p), dict)]
+FIELD_NAMES = {key for p in MAPPINGS for key in _at(BASE, p)} | set(cli._OPTIONS)
 
 
 @st.composite
@@ -41,14 +52,25 @@ def mutated_documents(draw):
     removed."""
     *head, last = draw(st.sampled_from(BASE_PATHS))
     doc = json.loads(json.dumps(BASE))
-    parent = doc
-    for key in head:
-        parent = parent[key]
+    parent = _at(doc, head)
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[last]
     else:
         parent[last] = draw(JSON_VALUES)
     return doc
+
+
+@st.composite
+def renamed_fields(draw):
+    """The two-bit document with one field of one of its mappings, at any
+    depth, renamed to a name the schema does not know; with the mapping's
+    path and the new name."""
+    path = draw(st.sampled_from(MAPPINGS))
+    doc = json.loads(json.dumps(BASE))
+    mapping = _at(doc, path)
+    name = draw(st.text(max_size=6).filter(lambda key: key not in FIELD_NAMES))
+    mapping[name] = mapping.pop(draw(st.sampled_from(sorted(mapping))))
+    return doc, path, name
 
 
 def _run(argv) -> int:
@@ -64,6 +86,22 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, doc, command):
     argv = ["verify", str(path)] if command == "verify" else [
         "operator", str(path), "--variable", "bit1"]
     assert _run(argv) in (0, 1, 2)
+
+
+@settings(max_examples=100)
+@given(case=renamed_fields(), command=st.sampled_from(("verify", "operator")))
+def test_unknown_field_refused_at_any_depth(tmp_path_factory, case, command):
+    doc, path, name = case
+    file = tmp_path_factory.getbasetemp() / "renamed.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["verify", str(file)] if command == "verify" else [
+        "operator", str(file), "--variable", "bit1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    where = path[0] + "".join(f"[{i}]" for i in path[1:]) if path else "document"
+    assert code == 1 and not out.getvalue()
+    assert f"{where}: unknown field {name!r}" in err.getvalue()
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -81,6 +81,17 @@ two-bit fixture with a constant variable added to the maximal family, which
 bit1 strictly refines, so `maximality[const]` fails and the pair chain runs
 on (exit 2). It gave the same bytes at one and at two BLAS threads.
 
+One case was recorded when a library error raised in a stage of the chain
+came to be that stage's failed check, so that every `verify` ends in a
+report: `verify` on `cyclic_m7.json` with `--tolerance 0.15`. The extension
+passes and `irreducibility` fails (commutant_dim=6); the isotropy found at
+that tolerance is not a subgroup, so `coset-labels` fails with `not closed
+at (25, 25)` and the pair's chain ends there (12 checks, exit 2). Before,
+that error ended the run with nothing on stdout. The swap matrix comes from
+LAPACK's basis of the commutant, so making the swap matrix canonical
+(ROADMAP item 1) may move this case. It was recorded at two BLAS threads
+and gave the same bytes at one.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the
