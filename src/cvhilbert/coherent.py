@@ -143,32 +143,6 @@ def resolution_of_identity(system: CoherentStateSystem) -> ResolutionResult:
     return ResolutionResult(c, residual, residual <= system.tolerance)
 
 
-def one_to_one_check(system: CoherentStateSystem):
-    """Injectivity of the state assignment.
-
-    Trivial isotropy: the vectors U(g) fiducial must be pairwise distinct.
-    Nontrivial isotropy: coset states must be pairwise non-parallel, and a
-    fiducial fixed by the whole group fails outright. Returns (ok, witness).
-    """
-    rep = system.rep
-    tol = system.tolerance
-    if system.isotropy.order == rep.group.order and rep.group.order > 1:
-        return False, (rep.group.identity, system.isotropy.members[1])
-    # with trivial isotropy every element is its own coset, so the states are
-    # the orbit vectors U(g) fiducial in element order
-    states = system.states
-    for i in range(len(states) - 1):
-        if system.isotropy.order == 1:
-            hits = np.abs(states[i + 1:] - states[i]).max(axis=1) <= tol
-        else:
-            hits = np.abs(states[i + 1:] @ states[i].conj()) >= 1.0 - tol
-        if hits.any():
-            j = i + 1 + int(hits.argmax())
-            return False, (system.cosets.representatives[i],
-                           system.cosets.representatives[j])
-    return True, None
-
-
 def operator_from_variable(system: CoherentStateSystem, values) -> Operator:
     """A = c * sum_x values[x] |x><x| over the coset states: the one-row
     case of `operator_stack`, checked where the `Operator` is built."""

@@ -347,6 +347,18 @@ def joint_coset_structure(
     matrices are scalar can merge cosets; the labeling survives exactly when
     every coset still meets both copies consistently and no two cosets share
     a label pair. Violations raise CosetLabelingError with a witness.
+
+    A labeling implies that the states are the d basis vectors, one each, at
+    any tolerance below 1. Every coset meets the first-axis copy, numbered
+    e, F_1..F_{m-1} = 0..m-1 (`groups.wreath_product`), so its leader, whose
+    state it carries, is some F_a, and U(F_a) = I U(a), the 0/1 matrix of
+    the regular representation, exactly. Its state is then e_{a f} for the
+    fiducial e_f, exactly. For a != b, F_a^-1 F_b moves e_f to an orthogonal
+    e_{c f}, an overlap of exactly 0: up to tolerance 1/2 that keeps F_a and
+    F_b apart, and above it the 0 is ambiguous and the isotropy decision
+    raises NumericalAmbiguity. So the m = d cosets carry distinct basis
+    vectors: they are pairwise orthogonal, and resolve the identity with
+    c = 1 and residual 0.
     """
     coherent_system = coherent.build_coherent_system(joint_rep, fiducial)
     # the (x, y) to which each element moves (0, 0), which is point 0

@@ -80,6 +80,20 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             coherent.build_coherent_system(rep, np.array([2.0, 0.0]))
 
+    def test_states_are_the_orbit(self, qubit_rep):
+        # the batched orbit gives each coset state as the loop over elements did
+        fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
+        fiducial /= np.linalg.norm(fiducial)
+        half = np.array([1, 0, 0, 1, 0, 0]) / np.sqrt(2)
+        z6 = reps.regular_representation(standard_group("cyclic", 6))
+        for rep, fid in ((qubit_rep, fiducial), (circle_system(5)[2], None), (z6, half)):
+            system = coherent.build_coherent_system(rep, fid)
+            looped = np.stack([rep.matrices[g] @ system.fiducial
+                               for g in system.cosets.representatives])
+            assert np.abs(system.states - looped).max() <= 1e-15
+        # trivial isotropy: one state per element, in element order
+        assert circle_system(5)[3].cosets.representatives == tuple(range(5))
+
 
 class TestResolution:
     def test_trivial_system(self):
@@ -118,78 +132,6 @@ class TestResolution:
             v /= np.linalg.norm(v)
             system = coherent.build_coherent_system(qubit_rep, v)
             assert coherent.resolution_of_identity(system).ok
-
-
-class TestOneToOne:
-    def test_regular_z3_injective(self):
-        _, _, _, system = circle_system(3)
-        ok, witness = coherent.one_to_one_check(system)
-        assert ok and witness is None
-
-    def test_fully_fixed_fiducial_fails(self):
-        g = standard_group("cyclic", 2)
-        rep = stack_representation(g, np.stack([np.eye(2, dtype=complex)] * 2))
-        system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
-        ok, witness = coherent.one_to_one_check(system)
-        assert not ok and witness is not None
-
-    def test_states_compared_up_to_phase(self):
-        # U(1) psi = -psi is a distinct vector but the same state
-        g = standard_group("cyclic", 2)
-        rep = stack_representation(g, np.array([[[1.0]], [[-1.0]]], dtype=complex))
-        system = coherent.build_coherent_system(rep, np.array([1.0]))
-        assert system.alpha == (0.0, np.pi)
-        assert coherent.one_to_one_check(system) == (False, (0, 1))
-
-    def test_qubit_pair_system(self, qubit_rep):
-        v = np.array([2.0, 1.0]) / np.sqrt(5)
-        system = coherent.build_coherent_system(qubit_rep, v.astype(complex))
-        ok, _ = coherent.one_to_one_check(system)
-        assert ok
-
-    def test_states_are_the_orbit(self, qubit_rep):
-        # the batched orbit gives each coset state as the loop over elements did
-        fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
-        fiducial /= np.linalg.norm(fiducial)
-        half = np.array([1, 0, 0, 1, 0, 0]) / np.sqrt(2)
-        z6 = reps.regular_representation(standard_group("cyclic", 6))
-        for rep, fid in ((qubit_rep, fiducial), (circle_system(5)[2], None), (z6, half)):
-            system = coherent.build_coherent_system(rep, fid)
-            looped = np.stack([rep.matrices[g] @ system.fiducial
-                               for g in system.cosets.representatives])
-            assert np.abs(system.states - looped).max() <= 1e-15
-        # trivial isotropy: one state per element, in element order
-        assert circle_system(5)[3].cosets.representatives == tuple(range(5))
-
-    @given(st.lists(st.integers(0, 4), min_size=3, max_size=3),
-           st.lists(st.integers(0, 4), min_size=5, max_size=5))
-    def test_matches_pairwise_loop(self, nontrivial_rows, trivial_rows):
-        # states drawn from a pool with repeats, a phase multiple and a
-        # vector inside the tolerance: the first witness is the loop's
-        pool = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0],
-                         [1, 1e-10, 0, 0, 0, 0], [0, 0, 1j, 0, 0, 0]], dtype=complex)
-        z6 = reps.regular_representation(standard_group("cyclic", 6))
-        half = np.array([1, 0, 0, 1, 0, 0]) / np.sqrt(2)
-        for system, rows in ((coherent.build_coherent_system(z6, half), nontrivial_rows),
-                             (circle_system(5)[3], trivial_rows)):
-            states = pool[rows][:, :system.rep.dim]
-            fake = dataclasses.replace(system, states=states)
-            assert coherent.one_to_one_check(fake) == pairwise_one_to_one(fake)
-
-
-def pairwise_one_to_one(system):
-    """The pairwise loop `one_to_one_check` replaced, kept as its reference."""
-    tol = system.tolerance
-    states, labels = system.states, system.cosets.representatives
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if system.isotropy.order == 1:
-                hit = np.abs(states[i] - states[j]).max() <= tol
-            else:
-                hit = abs(complex(states[i].conj() @ states[j])) >= 1.0 - tol
-            if hit:
-                return False, (labels[i], labels[j])
-    return True, None
 
 
 @functools.cache

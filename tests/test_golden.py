@@ -92,6 +92,19 @@ LAPACK's basis of the commutant, so making the swap matrix canonical
 (ROADMAP item 1) may move this case. It was recorded at two BLAS threads
 and gave the same bytes at one.
 
+A second deliberate move regenerated 17 verify reports, each the one before
+with two records removed, renumbered and recounted; no verdict and no exit
+code moved. `state-injectivity` and `resolution-of-identity` were folded
+into `coset-labels`, which implies both: once the cosets are labeled, their
+states are the d basis vectors, one each (`pairing.joint_coset_structure`).
+One case was recorded then: `verify` on `two_bit_close_values.json`, the
+two-bit fixture with bit1's numeric values [0, 1e-10], a gap below the
+tolerance 1e-9. bit1's operator then has one eigenvalue cluster for two
+values, so `eigenvalue-value-match[0][bit1]` and
+`maximality-nondegeneracy[0][bit1]` fail and `transition-unitarity[0]` is
+skipped (exit 2). It gave the same bytes at one and at two BLAS threads,
+before the fold and after it.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the
@@ -141,12 +154,7 @@ NEVER_FAILS = {
     # implied by permissibility: the image of K is a group; the benchmark
     # pins its skip
     "induced-group": "implied by permissibility",
-    # implied by the isotropy decision in exact arithmetic; kept as the
-    # numerical check
-    "state-injectivity": "numerical check of an exact consequence",
-    # each has a fail branch that no recorded document reaches yet
-    "resolution-of-identity": "fail branch not reached",
-    "eigenvalue-value-match": "fail branch not reached",
+    # a fail branch that no recorded document reaches yet
     "conjugation-covariance": "fail branch not reached",
     # the benchmark pins their pass
     "operator-construction": "pinned pass",

@@ -1,4 +1,5 @@
 import functools
+import json
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -414,7 +415,30 @@ class TestCosetStructure:
         states = system.coherent.states
         overlaps = np.abs(states.conj() @ states.T)
         assert overlaps[~np.eye(len(states), dtype=bool)].max() < 1 - 1e-9
-        assert coherent.one_to_one_check(system.coherent) == (True, None)
+
+    @given(st.sampled_from(["two_bit", "cyclic_m1", "cyclic_m2", "xor_m4"]),
+           st.floats(0, 0.5, exclude_min=True), st.integers(0, 40))
+    def test_labels_imply_distinct_basis_states(self, document, tolerance, fiducial_index):
+        # why `verify` reports no injectivity or resolution of its own: once
+        # the labels pass, each coset's leader is a first-axis copy F_a and its
+        # state a basis vector, one per coset, at any tolerance up to 1/2.
+        # XOR on two values is the shift of cyclic_m2
+        path = TWO_BIT if document == "two_bit" else DOCS / f"{document}.json"
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["options"] = {"tolerance": tolerance, "fiducial_index": fiducial_index}
+        label, systems = pairing.joint_coset_structure, []
+
+        def spy(*args):
+            systems.append(label(*args))
+            return systems[-1]
+
+        with mock.patch.object(pairing, "joint_coset_structure", spy):
+            cli.run_verify(cli.document_from_mapping(raw))
+        for system in systems:
+            states, m = system.coherent, system.joint.value_size
+            assert max(states.cosets.representatives) < m
+            assert sorted(states.basis_index.tolist()) == list(range(system.dim))
+            assert (states.resolution.constant, states.resolution.residual) == (1.0, 0.0)
 
 
 class TestJointOperators:

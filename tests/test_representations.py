@@ -430,6 +430,14 @@ class TestSplit:
         for u in rep.matrices:
             assert np.abs(u @ proj - proj @ u).max() <= 1e-9
 
+    def test_huge_tolerance_warns_nothing(self):
+        # the commutant's rank threshold, tolerance * largest singular value,
+        # passes the float maximum: every basis element counts as scalar, and
+        # the refusal comes without an overflow warning, an error here
+        rep = reps.regular_representation(z(2), 1e308)
+        with pytest.raises(IrreducibleInput, match="no non-scalar"):
+            reps.invariant_subspace_split(rep)
+
     def test_irreducible_input_rejected(self, qubit_rep):
         with pytest.raises(IrreducibleInput):
             reps.invariant_subspace_split(qubit_rep)
