@@ -363,18 +363,35 @@ class _Run:
         self.report.checks.append(CheckRecord(cid, _ANCHORS[family], status, **fields))
 
 
+class _Failing:
+    """A context in which a library error is the failed check family[keys],
+    the error's text its detail, and ends the chain with `_Stop`. A class,
+    not a generator: a chain enters one per stage, variable and spin."""
+    __slots__ = ("run", "family", "keys")
+
+    def __init__(self, run: _Run, family: str, *keys):
+        self.run, self.family, self.keys = run, family, keys
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, CvhilbertError):
+            self.run.add(self.family, "fail", *self.keys, detail=str(exc))
+            raise _Stop from exc
+
+
 def _run_stages(run: _Run, stages, *keys) -> None:
     """Run the (stage, check family) pairs in order until one ends the chain:
     by raising `_Stop` once it has recorded why, or by raising a library
-    error, which is then the stage's failed check family[keys], the error's
-    text its detail. A pair's chain is keyed by the pair's index."""
+    error, which is then the stage's failed check family[keys] (`_Failing`).
+    A pair's chain is keyed by the pair's index, and a stage that loops over
+    variables or spins keys its own failure by the one in hand."""
     for stage, family in stages:
         try:
-            stage(run)
+            with _Failing(run, family, *keys):
+                stage(run)
         except _Stop:
-            return
-        except CvhilbertError as exc:
-            run.add(family, "fail", *keys, detail=str(exc))
             return
 
 
@@ -397,20 +414,22 @@ def _close_k(run: _Run) -> None:
 
 def _permissibility(run: _Run) -> None:
     for name, var in run.doc.variables.items():
-        try:
-            run.induced[name] = variables.induced_group(var, run.context.acting_group)
-        except NotPermissible as exc:
-            k, p1, p2 = exc.witness
-            run.add("permissibility", "fail", name, witness=f"k={k} p1={p1} p2={p2}")
-            run.add("induced-group", "skip", name, detail="variable not permissible")
-            continue
+        with _Failing(run, "permissibility", name):
+            try:
+                run.induced[name] = variables.induced_group(var, run.context.acting_group)
+            except NotPermissible as exc:
+                k, p1, p2 = exc.witness
+                run.add("permissibility", "fail", name, witness=f"k={k} p1={p1} p2={p2}")
+                run.add("induced-group", "skip", name, detail="variable not permissible")
+                continue
         run.add("permissibility", "pass", name)
         run.add("induced-group", "pass", name, detail=f"order={run.induced[name][0].order}")
 
 
 def _maximality(run: _Run) -> None:
     for name in run.doc.maximal_family:
-        is_max = variables.is_maximally_accessible(run.context, run.doc.variables[name])
+        with _Failing(run, "maximality", name):
+            is_max = variables.is_maximally_accessible(run.context, run.doc.variables[name])
         run.add("maximality", is_max, name)
 
 
@@ -529,8 +548,9 @@ def _spin_suite(run: _Run) -> None:
     for twice_r in (1, 2, 3, 4, 5):
         r = twice_r / 2
         # build_spin has checked the squared total, and A0 is diag(m) exactly
-        sr = spin.build_spin(r)
-        resid = spin.verify_commutation(sr)
+        with _Failing(run, "spin-commutation", f"r={r}"):
+            sr = spin.build_spin(r)
+            resid = spin.verify_commutation(sr)
         run.add("spin-commutation", resid <= 1e-12, f"r={r}", residual=resid,
                 detail=f"dim={sr.dim}")
     for n in range(3, 13):
@@ -753,15 +773,18 @@ def _cmd_operator(args) -> int:
         lines.append(f"operator not constructed: {exc}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 2
-    # the regular action is free, so distinct states overlap by exactly 0: up
-    # to tolerance 1/2 they are the d basis vectors, which resolve the
-    # identity, and above it that 0 is ambiguous and the build has raised
+    # the states are read off column f of the regular action's table, the
+    # basis vector at g . f for the representative g of each coset. The
+    # action is free, so distinct states overlap by exactly 0: up to
+    # tolerance 1/2 they are the d basis vectors, which resolve the identity,
+    # and above it that 0 is ambiguous and the build has raised
     res = system.resolution
     lines.append(f"resolution constant: {_fmt(res.constant)} residual: {_fmt(res.residual)} "
                  f"pass: {res.ok}")
-    points = [g_action.apply(r, 0) for r in system.cosets.representatives]
+    # the state of the coset of g carries the value of the point g . 0
+    points = g_action.act[list(system.cosets.representatives), 0]
     try:
-        op = coherent.operator_from_variable(system, [numeric[p] for p in points])
+        op = coherent.operator_from_variable(system, np.asarray(numeric, dtype=float)[points])
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -6,8 +6,16 @@ state projectors against the counting measure and normalizing by the trace
 either reproduces the identity (guaranteed for irreducible representations)
 or reports a residual.
 
-When every state is a standard basis vector e_p at a distinct index p, as the
-orbit of a basis fiducial under a permutation representation always is, the
+The orbit of a basis fiducial e_f is column f of every matrix, U(g) e_f.
+Under a permutation representation that column is the basis vector at
+act[g, f], so the overlaps are exactly 1 or 0, the isotropy is the point
+stabilizer of f and each state is e_p at p = act[g, f] for its coset's
+representative g: the system is read off column f of the action table in
+O(|G|), and builds no orbit and no state array. Under a stack, the joined
+representation, the orbit is gathered off the stack, with no product. Any
+other fiducial takes one batched product over the stack.
+
+When every state is a standard basis vector e_p at a distinct index p, the
 projector |x><x| is the single diagonal entry (p, p). The resolution of
 identity and every operator sum are then read off the states' basis indices
 in O(d) per operator, plus the O(d^2) of writing the d x d matrix, instead of
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoResolution, NumericalAmbiguity
-from .groups import CosetSpace, GroupAction, Subgroup, left_cosets, subgroup
+from .groups import CosetSpace, GroupAction, Subgroup, isotropy_subgroup, left_cosets, subgroup
 from .representations import Operator, UnitaryRepresentation, _check_operators, _maxabs
 
 
@@ -36,22 +44,44 @@ class ResolutionResult:
 
 @dataclass(frozen=True, eq=False)
 class CoherentStateSystem:
+    """One state per coset of the fiducial's isotropy, the state of a coset
+    being the orbit vector of its representative.
+
+    A system read off a permutation action keeps the basis index of each
+    state, act[g, f] for the representative g, in `action_index`, and builds
+    no state array until `states` is first read; any other keeps the orbit
+    vectors of the representatives in `orbit_states`. One of the two is set.
+    """
     rep: UnitaryRepresentation
     fiducial: np.ndarray
     isotropy: Subgroup                  # elements fixing the fiducial up to phase
     alpha: tuple[float, ...]            # phase per isotropy member
     cosets: CosetSpace
-    states: np.ndarray                  # (|X|, d), one unit vector per coset
+    action_index: np.ndarray | None = None  # (|X|,) basis index per state
+    orbit_states: np.ndarray | None = None  # (|X|, d) orbit vector per state
 
     @property
     def tolerance(self) -> float:
         return self.rep.tolerance
 
     @functools.cached_property
+    def states(self) -> np.ndarray:
+        """(|X|, d), one unit vector per coset: the orbit states, or e_p at
+        each basis index read off the action, built on first read."""
+        if self.orbit_states is not None:
+            return self.orbit_states
+        states = np.zeros((len(self.action_index), self.rep.dim), dtype=complex)
+        states[np.arange(len(states)), self.action_index] = 1.0
+        states.setflags(write=False)
+        return states
+
+    @functools.cached_property
     def basis_index(self) -> np.ndarray | None:
         """The index p of each state when every state is the standard basis
-        vector e_p, exactly, at a distinct index; None otherwise. Derived
-        from `states` on first read."""
+        vector e_p, exactly, at a distinct index; None otherwise. The
+        indices read off an action, or derived from `states` on first read."""
+        if self.action_index is not None:
+            return self.action_index
         # one nonzero entry per row, row-major, gives rows 0, 1, 2, ...
         rows, cols = np.nonzero(self.states)
         if not np.array_equal(rows, np.arange(len(self.states))):
@@ -67,39 +97,62 @@ class CoherentStateSystem:
         return resolution_of_identity(self)
 
 
-def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray):
+def _parallel(overlaps: np.ndarray, tol: float) -> np.ndarray:
+    """The elements whose overlap with the fiducial has modulus at least
+    1 - tol, ascending. A modulus inside the band (1 - 2 tol, 1 - tol) is
+    too close to that boundary to classify, and the first element with one
+    raises NumericalAmbiguity."""
+    mags = np.abs(overlaps)
+    ambiguous = (mags < 1.0 - tol) & (mags > 1.0 - 2.0 * tol)
+    if ambiguous.any():
+        g = int(ambiguous.argmax())
+        raise NumericalAmbiguity(
+            f"overlap modulus {float(mags[g])!r} for element {g} is too close to the boundary"
+        )
+    return np.flatnonzero(mags >= 1.0 - tol)
+
+
+def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray, f: int | None):
     """(orbit, isotropy, phases): the orbit U(g) fiducial of every element,
     row g for element g, and the subgroup fixing the fiducial up to a
-    unit-modulus scalar, with the phase of each member. A permutation
-    representation moves the entries of the fiducial along its action,
-    (U(g) psi)[act[g, x]] = psi[x]; any other is one batched product over
-    the stack.
+    unit-modulus scalar, with the phase of each member.
+
+    For the basis fiducial e_f (f not None) the orbit is column f of every
+    matrix. A permutation representation's column is e_{act[g, f]}, so its
+    overlaps are exactly 1 at the point stabilizer of f and 0 elsewhere,
+    every phase is 0, and the orbit is None: nothing of size |G| * d is
+    built. A stack's column is gathered, with no product. Any other
+    fiducial takes one batched product over the stack.
 
     Parallelism is decided by |<fiducial|U(g)|fiducial>| >= 1 - tolerance for
-    unit vectors; overlaps inside the tolerance band around that boundary
-    raise NumericalAmbiguity rather than silently classifying."""
+    unit vectors, for every element in one comparison (`_parallel`); an
+    overlap inside the tolerance band around that boundary raises
+    NumericalAmbiguity rather than silently classifying. Above tolerance 1/2
+    the band takes in 0, so a permutation representation raises at the
+    first element that moves f."""
     tol = rep.tolerance
-    fiducial = np.asarray(fiducial, dtype=complex)
-    if abs(np.linalg.norm(fiducial) - 1.0) > tol:
-        raise ValueError("fiducial must be a unit vector")
-    if isinstance(rep.source, GroupAction):
-        act = rep.source.act
-        orbit = np.empty(act.shape, dtype=complex)
-        orbit[np.arange(len(act))[:, None], act] = fiducial
-    else:
+    if f is not None and isinstance(rep.source, GroupAction):
+        members = _parallel((rep.source.act[:, f] == f).astype(float), tol)
+        # below tolerance 1 an overlap of 0 is not parallel, and the members
+        # are the elements fixing f; at 1 or more every element is one
+        iso = isotropy_subgroup(rep.source, f) if tol < 1.0 else subgroup(rep.group, members)
+        return None, iso, (0.0,) * iso.order
+    if f is None:
         orbit = rep.matrices @ fiducial
-    members, phases = [], []
-    for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
-        mag = abs(overlap)
-        if mag >= 1.0 - tol:
-            members.append(g)
-            phases.append(float(np.angle(overlap)) if g != rep.group.identity else 0.0)
-        elif mag > 1.0 - 2.0 * tol:
-            raise NumericalAmbiguity(
-                f"overlap modulus {mag!r} for element {g} is too close to the boundary"
-            )
+        overlaps = orbit @ fiducial.conj()
+    else:
+        orbit = rep.matrices[:, :, f]
+        overlaps = orbit[:, f]
+    members = _parallel(overlaps, tol)
+    phases = np.angle(overlaps[members])
+    phases[members == rep.group.identity] = 0.0
+    # phase condition U(e) psi = exp(i alpha(e)) psi, checked exactly here
+    off = np.abs(orbit[members] - np.exp(1j * phases)[:, None] * fiducial).max(axis=1) > 10 * tol
+    if off.any():
+        m = int(members[off.argmax()])
+        raise NumericalAmbiguity(f"isotropy phase inconsistent for element {m}")
     # members are ascending and distinct, as `subgroup` lists them
-    return orbit, subgroup(rep.group, members), tuple(phases)
+    return orbit, subgroup(rep.group, members), tuple(phases.tolist())
 
 
 def build_coherent_system(
@@ -110,15 +163,20 @@ def build_coherent_system(
         fiducial = np.zeros(rep.dim, dtype=complex)
         fiducial[0] = 1.0
     fiducial = np.asarray(fiducial, dtype=complex)
-    orbit, iso, alpha = _orbit_isotropy(rep, fiducial)
+    if abs(np.linalg.norm(fiducial) - 1.0) > rep.tolerance:
+        raise ValueError("fiducial must be a unit vector")
+    nonzero = np.flatnonzero(fiducial)
+    f = int(nonzero[0]) if len(nonzero) == 1 and fiducial[nonzero[0]] == 1.0 else None
+    orbit, iso, alpha = _orbit_isotropy(rep, fiducial, f)
     cosets = left_cosets(rep.group, iso)
-    states = orbit[list(cosets.representatives)]
-    # phase condition U(e) psi = exp(i alpha(e)) psi, checked exactly here
-    for m, a in zip(iso.members, alpha):
-        if _maxabs(orbit[m] - np.exp(1j * a) * fiducial) > 10 * rep.tolerance:
-            raise NumericalAmbiguity(f"isotropy phase inconsistent for element {m}")
+    representatives = list(cosets.representatives)
+    if orbit is None:
+        index = rep.source.act[representatives, f]
+        index.setflags(write=False)
+        return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, action_index=index)
+    states = orbit[representatives]
     states.setflags(write=False)
-    return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, states)
+    return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, orbit_states=states)
 
 
 def resolution_of_identity(system: CoherentStateSystem) -> ResolutionResult:
@@ -175,17 +233,20 @@ def _projector_sums(system: CoherentStateSystem, values: np.ndarray) -> np.ndarr
         raise NoResolution(
             f"resolution of identity fails with residual {res.residual:.3e}"
         )
-    index = system.basis_index
-    if index is None:
-        a = res.constant * (system.states.T * values[:, None, :]) @ system.states.conj()
-    else:
-        d = system.rep.dim
-        a = np.zeros((len(values), d, d), dtype=complex)
-        a[:, index, index] = res.constant * values
     # the product rounds entries (i, j) and (j, i) apart; a sum of projectors
     # is Hermitian, and so is the mean of a and its adjoint, bit for bit.
     # Halving each term first is exact in the normal range and cannot
-    # overflow where the sum would; in place, it costs no more passes.
+    # overflow where the sum would. Basis states take the mean of their
+    # diagonal alone, the same floats, and leave the rest +0.0
+    index = system.basis_index
+    if index is not None:
+        d = system.rep.dim
+        half = 0.5 * (res.constant * values)
+        a = np.zeros((len(values), d, d), dtype=complex)
+        a[:, index, index] = half + half
+        return a
+    a = res.constant * (system.states.T * values[:, None, :]) @ system.states.conj()
+    # in place, the mean costs no more passes
     a *= 0.5
     a += a.conj().swapaxes(1, 2)
     return a

@@ -142,9 +142,6 @@ class GroupAction:
     def __post_init__(self, token):
         _check_built(token, "GroupAction")
 
-    def apply(self, g: int, x: int) -> int:
-        return int(self.act[g, x])
-
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:

@@ -115,11 +115,11 @@ def test_criterion_5_conjugation_covariance(two_bit, two_bit_operators):
     for n in (3, 4, 5):
         group, action, rep, system = circle_system(n)
         values = np.arange(n, dtype=float)
-        points = [action.apply(r, 0) for r in system.cosets.representatives]
+        points = [action.act[r, 0] for r in system.cosets.representatives]
         a = coherent.operator_from_variable(system, [values[p] for p in points])
         for t in range(group.order):
             moved = coherent.operator_from_variable(
-                system, [values[action.apply(t, p)] for p in points])
+                system, [values[action.act[t, p]] for p in points])
             u = rep.matrices[t]
             resid = np.abs(u.conj().T @ a.matrix @ u - moved.matrix).max()
             worst_single = max(worst_single, float(resid))
@@ -161,7 +161,7 @@ def test_criterion_6_spectral_properties(two_bit, two_bit_operators):
     ident = variables.make_variable("point", [0, 1, 2, 3],
                                     numeric_values=[0.0, 1.0, 2.0, 3.0])
     ctx = variables.Context(4, action, (ident,))
-    points = [action.apply(r, 0) for r in system.cosets.representatives]
+    points = [action.act[r, 0] for r in system.cosets.representatives]
     op = coherent.operator_from_variable(system, [ident.numeric()[p] for p in points])
     assert spectra.verify_values_are_eigenvalues(spectra.eigensystem(op), ident)
     assert variables.is_maximally_accessible(ctx, ident) == (
@@ -213,7 +213,7 @@ def test_criterion_8_planar_permissibility_and_witness():
     k, p1, p2 = witness
     assert (axes[0], axes[1]) == ("+x", "+y")
     assert var.values[p1] == var.values[p2]
-    assert (var.values[action.apply(k, p1)] != var.values[action.apply(k, p2)])
+    assert (var.values[action.act[k, p1]] != var.values[action.act[k, p2]])
     announce(8, True,
              "planar component permissibility, in the covariant reading the "
              "construction supports (rotating the reference direction with the "

@@ -244,14 +244,16 @@ def _raise(error):
 
 class TestStageFailureRule:
     """A library error raised in a stage of `verify` is that stage's failed
-    check: the report is whole, ends with that check and exits 2."""
+    check, keyed by the pair, variable or spin in hand: the report is whole,
+    ends with that check and exits 2."""
 
     @pytest.mark.parametrize("document, module, name, error, cid", [
         (TWO_BIT, cli, "generate_permutation_group", errors.SizeLimit("K too large"),
          "group-axioms"),
-        (TWO_BIT, variables, "induced_group", errors.SizeLimit("G too large"), "permissibility"),
+        (TWO_BIT, variables, "induced_group", errors.SizeLimit("G too large"),
+         "permissibility[bit1]"),
         (TWO_BIT, variables, "is_maximally_accessible", errors.NotAccessible("not accessible"),
-         "maximality"),
+         "maximality[bit1]"),
         (TWO_BIT, pairing, "build_related_pair", errors.NotMaximal("bit1"), "relatedness[0]"),
         (TWO_BIT, pairing, "build_joint_group", errors.NotTransitive("not transitive"),
          "joint-group[0]"),
@@ -265,7 +267,7 @@ class TestStageFailureRule:
          "conjugation-covariance[0]"),
         (TWO_BIT, spectra, "transition_matrix", errors.DegenerateSpectrum("degenerate"),
          "transition-unitarity[0]"),
-        (SPIN_SUITE, spin, "build_spin", errors.InvalidSpin("bad r"), "spin-commutation"),
+        (SPIN_SUITE, spin, "build_spin", errors.InvalidSpin("bad r"), "spin-commutation[r=0.5]"),
     ], ids=["close-k", "permissibility", "maximality", "relate", "join", "extend", "label",
             "operators", "covariance", "basis-change", "spin-suite"])
     def test_library_error_is_the_stage_check(self, document, module, name, error, cid,
@@ -844,6 +846,34 @@ class TestWorkCounts:
         assert "eigenvalues:" in capsys.readouterr().out
         assert work_counts["eigh"] == 0
 
+    def test_operator_reads_the_states_off_the_action(self, monkeypatch, capsys):
+        # the regular representation of S5 with the basis fiducial e_0: each
+        # coset state is e_p at p = act[g, 0], read off column 0 of the
+        # table. The 0/1 stack is never read, and no 120 x 120 orbit or
+        # state array is built
+        built, orbits = [], []
+        build, orbit_isotropy = coherent.build_coherent_system, coherent._orbit_isotropy
+
+        def build_spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def orbit_spy(*args):
+            orbits.append(orbit_isotropy(*args))
+            return orbits[-1]
+
+        monkeypatch.setattr(coherent, "build_coherent_system", build_spy)
+        monkeypatch.setattr(coherent, "_orbit_isotropy", orbit_spy)
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        assert "eigenvalues:" in capsys.readouterr().out
+        [system] = built
+        assert system.rep.dim == 120 and len(system.cosets) == 120
+        assert [orbit is None for orbit, _, _ in orbits] == [True]
+        assert "matrices" not in vars(system.rep)
+        assert system.orbit_states is None and "states" not in vars(system)
+        assert np.array_equal(system.basis_index,
+                              system.rep.source.act[list(system.cosets.representatives), 0])
+
     def test_operator_sorts_no_matrix_entries(self, monkeypatch, capsys):
         # the diagonal 120×120 operator is printed from its 120 nonzero
         # entries; no sort over its 14,400 entries finds the distinct ones
@@ -1051,12 +1081,12 @@ class TestWorkCounts:
     def test_operator_checks_generators_not_the_table(self, table_work, capsys):
         # operator on S5 builds the regular representation, d = |G| = 120, as
         # the table of the group's Cayley columns, checked where the group was
-        # built: G's Cayley table is the one table built, and the one scan is
-        # the closure check of the fiducial's isotropy, one member by its
-        # inverse and itself
+        # built: G's Cayley table is the one table built, and nothing is
+        # scanned, as the fiducial's isotropy is a point stabilizer of the
+        # action
         assert cli.main(["operator", S5, "--variable", "v"]) == 0
         assert "induced group order: 120" in capsys.readouterr().out
-        assert table_work == {"tables": [120], "scans": [(1, 2)]}
+        assert table_work == {"tables": [120], "scans": []}
 
     def test_failed_extension_reads_no_table_of_n(self, table_work):
         # cyclic m=5 fails the extension: the relations are decided on the

@@ -1,15 +1,19 @@
 import dataclasses
 import functools
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvhilbert import coherent, groups, representations as reps, variables
-from cvhilbert.errors import NoResolution
+from cvhilbert import cli, coherent, groups, pairing, representations as reps, variables
+from cvhilbert.errors import NoResolution, NotASubgroup, NumericalAmbiguity
 
 from conftest import circle_system, stack_representation, standard_action, standard_group
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unit_vector(draw_values):
@@ -221,10 +225,14 @@ class TestOperator:
         turned = coherent.build_coherent_system(rep, 1j * e0)
         assert turned.basis_index is None
         assert (turned.resolution.constant, turned.resolution.residual) == gram_resolution(turned)
+        assert np.array_equal(dataclasses.replace(
+            system, action_index=None, orbit_states=system.states).basis_index,
+            system.basis_index)
         repeated = system.states[[0, 0, 1, 2, 3, 4]]
         spread = np.vstack([system.states[:5], np.full(6, 6 ** -0.5)])
         for states in (repeated, spread):
-            assert dataclasses.replace(system, states=states).basis_index is None
+            assert dataclasses.replace(
+                system, action_index=None, orbit_states=states).basis_index is None
 
     def test_unit_variable_gives_identity(self):
         _, _, _, system = circle_system(3)
@@ -262,10 +270,10 @@ class TestOperator:
     def test_covariance_suite_passes_on_circles(self, n):
         group, action, rep, system = circle_system(n)
         values = np.arange(n, dtype=float)
-        points = [action.apply(r, 0) for r in system.cosets.representatives]
-        a = coherent.operator_from_variable(system, [values[p] for p in points])
+        points = action.act[list(system.cosets.representatives), 0]
+        a = coherent.operator_from_variable(system, values[points])
         for t in range(group.order):
-            moved = [values[action.apply(t, p)] for p in points]
+            moved = values[action.act[t, points]]
             a_moved = coherent.operator_from_variable(system, moved)
             u = rep.matrices[t]
             assert np.abs(u.conj().T @ a.matrix @ u - a_moved.matrix).max() <= 1e-12
@@ -280,7 +288,7 @@ class TestPushforwardEquivalence:
         g_group, g_action = variables.induced_group(parity, k_action)
         rep = reps.regular_representation(g_group)
         system = coherent.build_coherent_system(rep)
-        points = [g_action.apply(r, 0) for r in system.cosets.representatives]
+        points = g_action.act[list(system.cosets.representatives), 0].tolist()
         numeric = parity.numeric()
         direct = coherent.operator_from_variable(system, [numeric[p] for p in points])
 
@@ -313,3 +321,146 @@ class TestAmbiguityBand:
         rep = stack_representation(g, np.stack([np.eye(2, dtype=complex), reflection]))
         with pytest.raises(NumericalAmbiguity):
             coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
+
+
+def reference_system(group, matrices, tol, fiducial):
+    """The isotropy, cosets and states of a fiducial by the dense
+    computation: the orbit as the product of the whole stack with the
+    fiducial, and a loop over the elements' overlaps. (members, phases,
+    cosets, basis index, states), or (error type, text) when it raises."""
+    orbit = matrices @ fiducial
+    members, phases = [], []
+    try:
+        for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
+            mag = abs(overlap)
+            if mag >= 1.0 - tol:
+                members.append(g)
+                phases.append(float(np.angle(overlap)) if g != group.identity else 0.0)
+            elif mag > 1.0 - 2.0 * tol:
+                raise NumericalAmbiguity(
+                    f"overlap modulus {mag!r} for element {g} is too close to the boundary")
+        for m, a in zip(members, phases):
+            if np.abs(orbit[m] - np.exp(1j * a) * fiducial).max() > 10 * tol:
+                raise NumericalAmbiguity(f"isotropy phase inconsistent for element {m}")
+        cosets = groups.left_cosets(group, groups.subgroup(group, members))
+    except (NumericalAmbiguity, NotASubgroup) as exc:
+        return type(exc), str(exc)
+    states = orbit[list(cosets.representatives)]
+    # every state e_p, exactly, at a distinct p
+    ones = states == 1
+    index = ones.argmax(axis=1)
+    if not (((states == 0) | ones).all() and (ones.sum(axis=1) == 1).all()
+            and len(set(index.tolist())) == len(index)):
+        index = None
+    return tuple(members), tuple(phases), cosets, index, states
+
+
+def system_outcome(rep, fiducial):
+    """(members, phases, cosets, basis index, states) of the built system,
+    or (error type, text) when the build raises."""
+    try:
+        system = coherent.build_coherent_system(rep, fiducial)
+    except (NumericalAmbiguity, NotASubgroup) as exc:
+        return type(exc), str(exc)
+    return (system.isotropy.members, system.alpha, system.cosets, system.basis_index,
+            system.states, system)
+
+
+@functools.cache
+def catalogue_stack(kind, n, regular):
+    """(group, action, 0/1 stack) of the regular or the natural
+    representation of a catalogue group."""
+    action = standard_action(kind, n)
+    if regular:
+        action = groups.regular_action(action.group)
+    return action.group, action, reps.permutation_representation(action).matrices
+
+
+@functools.cache
+def joined_stacks():
+    """{document: (N, stack)} of the joined representations that `verify`
+    builds for the two-bit fixture, cyclic m=2 and XOR m=4."""
+    paths = {"two_bit": ROOT / "fixtures" / "two_bit.json",
+             "cyclic_m2": ROOT / "tests" / "golden" / "docs" / "cyclic_m2.json",
+             "xor_m4": ROOT / "tests" / "golden" / "docs" / "xor_m4.json"}
+    built, stacks = pairing.build_joint_representation, {}
+    for name, path in paths.items():
+        with mock.patch.object(pairing, "build_joint_representation",
+                               lambda *args: stacks.setdefault(name, built(*args))):
+            cli.run_verify(cli.parse_context(str(path)))
+    return {name: (rep.group, rep.matrices) for name, rep in stacks.items()}
+
+
+@st.composite
+def permutation_cases(draw):
+    """(group, action, 0/1 stack, regular): a catalogue group or a random
+    permutation group on up to 8 points, by its regular or natural action."""
+    if draw(st.booleans()):
+        kind, n = draw(st.sampled_from(
+            [("cyclic", n) for n in range(1, 7)] + [("dihedral", n) for n in range(1, 6)]
+            + [("symmetric", n) for n in range(3, 6)]))
+        regular = draw(st.booleans())
+        return (*catalogue_stack(kind, n, regular), regular)
+    # one generator on up to 8 points, or two on up to 6: order at most 720
+    m = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=1 if m > 6 else 2))
+    _, action = groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)
+    regular = action.group.order <= 60 and draw(st.booleans())
+    if regular:
+        action = groups.regular_action(action.group)
+    return action.group, action, reps.permutation_representation(action).matrices, regular
+
+
+TOLERANCES = st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [reps.DEFAULT_TOLERANCE, 0.5, 0.5000000001, 0.6, 0.999])
+
+
+class TestBasisFiducial:
+    """A basis fiducial's system read off column f, against the dense
+    product and the loop over the elements' overlaps."""
+
+    def check(self, rep, matrices, f):
+        fiducial = np.eye(rep.dim, dtype=complex)[f]
+        got = system_outcome(rep, fiducial)
+        want = reference_system(rep.group, matrices, rep.tolerance, fiducial)
+        if len(want) == 2:
+            assert got == want
+            return None
+        members, phases, cosets, index, states, system = got
+        assert (members, phases) == want[:2]
+        assert (cosets.cosets, cosets.representatives) == (want[2].cosets,
+                                                            want[2].representatives)
+        assert (index is None) == (want[3] is None)
+        if index is not None:
+            assert np.array_equal(index, want[3]) and not index.flags.writeable
+        assert np.array_equal(states, want[4]) and not states.flags.writeable
+        b = want[4].T @ want[4].conj()
+        c = rep.dim / float(np.trace(b).real)
+        residual = float(np.abs(c * b - np.eye(rep.dim)).max())
+        res = system.resolution
+        assert (res.constant, res.residual, res.ok) == (c, residual, residual <= rep.tolerance)
+        return system
+
+    @given(permutation_cases(), TOLERANCES, st.data())
+    def test_permutation_representation_reads_the_action(self, case, tol, data):
+        group, action, matrices, regular = case
+        rep = (reps.regular_representation(group, tol) if regular
+               else reps.permutation_representation(action, tol))
+        system = self.check(rep, matrices, data.draw(st.integers(0, rep.dim - 1)))
+        # the system keeps the states' indices; the stack is never read
+        assert "matrices" not in vars(rep)
+        if system is not None:
+            assert system.orbit_states is None and system.alpha == (0.0,) * len(system.alpha)
+
+    @given(st.sampled_from(["two_bit", "cyclic_m2", "xor_m4"]), TOLERANCES, st.data())
+    def test_joined_stack_gathers_a_column(self, document, tol, data):
+        group, matrices = joined_stacks()[document]
+        rep = reps.UnitaryRepresentation(group, matrices.shape[1], matrices, tol, reps._BUILT)
+        self.check(rep, matrices, data.draw(st.integers(0, rep.dim - 1)))
+
+    def test_ambiguous_above_one_half_at_the_first_moved_element(self):
+        # every element but e moves point 0 of the regular action: at
+        # tolerance above 1/2 its overlap 0 is inside the band
+        rep = reps.regular_representation(standard_group("cyclic", 3), 0.6)
+        with pytest.raises(NumericalAmbiguity, match=r"^overlap modulus 0\.0 for element 1 "):
+            coherent.build_coherent_system(rep)

@@ -146,14 +146,14 @@ def random_actions(draw):
     return groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)[1]
 
 
-def outcome(call):
-    """(orbit, isotropy members, phases) of `coherent._orbit_isotropy`, or
-    (None, exception type, message) when it raises."""
+def outcome(rep, fiducial):
+    """(isotropy members, phases, states) of the coherent system of a
+    fiducial, or (exception type, message) when the build raises."""
     try:
-        orbit, sub, phases = call()
+        system = coherent.build_coherent_system(rep, fiducial)
     except ValueError as exc:
-        return None, type(exc), str(exc)
-    return orbit, sub.members, phases
+        return type(exc), str(exc)
+    return system.isotropy.members, system.alpha, system.states
 
 
 class TestPermutationTables:
@@ -163,7 +163,7 @@ class TestPermutationTables:
     def test_table_backed_equals_stack_built_by_hand(self, action, tol, basis, data):
         # the representation that holds a verified action against the 0/1
         # stack of its table built by hand and read back off: the stack, the
-        # character norm and the orbit of a fiducial
+        # character norm and the coherent system of a fiducial
         group, m = action.group, action.space_size
         built = [reps.permutation_representation(action, tol),
                  stack_representation(group, zero_one_stack(action.act, m), tol)]
@@ -180,11 +180,11 @@ class TestPermutationTables:
             if np.linalg.norm(fiducial) < 0.1:
                 fiducial[0] = 1.0
             fiducial /= np.linalg.norm(fiducial)
-        orbits = [outcome(lambda: coherent._orbit_isotropy(rep, fiducial)) for rep in built]
-        assert orbits[0][1:] == orbits[1][1:]
-        assert (orbits[0][0] is None) == (orbits[1][0] is None)
-        if orbits[0][0] is not None:
-            assert np.array_equal(*(o[0] for o in orbits))
+        systems = [outcome(rep, fiducial) for rep in built]
+        assert systems[0][:2] == systems[1][:2]
+        assert len(systems[0]) == len(systems[1])
+        if len(systems[0]) == 3:
+            assert np.array_equal(systems[0][2], systems[1][2])
 
 
 class TestHeldAction:

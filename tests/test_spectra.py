@@ -225,7 +225,7 @@ class TestMaximalityBiconditional:
         ident = variables.make_variable("point", [0, 1, 2, 3],
                                         numeric_values=[0.0, 1.0, 2.0, 3.0])
         ctx = variables.Context(4, action, (ident,))
-        points = [action.apply(r, 0) for r in system.cosets.representatives]
+        points = [action.act[r, 0] for r in system.cosets.representatives]
         op = coherent.operator_from_variable(system, [ident.numeric()[p] for p in points])
         assert variables.is_maximally_accessible(ctx, ident) == (
             not spectra.eigensystem(op).degenerate)

@@ -180,8 +180,8 @@ class TestPlanarContext:
         assert not ok
         k, p1, p2 = witness
         assert component.values[p1] == component.values[p2]
-        assert (component.values[act.apply(k, p1)]
-                != component.values[act.apply(k, p2)])
+        assert (component.values[act.act[k, p1]]
+                != component.values[act.act[k, p2]])
 
 
 class TestFullRotationCounterexample:

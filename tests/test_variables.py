@@ -101,8 +101,8 @@ class TestPermissibility:
         k, p1, p2 = witness
         # equal components before, different after
         assert var.values[p1] == var.values[p2]
-        moved1 = var.values[action.apply(k, p1)]
-        moved2 = var.values[action.apply(k, p2)]
+        moved1 = var.values[action.act[k, p1]]
+        moved2 = var.values[action.act[k, p2]]
         assert moved1 != moved2
 
     @given(st.integers(min_value=2, max_value=6), st.data())
@@ -120,8 +120,8 @@ class TestPermissibility:
         if not ok:
             k, p1, p2 = witness
             assert var.values[p1] == var.values[p2]
-            assert (var.values[action.apply(k, p1)]
-                    != var.values[action.apply(k, p2)])
+            assert (var.values[action.act[k, p1]]
+                    != var.values[action.act[k, p2]])
 
 
 def reference_permissibility(variable, action):
@@ -228,8 +228,8 @@ class TestInducedGroup:
         hom = induced_indices(PARITY4, base, act)
         for k in range(base.group.order):
             for p in range(4):
-                lhs = act.apply(hom[k], PARITY4.values[p])
-                rhs = PARITY4.values[base.apply(k, p)]
+                lhs = act.act[hom[k], PARITY4.values[p]]
+                rhs = PARITY4.values[base.act[k, p]]
                 assert lhs == rhs
 
 
