@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -90,16 +91,17 @@ def _pair_rows(matrix, sep: str) -> list[str]:
     """Each row of a complex matrix as text, an entry as its `[re,im]` pair,
     every number printed as `_fmt` prints it.
 
-    Adding 0.0 turns -0.0 into 0.0. Only the nonzero entries are formatted,
-    each with the `%.11e` template, in row-major order; a NaN counts as
-    nonzero. Each run of exact zeros between them is the one zero string
+    Adding 0.0 to the nonzero entries turns a -0.0 part into 0.0; a -0.0
+    entry is zero and prints as the zero string. Only the nonzero entries
+    are formatted, each with the `%.11e` template, in row-major order; a NaN
+    counts as nonzero. Each run of exact zeros between them is the one zero string
     repeated, so a row formats its nonzero entries, not its width: a
     diagonal d×d operator formats d numbers.
     """
-    entries = np.asarray(matrix, dtype=complex) + 0.0
+    entries = np.asarray(matrix, dtype=complex)
     rows, cols = np.nonzero(entries)
     template = "[%.11e,%.11e]" + sep
-    texts = [template % (z.real, z.imag) for z in entries[rows, cols].tolist()]
+    texts = [template % (z.real, z.imag) for z in (entries[rows, cols] + 0.0).tolist()]
     zero = template % (0.0, 0.0)
     lines, k, rows, cols = [], 0, rows.tolist(), cols.tolist()
     for i in range(entries.shape[0]):
@@ -745,6 +747,12 @@ def _cmd_report(args) -> int:
     return 2 if report.failed else 0
 
 
+def _write_lines(lines: list[str]) -> None:
+    """Print each line with its newline, one write per line: no string the
+    size of the report is built."""
+    sys.stdout.writelines(line + "\n" for line in lines)
+
+
 def _cmd_operator(args) -> int:
     doc = parse_context(args.file)
     doc = _apply_overrides(doc, args)
@@ -771,7 +779,7 @@ def _cmd_operator(args) -> int:
         system = coherent.build_coherent_system(base_rep, _fiducial(doc, base_rep.dim))
     except CvhilbertError as exc:
         lines.append(f"operator not constructed: {exc}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write_lines(lines)
         return 2
     # the states are read off column f of the regular action's table, the
     # basis vector at g . f for the representative g of each coset. The
@@ -794,7 +802,7 @@ def _cmd_operator(args) -> int:
     lines.append("eigenvalues: " + " ".join(_fmt(v) for v in eig.eigenvalues))
     for qa in spectra.question_answer_labels(eig, var):
         lines.append(f"question value={qa.value_label} numeric={_fmt(qa.numeric_value)} rank={qa.rank}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_lines(lines)
     return 0
 
 
@@ -818,7 +826,7 @@ def _cmd_spin(args) -> int:
     )
     ok = resid <= 1e-12 and flip_resid <= 1e-10
     lines.append(f"summary: {'pass' if ok else 'fail'}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_lines(lines)
     return 0 if ok else 2
 
 
@@ -874,7 +882,19 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout shows here, inside the handler, and not in the
+        # interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has closed stdout. Point its descriptor at os.devnull,
+        # so that the interpreter's final flush of what is still buffered
+        # stays quiet, and end with 1 (Python's `signal` docs, "Note on
+        # SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ParseError, SchemaError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

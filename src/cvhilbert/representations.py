@@ -112,11 +112,33 @@ class Operator:
 
 def _check_operators(stack: np.ndarray, tolerance: float) -> None:
     """Refuse a matrix, or a stack of matrices along the first axes, with a
-    non-finite entry (ValueError) or one that is not Hermitian at tolerance."""
+    non-finite entry (ValueError) or one that is not Hermitian at tolerance.
+
+    When every off-diagonal entry is exactly zero, as on coherent basis
+    states, the diagonal decides alone, in O(d) per matrix after the O(d^2)
+    zero scan and with no d x d temporary: each off-diagonal 0 is finite and
+    equals its mirror, so the verdict and the message are the whole matrix's.
+    A NaN off the diagonal counts as nonzero and takes the whole-matrix check.
+    """
+    diagonal = stack.size > 0 and not _off_diagonal(stack).any()
+    if diagonal:
+        stack = np.diagonal(stack, axis1=-2, axis2=-1)
     if not np.isfinite(stack).all():
         raise ValueError("operator matrix has a non-finite entry")
-    if _maxabs(stack - stack.conj().swapaxes(-1, -2)) > tolerance:
+    mirror = stack.conj() if diagonal else stack.conj().swapaxes(-1, -2)
+    if _maxabs(stack - mirror) > tolerance:
         raise NotHermitian("operator is not Hermitian at tolerance")
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of each d x d matrix of a (..., d, d) array,
+    d >= 1, as a (..., d - 1, d) array, a view when the array is C-contiguous.
+
+    Entry (i, i) of a row-major d x d matrix is element i (d + 1) of its
+    flattening, so after dropping element 0 each row of d + 1 ends on one
+    and its first d elements are off the diagonal."""
+    *lead, d, _ = a.shape
+    return a.reshape(*lead, d * d)[..., 1:].reshape(*lead, d - 1, d + 1)[..., :-1]
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -137,7 +159,8 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     |real part| on its diagonal is 0 or lies in [2^-485, 2^485]: its
     eigenvalues are the real parts of its diagonal sorted stably, which are
     the floats `eigh` returns for it, and its eigenvectors the matching
-    columns of the identity, whose phase is already canonical. Outside that
+    columns of the identity, whose phase is already canonical, written as d
+    ones into one zeroed d x d matrix. Outside that
     range LAPACK's eigh (zheevd) rescales the matrix by
     sqrt(safe minimum / eps) or its inverse, which rounds the eigenvalues,
     so such a matrix, and one with a NaN or an infinity on its diagonal,
@@ -148,11 +171,8 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     eigenspace.
     """
     d = len(herm)
-    # entry (i, i) of a row-major d x d matrix is element i (d + 1) of its
-    # flattening, so after dropping element 0 each row of d + 1 ends on one
-    # and its first d elements are off the diagonal
     order = None
-    if not herm.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :-1].any():
+    if not _off_diagonal(herm).any():
         diagonal = np.diagonal(herm).real
         # a NaN or an infinity fails the range test
         top = float(np.abs(diagonal).max())
@@ -161,7 +181,8 @@ def _clustered_eigh(herm: np.ndarray, tolerance: float):
     if order is None:
         evals, evecs = np.linalg.eigh(herm)
     else:
-        evals, evecs = diagonal[order], np.eye(d, dtype=complex)[:, order]
+        evals, evecs = diagonal[order], np.zeros((d, d), dtype=complex)
+        evecs[order, np.arange(d)] = 1.0
     scale = max(float(np.abs(evals).max()), 1.0)
     clusters: list[list[int]] = [[0]]
     # Python floats: a gap past the largest float is inf, with no warning

@@ -4,8 +4,10 @@ Eigenvalues within the tolerance of each other are clustered into one
 projector so discrete multiplicity claims survive floating arithmetic.
 Eigenvectors carry a canonical phase (first sizable component real positive)
 so basis-change coefficients are reproducible. An operator whose off-diagonal
-is exactly zero, as every operator on coherent basis states is, is read off
-its diagonal instead of decomposed when LAPACK would not rescale it
+is exactly zero, as every operator on coherent basis states is, is checked
+Hermitian on its diagonal alone (`representations._check_operators`), read
+off its diagonal into one zeroed d x d matrix of eigenvectors instead of
+decomposed when LAPACK would not rescale it
 (`representations._clustered_eigh`), and its reconstruction is checked entry
 by entry in O(d).
 """

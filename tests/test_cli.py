@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -1231,6 +1232,22 @@ class TestOperatorMemory:
         assert "induced group order: 120" in capsys.readouterr().out
         assert peak < 6 * 2**20
 
+    def test_operator_s5_writes_a_line_at_a_time(self, monkeypatch):
+        # no write is longer than the longest line with its newline: the
+        # 549 KiB report is never built as one string
+        class Recording(io.StringIO):
+            longest = 0
+
+            def write(self, text):
+                self.longest = max(self.longest, len(text))
+                return super().write(text)
+
+        out = Recording()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        lines = out.getvalue().splitlines(keepends=True)
+        assert len(lines) > 120 and out.longest == max(map(len, lines))
+
     def test_operator_reads_no_stack_and_no_projectors(self, monkeypatch, capsys):
         built = []
         regular = representations.regular_representation
@@ -1390,12 +1407,28 @@ class TestLargeValues:
 class TestFreshProcess:
     ROOT = Path(__file__).resolve().parent.parent
 
-    def run_python(self, *args):
+    def run_python(self, *args, stdout=subprocess.PIPE):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, *args], cwd=self.ROOT, env=env,
-                              capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, *args], cwd=self.ROOT, env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+
+    @pytest.mark.parametrize("argv", [
+        ["operator", "tests/golden/docs/symmetric_n5.json", "--variable", "v"],
+        ["spin", "--r", "0.5"],
+    ], ids=["operator-s5", "spin"])
+    def test_closed_stdout_ends_quietly(self, argv):
+        # the reader has gone before the first write: the S5 report fails
+        # while it is written, the spin report, small enough to stay
+        # buffered, when it is flushed; either ends with 1 and no traceback
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self.run_python("-W", "error", "-m", "cvhilbert.cli", *argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "fixtures/two_bit.json"],

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
-from cvhilbert.errors import IrreducibleInput, SizeLimit
+from cvhilbert.errors import IrreducibleInput, NotHermitian, SizeLimit
 
 from conftest import (GroupMismatch, direct_sum, nine_point_setup, stack_representation,
                       standard_action, standard_group)
@@ -454,6 +455,95 @@ class TestSplit:
         monkeypatch.setattr(reps, "_clustered_eigh", turned)
         with pytest.raises(IrreducibleInput, match="not invariant"):
             reps.invariant_subspace_split(reps.regular_representation(z(3)))
+
+
+def dense_check(stack, tolerance):
+    """The whole-matrix check `_check_operators` makes of an operator that is
+    not diagonal, kept as the reference for its diagonal branch."""
+    if not np.isfinite(stack).all():
+        raise ValueError("operator matrix has a non-finite entry")
+    if reps._maxabs(stack - stack.conj().swapaxes(-1, -2)) > tolerance:
+        raise NotHermitian("operator is not Hermitian at tolerance")
+
+
+def check_outcome(check, stack, tolerance):
+    """None, or the (type, message) of what the check raises, a floating
+    point warning included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            check(stack, tolerance)
+        except (ValueError, NotHermitian, RuntimeWarning) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+FINITE_PARTS = [0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 5e-324]
+
+
+@st.composite
+def diagonal_checks(draw):
+    """A (d, d) matrix or a (k, d, d) stack, d = 1..6, zero off the diagonal
+    but for at most one entry of 0.0, -0.0, NaN or a tiny value, and a
+    tolerance. Half the draws keep the diagonal finite, so that the scan of
+    the off-diagonal decides; imaginary parts on the diagonal lie near
+    tolerance / 2, where |a - conj(a)| = 2 |Im a| meets it."""
+    d = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(d, d), (draw(st.integers(0, 3)), d, d)]))
+    tolerance = draw(st.sampled_from([1e-300, 1e-12, 1e-9, 1e-3, 0.5, 0.99])
+                     | st.floats(1e-15, 1.0, exclude_min=True, exclude_max=True))
+    special = FINITE_PARTS if draw(st.booleans()) else [*FINITE_PARTS, np.nan, np.inf, -np.inf]
+    part = st.sampled_from(special) | st.floats(-1e3, 1e3)
+    near = st.sampled_from([0.0, 0.5, 1.0, 1.0 - 2**-52, 1.0 + 2**-52, 2.0]).map(
+        lambda f: f * tolerance / 2)
+    imag = (near | near.map(lambda x: -x) | part)
+    n = int(np.prod(shape[:-1]))
+    diagonal = [complex(draw(part), draw(imag)) for _ in range(n)]
+    stack = np.zeros(shape, dtype=complex)
+    stack[..., np.arange(d), np.arange(d)] = np.reshape(diagonal, shape[:-1])
+    if stack.size and d > 1 and draw(st.booleans()):
+        at = tuple(draw(st.integers(0, size - 1)) for size in shape[:-2]) + draw(
+            st.sampled_from([(i, j) for i in range(d) for j in range(d) if i != j]))
+        stack[at] = draw(st.sampled_from([0.0, -0.0, complex(0, -0.0), np.nan,
+                                          complex(0, np.nan), 5e-324, complex(0, 1e-300)]))
+    return stack, tolerance
+
+
+class TestDiagonalOperators:
+    @settings(max_examples=300)
+    @given(diagonal_checks())
+    def test_diagonal_check_matches_the_dense_one(self, drawn):
+        stack, tolerance = drawn
+        assert (check_outcome(reps._check_operators, stack, tolerance)
+                == check_outcome(dense_check, stack, tolerance))
+
+    @staticmethod
+    def diagonal_operator(d=120):
+        a = np.zeros((d, d), dtype=complex)
+        a[np.arange(d), np.arange(d)] = np.arange(d) * 37 % 11 - 5.0
+        return a
+
+    @staticmethod
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_check_allocates_no_matrix(self):
+        # 120 x 120 complex entries take 225 KiB; the diagonal's check takes
+        # O(d), and the zero scan a buffer of its own
+        a = self.diagonal_operator()
+        assert self.peak(lambda: reps._check_operators(a, 1e-9)) < 16 * 2**10
+
+    def test_read_off_allocates_one_matrix(self):
+        a = self.diagonal_operator()
+        d = len(a)
+        assert reps._clustered_eigh(a, 1e-9)[4] is not None
+        assert self.peak(lambda: reps._clustered_eigh(a, 1e-9)) < 1.5 * d * d * 16
 
 
 class TestDirectSum:
