@@ -781,11 +781,11 @@ def _cmd_operator(args) -> int:
         lines.append(f"operator not constructed: {exc}")
         _write_lines(lines)
         return 2
-    # the states are read off column f of the regular action's table, the
-    # basis vector at g . f for the representative g of each coset. The
-    # action is free, so distinct states overlap by exactly 0: up to
-    # tolerance 1/2 they are the d basis vectors, which resolve the identity,
-    # and above it that 0 is ambiguous and the build has raised
+    # the states are read off column f of the regular action, the basis
+    # vector at g * f for the representative g of each coset, with no
+    # table. The action is free, so distinct states overlap by exactly 0:
+    # up to tolerance 1/2 they are the d basis vectors, which resolve the
+    # identity, and above it that 0 is ambiguous and the build has raised
     res = system.resolution
     lines.append(f"resolution constant: {_fmt(res.constant)} residual: {_fmt(res.residual)} "
                  f"pass: {res.ok}")

@@ -8,10 +8,13 @@ or reports a residual.
 
 The orbit of a basis fiducial e_f is column f of every matrix, U(g) e_f.
 Under a permutation representation that column is the basis vector at
-act[g, f], so the overlaps are exactly 1 or 0, the isotropy is the point
-stabilizer of f and each state is e_p at p = act[g, f] for its coset's
-representative g: the system is read off column f of the action table in
-O(|G|), and builds no orbit and no state array. Under a stack, the joined
+g . f, so the overlaps are exactly 1 or 0, the isotropy is the point
+stabilizer of f, the cosets are those of the points g . f
+(orbit-stabilizer), and each state is e_p at p = g . f for its coset's
+representative g: the system is read off column f of the action,
+`GroupAction.images(f)`, in O(|G| log |G|), and builds no orbit, no state
+array and no table. Under the regular representation that column is the
+right products g * f, read off the group's rows. Under a stack, the joined
 representation, the orbit is gathered off the stack, with no product. Any
 other fiducial takes one batched product over the stack.
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoResolution, NumericalAmbiguity
-from .groups import CosetSpace, GroupAction, Subgroup, isotropy_subgroup, left_cosets, subgroup
+from .groups import CosetSpace, GroupAction, Subgroup, left_cosets, stabilizer_cosets, subgroup
 from .representations import Operator, UnitaryRepresentation, _check_operators, _maxabs
 
 
@@ -48,7 +51,7 @@ class CoherentStateSystem:
     being the orbit vector of its representative.
 
     A system read off a permutation action keeps the basis index of each
-    state, act[g, f] for the representative g, in `action_index`, and builds
+    state, g . f for the representative g, in `action_index`, and builds
     no state array until `states` is first read; any other keeps the orbit
     vectors of the representatives in `orbit_states`. One of the two is set.
     """
@@ -118,11 +121,12 @@ def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray, f: int | N
     unit-modulus scalar, with the phase of each member.
 
     For the basis fiducial e_f (f not None) the orbit is column f of every
-    matrix. A permutation representation's column is e_{act[g, f]}, so its
-    overlaps are exactly 1 at the point stabilizer of f and 0 elsewhere,
-    every phase is 0, and the orbit is None: nothing of size |G| * d is
-    built. A stack's column is gathered, with no product. Any other
-    fiducial takes one batched product over the stack.
+    matrix. A permutation representation's column is e_{g . f}, and its
+    orbit is returned as the (|G|,) basis indices g . f, column f of the
+    action: nothing of size |G| * d is built. Its overlaps are exactly 1 at
+    the point stabilizer of f and 0 elsewhere, and every phase is 0. A
+    stack's column is gathered, with no product. Any other fiducial takes
+    one batched product over the stack.
 
     Parallelism is decided by |<fiducial|U(g)|fiducial>| >= 1 - tolerance for
     unit vectors, for every element in one comparison (`_parallel`); an
@@ -132,11 +136,11 @@ def _orbit_isotropy(rep: UnitaryRepresentation, fiducial: np.ndarray, f: int | N
     first element that moves f."""
     tol = rep.tolerance
     if f is not None and isinstance(rep.source, GroupAction):
-        members = _parallel((rep.source.act[:, f] == f).astype(float), tol)
-        # below tolerance 1 an overlap of 0 is not parallel, and the members
-        # are the elements fixing f; at 1 or more every element is one
-        iso = isotropy_subgroup(rep.source, f) if tol < 1.0 else subgroup(rep.group, members)
-        return None, iso, (0.0,) * iso.order
+        images = rep.source.images(f)
+        # the tolerance is below 1, so an overlap of 0 is not parallel: the
+        # members are the point stabilizer of f, a subgroup
+        members = _parallel((images == f).astype(float), tol)
+        return images, Subgroup(rep.group, tuple(members.tolist())), (0.0,) * len(members)
     if f is None:
         orbit = rep.matrices @ fiducial
         overlaps = orbit @ fiducial.conj()
@@ -168,13 +172,14 @@ def build_coherent_system(
     nonzero = np.flatnonzero(fiducial)
     f = int(nonzero[0]) if len(nonzero) == 1 and fiducial[nonzero[0]] == 1.0 else None
     orbit, iso, alpha = _orbit_isotropy(rep, fiducial, f)
-    cosets = left_cosets(rep.group, iso)
-    representatives = list(cosets.representatives)
-    if orbit is None:
-        index = rep.source.act[representatives, f]
+    if orbit.ndim == 1:
+        # the basis indices g . f: g lies in a * iso exactly when g . f = a . f
+        cosets = stabilizer_cosets(iso, orbit)
+        index = orbit[list(cosets.representatives)]
         index.setflags(write=False)
         return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, action_index=index)
-    states = orbit[representatives]
+    cosets = left_cosets(rep.group, iso)
+    states = orbit[list(cosets.representatives)]
     states.setflags(write=False)
     return CoherentStateSystem(rep, fiducial, iso, alpha, cosets, orbit_states=states)
 

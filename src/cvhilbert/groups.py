@@ -19,47 +19,59 @@ generators breadth-first, composing each element with each generator and
 matching each product by its whole row, through a dict keyed on the row's
 bytes in the narrowest unsigned dtype that holds the points
 (`_breadth_first`, `_row_ids`). The match is exact, so one pass closes the
-group, and the closure is a group by construction. The other groups are
+group, and the closure is a group by construction. The group keeps that
+dict, its `row_index`. The other groups are
 derived from K, each in the numbering that its own closure would give, so
 words, coset representatives and reports are those of the closure:
 
 * `image_group` reads the image of a homomorphism off the closure of its
   source: the group G induced on a variable's values is the image of K,
-  its rows matched by `_row_ids` and its columns K's columns
-  (`variables.induced_group` proves the homomorphism and the numbering);
+  its rows matched by `_row_ids` in its own row index and its columns K's
+  columns (`variables.induced_group` proves the homomorphism and the
+  numbering);
 * `wreath_product` builds the joined group N = G wr Z_2 in closed form, its
-  rows and columns arithmetic on G's action and table
+  rows and columns arithmetic on G's action and table, and indexes its rows
   (`pairing.build_joint_group` proves the form and the numbering).
 
-Every product of two arbitrary elements reads the |G|^2 table
-`FiniteGroup.cayley`: the inverses and products of `subgroup` and
-`coset_leaders`, and the columns of `wreath_product`. The table is filled
-from the columns, one breadth-first level at a time, on its first read, and
-only a group that is multiplied builds it: G, whose regular representation
-is its table and which N is built from, and N, at the cosets of a joined
-representation that extends. K is read only through its rows and
-generators and builds none. The table is the group's regular action
-(Cayley), verified with the columns it is read from, and `regular_action`
-wraps it as one. Like the element rows of a closure, it is
-refused with SizeLimit above PERMUTATION_BYTE_LIMIT before it is allocated.
+Right multiplication by one element b, a -> a * b for every a, is read off
+the rows: the row of a * b is rows[a][rows[b]], looked up whole in the row
+index (`FiniteGroup.right_products`), in O(|G| m). Every other product of
+two arbitrary elements reads the |G|^2 table `FiniteGroup.cayley`: the
+inverses and products of `subgroup` and `coset_leaders`, and the columns of
+`wreath_product`. The table is filled from the columns, one breadth-first
+level at a time, on its first read, and only a group that is multiplied
+whole builds it: G, whose regular
+representation's 0/1 stack `verify` reads and which N is built from, and N,
+at the cosets of a joined representation that extends. K is read only
+through its rows and generators and builds none. The table is the group's
+regular action (Cayley), verified with the columns it is read from.
+`regular_action` makes that action with no table: its column b is
+`right_products(b)`, and its `act` is `cayley`, read on first access. Like
+the element rows of a closure, the table is refused with SizeLimit above
+PERMUTATION_BYTE_LIMIT before it is allocated, and `regular_action` checks
+that bound where it makes the action.
 
 A built action needs no further check to answer questions about it:
-`is_transitive` reads the orbit of point 0 off its table, and
-`isotropy_subgroup` wraps a point stabilizer, a subgroup of any action.
+`GroupAction.images` reads one column of it, `is_transitive` the orbit of
+point 0 off that column, and `isotropy_subgroup` wraps a point stabilizer, a
+subgroup of any action.
 
-Cosets have one routine. `coset_leaders` reads the products of every
-element with every member of a subgroup H off the table and takes the
-smallest element of each a * H, its leader; two elements share a left coset
-exactly when they share a leader. `left_cosets` sorts the elements by
+Cosets are the elements sorted by leader. `coset_leaders` reads the products
+of every element with every member of a subgroup H off the table and takes
+the smallest element of each a * H, its leader; two elements share a left
+coset exactly when they share a leader. `left_cosets` sorts the elements by
 leader, which lists the cosets, |H| elements each, in the order of their
 leaders, and the covariance stage reads the leaders of N's scalar subgroup
-directly.
+directly. For the stabilizer H of a point x, `stabilizer_leaders` reads the
+same leaders off column x of an action alone: by orbit-stabilizer, g lies
+in a * H exactly when g . x = a . x, so the leader of a is the first
+element with a's image. `stabilizer_cosets` sorts by them, with no table.
 
 Every exact check of an integer table is made here, once, where the table is
 built: `generate_permutation_group` checks that its generators are
 permutations, and their products are permutations too. The derived groups
 are groups by their callers' proofs and are not checked. Every action is a
-group's own rows or its Cayley table, so no table of an action is checked
+group's own rows or its regular action, so no table of an action is checked
 against the products. Checks over a whole group are made on the generators;
 a failure runs the row-major scan, `_first_violation`, only to name the
 first failing tuple.
@@ -68,14 +80,14 @@ Only `generate_permutation_group`, `image_group`, `wreath_product` and
 `regular_action` make a `FiniteGroup` or a `GroupAction`: each passes a
 module-private token, and a constructor called without it raises TypeError.
 The token is an init-only field, so `dataclasses.replace` cannot carry it
-over to a copy with another table. A group or an action anywhere in the
-package has therefore passed the checks above, or is derived from one that
-has by a proof.
+over to a copy with another table or row index. A group or an action
+anywhere in the package has therefore passed the checks above, or is
+derived from one that has by a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
@@ -107,6 +119,8 @@ class FiniteGroup:
     rows: np.ndarray            # (n, m) int array, element a is x -> rows[a, x]
     generators: tuple[int, ...]  # the generating set S, as elements
     columns: np.ndarray         # (n, |S|) int array, columns[g, j] = g * S[j]
+    # {key of row a (`_row_keys`): a}; every builder passes it
+    row_index: dict = field(default=None, repr=False)
     token: InitVar[object] = None
     identity: ClassVar[int] = 0
 
@@ -116,6 +130,14 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.rows)
+
+    def right_products(self, b: int) -> np.ndarray:
+        """(n,) int array, a * b for every element a: column b of `cayley`,
+        with no table. The row of a * b is rows[a][rows[b]], matched whole in
+        `row_index`, in O(n m)."""
+        index = self.row_index
+        return np.array([index[key] for key in _row_keys(_narrow(self.rows[:, self.rows[b]]))],
+                        dtype=np.int64)
 
     @cached_property
     def cayley(self) -> np.ndarray:
@@ -134,13 +156,34 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
+    """A group acting on range(space_size). `act` is the (n, m) int table
+    act[g, x] = g . x and `images(x)` its column x. The regular action is
+    made with no table (act None): its columns are the group's right
+    products, and its `act` is the group's Cayley table, filled on first
+    read."""
     group: FiniteGroup
     space_size: int
-    act: np.ndarray             # (n, m) int array, act[g, x] = g . x
+    act: InitVar[np.ndarray | None]
     token: InitVar[object] = None
 
-    def __post_init__(self, token):
+    def __post_init__(self, act, token):
         _check_built(token, "GroupAction")
+        if act is not None:
+            object.__setattr__(self, "act", act)
+
+    def __getattr__(self, name):
+        # reached only for an attribute never set: the regular action's table
+        if name != "act":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.group.cayley
+
+    def images(self, x: int) -> np.ndarray:
+        """(n,) int array, g . x for every element g: column x of the table,
+        or for the regular action g * x, read off the group's rows with no
+        table (`FiniteGroup.right_products`)."""
+        if "act" in vars(self):
+            return self.act[:, x]
+        return self.group.right_products(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,26 +247,30 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
     return first
 
 
-def _group(rows, generators, columns):
+def _group(rows, generators, columns, row_index):
     """The group and its action on the points, its tables made read-only."""
     rows.setflags(write=False)
     columns.setflags(write=False)
-    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, _BUILT)
+    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, row_index, _BUILT)
     return group, GroupAction(group, rows.shape[1], rows, _BUILT)
 
 
 def regular_action(group: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication, a . b = a * b.
 
-    Its table is `FiniteGroup.cayley`, read off the columns verified where
-    the group was built, and left multiplication is an action by
-    associativity (Cayley's theorem), so it is wrapped with no check."""
-    return GroupAction(group, group.order, group.cayley, _BUILT)
+    Left multiplication is an action by associativity (Cayley's theorem), so
+    it is wrapped with no check. It holds no table: its column b, a -> a * b,
+    is right multiplication by b (`FiniteGroup.right_products`), and its
+    whole table, `act`, is `FiniteGroup.cayley`, filled from the verified
+    columns on its first read. The table's size is checked here, where the
+    action is made: above PERMUTATION_BYTE_LIMIT it raises SizeLimit."""
+    _check_rows(group.order, group.order)
+    return GroupAction(group, group.order, None, _BUILT)
 
 
 def is_transitive(action: GroupAction) -> bool:
     """The orbit of point 0 is the whole space."""
-    return bool(np.bincount(action.act[:, 0], minlength=action.space_size).all())
+    return bool(np.bincount(action.images(0), minlength=action.space_size).all())
 
 
 def isotropy_subgroup(action: GroupAction, point: int) -> Subgroup:
@@ -231,7 +278,7 @@ def isotropy_subgroup(action: GroupAction, point: int) -> Subgroup:
     subgroup, and a built action is one, so nothing is checked."""
     if not 0 <= point < action.space_size:
         raise ValueError(f"point {point} out of range")
-    return Subgroup(action.group, tuple(np.flatnonzero(action.act[:, point] == point).tolist()))
+    return Subgroup(action.group, tuple(np.flatnonzero(action.images(point) == point).tolist()))
 
 
 def subgroup(group: FiniteGroup, members) -> Subgroup:
@@ -261,14 +308,37 @@ def coset_leaders(group: FiniteGroup, members) -> np.ndarray:
     return group.cayley[:, np.asarray(members, dtype=np.int64)].min(axis=1)
 
 
+def stabilizer_leaders(images: np.ndarray) -> np.ndarray:
+    """The leader (`coset_leaders`) of each element a for the stabilizer H of
+    a point x, read off column x of an action, images[g] = g . x, with no
+    product. By orbit-stabilizer g lies in a * H exactly when g . x = a . x,
+    so the smallest element of a * H is the first element with a's image."""
+    first = _first_occurrences(images)
+    leader = np.empty(int(images.max()) + 1, dtype=np.int64)
+    leader[images[first]] = first
+    return leader[images]
+
+
 def left_cosets(group: FiniteGroup, sub: Subgroup) -> CosetSpace:
     """Left cosets aH in the order of their leaders (`coset_leaders`), each
     ascending, so that its representative, its leader, comes first."""
     if sub.parent is not group:
         raise NotASubgroup("subgroup belongs to a different group")
+    return _cosets(sub, coset_leaders(group, sub.members))
+
+
+def stabilizer_cosets(sub: Subgroup, images: np.ndarray) -> CosetSpace:
+    """`left_cosets` of the stabilizer `sub` of a point x, read off column x
+    of an action of its group, images[g] = g . x (`stabilizer_leaders`), in
+    O(|G| log |G|) and with no table."""
+    return _cosets(sub, stabilizer_leaders(images))
+
+
+def _cosets(sub: Subgroup, leaders: np.ndarray) -> CosetSpace:
     # sorted by leader, stably, the elements run coset by coset, |H| each
-    cosets = coset_leaders(group, sub.members).argsort(kind="stable").reshape(-1, sub.order)
-    return CosetSpace(group, sub, tuple(map(tuple, cosets.tolist())), tuple(cosets[:, 0].tolist()))
+    cosets = leaders.argsort(kind="stable").reshape(-1, sub.order)
+    return CosetSpace(sub.parent, sub, tuple(map(tuple, cosets.tolist())),
+                      tuple(cosets[:, 0].tolist()))
 
 
 def _check_rows(count: int, size: int) -> None:
@@ -305,8 +375,7 @@ def generate_permutation_group(
     if wrong.size:
         raise ValueError(f"generator {tuple(gen_rows[wrong[0]].tolist())!r} "
                          f"is not a permutation of {space_size} points")
-    rows, columns = _breadth_first(gen_rows, order_bound)
-    return _group(rows, columns[0], columns)
+    return _group(*_breadth_first(gen_rows, order_bound))
 
 
 def image_group(group: FiniteGroup, images: np.ndarray) -> tuple[FiniteGroup, GroupAction]:
@@ -321,9 +390,10 @@ def image_group(group: FiniteGroup, images: np.ndarray) -> tuple[FiniteGroup, Gr
     and its columns are the group's columns at the first element with each
     image, mapped through the same ids: h(a) * h(S[j]) = h(a * S[j]).
     """
-    ids, first = _row_ids(images.astype(np.min_scalar_type(images.shape[1] - 1), order="C"), {})
+    index = {}
+    ids, first = _row_ids(_narrow(images), index)
     columns = ids[group.columns[first]]
-    return _group(np.ascontiguousarray(images[first], dtype=np.int64), columns[0], columns)
+    return _group(np.ascontiguousarray(images[first], dtype=np.int64), columns[0], columns, index)
 
 
 def wreath_product(action: GroupAction, order_bound: int) -> tuple[FiniteGroup, GroupAction]:
@@ -369,22 +439,23 @@ def wreath_product(action: GroupAction, order_bound: int) -> tuple[FiniteGroup, 
         np.concatenate([number[0][ga, h], number[0][g, ha], number[1][..., None]], axis=2),
         np.concatenate([number[1][g, ha], number[1][ga, h], number[0][..., None]], axis=2),
     ]).reshape(2 * m * m, 2 * m - 1)[found, :count]
-    return _group(rows[found], columns[0], columns)
+    rows = rows[found]
+    return _group(rows, columns[0], columns, dict(zip(_row_keys(_narrow(rows)), range(order))))
 
 
 def _breadth_first(gen_rows: np.ndarray, order_bound: int):
-    """(rows, columns): the breadth-first closure of the generators.
+    """(rows, generators, columns, row index): the breadth-first closure of
+    the generators.
 
     Each element in turn is composed with each generator, a product whose row
     is new becomes the next element, and columns[g, j] is the element equal
-    to g * S[j]. Products are matched whole (`_row_ids`), in the narrowest
-    unsigned dtype that holds the points. The elements are composed a block
-    at a time, in discovery order, and a block whose products pass
-    order_bound or PERMUTATION_BYTE_LIMIT raises SizeLimit before their rows
-    are kept.
+    to g * S[j]. Products are matched whole in the row index (`_row_ids`).
+    The elements are composed a block at a time, in discovery order, and a
+    block whose products pass order_bound or PERMUTATION_BYTE_LIMIT raises
+    SizeLimit before their rows are kept.
     """
     count, m = gen_rows.shape
-    narrow = gen_rows.astype(np.min_scalar_type(m - 1))
+    narrow = _narrow(gen_rows)
     step = _block_cells(narrow.nbytes)
     queue = [np.arange(m, dtype=narrow.dtype)[None]]
     index = {queue[0].tobytes(): 0}
@@ -399,22 +470,33 @@ def _breadth_first(gen_rows: np.ndarray, order_bound: int):
             if fresh.size:
                 queue.append(products.reshape(-1, m)[fresh])
             columns.append(ids.reshape(len(products), count))
-    return np.concatenate(queue, dtype=np.int64), np.concatenate(columns)
+    columns = np.concatenate(columns)
+    return np.concatenate(queue, dtype=np.int64), columns[0], columns, index
+
+
+def _narrow(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a (count, m) array of points in the narrowest
+    unsigned dtype that holds them, the form that `_row_keys` reads."""
+    return rows.astype(np.min_scalar_type(rows.shape[1] - 1), order="C")
+
+
+def _row_keys(rows: np.ndarray) -> list:
+    """The key of each row of a narrow (count, m) array (`_narrow`): its
+    bytes, which a dict matches whole."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def _row_ids(rows: np.ndarray, index: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, fresh): the id of each row of a C-contiguous (count, m) array,
-    and the positions at which rows new to the index first appear, in order.
+    """(ids, fresh): the id of each row of a narrow (count, m) array, and
+    the positions at which rows new to the index first appear, in order.
 
-    Rows are matched whole, through a dict keyed on their bytes; a row not
-    in the index joins it with the next id. New ids are handed out in order,
-    so each new row first appears where the running maximum of the ids
-    first reaches its id.
+    Rows are matched whole, through a dict keyed on their bytes
+    (`_row_keys`); a row not in the index joins it with the next id. New
+    ids are handed out in order, so each new row first appears where the
+    running maximum of the ids first reaches its id.
     """
     known = len(index)
-    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    ids = np.array([index.setdefault(row, len(index)) for row in rows.view(key).ravel().tolist()],
-                   dtype=np.int64)
+    ids = np.array([index.setdefault(key, len(index)) for key in _row_keys(rows)], dtype=np.int64)
     return ids, np.maximum.accumulate(ids).searchsorted(np.arange(known, len(index)))
 
 

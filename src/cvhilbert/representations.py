@@ -68,7 +68,8 @@ class UnitaryRepresentation:
     x], x] = 1 and every other entry 0, whose stack `matrices` builds on first
     read, or the (n, d, d) stack of a joined representation. Only the
     verifying builders make one: each passes the module-private token, and
-    the constructor refuses a call without it with TypeError.
+    the constructor refuses a call without it with TypeError, and a
+    tolerance outside (0, 1) with ValueError.
     """
     group: FiniteGroup
     dim: int
@@ -80,6 +81,9 @@ class UnitaryRepresentation:
         if token is not _BUILT:
             raise TypeError("a UnitaryRepresentation is made only by "
                             "permutation_representation and build_joint_representation")
+        # at 1 or more every overlap would count as parallel; NaN fails too
+        if not 0.0 < self.tolerance < 1.0:
+            raise ValueError(f"tolerance {self.tolerance!r} is not a positive number below 1")
         if isinstance(self.source, GroupAction) and (
                 self.source.group is not self.group or self.source.space_size != self.dim):
             raise ValueError("the action is not one of this group on C^dim")
@@ -219,9 +223,10 @@ def regular_representation(
 ) -> UnitaryRepresentation:
     """Left translation on coordinate functions over the group itself.
 
-    The action is `groups.regular_action`, whose table is the group's
-    multiplication table, computed from the Cayley-graph columns verified
-    where the group was built.
+    The action is `groups.regular_action`: its columns are right products,
+    read off the group's rows, and its whole table, read only with
+    `matrices`, is the group's multiplication table, computed from the
+    Cayley-graph columns verified where the group was built.
     """
     return permutation_representation(regular_action(group), tolerance)
 
@@ -266,7 +271,6 @@ def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
     if sigma.size == 0 or sigma[0] == 0.0:
         null_rows = vh
     else:
-        # a Python float product: a huge tolerance gives inf, not a warning
         threshold = rep.tolerance * float(sigma[0])
         rank = int(np.sum(sigma > threshold))
         null_rows = vh[rank:]

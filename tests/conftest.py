@@ -4,12 +4,17 @@ import math
 import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cvhilbert import groups, pairing, representations, variables
 from cvhilbert.errors import CvhilbertError, SizeLimit
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None
+)
+# for a longer run of chosen tests: pytest --hypothesis-profile=thorough
+hypothesis.settings.register_profile(
+    "thorough", max_examples=500, deadline=None
 )
 hypothesis.settings.load_profile("default")
 
@@ -58,6 +63,26 @@ def standard_action(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_B
 
 def standard_group(kind: str, n: int, order_bound: int = groups.DEFAULT_ORDER_BOUND):
     return standard_action(kind, n, order_bound).group
+
+
+@st.composite
+def point_actions(draw):
+    """A freshly built action: a catalogue group (cyclic and dihedral up to
+    n = 8, S3 to S5) or the group that one permutation of up to 8 points or
+    two of up to 6 generate, by its action on the points or, up to order
+    120, its regular action. No table of the group has been read."""
+    if draw(st.booleans()):
+        kind, n = draw(st.sampled_from(
+            [("cyclic", n) for n in range(1, 9)] + [("dihedral", n) for n in range(1, 9)]
+            + [("symmetric", n) for n in range(3, 6)]))
+        action = standard_action(kind, n)
+    else:
+        m = draw(st.integers(1, 8))
+        gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=1 if m > 6 else 2))
+        _, action = groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)
+    if action.group.order <= 120 and draw(st.booleans()):
+        return groups.regular_action(action.group)
+    return action
 
 
 def induced_indices(variable, action, g_action):

@@ -24,6 +24,7 @@ TWO_BIT = str(FIXTURES / "two_bit.json")
 CORRUPTED = str(FIXTURES / "two_bit_corrupted.json")
 XOR4 = str(Path(__file__).resolve().parent / "golden" / "docs" / "xor_m4.json")
 S5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "symmetric_n5.json")
+D48 = str(Path(__file__).resolve().parent / "golden" / "docs" / "dihedral_n48.json")
 CYCLIC8 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m8.json")
 CYCLIC3 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m3.json")
 CYCLIC5 = str(Path(__file__).resolve().parent / "golden" / "docs" / "cyclic_m5.json")
@@ -849,9 +850,9 @@ class TestWorkCounts:
 
     def test_operator_reads_the_states_off_the_action(self, monkeypatch, capsys):
         # the regular representation of S5 with the basis fiducial e_0: each
-        # coset state is e_p at p = act[g, 0], read off column 0 of the
-        # table. The 0/1 stack is never read, and no 120 x 120 orbit or
-        # state array is built
+        # coset state is e_p at p = g * 0, read off column 0 of the action,
+        # which is the orbit as 120 basis indices. The 0/1 stack is never
+        # read, and no 120 x 120 orbit or state array is built
         built, orbits = [], []
         build, orbit_isotropy = coherent.build_coherent_system, coherent._orbit_isotropy
 
@@ -869,7 +870,7 @@ class TestWorkCounts:
         assert "eigenvalues:" in capsys.readouterr().out
         [system] = built
         assert system.rep.dim == 120 and len(system.cosets) == 120
-        assert [orbit is None for orbit, _, _ in orbits] == [True]
+        assert [orbit.shape for orbit, _, _ in orbits] == [(120,)]
         assert "matrices" not in vars(system.rep)
         assert system.orbit_states is None and "states" not in vars(system)
         assert np.array_equal(system.basis_index,
@@ -1080,14 +1081,23 @@ class TestWorkCounts:
         assert (seen == []) == extends
 
     def test_operator_checks_generators_not_the_table(self, table_work, capsys):
-        # operator on S5 builds the regular representation, d = |G| = 120, as
-        # the table of the group's Cayley columns, checked where the group was
-        # built: G's Cayley table is the one table built, and nothing is
-        # scanned, as the fiducial's isotropy is a point stabilizer of the
-        # action
-        assert cli.main(["operator", S5, "--variable", "v"]) == 0
-        assert "induced group order: 120" in capsys.readouterr().out
-        assert table_work == {"tables": [120], "scans": []}
+        # operator on S5 and on D48 builds the regular representation,
+        # d = |G| = 120 and 96, and reads the fiducial's states off one column
+        # of its action, the right products g * f: no Cayley table is built,
+        # and nothing is scanned, as the fiducial's isotropy is a point
+        # stabilizer of the action
+        for doc, order in ((S5, 120), (D48, 96)):
+            assert cli.main(["operator", doc, "--variable", "v"]) == 0
+            assert f"induced group order: {order}" in capsys.readouterr().out
+        assert table_work == {"tables": [], "scans": []}
+
+    def test_verify_builds_the_table_of_g_once(self, table_work):
+        # cyclic m=8: G's table, read whole by its regular representation's
+        # 0/1 stack and by the closed form of N, is built once, and N's once,
+        # for the cosets of the joined representation
+        report = cli.run_verify(cli.parse_context(CYCLIC8), "cyclic m=8")
+        assert report.failed       # the pinned irreducibility and coset failures
+        assert table_work["tables"] == [8, 128]
 
     def test_failed_extension_reads_no_table_of_n(self, table_work):
         # cyclic m=5 fails the extension: the relations are decided on the
@@ -1206,8 +1216,9 @@ class TestSpaceSizeBound:
 
     def test_operator_refuses_cayley_table_above_byte_bound(self, monkeypatch, capsys):
         # K, S5 on 5 points, fits; the 120 x 120 table of the induced group's
-        # regular action does not, and is refused before it is allocated: the
-        # report says so on stdout, after the group's order
+        # regular action does not, and is refused where the action is made,
+        # though operator never builds it: the report says so on stdout,
+        # after the group's order
         monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 2**16)
         code = cli.main(["operator", S5, "--variable", "v"])
         captured = capsys.readouterr()
@@ -1220,8 +1231,8 @@ class TestSpaceSizeBound:
 
 class TestOperatorMemory:
     def test_operator_s5_peak(self, capsys):
-        # the regular representation of S5 is held as its 120x120 table:
-        # its 27.6 MB stack of 0/1 matrices is never built
+        # the regular representation of S5 is held as its action: its
+        # 27.6 MB stack of 0/1 matrices is never built
         tracemalloc.start()
         try:
             code = cli.main(["operator", S5, "--variable", "v"])
@@ -1231,6 +1242,26 @@ class TestOperatorMemory:
         assert code == 0
         assert "induced group order: 120" in capsys.readouterr().out
         assert peak < 6 * 2**20
+
+    def test_operator_s5_allocates_no_table(self, monkeypatch, capsys):
+        # while the report is written, every array of the run is alive: none
+        # has the 120 * 120 int64 entries of S5's Cayley table, as the states
+        # are read off one column of the regular action
+        blocks = []
+        write = cli._write_lines
+
+        def spy(lines):
+            blocks.extend(trace.size for trace in tracemalloc.take_snapshot().traces)
+            write(lines)
+
+        monkeypatch.setattr(cli, "_write_lines", spy)
+        tracemalloc.start()
+        try:
+            assert cli.main(["operator", S5, "--variable", "v"]) == 0
+        finally:
+            tracemalloc.stop()
+        assert "induced group order: 120" in capsys.readouterr().out
+        assert blocks and 120 * 120 * 8 not in blocks
 
     def test_operator_s5_writes_a_line_at_a_time(self, monkeypatch):
         # no write is longer than the longest line with its newline: the
@@ -1451,8 +1482,9 @@ class TestFreshProcess:
         assert json.loads(done.stdout) == [0, []]
 
     def test_huge_tolerance_warns_nothing(self):
-        # a tolerance of 1 or more is refused before anything is computed;
-        # `TestSplit` keeps a rank threshold past the float maximum warning-free
+        # a tolerance of 1 or more is refused before anything is computed,
+        # here by the command line and in the library where a representation
+        # is built (`TestSplit`)
         done = self.run_python("-W", "error", "-m", "cvhilbert.cli", "verify",
                                "fixtures/two_bit.json", "--tolerance", "1e308")
         assert (done.returncode, done.stdout) == (1, "")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from cvhilbert import cli, coherent, groups, pairing, representations as reps, variables
 from cvhilbert.errors import NoResolution, NotASubgroup, NumericalAmbiguity
 
-from conftest import circle_system, stack_representation, standard_action, standard_group
+from conftest import (circle_system, point_actions, stack_representation, standard_action,
+                      standard_group)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -464,3 +465,25 @@ class TestBasisFiducial:
         rep = reps.regular_representation(standard_group("cyclic", 3), 0.6)
         with pytest.raises(NumericalAmbiguity, match=r"^overlap modulus 0\.0 for element 1 "):
             coherent.build_coherent_system(rep)
+
+
+class TestColumnReadOff:
+    """Every basis fiducial's system under a permutation representation,
+    read off one column of its action, against the point stabilizer and
+    `left_cosets` over the whole table."""
+
+    @given(point_actions())
+    def test_every_basis_fiducial(self, action):
+        rep = reps.permutation_representation(action)
+        eye = np.eye(rep.dim, dtype=complex)
+        systems = [coherent.build_coherent_system(rep, eye[f]) for f in range(rep.dim)]
+        assert "cayley" not in vars(action.group) and "matrices" not in vars(rep)
+        table = action.act
+        for f, system in enumerate(systems):
+            iso = groups.subgroup(action.group, np.flatnonzero(table[:, f] == f))
+            cosets = groups.left_cosets(action.group, iso)
+            assert system.isotropy.members == iso.members
+            assert system.alpha == (0.0,) * iso.order
+            assert (system.cosets.cosets, system.cosets.representatives) == (
+                cosets.cosets, cosets.representatives)
+            assert np.array_equal(system.action_index, table[list(cosets.representatives), f])

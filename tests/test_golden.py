@@ -105,6 +105,14 @@ values, so `eigenvalue-value-match[0][bit1]` and
 skipped (exit 2). It gave the same bytes at one and at two BLAS threads,
 before the fold and after it.
 
+Two `operator` cases read the fiducial off a basis vector other than e_0,
+so that the regular action's column f, the right products g * f, is
+pinned: `dihedral_n16.json` (D16 of order 32 on a 16-gon) with
+`fiducial_index` 5 and `symmetric_n4.json` (S4 of order 24 on four points)
+with `fiducial_index` 23, the last basis vector. They were recorded before
+the regular action came to read its columns off the group's rows, and gave
+the same bytes at one and at two BLAS threads.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the

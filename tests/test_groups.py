@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cvhilbert import cli, groups, pairing, variables
 from cvhilbert.errors import NotASubgroup, SizeLimit
 
-from conftest import compose, induced_indices, standard_action, standard_group
+from conftest import compose, induced_indices, point_actions, standard_action, standard_group
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -399,6 +399,37 @@ def test_orbit_stabilizer_on_regular_action(kind, n):
         orbit = set(act.act[:, p].tolist())
         iso = groups.isotropy_subgroup(act, p)
         assert len(orbit) * iso.order == g.order
+
+
+class TestColumnReadOff:
+    """Right products read off the rows, and a point stabilizer, its cosets
+    and their leaders read off one column of the action, against the Cayley
+    table and the products of `subgroup` and `left_cosets` over it."""
+
+    @given(point_actions())
+    def test_right_products_are_table_columns(self, action):
+        g = action.group
+        products = [g.right_products(b) for b in range(g.order)]
+        assert "cayley" not in vars(g)
+        for b, column in enumerate(products):
+            assert np.array_equal(column, g.cayley[:, b])
+
+    @given(point_actions())
+    def test_stabilizer_cosets_are_left_cosets(self, action):
+        g = action.group
+        images = [action.images(f) for f in range(action.space_size)]
+        read_off = [groups.isotropy_subgroup(action, f) for f in range(action.space_size)]
+        assert "cayley" not in vars(g)
+        table = action.act
+        for f, (column, sub) in enumerate(zip(images, read_off)):
+            assert np.array_equal(column, table[:, f])
+            want = groups.subgroup(g, np.flatnonzero(table[:, f] == f))
+            assert sub.parent is g and sub.members == want.members
+            assert np.array_equal(groups.stabilizer_leaders(column),
+                                  groups.coset_leaders(g, want.members))
+            got, ref = groups.stabilizer_cosets(sub, column), groups.left_cosets(g, want)
+            assert got.parent is g and got.subgroup is sub
+            assert (got.cosets, got.representatives) == (ref.cosets, ref.representatives)
 
 
 # Row-major references for the table scans: the first failing tuple of a

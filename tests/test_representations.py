@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
-from cvhilbert.errors import IrreducibleInput, NotHermitian, SizeLimit
+from cvhilbert.errors import (IrreducibleInput, NotASubgroup, NotHermitian, NumericalAmbiguity,
+                              SizeLimit)
 
 from conftest import (GroupMismatch, direct_sum, nine_point_setup, stack_representation,
                       standard_action, standard_group)
@@ -152,7 +153,7 @@ def outcome(rep, fiducial):
     fiducial, or (exception type, message) when the build raises."""
     try:
         system = coherent.build_coherent_system(rep, fiducial)
-    except ValueError as exc:
+    except (ValueError, NumericalAmbiguity, NotASubgroup) as exc:
         return type(exc), str(exc)
     return system.isotropy.members, system.alpha, system.states
 
@@ -160,7 +161,7 @@ def outcome(rep, fiducial):
 class TestPermutationTables:
     @settings(max_examples=100)
     @given(st.sampled_from(ACTIONS).map(_action) | random_actions(),
-           st.sampled_from([reps.DEFAULT_TOLERANCE, 1.0, 1.5]), st.booleans(), st.data())
+           st.sampled_from([reps.DEFAULT_TOLERANCE, 0.6, 0.999]), st.booleans(), st.data())
     def test_table_backed_equals_stack_built_by_hand(self, action, tol, basis, data):
         # the representation that holds a verified action against the 0/1
         # stack of its table built by hand and read back off: the stack, the
@@ -188,6 +189,13 @@ class TestPermutationTables:
             assert np.array_equal(systems[0][2], systems[1][2])
 
 
+@functools.cache
+def _joined_stack():
+    """(group, dim, stack) of the joined representation of XOR m=4."""
+    rep = joined_representation("xor_m4.json")
+    return rep.group, rep.dim, rep.matrices
+
+
 class TestHeldAction:
     """A permutation representation holds a verified action, not a table."""
 
@@ -209,6 +217,17 @@ class TestHeldAction:
         rep = reps.regular_representation(z(2))
         with pytest.raises(TypeError, match="made only by"):
             dataclasses.replace(rep, source=np.stack([np.eye(2, dtype=complex)] * 2))
+
+    @pytest.mark.parametrize("tol", [1.0, 1.5, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("build", [
+        lambda tol: reps.permutation_representation(standard_action("symmetric", 3), tol),
+        lambda tol: reps.regular_representation(z(3), tol),
+        lambda tol: reps.UnitaryRepresentation(*_joined_stack(), tol, reps._BUILT),
+    ], ids=["permutation", "regular", "joined-stack"])
+    def test_tolerance_outside_the_unit_interval_refused(self, build, tol):
+        # at 1 or more every overlap counts as parallel
+        with pytest.raises(ValueError, match="not a positive number below 1"):
+            build(tol)
 
     def test_group_freed_without_the_cycle_collector(self):
         # the representation, its action and its group form no reference
@@ -432,12 +451,11 @@ class TestSplit:
             assert np.abs(u @ proj - proj @ u).max() <= 1e-9
 
     def test_huge_tolerance_warns_nothing(self):
-        # the commutant's rank threshold, tolerance * largest singular value,
-        # passes the float maximum: every basis element counts as scalar, and
-        # the refusal comes without an overflow warning, an error here
-        rep = reps.regular_representation(z(2), 1e308)
-        with pytest.raises(IrreducibleInput, match="no non-scalar"):
-            reps.invariant_subspace_split(rep)
+        # a tolerance past 1 is refused where the representation is built,
+        # without a warning, an error here: the commutant's rank threshold,
+        # tolerance * largest singular value, never passes the float maximum
+        with pytest.raises(ValueError, match="not a positive number below 1"):
+            reps.regular_representation(z(2), 1e308)
 
     def test_irreducible_input_rejected(self, qubit_rep):
         with pytest.raises(IrreducibleInput):
