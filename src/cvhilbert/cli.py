@@ -306,11 +306,9 @@ def document_from_mapping(raw: dict) -> ContextDocument:
     )
 
 
-def _fiducial(doc: ContextDocument, dim: int) -> np.ndarray:
-    """Basis vector at the document's fiducial index, clamped to the last one."""
-    fid = np.zeros(dim, dtype=complex)
-    fid[min(doc.fiducial_index, dim - 1)] = 1.0
-    return fid
+def _fiducial(doc: ContextDocument, dim: int) -> int:
+    """The document's fiducial index, clamped to the last basis vector."""
+    return min(doc.fiducial_index, dim - 1)
 
 
 # check family -> the construction step its records are anchored to
@@ -477,9 +475,9 @@ def _extend(run: _Run) -> None:
 
 
 def _label(run: _Run) -> None:
-    # a labeling implies that the states are the d basis vectors, one each,
-    # so they are distinct and resolve the identity with c = 1 exactly
-    # (`pairing.joint_coset_structure`)
+    # a labeling implies that the states of the basis fiducial are the d
+    # basis vectors, one each, so they are distinct and resolve the identity
+    # with c = 1 exactly (`pairing.joint_coset_structure`)
     run.system = pairing.joint_coset_structure(
         run.joint, run.joint_rep, _fiducial(run.doc, run.joint_rep.dim))
     states = run.system.coherent
@@ -781,11 +779,12 @@ def _cmd_operator(args) -> int:
         lines.append(f"operator not constructed: {exc}")
         _write_lines(lines)
         return 2
-    # the states are read off column f of the regular action, the basis
-    # vector at g * f for the representative g of each coset, with no
-    # table. The action is free, so distinct states overlap by exactly 0:
-    # up to tolerance 1/2 they are the d basis vectors, which resolve the
-    # identity, and above it that 0 is ambiguous and the build has raised
+    # the states are read off column f of the regular action, each held as
+    # its basis index g * f for the representative g of its coset, with no
+    # table and no state array. The action is free, so distinct states
+    # overlap by exactly 0: up to tolerance 1/2 they are the d basis
+    # vectors, which resolve the identity, and above it that 0 is ambiguous
+    # and the build has raised
     res = system.resolution
     lines.append(f"resolution constant: {_fmt(res.constant)} residual: {_fmt(res.residual)} "
                  f"pass: {res.ok}")

@@ -19,9 +19,9 @@ commutator as two disagreeing words, and only then grows the representation
 of N from the generator matrices.
 
 The coherent-state system of the joined representation (built by
-`coherent`) has one state per coset of the fiducial's isotropy; the cosets
-carry the (x, y) labels through which each state takes the values of the two
-variables, and `coherent.operator_stack` builds every operator: the
+`coherent`) has one state per coset of the basis fiducial's isotropy; the
+cosets carry the (x, y) labels through which each state takes the values of
+the two variables, and `coherent.operator_stack` builds every operator: the
 stack of moved operators of the covariance stage at once, and each single
 one as its one-row case, `coherent.operator_from_variable`. The covariance
 stage takes the first operator as built by `joint_operators`. The
@@ -337,10 +337,10 @@ def build_joint_representation(
 def joint_coset_structure(
     joint: JointGroup,
     joint_rep: UnitaryRepresentation,
-    fiducial=None,
+    f: int,
 ) -> JointSystem:
-    """Coherent states of the joined representation with consistent, injective
-    (x, y) coset labels.
+    """Coherent states of the basis fiducial e_f under the joined
+    representation, with consistent, injective (x, y) coset labels.
 
     A coset's x label is read off its members lying in the first-axis copy,
     its y label off members in the second-axis copy. Subgroup elements whose
@@ -352,15 +352,17 @@ def joint_coset_structure(
     any tolerance below 1. Every coset meets the first-axis copy, numbered
     e, F_1..F_{m-1} = 0..m-1 (`groups.wreath_product`), so its leader, whose
     state it carries, is some F_a, and U(F_a) = I U(a), the 0/1 matrix of
-    the regular representation, exactly. Its state is then e_{a f} for the
-    fiducial e_f, exactly. For a != b, F_a^-1 F_b moves e_f to an orthogonal
+    the regular representation, exactly. Its state is then e_{a f},
+    exactly. For a != b, F_a^-1 F_b moves e_f to an orthogonal
     e_{c f}, an overlap of exactly 0: up to tolerance 1/2 that keeps F_a and
     F_b apart, and above it the 0 is ambiguous and the isotropy decision
     raises NumericalAmbiguity. So the m = d cosets carry distinct basis
-    vectors: they are pairwise orthogonal, and resolve the identity with
-    c = 1 and residual 0.
+    vectors: they are pairwise orthogonal, `basis_index` holds them, and
+    they resolve the identity with c = 1 and residual 0. A system whose
+    states are not distinct basis vectors, with `basis_index` None, is
+    therefore never labeled.
     """
-    coherent_system = coherent.build_coherent_system(joint_rep, fiducial)
+    coherent_system = coherent.build_coherent_system(joint_rep, f)
     # the (x, y) to which each element moves (0, 0), which is point 0
     x_of, y_of = (v.tolist() for v in np.divmod(joint.action.act[:, 0], joint.value_size))
     first, second = set(joint.first_embed), set(joint.second_embed)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import hypothesis
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cvhilbert import groups, pairing, representations, variables
-from cvhilbert.errors import CvhilbertError, SizeLimit
+from cvhilbert.errors import CvhilbertError, NotASubgroup, NumericalAmbiguity, SizeLimit
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None
@@ -94,16 +95,17 @@ def induced_indices(variable, action, g_action):
     return tuple(index[tuple(vals[row[pick]].tolist())] for row in action.act)
 
 
-def joint_system(pair, g_group, g_action, base_rep=None, fiducial=None):
+def joint_system(pair, g_group, g_action, base_rep=None, f=0):
     """The joint system of a related pair, by the steps `verify` takes: join
     the groups, build the swap matrix, extend the representation, label the
-    cosets. The base representation defaults to G's regular one."""
+    cosets of the basis fiducial e_f. The base representation defaults to
+    G's regular one."""
     joint = pairing.build_joint_group(pair, g_action)
     if base_rep is None:
         base_rep = representations.regular_representation(g_group)
     joint_rep = pairing.build_joint_representation(
         joint, base_rep, pairing.build_swap_matrix(base_rep))
-    return pairing.joint_coset_structure(joint, joint_rep, fiducial)
+    return pairing.joint_coset_structure(joint, joint_rep, f)
 
 
 def nine_point_setup():
@@ -162,14 +164,63 @@ def qubit_rep(two_bit):
 
 
 def circle_system(n):
-    """Value circle: cyclic shifts acting on n labeled points, basis fiducial."""
+    """Value circle: cyclic shifts acting on n labeled points, basis fiducial e_0."""
     from cvhilbert import coherent
 
     group = standard_group("cyclic", n)
     action = groups.regular_action(group)
     rep = representations.permutation_representation(action)
-    system = coherent.build_coherent_system(rep)
+    system = coherent.build_coherent_system(rep, 0)
     return group, action, rep, system
+
+
+class Reference(NamedTuple):
+    members: tuple       # isotropy members, ascending
+    phases: tuple        # phase per member
+    cosets: groups.CosetSpace
+    index: np.ndarray | None    # basis index per state, or None
+    states: np.ndarray          # (|X|, d) state per coset
+
+
+def reference_system(group, matrices, tol, fiducial):
+    """The isotropy, cosets and states of any unit fiducial vector by the
+    dense computation: the orbit as the product of the whole stack with the
+    fiducial, and a loop over the elements' overlaps. A `Reference`, or
+    (error type, text) when it raises."""
+    orbit = matrices @ fiducial
+    members, phases = [], []
+    try:
+        for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
+            mag = abs(overlap)
+            if mag >= 1.0 - tol:
+                members.append(g)
+                phases.append(float(np.angle(overlap)) if g != group.identity else 0.0)
+            elif mag > 1.0 - 2.0 * tol:
+                raise NumericalAmbiguity(
+                    f"overlap modulus {mag!r} for element {g} is too close to the boundary")
+        for m, a in zip(members, phases):
+            if np.abs(orbit[m] - np.exp(1j * a) * fiducial).max() > 10 * tol:
+                raise NumericalAmbiguity(f"isotropy phase inconsistent for element {m}")
+        cosets = groups.left_cosets(group, groups.subgroup(group, members))
+    except (NumericalAmbiguity, NotASubgroup) as exc:
+        return type(exc), str(exc)
+    states = orbit[list(cosets.representatives)]
+    # every state e_p, exactly, at a distinct p
+    ones = states == 1
+    index = ones.argmax(axis=1)
+    if not (((states == 0) | ones).all() and (ones.sum(axis=1) == 1).all()
+            and len(set(index.tolist())) == len(index)):
+        index = None
+    return Reference(tuple(members), tuple(phases), cosets, index, states)
+
+
+def gram_resolution(states):
+    """(c, residual) of c * sum_x |x><x| against I, from the Gram matrix of
+    the (|X|, d) states, as one product."""
+    d = states.shape[1]
+    b = states.T @ states.conj()
+    c = d / float(np.trace(b).real)
+    return c, float(np.abs(c * b - np.eye(d)).max())
 
 
 class GroupMismatch(CvhilbertError):

@@ -13,7 +13,8 @@ import numpy as np
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
 from cvhilbert import spectra, spin, variables
 
-from conftest import circle_system, standard_group
+from conftest import (circle_system, gram_resolution, reference_system, standard_action,
+                      standard_group)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TWO_BIT = str(FIXTURES / "two_bit.json")
@@ -63,23 +64,33 @@ def test_criterion_2_abelian_obstruction():
 
 
 def test_criterion_3_resolution_of_identity(qubit_rep):
+    # a random fiducial's states come from the dense reference, as no
+    # command builds them; the basis fiducials' from the package
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(10):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        system = coherent.build_coherent_system(qubit_rep, v)
-        res = coherent.resolution_of_identity(system)
+        ref = reference_system(qubit_rep.group, qubit_rep.matrices, qubit_rep.tolerance, v)
+        worst = max(worst, gram_resolution(ref.states)[1])
+    for f in (0, 1):
+        res = coherent.resolution_of_identity(coherent.build_coherent_system(qubit_rep, f))
         assert res.ok
         worst = max(worst, res.residual)
     reducible = reps.regular_representation(standard_group("cyclic", 2))
-    system = coherent.build_coherent_system(
-        reducible, np.array([2.0, 1.0]) / np.sqrt(5))
-    res = coherent.resolution_of_identity(system)     # reports, must not raise
-    announce(3, worst <= 1e-9 and not res.ok,
-             f"ten random fiducials resolve the identity on the irreducible "
-             f"two-dimensional system (worst residual {worst:.2e}); the reducible "
-             f"fixture reports failure (residual {res.residual:.2e}) without raising")
+    ref = reference_system(reducible.group, reducible.matrices, reducible.tolerance,
+                           np.array([2.0, 1.0]) / np.sqrt(5))
+    residual = gram_resolution(ref.states)[1]
+    # the basis fiducial of D3 on the triangle and two more points, an
+    # action that is not transitive, reports, must not raise
+    natural = reps.permutation_representation(standard_action("dihedral", 3))
+    res = coherent.resolution_of_identity(coherent.build_coherent_system(natural, 0))
+    announce(3, worst <= 1e-9 and residual > 1e-9 and not res.ok,
+             f"ten random fiducials and both basis fiducials resolve the identity on the "
+             f"irreducible two-dimensional system (worst residual {worst:.2e}); a generic "
+             f"fiducial of the reducible fixture fails (residual {residual:.2e}), and a "
+             f"basis fiducial of an intransitive action reports failure (residual "
+             f"{res.residual:.2e}) without raising")
 
 
 def test_criterion_4_two_bit_end_to_end(two_bit, two_bit_operators):

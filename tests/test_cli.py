@@ -849,10 +849,11 @@ class TestWorkCounts:
         assert work_counts["eigh"] == 0
 
     def test_operator_reads_the_states_off_the_action(self, monkeypatch, capsys):
-        # the regular representation of S5 with the basis fiducial e_0: each
-        # coset state is e_p at p = g * 0, read off column 0 of the action,
-        # which is the orbit as 120 basis indices. The 0/1 stack is never
-        # read, and no 120 x 120 orbit or state array is built
+        # the regular representation of S5 with the basis fiducial e_0: the
+        # system holds 120 basis indices, p = g * 0 for each coset's
+        # representative g, read off column 0 of the action, which is the
+        # orbit. The 0/1 stack is never read, and no (|X|, d) orbit or state
+        # array is built
         built, orbits = [], []
         build, orbit_isotropy = coherent.build_coherent_system, coherent._orbit_isotropy
 
@@ -872,7 +873,7 @@ class TestWorkCounts:
         assert system.rep.dim == 120 and len(system.cosets) == 120
         assert [orbit.shape for orbit, _, _ in orbits] == [(120,)]
         assert "matrices" not in vars(system.rep)
-        assert system.orbit_states is None and "states" not in vars(system)
+        assert [v.shape for v in vars(system).values() if isinstance(v, np.ndarray)] == [(120,)]
         assert np.array_equal(system.basis_index,
                               system.rep.source.act[list(system.cosets.representatives), 0])
 

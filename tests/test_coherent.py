@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 from pathlib import Path
 from unittest import mock
@@ -11,91 +10,107 @@ from hypothesis import strategies as st
 from cvhilbert import cli, coherent, groups, pairing, representations as reps, variables
 from cvhilbert.errors import NoResolution, NotASubgroup, NumericalAmbiguity
 
-from conftest import (circle_system, point_actions, stack_representation, standard_action,
-                      standard_group)
+from conftest import (circle_system, gram_resolution, point_actions, reference_system,
+                      stack_representation, standard_action, standard_group)
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def unit_vector(draw_values):
-    v = np.array(draw_values, dtype=complex)
-    norm = np.linalg.norm(v)
-    return v / norm
-
-
-def isotropy(rep, fiducial):
-    """The isotropy subgroup of a fiducial and its phases, as the system holds them."""
-    system = coherent.build_coherent_system(rep, fiducial)
+def isotropy(rep, f):
+    """The isotropy subgroup of the basis fiducial e_f and its phases, as
+    the system holds them."""
+    system = coherent.build_coherent_system(rep, f)
     return system.isotropy, system.alpha
+
+
+def dense(rep, fiducial):
+    """The dense reference of a unit fiducial vector under a representation."""
+    return reference_system(rep.group, rep.matrices, rep.tolerance, fiducial)
+
+
+def basis(rep, f):
+    return np.eye(rep.dim, dtype=complex)[f]
+
+
+def z2_stack(u):
+    """Z2 on C^2 with U(1) = u, verified as a representation."""
+    return stack_representation(standard_group("cyclic", 2),
+                                np.stack([np.eye(2), u]).astype(complex))
 
 
 class TestIsotropy:
     def test_trivial_group(self):
         g = standard_group("cyclic", 1)
         rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
-        sub, alpha = isotropy(rep, np.array([1.0]))
+        sub, alpha = isotropy(rep, 0)
         assert sub.members == (0,)
         assert alpha == (0.0,)
 
     def test_moved_fiducial_has_trivial_isotropy(self):
         rep = reps.regular_representation(standard_group("cyclic", 2))
-        sub, _ = isotropy(rep, np.array([1.0, 0.0]))
+        sub, _ = isotropy(rep, 0)
         assert sub.members == (0,)
 
     def test_antisymmetric_fiducial_fixed_with_phase_pi(self):
+        # (e_0 - e_1)/sqrt 2 under the regular representation of Z2, by the
+        # dense reference, and the same state as the basis vector e_1 of the
+        # basis (e_0 + e_1, e_0 - e_1)/sqrt 2, where the swap is diag(1, -1)
         rep = reps.regular_representation(standard_group("cyclic", 2))
-        sub, alpha = isotropy(rep, np.array([1.0, -1.0]) / np.sqrt(2))
-        assert sub.members == (0, 1)
-        assert alpha[0] == 0.0
-        assert abs(alpha[1] - np.pi) < 1e-12
+        ref = dense(rep, np.array([1.0, -1.0]) / np.sqrt(2))
+        sub, alpha = isotropy(z2_stack(np.diag([1.0, -1.0])), 1)
+        for members, phases in ((ref.members, ref.phases), (sub.members, alpha)):
+            assert members == (0, 1)
+            assert phases[0] == 0.0
+            assert abs(phases[1] - np.pi) < 1e-12
 
     def test_phase_is_character(self, qubit_rep):
+        # a random fiducial by the dense reference, and both basis fiducials
         rng = np.random.default_rng(3)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
-        sub, alpha = isotropy(qubit_rep, v)
-        pos = {m: i for i, m in enumerate(sub.members)}
-        for a in sub.members:
-            for b in sub.members:
-                c = int(qubit_rep.group.cayley[a, b])
-                diff = (alpha[pos[a]] + alpha[pos[b]] - alpha[pos[c]]) % (2 * np.pi)
-                assert min(diff, 2 * np.pi - diff) < 1e-9
+        ref = dense(qubit_rep, v)
+        for members, alpha in ((ref.members, ref.phases), *(
+                (sub.members, phases) for sub, phases in (isotropy(qubit_rep, f) for f in (0, 1)))):
+            pos = {m: i for i, m in enumerate(members)}
+            for a in members:
+                for b in members:
+                    c = int(qubit_rep.group.cayley[a, b])
+                    diff = (alpha[pos[a]] + alpha[pos[b]] - alpha[pos[c]]) % (2 * np.pi)
+                    assert min(diff, 2 * np.pi - diff) < 1e-9
 
 
 class TestBuildSystem:
     def test_one_dim_trivial(self):
         g = standard_group("cyclic", 1)
         rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
-        system = coherent.build_coherent_system(rep)
-        assert system.states.shape == (1, 1)
+        system = coherent.build_coherent_system(rep, 0)
+        assert system.basis_index.tolist() == [0]
 
     def test_regular_z3_coordinate_states(self):
         _, _, _, system = circle_system(3)
-        assert np.allclose(np.abs(system.states), np.eye(3))
+        assert sorted(system.basis_index.tolist()) == [0, 1, 2]
 
     def test_qubit_exchange_orbit(self, two_bit):
         rep = reps.regular_representation(two_bit["g_group"])
-        system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
-        assert sorted(tuple(np.round(np.abs(s), 9)) for s in system.states) == [
-            (0.0, 1.0), (1.0, 0.0)
-        ]
+        system = coherent.build_coherent_system(rep, 0)
+        assert sorted(system.basis_index.tolist()) == [0, 1]
 
-    def test_non_unit_fiducial_rejected(self):
+    def test_fiducial_index_outside_the_basis_rejected(self):
         rep = reps.regular_representation(standard_group("cyclic", 2))
-        with pytest.raises(ValueError):
-            coherent.build_coherent_system(rep, np.array([2.0, 0.0]))
+        for f in (-1, 2):
+            with pytest.raises(ValueError, match=f"^fiducial index {f} is outside 0..1$"):
+                coherent.build_coherent_system(rep, f)
 
     def test_states_are_the_orbit(self, qubit_rep):
-        # the batched orbit gives each coset state as the loop over elements did
-        fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
-        fiducial /= np.linalg.norm(fiducial)
-        half = np.array([1, 0, 0, 1, 0, 0]) / np.sqrt(2)
+        # each coset state, e_p at its basis index p, is U(g) e_f for the
+        # coset's representative g, as the loop over elements gives it: on
+        # the joined stack, a permutation and the regular representation
         z6 = reps.regular_representation(standard_group("cyclic", 6))
-        for rep, fid in ((qubit_rep, fiducial), (circle_system(5)[2], None), (z6, half)):
-            system = coherent.build_coherent_system(rep, fid)
-            looped = np.stack([rep.matrices[g] @ system.fiducial
+        for rep, f in ((qubit_rep, 0), (qubit_rep, 1), (circle_system(5)[2], 0), (z6, 3)):
+            system = coherent.build_coherent_system(rep, f)
+            looped = np.stack([rep.matrices[g] @ basis(rep, f)
                                for g in system.cosets.representatives])
-            assert np.abs(system.states - looped).max() <= 1e-15
+            assert np.array_equal(looped, np.eye(rep.dim)[system.basis_index])
         # trivial isotropy: one state per element, in element order
         assert circle_system(5)[3].cosets.representatives == tuple(range(5))
 
@@ -104,47 +119,52 @@ class TestResolution:
     def test_trivial_system(self):
         g = standard_group("cyclic", 1)
         rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
-        res = coherent.resolution_of_identity(coherent.build_coherent_system(rep))
+        res = coherent.resolution_of_identity(coherent.build_coherent_system(rep, 0))
         assert res.constant == 1.0 and res.residual == 0.0 and res.ok
 
     def test_permutation_orbit_passes_even_when_reducible(self):
         rep = reps.regular_representation(standard_group("cyclic", 2))
-        system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
+        system = coherent.build_coherent_system(rep, 0)
         res = coherent.resolution_of_identity(system)
         assert res.ok and res.residual == 0.0
 
     def test_reducible_generic_fiducial_fails_with_reported_residual(self):
+        # by the dense reference; the basis fiducial of a permutation action
+        # that is not transitive is reported too: D3 on the triangle and two
+        # more points gives e_0, e_1 and e_2 of five, c = 5/3, and a
+        # diagonal 0 at the other two
         rep = reps.regular_representation(standard_group("cyclic", 2))
         fid = np.array([2.0, 1.0]) / np.sqrt(5)
-        system = coherent.build_coherent_system(rep, fid)
-        res = coherent.resolution_of_identity(system)
-        assert not res.ok
+        _, residual = gram_resolution(dense(rep, fid).states)
         # off-diagonal of c*B is 2ab for real (a, b)
-        assert abs(res.residual - 0.8) < 1e-12
+        assert abs(residual - 0.8) < 1e-12 and residual > rep.tolerance
+        natural = reps.permutation_representation(standard_action("dihedral", 3))
+        res = coherent.resolution_of_identity(coherent.build_coherent_system(natural, 0))
+        assert (res.constant, res.residual, res.ok) == (5 / 3, 1.0, False)
 
     def test_qubit_system_four_states(self, qubit_rep):
         v = np.array([2.0, 1.0]) / np.sqrt(5)
-        system = coherent.build_coherent_system(qubit_rep, v.astype(complex))
-        assert len(system.cosets) == 4
-        res = coherent.resolution_of_identity(system)
-        assert res.ok
-        assert abs(res.constant - 0.5) < 1e-12
+        ref = dense(qubit_rep, v.astype(complex))
+        assert len(ref.cosets) == 4
+        c, residual = gram_resolution(ref.states)
+        assert residual <= qubit_rep.tolerance
+        assert abs(c - 0.5) < 1e-12
 
     def test_irreducible_rep_resolves_for_random_fiducials(self, qubit_rep):
         rng = np.random.default_rng(11)
         for _ in range(10):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
-            system = coherent.build_coherent_system(qubit_rep, v)
-            assert coherent.resolution_of_identity(system).ok
+            assert gram_resolution(dense(qubit_rep, v).states)[1] <= qubit_rep.tolerance
 
 
 @functools.cache
 def catalogue_systems():
-    """The coherent system of every basis fiducial e_p under the regular and
-    the natural permutation representations of small catalogue groups; the
-    dihedral groups' natural action, on the n-gon and two more points, is
-    not transitive, so those systems do not resolve the identity."""
+    """(system, dense states) of every basis fiducial e_f under the regular
+    and the natural permutation representations of small catalogue groups,
+    the states from the dense reference; the dihedral groups' natural
+    action, on the n-gon and two more points, is not transitive, so those
+    systems do not resolve the identity."""
     systems = []
     for kind, sizes in (("cyclic", range(1, 6)), ("dihedral", range(1, 5)),
                         ("symmetric", range(1, 5))):
@@ -152,88 +172,90 @@ def catalogue_systems():
             action = standard_action(kind, n)
             for rep in (reps.regular_representation(action.group),
                         reps.permutation_representation(action)):
-                systems.extend(coherent.build_coherent_system(rep, e)
-                               for e in np.eye(rep.dim, dtype=complex))
+                systems.extend((coherent.build_coherent_system(rep, f), dense(rep, basis(rep, f)).states)
+                               for f in range(rep.dim))
     return tuple(systems)
 
 
-def gram_resolution(system):
-    """(c, residual) from the Gram matrix of the states, as one product."""
-    b = system.states.T @ system.states.conj()
-    c = system.rep.dim / float(np.trace(b).real)
-    return c, float(np.abs(c * b - np.eye(system.rep.dim)).max())
-
-
-def product_stack(system, values):
+def product_stack(states, values):
     """c * (states^T values_i) @ states* for each row of values, averaged
     with its adjoint as a sum of projectors is: the dense product."""
-    c = gram_resolution(system)[0]
-    a = 0.5 * (c * (system.states.T * values[:, None, :]) @ system.states.conj())
+    c = gram_resolution(states)[0]
+    a = 0.5 * (c * (states.T * values[:, None, :]) @ states.conj())
     return a + a.conj().swapaxes(1, 2)
 
 
-def einsum_resolution(system):
+def einsum_resolution(states):
     """The resolution of identity as an einsum over the state projectors."""
-    b = np.einsum("xi,xj->ij", system.states, system.states.conj())
-    c = system.rep.dim / float(np.trace(b).real)
-    return c, np.abs(c * b - np.eye(system.rep.dim)).max()
+    d = states.shape[1]
+    b = np.einsum("xi,xj->ij", states, states.conj())
+    c = d / float(np.trace(b).real)
+    return c, np.abs(c * b - np.eye(d)).max()
 
 
-def einsum_operator(system, values):
+def einsum_operator(states, values):
     """c * sum_x values[x] |x><x| over the stacked projectors |x><x|."""
-    projectors = np.einsum("xi,xj->xij", system.states, system.states.conj())
-    return einsum_resolution(system)[0] * np.einsum("x,xij->ij", values, projectors)
+    projectors = np.einsum("xi,xj->xij", states, states.conj())
+    return einsum_resolution(states)[0] * np.einsum("x,xij->ij", values, projectors)
 
 
 class TestOperator:
     @given(st.lists(st.floats(-4, 4), min_size=24, max_size=24), st.sampled_from([1.0, 1e8]))
     def test_matrix_products_match_projector_sums(self, two_bit, values, scale):
         # the joined coherent system of the two-bit document (two coordinate
-        # states), the system of its representation from a complex fiducial
-        # (four states that are not) and the basis-fiducial systems of the
-        # catalogue groups: the operators reproduce the projector einsums,
-        # are Hermitian bit for bit at any scale of the values, as a sum of
-        # projectors is, and equal the dense products bit for bit, whether
-        # the states' basis indices were read or the products made
+        # states) and the basis-fiducial systems of the catalogue groups,
+        # each against the dense states of its fiducial: the resolution is
+        # the Gram matrix's bit for bit, and the operators reproduce the
+        # projector einsums, are Hermitian bit for bit at any scale of the
+        # values, as a sum of projectors is, and equal the dense products bit
+        # for bit. The dense products are Hermitian bit for bit as well for
+        # a complex fiducial, whose four states are no basis vectors
         joined = two_bit["system"].coherent
         fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
-        complex_states = coherent.build_coherent_system(
-            joined.rep, fiducial / np.linalg.norm(fiducial))
-        assert joined.basis_index is not None and complex_states.basis_index is None
-        for system in (joined, complex_states, *catalogue_systems()):
+        complex_states = dense(joined.rep, fiducial / np.linalg.norm(fiducial)).states
+        assert len(complex_states) == 4
+        x = scale * np.array(values[:4])
+        rows = np.stack([x, -x[::-1], np.zeros_like(x)])
+        stack = product_stack(complex_states, rows)
+        assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+        assert np.abs(stack[0] - einsum_operator(complex_states, x)).max() <= 1e-12 * scale
+        for system, states in ((joined, dense(joined.rep, basis(joined.rep, 0)).states),
+                               *catalogue_systems()):
             res = coherent.resolution_of_identity(system)
-            assert (res.constant, res.residual) == gram_resolution(system)
-            c, residual = einsum_resolution(system)
+            assert (res.constant, res.residual) == gram_resolution(states)
+            c, residual = einsum_resolution(states)
             assert abs(res.constant - c) <= 1e-12 and abs(res.residual - residual) <= 1e-12
             if not res.ok:
                 continue
             x = scale * np.array(values[:len(system.cosets)])
             op = coherent.operator_from_variable(system, x)
-            assert np.abs(op.matrix - einsum_operator(system, x)).max() <= 1e-12 * scale
+            assert np.abs(op.matrix - einsum_operator(states, x)).max() <= 1e-12 * scale
             assert np.array_equal(op.matrix, op.matrix.conj().T)
             rows = np.stack([x, -x[::-1], np.zeros_like(x)])
-            assert np.array_equal(op.matrix, product_stack(system, x[None])[0])
+            assert np.array_equal(op.matrix, product_stack(states, x[None])[0])
             assert np.array_equal(coherent.operator_stack(system, rows),
-                                  product_stack(system, rows))
+                                  product_stack(states, rows))
 
     def test_only_distinct_unit_basis_states_are_read_off(self):
         rep = reps.regular_representation(standard_group("symmetric", 3))
-        e0 = np.eye(6, dtype=complex)[0]
-        system = coherent.build_coherent_system(rep, e0)
+        system = coherent.build_coherent_system(rep, 0)
         assert np.array_equal(system.basis_index, [rep.source.act[g, 0] for g in range(6)])
-        # a unit-modulus entry other than 1, repeated indices and a state with
-        # two entries all keep the products
-        turned = coherent.build_coherent_system(rep, 1j * e0)
-        assert turned.basis_index is None
-        assert (turned.resolution.constant, turned.resolution.residual) == gram_resolution(turned)
-        assert np.array_equal(dataclasses.replace(
-            system, action_index=None, orbit_states=system.states).basis_index,
-            system.basis_index)
-        repeated = system.states[[0, 0, 1, 2, 3, 4]]
-        spread = np.vstack([system.states[:5], np.full(6, 6 ** -0.5)])
-        for states in (repeated, spread):
-            assert dataclasses.replace(
-                system, action_index=None, orbit_states=states).basis_index is None
+        # off a stack, a unit-modulus entry other than 1 (U(1) e_0 = -i e_1),
+        # a state with two entries (U(1) e_0 = 0.6 e_0 + 0.8 e_1) and two
+        # cosets on one index all keep no indices, and resolve nothing. The
+        # last needs a stack that is no representation, trusted unchecked:
+        # Z3 with U(1) = U(2) = the swap
+        turned = z2_stack(np.array([[0, 1j], [-1j, 0]]))
+        spread = z2_stack(np.array([[0.6, 0.8], [0.8, -0.6]]))
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        repeated = reps.UnitaryRepresentation(
+            standard_group("cyclic", 3), 2, np.stack([np.eye(2, dtype=complex), swap, swap]),
+            reps.DEFAULT_TOLERANCE, reps._BUILT)
+        for stack in (turned, spread, repeated):
+            system = coherent.build_coherent_system(stack, 0)
+            assert len(system.cosets) == stack.group.order and system.basis_index is None
+            with pytest.raises(NoResolution, match="^the coherent states are not distinct"):
+                coherent.resolution_of_identity(system)
 
     def test_unit_variable_gives_identity(self):
         _, _, _, system = circle_system(3)
@@ -247,17 +269,18 @@ class TestOperator:
 
     def test_indicator_on_qubit_states(self, two_bit):
         rep = reps.regular_representation(two_bit["g_group"])
-        system = coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
+        system = coherent.build_coherent_system(rep, 0)
         op = coherent.operator_from_variable(system, [0.0, 1.0])
         evals = np.linalg.eigvalsh(op.matrix)
         assert np.allclose(sorted(evals), [0.0, 1.0], atol=1e-12)
 
     def test_no_resolution_raises(self):
-        rep = reps.regular_representation(standard_group("cyclic", 2))
-        fid = np.array([2.0, 1.0]) / np.sqrt(5)
-        system = coherent.build_coherent_system(rep, fid)
-        with pytest.raises(NoResolution):
-            coherent.operator_from_variable(system, [0.0, 1.0])
+        # the basis fiducial of an action that is not transitive: D3 on the
+        # triangle and two more points
+        rep = reps.permutation_representation(standard_action("dihedral", 3))
+        system = coherent.build_coherent_system(rep, 0)
+        with pytest.raises(NoResolution, match="^resolution of identity fails with residual"):
+            coherent.operator_from_variable(system, [0.0, 1.0, 2.0])
 
     def test_scalar_covariance(self):
         _, _, _, system = circle_system(4)
@@ -288,14 +311,16 @@ class TestPushforwardEquivalence:
         parity = variables.make_variable("parity", [0, 1, 0, 1], numeric_values=[0.0, 1.0])
         g_group, g_action = variables.induced_group(parity, k_action)
         rep = reps.regular_representation(g_group)
-        system = coherent.build_coherent_system(rep)
+        system = coherent.build_coherent_system(rep, 0)
         points = g_action.act[list(system.cosets.representatives), 0].tolist()
         numeric = parity.numeric()
         direct = coherent.operator_from_variable(system, [numeric[p] for p in points])
 
+        # the states of the cosets, from the dense reference
+        states = dense(rep, basis(rep, 0)).states
         state_of_value = {}
         for x, p in enumerate(points):
-            state_of_value[p] = system.states[x]
+            state_of_value[p] = states[x]
         b = np.zeros((rep.dim, rep.dim), dtype=complex)
         a = np.zeros((rep.dim, rep.dim), dtype=complex)
         for phi in range(4):
@@ -313,58 +338,21 @@ class TestAmbiguityBand:
         # band around the parallelism boundary
         import math
 
-        from cvhilbert.errors import NumericalAmbiguity
-
         eps = math.sqrt(3e-9)  # cos(eps) ~ 1 - 1.5e-9, between 1-2tol and 1-tol
-        g = standard_group("cyclic", 2)
         reflection = np.array([[math.cos(eps), math.sin(eps)],
                                [math.sin(eps), -math.cos(eps)]], dtype=complex)
-        rep = stack_representation(g, np.stack([np.eye(2, dtype=complex), reflection]))
         with pytest.raises(NumericalAmbiguity):
-            coherent.build_coherent_system(rep, np.array([1.0, 0.0]))
+            coherent.build_coherent_system(z2_stack(reflection), 0)
 
 
-def reference_system(group, matrices, tol, fiducial):
-    """The isotropy, cosets and states of a fiducial by the dense
-    computation: the orbit as the product of the whole stack with the
-    fiducial, and a loop over the elements' overlaps. (members, phases,
-    cosets, basis index, states), or (error type, text) when it raises."""
-    orbit = matrices @ fiducial
-    members, phases = [], []
+def system_outcome(rep, f):
+    """(members, phases, cosets, basis index, system) of the built system
+    of e_f, or (error type, text) when the build raises."""
     try:
-        for g, overlap in enumerate((orbit @ fiducial.conj()).tolist()):
-            mag = abs(overlap)
-            if mag >= 1.0 - tol:
-                members.append(g)
-                phases.append(float(np.angle(overlap)) if g != group.identity else 0.0)
-            elif mag > 1.0 - 2.0 * tol:
-                raise NumericalAmbiguity(
-                    f"overlap modulus {mag!r} for element {g} is too close to the boundary")
-        for m, a in zip(members, phases):
-            if np.abs(orbit[m] - np.exp(1j * a) * fiducial).max() > 10 * tol:
-                raise NumericalAmbiguity(f"isotropy phase inconsistent for element {m}")
-        cosets = groups.left_cosets(group, groups.subgroup(group, members))
+        system = coherent.build_coherent_system(rep, f)
     except (NumericalAmbiguity, NotASubgroup) as exc:
         return type(exc), str(exc)
-    states = orbit[list(cosets.representatives)]
-    # every state e_p, exactly, at a distinct p
-    ones = states == 1
-    index = ones.argmax(axis=1)
-    if not (((states == 0) | ones).all() and (ones.sum(axis=1) == 1).all()
-            and len(set(index.tolist())) == len(index)):
-        index = None
-    return tuple(members), tuple(phases), cosets, index, states
-
-
-def system_outcome(rep, fiducial):
-    """(members, phases, cosets, basis index, states) of the built system,
-    or (error type, text) when the build raises."""
-    try:
-        system = coherent.build_coherent_system(rep, fiducial)
-    except (NumericalAmbiguity, NotASubgroup) as exc:
-        return type(exc), str(exc)
-    return (system.isotropy.members, system.alpha, system.cosets, system.basis_index,
-            system.states, system)
+    return system.isotropy.members, system.alpha, system.cosets, system.basis_index, system
 
 
 @functools.cache
@@ -380,10 +368,11 @@ def catalogue_stack(kind, n, regular):
 @functools.cache
 def joined_stacks():
     """{document: (N, stack)} of the joined representations that `verify`
-    builds for the two-bit fixture, cyclic m=2 and XOR m=4."""
+    builds for the two-bit fixture, cyclic m=2, XOR m=4, and cyclic m=6 and
+    XOR m=8, whose coset labels fail."""
     paths = {"two_bit": ROOT / "fixtures" / "two_bit.json",
-             "cyclic_m2": ROOT / "tests" / "golden" / "docs" / "cyclic_m2.json",
-             "xor_m4": ROOT / "tests" / "golden" / "docs" / "xor_m4.json"}
+             **{name: ROOT / "tests" / "golden" / "docs" / f"{name}.json"
+                for name in ("cyclic_m2", "xor_m4", "cyclic_m6", "xor_m8")}}
     built, stacks = pairing.build_joint_representation, {}
     for name, path in paths.items():
         with mock.patch.object(pairing, "build_joint_representation",
@@ -421,23 +410,23 @@ class TestBasisFiducial:
     product and the loop over the elements' overlaps."""
 
     def check(self, rep, matrices, f):
-        fiducial = np.eye(rep.dim, dtype=complex)[f]
-        got = system_outcome(rep, fiducial)
-        want = reference_system(rep.group, matrices, rep.tolerance, fiducial)
+        got = system_outcome(rep, f)
+        want = reference_system(rep.group, matrices, rep.tolerance, basis(rep, f))
         if len(want) == 2:
             assert got == want
             return None
-        members, phases, cosets, index, states, system = got
-        assert (members, phases) == want[:2]
-        assert (cosets.cosets, cosets.representatives) == (want[2].cosets,
-                                                            want[2].representatives)
-        assert (index is None) == (want[3] is None)
-        if index is not None:
-            assert np.array_equal(index, want[3]) and not index.flags.writeable
-        assert np.array_equal(states, want[4]) and not states.flags.writeable
-        b = want[4].T @ want[4].conj()
-        c = rep.dim / float(np.trace(b).real)
-        residual = float(np.abs(c * b - np.eye(rep.dim)).max())
+        members, phases, cosets, index, system = got
+        assert (members, phases) == (want.members, want.phases)
+        assert (cosets.cosets, cosets.representatives) == (want.cosets.cosets,
+                                                            want.cosets.representatives)
+        assert (index is None) == (want.index is None)
+        if index is None:
+            with pytest.raises(NoResolution):
+                system.resolution
+            return system
+        assert np.array_equal(index, want.index) and not index.flags.writeable
+        assert np.array_equal(np.eye(rep.dim)[index], want.states)
+        c, residual = gram_resolution(want.states)
         res = system.resolution
         assert (res.constant, res.residual, res.ok) == (c, residual, residual <= rep.tolerance)
         return system
@@ -451,7 +440,7 @@ class TestBasisFiducial:
         # the system keeps the states' indices; the stack is never read
         assert "matrices" not in vars(rep)
         if system is not None:
-            assert system.orbit_states is None and system.alpha == (0.0,) * len(system.alpha)
+            assert system.basis_index is not None and system.alpha == (0.0,) * len(system.alpha)
 
     @given(st.sampled_from(["two_bit", "cyclic_m2", "xor_m4"]), TOLERANCES, st.data())
     def test_joined_stack_gathers_a_column(self, document, tol, data):
@@ -464,7 +453,35 @@ class TestBasisFiducial:
         # tolerance above 1/2 its overlap 0 is inside the band
         rep = reps.regular_representation(standard_group("cyclic", 3), 0.6)
         with pytest.raises(NumericalAmbiguity, match=r"^overlap modulus 0\.0 for element 1 "):
-            coherent.build_coherent_system(rep)
+            coherent.build_coherent_system(rep, 0)
+
+
+class TestStackPath:
+    """What the joined stack's system decides from its float overlaps
+    alone: the isotropy with its phases, and whether the states are basis
+    vectors."""
+
+    def test_two_bit_isotropy_phases_and_indices(self, qubit_rep):
+        # U(3), U(4) and U(7) are diag(1, -1), -I and diag(-1, 1), up to
+        # rounding: each fixes both basis vectors, two of them up to -1
+        pi = np.pi
+        for f, alpha, index in ((0, (0.0, 0.0, pi, pi), [0, 1]), (1, (0.0, pi, pi, 0.0), [1, 0])):
+            system = coherent.build_coherent_system(qubit_rep, f)
+            assert system.isotropy.members == (0, 3, 4, 7)
+            assert system.alpha == alpha
+            assert system.basis_index.tolist() == index
+
+    @pytest.mark.parametrize("document", ["cyclic_m6", "xor_m8"])
+    def test_unlabeled_joined_systems_have_no_indices(self, document):
+        # states that are not distinct basis vectors: the cosets fail their
+        # labels, and neither a resolution nor an operator is made
+        group, matrices = joined_stacks()[document]
+        rep = reps.UnitaryRepresentation(group, matrices.shape[1], matrices,
+                                         reps.DEFAULT_TOLERANCE, reps._BUILT)
+        system = coherent.build_coherent_system(rep, 0)
+        assert system.basis_index is None and len(system.cosets) == 2 * rep.dim
+        with pytest.raises(NoResolution, match="^the coherent states are not distinct"):
+            coherent.operator_from_variable(system, np.zeros(len(system.cosets)))
 
 
 class TestColumnReadOff:
@@ -475,8 +492,7 @@ class TestColumnReadOff:
     @given(point_actions())
     def test_every_basis_fiducial(self, action):
         rep = reps.permutation_representation(action)
-        eye = np.eye(rep.dim, dtype=complex)
-        systems = [coherent.build_coherent_system(rep, eye[f]) for f in range(rep.dim)]
+        systems = [coherent.build_coherent_system(rep, f) for f in range(rep.dim)]
         assert "cayley" not in vars(action.group) and "matrices" not in vars(rep)
         table = action.act
         for f, system in enumerate(systems):
@@ -486,4 +502,4 @@ class TestColumnReadOff:
             assert system.alpha == (0.0,) * iso.order
             assert (system.cosets.cosets, system.cosets.representatives) == (
                 cosets.cosets, cosets.representatives)
-            assert np.array_equal(system.action_index, table[list(cosets.representatives), f])
+            assert np.array_equal(system.basis_index, table[list(cosets.representatives), f])

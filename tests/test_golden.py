@@ -117,8 +117,10 @@ A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the
 package called, so that `src/` holds only what a command runs. A third
-finds every check family failing in some report, or listed in
-`NEVER_FAILS` with the reason none does.
+traces the lines of `coherent` and `groups` over every case and finds every
+statement run, but those of a block that ends in `raise`. A fourth finds
+every check family failing in some report, or listed in `NEVER_FAILS` with
+the reason none does.
 """
 
 import ast
@@ -129,7 +131,7 @@ from pathlib import Path
 
 import pytest
 
-from cvhilbert import cli
+from cvhilbert import cli, coherent, groups
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -248,3 +250,63 @@ def test_every_function_is_reached(monkeypatch, capsys):
     assert UNREACHED <= set(defs.values())
     assert sorted(name for key, name in defs.items()
                   if key not in called and name not in UNREACHED) == []
+
+
+def _statements(path: Path) -> dict:
+    """{first line: source} of every statement inside a function of the
+    module, docstrings left out, and the statements of a block that ends in
+    `raise` left out with everything nested in them. The first line of a
+    decorated def is that of its first decorator."""
+    source = path.read_text(encoding="utf-8").splitlines()
+    found = {}
+
+    def block(statements, in_function):
+        if statements and isinstance(statements[-1], ast.Raise):
+            return
+        for stmt in statements:
+            docstring = isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            if in_function and not docstring:
+                first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", [])])
+                found[first] = source[first - 1].strip()
+            inner = in_function or isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for field in ("body", "orelse", "finalbody"):
+                block(getattr(stmt, field, []), inner)
+            for handler in getattr(stmt, "handlers", []):
+                block(handler.body, inner)
+
+    block(ast.parse("\n".join(source)).body, False)
+    return found
+
+
+def test_every_statement_is_reached(monkeypatch, capsys):
+    # line events in `coherent` and `groups` only, over every case: a
+    # statement that no command runs is code that only tests need, unless
+    # its block ends in `raise`, a refusal that a case need not reach
+    monkeypatch.chdir(ROOT)
+    modules = {m.__file__: Path(m.__file__).name for m in (coherent, groups)}
+    ran = {name: set() for name in modules.values()}
+
+    def trace(frame, event, arg):
+        name = modules.get(frame.f_code.co_filename)
+        if name is None:
+            return None
+        lines = ran[name]
+
+        def local(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return local
+
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for case in CASES:
+            cli.main(case["argv"])
+    finally:
+        sys.settrace(previous)
+    capsys.readouterr()
+    missed = [f"{name}:{line}: {text}" for path, name in modules.items()
+              for line, text in _statements(Path(path)).items() if line not in ran[name]]
+    assert missed == []

@@ -20,8 +20,8 @@ from cvhilbert.errors import (
     SizeLimit,
 )
 
-from conftest import (SWAP, direct_sum, joint_system, nine_point_setup, reference_verdict,
-                      stack_representation, standard_group)
+from conftest import (SWAP, direct_sum, joint_system, nine_point_setup, reference_system,
+                      reference_verdict, stack_representation, standard_group)
 
 TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
@@ -392,27 +392,35 @@ class TestCosetStructure:
         assert system.coherent.isotropy.order == 4
         assert len(system.coherent.cosets) == 2
         assert list(zip(system.x_index, system.y_index)) == [(0, 0), (1, 1)]
-        assert np.allclose(np.abs(system.coherent.states), np.eye(2))
+        assert system.coherent.basis_index.tolist() == [0, 1]
 
-    def test_generic_fiducial_fails_labeling(self, two_bit):
+    def test_generic_fiducial_fails_labeling(self, two_bit, monkeypatch):
+        # the isotropy and cosets of a fiducial that is no basis vector, from
+        # the dense reference, given to the labeling in place of e_0's
         system = two_bit["system"]
+        rep = system.coherent.rep
         psi = np.array([2.0, 1.0], dtype=complex) / np.sqrt(5)
+        ref = reference_system(rep.group, rep.matrices, rep.tolerance, psi)
+        generic = coherent.CoherentStateSystem(
+            rep, groups.subgroup(rep.group, ref.members), ref.phases, ref.cosets, ref.index)
+        monkeypatch.setattr(coherent, "build_coherent_system", lambda *args: generic)
         with pytest.raises(CosetLabelingError):
-            pairing.joint_coset_structure(system.joint, system.coherent.rep, psi)
+            pairing.joint_coset_structure(system.joint, rep, 0)
+
+    def coset_states(self, system):
+        """U(r) e_0 for each coset representative r, by the dense product."""
+        rep = system.coherent.rep
+        return np.stack([rep.matrices[r] @ np.eye(rep.dim)[0]
+                         for r in system.coherent.cosets.representatives])
 
     def test_value_state_vectors_distinct(self, two_bit):
-        system = two_bit["system"]
-        n = system.joint.group.order
-        vectors = [system.coherent.rep.matrices[r] @ system.coherent.fiducial
-                   for r in system.coherent.cosets.representatives]
+        vectors = self.coset_states(two_bit["system"])
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 assert np.abs(vectors[i] - vectors[j]).max() > 1e-9
 
-
     def test_coset_states_pairwise_non_parallel(self, two_bit):
-        system = two_bit["system"]
-        states = system.coherent.states
+        states = self.coset_states(two_bit["system"])
         overlaps = np.abs(states.conj() @ states.T)
         assert overlaps[~np.eye(len(states), dtype=bool)].max() < 1 - 1e-9
 
