@@ -154,7 +154,8 @@ def _is_value(v) -> bool:
 
 # options field -> (default, validity test, expected form); any other is refused
 _OPTIONS = {
-    # at 1 or more every overlap counts as parallel, and a residual of 1 passes
+    # at 1 or more every overlap counts as parallel, so every element fixes
+    # every fiducial
     "tolerance": (representations.DEFAULT_TOLERANCE, lambda v: _is_real(v) and 0 < v < 1,
                   "a positive number below 1"),
     "fiducial_index": (0, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
@@ -779,15 +780,6 @@ def _cmd_operator(args) -> int:
         lines.append(f"operator not constructed: {exc}")
         _write_lines(lines)
         return 2
-    # the states are read off column f of the regular action, each held as
-    # its basis index g * f for the representative g of its coset, with no
-    # table and no state array. The action is free, so distinct states
-    # overlap by exactly 0: up to tolerance 1/2 they are the d basis
-    # vectors, which resolve the identity, and above it that 0 is ambiguous
-    # and the build has raised
-    res = system.resolution
-    lines.append(f"resolution constant: {_fmt(res.constant)} residual: {_fmt(res.residual)} "
-                 f"pass: {res.ok}")
     # the state of the coset of g carries the value of the point g . 0
     points = g_action.act[list(system.cosets.representatives), 0]
     try:

@@ -1,4 +1,4 @@
-"""Coherent-state systems of basis fiducials: orbits, resolution of identity, operators.
+"""Coherent-state systems of basis fiducials: orbits, isotropy, operators.
 
 A system is the orbit of a basis fiducial e_f, the fiducial of every
 command, collapsed to one state per left coset of its isotropy subgroup.
@@ -9,32 +9,28 @@ is gathered off the stack, and the isotropy and its phases are decided from
 the float overlaps.
 
 Each state is held as its basis index p, the state being e_p, exactly, at a
-distinct p. The projector |x><x| is then the diagonal entry (p, p), so the
-resolution of identity and every operator sum c * sum_x v_x |x><x| are read
-off the indices in O(d) per operator, plus the O(d^2) of writing the d x d
-matrix, with the floats the dense products give. A joined system whose
-states are not such basis vectors (cyclic m = 6 and 8, XOR m = 8) has no
-indices: its cosets fail the labeling (`pairing.joint_coset_structure`), and
-a resolution or an operator asked of it raises NoResolution.
+distinct p. The projector |x><x| is then the diagonal entry (p, p), and the
+states resolve the identity exactly when they are all d basis vectors: then
+sum_x |x><x| is I, the paper's constant c = d/|X| is 1, and every operator
+sum_x v_x |x><x| is read off the indices in O(d) per operator, plus the
+O(d^2) of writing the d x d matrix, with the floats the dense products
+give. Fewer states, as a permutation action that is not transitive gives,
+leave a diagonal 0, a residual of 1 that no tolerance below 1 passes. A
+joined system whose states are not such basis vectors (cyclic m = 6 and 8,
+XOR m = 8) has no indices: its cosets fail the labeling
+(`pairing.joint_coset_structure`). An operator asked of a system that does
+not hold all d basis vectors raises NoResolution.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoResolution, NumericalAmbiguity
 from .groups import CosetSpace, GroupAction, Subgroup, left_cosets, stabilizer_cosets, subgroup
-from .representations import Operator, UnitaryRepresentation, _check_operators, _maxabs
-
-
-@dataclass(frozen=True, eq=False)
-class ResolutionResult:
-    constant: float
-    residual: float
-    ok: bool
+from .representations import Operator, UnitaryRepresentation, _check_operators
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +49,6 @@ class CoherentStateSystem:
     @property
     def tolerance(self) -> float:
         return self.rep.tolerance
-
-    @functools.cached_property
-    def resolution(self) -> ResolutionResult:
-        """c * sum |x><x| tested against I, computed once, on first use."""
-        return resolution_of_identity(self)
 
 
 def _parallel(overlaps: np.ndarray, tol: float) -> np.ndarray:
@@ -138,30 +129,8 @@ def build_coherent_system(rep: UnitaryRepresentation, f: int) -> CoherentStateSy
     return CoherentStateSystem(rep, iso, alpha, cosets, index)
 
 
-def resolution_of_identity(system: CoherentStateSystem) -> ResolutionResult:
-    """Test c * sum_x |x><x| against the identity.
-
-    c is computed from the trace, never assumed: the states are basis
-    vectors, so c = d / |X|, and the residual is the largest |c b_pp - 1|
-    over the diagonal, b_pp 1 at a state's index and 0 elsewhere. A system
-    that does not resolve the identity, as a permutation action that is not
-    transitive does not, is reported, not raised. Callers read it once per
-    system as `system.resolution`. A system whose states are not basis
-    vectors raises NoResolution.
-    """
-    index = system.basis_index
-    if index is None:
-        raise NoResolution("the coherent states are not distinct basis vectors")
-    d = system.rep.dim
-    c = d / float(len(index))
-    diagonal = np.zeros(d)
-    diagonal[index] = c
-    residual = _maxabs(diagonal - 1.0)
-    return ResolutionResult(c, residual, residual <= system.tolerance)
-
-
 def operator_from_variable(system: CoherentStateSystem, values) -> Operator:
-    """A = c * sum_x values[x] |x><x| over the coset states: the one-row
+    """A = sum_x values[x] |x><x| over the coset states: the one-row
     case of `operator_stack`, checked where the `Operator` is built."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(system.cosets),):
@@ -171,7 +140,7 @@ def operator_from_variable(system: CoherentStateSystem, values) -> Operator:
 
 
 def operator_stack(system: CoherentStateSystem, values) -> np.ndarray:
-    """The (k, d, d) stack A_i = c * sum_x values[i, x] |x><x|, one operator
+    """The (k, d, d) stack A_i = sum_x values[i, x] |x><x|, one operator
     per row of a (k, |X|) array of values, checked finite and Hermitian at
     the system's tolerance as one stack."""
     values = np.asarray(values, dtype=float)
@@ -183,21 +152,18 @@ def operator_stack(system: CoherentStateSystem, values) -> np.ndarray:
 
 
 def _projector_sums(system: CoherentStateSystem, values: np.ndarray) -> np.ndarray:
-    """c * values_i scattered onto the diagonal at the states' indices, for
-    each row i of values; raises NoResolution when the states are not basis
-    vectors or do not resolve the identity."""
-    res = system.resolution
-    if not res.ok:
-        raise NoResolution(
-            f"resolution of identity fails with residual {res.residual:.3e}"
-        )
-    # each diagonal entry is half + half, the floats of the mean of the dense
-    # product c * (states^T values) @ states* and its adjoint, which is
-    # Hermitian bit for bit, as a sum of projectors is. Halving first is exact
-    # in the normal range and cannot overflow where the sum would. The rest
-    # of the matrix is +0.0
+    """values_i scattered onto the diagonal at the states' indices, for each
+    row i of values; raises NoResolution unless the states are all d basis
+    vectors, the one case in which they resolve the identity."""
     d, index = system.rep.dim, system.basis_index
-    half = 0.5 * (res.constant * values)
+    if index is None or len(index) != d:
+        raise NoResolution("the coherent states are not the d basis vectors")
+    # each diagonal entry is half + half, the floats of the mean of the dense
+    # product (states^T values) @ states* and its adjoint, which is Hermitian
+    # bit for bit, as a sum of projectors is. Halving first is exact in the
+    # normal range and cannot overflow where the sum would. The rest of the
+    # matrix is +0.0
+    half = 0.5 * values
     a = np.zeros((len(values), d, d), dtype=complex)
     a[:, index, index] = half + half
     return a

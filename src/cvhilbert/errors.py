@@ -60,7 +60,8 @@ class NumericalAmbiguity(CvhilbertError):
 
 
 class NoResolution(CvhilbertError):
-    """Operator construction requires a passing resolution of identity."""
+    """Operator construction requires coherent states that resolve the
+    identity: for basis-vector states, all d of them."""
 
 
 class NotWellDefined(CvhilbertError):

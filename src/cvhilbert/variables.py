@@ -64,20 +64,32 @@ def make_variable(name: str, values, numeric_values=None) -> ConceptualVariable:
     """Build a variable from a raw value list, relabeling to dense indices.
 
     Raw values may be arbitrary hashables; distinct raw values become distinct
-    value indices in order of first appearance.
+    value indices in order of first appearance, each labeled by its first
+    occurrence. A boolean is distinct from every number, inside a tuple too,
+    though Python has True == 1; 1 and 1.0 are one value.
     """
-    raw = list(values)
     seen: dict = {}
-    table = []
-    for v in raw:
-        if v not in seen:
-            seen[v] = len(seen)
-        table.append(seen[v])
+    labels, table = [], []
+    for v in values:
+        key = _value_key(v)
+        if key not in seen:
+            seen[key] = len(labels)
+            labels.append(str(v))
+        table.append(seen[key])
     if numeric_values is not None:
         numeric_values = tuple(float(x) for x in numeric_values)
-        if len(numeric_values) != len(seen):
+        if len(numeric_values) != len(labels):
             raise ValueError("numeric_values must have one entry per distinct value")
-    return ConceptualVariable(name, tuple(table), tuple(str(v) for v in seen), numeric_values)
+    return ConceptualVariable(name, tuple(table), tuple(labels), numeric_values)
+
+
+def _value_key(v):
+    """The relabeling key of a raw value: each scalar paired with whether it
+    is a boolean, inside tuples too, so that True and 1 differ while 1 and
+    1.0 stay equal."""
+    if isinstance(v, tuple):
+        return tuple(map(_value_key, v))
+    return isinstance(v, bool), v
 
 
 def _first_points(variable: ConceptualVariable) -> np.ndarray:

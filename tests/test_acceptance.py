@@ -12,6 +12,7 @@ import numpy as np
 
 from cvhilbert import cli, coherent, groups, pairing, representations as reps
 from cvhilbert import spectra, spin, variables
+from cvhilbert.errors import NoResolution
 
 from conftest import (circle_system, gram_resolution, reference_system, standard_action,
                       standard_group)
@@ -65,7 +66,9 @@ def test_criterion_2_abelian_obstruction():
 
 def test_criterion_3_resolution_of_identity(qubit_rep):
     # a random fiducial's states come from the dense reference, as no
-    # command builds them; the basis fiducials' from the package
+    # command builds them. A basis fiducial's system resolves the identity
+    # exactly when its states are all d basis vectors: its operators are
+    # built then, and refused otherwise
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(10):
@@ -73,24 +76,33 @@ def test_criterion_3_resolution_of_identity(qubit_rep):
         v /= np.linalg.norm(v)
         ref = reference_system(qubit_rep.group, qubit_rep.matrices, qubit_rep.tolerance, v)
         worst = max(worst, gram_resolution(ref.states)[1])
-    for f in (0, 1):
-        res = coherent.resolution_of_identity(coherent.build_coherent_system(qubit_rep, f))
-        assert res.ok
-        worst = max(worst, res.residual)
     reducible = reps.regular_representation(standard_group("cyclic", 2))
     ref = reference_system(reducible.group, reducible.matrices, reducible.tolerance,
                            np.array([2.0, 1.0]) / np.sqrt(5))
     residual = gram_resolution(ref.states)[1]
-    # the basis fiducial of D3 on the triangle and two more points, an
-    # action that is not transitive, reports, must not raise
+    # both basis fiducials of the qubit, and that of D3 on the triangle and
+    # two more points, an action that is not transitive
     natural = reps.permutation_representation(standard_action("dihedral", 3))
-    res = coherent.resolution_of_identity(coherent.build_coherent_system(natural, 0))
-    announce(3, worst <= 1e-9 and residual > 1e-9 and not res.ok,
-             f"ten random fiducials and both basis fiducials resolve the identity on the "
-             f"irreducible two-dimensional system (worst residual {worst:.2e}); a generic "
-             f"fiducial of the reducible fixture fails (residual {residual:.2e}), and a "
-             f"basis fiducial of an intransitive action reports failure (residual "
-             f"{res.residual:.2e}) without raising")
+    rule = []
+    for rep, f in ((qubit_rep, 0), (qubit_rep, 1), (natural, 0)):
+        system = coherent.build_coherent_system(rep, f)
+        states = reference_system(rep.group, rep.matrices, rep.tolerance, np.eye(rep.dim)[f]).states
+        try:
+            coherent.operator_from_variable(system, np.ones(len(system.cosets)))
+            built = True
+        except NoResolution:
+            built = False
+        rule.append((len(system.basis_index) == rep.dim,
+                     gram_resolution(states) == (1.0, 0.0), built))
+    announce(3, worst <= 1e-9 and residual > 1e-9
+             and rule == [(True, True, True)] * 2 + [(False, False, False)],
+             f"ten random fiducials resolve the identity on the irreducible two-dimensional "
+             f"system (worst residual {worst:.2e}), and a generic fiducial of the reducible "
+             f"fixture does not (residual {residual:.2e}); a basis fiducial's operators are "
+             f"built exactly when its states are the d basis vectors, which resolve the "
+             f"identity with constant 1 and residual 0: both of the qubit's are, and the "
+             f"intransitive action's {len(system.cosets)} states of {natural.dim} raise "
+             f"NoResolution")
 
 
 def test_criterion_4_two_bit_end_to_end(two_bit, two_bit_operators):

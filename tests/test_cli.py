@@ -77,6 +77,19 @@ class TestParsing:
             cli.parse_context(str(path))
         assert "line" in str(exc.value)
 
+    def test_json_booleans_are_values_of_their_own(self, tmp_path):
+        # JSON true and false are never merged with 1 and 0, also inside a
+        # list value; 1 and 1.0 are one value
+        raw = cli.two_bit_document()
+        raw["variables"][0].update(values=[True, True, 1, 1], numeric_values=[0.0, 1.0])
+        raw["variables"][1].update(values=[[True], [1.0], [1], [False]],
+                                   numeric_values=[0.0, 1.0, 2.0])
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps(raw))
+        bit1, bit2 = cli.parse_context(str(path)).variables.values()
+        assert (bit1.values, bit1.value_labels) == ((0, 0, 1, 1), ("True", "1"))
+        assert (bit2.values, bit2.value_labels) == ((0, 1, 1, 2), ("(True,)", "(1.0,)", "(False,)"))
+
     def test_word_resolution(self):
         raw = cli.two_bit_document()
         raw["pairs"][0]["k"] = "flip1 flip2"
@@ -778,10 +791,9 @@ class TestMalformedOptions:
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counter of eigendecompositions (`eigh` plus `eigvalsh`), of SVDs, of
-    the most rows one SVD input had (`svd_rows`) and one QR input had
-    (`qr_rows`), and of resolution-of-identity computations made while the
-    fixture is active."""
+    """Counter of eigendecompositions (`eigh` plus `eigvalsh`), of SVDs, and
+    of the most rows one SVD input had (`svd_rows`) and one QR input had
+    (`qr_rows`), while the fixture is active."""
     calls = collections.Counter()
 
     def counting(key, fn):
@@ -804,8 +816,6 @@ def work_counts(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting("eigh", getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
     monkeypatch.setattr(np.linalg, "qr", qr)
-    monkeypatch.setattr(coherent, "resolution_of_identity",
-                        counting("resolution", coherent.resolution_of_identity))
     return calls
 
 
@@ -922,16 +932,6 @@ class TestWorkCounts:
         assert g_group.generators == k_group.generators
         assert np.array_equal(g_group.rows, k_group.rows)
         assert np.array_equal(g_group.columns, k_group.columns)
-
-    def test_resolution_count_independent_of_joined_group_order(self, work_counts):
-        two_bit = cli.run_verify(cli.parse_context(TWO_BIT), "two-bit")
-        on_order_8 = work_counts["resolution"]
-        work_counts.clear()
-        xor4 = cli.run_verify(cli.parse_context(XOR4), "xor4")
-        on_order_32 = work_counts["resolution"]
-        assert "order=8" in next(c.detail for c in two_bit.checks if c.cid == "joint-group[0]")
-        assert "order=32" in next(c.detail for c in xor4.checks if c.cid == "joint-group[0]")
-        assert 0 < on_order_8 == on_order_32 <= 5
 
     def test_two_operators_per_pair(self, monkeypatch):
         # two-bit: the two variable operators, each a one-row projector sum,

@@ -14,6 +14,7 @@ from conftest import (circle_system, gram_resolution, point_actions, reference_s
                       stack_representation, standard_action, standard_group)
 
 ROOT = Path(__file__).resolve().parents[1]
+NOT_THE_BASIS = "^the coherent states are not the d basis vectors$"
 
 
 def isotropy(rep, f):
@@ -116,31 +117,40 @@ class TestBuildSystem:
 
 
 class TestResolution:
+    """A basis fiducial's system resolves the identity exactly when its
+    states are all d basis vectors; its operators are built then, with
+    constant 1, and refused otherwise."""
+
     def test_trivial_system(self):
         g = standard_group("cyclic", 1)
         rep = stack_representation(g, np.ones((1, 1, 1), dtype=complex))
-        res = coherent.resolution_of_identity(coherent.build_coherent_system(rep, 0))
-        assert res.constant == 1.0 and res.residual == 0.0 and res.ok
+        system = coherent.build_coherent_system(rep, 0)
+        assert gram_resolution(dense(rep, basis(rep, 0)).states) == (1.0, 0.0)
+        assert coherent.operator_from_variable(system, [2.5]).matrix.tolist() == [[2.5]]
 
     def test_permutation_orbit_passes_even_when_reducible(self):
         rep = reps.regular_representation(standard_group("cyclic", 2))
         system = coherent.build_coherent_system(rep, 0)
-        res = coherent.resolution_of_identity(system)
-        assert res.ok and res.residual == 0.0
+        assert gram_resolution(dense(rep, basis(rep, 0)).states) == (1.0, 0.0)
+        assert np.array_equal(coherent.operator_from_variable(system, [1.0, 1.0]).matrix,
+                              np.eye(2))
 
     def test_reducible_generic_fiducial_fails_with_reported_residual(self):
         # by the dense reference; the basis fiducial of a permutation action
-        # that is not transitive is reported too: D3 on the triangle and two
-        # more points gives e_0, e_1 and e_2 of five, c = 5/3, and a
-        # diagonal 0 at the other two
+        # that is not transitive fails too: D3 on the triangle and two more
+        # points gives e_0, e_1 and e_2 of five, c = 5/3, and a diagonal 0
+        # at the other two, so its operators are refused
         rep = reps.regular_representation(standard_group("cyclic", 2))
         fid = np.array([2.0, 1.0]) / np.sqrt(5)
         _, residual = gram_resolution(dense(rep, fid).states)
         # off-diagonal of c*B is 2ab for real (a, b)
         assert abs(residual - 0.8) < 1e-12 and residual > rep.tolerance
         natural = reps.permutation_representation(standard_action("dihedral", 3))
-        res = coherent.resolution_of_identity(coherent.build_coherent_system(natural, 0))
-        assert (res.constant, res.residual, res.ok) == (5 / 3, 1.0, False)
+        system = coherent.build_coherent_system(natural, 0)
+        assert gram_resolution(dense(natural, basis(natural, 0)).states) == (5 / 3, 1.0)
+        assert system.basis_index.tolist() == [0, 1, 2]
+        with pytest.raises(NoResolution, match=NOT_THE_BASIS):
+            coherent.operator_from_variable(system, [0.0, 1.0, 2.0])
 
     def test_qubit_system_four_states(self, qubit_rep):
         v = np.array([2.0, 1.0]) / np.sqrt(5)
@@ -185,18 +195,12 @@ def product_stack(states, values):
     return a + a.conj().swapaxes(1, 2)
 
 
-def einsum_resolution(states):
-    """The resolution of identity as an einsum over the state projectors."""
-    d = states.shape[1]
-    b = np.einsum("xi,xj->ij", states, states.conj())
-    c = d / float(np.trace(b).real)
-    return c, np.abs(c * b - np.eye(d)).max()
-
-
 def einsum_operator(states, values):
-    """c * sum_x values[x] |x><x| over the stacked projectors |x><x|."""
+    """c * sum_x values[x] |x><x| over the stacked projectors |x><x|, with c
+    = d over the trace of their sum."""
     projectors = np.einsum("xi,xj->xij", states, states.conj())
-    return einsum_resolution(states)[0] * np.einsum("x,xij->ij", values, projectors)
+    c = states.shape[1] / float(np.einsum("xii->", projectors).real)
+    return c * np.einsum("x,xij->ij", values, projectors)
 
 
 class TestOperator:
@@ -204,12 +208,13 @@ class TestOperator:
     def test_matrix_products_match_projector_sums(self, two_bit, values, scale):
         # the joined coherent system of the two-bit document (two coordinate
         # states) and the basis-fiducial systems of the catalogue groups,
-        # each against the dense states of its fiducial: the resolution is
-        # the Gram matrix's bit for bit, and the operators reproduce the
-        # projector einsums, are Hermitian bit for bit at any scale of the
-        # values, as a sum of projectors is, and equal the dense products bit
-        # for bit. The dense products are Hermitian bit for bit as well for
-        # a complex fiducial, whose four states are no basis vectors
+        # each against the dense states of its fiducial: the operators are
+        # built exactly when the Gram matrix resolves the identity with
+        # constant 1 and residual 0, reproduce the projector einsums, are
+        # Hermitian bit for bit at any scale of the values, as a sum of
+        # projectors is, and equal the dense products bit for bit. The dense
+        # products are Hermitian bit for bit as well for a complex fiducial,
+        # whose four states are no basis vectors
         joined = two_bit["system"].coherent
         fiducial = np.array([0.6 + 0.2j, -0.3 + 0.7j])
         complex_states = dense(joined.rep, fiducial / np.linalg.norm(fiducial)).states
@@ -221,20 +226,13 @@ class TestOperator:
         assert np.abs(stack[0] - einsum_operator(complex_states, x)).max() <= 1e-12 * scale
         for system, states in ((joined, dense(joined.rep, basis(joined.rep, 0)).states),
                                *catalogue_systems()):
-            res = coherent.resolution_of_identity(system)
-            assert (res.constant, res.residual) == gram_resolution(states)
-            c, residual = einsum_resolution(states)
-            assert abs(res.constant - c) <= 1e-12 and abs(res.residual - residual) <= 1e-12
-            if not res.ok:
-                continue
             x = scale * np.array(values[:len(system.cosets)])
+            rows = np.stack([x, -x[::-1], np.zeros_like(x)])
+            if not check_resolution_rule(system, states, rows):
+                continue
             op = coherent.operator_from_variable(system, x)
             assert np.abs(op.matrix - einsum_operator(states, x)).max() <= 1e-12 * scale
             assert np.array_equal(op.matrix, op.matrix.conj().T)
-            rows = np.stack([x, -x[::-1], np.zeros_like(x)])
-            assert np.array_equal(op.matrix, product_stack(states, x[None])[0])
-            assert np.array_equal(coherent.operator_stack(system, rows),
-                                  product_stack(states, rows))
 
     def test_only_distinct_unit_basis_states_are_read_off(self):
         rep = reps.regular_representation(standard_group("symmetric", 3))
@@ -242,7 +240,7 @@ class TestOperator:
         assert np.array_equal(system.basis_index, [rep.source.act[g, 0] for g in range(6)])
         # off a stack, a unit-modulus entry other than 1 (U(1) e_0 = -i e_1),
         # a state with two entries (U(1) e_0 = 0.6 e_0 + 0.8 e_1) and two
-        # cosets on one index all keep no indices, and resolve nothing. The
+        # cosets on one index all keep no indices, and build no operator. The
         # last needs a stack that is no representation, trusted unchecked:
         # Z3 with U(1) = U(2) = the swap
         turned = z2_stack(np.array([[0, 1j], [-1j, 0]]))
@@ -254,8 +252,8 @@ class TestOperator:
         for stack in (turned, spread, repeated):
             system = coherent.build_coherent_system(stack, 0)
             assert len(system.cosets) == stack.group.order and system.basis_index is None
-            with pytest.raises(NoResolution, match="^the coherent states are not distinct"):
-                coherent.resolution_of_identity(system)
+            with pytest.raises(NoResolution, match=NOT_THE_BASIS):
+                coherent.operator_from_variable(system, np.zeros(len(system.cosets)))
 
     def test_unit_variable_gives_identity(self):
         _, _, _, system = circle_system(3)
@@ -279,7 +277,7 @@ class TestOperator:
         # triangle and two more points
         rep = reps.permutation_representation(standard_action("dihedral", 3))
         system = coherent.build_coherent_system(rep, 0)
-        with pytest.raises(NoResolution, match="^resolution of identity fails with residual"):
+        with pytest.raises(NoResolution, match=NOT_THE_BASIS):
             coherent.operator_from_variable(system, [0.0, 1.0, 2.0])
 
     def test_scalar_covariance(self):
@@ -401,6 +399,23 @@ def permutation_cases(draw):
     return action.group, action, reps.permutation_representation(action).matrices, regular
 
 
+def check_resolution_rule(system, states, rows):
+    """The operators of a system whose states are basis vectors are built
+    exactly when its dense states resolve the identity with constant 1 and
+    residual 0, and then equal the dense products bit for bit; otherwise
+    they raise NoResolution."""
+    if gram_resolution(states) == (1.0, 0.0):
+        assert np.array_equal(coherent.operator_stack(system, rows), product_stack(states, rows))
+        assert np.array_equal(coherent.operator_from_variable(system, rows[0]).matrix,
+                              product_stack(states, rows[:1])[0])
+        return True
+    with pytest.raises(NoResolution, match=NOT_THE_BASIS):
+        coherent.operator_stack(system, rows)
+    with pytest.raises(NoResolution, match=NOT_THE_BASIS):
+        coherent.operator_from_variable(system, rows[0])
+    return False
+
+
 TOLERANCES = st.floats(0, 1, exclude_min=True, exclude_max=True) | st.sampled_from(
     [reps.DEFAULT_TOLERANCE, 0.5, 0.5000000001, 0.6, 0.999])
 
@@ -420,15 +435,14 @@ class TestBasisFiducial:
         assert (cosets.cosets, cosets.representatives) == (want.cosets.cosets,
                                                             want.cosets.representatives)
         assert (index is None) == (want.index is None)
+        rows = np.stack([np.arange(len(cosets), dtype=float), np.linspace(-1, 1, len(cosets))])
         if index is None:
-            with pytest.raises(NoResolution):
-                system.resolution
+            with pytest.raises(NoResolution, match=NOT_THE_BASIS):
+                coherent.operator_stack(system, rows)
             return system
         assert np.array_equal(index, want.index) and not index.flags.writeable
         assert np.array_equal(np.eye(rep.dim)[index], want.states)
-        c, residual = gram_resolution(want.states)
-        res = system.resolution
-        assert (res.constant, res.residual, res.ok) == (c, residual, residual <= rep.tolerance)
+        check_resolution_rule(system, want.states, rows)
         return system
 
     @given(permutation_cases(), TOLERANCES, st.data())
@@ -474,13 +488,13 @@ class TestStackPath:
     @pytest.mark.parametrize("document", ["cyclic_m6", "xor_m8"])
     def test_unlabeled_joined_systems_have_no_indices(self, document):
         # states that are not distinct basis vectors: the cosets fail their
-        # labels, and neither a resolution nor an operator is made
+        # labels, and no operator is made
         group, matrices = joined_stacks()[document]
         rep = reps.UnitaryRepresentation(group, matrices.shape[1], matrices,
                                          reps.DEFAULT_TOLERANCE, reps._BUILT)
         system = coherent.build_coherent_system(rep, 0)
         assert system.basis_index is None and len(system.cosets) == 2 * rep.dim
-        with pytest.raises(NoResolution, match="^the coherent states are not distinct"):
+        with pytest.raises(NoResolution, match=NOT_THE_BASIS):
             coherent.operator_from_variable(system, np.zeros(len(system.cosets)))
 
 
@@ -503,3 +517,32 @@ class TestColumnReadOff:
             assert (system.cosets.cosets, system.cosets.representatives) == (
                 cosets.cosets, cosets.representatives)
             assert np.array_equal(system.basis_index, table[list(cosets.representatives), f])
+
+
+@st.composite
+def small_point_actions(draw):
+    """The action on its points of the group that one permutation of up to
+    8 points or two of up to 6 generate, transitive or not."""
+    m = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=1 if m > 6 else 2))
+    return groups.generate_permutation_group([tuple(g) for g in gens], space_size=m)[1]
+
+
+class TestResolutionRule:
+    """Differential: every basis fiducial's operators against the dense
+    states' Gram matrix and the dense products."""
+
+    @given(small_point_actions(), st.data())
+    def test_operator_built_exactly_when_the_states_resolve_the_identity(self, action, data):
+        # under a permutation action, exactly when the orbit of the fiducial
+        # is every point, that is, for every fiducial or none
+        rep = reps.permutation_representation(action)
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        built = set()
+        for f in range(rep.dim):
+            system = coherent.build_coherent_system(rep, f)
+            n = len(system.cosets)
+            rows = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                               min_size=1, max_size=3)))
+            built.add(check_resolution_rule(system, dense(rep, basis(rep, f)).states, rows))
+        assert built == {groups.is_transitive(action)}

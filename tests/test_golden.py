@@ -113,12 +113,25 @@ with `fiducial_index` 23, the last basis vector. They were recorded before
 the regular action came to read its columns off the group's rows, and gave
 the same bytes at one and at two BLAS threads.
 
+A third deliberate move regenerated the 8 `operator` cases that construct
+their operator, each the one before without its `resolution constant:`
+line, which read 1, residual 0, pass in every one: the states of a regular
+action are always the d basis vectors, and those resolve the identity with
+constant 1 and residual 0, so no resolution is computed any more. One case
+was recorded then: `operator` on `boolean_values.json`, four points under a
+4-cycle, whose variable `flag` has the values [true, 1, 0, false], four
+values, as JSON has them, though Python has True == 1; its second variable,
+`pair`, holds booleans inside lists. Before, both variables were refused
+for too many numeric values. It gave the same bytes at one and at two BLAS
+threads.
+
 A separate test keeps the set whole: unique case names,
 one output per case and no file in `out/` or `docs/` that no case uses.
 Another runs every case under a profiler and finds every function of the
 package called, so that `src/` holds only what a command runs. A third
-traces the lines of `coherent` and `groups` over every case and finds every
-statement run, but those of a block that ends in `raise`. A fourth finds
+traces the lines of `coherent`, `groups`, `pairing` and `variables` over
+every case and finds every statement run, but those of a block that ends
+in `raise`. A fourth finds
 every check family failing in some report, or listed in `NEVER_FAILS` with
 the reason none does.
 """
@@ -131,7 +144,7 @@ from pathlib import Path
 
 import pytest
 
-from cvhilbert import cli, coherent, groups
+from cvhilbert import cli, coherent, groups, pairing, variables
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -279,11 +292,13 @@ def _statements(path: Path) -> dict:
 
 
 def test_every_statement_is_reached(monkeypatch, capsys):
-    # line events in `coherent` and `groups` only, over every case: a
-    # statement that no command runs is code that only tests need, unless
-    # its block ends in `raise`, a refusal that a case need not reach
+    # line events in `coherent`, `groups`, `pairing` and `variables` only,
+    # over every case: a statement that no command runs is code that only
+    # tests need, unless its block ends in `raise`, a refusal that a case
+    # need not reach
     monkeypatch.chdir(ROOT)
-    modules = {m.__file__: Path(m.__file__).name for m in (coherent, groups)}
+    modules = {m.__file__: Path(m.__file__).name
+               for m in (coherent, groups, pairing, variables)}
     ran = {name: set() for name in modules.values()}
 
     def trace(frame, event, arg):

@@ -429,8 +429,9 @@ class TestCosetStructure:
     def test_labels_imply_distinct_basis_states(self, document, tolerance, fiducial_index):
         # why `verify` reports no injectivity or resolution of its own: once
         # the labels pass, each coset's leader is a first-axis copy F_a and its
-        # state a basis vector, one per coset, at any tolerance up to 1/2.
-        # XOR on two values is the shift of cyclic_m2
+        # state a basis vector, one per coset, at any tolerance up to 1/2: the
+        # states are the d basis vectors, and the unit variable's operator is
+        # the identity, bit for bit. XOR on two values is the shift of cyclic_m2
         path = TWO_BIT if document == "two_bit" else DOCS / f"{document}.json"
         raw = json.loads(path.read_text(encoding="utf-8"))
         raw["options"] = {"tolerance": tolerance, "fiducial_index": fiducial_index}
@@ -446,15 +447,18 @@ class TestCosetStructure:
             states, m = system.coherent, system.joint.value_size
             assert max(states.cosets.representatives) < m
             assert sorted(states.basis_index.tolist()) == list(range(system.dim))
-            assert (states.resolution.constant, states.resolution.residual) == (1.0, 0.0)
+            unit = coherent.operator_stack(states, np.ones((1, len(states.cosets))))
+            assert np.array_equal(unit[0], np.eye(system.dim))
 
 
 class TestJointOperators:
     def test_resolution_constant(self, two_bit):
-        res = coherent.resolution_of_identity(two_bit["system"].coherent)
-        assert res.ok
-        assert res.constant == 1.0
-        assert res.residual == 0.0
+        # the two states are both basis vectors, so the constant is 1: the
+        # unit variable gives the identity, bit for bit
+        states = two_bit["system"].coherent
+        assert sorted(states.basis_index.tolist()) == [0, 1]
+        unit = coherent.operator_from_variable(states, [1.0, 1.0])
+        assert np.array_equal(unit.matrix, np.eye(2))
 
     def test_operators_are_diagonal_indicators(self, two_bit_operators):
         a_theta, a_xi = two_bit_operators

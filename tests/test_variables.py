@@ -84,6 +84,33 @@ IDENT4 = variables.make_variable("point", [0, 1, 2, 3], numeric_values=[0.0, 1.0
 CONST4 = variables.make_variable("const", [0, 0, 0, 0], numeric_values=[1.0])
 
 
+class TestMakeVariable:
+    """Raw values are relabeled by value, in order of first appearance, and
+    labeled by their first occurrence; a boolean is a value of its own,
+    although Python has True == 1 and False == 0."""
+
+    def test_booleans_are_not_numbers(self):
+        var = variables.make_variable("v", [True, 1, 0, False])
+        assert var.values == (0, 1, 2, 3)
+        assert var.value_labels == ("True", "1", "0", "False")
+
+    def test_numeric_values_count_booleans_apart(self):
+        var = variables.make_variable("v", [True, True, 1, 1], numeric_values=[0.5, 1.0])
+        assert var.values == (0, 0, 1, 1) and var.numeric() == (0.5, 1.0)
+        with pytest.raises(ValueError, match="one entry per distinct value"):
+            variables.make_variable("v", [True, True, 1, 1], numeric_values=[1.0])
+
+    def test_booleans_inside_tuples(self):
+        var = variables.make_variable("v", [(True, 0), (1, 0), (1.0, 0), (False, (0,)), (0, (0,))])
+        assert var.values == (0, 1, 1, 2, 3)
+        assert var.value_labels == ("(True, 0)", "(1, 0)", "(False, (0,))", "(0, (0,))")
+
+    def test_equal_numbers_stay_one_value(self):
+        var = variables.make_variable("v", [1, 1.0, 0.0, 0, -0.0, "1", None, None])
+        assert var.values == (0, 0, 1, 1, 1, 2, 3, 3)
+        assert var.value_labels == ("1", "0.0", "1", "None")
+
+
 class TestPermissibility:
     def test_trivial_group_always_permissible(self):
         ok, witness = variables.is_permissible(PARITY4, trivial_action(4))
