@@ -457,7 +457,7 @@ def _join(run: _Run) -> None:
     g_action = run.induced[run.dpair.theta][1]
     run.joint = pairing.build_joint_group(run.pair, g_action, run.doc.max_order)
     run.add("joint-group", "pass", run.idx,
-            detail=f"order={run.joint.group.order} points={run.joint.action.space_size}")
+            detail=f"order={run.joint.group.order} points={run.joint.value_size ** 2}")
 
 
 def _extend(run: _Run) -> None:

@@ -101,10 +101,6 @@ class DimensionMismatch(CvhilbertError):
     pass
 
 
-class UndefinedTransport(CvhilbertError):
-    """The transformation has no image in the represented group."""
-
-
 class InvalidSpin(CvhilbertError):
     pass
 

@@ -1,17 +1,18 @@
-"""Finite permutation groups kept as element rows and Cayley-graph columns;
-group actions, subgroups, cosets.
+"""Finite groups kept as Cayley-graph columns, with element rows or, for
+the joined group, triples; group actions, subgroups, cosets.
 
 All structures are immutable after construction and fully verified at desk
-scale (orders up to ~1000). Every group is a list of distinct permutations
-of range(m), identity first (element 0): element a acts by rows[a], and a * b
-is the listed element whose row is rows[a] o rows[b], x -> rows[a][rows[b][x]].
-The product is composition of functions, which is associative, and the rows
-are an action of the group.
-
-Besides its rows, a group keeps a generating set S and the |G|*|S| columns
-columns[g, j] = g * S[j] of its Cayley graph (Schreier vectors; Seress,
-Permutation Group Algorithms, 2003, ch. 4). The builders compute them as
-they build the group, and compose no |G|^2 pairs of its elements.
+scale (orders up to ~1000). Every group keeps a generating set S and the
+|G|*|S| columns columns[g, j] = g * S[j] of its Cayley graph (Schreier
+vectors; Seress, Permutation Group Algorithms, 2003, ch. 4), identity
+first (element 0); its order is the number of its columns. The builders
+compute them as they build the group, and compose no |G|^2 pairs of its
+elements. A closed group and an image group are also a list of distinct
+permutations of range(m), their rows: element a acts by rows[a], and a * b
+is the listed element whose row is rows[a] o rows[b],
+x -> rows[a][rows[b][x]]. The product is composition of functions, which
+is associative, and the rows are an action of the group. The joined group
+N = G wr Z_2 has no rows: it holds each element as its triple (`Triples`).
 
 Two groups are closed: K, the one group a document gives, and the spin
 suite's fixed octahedral group. `generate_permutation_group` closes
@@ -29,58 +30,62 @@ words, coset representatives and reports are those of the closure:
   its rows matched by `_row_ids` in its own row index and its columns K's
   columns (`variables.induced_group` proves the homomorphism and the
   numbering);
-* `wreath_product` builds the joined group N = G wr Z_2 in closed form, its
-  rows and columns arithmetic on G's action and table, and indexes its rows
-  (`pairing.build_joint_group` proves the form and the numbering).
+* `wreath_product` builds the joined group N = G wr Z_2 in closed form as
+  its triples: element n is F_g S_h W^s for one triple (g, h, s), and its
+  columns are arithmetic on G's table (`pairing.build_joint_group` proves
+  the form and the numbering). It builds no rows, no action and no table
+  of N.
 
-Right multiplication by one element b, a -> a * b for every a, is read off
-the rows: the row of a * b is rows[a][rows[b]], looked up whole in the row
-index (`FiniteGroup.right_products`), in O(|G| m). Every other product of
-two arbitrary elements reads the |G|^2 table `FiniteGroup.cayley`: the
-inverses and products of `subgroup` and `coset_leaders`, and the columns of
-`wreath_product`. The table is filled from the columns, one breadth-first
-level at a time, on its first read, and only a group that is multiplied
-whole builds it: G, whose regular
-representation's 0/1 stack `verify` reads and which N is built from, and N,
-at the cosets of a joined representation that extends. K is read only
-through its rows and generators and builds none. The table is the group's
-regular action (Cayley), verified with the columns it is read from.
-`regular_action` makes that action with no table: its column b is
-`right_products(b)`, and its `act` is `cayley`, read on first access. Like
-the element rows of a closure, the table is refused with SizeLimit above
-PERMUTATION_BYTE_LIMIT before it is allocated, and `regular_action` checks
-that bound where it makes the action.
+Every product of two arbitrary elements goes through
+`FiniteGroup.products`: the inverses and products of `subgroup` and
+`coset_leaders`, and G's table in `wreath_product`. A group with rows reads
+its |G|^2 table `FiniteGroup.cayley`; N multiplies triples, one lookup in
+G's table per axis, in O(1) per product and with no |N|^2 table. The table
+is filled from the columns, one breadth-first level at a time, on its first
+read, and only a group with rows that is multiplied whole builds it: G,
+whose regular representation's 0/1 stack `verify` reads and whose table
+N's triples hold. K is read only through its rows and generators and
+builds none. The table is the group's regular action (Cayley), verified
+with the columns it is read from. `regular_action` makes that action with
+no table: its column b, right multiplication a -> a * b for every a, is
+read off the rows, the row of a * b being rows[a][rows[b]], looked up whole
+in the row index (`FiniteGroup.right_products`), in O(|G| m); its `act` is
+`cayley`, read on first access. Like the element rows of a closure, the
+table is refused with SizeLimit above PERMUTATION_BYTE_LIMIT before it is
+allocated, and `regular_action` checks that bound where it makes the
+action.
 
 A built action needs no further check to answer questions about it:
 `GroupAction.images` reads one column of it, `is_transitive` the orbit of
 point 0 off that column, and `isotropy_subgroup` wraps a point stabilizer, a
 subgroup of any action.
 
-Cosets are the elements sorted by leader. `coset_leaders` reads the products
-of every element with every member of a subgroup H off the table and takes
+Cosets are the elements sorted by leader. `coset_leaders` multiplies every
+element by every member of a subgroup H (`FiniteGroup.products`) and takes
 the smallest element of each a * H, its leader; two elements share a left
 coset exactly when they share a leader. `left_cosets` sorts the elements by
 leader, which lists the cosets, |H| elements each, in the order of their
 leaders, and the covariance stage reads the leaders of N's scalar subgroup
-directly. For the stabilizer H of a point x, `stabilizer_leaders` reads the
-same leaders off column x of an action alone: by orbit-stabilizer, g lies
-in a * H exactly when g . x = a . x, so the leader of a is the first
-element with a's image. `stabilizer_cosets` sorts by them, with no table.
+directly. For N these are |N| |H| products of triples. For the stabilizer H
+of a point x, `stabilizer_leaders` reads the same leaders off column x of
+an action alone: by orbit-stabilizer, g lies in a * H exactly when g . x =
+a . x, so the leader of a is the first element with a's image.
+`stabilizer_cosets` sorts by them, with no table.
 
 Every exact check of an integer table is made here, once, where the table is
 built: `generate_permutation_group` checks that its generators are
 permutations, and their products are permutations too. The derived groups
 are groups by their callers' proofs and are not checked. Every action is a
 group's own rows or its regular action, so no table of an action is checked
-against the products. Checks over a whole group are made on the generators;
-a failure runs the row-major scan, `_first_violation`, only to name the
-first failing tuple.
+against the products; N has no action. Checks over a whole group are made
+on the generators; a failure runs the row-major scan, `_first_violation`,
+only to name the first failing tuple.
 
 Only `generate_permutation_group`, `image_group`, `wreath_product` and
 `regular_action` make a `FiniteGroup` or a `GroupAction`: each passes a
 module-private token, and a constructor called without it raises TypeError.
 The token is an init-only field, so `dataclasses.replace` cannot carry it
-over to a copy with another table or row index. A group or an action
+over to a copy with another table, row index or triples. A group or an action
 anywhere in the package has therefore passed the checks above, or is
 derived from one that has by a proof.
 """
@@ -89,7 +94,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -114,13 +119,24 @@ def _check_built(token, kind: str) -> None:
         raise TypeError(f"a {kind} is made only by the verifying builders in cvhilbert.groups")
 
 
+class Triples(NamedTuple):
+    """N = G wr Z_2 held as its triples: element n is F_g S_h W^s for
+    s[n], g[n], h[n], and number[s, g, h] is n; `table` is G's Cayley table."""
+    s: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    number: np.ndarray
+    table: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    rows: np.ndarray            # (n, m) int array, element a is x -> rows[a, x]
+    rows: np.ndarray | None     # (n, m) int array, element a is x -> rows[a, x]; None for N
     generators: tuple[int, ...]  # the generating set S, as elements
     columns: np.ndarray         # (n, |S|) int array, columns[g, j] = g * S[j]
-    # {key of row a (`_row_keys`): a}; every builder passes it
+    # {key of row a (`_row_keys`): a}, for a group with rows
     row_index: dict = field(default=None, repr=False)
+    triples: Triples | None = field(default=None, repr=False)  # N's, and only N's
     token: InitVar[object] = None
     identity: ClassVar[int] = 0
 
@@ -129,12 +145,24 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.rows)
+        return len(self.columns)
+
+    def products(self, a, b) -> np.ndarray:
+        """a * b for the element arrays a and b, broadcast together. A group
+        with rows reads `cayley`; N multiplies its triples in G's table,
+        F_g S_h W^s F_g' S_h' W^s' = F_(g x) S_(h y) W^(s xor s'), with
+        (x, y) = (g', h'), or (h', g') when s = 1, as W F_g' S_h' W = F_h' S_g'."""
+        if self.triples is None:
+            return self.cayley[a, b]
+        s, g, h, number, table = self.triples
+        flip = s[a] == 1
+        return number[s[a] ^ s[b], table[g[a], np.where(flip, h[b], g[b])],
+                      table[h[a], np.where(flip, g[b], h[b])]]
 
     def right_products(self, b: int) -> np.ndarray:
-        """(n,) int array, a * b for every element a: column b of `cayley`,
-        with no table. The row of a * b is rows[a][rows[b]], matched whole in
-        `row_index`, in O(n m)."""
+        """(n,) int array, a * b for every element a of a group with rows:
+        column b of `cayley`, with no table. The row of a * b is
+        rows[a][rows[b]], matched whole in `row_index`, in O(n m)."""
         index = self.row_index
         return np.array([index[key] for key in _row_keys(_narrow(self.rows[:, self.rows[b]]))],
                         dtype=np.int64)
@@ -251,7 +279,7 @@ def _group(rows, generators, columns, row_index):
     """The group and its action on the points, its tables made read-only."""
     rows.setflags(write=False)
     columns.setflags(write=False)
-    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, row_index, _BUILT)
+    group = FiniteGroup(rows, tuple(int(s) for s in generators), columns, row_index, token=_BUILT)
     return group, GroupAction(group, rows.shape[1], rows, _BUILT)
 
 
@@ -290,7 +318,7 @@ def subgroup(group: FiniteGroup, members) -> Subgroup:
     inside[mset] = True
     # per member: its inverse, the one column of its row that holds the
     # identity, element 0, then its products with every member
-    rows = group.cayley[mset]
+    rows = group.products(np.array(mset)[:, None], np.arange(group.order))
     table = np.concatenate([rows.argmin(axis=1)[:, None], rows[:, mset]], axis=1)
     witness = _first_violation(table.shape, lambda a, b: ~inside[table[a, b]], 8)
     if witness is not None:
@@ -305,7 +333,8 @@ def coset_leaders(group: FiniteGroup, members) -> np.ndarray:
     """The smallest element of each left coset a * H, one per element a, for
     the members of a subgroup H. Two elements share a coset exactly when they
     share a leader, and an element leads its coset when it is its own leader."""
-    return group.cayley[:, np.asarray(members, dtype=np.int64)].min(axis=1)
+    members = np.asarray(members, dtype=np.int64)
+    return group.products(np.arange(group.order)[:, None], members).min(axis=1)
 
 
 def stabilizer_leaders(images: np.ndarray) -> np.ndarray:
@@ -396,27 +425,24 @@ def image_group(group: FiniteGroup, images: np.ndarray) -> tuple[FiniteGroup, Gr
     return _group(np.ascontiguousarray(images[first], dtype=np.int64), columns[0], columns, index)
 
 
-def wreath_product(action: GroupAction, order_bound: int) -> tuple[FiniteGroup, GroupAction]:
-    """N = G wr Z_2 on the square of the points of a regular action of G,
-    built in closed form, in the numbering of its breadth-first closure.
+def wreath_product(group: FiniteGroup, order_bound: int) -> FiniteGroup:
+    """N = G wr Z_2 for a group G acting regularly on m = |G| values, held
+    as its triples, built in closed form in the numbering of its
+    breadth-first closure on the m^2 value pairs.
 
-    Point x * m + y is (x, y). N is generated by the first-axis copies F_a
-    of G's moved elements a = 1..m-1, (x, y) -> (a . x, y), then the
-    second-axis copies S_a, (x, y) -> (x, a . y), then the swap W,
-    (x, y) -> (y, x); with one point W is the identity, and N has one
-    element and no generator. The action must be regular, and nothing is
-    checked: then each element of N is F_g S_h W^s for one triple (g, h, s),
-    the closure numbers the triples in the order listed in the code, and
-    right factors act on them by G's Cayley table, as
-    `pairing.build_joint_group` proves. |N| = 2 m^2 is refused with
-    SizeLimit above order_bound or PERMUTATION_BYTE_LIMIT before any row is
-    allocated.
+    N is generated by the first-axis copies F_a of G's moved elements
+    a = 1..m-1, then the second-axis copies S_a, then the swap W; with one
+    value W is the identity, and N has one element and no generator. Each
+    element of N is F_g S_h W^s for one triple (g, h, s), the closure numbers
+    the triples in the order listed in the code, and right factors act on
+    them by G's table, as `pairing.build_joint_group` proves; so N holds its
+    columns and its `Triples`, and no rows. |N| = 2 m^2 is refused with
+    SizeLimit above order_bound before anything is allocated.
     """
-    m = action.space_size
+    m = group.order
     order, count = (2 * m * m, 2 * m - 1) if m > 1 else (1, 0)
     if order > order_bound:
         raise SizeLimit(f"closure exceeds order bound {order_bound}")
-    _check_rows(order, m * m)
     # the position (s, g, h) of each element in breadth-first order: e; F_a;
     # S_a; W; per g, (g, a, 0) for each a, then (g, e, 1); (e, h, 1); (g, h, 1)
     flat = np.arange(2 * m * m).reshape(2, m, m)
@@ -425,22 +451,19 @@ def wreath_product(action: GroupAction, order_bound: int) -> tuple[FiniteGroup, 
         np.concatenate([flat[0, 1:, 1:], flat[1, 1:, :1]], axis=1).ravel(),
         flat[1, 0, 1:], flat[1, 1:, 1:].ravel()])
     number = found.argsort().reshape(2, m, m)
-    found = found[:order]   # with one point, W is e
-    # (g, h, 0) sends (x, y) to (g . x, h . y), and (g, h, 1) to (g . y, h . x)
-    act = action.act
-    x, y = np.divmod(np.arange(m * m), m)
-    rows = np.concatenate([act[:, None, x] * m + act[None, :, y],
-                           act[:, None, y] * m + act[None, :, x]]).reshape(2 * m * m, m * m)
+    found = found[:order]   # with one value, W is e
     # right factors: F_a takes (g, h, 0) to (g a, h, 0) and (g, h, 1) to
     # (g, h a, 1); S_a the same with the axes exchanged; W flips s
+    table = group.products(np.arange(m)[:, None], np.arange(m))
     g, h = np.arange(m)[:, None, None], np.arange(m)[None, :, None]
-    ga, ha = action.group.cayley[:, None, 1:], action.group.cayley[None, :, 1:]
+    ga, ha = table[:, None, 1:], table[None, :, 1:]
     columns = np.concatenate([
         np.concatenate([number[0][ga, h], number[0][g, ha], number[1][..., None]], axis=2),
         np.concatenate([number[1][g, ha], number[1][ga, h], number[0][..., None]], axis=2),
     ]).reshape(2 * m * m, 2 * m - 1)[found, :count]
-    rows = rows[found]
-    return _group(rows, columns[0], columns, dict(zip(_row_keys(_narrow(rows)), range(order))))
+    columns.setflags(write=False)
+    triples = Triples(*np.unravel_index(found, (2, m, m)), number, table)
+    return FiniteGroup(None, tuple(columns[0].tolist()), columns, triples=triples, token=_BUILT)
 
 
 def _breadth_first(gen_rows: np.ndarray, order_bound: int):

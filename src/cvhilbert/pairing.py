@@ -4,8 +4,10 @@ Given a transitive free group G on the first variable's value set, an
 independent copy acts on the second value set and a swap generator joins
 them into a group N on the value product, the wreath product G wr Z_2.
 Each element of N is F_g S_h W^s for one triple (g, h, s), so N is built in
-closed form from G's action and Cayley table, with no closure run, in the
-numbering that its breadth-first closure would give. That N is transitive,
+closed form as its triples and G's Cayley table, with no closure run and
+no point rows, in the numbering that its breadth-first closure would give;
+F_g S_h W^s sends (x, y) to (g . x, h . y), or to (g . y, h . x) when s = 1,
+which G's action on the values gives. That N is transitive,
 and not abelian for more than one value, follows from G, and the triples,
 the numbering and both facts are proved in `build_joint_group` and not
 checked. N's generators are listed in a fixed order,
@@ -51,7 +53,6 @@ from .errors import (
     NotRelated,
     NotTransitive,
     NotWellDefined,
-    UndefinedTransport,
 )
 from .groups import (
     DEFAULT_ORDER_BOUND,
@@ -88,7 +89,7 @@ class RelatedPair:
 @dataclass(frozen=True, eq=False)
 class JointGroup:
     group: FiniteGroup
-    action: GroupAction                 # on the value product
+    action: GroupAction                 # G's, on the values of each axis
     value_size: int                     # points per axis of the product
     first_embed: tuple[int, ...]        # joined-group index of each first-axis copy
     second_embed: tuple[int, ...]
@@ -177,7 +178,10 @@ def build_joint_group(
       multiplication by a generator keeps the form: F_a takes (g, h, 0) to
       (g a, h, 0) and (g, h, 1) to (g, h a, 1); S_a does the same with the
       axes exchanged; W flips s. The triples hold e and are closed under
-      right factors that generate N, so they are N, and |N| = 2 m^2.
+      right factors that generate N, so they are N, and |N| = 2 m^2. In
+      general W F_g' S_h' W = S_g' F_h', so F_g S_h W^s F_g' S_h' W^s' is
+      F_(g x) S_(h y) W^(s xor s'), with (x, y) = (g', h'), or (h', g') when
+      s = 1: the product `groups.FiniteGroup.products` reads off the triples.
     * Numbered as the breadth-first closure of F_1..F_k, S_1..S_k, W
       (`groups.generate_permutation_group`) numbers it, scanning the
       elements in order and each against the generators in listed order.
@@ -192,14 +196,14 @@ def build_joint_group(
       (e, h b, 1) and (b, h, 1) were found, and at W they give F_g and S_h.
       That is all 1 + (2k + 1) + k (k + 1) + k + k^2 = 2 m^2 elements, in
       the order e; F_a; S_a; W; per g, (g, a, 0) for a = 1..k, then
-      (g, e, 1); (e, h, 1); (g, h, 1), row-major. So the rows, the
-      generators, their columns and every word (`bfs_words`) are the
-      closure's.
+      (g, e, 1); (e, h, 1); (g, h, 1), row-major. So the generators, their
+      columns, every word (`bfs_words`) and the point to which each element
+      sends each (x, y) are the closure's.
 
     Nothing about N needs checking once it is built:
 
-    * N is transitive on the product: F_g S_h sends (0, 0) to (x, y) for
-      g . 0 = x and h . 0 = y.
+    * N is transitive on the product: F_g S_h W^s sends (0, 0) to (x, y)
+      for g . 0 = x and h . 0 = y.
     * N is not abelian when m > 1: G is transitive on more than one value,
       so some g moves some value x to g . x != x. Its first-axis copy sends
       (x, x) to (g . x, x) and its second-axis copy to (x, g . x), so the two
@@ -207,7 +211,9 @@ def build_joint_group(
       commute with the first.
 
     |N| is known before anything is built: above order_bound it raises
-    SizeLimit, "closure exceeds order bound", before any row is allocated.
+    SizeLimit, "closure exceeds order bound", before any triple or column is
+    allocated. The joined group keeps G's action on the values, from which
+    the stages read the points that N's elements move.
     """
     if not is_transitive(g_action):
         raise NotTransitive("the supplied group is not transitive on the values")
@@ -216,13 +222,13 @@ def build_joint_group(
     m = g_action.space_size
     if m != pair.theta.value_count:
         raise ValueError("group acts on the wrong number of values")
-    n_group, n_action = wreath_product(g_action, order_bound)
+    n_group = wreath_product(g_action.group, order_bound)
     # the generators are elements 1..2k+1 in the order listed above: the
     # first-axis copies, the second-axis copies, the swap; the copies of the
     # identity of G are the identity of N
     gens, k = n_group.generators, m - 1
     swap_element = gens[-1] if m > 1 else n_group.identity
-    return JointGroup(n_group, n_action, m, (n_group.identity, *gens[:k]),
+    return JointGroup(n_group, g_action, m, (n_group.identity, *gens[:k]),
                       (n_group.identity, *gens[k:2 * k]), swap_element)
 
 
@@ -363,8 +369,9 @@ def joint_coset_structure(
     therefore never labeled.
     """
     coherent_system = coherent.build_coherent_system(joint_rep, f)
-    # the (x, y) to which each element moves (0, 0), which is point 0
-    x_of, y_of = (v.tolist() for v in np.divmod(joint.action.act[:, 0], joint.value_size))
+    # F_g S_h W^s moves (0, 0) to (g . 0, h . 0)
+    zero, triples = joint.action.images(0), joint.group.triples
+    x_of, y_of = zero[triples.g].tolist(), zero[triples.h].tolist()
     first, second = set(joint.first_embed), set(joint.second_embed)
     x_index, y_index = [], []
     for block in coherent_system.cosets.cosets:
@@ -400,24 +407,6 @@ def joint_operators(
         coherent.operator_from_variable(system.coherent, theta_values[list(system.x_index)]),
         coherent.operator_from_variable(system.coherent, xi_values[list(system.y_index)]),
     )
-
-
-def _axis_values(system: JointSystem, tables: np.ndarray):
-    """(values, axes) of moved value tables, one table per row, each constant
-    along one axis of the product: axis 0 when it depends on x only (a
-    constant table included), 1 when on y only. values[i] is table i along
-    its axis. UndefinedTransport names the first table that depends on both."""
-    m = system.joint.value_size
-    by_x = tables.reshape(len(tables), m, m)
-    on_x = (by_x == by_x[:, :, :1]).all(axis=(1, 2))
-    on_y = (by_x == by_x[:, :1, :]).all(axis=(1, 2))
-    neither = ~(on_x | on_y)
-    if neither.any():
-        raise UndefinedTransport(
-            "moved variable does not factor through either axis for element "
-            f"{int(neither.argmax())}"
-        )
-    return np.where(on_x[:, None], by_x[:, :, 0], by_x[:, 0, :]), np.where(on_x, 0, 1)
 
 
 def _scalar_elements(rep: UnitaryRepresentation) -> np.ndarray:
@@ -462,13 +451,17 @@ def covariance_records(
     as in `_clustered_eigh` (`_residuals` keeps values near the float range
     from overflowing).
 
-    Every element's moved value table is gathered at once, and the moved
-    operators and residuals are computed as stacks, in blocks of elements
-    whose temporaries stay near STEP_BYTES.
+    Every element's moved values, theta o g for its triple, are gathered at
+    once, |N| rows of m, and the moved operators and residuals are computed
+    as stacks, in blocks of elements whose temporaries stay near STEP_BYTES.
     """
-    n, m, d = system.joint.group.order, system.joint.value_size, system.dim
-    tables = np.asarray(theta_values, dtype=float)[system.joint.action.act // m]
-    values, axes = _axis_values(system, tables)
+    n, d, triples = system.joint.group.order, system.dim, system.joint.group.triples
+    # F_g S_h W^s sends (x, y) to (g . x, h . y), or to (g . y, h . x) when
+    # s = 1: its moved table is theta o g along axis s, or along axis 0 when
+    # theta o g is constant, so two tables are equal exactly when their
+    # values and axes are
+    values = np.asarray(theta_values, dtype=float)[system.joint.action.act[triples.g]]
+    axes = np.where((values == values[:, :1]).all(axis=1), 0, triples.s)
     coset_values = np.where(axes[:, None] == 0, values[:, list(system.x_index)],
                             values[:, list(system.y_index)])
     # the leader of each element's class, its coset of the scalar subgroup;
@@ -476,7 +469,8 @@ def covariance_records(
     # leader's, and the leader is not compared with itself, as a table
     # holding NaN would differ
     leaders = coset_leaders(system.joint.group, _scalar_elements(system.coherent.rep))
-    differs = (tables != tables[leaders]).any(axis=1) & (leaders != np.arange(n))
+    differs = (((values != values[leaders]).any(axis=1) | (axes != axes[leaders]))
+               & (leaders != np.arange(n)))
     obstructed = np.zeros(n, dtype=bool)
     obstructed[leaders[differs]] = True
     scale = max(1.0, float(np.abs(np.asarray(theta_values, dtype=float)).max(initial=0.0)))

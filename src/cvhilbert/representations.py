@@ -268,13 +268,8 @@ def commutant_basis(rep: UnitaryRepresentation) -> list[np.ndarray]:
     # a group has at least one element, so at least d^2 rows, a square R and
     # a square vh
     _, sigma, vh = np.linalg.svd(np.linalg.qr(system, mode="r"), full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        null_rows = vh
-    else:
-        threshold = rep.tolerance * float(sigma[0])
-        rank = int(np.sum(sigma > threshold))
-        null_rows = vh[rank:]
-    return [row.conj().reshape(d, d) for row in null_rows]
+    rank = int(np.sum(sigma > rep.tolerance * float(sigma[0])))
+    return [row.conj().reshape(d, d) for row in vh[rank:]]
 
 
 def character_norm(rep: UnitaryRepresentation) -> float:

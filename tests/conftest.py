@@ -86,6 +86,21 @@ def point_actions(draw):
     return action
 
 
+def all_products(group):
+    """The (n, n) table of a * b for every pair, through `products`."""
+    return group.products(np.arange(group.order)[:, None], np.arange(group.order))
+
+
+def point_rows(joint):
+    """The point of the m x m square, x * m + y, to which each element
+    F_g S_h W^s of N sends each (x, y): (g . x, h . y), or (g . y, h . x)
+    when s = 1, read off its triple and G's action on the values."""
+    m, act = joint.value_size, joint.action.act
+    s, g, h = (v[:, None] for v in joint.group.triples[:3])
+    x, y = np.divmod(np.arange(m * m), m)
+    return act[g, np.where(s == 1, y, x)] * m + act[h, np.where(s == 1, x, y)]
+
+
 def induced_indices(variable, action, g_action):
     """The element of G that each k of K induces: the map k makes on the
     values, read at the first point of each value, found among G's rows."""
@@ -232,7 +247,8 @@ def reference_verdict(g, mats, tol=representations.DEFAULT_TOLERANCE):
     first pair (a, b) with U(a*b) != U(a)U(b), else "not unitary", else None.
     Each comparison is `not residual <= tol`, so a NaN fails."""
     for a in range(g.order):
-        bad = ~(np.abs(mats[g.cayley[a]] - mats[a] @ mats).max(axis=(1, 2)) <= tol)
+        bad = ~(np.abs(mats[g.products(a, np.arange(g.order))] - mats[a] @ mats)
+                .max(axis=(1, 2)) <= tol)
         if bad.any():
             return (a, int(np.argmax(bad)))
     if any(not np.abs(u @ u.conj().T - np.eye(len(u))).max() <= tol for u in mats):

@@ -278,7 +278,8 @@ class TestStageFailureRule:
          "coset-labels[0]"),
         (TWO_BIT, spectra, "eigensystem", errors.NotHermitian("spectral reconstruction failed"),
          "operator-construction[0]"),
-        (TWO_BIT, pairing, "covariance_records", errors.UndefinedTransport("no image"),
+        (TWO_BIT, pairing, "covariance_records",
+         errors.NotHermitian("operator is not Hermitian at tolerance"),
          "conjugation-covariance[0]"),
         (TWO_BIT, spectra, "transition_matrix", errors.DegenerateSpectrum("degenerate"),
          "transition-unitarity[0]"),
@@ -1033,9 +1034,9 @@ class TestWorkCounts:
     def test_no_full_table_for_k_or_n(self, monkeypatch):
         # verify on cyclic m=8: K (order 64) is read only through its rows
         # and generators and builds no Cayley table; the induced group G
-        # builds one for its regular representation, and N (order 128) one
-        # for the cosets of the joined representation, whose |N|^2 int64
-        # entries take the bytes of the joined stack, |N| = 2 d^2
+        # builds one for its regular representation and for N's triples, and
+        # N (order 128), which holds no rows, multiplies its triples in G's
+        # table for the cosets of the joined representation
         built = {}
 
         def spy(name, module, original):
@@ -1060,7 +1061,7 @@ class TestWorkCounts:
         assert "cayley" not in vars(built["induced_group"][1][0])
         [joint_rep] = built["build_joint_representation"]
         assert joint_rep.group is n_group
-        assert n_group.cayley.nbytes == joint_rep.matrices.nbytes
+        assert n_group.rows is None and "cayley" not in vars(n_group)
 
     @pytest.mark.parametrize("doc, extends", [(CYCLIC8, True), (CYCLIC3, False)],
                              ids=["cyclic-m8", "cyclic-m3"])
@@ -1094,11 +1095,11 @@ class TestWorkCounts:
 
     def test_verify_builds_the_table_of_g_once(self, table_work):
         # cyclic m=8: G's table, read whole by its regular representation's
-        # 0/1 stack and by the closed form of N, is built once, and N's once,
-        # for the cosets of the joined representation
+        # 0/1 stack and by the triples of N, is built once, and N's never:
+        # the cosets of the joined representation multiply its triples
         report = cli.run_verify(cli.parse_context(CYCLIC8), "cyclic m=8")
         assert report.failed       # the pinned irreducibility and coset failures
-        assert table_work["tables"] == [8, 128]
+        assert table_work["tables"] == [8]
 
     def test_failed_extension_reads_no_table_of_n(self, table_work):
         # cyclic m=5 fails the extension: the relations are decided on the

@@ -144,7 +144,7 @@ from pathlib import Path
 
 import pytest
 
-from cvhilbert import cli, coherent, groups, pairing, variables
+from cvhilbert import cli, coherent, groups, pairing, representations, variables
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -292,13 +292,13 @@ def _statements(path: Path) -> dict:
 
 
 def test_every_statement_is_reached(monkeypatch, capsys):
-    # line events in `coherent`, `groups`, `pairing` and `variables` only,
-    # over every case: a statement that no command runs is code that only
-    # tests need, unless its block ends in `raise`, a refusal that a case
-    # need not reach
+    # line events in `coherent`, `groups`, `pairing`, `representations` and
+    # `variables` only, over every case: a statement that no command runs is
+    # code that only tests need, unless its block ends in `raise`, a refusal
+    # that a case need not reach
     monkeypatch.chdir(ROOT)
     modules = {m.__file__: Path(m.__file__).name
-               for m in (coherent, groups, pairing, variables)}
+               for m in (coherent, groups, pairing, representations, variables)}
     ran = {name: set() for name in modules.values()}
 
     def trace(frame, event, arg):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from cvhilbert import cli, groups, pairing, variables
 from cvhilbert.errors import NotASubgroup, SizeLimit
 
-from conftest import compose, induced_indices, point_actions, standard_action, standard_group
+from conftest import (all_products, compose, induced_indices, point_actions, point_rows,
+                      standard_action, standard_group)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -528,9 +529,10 @@ class TestWords:
         assert groups.bfs_words(g) == reference_bfs_words(table, list(g.generators))
 
     def test_joined_group_m8(self):
-        n = joined_group_m8().group
+        joint = joined_group_m8()
+        n = joint.group
         assert n.order == 128
-        table = reference_table(n.rows).tolist()
+        table = reference_table(point_rows(joint)).tolist()
         assert groups.bfs_words(n) == reference_bfs_words(table, list(n.generators))
 
     def test_trivial_group(self):
@@ -551,15 +553,16 @@ def assert_breadth_first(g):
     assert found == list(range(1, g.order))
 
 
-def assert_matches_reference(g, closed=True):
-    """Everything a group computes from its generator columns and its Cayley
-    table against the |G|^2 reference table of its rows; the breadth-first
-    numbering too for a group `closed` from its generators."""
+def assert_matches_reference(g, closed=True, rows=None):
+    """Everything a group computes from its generator columns and its
+    products against the |G|^2 reference table of its rows, or of the given
+    point rows of a group that holds none; the breadth-first numbering too
+    for a group `closed` from its generators."""
     if closed:
         assert_breadth_first(g)
-    table = reference_table(g.rows)
+    table = reference_table(g.rows if rows is None else rows)
     n = g.order
-    assert g.cayley.tolist() == table.tolist()
+    assert all_products(g).tolist() == table.tolist()
     # the cyclic subgroup of the last element, its coset leaders, and the
     # product of every element with it
     last, members = n - 1, [g.identity]
@@ -598,9 +601,12 @@ class TestGeneratorColumns:
         assert_matches_reference(g)
 
     def test_joined_group_m8(self):
-        g = joined_group_m8().group
+        joint = joined_group_m8()
+        g = joint.group
         assert g.order == 128 and len(g.generators) == 15
-        assert_matches_reference(g)
+        assert g.rows is None and "cayley" not in vars(g)
+        assert_matches_reference(g, rows=point_rows(joint))
+        assert "cayley" not in vars(g)
 
     def test_one_closure_pass(self):
         # (0 1)(2 3 4): point 0 tells the generator from the identity, but its

@@ -20,8 +20,9 @@ from cvhilbert.errors import (
     SizeLimit,
 )
 
-from conftest import (SWAP, direct_sum, joint_system, nine_point_setup, reference_system,
-                      reference_verdict, stack_representation, standard_group)
+from conftest import (SWAP, all_products, direct_sum, joint_system, nine_point_setup,
+                      point_rows, reference_system, reference_verdict, stack_representation,
+                      standard_group)
 
 TWO_BIT = Path(__file__).resolve().parents[1] / "fixtures" / "two_bit.json"
 DOCS = Path(__file__).resolve().parent / "golden" / "docs"
@@ -116,6 +117,21 @@ def closed_joint_group(group, action, order_bound):
     return (n_group, n_action, (0, *gens[:k]), (0, *gens[k:2 * k]), gens[-1] if m > 1 else 0)
 
 
+def assert_equals_closure(joint, group, action):
+    """N held as its triples is, element for element, the breadth-first
+    closure of the axis copies and the swap (`closed_joint_group`): its
+    generators, columns, embeddings and swap element, its products of every
+    pair against the closure's Cayley table, and the point to which each
+    element sends each (x, y) against the closure's rows."""
+    n_group, n_action, first, second, swap = closed_joint_group(group, action, 2 * 24**2)
+    assert joint.group.generators == n_group.generators
+    assert joint.group.columns.dtype == n_group.columns.dtype
+    assert np.array_equal(joint.group.columns, n_group.columns)
+    assert (joint.first_embed, joint.second_embed, joint.swap_element) == (first, second, swap)
+    assert np.array_equal(all_products(joint.group), n_group.cayley)
+    assert np.array_equal(point_rows(joint), n_action.act)
+
+
 def cyclic_values(m):
     return groups.generate_permutation_group([[(x + 1) % m for x in range(m)]])
 
@@ -146,44 +162,43 @@ class TestJointGroup:
     def test_two_bit_order_eight(self, two_bit):
         joint = two_bit["system"].joint
         assert joint.group.order == 8
-        assert groups.is_transitive(joint.action)
-        assert not np.array_equal(joint.group.cayley, joint.group.cayley.T)
+        assert set(point_rows(joint)[:, 0].tolist()) == set(range(4))
+        table = all_products(joint.group)
+        assert not np.array_equal(table, table.T)
 
     def test_three_values_order_eighteen(self):
         ctx, pair, _, g_action = nine_point_setup()
         joint = pairing.build_joint_group(pair, g_action)
         assert joint.group.order == 18
-        assert groups.is_transitive(joint.action)
+        assert set(point_rows(joint)[:, 0].tolist()) == set(range(9))
 
     @given(transitive_free_actions())
     def test_joined_group_transitive_and_not_abelian(self, drawn):
         # the two facts `build_joint_group` proves instead of checking, for a
-        # random transitive free G
+        # random transitive free G: F_g S_h W^s sends (0, 0) to (g . 0, h . 0),
+        # and those points are the whole square
         group, action = drawn
         m = action.space_size
-        points = range(m * m)
         n = square_join(group, action)
-        assert set(n.action.act[:, 0].tolist()) == set(points)
-        assert np.array_equal(n.group.cayley, n.group.cayley.T) == (m == 1)
+        zero, triples = action.act[:, 0], n.group.triples
+        assert set((zero[triples.g] * m + zero[triples.h]).tolist()) == set(range(m * m))
+        table = all_products(n.group)
+        assert np.array_equal(table, table.T) == (m == 1)
         assert n.group.order == (2 * m * m if m > 1 else 1)
+
+    @given(transitive_free_actions())
+    def test_triples_equal_closure(self, drawn):
+        # the triples against the breadth-first closure of the axis copies and
+        # the swap, for a random transitive free G
+        group, action = drawn
+        assert_equals_closure(square_join(group, action), group, action)
 
     @pytest.mark.parametrize("case", REGULAR_ACTIONS)
     def test_equals_breadth_first_closure(self, case):
-        # N in closed form is, element for element, the closure of the axis
-        # copies and the swap: rows, generators, columns, embeddings, swap
-        # element and the Cayley table filled from the columns
         group, action = REGULAR_ACTIONS[case]()
         joint = square_join(group, action)
-        n_group, n_action, first, second, swap = closed_joint_group(group, action, 2 * 24**2)
-        assert joint.group.generators == n_group.generators
-        assert joint.group.rows.dtype == n_group.rows.dtype
-        assert joint.group.columns.dtype == n_group.columns.dtype
-        assert np.array_equal(joint.group.rows, n_group.rows)
-        assert np.array_equal(joint.group.columns, n_group.columns)
-        assert np.array_equal(joint.action.act, n_action.act)
-        assert joint.action.space_size == n_action.space_size
-        assert (joint.first_embed, joint.second_embed, joint.swap_element) == (first, second, swap)
-        assert np.array_equal(joint.group.cayley, n_group.cayley)
+        assert_equals_closure(joint, group, action)
+        assert joint.group.rows is None and joint.action is action
 
     @pytest.mark.parametrize("m", [2, 3, 8, 22])
     def test_order_bound_as_the_closure_words_it(self, m):
@@ -196,9 +211,9 @@ class TestJointGroup:
         assert str(built.value) == str(closed.value)
         assert square_join(group, action, 2 * m * m).group.order == 2 * m * m
 
-    def test_order_bound_decided_before_rows(self):
-        # at m = 40 the rows of N, 3200 of 1600 points, take 39 MiB; the
-        # bound is decided from |N| before any of them, or G's table, exists
+    def test_order_bound_decided_before_triples(self):
+        # at m = 40, |N| = 3200; the bound is decided from |N| before any
+        # triple, column or G's table exists
         group, action = cyclic_values(40)
         pair = square_pair(40)
         tracemalloc.start()
@@ -215,13 +230,13 @@ class TestJointGroup:
         joint = two_bit["system"].joint
         for a in joint.first_embed:
             for b in joint.second_embed:
-                assert joint.group.cayley[a, b] == joint.group.cayley[b, a]
+                assert joint.group.products(a, b) == joint.group.products(b, a)
 
     def test_swap_conjugation_exchanges_copies(self, two_bit):
         joint = two_bit["system"].joint
         j = joint.swap_element
         for g_idx, n in enumerate(joint.first_embed):
-            conj = joint.group.cayley[joint.group.cayley[j, n], j]
+            conj = joint.group.products(joint.group.products(j, n), j)
             assert conj == joint.second_embed[g_idx]
 
 
@@ -538,7 +553,8 @@ class TestCovariance:
         for rec in failing:
             assert rec.obstructed
         # the simultaneous flip is represented by a scalar yet moves the values
-        both = system.joint.group.cayley[system.joint.first_embed[1], system.joint.second_embed[1]]
+        both = system.joint.group.products(system.joint.first_embed[1],
+                                           system.joint.second_embed[1])
         w = system.coherent.rep.matrices[both]
         assert np.abs(w + np.eye(2)).max() <= 1e-12
 
@@ -591,7 +607,7 @@ def reference_outcome(joint, base_rep, swap_matrix):
     if verdict is None or verdict == "not unitary":
         return verdict
     a, b = verdict
-    c = int(joint.group.cayley[a, b])
+    c = int(joint.group.products(a, b))
     return c, words[a] + words[b], words[c]
 
 
@@ -629,11 +645,14 @@ def theta_operator(system, theta_values):
 def looped_covariance(system, theta_values):
     """The reference stage: one moved table, axis, operator and sandwich
     product per element in turn. (element, residual, ok, obstructed) per
-    element; a residual is ok at the tolerance times max(1, largest |value|)."""
+    element; a residual is ok at the tolerance times max(1, largest |value|).
+    Each element moves the points of the m x m square as in N's breadth-first
+    closure (`closed_joint_group`), which N's numbering matches."""
     a_theta = theta_operator(system, theta_values)
     labels = (list(system.x_index), list(system.y_index))
     n, m = system.joint.group.order, system.joint.value_size
-    act = system.joint.action.act
+    g_action = system.joint.action
+    act = closed_joint_group(g_action.group, g_action, n)[1].act
     theta_arr = np.asarray(theta_values, dtype=float)
     moved_tables = [theta_arr[act[t] // m] for t in range(n)]
     classes = looped_classes(system)
@@ -651,8 +670,7 @@ def looped_covariance(system, theta_values):
         elif np.all(by_x == by_x[:1, :]):
             values, axis = by_x[0, :], 1
         else:
-            raise pairing.UndefinedTransport(
-                f"moved variable does not factor through either axis for element {t}")
+            raise AssertionError(f"moved table of element {t} factors through neither axis")
         a_moved = coherent.operator_from_variable(system.coherent, values[labels[axis]])
         residual = float(np.abs(w.conj().T @ a_theta.matrix @ w - a_moved.matrix).max())
         bound = system.tolerance * max(1.0, float(np.abs(theta_arr).max()))
@@ -731,18 +749,6 @@ class TestCovarianceAgainstLoop:
             counts.append(len(built))
         assert "order=8" in orders[0] and "order=32" in orders[1]
         assert 0 < counts[0] == counts[1]
-
-    def test_first_undefined_transport_named(self, two_bit):
-        # a table that factors through neither axis, after one that does
-        system = two_bit["system"]
-        tables = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-        with pytest.raises(pairing.UndefinedTransport, match="for element 1$"):
-            pairing._axis_values(system, tables)
-
-    def test_constant_table_takes_x_axis(self, two_bit):
-        values, axes = pairing._axis_values(two_bit["system"], np.array([[2.0] * 4, [0, 1, 0, 1.0]]))
-        assert axes.tolist() == [0, 1]
-        assert values.tolist() == [[2.0, 2.0], [0.0, 1.0]]
 
 
 class TestBatchedAgainstLoops:
@@ -852,12 +858,38 @@ class TestInversionRungs:
                 pairing.covariance_records(system, theta_operator(system, values), values),
                 looped_covariance(system, values))
 
+    @staticmethod
+    def cyclic_rung(m, monkeypatch):
+        """`verify` on the cyclic rung of m values, with the order bound
+        raised to 8192; the report's checks by id."""
+        doc = product_document(m, [[(x + 1) % m for x in range(m)]])
+        doc["options"] = {"max_order": 8192}
+        monkeypatch.setattr(pairing, "build_swap_matrix", inversion_swap)
+        report = cli.run_verify(cli.document_from_mapping(doc))
+        checks = {c.cid: c for c in report.checks}
+        assert checks["joint-group[0]"].detail == f"order={2 * m * m} points={m * m}"
+        assert checks["coset-labels[0]"].status == "pass"
+        return checks
 
-class TestExplicitTransformations:
-    def test_non_factoring_table_rejected(self, two_bit):
-        system = two_bit["system"]
-        four_cycle = [1, 2, 3, 0]
-        theta = np.asarray(two_bit["theta"].numeric())
-        table = theta[np.asarray(four_cycle) // system.joint.value_size]
-        with pytest.raises(pairing.UndefinedTransport):
-            pairing._axis_values(system, table[None])
+    def test_no_table_of_n_is_read(self, monkeypatch):
+        # m=16, |N| = 512: the isotropy and the cosets of the joined
+        # representation, and the classes of the covariance stage, multiply
+        # N's triples in G's table, so G's is the one Cayley table read
+        reads, table = set(), groups.FiniteGroup.cayley
+        monkeypatch.setattr(groups.FiniteGroup, "cayley", property(
+            lambda group: reads.add(group.order) or table.__get__(group, groups.FiniteGroup)))
+        self.cyclic_rung(16, monkeypatch)
+        assert reads == {16}
+
+    def test_peak_memory(self, monkeypatch):
+        # m=32, |N| = 2048, d = 32: the joined stack takes 32 MiB. With N
+        # held as its triples `verify` peaks near 93 MiB, inside the
+        # extension; N's point rows, action and |N|^2 table took it to 131 MiB
+        tracemalloc.start()
+        try:
+            self.cyclic_rung(32, monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
