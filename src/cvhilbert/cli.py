@@ -456,8 +456,8 @@ def _join(run: _Run) -> None:
         raise _Stop
     g_action = run.induced[run.dpair.theta][1]
     run.joint = pairing.build_joint_group(run.pair, g_action, run.doc.max_order)
-    run.add("joint-group", "pass", run.idx,
-            detail=f"order={run.joint.group.order} points={run.joint.value_size ** 2}")
+    run.add("joint-group", "pass", run.idx, detail=f"order={run.joint.group.order} "
+            f"points={run.joint.value_action.space_size ** 2}")
 
 
 def _extend(run: _Run) -> None:

@@ -50,10 +50,10 @@ with the columns it is read from. `regular_action` makes that action with
 no table: its column b, right multiplication a -> a * b for every a, is
 read off the rows, the row of a * b being rows[a][rows[b]], looked up whole
 in the row index (`FiniteGroup.right_products`), in O(|G| m); its `act` is
-`cayley`, read on first access. Like the element rows of a closure, the
-table is refused with SizeLimit above PERMUTATION_BYTE_LIMIT before it is
-allocated, and `regular_action` checks that bound where it makes the
-action.
+`cayley`, read on first access. Like the element rows of a closure and N's
+columns, the table is refused with SizeLimit above PERMUTATION_BYTE_LIMIT
+before it is allocated, and `regular_action` checks that bound where it
+makes the action.
 
 A built action needs no further check to answer questions about it:
 `GroupAction.images` reads one column of it, `is_transitive` the orbit of
@@ -103,7 +103,8 @@ from .errors import NotASubgroup, SizeLimit
 DEFAULT_ORDER_BOUND = 1024
 
 # Largest table of element rows (one int64 row of images per element, which
-# is the action table) that a generated permutation group may hold.
+# is the action table) that a generated permutation group may hold; it bounds
+# a Cayley table and the joined group's columns too.
 PERMUTATION_BYTE_LIMIT = 32 * 2**20
 
 # Temporaries of one numpy step of a table scan stay near this many bytes.
@@ -128,6 +129,13 @@ class Triples(NamedTuple):
     number: np.ndarray
     table: np.ndarray
 
+    def images(self, act, a, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(x', y'): the pair to which element a, F_g S_h W^s, sends the pair
+        (x, y) when G acts by the table act, act[g, x] = g . x: (g . x, h . y),
+        or (g . y, h . x) when s = 1. The arrays a, x and y broadcast."""
+        flip = self.s[a] == 1
+        return act[self.g[a], np.where(flip, y, x)], act[self.h[a], np.where(flip, x, y)]
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -151,13 +159,13 @@ class FiniteGroup:
         """a * b for the element arrays a and b, broadcast together. A group
         with rows reads `cayley`; N multiplies its triples in G's table,
         F_g S_h W^s F_g' S_h' W^s' = F_(g x) S_(h y) W^(s xor s'), with
-        (x, y) = (g', h'), or (h', g') when s = 1, as W F_g' S_h' W = F_h' S_g'."""
+        (x, y) = (g', h'), or (h', g') when s = 1, as W F_g' S_h' W = F_h' S_g':
+        (g x, h y) is the pair to which a sends (g', h') when G acts on itself
+        (`Triples.images`)."""
         if self.triples is None:
             return self.cayley[a, b]
-        s, g, h, number, table = self.triples
-        flip = s[a] == 1
-        return number[s[a] ^ s[b], table[g[a], np.where(flip, h[b], g[b])],
-                      table[h[a], np.where(flip, g[b], h[b])]]
+        t = self.triples
+        return t.number[(t.s[a] ^ t.s[b], *t.images(t.table, a, t.g[b], t.h[b]))]
 
     def right_products(self, b: int) -> np.ndarray:
         """(n,) int array, a * b for every element a of a group with rows:
@@ -370,11 +378,11 @@ def _cosets(sub: Subgroup, leaders: np.ndarray) -> CosetSpace:
                       tuple(cosets[:, 0].tolist()))
 
 
-def _check_rows(count: int, size: int) -> None:
+def _check_rows(count: int, size: int, rows: str = "permutations of {} points") -> None:
     nbytes = count * size * 8
     if nbytes > PERMUTATION_BYTE_LIMIT:
         raise SizeLimit(
-            f"{count} permutations of {size} points need {nbytes / 2**20:.0f} MiB, "
+            f"{count} {rows.format(size)} need {nbytes / 2**20:.0f} MiB, "
             f"above the {PERMUTATION_BYTE_LIMIT / 2**20:.0f} MiB bound")
 
 
@@ -436,13 +444,17 @@ def wreath_product(group: FiniteGroup, order_bound: int) -> FiniteGroup:
     element of N is F_g S_h W^s for one triple (g, h, s), the closure numbers
     the triples in the order listed in the code, and right factors act on
     them by G's table, as `pairing.build_joint_group` proves; so N holds its
-    columns and its `Triples`, and no rows. |N| = 2 m^2 is refused with
-    SizeLimit above order_bound before anything is allocated.
+    columns and its `Triples`, which hold G's table, and no rows. Before
+    anything is allocated, |N| = 2 m^2 is refused with SizeLimit above
+    order_bound, and its 2 m^2 (2 m - 1) columns above PERMUTATION_BYTE_LIMIT:
+    they are the largest array built, as each block of them is written in
+    place, so the build peaks near 1.3 times their size.
     """
     m = group.order
     order, count = (2 * m * m, 2 * m - 1) if m > 1 else (1, 0)
     if order > order_bound:
         raise SizeLimit(f"closure exceeds order bound {order_bound}")
+    _check_rows(2 * m * m, 2 * m - 1, "elements with {} Cayley-graph columns")
     # the position (s, g, h) of each element in breadth-first order: e; F_a;
     # S_a; W; per g, (g, a, 0) for each a, then (g, e, 1); (e, h, 1); (g, h, 1)
     flat = np.arange(2 * m * m).reshape(2, m, m)
@@ -452,15 +464,22 @@ def wreath_product(group: FiniteGroup, order_bound: int) -> FiniteGroup:
         flat[1, 0, 1:], flat[1, 1:, 1:].ravel()])
     number = found.argsort().reshape(2, m, m)
     found = found[:order]   # with one value, W is e
-    # right factors: F_a takes (g, h, 0) to (g a, h, 0) and (g, h, 1) to
-    # (g, h a, 1); S_a the same with the axes exchanged; W flips s
+    # G's table, read through `products`, whose table branch no other stage
+    # of the golden runs reaches; a copy of at most 101^2 entries, as the
+    # column bound holds m to 101
     table = group.products(np.arange(m)[:, None], np.arange(m))
     g, h = np.arange(m)[:, None, None], np.arange(m)[None, :, None]
     ga, ha = table[:, None, 1:], table[None, :, 1:]
-    columns = np.concatenate([
-        np.concatenate([number[0][ga, h], number[0][g, ha], number[1][..., None]], axis=2),
-        np.concatenate([number[1][g, ha], number[1][ga, h], number[0][..., None]], axis=2),
-    ]).reshape(2 * m * m, 2 * m - 1)[found, :count]
+    # right factors: F_a takes (g, h, 0) to (g a, h, 0) and (g, h, 1) to
+    # (g, h a, 1); S_a the same with the axes exchanged; W flips s. Each
+    # block is written in place at its elements' rows, so that the columns
+    # are the one array of their size that is allocated
+    columns = np.empty((2 * m * m, 2 * m - 1), dtype=np.int64)
+    for s, (f_a, s_a) in enumerate([((ga, h), (g, ha)), ((g, ha), (ga, h))]):
+        columns[number[s], :m - 1] = number[s][f_a]
+        columns[number[s], m - 1:-1] = number[s][s_a]
+        columns[number[s], -1] = number[1 - s]
+    columns = columns[:order, :count]
     columns.setflags(write=False)
     triples = Triples(*np.unravel_index(found, (2, m, m)), number, table)
     return FiniteGroup(None, tuple(columns[0].tolist()), columns, triples=triples, token=_BUILT)

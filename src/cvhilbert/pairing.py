@@ -89,8 +89,7 @@ class RelatedPair:
 @dataclass(frozen=True, eq=False)
 class JointGroup:
     group: FiniteGroup
-    action: GroupAction                 # G's, on the values of each axis
-    value_size: int                     # points per axis of the product
+    value_action: GroupAction           # G's, on the m values of each axis
     first_embed: tuple[int, ...]        # joined-group index of each first-axis copy
     second_embed: tuple[int, ...]
     swap_element: int
@@ -212,8 +211,10 @@ def build_joint_group(
 
     |N| is known before anything is built: above order_bound it raises
     SizeLimit, "closure exceeds order bound", before any triple or column is
-    allocated. The joined group keeps G's action on the values, from which
-    the stages read the points that N's elements move.
+    allocated, and so does a column table above the byte bound on element
+    rows (`groups.wreath_product`). The joined group keeps G's action on the
+    values, its `value_action`, from which the stages read the points that
+    N's elements move (`groups.Triples.images`).
     """
     if not is_transitive(g_action):
         raise NotTransitive("the supplied group is not transitive on the values")
@@ -228,7 +229,7 @@ def build_joint_group(
     # identity of G are the identity of N
     gens, k = n_group.generators, m - 1
     swap_element = gens[-1] if m > 1 else n_group.identity
-    return JointGroup(n_group, g_action, m, (n_group.identity, *gens[:k]),
+    return JointGroup(n_group, g_action, (n_group.identity, *gens[:k]),
                       (n_group.identity, *gens[k:2 * k]), swap_element)
 
 
@@ -369,9 +370,9 @@ def joint_coset_structure(
     therefore never labeled.
     """
     coherent_system = coherent.build_coherent_system(joint_rep, f)
-    # F_g S_h W^s moves (0, 0) to (g . 0, h . 0)
-    zero, triples = joint.action.images(0), joint.group.triples
-    x_of, y_of = zero[triples.g].tolist(), zero[triples.h].tolist()
+    # the pair (g . 0, h . 0) to which each element F_g S_h W^s sends (0, 0)
+    x_of, y_of = joint.group.triples.images(joint.value_action.act, slice(None), 0, 0)
+    x_of, y_of = x_of.tolist(), y_of.tolist()
     first, second = set(joint.first_embed), set(joint.second_embed)
     x_index, y_index = [], []
     for block in coherent_system.cosets.cosets:
@@ -398,7 +399,7 @@ def joint_operators(
 
     theta_values and xi_values are numeric, one per value-set point.
     """
-    m = system.joint.value_size
+    m = system.joint.value_action.space_size
     theta_values = np.asarray(theta_values, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     if theta_values.shape != (m,) or xi_values.shape != (m,):
@@ -457,10 +458,10 @@ def covariance_records(
     """
     n, d, triples = system.joint.group.order, system.dim, system.joint.group.triples
     # F_g S_h W^s sends (x, y) to (g . x, h . y), or to (g . y, h . x) when
-    # s = 1: its moved table is theta o g along axis s, or along axis 0 when
-    # theta o g is constant, so two tables are equal exactly when their
-    # values and axes are
-    values = np.asarray(theta_values, dtype=float)[system.joint.action.act[triples.g]]
+    # s = 1 (`groups.Triples.images`): its moved table is theta o g along
+    # axis s, or along axis 0 when theta o g is constant, so two tables are
+    # equal exactly when their values and axes are
+    values = np.asarray(theta_values, dtype=float)[system.joint.value_action.act[triples.g]]
     axes = np.where((values == values[:, :1]).all(axis=1), 0, triples.s)
     coset_values = np.where(axes[:, None] == 0, values[:, list(system.x_index)],
                             values[:, list(system.y_index)])

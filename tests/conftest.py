@@ -93,12 +93,13 @@ def all_products(group):
 
 def point_rows(joint):
     """The point of the m x m square, x * m + y, to which each element
-    F_g S_h W^s of N sends each (x, y): (g . x, h . y), or (g . y, h . x)
-    when s = 1, read off its triple and G's action on the values."""
-    m, act = joint.value_size, joint.action.act
-    s, g, h = (v[:, None] for v in joint.group.triples[:3])
+    F_g S_h W^s of N sends each (x, y), read off its triple and G's action
+    on the values (`Triples.images`)."""
+    m = joint.value_action.space_size
     x, y = np.divmod(np.arange(m * m), m)
-    return act[g, np.where(s == 1, y, x)] * m + act[h, np.where(s == 1, x, y)]
+    elements = np.arange(joint.group.order)[:, None]
+    moved_x, moved_y = joint.group.triples.images(joint.value_action.act, elements, x, y)
+    return moved_x * m + moved_y
 
 
 def induced_indices(variable, action, g_action):

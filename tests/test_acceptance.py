@@ -111,7 +111,7 @@ def test_criterion_4_two_bit_end_to_end(two_bit, two_bit_operators):
     joint = system.joint
     assert joint.group.order == 8
     # F_g S_h W^s sends (0, 0) to (g . 0, h . 0): every point of the 2 x 2 square
-    zero, triples = joint.action.images(0), joint.group.triples
+    zero, triples = joint.value_action.images(0), joint.group.triples
     assert set(zip(zero[triples.g].tolist(), zero[triples.h].tolist())) == {
         (x, y) for x in range(2) for y in range(2)}
     # representation extension decided from the joined group's defining relations

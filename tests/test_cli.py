@@ -1209,6 +1209,32 @@ class TestSpaceSizeBound:
             assert code == 1
             assert captured.err == "undefined variable 'x'\n"
 
+    def test_joined_columns_refused_before_they_are_allocated(self, tmp_path, capsys):
+        # K cyclic on 200 points with max_order 80000: G and its table are
+        # small, and N = G wr Z_2, of order 80000, is within max_order, but
+        # its 80000 x 399 columns are not within the byte bound
+        m = 200
+        shift = [(p + 1) % m for p in range(m)]
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps({
+            "schema_version": "1", "phi_space": {"size": m}, "group_K": {"generators": [shift]},
+            "variables": [{"name": "a", "values": list(range(m))}, {"name": "b", "values": shift}],
+            "maximal_family": ["a", "b"], "pairs": [{"theta": "a", "xi": "b", "k": shift}],
+            "options": {"max_order": 80000}}))
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", str(path), "--format", "structured"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        check = _check(captured.out, "joint-group[0]")
+        assert check["status"] == "fail"
+        assert check["detail"] == ("80000 elements with 399 Cayley-graph columns need 244 MiB, "
+                                   "above the 32 MiB bound")
+        assert peak < 8 * 2**20
+
     def test_operator_refuses_k_above_byte_bound(self, monkeypatch, capsys):
         monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 64)
         code = cli.main(["operator", TWO_BIT, "--variable", "bit1"])

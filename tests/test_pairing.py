@@ -198,7 +198,7 @@ class TestJointGroup:
         group, action = REGULAR_ACTIONS[case]()
         joint = square_join(group, action)
         assert_equals_closure(joint, group, action)
-        assert joint.group.rows is None and joint.action is action
+        assert joint.group.rows is None and joint.value_action is action
 
     @pytest.mark.parametrize("m", [2, 3, 8, 22])
     def test_order_bound_as_the_closure_words_it(self, m):
@@ -225,6 +225,32 @@ class TestJointGroup:
             tracemalloc.stop()
         assert peak < 2**16
         assert "cayley" not in vars(group)
+
+    def test_columns_refused_before_they_are_allocated(self):
+        # at m = 200, |N| = 80000 is within the order bound, but its 80000 x
+        # 399 columns pass PERMUTATION_BYTE_LIMIT: refused before any triple,
+        # column or G's table exists
+        group, _ = cyclic_values(200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match=r"^80000 elements with 399 Cayley-graph columns "
+                                                r"need 244 MiB, above the 32 MiB bound$"):
+                groups.wreath_product(group, 80000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert "cayley" not in vars(group)
+
+    def test_column_bound_counts_the_columns(self, monkeypatch):
+        # at m = 8 the columns take 128 x 15 int64, 15360 bytes: a bound of
+        # exactly that admits N and one byte less refuses it
+        group, _ = cyclic_values(8)
+        monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 15360)
+        assert groups.wreath_product(group, 128).columns.nbytes == 15360
+        monkeypatch.setattr(groups, "PERMUTATION_BYTE_LIMIT", 15359)
+        with pytest.raises(SizeLimit, match="^128 elements with 15 Cayley-graph columns"):
+            groups.wreath_product(group, 128)
 
     def test_embeddings_commute(self, two_bit):
         joint = two_bit["system"].joint
@@ -459,7 +485,7 @@ class TestCosetStructure:
         with mock.patch.object(pairing, "joint_coset_structure", spy):
             cli.run_verify(cli.document_from_mapping(raw))
         for system in systems:
-            states, m = system.coherent, system.joint.value_size
+            states, m = system.coherent, system.joint.value_action.space_size
             assert max(states.cosets.representatives) < m
             assert sorted(states.basis_index.tolist()) == list(range(system.dim))
             unit = coherent.operator_stack(states, np.ones((1, len(states.cosets))))
@@ -567,7 +593,7 @@ def word_products(joint, base_rep, swap_matrix, words):
     moved = range(1, base_rep.group.order)
     gen_mats = [*(base_rep.matrices[g] for g in moved),
                 *(swap_matrix @ base_rep.matrices[g] @ swap_matrix for g in moved),
-                *([swap_matrix] if joint.value_size > 1 else [])]
+                *([swap_matrix] if joint.value_action.space_size > 1 else [])]
     assert len(gen_mats) == len(joint.group.generators)
     mats = []
     for word in words:
@@ -650,8 +676,8 @@ def looped_covariance(system, theta_values):
     closure (`closed_joint_group`), which N's numbering matches."""
     a_theta = theta_operator(system, theta_values)
     labels = (list(system.x_index), list(system.y_index))
-    n, m = system.joint.group.order, system.joint.value_size
-    g_action = system.joint.action
+    n, m = system.joint.group.order, system.joint.value_action.space_size
+    g_action = system.joint.value_action
     act = closed_joint_group(g_action.group, g_action, n)[1].act
     theta_arr = np.asarray(theta_values, dtype=float)
     moved_tables = [theta_arr[act[t] // m] for t in range(n)]
@@ -718,7 +744,7 @@ class TestCovarianceAgainstLoop:
         # ties among the values decide which classes are obstructed
         system, _, _ = verified_systems()[document]
         value = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
-        m = system.joint.value_size
+        m = system.joint.value_action.space_size
         theta_values = data.draw(st.lists(value, min_size=m, max_size=m))
         a_theta = theta_operator(system, theta_values)
         assert_records_match(pairing.covariance_records(system, a_theta, theta_values),
